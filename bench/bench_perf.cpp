@@ -370,17 +370,17 @@ void BM_AlignmentEngineStep(benchmark::State& state) {
 BENCHMARK(BM_AlignmentEngineStep)->Arg(100)->Arg(400)->Arg(100000);
 
 // ---------------------------------------------------------------------------
-// Sharded chain runner: the multi-core Poissonized execution of the same
-// weight models (core/sharded_chain_runner.hpp).  Arg is the stripe-phase
-// thread count; items are chain events, so items/s is comparable with the
-// BM_*EngineStep(Spiral) single-core baselines at n = 1e5.  All three run
-// the spiral their sequential baselines use — it stays inside the flat
-// window (~8 active stripes at this n), keeping the rows comparable with
-// the pre-tiled history; the *TiledLine rows below measure the tiled
-// backend on the shapes that used to fall off the dense path.  (This
-// repo's CI box is single-core — run on a multi-core host to see the
-// stripe scaling; the Arg(8) rows are recorded for exactly that
-// comparison.)
+// Sharded chain runner: the exact block-parallel execution of the same
+// weight models (core/sharded_chain_runner.hpp).  Arg is the block-phase
+// thread count (1 runs the proposal list in order); items are chain
+// proposals, so items/s is comparable with the BM_*EngineStep(Spiral)
+// single-core baselines at n = 1e5.  All three run the spiral their
+// sequential baselines use — it stays inside the flat window (~11 active
+// 128 × 128 blocks at this n), keeping the rows comparable with the
+// pre-tiled history; the *TiledLine rows below measure the tiled backend
+// on the shapes that used to fall off the dense path.  Scaling shows only
+// on a host with as many cores as the Arg; for end-to-end speed-ups use
+// perfbench/run.py.
 
 void BM_ShardedChainStepCompression(benchmark::State& state) {
   core::ChainOptions options;
@@ -441,10 +441,10 @@ void BM_ShardedChainStepSeparationTiledLine(benchmark::State& state) {
   // The previously-cliffed shape: a 3e5-particle line's derived window is
   // ~1e9 words — far past the 32 MiB flat cap — so before the tiled
   // backend this configuration fell onto the sparse hash path and ran
-  // every event on the sequential sweep.  Now it runs dense-tiled and
-  // striped with the paged id plane; items/s here against the *Sparse row
-  // below is the measured price of the old cliff.  Arg is the
-  // stripe-phase thread count.
+  // every event sequentially.  Now it runs dense-tiled on the block path
+  // with the paged id plane; items/s here against the *Sparse row below is
+  // the measured price of the old cliff.  Arg is the block-phase thread
+  // count.
   core::SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -466,8 +466,8 @@ BENCHMARK(BM_ShardedChainStepSeparationTiledLine)->Arg(1)->Arg(2)->Arg(8)
 void BM_ShardedChainStepSeparationSparseLine(benchmark::State& state) {
   // The before side of the tiled-occupancy work, kept measurable from the
   // same binary: the identical 3e5-line workload forced onto the sparse
-  // regime (hash-index queries, every event on the sequential sweep) —
-  // exactly where this shape landed before the flat cap was broken.
+  // regime (hash-index queries, the proposal list in order) — exactly
+  // where this shape landed before the flat cap was broken.
   core::SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;

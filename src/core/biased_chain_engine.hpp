@@ -21,13 +21,16 @@
 ///
 ///   static constexpr bool kUniformWeight;  // w depends on e(σ) only
 ///   static constexpr bool kHasAuxMove;     // mixes a second move kind
+///   static constexpr int kInteractionRadius;  // event reach, in columns
 ///   const ChainOptions& / ChainOptions chainOptions() const;
 ///   void attach(const system::ParticleSystem&);      // validate + planes
 ///   double movementFactor(sys, particle, l, d, ringMask);  // extra w-ratio
 ///   void onMoved(sys, particle, from, to);           // sync aux planes
 ///   // only when kHasAuxMove:
+///   static constexpr bool kAuxMovePair;  // acts on (p, p + draw6), not p
 ///   bool auxEnabled() const;  double auxProbability() const;
-///   AuxOutcome auxStep(sys, ids, rng, particle, draw6);  // draws hoisted
+///   AuxOutcome auxStep(sys, ids, rng, particle, draw6);  // draws hoisted;
+///   // rng is an rng::Random here and an rng::CounterStream in the runner
 ///   // optional: static constexpr bool kNeedsPartnerIds (default false) —
 ///   // when true the engine maintains a cell→particle-id plane
 ///   // (core/id_plane.hpp) in lockstep with accepted moves and passes it
@@ -40,7 +43,7 @@
 /// draw-for-draw and outcome-for-outcome against core::CompressionChain.
 ///
 /// The move body itself lives in the free chainEventStep() below, shared
-/// with core::ShardedChainRunner (the multi-core Poissonized execution of
+/// with core::ShardedChainRunner (the exact block-parallel execution of
 /// the same models, core/sharded_chain_runner.hpp) so the two execution
 /// disciplines cannot drift.  The whole contract above is enforced at
 /// compile time as the ChainWeightModel concept in
@@ -72,7 +75,7 @@ struct EngineStats {
   std::uint64_t auxProposed = 0;  ///< aux proposals that reached the filter
   std::uint64_t auxAccepted = 0;
 
-  /// Adds another tally in — the sharded runner's per-stripe merge.  One
+  /// Adds another tally in — the sharded runner's per-block merge.  One
   /// definition (delegating to ChainStats::merge) so a field added here
   /// cannot be dropped by a hand-written merge in one discipline only.
   void merge(const EngineStats& other) noexcept {
@@ -128,19 +131,19 @@ struct EngineStepResult {
 };
 
 /// One chain event, given the already-hoisted draws: the move body shared
-/// verbatim by BiasedChainEngine::step() (which selects the particle
-/// uniformly from its single RNG) and ShardedChainRunner (which selects it
-/// by Poisson clock and draws from the particle's private coin stream).
-/// Updates system/model/ids, adds an accepted movement's e-delta to
-/// `edges`, and draws the Metropolis uniform lazily from `rng`.  Outcome
-/// accounting is left to the caller so stripe workers can tally locally.
-template <typename Model>
+/// verbatim by BiasedChainEngine::step() (which draws everything from its
+/// single rng::Random) and ShardedChainRunner (which draws each proposal
+/// from its own rng::CounterStream).  Updates system/model/ids, adds an
+/// accepted movement's e-delta to `edges`, and draws the Metropolis
+/// uniform lazily from `rng`.  Outcome accounting is left to the caller so
+/// block workers can tally locally.
+template <typename Model, typename Uniform>
   requires ChainWeightModel<Model>
 EngineStepResult chainEventStep(system::ParticleSystem& sys, Model& model,
                                 ParticleIdPlane& ids,
                                 const std::array<MoveDecision, 256>& decisions,
                                 bool greedy, std::size_t particle, int draw6,
-                                bool auxMove, rng::Random& rng,
+                                bool auxMove, Uniform& rng,
                                 std::int64_t& edges) {
   EngineStepResult result;
   if constexpr (Model::kHasAuxMove) {

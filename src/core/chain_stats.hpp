@@ -40,7 +40,7 @@ struct ChainStats {
   }
 
   /// Adds another tally in (outcome counts are order-independent, so
-  /// per-stripe tallies merged in any fixed order give the same totals).
+  /// per-block tallies merged in any fixed order give the same totals).
   void merge(const ChainStats& other) noexcept {
     steps += other.steps;
     accepted += other.accepted;

@@ -2,17 +2,17 @@
 #define SOPS_CORE_EPOCH_CONTROL_HPP
 
 /// \file epoch_control.hpp
-/// Epoch sizing shared by the sharded runners (chain and amoebot).
+/// Epoch sizing of the sharded runners.  The chain runner uses the
+/// derived default and the cap for its fixed proposal-list length; the
+/// adaptive controller serves the amoebot runner only.
 ///
-/// An epoch is the unit of parallel work: the runner draws every clock
-/// firing in [now, now + Δ), executes stripe-interior events in parallel,
-/// and sweeps the deferred halo/edge events sequentially.  Δ trades two
-/// overheads off against each other: short epochs pay the per-epoch scan
-/// and barrier repeatedly (ruinous at small n), long epochs grow the
-/// deferred sweep and its memory footprint (ruinous at large n).  Both
-/// runners derive Δ from a target number of events per epoch; this header
-/// owns the derived default, the hard cap, and the adaptive controller, so
-/// the two runners cannot drift.
+/// An amoebot epoch is the unit of parallel work: the runner draws every
+/// clock firing in [now, now + Δ), executes stripe-interior events in
+/// parallel, and sweeps the deferred halo/edge events sequentially.  Δ
+/// trades two overheads off against each other: short epochs pay the
+/// per-epoch scan and barrier repeatedly (ruinous at small n), long epochs
+/// grow the deferred sweep and its memory footprint (ruinous at large n).
+/// The runner derives Δ from a target number of events per epoch.
 
 #include <algorithm>
 #include <cstdint>

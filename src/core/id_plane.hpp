@@ -32,12 +32,12 @@
 /// allocated and holding its id (the initial build allocates a
 /// kPageMargin-box around every particle; move() re-establishes it by
 /// allocating around any target that lands on a missing page — reachable
-/// only from sequential contexts, since the sharded runner's deferral
-/// predicate requires coversNear(pos, 1) before touching the plane
-/// concurrently).
+/// only from sequential contexts, since the sharded chain runner reserves
+/// every page a block can touch (reserveNear) before its parallel phase).
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,9 +71,8 @@ class ParticleIdPlane {
   /// throws with the fix in the message, like BitGrid::kMaxTiles.
   static constexpr std::uint32_t kMaxPages = 1u << 17;
   /// Pages are allocated this many cells around a particle (initial build
-  /// and fresh-page moves), so a particle satisfies coversNear(pos, 1) —
-  /// the sharded runner's deferral predicate — until it drifts a few
-  /// pages.
+  /// and fresh-page moves), so a particle satisfies coversNear(pos, 1)
+  /// until it drifts a few pages.
   static constexpr std::int64_t kPageMargin = 4;
 
   enum class Mode : std::uint8_t { Inactive = 0, Flat = 1, Paged = 2 };
@@ -130,10 +129,8 @@ class ParticleIdPlane {
 
   /// True iff every cell in [p ± depth] is backed by the plane: always in
   /// Flat mode (the mirror spans the whole window), page-directory probes
-  /// in Paged mode.  The sharded chain runner conjoins coversNear(pos, 1)
-  /// into its deferral predicate so concurrent events never touch a
-  /// missing page (id reads and writes stay within distance 1 of the
-  /// acting particle).
+  /// in Paged mode.  The sharded chain runner checks it before a block's
+  /// parallel phase, so concurrent proposals never touch a missing page.
   [[nodiscard]] bool coversNear(TriPoint p, std::int64_t depth) const noexcept {
     if (mode_ == Mode::Flat) return true;
     if (mode_ != Mode::Paged || !pagedValid_) return false;
@@ -151,10 +148,19 @@ class ParticleIdPlane {
     return true;
   }
 
+  /// Paged mode: allocates every page within `depth` of each center, so
+  /// coversNear(c, depth) holds afterwards (a no-op in the other modes,
+  /// where coversNear is already total or meaningless).  The sharded chain
+  /// runner calls this between parallel phases.
+  void reserveNear(std::span<const TriPoint> centers, std::int64_t depth) {
+    if (mode_ != Mode::Paged || !pagedValid_) return;
+    for (const TriPoint c : centers) ensurePagesAround(c, depth);
+  }
+
   /// Relocates `particle` from `from` to `to`.  Precondition: tracksMoves.
   /// In Paged mode a target on a missing page allocates a kPageMargin
   /// neighborhood around it — only reachable from sequential contexts (the
-  /// sharded deferral predicate excludes it concurrently).
+  /// sharded chain runner reserves pages before its parallel phases).
   void move(TriPoint from, TriPoint to, std::size_t particle) {
     if (mode_ == Mode::Flat) {
       SOPS_DASSERT(ids_[indexOf(from)] ==
@@ -203,10 +209,9 @@ class ParticleIdPlane {
   /// Lowers the page cap for this instance (cap-overflow tests).
   void setMaxPagesForTest(std::uint32_t cap) noexcept { maxPages_ = cap; }
 
-  /// Serializes what restore cannot re-derive: in Paged mode the exact
-  /// page directory (the sharded runner's deferral predicate is a
-  /// function of the allocated-page set, so resume must reproduce it
-  /// verbatim).  Flat/Inactive planes write only a tag — a flat rebuild
+  /// Serializes the plane's mode and, in Paged mode, the exact page
+  /// directory, so a restored plane is the saved one page for page.
+  /// Flat/Inactive planes write only a tag — a flat rebuild
   /// from the restored grid is exact.  Ids themselves are never written;
   /// they are rebuilt from particle positions.
   void saveState(system::SnapshotWriter& w) const {

@@ -6,14 +6,15 @@
 /// execution disciplines.
 ///
 /// BiasedChainEngine<Model> (sequential) and ShardedChainRunner<Model>
-/// (Poissonized multi-core) defer to the model for everything
+/// (block-parallel multi-core) defer to the model for everything
 /// scenario-specific: the extra weight factor of a movement move, the
-/// auxiliary move kind, the interaction radius the stripe discipline
-/// sizes its halo bands from, and the snapshot round-trip of the model's
-/// evolving state.  Before this header the contract lived in a doc
-/// comment and surfaced as template soup three instantiation levels deep
-/// when a model drifted.  The C++20 concepts here turn that drift into a
-/// one-line diagnostic naming the violated requirement:
+/// auxiliary move kind and the cells it acts on, the interaction radius
+/// the block runner's boundary rule widens by, and the snapshot
+/// round-trip of the model's evolving state.  Before this header the
+/// contract lived in a doc comment and surfaced as template soup three
+/// instantiation levels deep when a model drifted.  The C++20 concepts
+/// here turn that drift into a one-line diagnostic naming the violated
+/// requirement:
 ///
 ///   ChainWeightModel<M>   the full contract both disciplines require —
 ///                         applied as a requires-clause on
@@ -33,8 +34,8 @@
 ///                         so "forgot to declare it" must not silently
 ///                         select a default.  Must be in [2, 32): a
 ///                         movement ring alone spans 2 columns, and a
-///                         radius at or beyond the 64-column stripe
-///                         width would leave no interior band at all.
+///                         radius near the 64-column half block would
+///                         leave a block almost no interior.
 ///   serialize/deserialize the durable-run layer snapshots every model;
 ///                         serialize must be const (it runs on a live
 ///                         engine at a checkpoint) and both must take
@@ -80,32 +81,38 @@ struct ModelNeedsPartnerIds<Model,
 /// (|Δx|) any read or write of one event spans from the activated
 /// particle's cell.  A movement move alone needs 2 (the 8-cell ring); a
 /// pair aux move whose partner sits one cell over and whose edge ring is
-/// gathered around that partner needs 3.  The sharded chain runner sizes
-/// its stripe halo bands from this.  ChainWeightModel requires the member
-/// outright; the trait remains the single accessor both disciplines read.
+/// gathered around that partner needs 3.  The sharded chain runner widens
+/// a proposal's cell box by radius − 1 before testing it against the
+/// block.  ChainWeightModel requires the member outright; the trait
+/// remains the single accessor both disciplines read.
 template <typename Model>
 struct ModelInteractionRadius
     : std::integral_constant<int, Model::kInteractionRadius> {};
 
 /// Lower/upper bounds on a declarable interaction radius: the movement
-/// ring spans 2 columns, and the stripe discipline needs an interior band
-/// to exist within a 64-column stripe (radius columns of halo on each
-/// side), so a radius at or beyond half a stripe is a contract error.
+/// ring spans 2 columns, and a radius near the 64-column half of a
+/// 128-column block would leave a block almost no interior.
 inline constexpr int kMinInteractionRadius = 2;
 inline constexpr int kMaxInteractionRadius = 31;
 
 /// The auxiliary-move surface of a model that mixes a second move kind
 /// into the chain (color swap, orientation rotation, ...).  (particle,
 /// draw6) are the engine's hoisted draws; further draws come lazily from
-/// the per-event RNG.
+/// the per-event RNG — the engine's rng::Random or the sharded runner's
+/// per-proposal rng::CounterStream, so auxStep must accept both.
 template <typename Model>
 concept AuxMoveModel =
     requires(Model& m, const Model& cm, system::ParticleSystem& sys,
-             const ParticleIdPlane& ids, rng::Random& rng, std::size_t particle,
-             int draw6) {
+             const ParticleIdPlane& ids, rng::Random& rng,
+             rng::CounterStream& stream, std::size_t particle, int draw6) {
+      // Whether the move acts on (p, p + draw6) or on p alone — the
+      // sharded runner's boundary rule takes exactly those cells.
+      typename std::bool_constant<Model::kAuxMovePair>;
       { cm.auxEnabled() } -> std::convertible_to<bool>;
       { cm.auxProbability() } -> std::convertible_to<double>;
       { m.auxStep(sys, ids, rng, particle, draw6) } -> std::same_as<AuxOutcome>;
+      { m.auxStep(sys, ids, stream, particle, draw6) } ->
+          std::same_as<AuxOutcome>;
     };
 
 /// Everything both execution disciplines require of every model: the
@@ -122,7 +129,7 @@ concept ChainWeightModelBase =
       // Move-kind switches, usable in constant expressions.
       typename std::bool_constant<Model::kUniformWeight>;
       typename std::bool_constant<Model::kHasAuxMove>;
-      // Declared event footprint for the stripe/halo discipline.
+      // Declared event footprint for the block runner's boundary rule.
       { Model::kInteractionRadius } -> std::convertible_to<int>;
       requires int{Model::kInteractionRadius} >= kMinInteractionRadius;
       requires int{Model::kInteractionRadius} <= kMaxInteractionRadius;

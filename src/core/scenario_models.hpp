@@ -160,7 +160,7 @@ class CompressionModel {
   static constexpr bool kUniformWeight = true;
   static constexpr bool kHasAuxMove = false;
   /// A movement move reads the 8-cell ring (|Δx| ≤ 2) and writes ℓ, ℓ'
-  /// (|Δx| ≤ 1); there is no pair move, so 2 columns of halo suffice.
+  /// (|Δx| ≤ 1): everything lies within 1 of the cells ℓ, ℓ'.
   static constexpr int kInteractionRadius = 2;
 
   explicit CompressionModel(ChainOptions options) : options_(options) {}
@@ -206,11 +206,13 @@ class SeparationModel {
   /// cell→id plane so an accepted swap costs an array load, not a hash
   /// probe (the last hash touch the accept path had).
   static constexpr bool kNeedsPartnerIds = true;
+  /// The swap acts on the pair (p, p + draw6): the sharded runner's
+  /// boundary rule takes both cells.
+  static constexpr bool kAuxMovePair = true;
   /// The swap touches a partner one cell away (|Δx| ≤ 1) and gathers the
   /// full ring of the shared edge around it (|Δx| ≤ 2 from the activated
-  /// particle), and flips the partner's color plane bit — so the sharded
-  /// runner must keep one extra column of clearance beyond the movement
-  /// radius for pair moves frozen mid-phase by the halo rules.
+  /// particle), and flips the partner's color plane bit; one column of
+  /// clearance beyond the movement radius.
   static constexpr int kInteractionRadius = 3;
   /// Movement changes hom through ≤5 before-ring and ≤5 after-ring cells.
   static constexpr int kMaxMoveDelta = 5;
@@ -300,8 +302,9 @@ class SeparationModel {
   /// momentarily out of sync, e.g. right after a window regrow).
   /// (particle, draw6) are the engine's hoisted draws; draw6 is the
   /// direction of the candidate edge.
+  template <typename Uniform>
   AuxOutcome auxStep(system::ParticleSystem& sys, const ParticleIdPlane& ids,
-                     rng::Random& rng, std::size_t particle, int draw6) {
+                     Uniform& rng, std::size_t particle, int draw6) {
     const Direction d = lattice::directionFromIndex(draw6);
     const TriPoint p = sys.position(particle);
     const TriPoint q = lattice::neighbor(p, d);
@@ -421,11 +424,12 @@ class AlignmentModel {
   static constexpr bool kUniformWeight = false;
   static constexpr bool kHasAuxMove = true;
   static constexpr int kOrientations = lattice::kNumDirections;
+  /// The rotation acts on p alone (draw6 is an orientation, not a
+  /// direction): the sharded runner's boundary rule takes p only.
+  static constexpr bool kAuxMovePair = false;
   /// The rotation itself only reads p's 6-neighborhood (|Δx| ≤ 1), but it
-  /// rewrites how p reads to *other* particles' alignment gathers; keep
-  /// the same pair-move clearance as the swap so a rotation of a particle
-  /// frozen in a halo band can never sit inside a concurrent stripe's
-  /// read set.
+  /// rewrites how p reads to *other* particles' alignment gathers; it
+  /// keeps the swap's clearance.
   static constexpr int kInteractionRadius = 3;
   static constexpr int kMaxMoveDelta = 5;
   /// A rotation changes ali through ≤6 neighbors losing the old class and
@@ -509,8 +513,9 @@ class AlignmentModel {
   /// undeclared — the engine maintains none for this model).  (particle,
   /// draw6) are the engine's hoisted draws; draw6 is the proposed
   /// orientation.
+  template <typename Uniform>
   AuxOutcome auxStep(system::ParticleSystem& sys, const ParticleIdPlane&,
-                     rng::Random& rng, std::size_t particle, int draw6) {
+                     Uniform& rng, std::size_t particle, int draw6) {
     const auto proposed = static_cast<std::uint8_t>(draw6);
     const std::uint8_t current = orientations_[particle];
     if (proposed == current) return AuxOutcome::Skipped;

@@ -2,149 +2,104 @@
 #define SOPS_CORE_SHARDED_CHAIN_RUNNER_HPP
 
 /// \file sharded_chain_runner.hpp
-/// Multi-core single-replica execution of the biased chain: the amoebot
-/// stripe discipline (amoebot/parallel_scheduler.hpp) applied to the
+/// Exact multi-core execution of the biased chain: the shifted-checkerboard
+/// construction (Anderson et al., J. Comput. Phys. 254, 2013) applied to the
 /// weight models of core::BiasedChainEngine.
 ///
-/// The chain M activates one particle per step, which pins a replica to
-/// one core no matter how large n grows.  Poissonization breaks the
-/// serialization: give every particle an independent exponential clock
-/// and execute clock events instead of uniform draws — the embedded
-/// jump chain selects particle i with probability rate_i / Σ rates (the
-/// uniform chain when all rates are 1), so each event is exactly one
-/// Metropolis proposal of the engine's weight model, and the per-event
-/// body is the *same* chainEventStep() the sequential engine runs.
+/// **Proposal lists.**  The run is cut into epochs of L proposals.
+/// Proposal k of epoch e draws from two counter-based streams
+/// (rng::CounterStream, counter k under keys util::mix64-hashed from
+/// (seed, e)): its particle (uniform over n, or from a Walker alias table
+/// of ShardedChainOptions::rates) from one; the aux coin, the
+/// direction/orientation and — lazily, inside the shared chainEventStep()
+/// — the Metropolis uniform from the other.  Every draw is a pure
+/// function of (seed, e, k): no state, no thread and no timing enters it.
 ///
-/// **Stripes.**  The occupancy window is cut into vertical stripes of 64
-/// lattice columns — exactly the bit planes' 64-bit word columns, so no
-/// two stripes ever touch the same word of the occupancy grid, the
-/// models' shadow planes, or the partner-id plane (all allocated with the
-/// same geometry).  One event of a particle at column c reads within
-/// Model::kInteractionRadius columns of c and writes within radius−1, so
-/// an event whose particle sits in the in-stripe interior band
-/// [radius, 64 − radius) is processed entirely inside its stripe.
-/// Interior events of different stripes therefore commute, and each
-/// stripe runs its own events sequentially in (time, particle) order —
-/// on any number of threads with identical results.  The radius is the
-/// model's declaration (ModelInteractionRadius): 2 for pure movement
-/// (ring reads), 3 for pair moves (separation's swap partner and
-/// alignment's rotation interact across a shared edge whose ring extends
-/// one column further).
+/// **Blocks.**  Each epoch also draws, from (seed, e) alone, a block
+/// offset (ox, oy) with ox ∈ {0, 64} and oy ∈ [0, 128).  Blocks are the
+/// 128 × 128 cells [ox + 128·i, ox + 128·i + 128) × [oy + 128·j, …) in
+/// absolute lattice coordinates.  Flat BitGrid origins are rounded down to
+/// a multiple of 64 and tiles are 1024-aligned, so block edges fall on
+/// 64-bit word boundaries of the occupancy grid and of every plane
+/// allocated like it; the id planes store one u32 per cell.  Distinct
+/// blocks therefore never share a word.
 ///
-/// **Halo deferral.**  Events of particles inside a halo band — or close
-/// enough to the window edge that an accepted move could force a plane
-/// regrow (BitGrid::coversInteriorBy(pos, kInteriorMargin + 1) fails) —
-/// are not executed in the stripe phase: the owning stripe routes them,
-/// with their original Poisson timestamps, to a deferred list.  A
-/// particle that wanders into a band mid-epoch is deferred from that
-/// event on (its position then cannot change until the sweep — only a
-/// particle's own events move it — so the decision is stable).  After the
-/// stripes join, the coordinating thread executes all deferred events in
-/// (time, particle) order — a sequential tail of the epoch's schedule,
-/// free to regrow windows and resync planes.
+/// **Symmetric boundary rejection.**  A proposal's cells are (ℓ, ℓ′) for
+/// a movement move, (p, q) for a pair aux move (separation's swap) and p
+/// alone for a single-particle aux move (alignment's rotation).  Their
+/// bounding box, widened by Model::kInteractionRadius − 1, must lie inside
+/// the block of the proposing particle; otherwise the proposal is counted
+/// (sweepEvents()) and not executed.  Everything an executed proposal
+/// reads or writes lies within distance 1 of its cells, so inside its
+/// block; in particular no particle ever leaves its block within an epoch.
+/// A move and its reverse have the same cells, so the rule rejects both or
+/// neither: every executed kernel stays π-reversible, and composing them in
+/// list order is π-stationary.  The offsets are drawn independently of the
+/// state, so the epoch kernel is a state-independent mixture of stationary
+/// kernels, and because every boundary moves between epochs the mixture is
+/// irreducible.
 ///
-/// **Clocks and coins.**  Each particle owns two decorrelated RNG streams
-/// seeded once from the master seed (rng::particleStream — mix64 of
-/// (seed, 2i+1) and (seed, 2i+2), the discipline shared with the amoebot
-/// runner): one drives its exponential waiting times, one its per-event
-/// draws (aux coin, direction/orientation, Metropolis uniform).  The
-/// streams live in SoA banks (rng/stream_bank.hpp) — 32-byte packed
-/// engine states, one cache line per touched stream instead of the two
-/// scattered lines the old AoS `std::vector<rng::Random>` cost — and the
-/// clock bank fills a whole epoch's waiting times in one batched
-/// sequential pass (PoissonClockBank::fillEpoch) rather than one
-/// scattered draw per event.  Every draw remains a pure function of
-/// (seed, particle, draw index) — never of thread interleaving — which,
-/// with the deterministic stripe/halo rules above, makes the whole
-/// trajectory a pure function of the seed.  tests/sharded_chain_test.cpp
-/// pins this across thread counts for all three shipped models.
+/// **Execution.**  Proposals of different blocks touch disjoint state, so
+/// running each block's proposals in list order — blocks in parallel — is
+/// the same computation as running the whole list in order.  With
+/// threads == 1 and in the forced-sparse regime the runner does exactly
+/// that: the list in order, on the calling thread.  That path is the
+/// oracle tests/sharded_chain_test.cpp holds the block path to, bit for
+/// bit.  The block path:
+///   1. bucket (parallel over T list chunks): each proposal's particle is
+///      drawn and filed, by the block of its epoch-start position, into a
+///      per-chunk list (chunks keep list order);
+///   2. per block (parallel, largest first): count each particle's
+///      proposals c_i and check that the storage covers every cell within
+///      c_i + radius + kInteriorMargin of it — a particle moves at most
+///      once per proposal it owns — then execute the block's proposals in
+///      list order;
+///   3. blocks that failed the check wait for the coordinator, which grows
+///      the flat window or tiles and the id-plane pages around their
+///      particles, and then run in a second parallel phase.
+/// No grid, plane or page directory changes inside a parallel phase.
 ///
-/// **Epoch sizing and overlap.**  Epoch length Δ = target / Σ rates.  An
-/// explicit targetEventsPerEpoch fixes the target; the default adapts it
-/// each epoch from the deferred-event fraction (core/epoch_control.hpp —
-/// a thread-count-invariant signal, so adaptivity preserves the
-/// determinism contract).  Because the clock draws depend only on the
-/// clock streams, never on particle positions, the next epoch's batched
-/// fill can run on a persistent helper thread while the coordinating
-/// thread executes this epoch's sequential sweep — hiding most of the
-/// Amdahl serial fraction.  The helper is disabled at threads == 1, which
-/// therefore measures the honest single-thread premium.
+/// **Heterogeneous rates.**  With `rates`, particle i proposes with
+/// probability rate_i / Σ rates.  A move's reverse is proposed by the same
+/// particle (movement: the moved particle; swap and rotation: the particle
+/// at p), so the selection weight cancels from detailed balance and π is
+/// unchanged.  tests/sharded_chain_test.cpp checks this against exact π.
 ///
-/// **Heterogeneous rates.**  ShardedChainOptions::rates gives particle i
-/// activation rate rate_i > 0 (empty = all 1.0, the paper's uniform
-/// chain).  Each accepted move's reverse is proposed by the *same*
-/// particle's clock (movement: the moved particle; swap and rotation:
-/// per-particle coins pair i with i), so the Metropolis ratio — and with
-/// it the stationary distribution π — is unchanged by the rates; only
-/// the selection frequencies shift.  tests/sharded_chain_test.cpp checks
-/// this against exact π by chi-square at n = 4 and 5.
-///
-/// **What is and is not preserved.**  Unlike the facade's sequential
-/// path, the sharded trajectory is *not* draw-for-draw the engine's (the
-/// particle-selection mechanism differs, and halo events are reordered
-/// after interior events they commute with only approximately).  The
-/// contract is distributional: every executed event is a legal
-/// Metropolis proposal of the same weight model on the configuration it
-/// observes, connectivity and the tracked e(σ) stay exact, and the
-/// stationary behavior is validated against exact π by chi-square at
-/// enumerable sizes and against the sequential engine by KS at n = 10⁴
-/// (pre-registered thresholds, tests/sharded_chain_test.cpp) — the same
-/// style of evidence PR 2 established for the sharded amoebot runner.
-///
-/// During epochs over the dense window the ParticleSystem's cell→id hash
+/// During an epoch over the dense grid the ParticleSystem's cell→id hash
 /// index — the one structure every move would otherwise share — is
 /// suspended (ParticleSystem::suspendIndex) and restored on exit.
-///
-/// **Tiled windows.**  Configurations too spread out for one flat window
-/// run on BitGrid's tiled backend: same word-exclusive stripe discipline
-/// (tile columns are 64-aligned, so stripes never split a word), but the
-/// allocated-tile bounding box can span astronomically many columns, so
-/// stripes are keyed sparsely (util::FlatMap64) instead of indexed
-/// densely, with slots assigned in a sequential first-touch pass that is
-/// the same for every thread count.  Pair-move models additionally defer
-/// events whose neighborhood the paged partner-id plane does not cover
-/// (ParticleIdPlane::coversNear) — directory growth, like window growth,
-/// belongs to the sequential pre-phase and sweep only.  The sparse
-/// (hash-only) regime survives solely behind
-/// ParticleSystem::forceSparseForTest() and snapshots of such runs:
-/// every event runs on the sweep path, same trajectory contract, no
-/// parallelism.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/biased_chain_engine.hpp"
 #include "core/cancel.hpp"
-#include "core/ensemble.hpp"
 #include "core/epoch_control.hpp"
-#include "core/overlap_worker.hpp"
-#include "rng/stream_bank.hpp"
+#include "core/worker_pool.hpp"
+#include "rng/alias_table.hpp"
+#include "rng/random.hpp"
 #include "system/metrics.hpp"
-#include "util/event_sort.hpp"
 #include "util/flat_hash.hpp"
+#include "util/mix.hpp"
 
 namespace sops::core {
 
 struct ShardedChainOptions {
-  /// Worker threads for the stripe phase; 0 uses hardware_concurrency().
-  /// The trajectory is identical for every value.  threads == 1 also
-  /// disables the draw/sweep overlap helper, so it runs strictly
-  /// single-threaded.
+  /// Worker threads for the block phase; 0 uses hardware_concurrency().
+  /// The trajectory is identical for every value.  threads == 1 runs the
+  /// proposal list in list order on the calling thread.
   unsigned threads = 0;
-  /// Expected events per epoch (sets Δ = target / Σ rates); 0 derives
-  /// min(max(2n, 1024), 2^28) and lets the adaptive controller move it.
-  /// An explicit value fixes the target for the whole run.
+  /// Proposals per epoch, L; 0 derives min(max(2n, 1024), 2^28).
   std::uint64_t targetEventsPerEpoch = 0;
-  /// Adapt the derived epoch target from the deferred-event fraction
-  /// (core/epoch_control.hpp).  Ignored when targetEventsPerEpoch != 0.
-  bool adaptiveEpochs = true;
-  /// Per-particle Poisson activation rates; empty means all 1.0 (the
-  /// paper's uniform-activation chain).  Must be positive and match the
-  /// particle count when present.  π is unchanged (see file comment);
-  /// only selection frequencies shift.
+  /// Particle-selection weights; empty means uniform (the paper's chain).
+  /// Must be positive and match the particle count when present.  π is
+  /// unchanged (see file comment); only selection frequencies shift.
   std::vector<double> rates;
 };
 
@@ -152,13 +107,16 @@ template <typename Model>
   requires ChainWeightModel<Model>
 class ShardedChainRunner {
  public:
+  /// Block side in cells; the x-offset is 0 or half of it.
+  static constexpr std::int64_t kBlockShift = 7;
+  static constexpr std::int64_t kBlockSize = std::int64_t{1} << kBlockShift;
+
   ShardedChainRunner(system::ParticleSystem initial, Model model,
                      std::uint64_t seed, ShardedChainOptions options = {})
-      : system_(std::move(initial)), model_(std::move(model)),
-        options_(std::move(options)), controller_(system_.size()) {
+      : system_(std::move(initial)), model_(std::move(model)), seed_(seed) {
     const std::size_t n = system_.size();
     SOPS_REQUIRE(n > 0, "sharded chain runner needs particles");
-    (void)checkedParticleDrawBound(n);  // 32-bit particle ids
+    particleCount32_ = checkedParticleDrawBound(n);
     const ChainOptions chainOptions = model_.chainOptions();
     SOPS_REQUIRE(chainOptions.lambda > 0.0, "lambda must be positive");
     SOPS_REQUIRE(Model::kUniformWeight || !chainOptions.greedy,
@@ -171,68 +129,40 @@ class ShardedChainRunner {
     edges_ = system::countEdges(system_);
     decisions_ = buildDecisionTable(chainOptions);
 
-    // One epoch's schedule lives in memory (~16 bytes/event); an explicit
-    // target beyond the cap can only be a mis-keyed step count, and the
-    // derived default is clamped to the same cap (an unclamped 2n once
-    // let a legal huge-n system build a multi-GiB schedule).
-    SOPS_REQUIRE(options_.targetEventsPerEpoch <= kMaxEventsPerEpoch,
+    // The epoch's bucketed list lives in memory (8 bytes/proposal); an
+    // explicit length beyond the cap can only be a mis-keyed step count.
+    SOPS_REQUIRE(options.targetEventsPerEpoch <= kMaxEventsPerEpoch,
                  "targetEventsPerEpoch must be at most 2^28");
-    SOPS_REQUIRE(options_.rates.empty() || options_.rates.size() == n,
+    SOPS_REQUIRE(options.rates.empty() || options.rates.size() == n,
                  "rates must be empty or give one rate per particle");
-    adaptive_ =
-        options_.targetEventsPerEpoch == 0 && options_.adaptiveEpochs;
-    epochTarget_ = options_.targetEventsPerEpoch != 0
-                       ? options_.targetEventsPerEpoch
+    epochLength_ = options.targetEventsPerEpoch != 0
+                       ? options.targetEventsPerEpoch
                        : derivedEpochTarget(n);
-
-    // SoA stream banks, seeded once with the discipline shared with the
-    // amoebot runner (rng::particleStream); the clock bank also draws
-    // each particle's first firing time, as the AoS constructor did.
-    clock_ = rng::PoissonClockBank(seed, n, 1, options_.rates);
-    coin_ = rng::StreamBank(seed, n, 2);
-    epochLength_ = static_cast<double>(epochTarget_) / clock_.totalRate();
+    if (!options.rates.empty()) selection_ = rng::AliasTable(options.rates);
+    threads_ = options.threads != 0
+                   ? options.threads
+                   : std::max(1u, std::thread::hardware_concurrency());
+    proposalCounts_.assign(n, 0);
   }
 
   /// Installs a cooperative cancel token polled between epochs: once it
-  /// trips, runAtLeast/runFor return early (possibly with zero progress)
-  /// with the system fully consistent — epoch boundaries are the runner's
-  /// only safe preemption points, and they are also exactly the states
-  /// saveState() can serialize.  nullptr uninstalls.
+  /// trips, runAtLeast returns early (possibly with zero progress) with
+  /// the system fully consistent — epoch boundaries are the runner's only
+  /// preemption points, and exactly the states saveState() serializes.
+  /// nullptr uninstalls.
   void setCancelToken(const CancelToken* cancel) noexcept { cancel_ = cancel; }
 
-  /// Runs whole epochs until at least `minEvents` chain events have
-  /// executed in this call (or the cancel token trips); returns the
-  /// number executed.  The system's id index is suspended for the
-  /// duration and restored before returning, so the system is fully
-  /// consistent (particleAt()) between calls.
+  /// Runs whole epochs until at least `minEvents` proposals have run in
+  /// this call (or the cancel token trips); returns the number run.  The
+  /// system's id index is suspended for the duration and restored before
+  /// returning, so the system is fully consistent (particleAt()) between
+  /// calls.
   std::uint64_t runAtLeast(std::uint64_t minEvents) {
     const IndexRestore restore(system_);
-    const OverlapDrain drain(*this);
     std::uint64_t executed = 0;
-    while (executed < minEvents || overlapPending_) {
-      // A pre-drawn epoch must be consumed before stopping (its draws
-      // have already advanced the clock bank), so a cancel with a fill in
-      // flight runs exactly one more epoch — which also skips the next
-      // pre-draw, unwinding the pipeline.
-      if (isCancelled(cancel_) && !overlapPending_) break;
-      executed += runEpoch(
-          [&](std::uint64_t after, double) { return after < minEvents; },
-          executed);
-    }
-    return executed;
-  }
-
-  /// Runs whole epochs until simulated time advances by `duration` (or
-  /// the cancel token trips).
-  std::uint64_t runFor(double duration) {
-    const IndexRestore restore(system_);
-    const OverlapDrain drain(*this);
-    const double target = now_ + duration;
-    std::uint64_t executed = 0;
-    while (now_ < target || overlapPending_) {
-      if (isCancelled(cancel_) && !overlapPending_) break;
-      executed += runEpoch(
-          [&](std::uint64_t, double end) { return end < target; }, executed);
+    while (executed < minEvents && !isCancelled(cancel_)) {
+      runEpoch();
+      executed += epochLength_;
     }
     return executed;
   }
@@ -241,24 +171,32 @@ class ShardedChainRunner {
     return system_;
   }
   [[nodiscard]] const Model& model() const noexcept { return model_; }
+  /// steps counts every proposal; the movement and aux tallies cover the
+  /// executed ones, sweepEvents() the boundary-rejected rest.
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] double now() const noexcept { return now_; }
-  [[nodiscard]] double epochLength() const noexcept { return epochLength_; }
 
-  /// Current events-per-epoch target (fixed, or the adaptive controller's
-  /// latest decision).
+  /// Proposals per epoch, L.
   [[nodiscard]] std::uint64_t epochTarget() const noexcept {
-    return epochTarget_;
+    return epochLength_;
   }
 
-  /// Events executed on the sequential sweep (halo + window-edge
-  /// deferrals) since construction — the serial fraction of the run.
+  /// Epochs completed since construction.
+  [[nodiscard]] std::uint64_t epochs() const noexcept { return epoch_; }
+
+  /// Proposals rejected by the block-boundary rule since construction.  A
+  /// pure function of the seed, like every other count here.
   [[nodiscard]] std::uint64_t sweepEvents() const noexcept {
-    return sweepEventCount_;
+    return boundaryRejects_;
+  }
+
+  /// Blocks holding at least one proposal in the last block-path epoch (0
+  /// before any, and on the list-order path, which does not bucket).
+  [[nodiscard]] std::size_t lastEpochBlocks() const noexcept {
+    return blocks_.size();
   }
 
   /// Current e(σ), maintained incrementally from the decision table's δ
-  /// (merged across stripes; integer sums are order-independent).
+  /// (merged across blocks; integer sums are order-independent).
   [[nodiscard]] std::int64_t edges() const noexcept { return edges_; }
 
   /// p = 3n − e − 3, exact whenever the configuration is hole-free
@@ -267,90 +205,46 @@ class ShardedChainRunner {
     return 3 * static_cast<std::int64_t>(system_.size()) - edges_ - 3;
   }
 
-  /// Serializes the runner's evolving state: system WITH its exact window
-  /// geometry (the stripe decomposition and halo/edge deferral rules are
-  /// functions of it — a re-derived window would change the trajectory),
-  /// model aux state, tallies, simulated clock, the current epoch target
-  /// (history-dependent under the adaptive controller), and every
-  /// particle's pending event time plus both private stream states (the
-  /// banks' master seed is the constructor's, so only the 4 engine words
-  /// per stream are stored).  Only legal between runAtLeast/runFor calls
-  /// (epoch boundaries), where the index is live and the epoch buffers —
-  /// including any overlap pre-draw — are empty.
+  /// Serializes the runner's evolving state (snapshot v4): system, model
+  /// aux state, tallies, e(σ), the epoch index and the boundary-reject
+  /// count.  Everything else — L, the alias table, the decision table, the
+  /// planes — comes from the spec.  Only legal between runAtLeast calls.
   void saveState(system::SnapshotWriter& w) const {
     SOPS_REQUIRE(!system_.indexSuspended(),
                  "saveState: only legal between runs (index suspended)");
-    SOPS_REQUIRE(!overlapPending_,
-                 "saveState: overlap pre-draw still pending (only legal "
-                 "between runs)");
     system::writeParticleSystem(w, system_);
     model_.serialize(w);
     writeEngineStats(w, stats_);
     w.i64(edges_);
-    w.f64(now_);
-    w.u64(sweepEventCount_);
-    w.u64(epochTarget_);
-    w.u64(system_.size());
-    for (std::size_t i = 0; i < system_.size(); ++i) {
-      w.f64(clock_.nextTime(i));
-      system::writeEngineState(w, clock_.state(i));
-      system::writeEngineState(w, coin_.state(i));
-    }
-    // Snapshot v3: the partner-id plane's mode and (when paged) its exact
-    // page directory — the striped deferral predicate is a function of
-    // the allocated-page set, so a re-derived directory would change the
-    // trajectory.
-    if constexpr (kMaintainsIds) partnerIds_.saveState(w);
+    w.u64(epoch_);
+    w.u64(boundaryRejects_);
   }
 
-  /// Inverse of saveState on a runner constructed from the same spec
-  /// (same model options, seed, epoch/rate options).  Epoch bounds,
-  /// decision table, rates, and the derived planes come from the
-  /// constructor; everything history-dependent is restored, so the runner
-  /// continues the snapshotted trajectory exactly (at any thread count).
+  /// Inverse of saveState on a runner constructed from the same spec; the
+  /// restored runner continues the snapshotted trajectory exactly, at any
+  /// thread count.  Payloads older than v4 were written by the
+  /// Poisson-clock runner, whose trajectory this runner cannot continue.
   void restoreState(system::SnapshotReader& r) {
-    SOPS_REQUIRE(!overlapPending_,
-                 "restoreState: overlap pre-draw still pending");
+    SOPS_REQUIRE(r.version() >= 4,
+                 "snapshot: sharded chain payload is version " +
+                     std::to_string(r.version()) +
+                     ", written by the Poisson-clock runner; the block "
+                     "runner reads version 4 and later — rerun the spec "
+                     "from the start");
     system_ = system::readParticleSystem(r);
     model_.deserialize(r);
     stats_ = readEngineStats(r);
     edges_ = r.i64();
-    now_ = r.f64();
-    sweepEventCount_ = r.u64();
-    const std::uint64_t target = r.u64();
-    if (adaptive_) {
-      controller_.setTarget(target);
-      epochTarget_ = target;
-    } else {
-      SOPS_REQUIRE(target == epochTarget_,
-                   "snapshot: fixed epoch target does not match the "
-                   "runner's options");
-    }
-    const std::uint64_t n = r.u64();
-    SOPS_REQUIRE(n == system_.size(),
-                 "snapshot: per-particle stream count does not match the "
-                 "particle count");
-    for (std::uint64_t i = 0; i < n; ++i) {
-      clock_.setNextTime(i, r.f64());
-      clock_.setState(i, system::readEngineState(r));
-      coin_.setState(i, system::readEngineState(r));
-    }
-    epochLength_ = static_cast<double>(epochTarget_) / clock_.totalRate();
-    (void)checkedParticleDrawBound(system_.size());
+    epoch_ = r.u64();
+    boundaryRejects_ = r.u64();
+    SOPS_REQUIRE(system_.size() == proposalCounts_.size(),
+                 "snapshot: particle count does not match the runner's spec");
     model_.attach(system_);
     if constexpr (kMaintainsIds) {
-      if (r.version() >= 3) {
-        // v3 records the plane's mode (and the exact page directory when
-        // paged — restoreState rebuilds it key for key).
-        partnerIds_.restoreState(r, system_);
-      } else {
-        // v2 snapshots predate the paged plane, so the plane was flat; a
-        // fresh rebuild is exact there.  The restored window geometry can
-        // equal the stale fingerprint, so a plain sync() would keep
-        // pre-restore ids.
-        partnerIds_.invalidate();
-        partnerIds_.sync(system_);
-      }
+      // The restored geometry can equal the stale fingerprint, so a plain
+      // sync() could keep pre-restore ids.
+      partnerIds_.invalidate();
+      partnerIds_.sync(system_);
     }
     SOPS_REQUIRE(system::countEdges(system_) == edges_,
                  "snapshot: restored edge count disagrees with the "
@@ -359,48 +253,67 @@ class ShardedChainRunner {
 
  private:
   static constexpr bool kMaintainsIds = ModelNeedsPartnerIds<Model>::value;
-  static constexpr std::uint64_t kStripeColumns = 64;
-  static constexpr std::uint64_t kHaloColumns =
-      static_cast<std::uint64_t>(ModelInteractionRadius<Model>::value);
-  static_assert(ModelInteractionRadius<Model>::value >= 1 &&
-                    ModelInteractionRadius<Model>::value <= 8,
-                "interaction radius must leave a non-trivial stripe interior");
-  /// One pending activation.  The (time, particle) order below is THE
-  /// schedule order — both the per-stripe pass and the deferred sweep
-  /// sort by it, and trajectory reproducibility across thread counts
-  /// rests on the tie-break staying identical in both places.
-  struct Event {
-    double time;
-    std::uint32_t particle;
+  static constexpr std::int64_t kRadius = ModelInteractionRadius<Model>::value;
+  /// Storage a particle with c proposals needs around it: c moves, then
+  /// the model's reach and the grid's interior margin.
+  static constexpr std::int64_t kReserveSlack =
+      kRadius + system::BitGrid::kInteriorMargin;
 
-    friend bool operator<(const Event& a, const Event& b) noexcept {
-      if (a.time != b.time) return a.time < b.time;
-      return a.particle < b.particle;
-    }
+  /// The (seed, e) draws of one epoch.  Proposal k draws its particle
+  /// from counter stream k under particleKey and everything else from
+  /// counter stream k under moveKey, so the block path can file a proposal
+  /// by particle and later run it without redrawing the particle.
+  struct Epoch {
+    std::uint64_t particleKey = 0;
+    std::uint64_t moveKey = 0;
+    std::int64_t offsetX = 0;  ///< 0 or 64
+    std::int64_t offsetY = 0;  ///< [0, 128)
   };
 
-  /// Sorts events into (time, particle) order.  Every firing time lies
-  /// in the epoch window [begin, end), so the bucket sort applies; its
-  /// per-bucket comparison is Event's own operator<, making the result
-  /// the exact lexicographic schedule.
-  static void sortEvents(std::vector<Event>& events,
-                         util::EventSortScratch<Event>& scratch,
-                         double begin, double end) {
-    util::sortEventsInWindow(events, scratch, begin, end,
-                             [](const Event& e) { return e.time; });
-  }
+  /// One proposal, filed under its block by the bucket phase.
+  struct Entry {
+    std::uint32_t index;     ///< k within the epoch
+    std::uint32_t particle;
+  };
 
-  /// Per-stripe outcome tally, merged on the coordinating thread in
-  /// stripe order after the join.
-  struct StripeTally {
+  /// One block holding proposals this epoch: its slice of sorted_ (list
+  /// order) and its own tallies.
+  struct Block {
+    std::uint32_t cell = 0;  ///< index in the epoch's block grid
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
     EngineStats stats;
     std::int64_t edgeDelta = 0;
+    std::uint64_t rejects = 0;
+    /// Storage check failed: the depth its particles need.
+    std::int64_t reserveDepth = 0;
   };
 
-  /// RAII index restoration for one run (suspension itself is per-epoch,
-  /// decided by runEpoch's regime check): restore must happen even when
-  /// an epoch throws, and is idempotent — including after a mid-run
-  /// fallback already restored the index (ParticleSystem::moveParticle).
+  /// Per-chunk counters of the bucket phase: proposals per block cell
+  /// (zero between epochs) and the cells this chunk touched.
+  struct ChunkCounts {
+    std::vector<std::uint32_t> count;
+    std::vector<std::uint32_t> touched;
+  };
+
+  /// The block grid of one epoch: every block that meets the grid's
+  /// window (flat) or allocated-tile box (tiled), row-major.
+  struct BlockGrid {
+    std::int64_t x0 = 0;
+    std::int64_t y0 = 0;
+    std::uint64_t columns = 0;
+    std::uint64_t cells = 0;
+  };
+
+  /// The bucket phase keeps one counter per block cell per chunk; when
+  /// that would pass this many counters (16 MiB — a tiled grid spread over
+  /// an astronomically large box), the epoch runs in list order instead:
+  /// same trajectory, no counter arrays.
+  static constexpr std::uint64_t kMaxBlockCounters = std::uint64_t{1} << 22;
+  static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
+
+  /// RAII index restoration for one run (suspension itself is per-epoch):
+  /// restore must happen even when an epoch throws, and is idempotent.
   class IndexRestore {
    public:
     explicit IndexRestore(system::ParticleSystem& sys) : sys_(sys) {}
@@ -412,52 +325,125 @@ class ShardedChainRunner {
     system::ParticleSystem& sys_;
   };
 
-  /// RAII overlap quiescence for one run: if an epoch throws with a
-  /// pre-draw in flight, the helper must finish before unwinding (it
-  /// writes the clock bank).  The completed buffer stays pending — it is
-  /// a valid continuation the next run consumes.  Normal exits never
-  /// leave a pre-draw pending (the moreAfter prediction is exact).
-  class OverlapDrain {
-   public:
-    explicit OverlapDrain(ShardedChainRunner& runner) noexcept
-        : runner_(runner) {}
-    ~OverlapDrain() {
-      if (runner_.overlapPending_) {
-        try {
-          runner_.overlap_->wait();
-        } catch (...) {
-          runner_.overlapPending_ = false;  // fill died; buffer unusable
-        }
-      }
-    }
-    OverlapDrain(const OverlapDrain&) = delete;
-    OverlapDrain& operator=(const OverlapDrain&) = delete;
-
-   private:
-    ShardedChainRunner& runner_;
-  };
-
-  [[nodiscard]] bool overlapEnabled() const noexcept {
-    return options_.threads != 1;
+  [[nodiscard]] Epoch epochDraws(std::uint64_t e) const noexcept {
+    Epoch ep;
+    const std::uint64_t key = util::mix64(util::mix64(seed_) ^ e);
+    ep.particleKey = util::mix64(key ^ 0x7061727469636c65ULL);  // "particle"
+    ep.moveKey = util::mix64(key ^ 0x6d6f7665ULL);               // "move"
+    const std::uint64_t offsets =
+        util::mix64(key ^ 0x6f6666736574ULL);  // "offset"
+    ep.offsetX = static_cast<std::int64_t>(offsets & 1) << (kBlockShift - 1);
+    ep.offsetY = static_cast<std::int64_t>((offsets >> 1) &
+                                           (kBlockSize - 1));
+    return ep;
   }
 
-  /// One event of `particle`, drawing (aux coin, direction, uniform) from
-  /// its private coin stream — materialized from the SoA bank for the
-  /// duration of the event; outcomes tallied into `stats`/`edges` (a
-  /// stripe-local tally in the parallel phase, the members on the sweep).
-  void runEvent(std::uint32_t particle, EngineStats& stats,
-                std::int64_t& edges) {
-    ++stats.steps;
-    rng::StreamBank::Use use = coin_.use(particle);
-    rng::Random& rng = use.rng();
+  [[nodiscard]] std::uint32_t drawParticle(const Epoch& ep,
+                                           std::uint64_t k) const noexcept {
+    rng::CounterStream stream(ep.particleKey, k);
+    return selection_.empty() ? stream.below(particleCount32_)
+                              : selection_.sample(stream);
+  }
+
+  [[nodiscard]] static BlockGrid blockGridOf(const system::BitGrid& grid,
+                                             const Epoch& ep) noexcept {
+    const std::int64_t x0 = (grid.originX() - ep.offsetX) >> kBlockShift;
+    const std::int64_t y0 = (grid.originY() - ep.offsetY) >> kBlockShift;
+    const std::int64_t x1 =
+        (grid.originX() + static_cast<std::int64_t>(grid.width()) - 1 -
+         ep.offsetX) >>
+        kBlockShift;
+    const std::int64_t y1 =
+        (grid.originY() + static_cast<std::int64_t>(grid.height()) - 1 -
+         ep.offsetY) >>
+        kBlockShift;
+    BlockGrid blocks;
+    blocks.x0 = x0;
+    blocks.y0 = y0;
+    blocks.columns = static_cast<std::uint64_t>(x1 - x0 + 1);
+    blocks.cells = blocks.columns * static_cast<std::uint64_t>(y1 - y0 + 1);
+    return blocks;
+  }
+
+  [[nodiscard]] static std::uint32_t blockCellOf(TriPoint p,
+                                                 const BlockGrid& blocks,
+                                                 const Epoch& ep) noexcept {
+    const std::int64_t bx =
+        ((static_cast<std::int64_t>(p.x) - ep.offsetX) >> kBlockShift) -
+        blocks.x0;
+    const std::int64_t by =
+        ((static_cast<std::int64_t>(p.y) - ep.offsetY) >> kBlockShift) -
+        blocks.y0;
+    return static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(by) * blocks.columns +
+        static_cast<std::uint64_t>(bx));
+  }
+
+  /// Offsets, relative to the proposing particle's cell, of the widened
+  /// box the boundary rule tests: for the pair (ℓ, ℓ + offset(d)) at
+  /// index d, for ℓ alone at index kSelf.
+  struct Reach {
+    std::int64_t loX, hiX, loY, hiY;
+  };
+  static constexpr int kSelf = lattice::kNumDirections;
+  static constexpr std::array<Reach, kSelf + 1> kReach = [] {
+    constexpr std::int64_t widen = kRadius - 1;
+    std::array<Reach, kSelf + 1> reach{};
+    for (int d = 0; d <= kSelf; ++d) {
+      const TriPoint off = d == kSelf ? TriPoint{0, 0}
+                                      : lattice::offset(
+                                            lattice::directionFromIndex(d));
+      reach[static_cast<std::size_t>(d)] = {
+          std::min<std::int64_t>(off.x, 0) - widen,
+          std::max<std::int64_t>(off.x, 0) + widen,
+          std::min<std::int64_t>(off.y, 0) - widen,
+          std::max<std::int64_t>(off.y, 0) + widen};
+    }
+    return reach;
+  }();
+
+  /// The boundary rule: the box of the proposal's cells, widened by
+  /// radius − 1, lies inside the block of ℓ.  Computed in block-local
+  /// coordinates with no data-dependent branch (a branch per min/max
+  /// mispredicts on half the proposals).  A move and its reverse test the
+  /// same box.
+  [[nodiscard]] static bool insideBlock(TriPoint l, int reach,
+                                        const Epoch& ep) noexcept {
+    const std::int64_t x =
+        (static_cast<std::int64_t>(l.x) - ep.offsetX) & (kBlockSize - 1);
+    const std::int64_t y =
+        (static_cast<std::int64_t>(l.y) - ep.offsetY) & (kBlockSize - 1);
+    const Reach& r = kReach[static_cast<std::size_t>(reach)];
+    return static_cast<bool>((x + r.loX >= 0) & (x + r.hiX < kBlockSize) &
+                             (y + r.loY >= 0) & (y + r.hiY < kBlockSize));
+  }
+
+  /// Proposal k of `particle` (drawParticle(ep, k)): the move draws, the
+  /// boundary rule, then the shared event kernel.  Outcomes go to the
+  /// given tallies (a block's in the parallel phase).
+  void runProposal(const Epoch& ep, std::uint64_t k, std::uint32_t particle,
+                   EngineStats& stats, std::int64_t& edges,
+                   std::uint64_t& rejects) {
+    rng::CounterStream stream(ep.moveKey, k);
     bool auxMove = false;
     if constexpr (Model::kHasAuxMove) {
-      auxMove = model_.auxEnabled() && rng.bernoulli(model_.auxProbability());
+      auxMove =
+          model_.auxEnabled() && stream.bernoulli(model_.auxProbability());
     }
-    const int draw6 = static_cast<int>(rng.below(6));
-    const EngineStepResult result = chainEventStep(
-        system_, model_, partnerIds_, decisions_, greedy_,
-        static_cast<std::size_t>(particle), draw6, auxMove, rng, edges);
+    const int draw6 = static_cast<int>(stream.below(6));
+    ++stats.steps;
+    int reach = draw6;
+    if constexpr (Model::kHasAuxMove) {
+      if (auxMove && !Model::kAuxMovePair) reach = kSelf;
+    }
+    if (!insideBlock(system_.position(particle), reach, ep)) {
+      ++rejects;
+      return;
+    }
+    const EngineStepResult result =
+        chainEventStep(system_, model_, partnerIds_, decisions_, greedy_,
+                       static_cast<std::size_t>(particle), draw6, auxMove,
+                       stream, edges);
     if (result.wasAux) {
       if (result.aux != AuxOutcome::Skipped) ++stats.auxProposed;
       if (result.aux == AuxOutcome::Accepted) ++stats.auxAccepted;
@@ -466,311 +452,274 @@ class ShardedChainRunner {
     }
   }
 
-  /// Processes the stripe in buffer slot `slot` (covering the 64 columns
-  /// at stripe index `stripeIndex`; the two coincide for flat windows):
-  /// gathers its particles' pre-drawn firing times from the epoch buffer
-  /// (filled in one batched pass — possibly by the overlap helper during
-  /// the previous sweep), sorts once, executes interior events and routes
-  /// halo/window-edge events to stripeDeferred_[slot].  Runs on a worker
-  /// thread; touches only this stripe's words, its particles' coin
-  /// streams, and its own tally.
-  void runStripe(std::size_t slot, std::uint64_t stripeIndex,
-                 std::int64_t originX, double epochEnd) {
-    std::vector<Event>& deferred = stripeDeferred_[slot];
-    deferred.clear();
-    StripeTally& tally = stripeTally_[slot];
-    tally = StripeTally{};
-
-    std::vector<Event>& events = stripeEvents_[slot];
-    events.clear();
-    for (const std::uint32_t i : stripeParticles_[slot]) {
-      const std::uint64_t end = draws_.offsets[i + 1];
-      for (std::uint64_t k = draws_.offsets[i]; k < end; ++k) {
-        events.push_back({draws_.times[k], i});
-      }
+  void runEpoch() {
+    const Epoch ep = epochDraws(epoch_);
+    if (threads_ > 1 && system_.grid().enabled()) {
+      runBlocks(ep);
+    } else {
+      runListOrder(ep);
     }
-    sortEvents(events, sortScratch_[slot], now_, epochEnd);
+    ++epoch_;
+  }
 
-    const system::BitGrid& grid = system_.grid();
-    for (const Event& event : events) {
-      const std::uint32_t i = event.particle;
-      // Halo/window deferral, evaluated on the *current* position: once a
-      // particle is in a band its position cannot change again this phase
-      // (all its remaining events are deferred, and no other particle's
-      // move can displace it), so the decision is stable.
-      const TriPoint pos = system_.position(i);
-      const auto col = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(pos.x) - originX);
-      const std::uint64_t inStripe = col & (kStripeColumns - 1);
-      // Pair-move models also require the partner-id plane to cover the
-      // event's neighborhood (lookups and id moves reach distance ≤ 1).
-      // Flat planes always do; a paged directory answers with a probe.
-      // Both directories are immutable during the stripe phase, so the
-      // predicate is the same for every thread count.
-      bool idsCover = true;
-      if constexpr (kMaintainsIds) idsCover = partnerIds_.coversNear(pos, 1);
-      const bool safe =
-          (col >> 6) == stripeIndex && inStripe >= kHaloColumns &&
-          inStripe < kStripeColumns - kHaloColumns &&
-          grid.coversInteriorBy(pos, system::BitGrid::kInteriorMargin + 1) &&
-          idsCover;
-      if (safe) {
-        runEvent(i, tally.stats, tally.edgeDelta);
-      } else {
-        deferred.push_back(event);
+  /// The oracle: the whole list in order on this thread.  Window regrows
+  /// and plane resyncs happen inline, as in the sequential engine.
+  void runListOrder(const Epoch& ep) {
+    if (system_.grid().enabled()) {
+      model_.attach(system_);
+      if constexpr (kMaintainsIds) partnerIds_.sync(system_);
+      system_.suspendIndex();
+    }
+    for (std::uint64_t k = 0; k < epochLength_; ++k) {
+      if constexpr (kMaintainsIds) {
+        // Sparse pair moves resolve partners through the hash index.
+        if (!partnerIds_.sync(system_)) system_.restoreIndex();
       }
+      runProposal(ep, k, drawParticle(ep, k), stats_, edges_,
+                  boundaryRejects_);
     }
   }
 
-  /// One epoch [now_, now_ + Δ): batched draw (or overlap handoff),
-  /// stripe phase, join, next-Δ decision + pre-draw submit, deferred
-  /// sweep.  `moreAfter(eventsAfterThisEpoch, epochEnd)` predicts whether
-  /// the burst continues — it gates the pre-draw, and it must be exact so
-  /// bursts never end with a fill pending.
-  template <typename MoreAfter>
-  std::uint64_t runEpoch(MoreAfter&& moreAfter, std::uint64_t executedBefore) {
-    const double epochEnd = now_ + epochLength_;
+  WorkerPool& pool() {
+    if (!pool_) pool_ = std::make_unique<WorkerPool>(threads_);
+    return *pool_;
+  }
 
-    // The epoch's full schedule of firing times, per particle ascending.
-    // Either the helper pre-drew it during the previous sweep or it is
-    // filled here — identical draws either way (fillEpoch is a pure
-    // function of the clock bank's state).
-    if (overlapPending_) {
-      overlap_->wait();
-      overlapPending_ = false;
-      SOPS_DASSERT(pendingEnd_ == epochEnd);
-      std::swap(draws_, pending_);
-    } else {
-      clock_.fillEpoch(epochEnd, draws_);
+  void runBlocks(const Epoch& ep) {
+    // A flat window restored from a foreign snapshot may sit off the
+    // 64-column lattice the block edges need; one regrow realigns it.
+    if (!system_.grid().tiled() && (system_.grid().originX() & 63) != 0) {
+      const TriPoint anchor = system_.position(0);
+      system_.reserveInterior({&anchor, 1}, 0);
     }
-    const std::uint64_t total = draws_.total();
+    const BlockGrid blocks = blockGridOf(system_.grid(), ep);
+    if (blocks.cells > kMaxBlockCounters / threads_) {
+      runListOrder(ep);
+      return;
+    }
+    model_.attach(system_);
+    if constexpr (kMaintainsIds) partnerIds_.sync(system_);
+    system_.suspendIndex();
 
-    sweepQueue_.clear();
-    std::uint64_t executed = 0;
-    bool striped = false;
+    bucket(ep, blocks);
+    pool().run(order_.size(), [&](std::size_t j) {
+      runBlock(ep, blocks_[order_[j]], true);
+    });
 
-    if (system_.grid().enabled()) {
-      striped = true;
-      // Pre-phase plane sync on the coordinating thread: with the window
-      // geometry fixed for the whole stripe phase (window-edge events are
-      // deferred), no shadow-plane or id-plane rebuild can trigger inside
-      // a worker.  The paged id plane allocates its directory here (or on
-      // the sweep), never inside a stripe — events its coverage misses
-      // are deferred by runStripe's predicate.  The id index is the one
-      // structure every move shares; suspend it for the phase (idempotent
-      // across epochs).
+    // Blocks whose particles could reach unbacked storage: grow it here,
+    // between phases, then run them.
+    reserveCenters_.clear();
+    std::int64_t depth = 0;
+    pending_.clear();
+    for (const std::size_t b : order_) {
+      const Block& block = blocks_[b];
+      if (block.reserveDepth == 0) continue;
+      pending_.push_back(b);
+      for (std::uint64_t i = block.begin; i < block.end; ++i) {
+        reserveCenters_.push_back(system_.position(sorted_[i].particle));
+      }
+      depth = std::max(depth, block.reserveDepth);
+    }
+    if (!pending_.empty()) {
+      system_.reserveInterior(reserveCenters_, depth);
       model_.attach(system_);
       if constexpr (kMaintainsIds) {
-        const bool ready = partnerIds_.sync(system_);
-        SOPS_DASSERT(ready);  // false only for a disabled grid
-        (void)ready;
+        partnerIds_.sync(system_);
+        partnerIds_.reserveNear(reserveCenters_, depth);
       }
-      system_.suspendIndex();
-
-      const system::BitGrid& grid = system_.grid();
-      const std::int64_t originX = grid.originX();
-      const bool tiledGrid = grid.tiled();
-
-      activeStripes_.clear();
-      if (tiledGrid) {
-        // The allocated-tile bounding box can span astronomically many
-        // 64-column stripes, so bucket sparsely: stripe index → buffer
-        // slot, slots assigned in first-touch order by this sequential
-        // pass — the same assignment for every thread count.  Tile
-        // columns are 64-aligned (kTileWidth is a multiple of 64) and
-        // originX is tile-aligned, so stripe boundaries still never
-        // split a word of any plane.
-        stripeSlots_.clear();
-        stripeIndexOfSlot_.clear();
-        for (std::size_t i = 0; i < system_.size(); ++i) {
-          if (draws_.count(i) == 0) continue;
-          const auto col = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(system_.position(i).x) - originX);
-          const std::uint64_t stripeIndex = col >> 6;
-          std::size_t slot;
-          if (const std::uint32_t* found = stripeSlots_.find(stripeIndex)) {
-            slot = *found;
-          } else {
-            slot = stripeIndexOfSlot_.size();
-            stripeSlots_.insert(stripeIndex,
-                                static_cast<std::uint32_t>(slot));
-            stripeIndexOfSlot_.push_back(stripeIndex);
-            if (stripeParticles_.size() <= slot) {
-              stripeParticles_.resize(slot + 1);
-              stripeEvents_.resize(slot + 1);
-              stripeDeferred_.resize(slot + 1);
-              stripeTally_.resize(slot + 1);
-              sortScratch_.resize(slot + 1);
-            }
-            stripeParticles_[slot].clear();
-          }
-          stripeParticles_[slot].push_back(static_cast<std::uint32_t>(i));
-        }
-        for (std::size_t slot = 0; slot < stripeIndexOfSlot_.size(); ++slot) {
-          activeStripes_.push_back(slot);
-        }
-        // Canonical merge order: ascending stripe index, matching the
-        // flat path (any fixed order would do — stripes are disjoint in
-        // particles, so the merged schedule is order-independent).
-        std::sort(activeStripes_.begin(), activeStripes_.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    return stripeIndexOfSlot_[a] < stripeIndexOfSlot_[b];
-                  });
-      } else {
-        // Flat windows keep the dense stripe arrays: stripe count is
-        // bounded by width / 64, and slot == stripe index.
-        const auto stripeCount = static_cast<std::size_t>(
-            (grid.width() + kStripeColumns - 1) / kStripeColumns);
-        if (stripeParticles_.size() < stripeCount) {
-          stripeParticles_.resize(stripeCount);
-          stripeEvents_.resize(stripeCount);
-          stripeDeferred_.resize(stripeCount);
-          stripeTally_.resize(stripeCount);
-          sortScratch_.resize(stripeCount);
-        }
-        for (auto& list : stripeParticles_) list.clear();
-
-        for (std::size_t i = 0; i < system_.size(); ++i) {
-          if (draws_.count(i) == 0) continue;
-          const auto col = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(system_.position(i).x) - originX);
-          stripeParticles_[col >> 6].push_back(static_cast<std::uint32_t>(i));
-        }
-
-        for (std::size_t s = 0; s < stripeCount; ++s) {
-          if (!stripeParticles_[s].empty()) activeStripes_.push_back(s);
-        }
-      }
-      core::parallelForIndex(
-          activeStripes_.size(), options_.threads, [&](std::size_t k) {
-            const std::size_t slot = activeStripes_[k];
-            const std::uint64_t stripeIndex =
-                tiledGrid ? stripeIndexOfSlot_[slot] : slot;
-            runStripe(slot, stripeIndex, originX, epochEnd);
-          });
-      // Merge in stripe order (fixed regardless of which thread ran
-      // what): totals are sums, so any fixed order gives the same state.
-      // The sweep schedule is assembled by concatenating every stripe's
-      // deferred list and re-sorting once with the epoch bucket sort —
-      // NOT by a per-stripe std::merge cascade, which re-copies the
-      // growing queue once per stripe and goes quadratic on wide tiled
-      // windows (a 3e5-particle line spans ~4700 active stripes; the
-      // cascade was >70 % of its epoch time).  (time, particle) keys are
-      // unique, so the sorted schedule is byte-identical to the cascade's.
-      for (const std::size_t s : activeStripes_) {
-        executed += stripeTally_[s].stats.steps;
-        edges_ += stripeTally_[s].edgeDelta;
-        stats_.merge(stripeTally_[s].stats);
-        const std::vector<Event>& deferred = stripeDeferred_[s];
-        sweepQueue_.insert(sweepQueue_.end(), deferred.begin(), deferred.end());
-      }
-      if (!sweepQueue_.empty()) {
-        sortEvents(sweepQueue_, sweepScratch_, now_, epochEnd);
-      }
-    } else {
-      // Sparse regime (forced for tests, or restored from a snapshot of
-      // such a run): no stripe geometry, so the whole epoch runs on the
-      // sweep path in pure (time, particle) order with the index live.
-      system_.restoreIndex();
-      sweepQueue_.reserve(total);
-      for (std::size_t i = 0; i < system_.size(); ++i) {
-        const std::uint64_t end = draws_.offsets[i + 1];
-        for (std::uint64_t k = draws_.offsets[i]; k < end; ++k) {
-          sweepQueue_.push_back(
-              {draws_.times[k], static_cast<std::uint32_t>(i)});
-        }
-      }
-      sortEvents(sweepQueue_, sweepScratch_, now_, epochEnd);
+      pool().run(pending_.size(), [&](std::size_t j) {
+        runBlock(ep, blocks_[pending_[j]], false);
+      });
     }
 
-    // Decide the next epoch's length BEFORE the sweep — the overlap
-    // helper needs the next window's end now.  The deferred fraction is a
-    // pure function of the seeded trajectory (stripe geometry + event
-    // positions), so every thread count computes the same schedule; the
-    // sequential regime leaves the target alone (everything is "deferred"
-    // there, which says nothing about stripe balance).
-    if (adaptive_ && striped) {
-      epochTarget_ = controller_.update(sweepQueue_.size(), total);
+    for (const Block& block : blocks_) {
+      stats_.merge(block.stats);
+      edges_ += block.edgeDelta;
+      boundaryRejects_ += block.rejects;
     }
-    const double nextLength =
-        static_cast<double>(epochTarget_) / clock_.totalRate();
-    const double nextEnd = epochEnd + nextLength;
-    if (overlapEnabled() && !isCancelled(cancel_) &&
-        moreAfter(executedBefore + total, epochEnd)) {
-      if (!overlap_) overlap_ = std::make_unique<OverlapWorker>();
-      overlapPending_ = true;
-      pendingEnd_ = nextEnd;
-      overlap_->submit(
-          [this, nextEnd] { clock_.fillEpoch(nextEnd, pending_); });
+  }
+
+  /// The bucket phase, a parallel counting sort of the list by block:
+  /// each of T chunks of the list draws its proposals' particles and
+  /// counts them per block cell of their epoch-start positions; the
+  /// coordinator turns the counts into per-(block, chunk) offsets; the
+  /// chunks then scatter their entries.  Within a block, chunk c's entries
+  /// precede chunk c + 1's and keep their order, so each block's slice of
+  /// sorted_ is in list order.  Finally orders the blocks largest first
+  /// for the dynamic schedule — only to balance load: blocks commute.
+  void bucket(const Epoch& ep, const BlockGrid& blocks) {
+    const std::size_t chunkCount = threads_;
+    if (chunkCounts_.size() < chunkCount) chunkCounts_.resize(chunkCount);
+    if (blockSlot_.size() < blocks.cells) {
+      blockSlot_.resize(blocks.cells, kNoBlock);
+    }
+    proposalCell_.resize(epochLength_);
+    proposalParticle_.resize(epochLength_);
+    sorted_.resize(epochLength_);
+    const auto chunkBegin = [&](std::size_t c) {
+      return epochLength_ * c / chunkCount;
+    };
+
+    pool().run(chunkCount, [&](std::size_t c) {
+      ChunkCounts& counts = chunkCounts_[c];
+      if (counts.count.size() < blocks.cells) {
+        counts.count.resize(blocks.cells, 0);
+      }
+      for (std::uint64_t k = chunkBegin(c); k < chunkBegin(c + 1); ++k) {
+        const std::uint32_t particle = drawParticle(ep, k);
+        const std::uint32_t cell =
+            blockCellOf(system_.position(particle), blocks, ep);
+        proposalParticle_[k] = particle;
+        proposalCell_[k] = cell;
+        if (counts.count[cell]++ == 0) counts.touched.push_back(cell);
+      }
+    });
+
+    blocks_.clear();
+    for (std::size_t c = 0; c < chunkCount; ++c) {
+      for (const std::uint32_t cell : chunkCounts_[c].touched) {
+        if (blockSlot_[cell] != kNoBlock) continue;
+        blockSlot_[cell] = static_cast<std::uint32_t>(blocks_.size());
+        blocks_.emplace_back();
+        blocks_.back().cell = cell;
+      }
+    }
+    std::uint64_t cursor = 0;
+    for (Block& block : blocks_) {
+      block.begin = cursor;
+      for (std::size_t c = 0; c < chunkCount; ++c) {
+        std::uint32_t& slot = chunkCounts_[c].count[block.cell];
+        const std::uint32_t n = slot;
+        slot = static_cast<std::uint32_t>(cursor);  // now the write cursor
+        cursor += n;
+      }
+      block.end = cursor;
     }
 
-    // Sequential sweep: all deferred events by *original timestamps* in
-    // (time, particle) order — a sequential tail of the epoch's schedule;
-    // window regrows and plane resyncs are safe here.  The overlap helper
-    // only touches the clock bank and its own buffer, never the system or
-    // the coin bank, so it runs concurrently with this loop.
-    for (const Event& event : sweepQueue_) {
+    pool().run(chunkCount, [&](std::size_t c) {
+      std::vector<std::uint32_t>& cursors = chunkCounts_[c].count;
+      for (std::uint64_t k = chunkBegin(c); k < chunkBegin(c + 1); ++k) {
+        sorted_[cursors[proposalCell_[k]]++] = {
+            static_cast<std::uint32_t>(k), proposalParticle_[k]};
+      }
+    });
+
+    // The prefix pass wrote a cursor into every chunk's counter of every
+    // active block, so reset those (not just each chunk's touched cells).
+    for (const Block& block : blocks_) {
+      for (std::size_t c = 0; c < chunkCount; ++c) {
+        chunkCounts_[c].count[block.cell] = 0;
+      }
+      blockSlot_[block.cell] = kNoBlock;
+    }
+    for (std::size_t c = 0; c < chunkCount; ++c) {
+      chunkCounts_[c].touched.clear();
+    }
+
+    order_.resize(blocks_.size());
+    for (std::size_t b = 0; b < blocks_.size(); ++b) order_[b] = b;
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      const std::uint64_t sizeA = blocks_[a].end - blocks_[a].begin;
+      const std::uint64_t sizeB = blocks_[b].end - blocks_[b].begin;
+      if (sizeA != sizeB) return sizeA > sizeB;
+      return blocks_[a].cell < blocks_[b].cell;
+    });
+  }
+
+  /// Runs one block's proposals in list order.  With `check`, first makes
+  /// sure no move can reach unbacked storage; a block that fails is left
+  /// for the coordinator (reserveDepth set) without executing anything.
+  /// Touches only this block's particles and words.
+  void runBlock(const Epoch& ep, Block& block, bool check) {
+    if (check && !storageCovers(ep, block)) return;
+    for (std::uint64_t i = block.begin; i < block.end; ++i) {
+      runProposal(ep, sorted_[i].index, sorted_[i].particle, block.stats,
+                  block.edgeDelta, block.rejects);
+    }
+  }
+
+  /// True when no proposal of the block can touch unbacked storage.  Every
+  /// cell an executed proposal reads or writes lies in the block, and a
+  /// moved particle needs kInteriorMargin cells of grid around it, so a
+  /// grid (and, for pair models, id plane) backing the block widened by
+  /// kInteriorMargin settles it at once.  Otherwise each particle needs
+  /// its proposal count c_i plus kReserveSlack around it; a block that
+  /// fails records the deepest need and returns false.  Leaves
+  /// proposalCounts_ zeroed.
+  bool storageCovers(const Epoch& ep, Block& block) {
+    const system::BitGrid& grid = system_.grid();
+    // Any particle of the block locates it; the box [center ± reach]
+    // covers the block and kInteriorMargin cells around it.
+    const auto centerOf = [](std::int32_t v, std::int64_t offset) {
+      return static_cast<std::int32_t>(
+          (((v - offset) >> kBlockShift) << kBlockShift) + offset +
+          kBlockSize / 2);
+    };
+    const TriPoint first = system_.position(sorted_[block.begin].particle);
+    const TriPoint center{centerOf(first.x, ep.offsetX),
+                          centerOf(first.y, ep.offsetY)};
+    constexpr std::int64_t kBlockReach =
+        kBlockSize / 2 + system::BitGrid::kInteriorMargin;
+    bool blockBacked = grid.coversInteriorBy(center, kBlockReach);
+    if constexpr (kMaintainsIds) {
+      blockBacked = blockBacked && partnerIds_.coversNear(center, kBlockReach);
+    }
+    if (blockBacked) return true;
+
+    for (std::uint64_t i = block.begin; i < block.end; ++i) {
+      ++proposalCounts_[sorted_[i].particle];
+    }
+    bool covered = true;
+    std::int64_t depth = 0;
+    for (std::uint64_t i = block.begin; i < block.end; ++i) {
+      const std::uint32_t particle = sorted_[i].particle;
+      const std::uint32_t count = proposalCounts_[particle];
+      if (count == 0) continue;  // particle already checked
+      proposalCounts_[particle] = 0;
+      const TriPoint p = system_.position(particle);
+      const std::int64_t need = count + kReserveSlack;
+      depth = std::max(depth, need);
+      covered = covered && grid.coversInteriorBy(p, need);
       if constexpr (kMaintainsIds) {
-        // A sweep regrow can cross ParticleIdPlane::kMaxCells (switching
-        // the mirror between flat and paged) or promote the grid to
-        // tiled; sync() rebuilds the mirror accordingly.  It fails only
-        // for a disabled grid (the forced-sparse regime), where pair
-        // moves resolve partners through the hash index, which must be
-        // live.  When synced this is a fingerprint compare, nothing more.
-        if (!partnerIds_.sync(system_)) system_.restoreIndex();
+        covered = covered && partnerIds_.coversNear(p, need);
       }
-      runEvent(event.particle, stats_, edges_);
     }
-    executed += sweepQueue_.size();
-    sweepEventCount_ += sweepQueue_.size();
-
-    now_ = epochEnd;
-    epochLength_ = nextLength;
-    return executed;
+    if (!covered) block.reserveDepth = depth;
+    return covered;
   }
 
   system::ParticleSystem system_;
   Model model_;
-  ShardedChainOptions options_;
+  std::uint64_t seed_ = 0;
+  unsigned threads_ = 1;
+  std::uint64_t epochLength_ = 0;
+  std::uint32_t particleCount32_ = 0;
+  bool greedy_ = false;
+  rng::AliasTable selection_;  ///< empty = uniform particle selection
   EngineStats stats_;
   std::int64_t edges_ = 0;
-  bool greedy_ = false;
-  bool adaptive_ = true;
-  double epochLength_ = 1.0;
-  double now_ = 0.0;
-  std::uint64_t epochTarget_ = 0;
-  std::uint64_t sweepEventCount_ = 0;
-  AdaptiveEpochController controller_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t boundaryRejects_ = 0;
   /// cell → id mirror for models that declare kNeedsPartnerIds; empty and
   /// untouched otherwise (same contract as the engine's).
   ParticleIdPlane partnerIds_;
   std::array<MoveDecision, 256> decisions_{};
   const CancelToken* cancel_ = nullptr;
 
-  rng::PoissonClockBank clock_;  ///< SoA waiting-time streams + rates
-  rng::StreamBank coin_;         ///< SoA per-event draw streams
+  std::unique_ptr<WorkerPool> pool_;  ///< created by the first block epoch
 
-  /// Epoch draw buffers: draws_ is the epoch being executed, pending_ the
-  /// overlap helper's output for the next one.
-  rng::PoissonClockBank::EpochDraws draws_;
-  rng::PoissonClockBank::EpochDraws pending_;
-  bool overlapPending_ = false;
-  double pendingEnd_ = 0.0;
-  std::unique_ptr<OverlapWorker> overlap_;
-
-  /// Reused per-epoch buffers.  Indexed by buffer *slot*: equal to the
-  /// stripe index over a flat window, assigned first-touch over a tiled
-  /// one (stripeSlots_/stripeIndexOfSlot_ hold the mapping).
-  std::vector<std::vector<std::uint32_t>> stripeParticles_;
-  std::vector<std::vector<Event>> stripeEvents_;
-  std::vector<std::vector<Event>> stripeDeferred_;
-  std::vector<StripeTally> stripeTally_;
-  std::vector<util::EventSortScratch<Event>> sortScratch_;
-  util::EventSortScratch<Event> sweepScratch_;
-  std::vector<std::size_t> activeStripes_;  ///< slots, in merge order
-  util::FlatMap64<std::uint32_t> stripeSlots_;  ///< tiled: stripe idx → slot
-  std::vector<std::uint64_t> stripeIndexOfSlot_;
-  std::vector<Event> sweepQueue_;
+  /// Reused per-epoch buffers of the block path.
+  std::vector<ChunkCounts> chunkCounts_;
+  std::vector<std::uint32_t> blockSlot_;  ///< block cell → blocks_ index
+  std::vector<std::uint32_t> proposalCell_;
+  std::vector<std::uint32_t> proposalParticle_;
+  std::vector<Entry> sorted_;  ///< the list, grouped by block
+  std::vector<Block> blocks_;
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> pending_;
+  std::vector<TriPoint> reserveCenters_;
+  /// c_i scratch of the storage check; all zero between blocks.
+  std::vector<std::uint32_t> proposalCounts_;
 };
 
 }  // namespace sops::core

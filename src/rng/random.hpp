@@ -152,15 +152,46 @@ class Random {
   std::uint64_t seed_;
 };
 
+/// Counter-based stream: output j of stream `counter` under `key` is
+/// util::mix64(key + (256·counter + j)·φ) — splitmix64's sequence, cut
+/// into disjoint windows of 256 outputs, one per counter.  Every draw is a
+/// pure function of (key, counter, j), opening a stream costs one multiply,
+/// and distinct (counter, j < 256) never share an input (φ is odd, so
+/// multiplying by it is a bijection).  The sharded chain runner opens one
+/// stream per proposal (key from (seed, epoch), counter = proposal index),
+/// so a proposal's draws do not depend on which thread runs it, or when;
+/// its few draws stay far below the 256-output window.  Exposes the engine
+/// interface the draw templates above expect, plus the uniform() the event
+/// kernel draws its Metropolis uniform through.
+class CounterStream {
+ public:
+  constexpr CounterStream(std::uint64_t key, std::uint64_t counter) noexcept
+      : state_(key + (counter << 8) * kGolden) {}
+
+  std::uint64_t operator()() noexcept {
+    const std::uint64_t out = util::mix64(state_);
+    state_ += kGolden;
+    return out;
+  }
+  std::uint32_t below(std::uint32_t bound) noexcept {
+    return drawBelow(*this, bound);
+  }
+  double uniform() noexcept { return drawUniform(*this); }
+  bool bernoulli(double p) noexcept { return uniform() < p; }
+
+ private:
+  static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t state_;
+};
+
 /// Decorrelated per-particle stream `lane` (1-based) of `particle` under a
-/// master seed — the seeding discipline the sharded runners (amoebot and
-/// chain) share: avalanche (seed, 2·particle + lane) through util::mix64
+/// master seed — the amoebot runner's seeding discipline: avalanche
+/// (seed, 2·particle + lane) through util::mix64
 /// rather than fork()'s engine jump, whose ~256 state advances would
 /// dominate construction at 10⁶ particles.  Every draw from the returned
 /// generator is a pure function of (seed, particle, lane, draw index).
-/// One shared definition so the two runners' documented common discipline
-/// cannot drift.  Streams are seeded here exactly once, when a runner (or
-/// its `StreamBank`) is constructed; per event the runners touch only the
+/// Streams are seeded here exactly once, when a runner (or its
+/// `StreamBank`) is constructed; per event the runner touches only the
 /// 32-byte engine state, stored SoA in stream_bank.hpp so one stream costs
 /// one cache line instead of two scattered ones.
 [[nodiscard]] inline Random particleStream(std::uint64_t seed,

@@ -12,12 +12,13 @@
 /// Thread budget (the workerThreads argument of Scenario::start): chain
 /// scenarios run the sequential engine at threads ≤ 1 — preserving the
 /// historical draw-for-draw trajectory, and the shape multi-replica runs
-/// always use — and switch to core::ShardedChainRunner at threads > 1,
-/// the multi-core Poissonized execution whose trajectory is a pure
-/// function of the seed (identical for every thread count > 1, but *not*
-/// draw-for-draw the sequential engine's; distributionally validated in
-/// tests/sharded_chain_test.cpp).  The amoebot scenario, whose runner is
-/// sharded either way, spends the whole budget (0 = all cores).
+/// always use — and switch to core::ShardedChainRunner at threads > 1, the
+/// exact block-parallel executor whose trajectory is a pure function of
+/// the seed (identical for every thread count > 1, but *not* draw-for-draw
+/// the sequential engine's: proposals come from counter-based lists and
+/// block-boundary proposals are rejected; π is the same, checked exactly
+/// in tests/sharded_chain_test.cpp).  The amoebot scenario, whose Poisson
+/// runner is sharded either way, spends the whole budget (0 = all cores).
 ///
 /// Adding a workload = one weight model (core/scenario_models.hpp style)
 /// plus one Scenario subclass here (or anywhere, via ScenarioRegistrar).
@@ -63,10 +64,19 @@ void addChainKeys(ParamSchema& schema) {
              "allow Property 2 moves (Fig 3 ablation)");
 }
 
-/// The sharded-runner epoch knob every chain scenario shares (consulted
-/// only when threads > 1 routes the run through the sharded engine —
-/// the amoebot scenario has the same key).
-void addShardedKeys(ParamSchema& schema) {
+/// The sharded-runner knobs of the chain scenarios (consulted only when
+/// threads > 1 routes the run through core::ShardedChainRunner).
+void addChainShardedKeys(ParamSchema& schema) {
+  schema.add("epoch-events", ParamType::Int, "0",
+             "fixed proposals per epoch; 0 derives min(max(2n,1024),2^28)");
+  schema.add("rate-spread", ParamType::Double, "0.0",
+             "sharded runner: particle-selection weights — particle i is "
+             "proposed with weight 1 + spread*i/(n-1); 0 keeps the uniform "
+             "chain");
+}
+
+/// The amoebot scenario's Poisson-runner knobs.
+void addAmoebotShardedKeys(ParamSchema& schema) {
   schema.add("epoch-events", ParamType::Int, "0",
              "sharded runner: target events per epoch; 0 derives "
              "min(max(2n, 1024), 2^28) and adapts");
@@ -86,11 +96,12 @@ void addShardedKeys(ParamSchema& schema) {
   return spread;
 }
 
-/// Deterministic heterogeneous-rate ramp: particle i activates at rate
-/// 1 + spread·i/(n−1).  The stationary distribution is unchanged (each
-/// move's reverse is proposed by the same particle's clock — see the
-/// sharded runner headers); only selection frequencies shift.  spread = 0
-/// returns the empty vector, i.e. the bit-identical uniform default.
+/// Deterministic heterogeneous-rate ramp: particle i gets weight (chain:
+/// selection weight; amoebot: Poisson rate) 1 + spread·i/(n−1).  The
+/// stationary distribution is unchanged (each move's reverse is proposed
+/// by the same particle — see the sharded runner headers); only selection
+/// frequencies shift.  spread = 0 returns the empty vector, i.e. the
+/// bit-identical uniform default.
 [[nodiscard]] std::vector<double> rampRates(double spread, std::size_t n) {
   if (spread == 0.0) return {};
   std::vector<double> rates(n);
@@ -104,8 +115,8 @@ void addShardedKeys(ParamSchema& schema) {
 [[nodiscard]] std::uint64_t epochEventsFrom(const ParamMap& params) {
   const std::int64_t epochEvents = params.getInt("epoch-events", 0);
   SOPS_REQUIRE(epochEvents >= 0, "epoch-events must be non-negative");
-  // The runners materialize one epoch's whole event schedule in memory
-  // (~16 bytes/event), so a steps-sized value landing in this key (1e9+)
+  // The runners materialize one epoch's whole event list in memory
+  // (8–16 bytes/event), so a steps-sized value landing in this key (1e9+)
   // would OOM before a single event runs — the same typo class the
   // threads cap rejects.  2^28 ≈ 2.7e8 is above any in-memory epoch that
   // makes sense (the 0 default derives 2n) and below typo'd step counts.
@@ -229,7 +240,7 @@ class ShardedRun : public ScenarioRun {
 
 /// Builds the sequential-or-sharded run for one chain scenario: threads
 /// ≤ 1 is the sequential engine (the draw-for-draw historical path),
-/// threads > 1 the sharded runner with that stripe budget.
+/// threads > 1 the sharded runner with that block-phase budget.
 template <typename Model, typename EngineSampler, typename ShardedSampler>
   requires core::ChainWeightModel<Model>
 std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
@@ -243,7 +254,6 @@ std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
     core::ShardedChainOptions options;
     options.threads = workerThreads;
     options.targetEventsPerEpoch = epochEventsFrom(spec.params);
-    options.adaptiveEpochs = spec.params.getBool("epoch-adaptive", true);
     options.rates = rampRates(rateSpread, initial.size());
     return std::make_unique<ShardedRun<Model>>(
         core::ShardedChainRunner<Model>(std::move(initial), std::move(model),
@@ -288,7 +298,7 @@ class CompressionScenario : public Scenario {
   [[nodiscard]] ParamSchema schema() const override {
     ParamSchema schema;
     addChainKeys(schema);
-    addShardedKeys(schema);
+    addChainShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {
@@ -337,7 +347,7 @@ class SeparationScenario : public Scenario {
     schema.add("swaps", ParamType::Bool, "true", "enable color-swap moves");
     schema.add("swap-prob", ParamType::Double, "0.5",
                "mixture weight of the swap move");
-    addShardedKeys(schema);
+    addChainShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {
@@ -393,7 +403,7 @@ class AlignmentScenario : public Scenario {
                "enable orientation re-sampling moves");
     schema.add("rotation-prob", ParamType::Double, "0.5",
                "mixture weight of the rotation move");
-    addShardedKeys(schema);
+    addChainShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {
@@ -493,7 +503,7 @@ class AmoebotScenario : public Scenario {
                "compression bias on edges");
     schema.add("crash-fraction", ParamType::Double, "0.0",
                "fraction of particles crashed at start (section 3.3)");
-    addShardedKeys(schema);
+    addAmoebotShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {

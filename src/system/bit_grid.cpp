@@ -6,7 +6,7 @@
 namespace sops::system {
 
 bool BitGrid::rebuild(std::span<const TriPoint> points,
-                      std::int64_t baseMargin) {
+                      std::int64_t baseMargin, const CellBox* cover) {
   if (points.empty()) {
     disable();
     return false;
@@ -19,10 +19,21 @@ bool BitGrid::rebuild(std::span<const TriPoint> points,
     minY = std::min<std::int64_t>(minY, p.y);
     maxY = std::max<std::int64_t>(maxY, p.y);
   }
+  if (cover != nullptr) {
+    minX = std::min(minX, cover->minX);
+    maxX = std::max(maxX, cover->maxX);
+    minY = std::min(minY, cover->minY);
+    maxY = std::max(maxY, cover->maxY);
+  }
   const std::int64_t margin =
       baseMargin + std::max(maxX - minX, maxY - minY) / 4;
+  // The origin column is rounded down to a multiple of 64, so word
+  // boundaries fall on absolute columns — the sharded chain runner's
+  // blocks, whose edges are absolute multiples of 64, then never split a
+  // word.
+  const std::int64_t originX = (minX - margin) & ~std::int64_t{63};
   const std::uint64_t width =
-      static_cast<std::uint64_t>(maxX - minX) + 1 + 2 * margin;
+      static_cast<std::uint64_t>(maxX + margin - originX) + 1;
   const std::uint64_t height =
       static_cast<std::uint64_t>(maxY - minY) + 1 + 2 * margin;
   const std::uint64_t strideWords = (width + 63) / 64;
@@ -35,7 +46,7 @@ bool BitGrid::rebuild(std::span<const TriPoint> points,
   }
   tiled_ = false;
   tiles_.clear();
-  originX_ = minX - margin;
+  originX_ = originX;
   originY_ = minY - margin;
   width_ = width;
   height_ = height;

@@ -29,8 +29,9 @@
 /// row stride is 1024 bits); only cells within kInteriorMargin of a tile
 /// edge take the per-cell seam path.  Unallocated tiles read as empty.
 /// Because the tile width is a multiple of 64 and tiles are anchored at
-/// multiples of 1024, the sharded runners' word-exclusive 64-column stripe
-/// ownership discipline carries over unchanged.
+/// multiples of 1024, the sharded runners' word-exclusive column ownership
+/// (64-column stripes, 128-column blocks at 64-column offsets) carries
+/// over unchanged.
 ///
 /// The caller-visible invariant is shared: every particle satisfies
 /// coversInterior(), meaning (flat) it sits ≥ kInteriorMargin cells inside
@@ -63,7 +64,7 @@ class BitGrid {
 
   // --- tiled-backend geometry (absolutely anchored) ---
 
-  /// Tiles are 1024 cells wide: a multiple of 64 so word-aligned stripe
+  /// Tiles are 1024 cells wide: a multiple of 64 so word-aligned column
   /// ownership is preserved, and wide enough that the seam fraction of a
   /// dense region is ~0.4% per axis.
   static constexpr int kTileShiftX = 10;
@@ -156,10 +157,10 @@ class BitGrid {
   /// True iff the whole box [p.x ± depth] × [p.y ± depth] is backed by
   /// allocated storage: at least `depth` cells from every window edge
   /// (flat), or every tile intersecting the box allocated (tiled).  The
-  /// sharded runners use depth = kInteriorMargin + 1 so that a particle
-  /// they activate concurrently can move one cell in any direction and the
-  /// new position still satisfies coversInterior() — no window regrow or
-  /// tile allocation can trigger inside a parallel phase.
+  /// sharded runners check it before a parallel phase (amoebot: depth
+  /// kInteriorMargin + 1 per event; chain: a block, or each particle's
+  /// proposal count plus slack) so that no window regrow or tile
+  /// allocation can trigger inside one.
   [[nodiscard]] bool coversInteriorBy(TriPoint p,
                                       std::int64_t depth) const noexcept {
     SOPS_DASSERT(depth >= 0);
@@ -320,8 +321,8 @@ class BitGrid {
 
   /// Sets the bit for p.  Flat precondition: covers(p).  Tiled: allocates
   /// p's tile on demand (so may throw on the tile cap — never reachable
-  /// from a sharded parallel phase, whose deferral predicates keep every
-  /// concurrent write inside allocated tiles).
+  /// from a sharded parallel phase, which writes only inside tiles
+  /// allocated before it started).
   void set(TriPoint p) {
     if (tiled_) {
       const std::uint32_t slot = ensureTile(tileXOf(p), tileYOf(p));
@@ -357,15 +358,26 @@ class BitGrid {
         ~(std::uint64_t{1} << (dx & 63));
   }
 
+  /// An inclusive cell rectangle [minX, maxX] × [minY, maxY].
+  struct CellBox {
+    std::int64_t minX = 0;
+    std::int64_t minY = 0;
+    std::int64_t maxX = 0;
+    std::int64_t maxY = 0;
+  };
+
   /// Reallocates the backend to cover every point and sets exactly the
   /// given points.  Small bounding boxes get the flat window (baseMargin
   /// plus a quarter of the bounding-box span of spare cells on each side,
-  /// so a drifting configuration triggers only O(log drift) rebuilds) —
-  /// bit-identical to the pre-tiled behavior.  Boxes whose flat window
-  /// would exceed kMaxWords promote to the tiled backend (margin
-  /// baseMargin) instead of failing.  Returns false (and disables the
-  /// grid) only when points is empty.
-  bool rebuild(std::span<const TriPoint> points, std::int64_t baseMargin);
+  /// so a drifting configuration triggers only O(log drift) rebuilds, with
+  /// the origin column rounded down to a multiple of 64).  A non-null
+  /// `cover` joins the bounding box, so the window also spans that
+  /// rectangle.  Boxes whose flat window would exceed kMaxWords promote to
+  /// the tiled backend (margin baseMargin, `cover` not allocated) instead
+  /// of failing.  Returns false (and disables the grid) only when points
+  /// is empty.
+  bool rebuild(std::span<const TriPoint> points, std::int64_t baseMargin,
+               const CellBox* cover = nullptr);
 
   /// Forces the tiled backend regardless of bounding-box size: allocates
   /// every tile intersecting the box [p ± margin] of each point and sets
@@ -375,19 +387,18 @@ class BitGrid {
 
   /// Reallocates the flat window with the EXACT geometry given and sets
   /// exactly the given points.  Snapshot restore uses this instead of
-  /// rebuild(): the sharded runners' stripe decomposition and
-  /// edge-deferral rules are functions of the window origin/size, so
-  /// resuming a run must reproduce the snapshotted window verbatim —
-  /// rebuild()'s proportional margin would re-derive a different
-  /// (history-dependent) one.  Throws when the window exceeds kMaxWords or
-  /// a point violates the interior-margin invariant the geometry is
-  /// supposed to carry.
+  /// rebuild(): the amoebot runner's stripe decomposition and edge-deferral
+  /// rules are functions of the window origin/size, so resuming a run must
+  /// reproduce the snapshotted window verbatim — rebuild()'s proportional
+  /// margin would re-derive a different (history-dependent) one.  Throws
+  /// when the window exceeds kMaxWords or a point violates the
+  /// interior-margin invariant the geometry is supposed to carry.
   void rebuildExact(std::span<const TriPoint> points, std::int64_t originX,
                     std::int64_t originY, std::uint64_t width,
                     std::uint64_t height);
 
   /// Tiled analogue of rebuildExact: rebuilds the tiled backend with
-  /// EXACTLY the given tile directory (the sharded runners' deferral
+  /// EXACTLY the given tile directory (the amoebot runner's deferral
   /// predicates are functions of the allocated-tile set, so resume must
   /// reproduce it verbatim rather than re-derive it from the points) and
   /// sets exactly the given points.  Throws on duplicate keys, on the tile
@@ -440,9 +451,9 @@ class BitGrid {
   std::vector<std::uint64_t> words_;
   /// In tiled mode the origin/width/height describe the bounding box of
   /// the allocated tiles in cells (tile-aligned, hence 64-aligned) — the
-  /// sharded runners derive their stripe coordinate system from originX()
-  /// exactly as in flat mode.  strideWords_ is 0 (rows are not globally
-  /// contiguous).
+  /// sharded runners derive their stripe and block coordinates from
+  /// originX() exactly as in flat mode.  strideWords_ is 0 (rows are not
+  /// globally contiguous).
   std::int64_t originX_ = 0;
   std::int64_t originY_ = 0;
   std::uint64_t width_ = 0;    // cells per row

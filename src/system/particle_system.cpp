@@ -1,5 +1,7 @@
 #include "system/particle_system.hpp"
 
+#include <algorithm>
+
 namespace sops::system {
 
 namespace {
@@ -53,6 +55,28 @@ void ParticleSystem::restoreIndex() {
     SOPS_DASSERT(fresh);
     (void)fresh;
   }
+}
+
+void ParticleSystem::reserveInterior(std::span<const TriPoint> centers,
+                                     std::int64_t depth) {
+  if (!grid_.enabled() || centers.empty()) return;
+  if (!grid_.tiled()) {
+    BitGrid::CellBox box{centers[0].x, centers[0].y, centers[0].x,
+                         centers[0].y};
+    for (const TriPoint c : centers) {
+      box.minX = std::min<std::int64_t>(box.minX, c.x);
+      box.minY = std::min<std::int64_t>(box.minY, c.y);
+      box.maxX = std::max<std::int64_t>(box.maxX, c.x);
+      box.maxY = std::max<std::int64_t>(box.maxY, c.y);
+    }
+    box.minX -= depth;
+    box.minY -= depth;
+    box.maxX += depth;
+    box.maxY += depth;
+    grid_.rebuild(positions_, kGridBaseMargin, &box);
+    if (!grid_.tiled()) return;
+  }
+  for (const TriPoint c : centers) grid_.ensureRegion(c, depth);
 }
 
 std::size_t ParticleSystem::add(TriPoint p) {
@@ -111,8 +135,8 @@ void ParticleSystem::moveParticle(std::size_t particle, TriPoint to) {
       // A tiled grid only ever grows: allocating the few tiles around the
       // escape restores the interior invariant without re-deriving any
       // geometry, so shadow/id planes stay incrementally valid.  Never
-      // reached from a sharded parallel phase — its deferral predicate
-      // requires coversInteriorBy(pos, margin + 1).
+      // reached from a sharded parallel phase — the chain runner reserves
+      // coverage first, the amoebot runner defers such events.
       grid_.ensureRegion(to, kGridEnsureMargin);
       grid_.clear(from);
       grid_.set(to);

@@ -116,9 +116,9 @@ class ParticleSystem {
 
   /// Suspends maintenance of the cell → id hash index so that concurrent
   /// workers may moveParticle() *disjoint* particles whose reads and
-  /// writes touch disjoint grid words (the sharded chain runner's stripe
-  /// discipline): the open-addressing index is the one structure every
-  /// move would otherwise share.  While suspended, occupancy is answered
+  /// writes touch disjoint grid words (the sharded chain runner's
+  /// blocks): the open-addressing index is the one structure every move
+  /// would otherwise share.  While suspended, occupancy is answered
   /// by the dense window alone and particleAt() must not be called.
   /// Requires an enabled dense window.  If a move during suspension
   /// forces the sparse fallback (window cap), the index is restored on
@@ -134,6 +134,14 @@ class ParticleSystem {
   [[nodiscard]] bool indexSuspended() const noexcept {
     return indexSuspended_;
   }
+
+  /// Grows the dense grid so that grid().coversInteriorBy(c, depth) holds
+  /// for every center: a flat window regrows once, spanning every box
+  /// [c ± depth] (promoting to tiled past the flat cap); a tiled grid
+  /// allocates the tiles of each box.  The sharded chain runner calls this
+  /// between parallel phases, so no move inside one can regrow the grid.
+  /// No-op on a sparse system.
+  void reserveInterior(std::span<const TriPoint> centers, std::int64_t depth);
 
   /// Number of occupied neighbors of vertex p (0..6).  p itself does not
   /// count even if occupied.
@@ -179,7 +187,7 @@ class ParticleSystem {
   [[nodiscard]] bool sameArrangement(const ParticleSystem& other) const;
 
   /// Snapshot-restore hook: forces the dense window to the exact geometry
-  /// a snapshot recorded (the sharded runners' trajectories depend on it;
+  /// a snapshot recorded (the amoebot runner's trajectory depends on it;
   /// regrowGrid()'s proportional margin would re-derive a different one),
   /// or pins the permanent sparse fallback when the snapshotted run had
   /// already given up on the dense window.  Must not be called while the
@@ -189,7 +197,7 @@ class ParticleSystem {
                              std::uint64_t height);
 
   /// Snapshot-restore hook for the tiled backend: rebuilds the tile
-  /// directory EXACTLY as a v3 snapshot recorded it (the sharded runners'
+  /// directory EXACTLY as a v3 snapshot recorded it (the amoebot runner's
   /// deferral predicates are functions of the allocated-tile set).
   void restoreTiledGeometry(std::span<const std::uint64_t> tileKeys);
 

@@ -7,7 +7,7 @@
 /// A snapshot file is a framed payload:
 ///
 ///   bytes 0..7    magic "SOPSSNAP"
-///   bytes 8..11   format version (u32 little-endian, currently 3)
+///   bytes 8..11   format version (u32 little-endian, currently 4)
 ///   bytes 12..19  payload length in bytes (u64 LE)
 ///   bytes 20..27  FNV-1a-64 checksum of the payload (u64 LE)
 ///   bytes 28..    payload
@@ -45,19 +45,17 @@ namespace sops::system {
 [[nodiscard]] std::uint64_t snapshotChecksum(
     std::span<const std::uint8_t> bytes) noexcept;
 
-/// Current frame format version.  v3: occupancy serializes a backend tag
+/// Current frame format version.  v4: the sharded chain runner's payload
+/// is the block executor's — system, model, tallies, e(σ), epoch index and
+/// boundary-reject count; its restore rejects older payloads, which the
+/// Poisson-clock runner wrote (per-particle clock and coin streams, epoch
+/// target, id-plane directory).  v3: occupancy serializes a backend tag
 /// (sparse / flat window / tiled directory, with the tiled grid's exact
-/// allocated-tile set), and the sharded chain runner appends its
-/// partner-id plane's mode and paged directory — the tiled deferral
-/// predicates are functions of those directories, so a re-derived one
-/// would change the trajectory.  v2 payloads (flat or sparse only; the
-/// sharded runners' per-particle streams as bare 256-bit engine states
-/// plus the adaptive epoch target) are still accepted: their occupancy
-/// byte layout is a strict subset of v3's, and readers re-derive the id
-/// plane, which is exact for the flat mode v2 runs used.  v1 payloads
-/// stored full (seed, state) Random pairs and no target, so they must
-/// fail loudly rather than be misread.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// allocated-tile set).  v2 payloads (flat or sparse only) are still
+/// accepted by every other reader: their occupancy byte layout is a strict
+/// subset of v3's.  v1 payloads stored full (seed, state) Random pairs, so
+/// they must fail loudly rather than be misread.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Oldest frame version readSnapshotFile still accepts.
 inline constexpr std::uint32_t kMinSnapshotVersion = 2;

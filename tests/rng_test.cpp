@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "rng/alias_table.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_bank.hpp"
 #include "rng/xoshiro.hpp"
@@ -257,6 +258,59 @@ TEST(PoissonClockBank, RejectsBadRates) {
   EXPECT_THROW(PoissonClockBank(1, 3, 1, {1.0, -2.0, 1.0}),
                sops::ContractViolation);
   EXPECT_THROW(PoissonClockBank(1, 3, 1, {1.0, 1.0}),
+               sops::ContractViolation);
+}
+
+TEST(CounterStream, DrawsArePureFunctionsOfKeyCounterAndIndex) {
+  // Output j of stream k is mix64(key + (256k + j)·φ): reopening a stream
+  // replays it, and stream k + 1 starts exactly 256 outputs after k.
+  CounterStream a(77, 5);
+  CounterStream b(77, 5);
+  std::vector<std::uint64_t> first;
+  for (int j = 0; j < 300; ++j) {
+    first.push_back(a());
+    EXPECT_EQ(first.back(), b());
+  }
+  CounterStream next(77, 6);
+  EXPECT_EQ(next(), first[256]);
+  EXPECT_NE(CounterStream(78, 5)(), first[0]);
+}
+
+TEST(CounterStream, BelowIsApproximatelyUniformAcrossStreams) {
+  // One draw per stream, streams k = 0, 1, 2, ...: the runner's use.
+  constexpr int kBuckets = 6;
+  constexpr int kDraws = 600000;
+  std::array<int, kBuckets> counts{};
+  for (int k = 0; k < kDraws; ++k) {
+    ++counts[CounterStream(0x5eed, static_cast<std::uint64_t>(k))
+                 .below(kBuckets)];
+  }
+  // Five binomial standard deviations per bucket.
+  const double p = 1.0 / kBuckets;
+  const double sd = std::sqrt(kDraws * p * (1.0 - p));
+  for (const int c : counts) EXPECT_NEAR(c, kDraws / kBuckets, 5.0 * sd);
+}
+
+TEST(AliasTable, SamplesInProportionToWeights) {
+  const std::vector<double> weights = {0.5, 2.0, 1.25, 3.0, 0.25};
+  const AliasTable table(weights);
+  constexpr int kDraws = 1000000;
+  std::vector<int> counts(weights.size(), 0);
+  Random rng(17);
+  for (int i = 0; i < kDraws; ++i) ++counts[table.sample(rng.engine())];
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const double expected = kDraws * weights[i] / total;
+    EXPECT_NEAR(counts[i], expected, 5.0 * std::sqrt(expected)) << i;
+  }
+}
+
+TEST(AliasTable, RejectsBadWeights) {
+  EXPECT_THROW(AliasTable(std::vector<double>{}), sops::ContractViolation);
+  EXPECT_THROW(AliasTable(std::vector<double>{1.0, 0.0}),
+               sops::ContractViolation);
+  EXPECT_THROW(AliasTable(std::vector<double>{1.0, -1.0}),
                sops::ContractViolation);
 }
 

@@ -1,4 +1,4 @@
-// Exact-distribution check for the separation chain at tiny n: the
+// Exact-distribution checks for the aux moves at tiny n.  Separation: the
 // stationary distribution of the {movement, swap} mixture over
 // (configuration × 2-coloring) states is w(σ) = λ^{e(σ)} γ^{hom(σ)} / Z,
 // because both move kinds are symmetric-proposal Metropolis kernels for
@@ -6,11 +6,14 @@
 // hole-free configurations × C(4,2) colorings = 264 states), so empirical
 // state frequencies can be tested against w exactly — this catches any
 // detailed-balance bug in the swap move (a wrong Δhom, a missing
-// heterochromatic-edge exclusion) on the reference chain and on the
-// engine's bit-plane path alike.
+// heterochromatic-edge exclusion) on the reference chain, on the engine's
+// bit-plane path and on the sharded block executor alike.  Alignment's
+// rotation gets the same check at n = 3 over (configuration ×
+// orientation) states, on the block executor.
 //
 // Pre-registered design (fixed before looking at outcomes):
-//   - burn-in 30,000 steps; one sample every 32 steps; 120,000 samples;
+//   - burn-in 30,000 steps; one sample every 32 steps (the block executor:
+//     every 64, over eight epochs); 120,000 samples;
 //   - expected cells below 5 pooled (Cochran, the stats.hpp default);
 //   - acceptance: chi-square p > 0.01; fixed seeds, so not flaky.
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -191,32 +195,129 @@ TEST(SeparationExact, EngineMatchesWeightDistribution) {
   expectMatchesExact(exact, counts);
 }
 
+/// Runs `runner` through the burn-in and kSamples bursts of `stride`
+/// proposals, counting states by `key` and the bursts that hit at least
+/// one boundary rejection — whose share is printed and must reach 3%, so
+/// the chi-square actually weighs the rule.
+template <typename Runner, typename KeyFn>
+std::vector<double> sampleShardedFrequencies(const ExactColoredEnsemble& exact,
+                                             Runner& runner, int stride,
+                                             KeyFn&& key) {
+  runner.runAtLeast(kBurnIn);
+  std::vector<double> counts(exact.probabilities.size(), 0.0);
+  int boundaryBursts = 0;
+  for (int s = 0; s < kSamples; ++s) {
+    const std::uint64_t rejectsBefore = runner.sweepEvents();
+    runner.runAtLeast(static_cast<std::uint64_t>(stride));
+    if (runner.sweepEvents() != rejectsBefore) ++boundaryBursts;
+    const auto it = exact.indexOf.find(key());
+    if (it == exact.indexOf.end()) {
+      ADD_FAILURE() << "sharded runner left the enumerated support";
+      break;
+    }
+    counts[it->second] += 1.0;
+  }
+  const double share = static_cast<double>(boundaryBursts) / kSamples;
+  std::printf("bursts with a boundary rejection: %.2f%%\n", 100.0 * share);
+  EXPECT_GE(share, 0.03);
+  return counts;
+}
+
+/// The block runner samples every 2 × kStride proposals, spread over
+/// eight epochs.  The chi-square assumes independent samples: with one
+/// epoch per sample, a configuration at a block edge has most of the
+/// epoch's proposals rejected and the next sample repeats the last far
+/// more often than the sequential chain's would.  That inflated the
+/// statistic without biasing it (alignment: chi2 ≈ 2650 on 2375 dof at
+/// both 120k and 1.2M samples — a bias would have grown tenfold).  The
+/// runner takes the list-order path (threads = 1), which the ShardedChain
+/// oracle tests pin the block path to bit for bit.
+constexpr int kShardedStride = 2 * kStride;
+constexpr int kShardedEpoch = kShardedStride / 8;
+
 TEST(SeparationExact, ShardedRunnerMatchesWeightDistribution) {
-  // The Poissonized stripe/halo schedule (core/sharded_chain_runner.hpp)
-  // must sample the same w = λ^e γ^hom over (configuration × coloring)
-  // states: the pair-move halo rules — the swap is the stress case the
-  // radius-3 interaction declaration exists for — may not bias which
-  // swaps execute.  Same pre-registered design as the tests above; the
-  // runner's epoch is sized to the sampling stride.
+  // The block executor (core/sharded_chain_runner.hpp) must sample the
+  // same w = λ^e γ^hom over (configuration × coloring) states: the swap is
+  // the pair move whose boundary rule takes both cells (p, q), and a
+  // rejected swap must be rejected for its reverse too.
   const ExactColoredEnsemble exact = buildExactEnsemble(kParticles, 2);
   core::SeparationModel::Options options;
   options.lambda = kLambda;
   options.gamma = kGamma;
   core::ShardedChainOptions sharded;
-  sharded.targetEventsPerEpoch = kStride;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = kShardedEpoch;
   core::ShardedChainRunner<core::SeparationModel> runner(
       system::lineConfiguration(kParticles),
       core::SeparationModel(options, twoOnesColors()), 1117, sharded);
-  runner.runAtLeast(kBurnIn);
-  std::vector<double> counts(exact.probabilities.size(), 0.0);
-  for (int s = 0; s < kSamples; ++s) {
-    runner.runAtLeast(kStride);
-    const auto it = exact.indexOf.find(
-        coloredKey(runner.system().positions(), runner.model().colors()));
-    ASSERT_NE(it, exact.indexOf.end())
-        << "sharded runner left the enumerated support";
-    counts[it->second] += 1.0;
+  const std::vector<double> counts =
+      sampleShardedFrequencies(exact, runner, kShardedStride, [&] {
+        return coloredKey(runner.system().positions(), runner.model().colors());
+      });
+  expectMatchesExact(exact, counts);
+}
+
+/// Exact (configuration × orientation) weights λ^e κ^ali at n particles:
+/// every hole-free configuration with each of the 6^n orientation
+/// assignments.
+ExactColoredEnsemble buildExactAlignmentEnsemble(int n, double lambda,
+                                                 double kappa) {
+  const enumeration::ExactEnsemble configs(n);
+  ExactColoredEnsemble out;
+  std::vector<double> weights;
+  std::size_t assignments = 1;
+  for (int i = 0; i < n; ++i) assignments *= 6;
+  for (const enumeration::EnumeratedConfig& config : configs.configs()) {
+    for (std::size_t code = 0; code < assignments; ++code) {
+      std::vector<std::uint8_t> orientationOf(static_cast<std::size_t>(n));
+      std::size_t rest = code;
+      for (int i = 0; i < n; ++i) {
+        orientationOf[static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(rest % 6);
+        rest /= 6;
+      }
+      const double weight =
+          core::lambdaPower(lambda, static_cast<int>(config.edges)) *
+          core::lambdaPower(
+              kappa, static_cast<int>(homOf(config.points, orientationOf)));
+      out.indexOf.emplace(coloredKey(config.points, orientationOf),
+                          weights.size());
+      weights.push_back(weight);
+    }
   }
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  out.probabilities.resize(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    out.probabilities[i] = weights[i] / total;
+  }
+  return out;
+}
+
+TEST(SeparationExact, ShardedRunnerMatchesAlignmentWeightDistribution) {
+  // Alignment's rotation is the single-particle aux move: its boundary
+  // rule takes p alone.  At n = 3 the (configuration × orientation)
+  // states are enumerable, with exact weights λ^e κ^ali (ali counts the
+  // induced edges whose endpoints share an orientation — homOf over the
+  // orientation classes).  Same design and threshold as above.
+  const double lambda = 1.5;
+  const double kappa = 2.0;
+  const ExactColoredEnsemble exact = buildExactAlignmentEnsemble(3, lambda,
+                                                                 kappa);
+  core::AlignmentModel::Options options;
+  options.lambda = lambda;
+  options.kappa = kappa;
+  core::ShardedChainOptions sharded;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = kShardedEpoch;
+  core::ShardedChainRunner<core::AlignmentModel> runner(
+      system::lineConfiguration(3), core::AlignmentModel(options, {0, 1, 2}),
+      1123, sharded);
+  const std::vector<double> counts =
+      sampleShardedFrequencies(exact, runner, kShardedStride, [&] {
+        return coloredKey(runner.system().positions(),
+                          runner.model().orientations());
+      });
   expectMatchesExact(exact, counts);
 }
 

@@ -1,29 +1,43 @@
 // The sharded chain runner's two contracts (core/sharded_chain_runner.hpp):
 //
-//  1. Determinism: the trajectory is a pure function of the seed —
-//     independent of the stripe-phase thread count — for all three weight
-//     models, including configurations that straddle many 64-column
-//     stripe boundaries.  These tests run under TSan in CI (suite
-//     ShardedChain is in the tsan job's filter), so the exclusive-word
-//     discipline is also checked for data races, not just outcomes.
+//  1. Determinism: the trajectory is a pure function of the seed.  The
+//     block path at any thread count must equal, bit for bit, the
+//     threads == 1 path that runs the epoch's proposal list in list order
+//     — the oracle — for all three weight models, on configurations that
+//     straddle many block boundaries, and across a kill-and-resume.  These
+//     tests run under TSan in CI (suite ShardedChain is in the tsan job's
+//     filter), so the word-disjoint block discipline is also checked for
+//     data races, not just outcomes.
 //
-//  2. Distribution: the Poissonized, stripe-reordered schedule must
-//     sample the same stationary distribution as the sequential chain.
-//     At enumerable sizes the exact π is available; beyond them the
-//     sequential engine is the reference.
+//  2. Distribution: every executed proposal is a π-reversible Metropolis
+//     kernel (the boundary rule is symmetric), so the runner samples the
+//     exact π.  At enumerable sizes the exact π is available; beyond them
+//     the sequential engine is the reference.
 //
 // Pre-registered design for the distributional tests (fixed before
 // looking at outcomes, matching tests/local_vs_chain_test.cpp):
-//   - burn-in 50,000 events; one sample every 48 events;
-//     150,000 samples at n = 4 (44 states), 200,000 at n = 5 (186);
+//   - burn-in 50,000 proposals; one sample every 96 proposals (eight
+//     epochs of 12); 150,000 samples at n = 4 (44 states), 200,000 at
+//     n = 5 (186);
 //   - expected cells below 5 pooled (Cochran, the stats.hpp default);
 //   - acceptance: chi-square p > 0.01; two-sample KS p > 0.001;
 //   - fixed seeds, so the tests are reproducible rather than flaky.
+// The chi-square assumes independent samples.  One epoch per sample is
+// not enough: a small configuration at a block edge has most proposals
+// of the epoch rejected, so the next sample repeats the last far more
+// often than the sequential chain's would.  That inflated the statistic
+// without biasing it (alignment at n = 3: chi2 ≈ 2650 on 2375 dof at
+// both 120k and 1.2M samples — a bias would have grown tenfold); spread
+// over eight epochs, each with fresh block offsets, the statistic sits at
+// its dof again.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -44,32 +58,41 @@ using system::ParticleSystem;
 // --- determinism across thread counts --------------------------------------
 
 /// Everything one run can disagree on: per-id positions (stronger than
-/// arrangement equality), the tracked edge count, the full outcome tally,
-/// and how much of the schedule ran on the sweep.
+/// arrangement equality), the model's per-particle classes, the tracked
+/// edge count, the full outcome tally, and the boundary-reject count.
 struct RunSignature {
   std::vector<TriPoint> positions;
+  std::vector<std::uint8_t> classes;
   std::int64_t edges = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t auxAccepted = 0;
+  EngineStats stats;
   std::uint64_t sweepEvents = 0;
 
   bool operator==(const RunSignature& other) const {
-    return positions == other.positions && edges == other.edges &&
-           steps == other.steps && accepted == other.accepted &&
-           auxAccepted == other.auxAccepted &&
+    return positions == other.positions && classes == other.classes &&
+           edges == other.edges &&
+           std::memcmp(&stats, &other.stats, sizeof(EngineStats)) == 0 &&
            sweepEvents == other.sweepEvents;
   }
 };
 
 template <typename Model>
+std::vector<std::uint8_t> classesOf(const Model& model) {
+  if constexpr (std::is_same_v<Model, SeparationModel>) {
+    return model.colors();
+  } else if constexpr (std::is_same_v<Model, AlignmentModel>) {
+    return model.orientations();
+  } else {
+    return {};
+  }
+}
+
+template <typename Model>
 RunSignature signatureOf(const ShardedChainRunner<Model>& runner) {
   RunSignature sig;
   sig.positions = runner.system().positions();
+  sig.classes = classesOf(runner.model());
   sig.edges = runner.edges();
-  sig.steps = runner.stats().steps;
-  sig.accepted = runner.stats().movement.accepted;
-  sig.auxAccepted = runner.stats().auxAccepted;
+  sig.stats = runner.stats();
   sig.sweepEvents = runner.sweepEvents();
   return sig;
 }
@@ -87,15 +110,15 @@ RunSignature runAndCheck(ShardedChainRunner<Model>& runner,
   return signatureOf(runner);
 }
 
-/// The thread counts the contract quantifies over: inline, small pool, a
-/// count coprime to any stripe structure, and whatever this host has.
+/// The thread counts the contract quantifies over: list order, small pool,
+/// a count coprime to any block structure, and whatever this host has.
 std::vector<unsigned> contractThreadCounts() {
   return {1u, 2u, 7u, std::max(1u, std::thread::hardware_concurrency())};
 }
 
 TEST(ShardedChain, CompressionTrajectoryIndependentOfThreadCount) {
-  // n = 300 line: the window spans ≥ 5 stripes, so the start straddles
-  // several stripe boundaries and halo bands stay busy all run.
+  // n = 300 line: it spans three 128-column blocks, so the start
+  // straddles block boundaries and the boundary rule stays busy all run.
   ChainOptions options;
   options.lambda = 4.0;
   std::vector<RunSignature> signatures;
@@ -107,7 +130,7 @@ TEST(ShardedChain, CompressionTrajectoryIndependentOfThreadCount) {
         sharded);
     signatures.push_back(runAndCheck(runner, 120000));
     EXPECT_GT(signatures.back().sweepEvents, 0u);
-    EXPECT_LT(signatures.back().sweepEvents, signatures.back().steps);
+    EXPECT_LT(signatures.back().sweepEvents, signatures.back().stats.steps);
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
     EXPECT_TRUE(signatures[i] == signatures[0]) << "thread count #" << i;
@@ -164,11 +187,10 @@ TEST(ShardedChain, IdPlaneOverflowRunsStripedOnPagedPlane) {
   // Between ParticleIdPlane::kMaxCells (2^24 cells) and BitGrid's flat cap
   // (2^28 bits) lies a regime where the window is dense but the u32 id
   // mirror is too large to allocate flat: the plane switches to its paged
-  // backend and the epochs keep running striped — stripe workers resolve
-  // swap partners from the pages, and only halo / page-frontier events
-  // fall to the sequential sweep.  A 10k line's window (proportional
-  // margins make it ~15062 × 5063 ≈ 76M cells but only ~1.2M words) sits
-  // squarely in that regime.
+  // backend and the epochs keep running on the block path — block workers
+  // resolve swap partners from the pages the coordinator reserved.  A 10k
+  // line's window (proportional margins make it ~15100 × 5063 ≈ 76M cells
+  // but only ~1.2M words) sits squarely in that regime.
   const std::size_t n = 10000;
   SeparationModel::Options options;
   options.lambda = 4.0;
@@ -183,9 +205,8 @@ TEST(ShardedChain, IdPlaneOverflowRunsStripedOnPagedPlane) {
             ParticleIdPlane::kMaxCells);
   ASSERT_TRUE(runner.system().grid().enabled());
   const std::uint64_t executed = runner.runAtLeast(50000);
-  // The bulk of the events ran on the parallel stripe phase: the paged id
-  // plane removed the old everything-on-the-sweep cliff.
-  EXPECT_LT(runner.sweepEvents(), executed);
+  // The boundary rule rejects only a sliver of the proposals.
+  EXPECT_LT(runner.sweepEvents(), executed / 10);
   EXPECT_EQ(runner.stats().steps, executed);
   EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps resolved partners
   EXPECT_FALSE(runner.system().indexSuspended());
@@ -194,15 +215,12 @@ TEST(ShardedChain, IdPlaneOverflowRunsStripedOnPagedPlane) {
 
 TEST(ShardedChain, ThreadInvariantAcrossEpochConfigurations) {
   // The contract quantifies over the epoch machinery too: several fixed
-  // targets (small epochs, derived-scale epochs, big epochs), the
-  // adaptive controller (the default), and heterogeneous clock rates must
-  // each give a trajectory — and an adaptive-target history — that is a
-  // pure function of the seed.  The final epoch target is part of the
-  // signature: the controller's decisions are made from deferred/total
-  // counts, which are themselves thread-invariant.
+  // list lengths (small epochs, derived-scale epochs, big epochs), the
+  // derived default, and heterogeneous selection weights must each give a
+  // trajectory that is a pure function of the seed.
   struct Config {
-    std::uint64_t target;  // 0 = adaptive
-    bool ramped;           // heterogeneous rates?
+    std::uint64_t target;  // 0 = derived
+    bool ramped;           // heterogeneous weights?
   };
   const std::size_t n = 300;
   std::vector<double> ramp(n);
@@ -245,7 +263,7 @@ TEST(ShardedChain, DerivedEpochTargetClampedToCap) {
   // Regression: the derived default target (2n) used to bypass the 2^28
   // guard that explicit targets got, so a hypothetical 2^27-particle
   // system would have produced epochs above the cap (and with it an
-  // event-buffer footprint the sort/merge machinery never budgets for).
+  // event-buffer footprint no epoch buffer budgets for).
   // The derivation is a pure function, so the regression pins it
   // directly, plus the floor and the midrange.
   EXPECT_EQ(derivedEpochTarget(1), 1024u);
@@ -256,9 +274,9 @@ TEST(ShardedChain, DerivedEpochTargetClampedToCap) {
             kMaxEventsPerEpoch);
   EXPECT_EQ(derivedEpochTarget(std::uint64_t{1} << 40), kMaxEventsPerEpoch);
 
-  // The adaptive controller inherits the cap: from any particle count its
-  // upper bound never exceeds 2^28, so no sequence of doublings can
-  // escape it.
+  // The amoebot runner's adaptive controller inherits the cap: from any
+  // particle count its upper bound never exceeds 2^28, so no sequence of
+  // doublings can escape it.
   AdaptiveEpochController huge(std::uint64_t{1} << 40);
   EXPECT_EQ(huge.target(), kMaxEventsPerEpoch);
   for (int i = 0; i < 80; ++i) huge.update(0, 1000);  // always "double"
@@ -273,8 +291,8 @@ TEST(ShardedChain, DerivedEpochTargetClampedToCap) {
 }
 
 TEST(ShardedChain, CompactShapeTrajectoryIndependentOfThreadCount) {
-  // A spiral sits inside one or two stripes with the action at the
-  // window's interior — the complementary stripe geometry to the line.
+  // A spiral sits inside a few blocks with the action at the window's
+  // interior — the complementary block geometry to the line.
   ChainOptions options;
   options.lambda = 4.0;
   std::vector<RunSignature> signatures;
@@ -291,6 +309,152 @@ TEST(ShardedChain, CompactShapeTrajectoryIndependentOfThreadCount) {
   }
 }
 
+// --- the list-order oracle -------------------------------------------------
+
+/// Runs `make(threads)` for threads == 1 (the list-order oracle) and for
+/// every block-path count in {2, 3, 4, hw}, in two bursts with a
+/// snapshot/restore into a fresh runner between them, and requires every
+/// block-path run to equal the oracle bit for bit.  `minBlocks` is the
+/// number of blocks the block path must spread one epoch over.  Returns
+/// the oracle's signature.
+template <typename MakeRunner>
+RunSignature expectBlockPathMatchesOracle(MakeRunner&& make,
+                                          std::uint64_t events,
+                                          std::size_t minBlocks) {
+  const auto runWith = [&](unsigned threads) {
+    auto runner = make(threads);
+    runner.runAtLeast(events / 2);
+    if (threads > 1) {
+      EXPECT_GE(runner.lastEpochBlocks(), minBlocks) << "threads " << threads;
+    }
+    system::SnapshotWriter w;
+    runner.saveState(w);
+    auto resumed = make(threads == 1 ? 1u : 4u);  // resume across counts
+    system::SnapshotReader r(w.payload());
+    resumed.restoreState(r);
+    r.finish();
+    resumed.runAtLeast(events / 2);
+    EXPECT_EQ(resumed.edges(), system::countEdges(resumed.system()));
+    EXPECT_TRUE(system::isConnected(resumed.system()));
+    return signatureOf(resumed);
+  };
+  const RunSignature oracle = runWith(1);
+  for (const unsigned threads :
+       {2u, 3u, 4u, std::max(2u, std::thread::hardware_concurrency())}) {
+    EXPECT_TRUE(runWith(threads) == oracle) << "threads " << threads;
+  }
+  return oracle;
+}
+
+TEST(ShardedChain, BlockPathMatchesListOrderOracleOnLargeSpiral) {
+  // A 1e5 spiral spans ~370 columns and rows: every epoch spreads over
+  // at least 8 blocks, with the heavy ones in the middle.
+  ChainOptions options;
+  options.lambda = 4.0;
+  const system::ParticleSystem spiral = system::spiralConfiguration(100000);
+  const RunSignature oracle = expectBlockPathMatchesOracle(
+      [&](unsigned threads) {
+        ShardedChainOptions sharded;
+        sharded.threads = threads;
+        sharded.targetEventsPerEpoch = 60000;
+        return ShardedChainRunner<CompressionModel>(
+            spiral, CompressionModel(options), 9101, sharded);
+      },
+      120000, 8);
+  EXPECT_GT(oracle.sweepEvents, 0u);
+}
+
+TEST(ShardedChain, BlockPathMatchesListOrderOracleForPairMoves) {
+  // Separation's swaps and alignment's rotations on a 1e4 line: ~80 blocks
+  // in a row, the line on a block-row boundary half the epochs.
+  const std::size_t n = 10000;
+  SeparationModel::Options separation;
+  separation.gamma = 4.0;
+  const RunSignature separationOracle = expectBlockPathMatchesOracle(
+      [&](unsigned threads) {
+        ShardedChainOptions sharded;
+        sharded.threads = threads;
+        return ShardedChainRunner<SeparationModel>(
+            system::lineConfiguration(static_cast<std::int64_t>(n)),
+            SeparationModel(separation, system::alternatingClasses(n, 2)),
+            9103, sharded);
+      },
+      80000, 8);
+  EXPECT_GT(separationOracle.sweepEvents, 0u);
+  AlignmentModel::Options alignment;
+  alignment.kappa = 4.0;
+  const RunSignature alignmentOracle = expectBlockPathMatchesOracle(
+      [&](unsigned threads) {
+        ShardedChainOptions sharded;
+        sharded.threads = threads;
+        return ShardedChainRunner<AlignmentModel>(
+            system::lineConfiguration(static_cast<std::int64_t>(n)),
+            AlignmentModel(alignment, system::alternatingClasses(n, 6)), 9107,
+            sharded);
+      },
+      80000, 8);
+  EXPECT_GT(alignmentOracle.sweepEvents, 0u);
+}
+
+TEST(ShardedChain, StoragePrePhaseMatchesListOrderOracle) {
+  // A 20-particle line with 4096-proposal epochs: each particle owns ~200
+  // proposals, far beyond the flat window's margin or the tiles allocated
+  // around it, so the first block epoch leaves its block to the
+  // coordinator, which grows the window (flat) or the tiles and id pages
+  // (tiled, separation) before running it.  The result must still be
+  // the list-order oracle's.
+  ChainOptions options;
+  options.lambda = 4.0;
+  expectBlockPathMatchesOracle(
+      [&](unsigned threads) {
+        ShardedChainOptions sharded;
+        sharded.threads = threads;
+        sharded.targetEventsPerEpoch = 4096;
+        return ShardedChainRunner<CompressionModel>(
+            system::lineConfiguration(20), CompressionModel(options), 9111,
+            sharded);
+      },
+      16384, 1);
+  SeparationModel::Options separation;
+  separation.gamma = 4.0;
+  expectBlockPathMatchesOracle(
+      [&](unsigned threads) {
+        ShardedChainOptions sharded;
+        sharded.threads = threads;
+        sharded.targetEventsPerEpoch = 4096;
+        system::ParticleSystem line = system::lineConfiguration(20);
+        line.forceTiledForTest();
+        return ShardedChainRunner<SeparationModel>(
+            std::move(line),
+            SeparationModel(separation, system::alternatingClasses(20, 2)),
+            9113, sharded);
+      },
+      16384, 1);
+}
+
+TEST(ShardedChain, BoundaryRejectsIndependentOfBurstsAndThreads) {
+  // The boundary rule is a pure function of (seed, epoch, proposal
+  // cells): cutting the same eight epochs into one burst or eight, on the
+  // list-order path or the block path, rejects the same proposals.
+  ChainOptions options;
+  options.lambda = 4.0;
+  const auto rejectsAfter = [&](unsigned threads, int bursts) {
+    ShardedChainOptions sharded;
+    sharded.threads = threads;
+    sharded.targetEventsPerEpoch = 4096;
+    ShardedChainRunner<CompressionModel> runner(
+        system::lineConfiguration(400), CompressionModel(options), 9109,
+        sharded);
+    for (int b = 0; b < bursts; ++b) runner.runAtLeast(4096 * 8 / bursts);
+    EXPECT_EQ(runner.epochs(), 8u);
+    return runner.sweepEvents();
+  };
+  const std::uint64_t once = rejectsAfter(1, 1);
+  EXPECT_GT(once, 0u);
+  EXPECT_EQ(rejectsAfter(1, 8), once);
+  EXPECT_EQ(rejectsAfter(3, 2), once);
+}
+
 }  // namespace
 }  // namespace sops::core
 
@@ -303,12 +467,20 @@ namespace sops::core {
 namespace {
 
 constexpr int kBurnIn = 50000;
-constexpr int kStride = 48;
+constexpr int kStride = 96;
+constexpr int kEpochsPerSample = 8;
 constexpr double kAcceptP = 0.01;
+/// Share of sampling bursts that must contain a boundary rejection, so the
+/// chi-square actually weighs the rule (the Poisson-clock runner's bursts
+/// mixed stripe and sweep events in only 0.75–1.1% of bursts).
+constexpr double kMinBoundaryBurstShare = 0.03;
 
 /// Chi-square of the sharded compression runner's visited configurations
-/// against the exact π(σ) = λ^e/Z over Ω*.  Epochs are sized to the
-/// sampling stride so each runAtLeast() burst is one sampling interval.
+/// against the exact π(σ) = λ^e/Z over Ω*.  Each runAtLeast() burst is
+/// kEpochsPerSample epochs, each with fresh block offsets.  The runner
+/// takes the list-order path (threads = 1): the oracle tests above pin the
+/// block path to it bit for bit, and a few particles in 12-proposal epochs
+/// would only pay the block path's thread hand-offs.
 void expectShardedCompressionMatchesPi(int n, int instants, std::uint64_t seed,
                                        std::vector<double> rates = {}) {
   const enumeration::ExactEnsemble ensemble(n);
@@ -321,18 +493,25 @@ void expectShardedCompressionMatchesPi(int n, int instants, std::uint64_t seed,
   ChainOptions options;
   options.lambda = lambda;
   ShardedChainOptions sharded;
-  sharded.targetEventsPerEpoch = kStride;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = kStride / kEpochsPerSample;
   sharded.rates = std::move(rates);
   ShardedChainRunner<CompressionModel> runner(
       system::lineConfiguration(n), CompressionModel(options), seed, sharded);
   runner.runAtLeast(kBurnIn);
   std::vector<double> counts(ensemble.configs().size(), 0.0);
+  int boundaryBursts = 0;
   for (int s = 0; s < instants; ++s) {
+    const std::uint64_t rejectsBefore = runner.sweepEvents();
     runner.runAtLeast(kStride);
+    if (runner.sweepEvents() != rejectsBefore) ++boundaryBursts;
     const auto it = indexOf.find(system::canonicalKey(runner.system()));
     ASSERT_NE(it, indexOf.end()) << "sharded runner left the support of pi";
     counts[it->second] += 1.0;
   }
+  const double share = static_cast<double>(boundaryBursts) / instants;
+  std::printf("bursts with a boundary rejection: %.2f%%\n", 100.0 * share);
+  EXPECT_GE(share, kMinBoundaryBurstShare);
   const std::vector<double> exact = ensemble.stationary(lambda);
   double total = 0.0;
   for (const double c : counts) total += c;
@@ -352,13 +531,13 @@ TEST(ShardedChainDistribution, CompressionMatchesExactPiN5) {
   expectShardedCompressionMatchesPi(5, 200000, 1301);
 }
 
-// Heterogeneous clock rates leave π unchanged: the jump chain picks
-// particle i with probability r_i / Σr, but a move σ→τ and its reverse
-// τ→σ are proposals of the *same* particle (the one that moves), so the
-// selection bias cancels pairwise and the Metropolis filter min(1, λ^Δe)
-// still balances π(σ) ∝ λ^{e(σ)}.  Only the *clock* on each transition
-// changes, not the stationary law — so the expected chi-square counts are
-// the plain exact π, same as the uniform chain.
+// Heterogeneous selection weights leave π unchanged: the alias table
+// picks particle i with probability r_i / Σr, but a move σ→τ and its
+// reverse τ→σ are proposals of the *same* particle (the one that moves),
+// so the selection bias cancels pairwise and the Metropolis filter
+// min(1, λ^Δe) still balances π(σ) ∝ λ^{e(σ)}.  Only how often each
+// transition is tried changes, not the stationary law — so the expected
+// chi-square counts are the plain exact π, same as the uniform chain.
 
 TEST(ShardedChainDistribution, HeterogeneousRatesMatchExactPiN4) {
   expectShardedCompressionMatchesPi(4, 150000, 1401, {0.5, 2.0, 1.25, 3.0});

@@ -647,14 +647,30 @@ TEST(SimRunner, StopWhenSharedAcrossWorkers) {
 }
 
 TEST(SimRunner, RejectsEpochEventsBeyondMemoryCap) {
-  // The sharded runners materialize one epoch's event schedule in
-  // memory, so a steps-sized value mis-keyed into epoch-events must be
-  // rejected before any allocation happens.
+  // The sharded runners materialize one epoch's event list in memory, so
+  // a steps-sized value mis-keyed into epoch-events must be rejected
+  // before any allocation happens (the 2^28 cap).
   const RunSpec spec = RunSpec::parse(
       "scenario=compression n=30 steps=10 threads=2 "
       "epoch-events=10000000000");
   Observer none;
   EXPECT_THROW((void)run(spec, none), ContractViolation);
+}
+
+TEST(SimRunner, ChainSpecRejectsEpochAdaptive) {
+  // epoch-adaptive tunes the amoebot runner's Poisson epochs.  The chain
+  // runner's proposal lists have a fixed length, so a chain spec that sets
+  // the key fails as an unknown key, while the amoebot scenario keeps it.
+  Observer none;
+  for (const char* scenario : {"compression", "separation", "alignment"}) {
+    const RunSpec spec = RunSpec::parse(
+        std::string("scenario=") + scenario +
+        " n=30 steps=10 threads=2 epoch-adaptive=false");
+    EXPECT_THROW((void)run(spec, none), ContractViolation) << scenario;
+  }
+  const RunSpec amoebot = RunSpec::parse(
+      "scenario=amoebot n=30 steps=100 threads=2 epoch-adaptive=false");
+  EXPECT_NO_THROW((void)run(amoebot, none));
 }
 
 TEST(SimRunner, StopWhenEndsReplicasEarly) {

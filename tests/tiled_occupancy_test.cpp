@@ -307,8 +307,8 @@ ShardedSignature signatureOf(
 
 TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
   // A 20000-particle line's derived window exceeds the flat cap, so the
-  // runner executes on the tiled grid with the paged id plane — the size
-  // class that used to run every epoch on the sequential sweep.
+  // runner executes on the tiled grid with the paged id plane, blocks
+  // spread along the line.
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -322,7 +322,7 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
         sharded);
     ASSERT_TRUE(runner.system().grid().tiled());
     runner.runAtLeast(60000);
-    EXPECT_LT(runner.sweepEvents(), runner.stats().steps);  // striped ran
+    EXPECT_LT(runner.sweepEvents(), runner.stats().steps / 10);
     EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
     signatures.push_back(signatureOf(runner));
   }
@@ -334,7 +334,7 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
 TEST(TiledTrajectory, Line300kRunsDenseTiledStriped) {
   // The headline size from the window-caps roadmap item: 300k particles in
   // a line used to be sparse (flat window far over the cap), running every
-  // event sequentially.  It must now run dense-tiled and striped.
+  // event sequentially.  It must now run dense-tiled on the block path.
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -348,7 +348,8 @@ TEST(TiledTrajectory, Line300kRunsDenseTiledStriped) {
   ASSERT_STREQ(runner.system().regimeName(), "dense-tiled");
   const std::uint64_t executed = runner.runAtLeast(20000);
   EXPECT_GT(executed, 0u);
-  EXPECT_LT(runner.sweepEvents(), executed);
+  EXPECT_LT(runner.sweepEvents(), executed / 10);
+  EXPECT_GT(runner.lastEpochBlocks(), 100u);
   EXPECT_FALSE(runner.system().indexSuspended());
 }
 
@@ -457,11 +458,11 @@ TEST(TiledSnapshot, FlatParticleSystemBytesParseUnderAV2Reader) {
   EXPECT_EQ(restored.grid().width(), sys.grid().width());
 }
 
-TEST(TiledSnapshot, ShardedV2PayloadWithoutIdTrailerResumesExactly) {
-  // A genuine v2 sharded-separation payload is today's payload minus the
-  // one-byte id-plane trailer (flat-mode runs serialize only the Inactive
-  // tag).  Restoring it through a version-2 reader must re-derive the
-  // plane and continue the identical trajectory.
+TEST(TiledSnapshot, ShardedPreV4PayloadIsRejected) {
+  // Payloads older than v4 were written by the Poisson-clock runner (clock
+  // and coin streams, epoch target, id-plane directory); the block runner
+  // cannot continue that trajectory, so restore must fail loudly, naming
+  // the version and the runner that wrote it.
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -477,12 +478,22 @@ TEST(TiledSnapshot, ShardedV2PayloadWithoutIdTrailerResumesExactly) {
   original.runAtLeast(20000);
   system::SnapshotWriter w;
   original.saveState(w);
-  std::vector<std::uint8_t> v2Payload = w.payload();
-  ASSERT_FALSE(v2Payload.empty());
-  ASSERT_EQ(v2Payload.back(), 0u);  // the Inactive id-plane tag
-  v2Payload.pop_back();
+  for (const std::uint32_t version : {2u, 3u}) {
+    core::ShardedChainRunner<SeparationModel> resumed = makeRunner();
+    system::SnapshotReader r(w.payload(), version);
+    try {
+      resumed.restoreState(r);
+      ADD_FAILURE() << "version " << version << " payload was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("Poisson-clock runner"), std::string::npos) << what;
+    }
+  }
   core::ShardedChainRunner<SeparationModel> resumed = makeRunner();
-  system::SnapshotReader r(v2Payload, 2);
+  system::SnapshotReader r(w.payload());
   resumed.restoreState(r);
   r.finish();
   original.runAtLeast(20000);
@@ -491,9 +502,8 @@ TEST(TiledSnapshot, ShardedV2PayloadWithoutIdTrailerResumesExactly) {
 }
 
 TEST(TiledSnapshot, ShardedTiledSaveRestoreContinuesExactly) {
-  // v3 proper: a tiled sharded run serializes its tile and page
-  // directories verbatim; the resumed runner must continue bit-identically
-  // (the deferral predicates are functions of those directories).
+  // A tiled sharded run resumes bit-identically: the trajectory is a
+  // function of the seed and the configuration, not of the directories.
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;

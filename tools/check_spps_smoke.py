@@ -5,7 +5,11 @@ The CI smoke job for the scenario facade: every scenario must be runnable
 from a RunSpec alone, and its CSV/JSONL sinks must have the declared
 column shape with one sample row per (replica, checkpoint).
 
-Also the crash-resume smoke for durable runs: SIGKILL an spps process
+Also the cross-thread contract of the sharded chain runner at the CLI: a
+20000-particle spiral at threads=2 and threads=4 must end on the same
+final CSV row, byte for byte.
+
+And the crash-resume smoke for durable runs: SIGKILL an spps process
 mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
 uninterrupted run of the same spec; plus SIGTERM → graceful exit 3 with
@@ -212,6 +216,28 @@ def check_crash_resume(spps, workdir, scenario, extra):
           f"{target} — final row identical to the uninterrupted run")
 
 
+def check_cross_thread(spps, workdir):
+    """The sharded chain runner's trajectory is a pure function of the
+    seed: the same compression spec at threads=2 and threads=4 must end on
+    byte-identical final CSV rows."""
+    rows = {}
+    for threads in (2, 4):
+        csv_path = os.path.join(workdir, f"threads{threads}.csv")
+        spec = ("scenario=compression shape=spiral n=20000 lambda=4 "
+                f"steps=2000000 threads={threads} csv={csv_path}")
+        result = subprocess.run([spps] + spec.split(), capture_output=True,
+                                text=True)
+        if result.returncode != 0:
+            fail(f"spps {spec!r} exited {result.returncode}:\n"
+                 f"{result.stdout}\n{result.stderr}")
+        rows[threads] = final_csv_row(csv_path)
+    if rows[2] != rows[4]:
+        fail("sharded runner diverged across thread counts\n"
+             f"  threads=2: {rows[2]}\n  threads=4: {rows[4]}")
+    print("ok: 20000-particle spiral, threads=2 and threads=4 end on the "
+          "same final CSV row")
+
+
 def check_sigterm_exit(spps, workdir):
     """SIGTERM must cancel cooperatively: exit 3, resumable snapshot named,
     and the snapshot must actually resume to completion."""
@@ -274,6 +300,8 @@ def main():
         if "unknown" not in result.stderr:
             fail(f"spps {bad!r}: stderr lacks an 'unknown ...' message")
     print("ok: unknown scenario/parameter specs fail loudly")
+
+    check_cross_thread(spps, workdir)
 
     # Durable runs: a real SIGKILL (sequential compression and the sharded
     # separation runner — the one with the most derived state to rebuild on
