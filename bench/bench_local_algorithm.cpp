@@ -8,7 +8,7 @@
 // throughput of A versus M; (d) the local fast path (bit planes + decision
 // table) against the frozen seed kernel of reference_local_kernel.hpp —
 // the ≥3× single-thread claim of DESIGN.md; (e) million-particle runs
-// through the sharded concurrent runner across stripe-phase thread counts.
+// through the sharded block runner across block-phase thread counts.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     const auto bigSteps = static_cast<std::uint64_t>(
         bench::envInt("SOPS_LOCAL_BIG_STEPS", 8000000));
     bench::Table table4(
-        {"threads", "Mact/s", "sweep fraction", "sim-time"});
+        {"threads", "Mact/s", "skip fraction", "sim-time"});
     for (const unsigned threads : {1u, 2u, 4u}) {
       rng::Random ctor(7);
       amoebot::AmoebotSystem sys(system::spiralConfiguration(bigN), ctor);
@@ -216,10 +216,10 @@ int main(int argc, char** argv) {
                   bench::fmt(runner.now(), 2)});
     }
     std::printf(
-        "\nnote: stripe workers share nothing, so scaling tracks core count;\n"
-        "this repo's CI box is single-core — run on a multi-core host for\n"
-        "the real stripe-scaling table.  The sweep fraction is the serial\n"
-        "remainder (halo + window-edge deferrals).\n");
+        "\nnote: block workers share nothing, so scaling tracks core count\n"
+        "up to the heaviest block; run on a multi-core host for the real\n"
+        "scaling table.  The skip fraction is the share of activations\n"
+        "the block-boundary rule skipped.\n");
   }
   return 0;
 }

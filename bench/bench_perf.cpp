@@ -260,10 +260,9 @@ void BM_LocalActivateReference(benchmark::State& state) {
 BENCHMARK(BM_LocalActivateReference)->Arg(100)->Arg(10000);
 
 void BM_ShardedActivations(benchmark::State& state) {
-  // Million-particle Algorithm A through the sharded concurrent runner;
-  // Arg is the stripe-phase thread count.  Items are activations, so
-  // items/s is comparable with BM_LocalActivate.  (This repo's CI box is
-  // single-core — run on a multi-core host to see the stripe scaling.)
+  // Million-particle Algorithm A through the sharded block runner; Arg is
+  // the block-phase thread count (1 = the list-order path).  Items are
+  // activations, so items/s is comparable with BM_LocalActivate.
   rng::Random rng(7);
   amoebot::AmoebotSystem sys(system::spiralConfiguration(1000000), rng);
   const amoebot::LocalCompressionAlgorithm algo({4.0});

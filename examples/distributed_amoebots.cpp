@@ -1,8 +1,8 @@
 // The fully distributed view: Algorithm A running on the amoebot model
 // (§3.2) with per-particle Poisson clocks, private compasses, a 1-bit flag
 // memory — and optional crash faults (§3.3) — as the facade's `amoebot`
-// scenario.  Execution always goes through the sharded concurrent
-// scheduler (word-aligned lattice stripes + halo deferral), whose
+// scenario.  Execution always goes through the sharded runner (shifted
+// word-aligned lattice blocks, symmetric boundary skips), whose
 // trajectory is deterministic per seed for every thread count.
 //
 //   ./examples/distributed_amoebots [key=value ...]
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     }
     std::printf("running Algorithm A: each particle acts only on its own\n"
                 "Poisson clock, sees only its neighborhood, and stores 1 "
-                "bit;\n%u stripe worker(s), same trajectory for every thread "
+                "bit;\n%u block worker(s), same trajectory for every thread "
                 "count.\n\n",
                 spec.threads);
 

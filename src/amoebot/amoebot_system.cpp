@@ -32,7 +32,7 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
   regrowPlanes();
 }
 
-void AmoebotSystem::regrowPlanes() {
+void AmoebotSystem::regrowPlanes(const system::BitGrid::CellBox* cover) {
   if (gridsGaveUp_) return;
   std::vector<TriPoint> cells;
   cells.reserve(particles_.size() + expandedCount_);
@@ -43,7 +43,7 @@ void AmoebotSystem::regrowPlanes() {
   // rebuild() promotes oversized bounding boxes to the tiled backend, so
   // it only fails on an empty cell set — excluded by the constructor.
   // The sparse regime survives solely behind forceSparseForTest().
-  const bool built = occ_.rebuild(cells, kPlaneBaseMargin);
+  const bool built = occ_.rebuild(cells, kPlaneBaseMargin, cover);
   SOPS_DASSERT(built);
   (void)built;
   heads_.allocateLike(occ_);
@@ -55,6 +55,20 @@ void AmoebotSystem::regrowPlanes() {
     expanded_.set(p.head);
   }
   gridsOn_ = true;
+}
+
+void AmoebotSystem::reserveInterior(std::span<const TriPoint> centers,
+                                    std::int64_t depth) {
+  if (!gridsOn_ || centers.empty()) return;
+  if (!occ_.tiled()) {
+    const system::BitGrid::CellBox box =
+        system::BitGrid::CellBox::around(centers, depth);
+    regrowPlanes(&box);
+    if (!occ_.tiled()) return;
+  }
+  for (const TriPoint c : centers) occ_.ensureRegion(c, depth);
+  heads_.ensureTilesOf(occ_);
+  expanded_.ensureTilesOf(occ_);
 }
 
 void AmoebotSystem::forceSparseForTest() {
@@ -227,11 +241,10 @@ void AmoebotSystem::expand(std::size_t id, Direction d) {
     // Keep every particle cell interior so unchecked gathers stay
     // licensed.  Tiled planes only grow: allocating around the escape up
     // front keeps all three directories mirrored (heads_/expanded_ must
-    // cover every occ_ tile so stripe workers never allocate); flat
+    // cover every occ_ tile so block workers never allocate); flat
     // windows rebuild below, after the bits are placed.  Neither path
-    // triggers during a sharded parallel phase: the runner only
-    // activates shardSafe() particles there, and defers the rest to its
-    // single-threaded sweep.
+    // triggers during a sharded parallel phase: the runner's storage
+    // check reserves every cell a block's activations can reach first.
     if (occ_.tiled() && !occ_.coversInterior(target)) {
       occ_.ensureRegion(target, kPlaneEnsureMargin);
       heads_.ensureTilesOf(occ_);

@@ -30,7 +30,7 @@
 /// Configurations too spread out for one flat window (BitGrid::kMaxWords)
 /// run on the tiled backend: all three planes share one tile directory
 /// layout (heads_/expanded_ always cover every occ_ tile), so the
-/// word-exclusive stripe discipline carries over.  The sparse hash-index
+/// word-exclusive block discipline carries over.  The sparse hash-index
 /// regime survives only behind forceSparseForTest(), exactly like
 /// ParticleSystem.
 ///
@@ -40,6 +40,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -203,8 +204,8 @@ class AmoebotSystem {
   // --- sharded-execution support (amoebot/parallel_scheduler) ---
 
   /// True while the dense bit planes are live (the sharded runner requires
-  /// them for its stripe geometry; the forced-sparse test regime falls
-  /// back to the hash index and to sequential execution).
+  /// them for its block geometry; the forced-sparse test regime falls back
+  /// to the hash index and to list-order execution).
   [[nodiscard]] bool fastPathEnabled() const noexcept { return gridsOn_; }
 
   /// Which occupancy regime the planes are running: "dense-flat",
@@ -219,29 +220,25 @@ class AmoebotSystem {
   /// need to exercise the sparse code paths.
   void forceSparseForTest();
 
-  /// The occupancy plane — the sharded runner derives its word-aligned
-  /// stripe decomposition from this window's origin.
+  /// The occupancy plane — the sharded runner aligns its blocks to it and
+  /// checks storage against it (heads and expanded mirror its geometry).
   [[nodiscard]] const system::BitGrid& occupancyGrid() const noexcept {
     return occ_;
   }
 
-  /// True iff every cell an activation of a particle at `tail` can touch
-  /// (reads within distance 2, a 1-cell expansion plus that head's reads)
-  /// stays strictly inside the window — i.e. no plane regrow can trigger.
-  /// The sharded runner defers activations that fail this to its
-  /// single-threaded sweep, where regrowing is safe.
-  [[nodiscard]] bool shardSafe(TriPoint tail) const noexcept {
-    return occ_.coversInteriorBy(tail, system::BitGrid::kInteriorMargin + 1);
-  }
+  /// Grows the three planes together so that
+  /// occupancyGrid().coversInteriorBy(c, depth) holds for every center —
+  /// the sharded runner calls it between parallel phases, so that no
+  /// plane regrows inside one.  A no-op in the sparse regime.
+  void reserveInterior(std::span<const TriPoint> centers, std::int64_t depth);
 
   /// Suspends maintenance of the cell -> id hash index and of
-  /// expandedCount() so concurrent stripe workers touch only bit-plane
+  /// expandedCount() so concurrent block workers touch only bit-plane
   /// words and per-particle state.  Only meaningful while
   /// fastPathEnabled(); at()/particleAt-style lookups are invalid until
   /// restoreIdIndex().  The planes never give up mid-section: a flat
   /// window that outgrows BitGrid::kMaxWords promotes to the tiled
-  /// backend (on the scheduler's single-threaded sweep — stripe workers
-  /// never trigger a regrow), and tiled directories only grow.
+  /// backend, and tiled directories only grow.
   void suspendIdIndex();
 
   /// Rebuilds the id index and expandedCount() from particle state and
@@ -251,10 +248,9 @@ class AmoebotSystem {
   // --- snapshot support (system/snapshot.hpp) ---
 
   /// Serializes every particle (cells, expansion state, private port
-  /// labeling, fault flags) plus the exact occupancy-window geometry: the
-  /// sharded scheduler's stripe decomposition and deferral rules are
-  /// functions of it, so resume must reproduce the window verbatim rather
-  /// than re-derive it.  Only legal outside a sharded section.
+  /// labeling, fault flags) plus the exact occupancy-window geometry, so
+  /// resume reproduces the window verbatim rather than re-deriving it.
+  /// Only legal outside a sharded section.
   void saveState(system::SnapshotWriter& w) const;
 
   /// Inverse of saveState: replaces the particle set wholesale (the
@@ -285,7 +281,7 @@ class AmoebotSystem {
   void noteMutation() noexcept {
     if (gridsOn_ && !sharded_) idIndexDirty_ = true;
   }
-  /// expandedCount_ must not be touched by concurrent stripe workers; it
+  /// expandedCount_ must not be touched by concurrent block workers; it
   /// is recomputed on restore (and on plane fallback, where execution is
   /// single-threaded again).
   [[nodiscard]] bool maintainCount() const noexcept {
@@ -294,7 +290,9 @@ class AmoebotSystem {
 
   void setCell(TriPoint cell, std::int32_t id, bool isHead);
   void clearCell(TriPoint cell);
-  void regrowPlanes();
+  /// Rebuilds the planes around every particle cell (and `cover`, when
+  /// given); promotes to tiled past the flat cap.
+  void regrowPlanes(const system::BitGrid::CellBox* cover = nullptr);
   void rebuildIdIndex() const;
   void recountExpanded();
 };

@@ -23,18 +23,30 @@ ActivationResult LocalCompressionAlgorithm::activate(AmoebotSystem& sys,
                                                      std::size_t id,
                                                      rng::Random& rng) const {
   const Particle& p = sys.particle(id);
+  // Step 2: a uniformly random *private* port, drawn by every live
+  // contracted particle (Byzantine ones included) and by nobody else; the
+  // particle has no global compass, but uniform over its own labels is
+  // uniform over directions.
+  const int port =
+      p.crashed || p.expanded ? 0 : static_cast<int>(rng.below(6));
+  return activate(sys, id, port, rng);
+}
+
+template <typename Uniform>
+ActivationResult LocalCompressionAlgorithm::activate(AmoebotSystem& sys,
+                                                     std::size_t id, int port,
+                                                     Uniform& uniform) const {
+  const Particle& p = sys.particle(id);
   if (p.crashed) return ActivationResult::Idle;
-  if (p.byzantine) return activateByzantine(sys, id, rng);
-  return p.expanded ? activateExpanded(sys, id, rng)
-                    : activateContracted(sys, id, rng);
+  if (p.byzantine) return activateByzantine(sys, id, port);
+  return p.expanded ? activateExpanded(sys, id, uniform)
+                    : activateContracted(sys, id, port);
 }
 
 ActivationResult LocalCompressionAlgorithm::activateContracted(
-    AmoebotSystem& sys, std::size_t id, rng::Random& rng) const {
+    AmoebotSystem& sys, std::size_t id, int port) const {
   const Particle& p = sys.particle(id);
-  // Step 2: a uniformly random *private* port; the particle has no global
-  // compass, but uniform over its own labels is uniform over directions.
-  const Direction d = sys.globalDirection(id, static_cast<int>(rng.below(6)));
+  const Direction d = sys.globalDirection(id, port);
   const TriPoint l = p.tail;
   const TriPoint target = lattice::neighbor(l, d);
 
@@ -53,8 +65,9 @@ ActivationResult LocalCompressionAlgorithm::activateContracted(
   return ActivationResult::Expanded;
 }
 
+template <typename Uniform>
 ActivationResult LocalCompressionAlgorithm::activateExpanded(
-    AmoebotSystem& sys, std::size_t id, rng::Random& rng) const {
+    AmoebotSystem& sys, std::size_t id, Uniform& uniform) const {
   const Particle& p = sys.particle(id);
 
   // Steps 9–11: the whole structural evaluation is one N* ring gather and
@@ -62,7 +75,7 @@ ActivationResult LocalCompressionAlgorithm::activateExpanded(
   // structural conditions hold — identical draw order to the reference
   // kernel's short-circuit chain (condition (4), the flag, tests last).
   const Decision& decision = decisions_[sys.nStarRingMask(id)];
-  if (decision.structOk && rng.uniform() < decision.threshold && p.flag) {
+  if (decision.structOk && uniform.uniform() < decision.threshold && p.flag) {
     sys.contractToHead(id);
     return ActivationResult::MovedToHead;
   }
@@ -71,11 +84,10 @@ ActivationResult LocalCompressionAlgorithm::activateExpanded(
 }
 
 ActivationResult LocalCompressionAlgorithm::activateByzantine(
-    AmoebotSystem& sys, std::size_t id, rng::Random& rng) const {
+    AmoebotSystem& sys, std::size_t id, int firstPort) const {
   const Particle& p = sys.particle(id);
   if (p.expanded) return ActivationResult::Idle;  // refuses to contract
   // Expands away whenever physically possible, ignoring the protocol.
-  const int firstPort = static_cast<int>(rng.below(6));
   for (int probe = 0; probe < 6; ++probe) {
     const Direction d = sys.globalDirection(id, (firstPort + probe) % 6);
     if (!sys.occupiedNear(lattice::neighbor(p.tail, d))) {
@@ -86,5 +98,10 @@ ActivationResult LocalCompressionAlgorithm::activateByzantine(
   }
   return ActivationResult::Idle;
 }
+
+template ActivationResult LocalCompressionAlgorithm::activate(
+    AmoebotSystem&, std::size_t, int, rng::Random&) const;
+template ActivationResult LocalCompressionAlgorithm::activate(
+    AmoebotSystem&, std::size_t, int, rng::CounterStream&) const;
 
 }  // namespace sops::amoebot

@@ -52,9 +52,19 @@ class LocalCompressionAlgorithm {
 
   /// One atomic activation of particle `id` (the amoebot model's unit of
   /// computation).  Randomness is drawn from `rng` — conceptually the
-  /// particle's private coin.
+  /// particle's private coin: a contracted particle's port first, then the
+  /// Metropolis uniform when the move's structural conditions hold.
   ActivationResult activate(AmoebotSystem& sys, std::size_t id,
                             rng::Random& rng) const;
+
+  /// The same activation with the port already drawn — the sharded runner
+  /// draws it before its boundary test.  Only contracted particles read
+  /// `port` (a Byzantine one probes from it); `uniform` supplies the
+  /// Metropolis uniform (instantiated for rng::Random and
+  /// rng::CounterStream in local_compression.cpp).
+  template <typename Uniform>
+  ActivationResult activate(AmoebotSystem& sys, std::size_t id, int port,
+                            Uniform& uniform) const;
 
   [[nodiscard]] const LocalOptions& options() const noexcept {
     return options_;
@@ -71,11 +81,12 @@ class LocalCompressionAlgorithm {
   Decision decisions_[256];
 
   ActivationResult activateContracted(AmoebotSystem& sys, std::size_t id,
-                                      rng::Random& rng) const;
+                                      int port) const;
+  template <typename Uniform>
   ActivationResult activateExpanded(AmoebotSystem& sys, std::size_t id,
-                                    rng::Random& rng) const;
+                                    Uniform& uniform) const;
   ActivationResult activateByzantine(AmoebotSystem& sys, std::size_t id,
-                                     rng::Random& rng) const;
+                                     int firstPort) const;
 };
 
 }  // namespace sops::amoebot

@@ -2,91 +2,60 @@
 #define SOPS_AMOEBOT_PARALLEL_SCHEDULER_HPP
 
 /// \file parallel_scheduler.hpp
-/// Sharded concurrent execution of Algorithm A: million-particle Poisson
-/// runs on all cores, deterministic per seed.
+/// Exact multi-core execution of Algorithm A, deterministic per seed: its
+/// activations as an event kernel of core::BlockExecutor (see
+/// core/block_executor.hpp for the proposal lists, the shifted blocks, the
+/// list-order oracle and the storage pre-phase).
 ///
 /// The amoebot model is asynchronous — any schedule of atomic activations
 /// is legal, and §3.2 realizes uniform selection by independent Poisson
-/// clocks.  Two activations whose read/write neighborhoods are disjoint
-/// commute, so they may run concurrently without changing what any single
-/// schedule could have produced.  This runner exploits that:
+/// clocks.  An epoch's proposal list is such a schedule: L activations of
+/// particles drawn independently in proportion to their rates — the jump
+/// chain of the clocks over L / Σrates of simulated time, which now()
+/// reports.
 ///
-/// **Stripes.**  The occupancy window is cut into vertical stripes of 64
-/// lattice columns, exactly the bit planes' 64-bit word columns, so no two
-/// stripes ever touch the same word.  An activation of a particle at tail
-/// ℓ reads cells within lattice distance 2 of ℓ and writes within distance
-/// 1 (|Δx| ≤ distance on G∆'s axial x), so a particle whose in-stripe
-/// column lies in the interior band [2, 61] is processed entirely inside
-/// its stripe.  Stripes therefore share no state at all — each owns its
-/// particles' structs, private RNG streams, and plane words — and can run
-/// on any number of threads with identical results.
+/// **Boundary rule.**  Activation k draws the particle's port from its
+/// move stream first, then tests the cells the move pairs: (ℓ, ℓ + dir)
+/// for a contracted particle at ℓ, (tail, head) for an expanded one, and
+/// ℓ with its six neighbours for a contracted Byzantine one (it may expand
+/// anywhere).  Their box, widened by 1 (radius 2, the compression reach),
+/// must lie inside the block of the tail; otherwise the activation is
+/// skipped and counted (sweepActivations()).  Everything an activation
+/// reads or writes lies within distance 1 of its cells.  The rule is
+/// symmetric in the move pair: the expansion from ℓ toward ℓ′, the
+/// contraction that completes or aborts it, and the reverse move from ℓ′
+/// all test the same unordered pair {ℓ, ℓ′}, so the selection factor
+/// cancels in detailed balance.  (A rule on the tail alone would not be
+/// symmetric: x-offsets take only the values {0, 64}, so activation rates
+/// would depend on x mod 64.)  An expanded particle whose pair straddles a
+/// block edge skips every activation of the epoch, so its cells, which the
+/// neighbouring block reads, do not change.
 ///
-/// **Halo deferral.**  Events of particles in the 2-column halo bands (or
-/// close enough to the window edge that an expansion could force a plane
-/// regrow, AmoebotSystem::shardSafe) are not executed in the parallel
-/// phase: the owning stripe routes them, with their Poisson timestamps, to
-/// a deferred list.  A particle that wanders into a band mid-epoch is
-/// deferred from that event on (its position then cannot change until the
-/// sweep, so the decision is stable).  After the stripes join, the main
-/// thread executes all deferred events in (time, particle) order — a
-/// legal sequential tail of the epoch's schedule, free to regrow windows.
-///
-/// **Clocks and coins.**  Each particle owns two decorrelated RNG streams
-/// seeded once from the master seed (rng::particleStream): one drives its
-/// exponential waiting times, one its activation coin flips.  The streams
-/// live in SoA banks (rng/stream_bank.hpp) — packed 32-byte engine states,
-/// one cache line per touched stream — and the clock bank draws a whole
-/// epoch's waiting times in one batched sequential pass
-/// (PoissonClockBank::fillEpoch).  Every random draw is therefore a pure
-/// function of (seed, particle, how often that particle acted) — never of
-/// thread interleaving — which, with the deterministic stripe/halo rules
-/// above, makes the whole trajectory a pure function of the seed.
-/// tests/local_golden_test.cpp pins this across thread counts.
-///
-/// Time advances in epochs of Δ = target / Σrates; epoch boundaries are
-/// the only global synchronization.  An explicit targetEventsPerEpoch
-/// fixes the target; the default adapts it each epoch from the
-/// deferred-event fraction (core/epoch_control.hpp — a thread-count-
-/// invariant signal, so adaptivity preserves determinism).
-///
-/// Configurations too spread out for one flat window run on BitGrid's
-/// tiled backend: the same word-exclusive stripe discipline (tile columns
-/// are 64-aligned), but stripes are keyed sparsely (util::FlatMap64)
-/// because the allocated-tile bounding box can span astronomically many
-/// columns; slots are assigned in a sequential first-touch pass that is
-/// the same for every thread count.  Only the forced-sparse test regime
-/// (AmoebotSystem::fastPathEnabled() false) degrades to running every
-/// event on the sweep path — same trajectory contract, no parallelism.
+/// Every draw is a pure function of (seed, epoch, k), so the trajectory is
+/// identical at every thread count and across snapshot/restore;
+/// tests/local_golden_test.cpp holds the block path to the list-order
+/// oracle.  Tiled planes and the forced-sparse regime need nothing
+/// special: the former has 1024-aligned tiles, the latter runs in list
+/// order.
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "amoebot/amoebot_system.hpp"
 #include "amoebot/local_compression.hpp"
+#include "core/block_executor.hpp"
 #include "core/cancel.hpp"
-#include "core/epoch_control.hpp"
-#include "rng/stream_bank.hpp"
+#include "rng/random.hpp"
 #include "system/snapshot.hpp"
-#include "util/event_sort.hpp"
-#include "util/flat_hash.hpp"
 
 namespace sops::amoebot {
 
-struct ShardedOptions {
-  /// Worker threads for the stripe phase; 0 uses hardware_concurrency().
-  /// The trajectory is identical for every value.
-  unsigned threads = 0;
-  /// Expected activations per epoch (sets Δ = target / Σrates); 0 derives
-  /// min(max(2n, 1024), 2^28) and lets the adaptive controller move it.
-  /// An explicit value fixes the target for the whole run.
-  std::uint64_t targetEventsPerEpoch = 0;
-  /// Adapt the derived epoch target from the deferred-event fraction
-  /// (core/epoch_control.hpp).  Ignored when targetEventsPerEpoch != 0.
-  bool adaptiveEpochs = true;
-  /// Per-particle Poisson rates; empty => all 1 (§3.2 allows heterogeneous
-  /// rates without changing the stationary distribution).
-  std::vector<double> rates;
-};
+/// threads, targetEventsPerEpoch (activations per epoch, L; 0 derives
+/// min(max(2n, 1024), 2^28)) and rates (per-particle Poisson rates, used
+/// as selection weights; empty means all 1 — §3.2 allows heterogeneous
+/// rates without changing the stationary distribution).  See
+/// core::BlockExecutorOptions.
+using ShardedOptions = core::BlockExecutorOptions;
 
 class ShardedPoissonRunner {
  public:
@@ -96,112 +65,97 @@ class ShardedPoissonRunner {
                        std::uint64_t seed, ShardedOptions options = {});
 
   /// Installs a cooperative cancel token polled between epochs: once it
-  /// trips, runAtLeast/runFor return early (possibly with zero progress)
-  /// with the system fully consistent — epoch boundaries are the only
-  /// safe preemption points, and also exactly the states saveState() can
+  /// trips, runAtLeast returns early (possibly with zero progress) with
+  /// the system fully consistent — epoch boundaries are the only safe
+  /// preemption points, and also exactly the states saveState() can
   /// serialize.  nullptr uninstalls.
   void setCancelToken(const core::CancelToken* cancel) noexcept {
     cancel_ = cancel;
   }
 
   /// Runs whole epochs until at least `minActivations` activations have
-  /// executed in this call (or the cancel token trips); returns the
-  /// number executed.  The id index is suspended for the duration and
-  /// restored before returning, so the system is fully consistent (at(),
-  /// expandedCount()) between calls.
+  /// run in this call (or the cancel token trips); returns the number
+  /// run.  The id index is suspended for the duration and restored before
+  /// returning, so the system is fully consistent (at(), expandedCount())
+  /// between calls.
   std::uint64_t runAtLeast(std::uint64_t minActivations);
 
-  /// Runs whole epochs until simulated time advances by `duration` (or
-  /// the cancel token trips).
-  std::uint64_t runFor(double duration);
-
-  /// Serializes the runner's evolving state: simulated clock, activation
-  /// tallies, the current epoch target (history-dependent under the
-  /// adaptive controller), and every particle's pending event time plus
-  /// both private stream states (bare engine words — the banks' master
-  /// seed comes from the constructor).  The system itself is serialized
-  /// separately (AmoebotSystem::saveState); rates and epoch bounds come
-  /// from the constructor.  Only legal between runs (epoch boundaries).
+  /// Serializes the runner's evolving state (snapshot v5): L, the epoch
+  /// index and the boundary-skip count.  The system itself is serialized
+  /// separately (AmoebotSystem::saveState); rates come from the spec.
+  /// Only legal between runs.
   void saveState(system::SnapshotWriter& w) const;
 
   /// Inverse of saveState on a runner constructed with the same
   /// (sys, algo, seed, options); continues the trajectory exactly, at any
-  /// thread count.
+  /// thread count.  Payloads older than v5 were written by the
+  /// Poisson-clock runner, whose trajectory this runner cannot continue.
   void restoreState(system::SnapshotReader& r);
 
-  [[nodiscard]] double now() const noexcept { return now_; }
+  /// Simulated time: epochs · L / Σrates.
+  [[nodiscard]] double now() const noexcept {
+    return static_cast<double>(executor_.epochs()) *
+           static_cast<double>(executor_.epochLength()) / rateSum_;
+  }
+  /// Activations run since construction, skipped ones included.
   [[nodiscard]] std::uint64_t activations() const noexcept {
-    return totalActivations_;
+    return executor_.epochs() * executor_.epochLength();
   }
-  /// Activations executed on the sequential sweep (halo + window-edge
-  /// deferrals) since construction — the serial fraction of the run.
+  /// Activations skipped by the block-boundary rule since construction.
   [[nodiscard]] std::uint64_t sweepActivations() const noexcept {
-    return sweepActivations_;
+    return executor_.boundaryRejects();
   }
-  [[nodiscard]] double epochLength() const noexcept { return epochLength_; }
-  /// Current activations-per-epoch target (fixed, or the adaptive
-  /// controller's latest decision).
+  /// Activations per epoch, L.
   [[nodiscard]] std::uint64_t epochTarget() const noexcept {
-    return epochTarget_;
+    return executor_.epochLength();
+  }
+  /// Blocks holding at least one activation in the last block-path epoch.
+  [[nodiscard]] std::size_t lastEpochBlocks() const noexcept {
+    return executor_.lastEpochBlocks();
   }
 
  private:
-  struct Event {
-    double time;
-    std::uint32_t particle;
+  /// Algorithm A's event kernel for the block executor.
+  class Kernel {
+   public:
+    struct Tallies {
+      void merge(const Tallies& /*other*/) noexcept {}
+    };
 
-    friend bool operator<(const Event& a, const Event& b) noexcept {
-      if (a.time != b.time) return a.time < b.time;
-      return a.particle < b.particle;
+    /// Reads reach distance 2 of the tail: the pair plus one cell.
+    static constexpr std::int64_t kRadius = 2;
+
+    Kernel(AmoebotSystem& sys, const LocalCompressionAlgorithm& algo) noexcept
+        : sys_(sys), algo_(algo) {}
+
+    [[nodiscard]] TriPoint position(std::uint32_t particle) const {
+      return sys_.particle(particle).tail;
     }
+    [[nodiscard]] const system::BitGrid& grid() const noexcept {
+      return sys_.occupancyGrid();
+    }
+    [[nodiscard]] bool covers(TriPoint center, std::int64_t depth) const {
+      return grid().coversInteriorBy(center, depth);
+    }
+    void reserve(std::span<const TriPoint> centers, std::int64_t depth) {
+      sys_.reserveInterior(centers, depth);
+    }
+    bool runProposal(const core::BlockEpoch& ep, std::uint32_t particle,
+                     rng::CounterStream& stream, Tallies& tallies);
+
+   private:
+    /// The boxes of the boundary rule: the move pair widened by radius − 1.
+    static constexpr auto kReach = core::blockReach(kRadius - 1);
+
+    AmoebotSystem& sys_;
+    const LocalCompressionAlgorithm& algo_;
   };
 
   AmoebotSystem& sys_;
   const LocalCompressionAlgorithm& algo_;
-  ShardedOptions options_;
-  bool adaptive_ = true;
-  double epochLength_;
-  double now_ = 0.0;
-  std::uint64_t epochTarget_ = 0;
-  std::uint64_t totalActivations_ = 0;
-  std::uint64_t sweepActivations_ = 0;
-  core::AdaptiveEpochController controller_;
-
-  rng::PoissonClockBank clock_;  ///< SoA waiting-time streams + rates
-  rng::StreamBank coin_;         ///< SoA activation-coin streams
-  rng::PoissonClockBank::EpochDraws draws_;
+  double rateSum_ = 0.0;
+  core::BlockExecutor<Kernel> executor_;
   const core::CancelToken* cancel_ = nullptr;
-
-  /// Reused per-epoch buffers.  Indexed by buffer *slot*: equal to the
-  /// stripe index over a flat window, assigned first-touch over a tiled
-  /// one (stripeSlots_/stripeIndexOfSlot_ hold the mapping).
-  std::vector<std::vector<std::uint32_t>> stripeParticles_;
-  std::vector<std::vector<Event>> stripeEvents_;
-  std::vector<std::vector<Event>> stripeDeferred_;
-  std::vector<std::uint64_t> stripeActivations_;
-  std::vector<util::EventSortScratch<Event>> sortScratch_;
-  util::EventSortScratch<Event> sweepScratch_;
-  std::vector<std::size_t> activeStripes_;  ///< slots, in merge order
-  util::FlatMap64<std::uint32_t> stripeSlots_;  ///< tiled: stripe idx → slot
-  std::vector<std::uint64_t> stripeIndexOfSlot_;
-  std::vector<Event> sweepEvents_;
-
-  /// One epoch [now_, now_ + Δ): batched draw, stripe phase, join,
-  /// deferred sweep.  Returns activations executed.
-  std::uint64_t runEpoch();
-  /// Processes the stripe in buffer slot `slot`, covering the 64 columns
-  /// at `stripeIndex` (events of its interior particles in time order,
-  /// halo events routed to stripeDeferred_[slot]).  Runs on a worker
-  /// thread.
-  void runStripe(std::size_t slot, std::uint64_t stripeIndex,
-                 std::int64_t originX, double epochEnd);
-  /// (time, particle) sort shared by the stripe phase and the sweep:
-  /// every firing time lies in the epoch window, so the bucket sort in
-  /// util/event_sort.hpp applies; per-bucket comparison is Event's own
-  /// operator<, so the result is the exact lexicographic schedule.
-  static void sortEvents(std::vector<Event>& events,
-                         util::EventSortScratch<Event>& scratch,
-                         double begin, double end);
 };
 
 }  // namespace sops::amoebot

@@ -90,10 +90,9 @@ struct EnsembleOptions {
 /// atomic counter (threads == 0 uses hardware_concurrency; a single
 /// worker, or count <= 1, runs inline on the caller's thread).  The first
 /// exception thrown by any fn cancels the remaining indices and is
-/// rethrown on the caller after all workers join.  runEnsemble() and the
-/// sharded amoebot runner (amoebot/parallel_scheduler) both drive their
-/// fan-out through this function.  fn must make concurrent invocations on
-/// distinct indices safe.
+/// rethrown on the caller after all workers join.  runEnsemble() drives
+/// its fan-out through this function.  fn must make concurrent
+/// invocations on distinct indices safe.
 void parallelForIndex(std::size_t count, unsigned threads,
                       const std::function<void(std::size_t)>& fn);
 

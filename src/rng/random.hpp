@@ -19,9 +19,8 @@
 namespace sops::rng {
 
 /// Shared draw formulas, templated over any uniform-random-bit engine
-/// producing 64-bit words.  `Random` delegates to these, and the SoA stream
-/// banks (stream_bank.hpp) call them directly on a register-resident
-/// engine — one definition, so the two paths cannot drift bit-wise.
+/// producing 64-bit words.  `Random` and `CounterStream` delegate to these
+/// — one definition, so the two cannot drift bit-wise.
 
 /// Uniform double in [0, 1) with 53 bits of precision.
 template <typename Engine>
@@ -70,14 +69,6 @@ class Random {
  public:
   explicit Random(std::uint64_t seed = 0x5eed5eed5eed5eedULL) noexcept
       : engine_(seed), seed_(seed) {}
-
-  /// Adopts a captured engine state verbatim (no splitmix seeding pass).
-  /// This is the cheap per-event materialization path used by
-  /// `StreamBank::use`: the bank stores only the four state words per
-  /// stream, and seed() reports the bank's master seed.
-  Random(const std::array<std::uint64_t, 4>& engineState,
-         std::uint64_t seed) noexcept
-      : engine_(engineState), seed_(seed) {}
 
   /// Seed this generator was constructed with (for experiment logging).
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
@@ -157,12 +148,12 @@ class Random {
 /// into disjoint windows of 256 outputs, one per counter.  Every draw is a
 /// pure function of (key, counter, j), opening a stream costs one multiply,
 /// and distinct (counter, j < 256) never share an input (φ is odd, so
-/// multiplying by it is a bijection).  The sharded chain runner opens one
+/// multiplying by it is a bijection).  The block executor opens one
 /// stream per proposal (key from (seed, epoch), counter = proposal index),
 /// so a proposal's draws do not depend on which thread runs it, or when;
 /// its few draws stay far below the 256-output window.  Exposes the engine
 /// interface the draw templates above expect, plus the uniform() the event
-/// kernel draws its Metropolis uniform through.
+/// kernels draw their Metropolis uniform through.
 class CounterStream {
  public:
   constexpr CounterStream(std::uint64_t key, std::uint64_t counter) noexcept
@@ -183,23 +174,6 @@ class CounterStream {
   static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   std::uint64_t state_;
 };
-
-/// Decorrelated per-particle stream `lane` (1-based) of `particle` under a
-/// master seed — the amoebot runner's seeding discipline: avalanche
-/// (seed, 2·particle + lane) through util::mix64
-/// rather than fork()'s engine jump, whose ~256 state advances would
-/// dominate construction at 10⁶ particles.  Every draw from the returned
-/// generator is a pure function of (seed, particle, lane, draw index).
-/// Streams are seeded here exactly once, when a runner (or its
-/// `StreamBank`) is constructed; per event the runner touches only the
-/// 32-byte engine state, stored SoA in stream_bank.hpp so one stream costs
-/// one cache line instead of two scattered ones.
-[[nodiscard]] inline Random particleStream(std::uint64_t seed,
-                                           std::uint64_t particle,
-                                           std::uint64_t lane) noexcept {
-  return Random(
-      util::mix64(seed ^ (0x9e3779b97f4a7c15ULL * (2 * particle + lane))));
-}
 
 }  // namespace sops::rng
 

@@ -44,7 +44,7 @@ constexpr std::size_t kMaxBufferedEventsPerReplica = std::size_t{1} << 22;
 
 /// One stderr line, once per process, the first time a replica reports the
 /// degraded sparse occupancy regime (hash-index-only queries — no dense
-/// planes, no striped parallelism).  Dense configurations promote to the
+/// planes, no block parallelism).  Dense configurations promote to the
 /// tiled backend instead of degrading, so this fires only for runs resumed
 /// from a sparse-tagged snapshot or drivers wired up unexpectedly.
 void warnIfSparseRegime(const RunSpec& spec, std::size_t replica,

@@ -11,7 +11,7 @@
 ///   replicas == 1  →  the replica runs inline on the caller's thread,
 ///                     streaming samples live; the scenario receives the
 ///                     spec's thread budget (the amoebot scenario uses it
-///                     for its stripe workers — the sharded path);
+///                     for its block workers — the sharded path);
 ///   replicas  > 1  →  replicas fan out across core::parallelForIndex
 ///                     (the core/ensemble pool discipline), each worker
 ///                     buffering its replica's events in a MemorySink;

@@ -106,7 +106,7 @@ class Scenario {
   /// runner passes the spec's thread budget verbatim for a single
   /// replica (0 = "all cores") and 1 when replicas themselves fan out
   /// across the pool.  The amoebot scenario spends any budget on its
-  /// stripe workers; the chain scenarios run the sequential engine at
+  /// block workers; the chain scenarios run the sequential engine at
   /// ≤ 1 (the draw-for-draw historical path) and the sharded multi-core
   /// runner at > 1 — a new scenario with both execution shapes should
   /// follow that convention.  The spec's scenario params must already be

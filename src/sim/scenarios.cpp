@@ -6,8 +6,9 @@
 /// same seed, and advance() is engine.run() — so a facade run is
 /// draw-for-draw identical to the pre-facade code path (pinned by
 /// tests/sim_api_test.cpp against direct engine runs).  The amoebot
-/// scenario drives Algorithm A through the sharded Poisson runner, whose
-/// trajectory is a pure function of the seed for every thread count.
+/// scenario drives Algorithm A through amoebot::ShardedPoissonRunner, on
+/// the same block executor, whose trajectory is a pure function of the
+/// seed for every thread count.
 ///
 /// Thread budget (the workerThreads argument of Scenario::start): chain
 /// scenarios run the sequential engine at threads ≤ 1 — preserving the
@@ -17,8 +18,8 @@
 /// the seed (identical for every thread count > 1, but *not* draw-for-draw
 /// the sequential engine's: proposals come from counter-based lists and
 /// block-boundary proposals are rejected; π is the same, checked exactly
-/// in tests/sharded_chain_test.cpp).  The amoebot scenario, whose Poisson
-/// runner is sharded either way, spends the whole budget (0 = all cores).
+/// in tests/sharded_chain_test.cpp).  The amoebot scenario, whose runner
+/// is sharded either way, spends the whole budget (0 = all cores).
 ///
 /// Adding a workload = one weight model (core/scenario_models.hpp style)
 /// plus one Scenario subclass here (or anywhere, via ScenarioRegistrar).
@@ -75,18 +76,15 @@ void addChainShardedKeys(ParamSchema& schema) {
              "chain");
 }
 
-/// The amoebot scenario's Poisson-runner knobs.
+/// The amoebot scenario's sharded-runner knobs.
 void addAmoebotShardedKeys(ParamSchema& schema) {
   schema.add("epoch-events", ParamType::Int, "0",
-             "sharded runner: target events per epoch; 0 derives "
-             "min(max(2n, 1024), 2^28) and adapts");
-  schema.add("epoch-adaptive", ParamType::Bool, "true",
-             "sharded runner: adapt the derived epoch target from the "
-             "deferred-event fraction (ignored when epoch-events is set)");
+             "sharded runner: fixed proposals per epoch (activations); 0 "
+             "derives min(max(2n,1024),2^28)");
   schema.add("rate-spread", ParamType::Double, "0.0",
-             "sharded runner: heterogeneous Poisson rates — particle i "
-             "activates at rate 1 + spread*i/(n-1); 0 keeps the uniform "
-             "chain");
+             "sharded runner: heterogeneous Poisson rates as selection "
+             "weights — particle i is activated with selection weight "
+             "1 + spread*i/(n-1); 0 keeps the uniform chain");
 }
 
 [[nodiscard]] double rateSpreadFrom(const ParamMap& params) {
@@ -430,7 +428,7 @@ class AlignmentScenario : public Scenario {
   }
 };
 
-// -- amoebot (Algorithm A on the sharded Poisson runner) --------------------
+// -- amoebot (Algorithm A on the sharded block runner) ----------------------
 
 class AmoebotRun : public ScenarioRun {
  public:
@@ -471,7 +469,7 @@ class AmoebotRun : public ScenarioRun {
   }
   [[nodiscard]] bool supportsSnapshots() const override { return true; }
   // The system (particle structs, fault flags, window geometry) and the
-  // runner (clock, per-particle streams) serialize back to back; the
+  // runner (epoch index, boundary-skip count) serialize back to back; the
   // constructor's random orientation/fault draws are overwritten wholesale
   // on restore, so a resumed run needs only the same spec and seed.
   void saveState(system::SnapshotWriter& w) const override {
@@ -494,7 +492,7 @@ class AmoebotScenario : public Scenario {
  public:
   [[nodiscard]] std::string name() const override { return "amoebot"; }
   [[nodiscard]] std::string description() const override {
-    return "Algorithm A on the sharded Poisson runner (steps = activations; "
+    return "Algorithm A on the sharded block runner (steps = activations; "
            "deterministic per seed for every thread count)";
   }
   [[nodiscard]] ParamSchema schema() const override {
@@ -520,7 +518,6 @@ class AmoebotScenario : public Scenario {
     amoebot::ShardedOptions options;
     options.threads = workerThreads;
     options.targetEventsPerEpoch = epochEventsFrom(spec.params);
-    options.adaptiveEpochs = spec.params.getBool("epoch-adaptive", true);
     options.rates = rampRates(rateSpreadFrom(spec.params), initial.size());
     return std::make_unique<AmoebotRun>(
         std::move(initial), spec.params.getDouble("lambda", 4.0),

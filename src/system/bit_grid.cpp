@@ -5,6 +5,19 @@
 
 namespace sops::system {
 
+BitGrid::CellBox BitGrid::CellBox::around(std::span<const TriPoint> centers,
+                                          std::int64_t depth) noexcept {
+  CellBox box{centers[0].x, centers[0].y, centers[0].x, centers[0].y};
+  for (const TriPoint c : centers) {
+    box.minX = std::min<std::int64_t>(box.minX, c.x);
+    box.minY = std::min<std::int64_t>(box.minY, c.y);
+    box.maxX = std::max<std::int64_t>(box.maxX, c.x);
+    box.maxY = std::max<std::int64_t>(box.maxY, c.y);
+  }
+  return {box.minX - depth, box.minY - depth, box.maxX + depth,
+          box.maxY + depth};
+}
+
 bool BitGrid::rebuild(std::span<const TriPoint> points,
                       std::int64_t baseMargin, const CellBox* cover) {
   if (points.empty()) {

@@ -29,9 +29,8 @@
 /// row stride is 1024 bits); only cells within kInteriorMargin of a tile
 /// edge take the per-cell seam path.  Unallocated tiles read as empty.
 /// Because the tile width is a multiple of 64 and tiles are anchored at
-/// multiples of 1024, the sharded runners' word-exclusive column ownership
-/// (64-column stripes, 128-column blocks at 64-column offsets) carries
-/// over unchanged.
+/// multiples of 1024, the block executor's word-exclusive column ownership
+/// (128-column blocks at 64-column offsets) carries over unchanged.
 ///
 /// The caller-visible invariant is shared: every particle satisfies
 /// coversInterior(), meaning (flat) it sits ≥ kInteriorMargin cells inside
@@ -364,6 +363,10 @@ class BitGrid {
     std::int64_t minY = 0;
     std::int64_t maxX = 0;
     std::int64_t maxY = 0;
+
+    /// The bounding box of `centers` (non-empty), widened by `depth`.
+    [[nodiscard]] static CellBox around(std::span<const TriPoint> centers,
+                                        std::int64_t depth) noexcept;
   };
 
   /// Reallocates the backend to cover every point and sets exactly the
@@ -387,10 +390,10 @@ class BitGrid {
 
   /// Reallocates the flat window with the EXACT geometry given and sets
   /// exactly the given points.  Snapshot restore uses this instead of
-  /// rebuild(): the amoebot runner's stripe decomposition and edge-deferral
-  /// rules are functions of the window origin/size, so resuming a run must
-  /// reproduce the snapshotted window verbatim — rebuild()'s proportional
-  /// margin would re-derive a different (history-dependent) one.  Throws
+  /// rebuild(): a resumed run must reproduce the snapshotted window
+  /// verbatim — rebuild()'s proportional margin would re-derive a
+  /// different (history-dependent) one, and with it a different sequence
+  /// of later regrows.  Throws
   /// when the window exceeds kMaxWords or a point violates the
   /// interior-margin invariant the geometry is supposed to carry.
   void rebuildExact(std::span<const TriPoint> points, std::int64_t originX,
@@ -451,8 +454,8 @@ class BitGrid {
   std::vector<std::uint64_t> words_;
   /// In tiled mode the origin/width/height describe the bounding box of
   /// the allocated tiles in cells (tile-aligned, hence 64-aligned) — the
-  /// sharded runners derive their stripe and block coordinates from
-  /// originX() exactly as in flat mode.  strideWords_ is 0 (rows are not
+  /// block executor derives its block coordinates from originX() exactly
+  /// as in flat mode.  strideWords_ is 0 (rows are not
   /// globally contiguous).
   std::int64_t originX_ = 0;
   std::int64_t originY_ = 0;

@@ -1,7 +1,5 @@
 #include "system/particle_system.hpp"
 
-#include <algorithm>
-
 namespace sops::system {
 
 namespace {
@@ -61,18 +59,7 @@ void ParticleSystem::reserveInterior(std::span<const TriPoint> centers,
                                      std::int64_t depth) {
   if (!grid_.enabled() || centers.empty()) return;
   if (!grid_.tiled()) {
-    BitGrid::CellBox box{centers[0].x, centers[0].y, centers[0].x,
-                         centers[0].y};
-    for (const TriPoint c : centers) {
-      box.minX = std::min<std::int64_t>(box.minX, c.x);
-      box.minY = std::min<std::int64_t>(box.minY, c.y);
-      box.maxX = std::max<std::int64_t>(box.maxX, c.x);
-      box.maxY = std::max<std::int64_t>(box.maxY, c.y);
-    }
-    box.minX -= depth;
-    box.minY -= depth;
-    box.maxX += depth;
-    box.maxY += depth;
+    const BitGrid::CellBox box = BitGrid::CellBox::around(centers, depth);
     grid_.rebuild(positions_, kGridBaseMargin, &box);
     if (!grid_.tiled()) return;
   }

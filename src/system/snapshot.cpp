@@ -1,5 +1,6 @@
 #include "system/snapshot.hpp"
 
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -298,17 +299,6 @@ rng::Random readRandom(SnapshotReader& r) {
   std::array<std::uint64_t, 4> state{};
   for (std::uint64_t& word : state) word = r.u64();
   return rng::Random::fromState(seed, state);
-}
-
-void writeEngineState(SnapshotWriter& w,
-                      const std::array<std::uint64_t, 4>& state) {
-  for (const std::uint64_t word : state) w.u64(word);
-}
-
-std::array<std::uint64_t, 4> readEngineState(SnapshotReader& r) {
-  std::array<std::uint64_t, 4> state{};
-  for (std::uint64_t& word : state) word = r.u64();
-  return state;
 }
 
 }  // namespace sops::system

@@ -10,7 +10,7 @@
 //                                serialize a const engine, so this must
 //                                be rejected.
 //   SOPS_PROBE_DROP_RADIUS       kInteractionRadius missing: the sharded
-//                                runner's halo sizing depends on it, so
+//                                runner's boundary rule depends on it, so
 //                                "forgot to declare it" must not compile.
 //
 // The harness additionally requires the rejection diagnostic to name the

@@ -10,11 +10,13 @@
 //
 // The file also pins the sharded runner's determinism contract: the
 // trajectory is a pure function of the seed — independent of the worker
-// thread count — and the halo/deferral machinery actually executes.
+// thread count and of snapshot/restore — the block path equals the
+// list-order oracle bit for bit, and the boundary rule actually skips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "amoebot/faults.hpp"
@@ -24,6 +26,7 @@
 #include "amoebot/scheduler.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
+#include "system/snapshot.hpp"
 
 namespace sops::amoebot {
 namespace {
@@ -213,10 +216,10 @@ TEST(ShardedRunner, TrajectoryIndependentOfThreadCount) {
   EXPECT_EQ(one.now, three.now);
   EXPECT_EQ(one.tails, eight.tails);
   EXPECT_EQ(one.activations, eight.activations);
-  // The line spans several 64-column stripes, so both execution paths must
-  // actually have run.
+  // The line crosses block edges, so the boundary rule skips some
+  // activations — but only a sliver of them.
   EXPECT_GT(one.sweepActivations, 0u);
-  EXPECT_LT(one.sweepActivations, one.activations);
+  EXPECT_LT(one.sweepActivations, one.activations / 10);
 }
 
 TEST(ShardedRunner, RepeatableForSeedAndSensitiveToIt) {
@@ -258,6 +261,112 @@ TEST(ShardedRunner, PreservesInvariantsAndCompresses) {
   EXPECT_EQ(expanded, sys.expandedCount());
 }
 
+/// Everything a sharded run can disagree on: per-id cells, expansion
+/// state and flags, and the runner's counts.
+struct AmoebotSignature {
+  std::vector<Particle> particles;
+  std::uint64_t activations = 0;
+  std::uint64_t sweepActivations = 0;
+  double now = 0.0;
+
+  bool operator==(const AmoebotSignature& other) const {
+    if (particles.size() != other.particles.size()) return false;
+    for (std::size_t id = 0; id < particles.size(); ++id) {
+      const Particle& a = particles[id];
+      const Particle& b = other.particles[id];
+      if (a.tail != b.tail || a.head != b.head || a.expanded != b.expanded ||
+          a.flag != b.flag || a.expandDir != b.expandDir) {
+        return false;
+      }
+    }
+    return activations == other.activations &&
+           sweepActivations == other.sweepActivations && now == other.now;
+  }
+};
+
+/// Runs `start` at threads = 1 (the list-order oracle) and at every
+/// block-path count in {2, 3, 4, hw}: two epochs of `epoch` activations,
+/// a snapshot, a resume into a fresh system and runner at another thread
+/// count, two more epochs.  Every block-path run must equal the oracle
+/// bit for bit and spread an epoch over at least `minBlocks` blocks.
+void expectBlockPathMatchesOracle(const ParticleSystem& start,
+                                  std::uint64_t epoch, std::size_t minBlocks,
+                                  std::uint64_t seed) {
+  const LocalCompressionAlgorithm algo({4.0});
+  const auto runWith = [&](unsigned threads, unsigned resumeThreads) {
+    ShardedOptions options;
+    options.targetEventsPerEpoch = epoch;
+    options.threads = threads;
+    rng::Random ctor(31);
+    AmoebotSystem sys(start, ctor);
+    ShardedPoissonRunner runner(sys, algo, seed, options);
+    runner.runAtLeast(2 * epoch);
+    if (threads > 1) {
+      EXPECT_GE(runner.lastEpochBlocks(), minBlocks) << "threads " << threads;
+    }
+    system::SnapshotWriter w;
+    sys.saveState(w);
+    runner.saveState(w);
+
+    options.threads = resumeThreads;
+    rng::Random otherCtor(37);  // restore overwrites its draws
+    AmoebotSystem resumedSys(start, otherCtor);
+    ShardedPoissonRunner resumed(resumedSys, algo, seed, options);
+    system::SnapshotReader r(w.payload());
+    resumedSys.restoreState(r);
+    resumed.restoreState(r);
+    r.finish();
+    resumed.runAtLeast(2 * epoch);
+    if (system::isConnected(start)) {
+      EXPECT_TRUE(system::isConnected(resumedSys.tailConfiguration()));
+    }
+    AmoebotSignature sig;
+    for (std::size_t id = 0; id < resumedSys.size(); ++id) {
+      sig.particles.push_back(resumedSys.particle(id));
+    }
+    sig.activations = resumed.activations();
+    sig.sweepActivations = resumed.sweepActivations();
+    sig.now = resumed.now();
+    return sig;
+  };
+  const AmoebotSignature oracle = runWith(1, 1);
+  EXPECT_EQ(oracle.activations, 4 * epoch);
+  for (const unsigned threads :
+       {2u, 3u, 4u, std::max(2u, std::thread::hardware_concurrency())}) {
+    EXPECT_TRUE(runWith(threads, threads == 2 ? 3u : 2u) == oracle)
+        << "threads " << threads;
+  }
+}
+
+TEST(ShardedRunner, BlockPathMatchesListOrderOracleOnLargeSpiral) {
+  // A 1e5 spiral spans ~370 columns and rows, so every epoch spreads over
+  // at least 8 blocks.
+  expectBlockPathMatchesOracle(system::spiralConfiguration(100000), 60000, 8,
+                               2027);
+}
+
+TEST(ShardedRunner, BlockPathMatchesListOrderOracleOnLongLine) {
+  // A compressing 1e4 line keeps moving along ~80 blocks in a row, so
+  // block edges cut through the action in every epoch; without the
+  // boundary rule the block path would diverge here.
+  expectBlockPathMatchesOracle(system::lineConfiguration(10000), 20000, 8,
+                               2031);
+}
+
+TEST(ShardedRunner, StoragePrePhaseMatchesListOrderOracle) {
+  // A 20-particle line with long epochs: each particle owns hundreds of
+  // activations, beyond the flat window's margin or the tiles allocated
+  // around it, so the first block epoch leaves its block to the
+  // coordinator, which grows the three planes (AmoebotSystem::
+  // reserveInterior) before running it.  The far singleton promotes the
+  // planes to tiles.
+  expectBlockPathMatchesOracle(system::lineConfiguration(20), 4096, 1, 2029);
+  std::vector<TriPoint> points;
+  for (std::int32_t i = 0; i < 20; ++i) points.push_back({i, 0});
+  points.push_back({60000, 20000});
+  expectBlockPathMatchesOracle(ParticleSystem(points), 16384, 2, 2039);
+}
+
 TEST(ShardedRunner, HeterogeneousRatesRunAndStayDeterministic) {
   const auto run = [](unsigned threads) {
     rng::Random ctor(21);
@@ -278,6 +387,19 @@ TEST(ShardedRunner, HeterogeneousRatesRunAndStayDeterministic) {
     return tails;
   };
   EXPECT_EQ(run(1), run(4));
+
+  // Rates must give one positive rate per particle.
+  rng::Random ctor(25);
+  AmoebotSystem sys(system::lineConfiguration(3), ctor);
+  const LocalCompressionAlgorithm algo({4.0});
+  for (const std::vector<double>& rates :
+       {std::vector<double>{1.0, 1.0}, std::vector<double>{1.0, 0.0, 1.0},
+        std::vector<double>{1.0, -2.0, 1.0}}) {
+    ShardedOptions options;
+    options.rates = rates;
+    EXPECT_THROW(ShardedPoissonRunner(sys, algo, 27, options),
+                 ContractViolation);
+  }
 }
 
 }  // namespace

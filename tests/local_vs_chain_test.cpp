@@ -7,9 +7,9 @@
 // particles contracted — the states of M, §3.2 footnote 2) can be tested
 // against π with a chi-square goodness of fit.  §3.2 also argues π is
 // invariant under heterogeneous Poisson clock rates; the harness re-runs
-// the same test with skewed rates, and through the sharded concurrent
-// runner, whose epoch/halo schedule is yet another legal asynchronous
-// execution.
+// the same test with skewed rates, and through the sharded block runner,
+// whose proposal lists with boundary skips are yet another legal
+// asynchronous execution.
 //
 // Pre-registered test design (chosen before looking at any outcomes, and
 // documented here so the thresholds are not tunable after the fact):
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -133,10 +134,15 @@ TEST(LocalVsChain, HeterogeneousRatesLeavePiUnchanged) {
 }
 
 TEST(LocalVsChain, ShardedRunnerSamplesPi) {
-  // The sharded runner's epoch/halo schedule is another admissible
-  // asynchronous execution: its quiescent configurations must sample the
-  // same π.  Epochs are sized to the harness stride so each runAtLeast()
-  // burst is one sampling interval.
+  // The sharded runner's proposal lists, with their block-boundary skips,
+  // are another admissible asynchronous execution: its quiescent
+  // configurations must sample the same π.  Two threads, so the block
+  // path runs.  Each runAtLeast() burst is one sampling interval of eight
+  // epochs, each with fresh block offsets: with one epoch per sample, a
+  // tiny configuration parked at a block edge would repeat samples (see
+  // tests/sharded_chain_test.cpp).  At least 3% of the bursts must contain
+  // a skip, so the chi-square actually weighs the boundary rule.
+  constexpr int kEpochsPerSample = 8;
   const enumeration::ExactEnsemble ensemble(4);
   const double lambda = 2.0;
   const auto indexOf = stateIndex(ensemble);
@@ -144,17 +150,26 @@ TEST(LocalVsChain, ShardedRunnerSamplesPi) {
   AmoebotSystem sys(system::lineConfiguration(ensemble.particles()), rng);
   const LocalCompressionAlgorithm algo({lambda});
   ShardedOptions options;
-  options.targetEventsPerEpoch = kStride;
+  options.threads = 2;
+  options.targetEventsPerEpoch = kStride / kEpochsPerSample;
   ShardedPoissonRunner runner(sys, algo, 43, options);
   runner.runAtLeast(kBurnIn);
   std::vector<double> counts(ensemble.configs().size(), 0.0);
-  for (int s = 0; s < 120000; ++s) {
+  constexpr int kInstants = 120000;
+  int skipBursts = 0;
+  for (int s = 0; s < kInstants; ++s) {
+    const std::uint64_t skipsBefore = runner.sweepActivations();
     runner.runAtLeast(kStride);
+    if (runner.sweepActivations() != skipsBefore) ++skipBursts;
     if (sys.expandedCount() != 0) continue;
     const auto it = indexOf.find(system::canonicalKey(sys.tailConfiguration()));
     ASSERT_NE(it, indexOf.end());
     counts[it->second] += 1.0;
   }
+  EXPECT_GT(runner.lastEpochBlocks(), 0u) << "the block path never ran";
+  const double share = static_cast<double>(skipBursts) / kInstants;
+  std::printf("bursts with a boundary skip: %.2f%%\n", 100.0 * share);
+  EXPECT_GE(share, 0.03);
   expectMatchesPi(ensemble, lambda, counts);
 }
 

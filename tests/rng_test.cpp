@@ -8,7 +8,6 @@
 
 #include "rng/alias_table.hpp"
 #include "rng/random.hpp"
-#include "rng/stream_bank.hpp"
 #include "rng/xoshiro.hpp"
 #include "util/assert.hpp"
 
@@ -161,104 +160,6 @@ TEST(Random, ShuffleIsNotIdentityUsually) {
   std::vector<int> shuffled = v;
   rng.shuffle(shuffled);
   EXPECT_NE(shuffled, v);
-}
-
-// --- SoA stream banks --------------------------------------------------
-// The banks must be bit-equivalent to the AoS discipline they replaced:
-// a StreamBank stream is particleStream(seed, i, lane) draw-for-draw, and
-// PoissonClockBank::fillEpoch emits exactly the waiting times the old
-// per-event loop drew.  This is what lets the sharded runners keep every
-// pre-existing golden trajectory after the SoA/batched rewrite.
-
-TEST(StreamBank, MatchesParticleStreamDrawForDraw) {
-  constexpr std::uint64_t kSeed = 4242;
-  constexpr std::uint64_t kLane = 2;
-  constexpr std::size_t kCount = 17;
-  StreamBank bank(kSeed, kCount, kLane);
-  std::vector<Random> reference;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    reference.push_back(particleStream(kSeed, i, kLane));
-  }
-  // Interleaved access across many short Use sessions: the store/reload
-  // round-trip through the packed state must be lossless.
-  Random order(5);
-  for (int round = 0; round < 500; ++round) {
-    const std::size_t i = order.below(static_cast<std::uint32_t>(kCount));
-    StreamBank::Use use = bank.use(i);
-    switch (order.below(4)) {
-      case 0:
-        ASSERT_EQ(use.rng().bits(), reference[i].bits());
-        break;
-      case 1:
-        ASSERT_EQ(use.rng().uniform(), reference[i].uniform());
-        break;
-      case 2:
-        ASSERT_EQ(use.rng().below(1000), reference[i].below(1000));
-        break;
-      default:
-        ASSERT_EQ(use.rng().exponential(1.5), reference[i].exponential(1.5));
-        break;
-    }
-  }
-}
-
-TEST(PoissonClockBank, FillEpochMatchesPerEventLoop) {
-  constexpr std::uint64_t kSeed = 99;
-  constexpr std::uint64_t kLane = 1;
-  constexpr std::size_t kCount = 9;
-  const std::vector<double> rates{0.25, 1.0, 1.0, 3.5, 2.0,
-                                  1.0,  0.5, 4.0, 1.0};
-  PoissonClockBank bank(kSeed, kCount, kLane, rates);
-  EXPECT_DOUBLE_EQ(bank.totalRate(), 14.25);
-
-  // Reference: the old AoS loop — one Random per particle, first firing
-  // drawn at construction, then one scattered exponential per event.
-  std::vector<Random> streams;
-  std::vector<double> next;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    streams.push_back(particleStream(kSeed, i, kLane));
-    next.push_back(streams.back().exponential(rates[i]));
-    ASSERT_EQ(bank.nextTime(i), next.back()) << "initial draw, particle " << i;
-  }
-
-  PoissonClockBank::EpochDraws draws;
-  double now = 0.0;
-  const double epochLength = 48.0 / bank.totalRate();
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    const double epochEnd = now + epochLength;
-    bank.fillEpoch(epochEnd, draws);
-    for (std::size_t i = 0; i < kCount; ++i) {
-      std::uint64_t k = draws.offsets[i];
-      while (next[i] < epochEnd) {
-        ASSERT_LT(k, draws.offsets[i + 1]);
-        ASSERT_EQ(draws.times[k], next[i]) << "epoch " << epoch;
-        ++k;
-        next[i] += streams[i].exponential(rates[i]);
-      }
-      ASSERT_EQ(k, draws.offsets[i + 1]) << "extra draws, particle " << i;
-      ASSERT_EQ(bank.nextTime(i), next[i]);
-    }
-    now = epochEnd;
-  }
-}
-
-TEST(PoissonClockBank, UniformDefaultEqualsExplicitOnes) {
-  PoissonClockBank a(7, 5, 1);
-  PoissonClockBank b(7, 5, 1, std::vector<double>(5, 1.0));
-  EXPECT_EQ(a.totalRate(), b.totalRate());
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(a.nextTime(i), b.nextTime(i));
-    EXPECT_EQ(a.state(i), b.state(i));
-  }
-}
-
-TEST(PoissonClockBank, RejectsBadRates) {
-  EXPECT_THROW(PoissonClockBank(1, 3, 1, {1.0, 0.0, 1.0}),
-               sops::ContractViolation);
-  EXPECT_THROW(PoissonClockBank(1, 3, 1, {1.0, -2.0, 1.0}),
-               sops::ContractViolation);
-  EXPECT_THROW(PoissonClockBank(1, 3, 1, {1.0, 1.0}),
-               sops::ContractViolation);
 }
 
 TEST(CounterStream, DrawsArePureFunctionsOfKeyCounterAndIndex) {

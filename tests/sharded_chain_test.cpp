@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/epoch_control.hpp"
+#include "core/block_executor.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
 #include "enumeration/exact_distribution.hpp"
@@ -273,21 +273,6 @@ TEST(ShardedChain, DerivedEpochTargetClampedToCap) {
   EXPECT_EQ(derivedEpochTarget((std::uint64_t{1} << 27) + 12345),
             kMaxEventsPerEpoch);
   EXPECT_EQ(derivedEpochTarget(std::uint64_t{1} << 40), kMaxEventsPerEpoch);
-
-  // The amoebot runner's adaptive controller inherits the cap: from any
-  // particle count its upper bound never exceeds 2^28, so no sequence of
-  // doublings can escape it.
-  AdaptiveEpochController huge(std::uint64_t{1} << 40);
-  EXPECT_EQ(huge.target(), kMaxEventsPerEpoch);
-  for (int i = 0; i < 80; ++i) huge.update(0, 1000);  // always "double"
-  EXPECT_EQ(huge.target(), kMaxEventsPerEpoch);
-
-  AdaptiveEpochController small(300);
-  EXPECT_EQ(small.target(), 1024u);
-  for (int i = 0; i < 80; ++i) small.update(1000, 1000);  // always "halve"
-  EXPECT_EQ(small.target(), 1024u);  // floor holds
-  for (int i = 0; i < 80; ++i) small.update(0, 1000);  // always "double"
-  EXPECT_EQ(small.target(), 4800u);  // ceiling: min(16n, cap)
 }
 
 TEST(ShardedChain, CompactShapeTrajectoryIndependentOfThreadCount) {
@@ -430,6 +415,62 @@ TEST(ShardedChain, StoragePrePhaseMatchesListOrderOracle) {
             9113, sharded);
       },
       16384, 1);
+}
+
+// --- golden pins ------------------------------------------------------------
+
+/// FNV-1a 64 over everything a run can disagree on: per-id positions, the
+/// full outcome tally, e(σ) and the boundary-reject count.
+template <typename Model>
+std::uint64_t trajectoryHash(const ShardedChainRunner<Model>& runner) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  for (const TriPoint p : runner.system().positions()) {
+    mix(&p.x, sizeof p.x);
+    mix(&p.y, sizeof p.y);
+  }
+  const EngineStats stats = runner.stats();
+  mix(&stats, sizeof stats);
+  const std::int64_t edges = runner.edges();
+  mix(&edges, sizeof edges);
+  const std::uint64_t rejects = runner.sweepEvents();
+  mix(&rejects, sizeof rejects);
+  return h;
+}
+
+TEST(ShardedChain, GoldenPinsAtLargeScale) {
+  // Fixed trajectories of the block path at sizes where many blocks run
+  // in parallel: a refactor of the executor must reproduce them bit for
+  // bit.  Four epochs each at the derived L = 2n; the values were
+  // recorded from the runner before its block machinery moved into
+  // core::BlockExecutor.
+  ChainOptions compression;
+  compression.lambda = 4.0;
+  ShardedChainOptions four;
+  four.threads = 4;
+  ShardedChainRunner<CompressionModel> spiral(
+      system::spiralConfiguration(10000), CompressionModel(compression), 1213,
+      four);
+  spiral.runAtLeast(4 * 20000);
+  EXPECT_EQ(spiral.epochs(), 4u);
+  EXPECT_EQ(trajectoryHash(spiral), 0x2b6295b9f3b907b9ULL);
+
+  SeparationModel::Options separation;
+  separation.gamma = 4.0;
+  ShardedChainOptions three;
+  three.threads = 3;
+  ShardedChainRunner<SeparationModel> line(
+      system::lineConfiguration(10000),
+      SeparationModel(separation, system::alternatingClasses(10000, 2)), 1217,
+      three);
+  line.runAtLeast(4 * 20000);
+  EXPECT_EQ(line.epochs(), 4u);
+  EXPECT_EQ(trajectoryHash(line), 0x2b7c67739e6f7f25ULL);
 }
 
 TEST(ShardedChain, BoundaryRejectsIndependentOfBurstsAndThreads) {

@@ -658,19 +658,24 @@ TEST(SimRunner, RejectsEpochEventsBeyondMemoryCap) {
 }
 
 TEST(SimRunner, ChainSpecRejectsEpochAdaptive) {
-  // epoch-adaptive tunes the amoebot runner's Poisson epochs.  The chain
-  // runner's proposal lists have a fixed length, so a chain spec that sets
-  // the key fails as an unknown key, while the amoebot scenario keeps it.
+  // epoch-adaptive tuned the Poisson-clock runners' epochs.  Both sharded
+  // runners now run proposal lists of a fixed length, so a spec of any
+  // scenario that sets the key fails as an unknown key.
   Observer none;
-  for (const char* scenario : {"compression", "separation", "alignment"}) {
+  for (const char* scenario :
+       {"compression", "separation", "alignment", "amoebot"}) {
     const RunSpec spec = RunSpec::parse(
         std::string("scenario=") + scenario +
         " n=30 steps=10 threads=2 epoch-adaptive=false");
-    EXPECT_THROW((void)run(spec, none), ContractViolation) << scenario;
+    try {
+      (void)run(spec, none);
+      ADD_FAILURE() << scenario << ": epoch-adaptive was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("epoch-adaptive"),
+                std::string::npos)
+          << scenario << ": " << e.what();
+    }
   }
-  const RunSpec amoebot = RunSpec::parse(
-      "scenario=amoebot n=30 steps=100 threads=2 epoch-adaptive=false");
-  EXPECT_NO_THROW((void)run(amoebot, none));
 }
 
 TEST(SimRunner, StopWhenEndsReplicasEarly) {

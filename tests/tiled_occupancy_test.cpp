@@ -355,8 +355,8 @@ TEST(TiledTrajectory, Line300kRunsDenseTiledStriped) {
 
 TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
   // The 20-line + far-singleton configuration promotes the amoebot planes
-  // to the tiled backend; the sharded Poisson runner must stay a pure
-  // function of the seed there too.
+  // to the tiled backend; the sharded runner must stay a pure function of
+  // the seed there too.
   std::vector<TriPoint> points;
   for (std::int32_t i = 0; i < 20; ++i) points.push_back({i, 0});
   points.push_back({60000, 20000});
@@ -499,6 +499,59 @@ TEST(TiledSnapshot, ShardedPreV4PayloadIsRejected) {
   original.runAtLeast(20000);
   resumed.runAtLeast(20000);
   EXPECT_TRUE(signatureOf(resumed) == signatureOf(original));
+}
+
+TEST(TiledSnapshot, AmoebotPreV5PayloadIsRejected) {
+  // Amoebot payloads older than v5 were written by the Poisson-clock
+  // runner (clock and coin streams per particle, adaptive epoch target);
+  // the block runner cannot continue that trajectory, so restore must fail
+  // loudly, naming the version and the runner that wrote it.
+  const ParticleSystem start = system::lineConfiguration(60);
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  amoebot::ShardedOptions options;
+  options.threads = 2;
+  rng::Random ctor(5);
+  amoebot::AmoebotSystem sys(start, ctor);
+  amoebot::ShardedPoissonRunner original(sys, algo, 2743, options);
+  original.runAtLeast(20000);
+  system::SnapshotWriter w;
+  sys.saveState(w);
+  original.saveState(w);
+  const auto restoreAt = [&](std::uint32_t version,
+                             amoebot::AmoebotSystem& into,
+                             amoebot::ShardedPoissonRunner& runner) {
+    system::SnapshotReader r(w.payload(), version);
+    into.restoreState(r);
+    runner.restoreState(r);
+    r.finish();
+  };
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
+    rng::Random other(9);
+    amoebot::AmoebotSystem resumedSys(start, other);
+    amoebot::ShardedPoissonRunner resumed(resumedSys, algo, 2743, options);
+    try {
+      restoreAt(version, resumedSys, resumed);
+      ADD_FAILURE() << "version " << version << " payload was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("Poisson-clock runner"), std::string::npos) << what;
+    }
+  }
+  rng::Random other(9);
+  amoebot::AmoebotSystem resumedSys(start, other);
+  amoebot::ShardedPoissonRunner resumed(resumedSys, algo, 2743, options);
+  restoreAt(system::kSnapshotVersion, resumedSys, resumed);
+  original.runAtLeast(20000);
+  resumed.runAtLeast(20000);
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    ASSERT_EQ(resumedSys.particle(id).tail, sys.particle(id).tail) << id;
+    ASSERT_EQ(resumedSys.particle(id).head, sys.particle(id).head) << id;
+  }
+  EXPECT_EQ(resumed.sweepActivations(), original.sweepActivations());
+  EXPECT_EQ(resumed.now(), original.now());
 }
 
 TEST(TiledSnapshot, ShardedTiledSaveRestoreContinuesExactly) {

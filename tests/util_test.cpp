@@ -1,10 +1,8 @@
 // Tests for the flat hash containers and assertion macros (S3).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -12,7 +10,6 @@
 #include "rng/random.hpp"
 #include "util/assert.hpp"
 #include "util/flat_hash.hpp"
-#include "util/event_sort.hpp"
 
 namespace sops::util {
 namespace {
@@ -168,98 +165,6 @@ TEST(Mix64, SeparatesDenseKeys) {
   }
   // A good mixer spreads 4096 consecutive keys over most of 4096 buckets.
   EXPECT_GT(lowBits.size(), 2400u);
-}
-
-// --- epoch event sort --------------------------------------------------
-// The sharded runners' event sort (util/event_sort.hpp): a time-bucketed
-// sort that must reproduce the exact order of the element comparator,
-// given only that every time lies inside the declared window.  Pinned
-// against std::sort with the same comparator on every time shape an
-// epoch can produce — uniform (the Poisson case), clustered into one
-// bucket, window-edge values, heavy exact ties.
-
-struct Timed {
-  double time;
-  std::uint32_t particle;
-
-  friend bool operator<(const Timed& a, const Timed& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.particle < b.particle;
-  }
-};
-
-void expectMatchesStdSort(std::vector<Timed> v, double lo, double hi) {
-  EventSortScratch<Timed> scratch;
-  std::vector<Timed> expected = v;
-  std::sort(expected.begin(), expected.end());
-  sortEventsInWindow(v, scratch, lo, hi,
-                     [](const Timed& e) { return e.time; });
-  ASSERT_EQ(v.size(), expected.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    ASSERT_EQ(v[i].time, expected[i].time) << "index " << i;
-    ASSERT_EQ(v[i].particle, expected[i].particle) << "index " << i;
-  }
-}
-
-TEST(EventSort, MatchesStdSortOnUniformTimes) {
-  rng::Random r(31);
-  const double lo = 1000.0;
-  const double hi = 1003.5;
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                              std::size_t{3}, std::size_t{100},
-                              kEventSortCutoff - 1, kEventSortCutoff,
-                              std::size_t{50000}}) {
-    std::vector<Timed> v;
-    v.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      v.push_back({lo + (hi - lo) * r.uniform(),
-                   static_cast<std::uint32_t>(i)});
-    }
-    expectMatchesStdSort(std::move(v), lo, hi);
-  }
-}
-
-TEST(EventSort, ExactTieOrderByComparatorNotInputPosition) {
-  // Duplicate times across different particles, inserted in descending
-  // particle order: the result must follow the comparator's particle
-  // tie-break, which is what the sweep's (time, particle) contract needs.
-  rng::Random r(37);
-  std::vector<Timed> v;
-  for (std::size_t i = 0; i < 20000; ++i) {
-    const double t = 5.0 + static_cast<double>(r.below(64)) / 16.0;
-    v.push_back({t, static_cast<std::uint32_t>(20000 - i)});
-  }
-  expectMatchesStdSort(std::move(v), 5.0, 9.0);
-}
-
-TEST(EventSort, ClusteredTimesCollapseIntoFewBuckets) {
-  // All events inside a sliver of the window (one bucket does all the
-  // work) plus values exactly at the window's lower edge and just below
-  // its upper edge.
-  rng::Random r(41);
-  const double lo = 0.0;
-  const double hi = 1.0;
-  std::vector<Timed> v;
-  for (std::size_t i = 0; i < 30000; ++i) {
-    v.push_back({0.25 + 1e-9 * r.uniform(), static_cast<std::uint32_t>(i)});
-  }
-  v.push_back({lo, 7});
-  v.push_back({std::nextafter(hi, 0.0), 9});
-  expectMatchesStdSort(std::move(v), lo, hi);
-}
-
-TEST(EventSort, NarrowWindowHighMagnitudeTimes) {
-  // Late-trajectory epochs: times are large (say ~1e6) and the window is
-  // narrow, so bucketing runs on the *difference* — precision must hold.
-  rng::Random r(43);
-  const double lo = 1.0e6;
-  const double hi = 1.0e6 + 1.0 / 512.0;
-  std::vector<Timed> v;
-  for (std::size_t i = 0; i < 20000; ++i) {
-    v.push_back({lo + (hi - lo) * r.uniform(), static_cast<std::uint32_t>(i)});
-    if (i % 7 == 0) v.push_back(v.back());  // exact duplicates survive too
-  }
-  expectMatchesStdSort(std::move(v), lo, hi);
 }
 
 }  // namespace

@@ -5,9 +5,10 @@ The CI smoke job for the scenario facade: every scenario must be runnable
 from a RunSpec alone, and its CSV/JSONL sinks must have the declared
 column shape with one sample row per (replica, checkpoint).
 
-Also the cross-thread contract of the sharded chain runner at the CLI: a
+Also the cross-thread contract of both sharded runners at the CLI: a
 20000-particle spiral at threads=2 and threads=4 must end on the same
-final CSV row, byte for byte.
+final CSV row, byte for byte, for the compression chain and for the
+amoebot Algorithm A.
 
 And the crash-resume smoke for durable runs: SIGKILL an spps process
 mid-run (no cleanup, the real crash), resume from the snapshot it left,
@@ -216,14 +217,14 @@ def check_crash_resume(spps, workdir, scenario, extra):
           f"{target} — final row identical to the uninterrupted run")
 
 
-def check_cross_thread(spps, workdir):
-    """The sharded chain runner's trajectory is a pure function of the
-    seed: the same compression spec at threads=2 and threads=4 must end on
-    byte-identical final CSV rows."""
+def check_cross_thread(spps, workdir, scenario):
+    """A sharded runner's trajectory is a pure function of the seed: the
+    same spec at threads=2 and threads=4 must end on byte-identical final
+    CSV rows."""
     rows = {}
     for threads in (2, 4):
-        csv_path = os.path.join(workdir, f"threads{threads}.csv")
-        spec = ("scenario=compression shape=spiral n=20000 lambda=4 "
+        csv_path = os.path.join(workdir, f"{scenario}_threads{threads}.csv")
+        spec = (f"scenario={scenario} shape=spiral n=20000 lambda=4 "
                 f"steps=2000000 threads={threads} csv={csv_path}")
         result = subprocess.run([spps] + spec.split(), capture_output=True,
                                 text=True)
@@ -232,10 +233,10 @@ def check_cross_thread(spps, workdir):
                  f"{result.stdout}\n{result.stderr}")
         rows[threads] = final_csv_row(csv_path)
     if rows[2] != rows[4]:
-        fail("sharded runner diverged across thread counts\n"
+        fail(f"{scenario}: sharded runner diverged across thread counts\n"
              f"  threads=2: {rows[2]}\n  threads=4: {rows[4]}")
-    print("ok: 20000-particle spiral, threads=2 and threads=4 end on the "
-          "same final CSV row")
+    print(f"ok: {scenario} 20000-particle spiral, threads=2 and threads=4 "
+          "end on the same final CSV row")
 
 
 def check_sigterm_exit(spps, workdir):
@@ -301,13 +302,15 @@ def main():
             fail(f"spps {bad!r}: stderr lacks an 'unknown ...' message")
     print("ok: unknown scenario/parameter specs fail loudly")
 
-    check_cross_thread(spps, workdir)
+    check_cross_thread(spps, workdir, "compression")
+    check_cross_thread(spps, workdir, "amoebot")
 
-    # Durable runs: a real SIGKILL (sequential compression and the sharded
-    # separation runner — the one with the most derived state to rebuild on
-    # restore), then graceful SIGTERM.
+    # Durable runs: a real SIGKILL (sequential compression, the sharded
+    # separation runner — the chain with the most derived state to rebuild
+    # on restore — and the sharded amoebot runner), then graceful SIGTERM.
     check_crash_resume(spps, workdir, "compression", "lambda=4.0")
     check_crash_resume(spps, workdir, "separation", "gamma=4.0 threads=2")
+    check_crash_resume(spps, workdir, "amoebot", "threads=2")
     check_sigterm_exit(spps, workdir)
     print("spps smoke: all scenarios runnable from a RunSpec alone; "
           "crash-resume and SIGTERM cancellation verified")

@@ -8,7 +8,7 @@ repo's own contracts (rationale in DESIGN.md, "Correctness tooling"):
 
   nondeterministic-seed  std::random_device, rand(), srand(): every draw
                          must be a pure function of (seed, stream, index)
-                         through rng::Random / rng::particleStream.
+                         through rng::Random / rng::CounterStream.
   wall-clock             time(...), std::chrono::system_clock /
                          high_resolution_clock: wall-clock values feeding
                          seeds or trajectory decisions make runs

@@ -24,7 +24,7 @@ text cannot:
                            that reaches std::random_device, wall clocks,
                            time(), or getpid(): every stream must be a
                            pure function of (seed, stream, index) — see
-                           rng::particleStream and the spec's seed.
+                           rng::CounterStream and the spec's seed.
   float-reduce             std::reduce / std::transform_reduce over
                            floating-point data in trajectory code: the
                            reduction order (and with execution policies,
