@@ -163,6 +163,33 @@ void BM_PerimeterClosedForm(benchmark::State& state) {
 }
 BENCHMARK(BM_PerimeterClosedForm)->Arg(100)->Arg(1000);
 
+// The checkpoint sampler's two traversals at n = 10⁵, on the compact
+// spiral (about 2√(n/3) rows of long runs) and the East line (one run
+// across a 10⁵-wide bounding box).
+[[nodiscard]] system::ParticleSystem samplerShape(std::int64_t line) {
+  constexpr std::int64_t kParticles = 100000;
+  return line != 0 ? system::lineConfiguration(kParticles)
+                   : system::spiralConfiguration(kParticles);
+}
+
+void BM_CountHoles(benchmark::State& state) {
+  const system::ParticleSystem sys = samplerShape(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(system::countHoles(sys));
+  }
+}
+BENCHMARK(BM_CountHoles)->ArgName("line")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_IsConnected(benchmark::State& state) {
+  const system::ParticleSystem sys = samplerShape(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(system::isConnected(sys));
+  }
+}
+BENCHMARK(BM_IsConnected)->ArgName("line")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FlatMapLookup(benchmark::State& state) {
   util::FlatMap64<std::int32_t> map(1024);
   for (std::uint64_t k = 0; k < 1000; ++k) {

@@ -45,10 +45,18 @@
 namespace sops::sim {
 namespace {
 
-[[nodiscard]] double alphaOf(const system::ParticleSystem& sys) {
-  return static_cast<double>(system::perimeter(sys)) /
-         static_cast<double>(
-             system::pMin(static_cast<std::int64_t>(sys.size())));
+/// α = p(σ)/p_min(n) (Definition 2.2) of a perimeter already computed.
+[[nodiscard]] double alphaOf(std::int64_t perimeter, std::size_t n) {
+  return static_cast<double>(perimeter) /
+         static_cast<double>(system::pMin(static_cast<std::int64_t>(n)));
+}
+
+/// Appends the perimeter and α columns, computing p(σ) once.
+void pushPerimeterAndAlpha(const system::ParticleSystem& sys,
+                           std::vector<double>& out) {
+  const std::int64_t perimeter = system::perimeter(sys);
+  out.push_back(static_cast<double>(perimeter));
+  out.push_back(alphaOf(perimeter, sys.size()));
 }
 
 /// Shared movement-chain knobs (the paper's ChainOptions, including the
@@ -272,19 +280,19 @@ std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
 template <typename Driver>
 void sampleCompression(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
-  // One complement analysis serves holes AND the exact perimeter
-  // (p = 3n − e − 3 + 3·holes with the tracked edge count) — the
-  // boundary-walk recount system::perimeter would redo is skipped.
-  const std::int64_t holes = system::countHoles(sys);
+  // One run decomposition serves holes AND the exact perimeter
+  // (p = 3n − e − 3C + 3·holes with the tracked edge count; C > 1 only
+  // when an ablation (properties=false) has split the system, and then p
+  // is the sum of the components' perimeters).
+  const system::Topology shape = system::topology(sys);
   const std::int64_t perimeter = system::perimeterFromCounts(
-      static_cast<std::int64_t>(sys.size()), engine.edges(), holes);
+      static_cast<std::int64_t>(sys.size()), engine.edges(), shape.holes,
+      shape.components);
   out.push_back(static_cast<double>(engine.edges()));
   out.push_back(static_cast<double>(perimeter));
-  out.push_back(static_cast<double>(perimeter) /
-                static_cast<double>(
-                    system::pMin(static_cast<std::int64_t>(sys.size()))));
+  out.push_back(alphaOf(perimeter, sys.size()));
   out.push_back(engine.stats().movement.acceptanceRate());
-  out.push_back(static_cast<double>(holes));
+  out.push_back(static_cast<double>(shape.holes));
 }
 
 class CompressionScenario : public Scenario {
@@ -319,8 +327,7 @@ template <typename Driver>
 void sampleSeparation(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
   out.push_back(static_cast<double>(engine.edges()));
-  out.push_back(static_cast<double>(system::perimeter(sys)));
-  out.push_back(alphaOf(sys));
+  pushPerimeterAndAlpha(sys, out);
   // engine.edges() is the incrementally tracked e(σ) — no recount, and 0
   // edges (n = 1) reads as fraction 0 rather than NaN.
   out.push_back(engine.edges() == 0
@@ -376,8 +383,7 @@ template <typename Driver>
 void sampleAlignment(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
   out.push_back(static_cast<double>(engine.edges()));
-  out.push_back(static_cast<double>(system::perimeter(sys)));
-  out.push_back(alphaOf(sys));
+  pushPerimeterAndAlpha(sys, out);
   out.push_back(engine.edges() == 0
                     ? 0.0
                     : static_cast<double>(engine.model().alignedEdges(sys)) /
@@ -450,8 +456,7 @@ class AmoebotRun : public ScenarioRun {
   }
   void sampleMetrics(std::vector<double>& out) const override {
     const system::ParticleSystem tails = sys_.tailConfiguration();
-    out.push_back(static_cast<double>(system::perimeter(tails)));
-    out.push_back(alphaOf(tails));
+    pushPerimeterAndAlpha(tails, out);
     out.push_back(runner_->activations() == 0
                       ? 0.0
                       : static_cast<double>(runner_->sweepActivations()) /

@@ -1,5 +1,6 @@
 #include "system/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -46,25 +47,157 @@ std::int64_t countTriangles(const ParticleSystem& sys) {
   return triangles;
 }
 
-bool isConnected(const ParticleSystem& sys) {
-  if (sys.size() <= 1) return true;
-  util::FlatSet64 seen(sys.size());
-  std::deque<TriPoint> frontier;
-  frontier.push_back(sys.position(0));
-  seen.insert(pack(sys.position(0)));
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const TriPoint p = frontier.front();
-    frontier.pop_front();
-    for (const Direction d : kAllDirections) {
-      const TriPoint q = neighbor(p, d);
-      if (sys.occupied(q) && seen.insert(pack(q))) {
-        ++reached;
-        frontier.push_back(q);
-      }
+namespace {
+
+/// A maximal horizontal run of occupied cells: row y, columns [a, b].
+struct Run {
+  std::int32_t y;
+  std::int32_t a;
+  std::int32_t b;
+};
+
+/// Every maximal horizontal run, sorted by (row, start): a particle whose
+/// West cell is free starts one, and the walk East ends it.  O(n)
+/// occupancy lookups plus O(R log R) for R runs.
+[[nodiscard]] std::vector<Run> horizontalRuns(const ParticleSystem& sys) {
+  std::vector<Run> runs;
+  for (const TriPoint p : sys.positions()) {
+    if (sys.occupied(neighbor(p, Direction::West))) continue;
+    std::int32_t end = p.x;
+    while (sys.occupied({end + 1, p.y})) ++end;
+    runs.push_back({p.y, p.x, end});
+  }
+  std::sort(runs.begin(), runs.end(), [](const Run& l, const Run& r) {
+    return l.y != r.y ? l.y < r.y : l.a < r.a;
+  });
+  return runs;
+}
+
+/// Union–find over dense ids with path halving.
+class DisjointSets {
+ public:
+  explicit DisjointSets(std::size_t count) : parent_(count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      parent_[i] = static_cast<std::uint32_t>(i);
     }
   }
-  return reached == sys.size();
+  /// Merges the sets of a and b; true iff they were distinct.
+  bool unite(std::size_t a, std::size_t b) {
+    const std::uint32_t ra = find(static_cast<std::uint32_t>(a));
+    const std::uint32_t rb = find(static_cast<std::uint32_t>(b));
+    if (ra == rb) return false;
+    parent_[std::max(ra, rb)] = std::min(ra, rb);
+    return true;
+  }
+
+ private:
+  std::uint32_t find(std::uint32_t v) {
+    while (parent_[v] != v) {
+      parent_[v] = parent_[parent_[v]];
+      v = parent_[v];
+    }
+    return v;
+  }
+  std::vector<std::uint32_t> parent_;
+};
+
+/// Calls touch(i, j) for every pair of sorted, disjoint intervals
+/// upper[i] = [lo(i), hi(i) + 1] and lower[j] = [lo(j), hi(j)] that
+/// overlap: cell x of row y is adjacent to cells x and x + 1 of row y − 1
+/// (offsets SouthWest (0, −1) and SouthEast (1, −1)), so the interval
+/// [lo, hi] of row y touches [lo, hi + 1] of the row below.
+template <typename Lo, typename Hi, typename Touch>
+void mergeAdjacentRows(std::size_t upperBegin, std::size_t upperEnd,
+                       std::size_t lowerBegin, std::size_t lowerEnd, Lo lo,
+                       Hi hi, Touch touch) {
+  std::size_t i = upperBegin;
+  std::size_t j = lowerBegin;
+  while (i < upperEnd && j < lowerEnd) {
+    const std::int64_t upperHi = std::int64_t{hi(i)} + 1;
+    if (lo(i) <= hi(j) && lo(j) <= upperHi) touch(i, j);
+    if (upperHi < hi(j)) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+}
+
+}  // namespace
+
+Topology topology(const ParticleSystem& sys) {
+  if (sys.empty()) return {};
+  const std::vector<Run> runs = horizontalRuns(sys);
+  // rows[k] is the index of row k's first run; rows.back() == runs.size().
+  std::vector<std::size_t> rows;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (r == 0 || runs[r].y != runs[r - 1].y) rows.push_back(r);
+  }
+  const std::size_t rowCount = rows.size();
+  rows.push_back(runs.size());
+  const auto adjacentBelow = [&](std::size_t k) {
+    return k > 0 && runs[rows[k - 1]].y == runs[rows[k]].y - 1;
+  };
+  const auto adjacentAbove = [&](std::size_t k) {
+    return k + 1 < rowCount && runs[rows[k + 1]].y == runs[rows[k]].y + 1;
+  };
+
+  // Components: runs of adjacent rows that touch.
+  Topology result;
+  DisjointSets runSets(runs.size());
+  result.components = static_cast<std::int64_t>(runs.size());
+  const auto runLo = [&](std::size_t r) { return runs[r].a; };
+  const auto runHi = [&](std::size_t r) { return runs[r].b; };
+  const auto uniteRuns = [&](std::size_t i, std::size_t j) {
+    if (runSets.unite(i, j)) --result.components;
+  };
+  for (std::size_t k = 1; k < rowCount; ++k) {
+    if (!adjacentBelow(k)) continue;
+    mergeAdjacentRows(rows[k], rows[k + 1], rows[k - 1], rows[k], runLo, runHi,
+                      uniteRuns);
+  }
+
+  // Holes: the finite gaps between consecutive runs of a row, gap r
+  // following run r (r not the row's last run), so row k's gaps are ids
+  // [rows[k] − k, rows[k + 1] − k − 1) and node runs.size() − rowCount is
+  // the exterior.  A gap whose touch interval in an adjacent row leaves
+  // that row's run span — or meets a row with no particles — reaches the
+  // unbounded part of that row: the exterior.
+  const std::size_t gapCount = runs.size() - rowCount;
+  const std::size_t exterior = gapCount;
+  DisjointSets gapSets(gapCount + 1);
+  std::int64_t merges = 0;
+  const auto gapLo = [&](std::size_t r) { return runs[r].b + 1; };
+  const auto gapHi = [&](std::size_t r) { return runs[r + 1].a - 1; };
+  for (std::size_t k = 0; k < rowCount; ++k) {
+    const std::size_t gapEnd = rows[k + 1] - 1;  // run index past last gap
+    const bool below = adjacentBelow(k);
+    const bool above = adjacentAbove(k);
+    for (std::size_t r = rows[k]; r < gapEnd; ++r) {
+      // Touch intervals: [lo, hi + 1] below, [lo − 1, hi] above.
+      const std::int64_t lo = gapLo(r);
+      const std::int64_t hi = gapHi(r);
+      const bool exitsBelow =
+          !below || lo < runs[rows[k - 1]].a || hi + 1 > runs[rows[k] - 1].b;
+      const bool exitsAbove = !above || lo - 1 < runs[rows[k + 1]].a ||
+                              hi > runs[rows[k + 2] - 1].b;
+      if ((exitsBelow || exitsAbove) && gapSets.unite(r - k, exterior)) {
+        ++merges;
+      }
+    }
+    if (!below) continue;
+    const auto uniteGaps = [&](std::size_t i, std::size_t j) {
+      if (gapSets.unite(i - k, j - (k - 1))) ++merges;
+    };
+    mergeAdjacentRows(rows[k], gapEnd, rows[k - 1], rows[k] - 1, gapLo, gapHi,
+                      uniteGaps);
+  }
+  result.holes = static_cast<std::int64_t>(gapCount) - merges;
+  return result;
+}
+
+bool isConnected(const ParticleSystem& sys) {
+  return topology(sys).components <= 1;
 }
 
 BoundingBox boundingBox(const ParticleSystem& sys) {
@@ -133,15 +266,16 @@ ComplementRegions analyzeComplement(const ParticleSystem& sys) {
 }
 
 int countHoles(const ParticleSystem& sys) {
-  return analyzeComplement(sys).holeCount;
+  return static_cast<int>(topology(sys).holes);
 }
 
 std::int64_t perimeter(const ParticleSystem& sys) {
   SOPS_REQUIRE(!sys.empty(), "perimeter of empty system");
-  SOPS_REQUIRE(isConnected(sys),
+  const Topology shape = topology(sys);
+  SOPS_REQUIRE(shape.components == 1,
                "perimeter requires a connected configuration");
   const auto n = static_cast<std::int64_t>(sys.size());
-  return perimeterFromCounts(n, countEdges(sys), countHoles(sys));
+  return perimeterFromCounts(n, countEdges(sys), shape.holes);
 }
 
 std::int64_t pMin(std::int64_t n) {
@@ -190,8 +324,9 @@ ConfigSummary summarize(const ParticleSystem& sys) {
   }
   s.edges = countEdges(sys);
   s.triangles = countTriangles(sys);
-  s.holes = countHoles(sys);
-  s.connected = isConnected(sys);
+  const Topology shape = topology(sys);
+  s.holes = shape.holes;
+  s.connected = shape.components == 1;
   if (s.connected) {
     s.perimeter = perimeterFromCounts(s.particles, s.edges, s.holes);
     const std::int64_t minimum = pMin(s.particles);

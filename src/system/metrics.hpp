@@ -6,13 +6,38 @@
 /// t(σ), perimeter p(σ), holes, connectivity, and the extremal perimeter
 /// values p_min(n), p_max(n).
 ///
-/// Perimeter is computed in closed form as p = 3n − e − 3 + 3·holes for a
-/// connected configuration.  For hole-free configurations this reduces to
-/// Lemma 2.3 (e = 3n − p − 3); the hole term follows from the same
-/// exterior-angle count applied to each hole boundary (each hole boundary
-/// walk of length k contributes 2k − 6 dual edges instead of 2k + 6).  An
-/// independent boundary-walk tracer lives in boundary.hpp and is used by the
-/// test-suite to validate this formula on every enumerated configuration.
+/// Perimeter is computed in closed form as p = 3n − e − 3C + 3·holes for a
+/// configuration of C components (C = 1 in the paper's chain).  For a
+/// connected hole-free configuration this reduces to Lemma 2.3
+/// (e = 3n − p − 3); the hole term follows from the same exterior-angle
+/// count applied to each hole boundary (each hole boundary walk of length
+/// k contributes 2k − 6 dual edges instead of 2k + 6), and each further
+/// component adds its own −3.  An independent boundary-walk tracer lives
+/// in boundary.hpp and is used by the test-suite to validate this formula
+/// on every enumerated configuration.
+///
+/// Holes and connectivity come from one run decomposition (topology()),
+/// whose cost does not depend on the bounding-box area:
+///
+///   - Runs: the maximal horizontal runs of occupied cells.  A particle
+///     whose West cell is free starts one; walking East ends it.  Sorted
+///     by (row, start): O(n) occupancy lookups plus O(R log R) for R runs.
+///   - Components: cell x of row y touches cells x and x + 1 of row
+///     y − 1, so run [a, b] touches [a, b + 1] below.  A two-pointer merge
+///     of each pair of adjacent rows unions touching runs: C components.
+///   - Holes: the finite gaps between consecutive runs of a row, merged
+///     the same way (gap [g, h] touches [g, h + 1] below and [g − 1, h]
+///     above).  A gap that touches a row with no particles, or reaches
+///     past that row's run span, joins the exterior; the gap components
+///     without the exterior are the holes.
+///
+/// Memory is O(R); nothing is keyed by cell.  analyzeComplement() keeps
+/// the area-proportional flood of the complement: it labels every free
+/// cell (hexBoundaryCycles needs the labels) and is the brute-force
+/// oracle the tests check topology() against.  The Euler relation
+/// holes = e − n + C − t ties the two counts together (faces of the
+/// induced plane graph: t unit triangles, one face per hole, the outer
+/// face).
 
 #include <cstdint>
 #include <vector>
@@ -27,6 +52,17 @@ namespace sops::system {
 
 /// Number of triangular faces of G∆ with all three corners occupied (t(σ)).
 [[nodiscard]] std::int64_t countTriangles(const ParticleSystem& sys);
+
+/// Connected components and holes of the configuration, from the run
+/// decomposition described above.  The empty system has neither.
+struct Topology {
+  /// Components of the configuration graph (occupied vertices, induced
+  /// edges).
+  std::int64_t components = 0;
+  /// Finite maximal connected unoccupied regions (§2.2).
+  std::int64_t holes = 0;
+};
+[[nodiscard]] Topology topology(const ParticleSystem& sys);
 
 /// True iff the configuration graph (occupied vertices, induced edges) is
 /// connected.  The empty system counts as connected.
@@ -54,7 +90,7 @@ struct ComplementRegions {
 };
 [[nodiscard]] ComplementRegions analyzeComplement(const ParticleSystem& sys);
 
-/// Number of holes of the configuration.
+/// Number of holes of the configuration (topology().holes).
 [[nodiscard]] int countHoles(const ParticleSystem& sys);
 
 /// Perimeter p(σ) of a connected configuration (sum over all boundary
@@ -62,10 +98,13 @@ struct ComplementRegions {
 /// n ≥ 1.
 [[nodiscard]] std::int64_t perimeter(const ParticleSystem& sys);
 
-/// Perimeter given precomputed pieces (hot-ish paths that already know e/h).
+/// Perimeter given precomputed pieces (hot-ish paths that already know
+/// e/h): 3n − e − 3C + 3·holes, which for a disconnected configuration is
+/// the sum of its components' perimeters.
 [[nodiscard]] constexpr std::int64_t perimeterFromCounts(
-    std::int64_t n, std::int64_t edges, std::int64_t holes) noexcept {
-  return 3 * n - edges - 3 + 3 * holes;
+    std::int64_t n, std::int64_t edges, std::int64_t holes,
+    std::int64_t components = 1) noexcept {
+  return 3 * n - edges - 3 * components + 3 * holes;
 }
 
 /// Minimum possible perimeter of n particles: ⌈√(12n−3)⌉ − 3 (achieved by

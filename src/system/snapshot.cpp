@@ -22,9 +22,14 @@ namespace {
 constexpr char kMagic[8] = {'S', 'O', 'P', 'S', 'S', 'N', 'A', 'P'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
 
+/// Appends the low `bytes` bytes of v, least significant first: one
+/// resize per primitive, then plain stores the compiler merges.
 void putLE(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(bytes));
+  std::uint8_t* dst = out.data() + at;
   for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
@@ -63,6 +68,9 @@ std::uint64_t snapshotChecksum(std::span<const std::uint8_t> bytes) noexcept {
   return hash;
 }
 
+void SnapshotWriter::reserve(std::size_t additionalBytes) {
+  payload_.reserve(payload_.size() + additionalBytes);
+}
 void SnapshotWriter::u8(std::uint8_t v) { payload_.push_back(v); }
 void SnapshotWriter::u32(std::uint32_t v) { putLE(payload_, v, 4); }
 void SnapshotWriter::u64(std::uint64_t v) { putLE(payload_, v, 8); }
@@ -226,12 +234,17 @@ SnapshotData loadResumableSnapshot(const std::string& path) {
 void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
   SOPS_REQUIRE(!sys.indexSuspended(),
                "snapshot: cannot serialize a system with a suspended index");
+  const BitGrid& grid = sys.grid();
+  // Count, 16 bytes per position, then the backend tail: tag plus either
+  // the four window fields or the tile count and 16 bytes per tile.
+  const std::size_t tail =
+      grid.tiled() ? 1 + 8 + 16 * grid.tileCount() : 1 + 4 * 8;
+  w.reserve(8 + 16 * sys.size() + tail);
   w.u64(sys.size());
   for (const TriPoint p : sys.positions()) {
     w.i64(p.x);
     w.i64(p.y);
   }
-  const BitGrid& grid = sys.grid();
   if (grid.tiled()) {
     // Tag 2: the exact allocated-tile set, sorted by raw key so the byte
     // stream is a pure function of state (the directory's iteration order

@@ -67,6 +67,9 @@ inline constexpr std::uint32_t kMinSnapshotVersion = 2;
 /// Accumulates a snapshot payload as typed little-endian primitives.
 class SnapshotWriter {
  public:
+  /// Makes room for `additionalBytes` more payload bytes up front, so a
+  /// writer of a known-size record grows the buffer once.
+  void reserve(std::size_t additionalBytes);
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);

@@ -29,11 +29,13 @@
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "system/metrics.hpp"
 #include "system/serialize.hpp"
+#include "system/shapes.hpp"
 #include "system/snapshot.hpp"
 #include "util/assert.hpp"
 
@@ -97,6 +99,42 @@ TEST(DurableRunPayload, ShortReadsAndTrailingBytesThrow) {
   bad.u64(1000);  // claims a 1000-byte string follows
   system::SnapshotReader r(bad.payload());
   EXPECT_THROW((void)r.str(), ContractViolation);
+}
+
+[[nodiscard]] std::uint64_t particleSystemChecksum(
+    const system::ParticleSystem& sys) {
+  system::SnapshotWriter w;
+  system::writeParticleSystem(w, sys);
+  return system::snapshotChecksum(w.payload());
+}
+
+TEST(DurableRunPayload, ParticleSystemBytesArePinned) {
+  // The payload bytes are the snapshot format: these checksums were
+  // recorded from the byte-per-push_back writer, so any serializer
+  // rewrite must reproduce them exactly, in every occupancy backend.
+  EXPECT_EQ(particleSystemChecksum(system::spiralConfiguration(10000)),
+            0x9eeb773aade8c55aull);
+  rng::Random rng(4242);
+  system::ParticleSystem flat = system::randomConnected(2000, rng);
+  ASSERT_STREQ(flat.regimeName(), "dense-flat");
+  system::ParticleSystem tiled = flat;
+  tiled.forceTiledForTest();
+  system::ParticleSystem sparse = flat;
+  sparse.forceSparseForTest();
+  EXPECT_EQ(particleSystemChecksum(flat), 0x8db242cd2abfb1ffull);
+  EXPECT_EQ(particleSystemChecksum(tiled), 0x06244ad9741543d6ull);
+  EXPECT_EQ(particleSystemChecksum(sparse), 0x3a20c92eaa6023ccull);
+}
+
+TEST(DurableRunPayload, EngineStateBytesArePinned) {
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  core::CompressionEngine engine(system::lineConfiguration(300),
+                                 core::CompressionModel(options), 2016);
+  engine.run(100000);
+  system::SnapshotWriter w;
+  engine.saveState(w);
+  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x46c5fa9b374b2b5bull);
 }
 
 TEST(DurableRunFile, RoundTripsAndVerifiesChecksum) {

@@ -10,6 +10,9 @@ Also the cross-thread contract of both sharded runners at the CLI: a
 final CSV row, byte for byte, for the compression chain and for the
 amoebot Algorithm A.
 
+Also a holed start: a ring's iteration-0 sample must count its hole and
+carry it into the perimeter.
+
 And the crash-resume smoke for durable runs: SIGKILL an spps process
 mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
@@ -19,6 +22,7 @@ a resumable snapshot.
 Usage:
     python3 tools/check_spps_smoke.py path/to/spps [workdir]
 """
+import csv
 import json
 import os
 import signal
@@ -239,6 +243,32 @@ def check_cross_thread(spps, workdir, scenario):
           "end on the same final CSV row")
 
 
+def check_holed_start(spps, workdir):
+    """Every other spec starts and stays hole-free, so a hole counter stuck
+    at 0 would pass them: a radius-3 ring (18 particles around one hole)
+    must sample holes = 1 and p = 3n - e - 3 + 3 at iteration 0."""
+    csv_path = os.path.join(workdir, "compression_ring.csv")
+    spec = (f"scenario=compression shape=ring n=3 steps=1000 "
+            f"checkpoint=1000 seed=1603 csv={csv_path}")
+    result = subprocess.run([spps] + spec.split(), capture_output=True,
+                            text=True)
+    if result.returncode != 0:
+        fail(f"spps {spec!r} exited {result.returncode}:\n"
+             f"{result.stdout}\n{result.stderr}")
+    with open(csv_path) as f:
+        rows = list(csv.DictReader(f))
+    start = next(row for row in rows if int(row["iteration"]) == 0)
+    holes = float(start["holes"])
+    edges = float(start["edges"])
+    perimeter = float(start["perimeter"])
+    if holes != 1:
+        fail(f"ring start: holes = {holes}, expected 1")
+    if perimeter != 3 * 18 - edges - 3 + 3:
+        fail(f"ring start: perimeter = {perimeter} with e = {edges}, "
+             f"expected {3 * 18 - edges - 3 + 3}")
+    print(f"ok: ring start samples holes = 1, perimeter = {perimeter:g}")
+
+
 def check_sigterm_exit(spps, workdir):
     """SIGTERM must cancel cooperatively: exit 3, resumable snapshot named,
     and the snapshot must actually resume to completion."""
@@ -302,6 +332,7 @@ def main():
             fail(f"spps {bad!r}: stderr lacks an 'unknown ...' message")
     print("ok: unknown scenario/parameter specs fail loudly")
 
+    check_holed_start(spps, workdir)
     check_cross_thread(spps, workdir, "compression")
     check_cross_thread(spps, workdir, "amoebot")
 
