@@ -408,7 +408,30 @@ BENCHMARK(BM_AlignmentEngineStep)->Arg(100)->Arg(400)->Arg(100000);
 // on a host with as many cores as the Arg; for end-to-end speed-ups use
 // perfbench/run.py.
 
+// The compression rows run every epoch on the block path (the runner's
+// epoch routing is pinned off), keeping them comparable with their history.
 void BM_ShardedChainStepCompression(benchmark::State& state) {
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  core::ShardedChainOptions sharded;
+  sharded.threads = static_cast<unsigned>(state.range(0));
+  core::ShardedChainRunner<core::CompressionModel> runner(
+      system::spiralConfiguration(100000), core::CompressionModel(options), 42,
+      sharded);
+  runner.forceBlockPathForTest();
+  std::uint64_t done = 0;
+  for (auto _ : state) {
+    done += runner.runAtLeast(400000);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(done));
+}
+BENCHMARK(BM_ShardedChainStepCompression)->Arg(1)->Arg(2)->Arg(8)
+    ->UseRealTime();
+
+// The same spiral with the runner's own epoch routing: after the first
+// epoch every epoch runs rejection-free (core/rejection_free.hpp), on the
+// calling thread — the row the block rows above compare against.
+void BM_ShardedChainStepCompressionRouted(benchmark::State& state) {
   core::ChainOptions options;
   options.lambda = 4.0;
   core::ShardedChainOptions sharded;
@@ -422,8 +445,7 @@ void BM_ShardedChainStepCompression(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
 }
-BENCHMARK(BM_ShardedChainStepCompression)->Arg(1)->Arg(2)->Arg(8)
-    ->UseRealTime();
+BENCHMARK(BM_ShardedChainStepCompressionRouted)->Arg(2)->UseRealTime();
 
 void BM_ShardedChainStepSeparation(benchmark::State& state) {
   core::SeparationModel::Options options;

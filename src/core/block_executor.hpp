@@ -243,6 +243,18 @@ class BlockExecutor {
     ++epoch_;
   }
 
+  /// The (seed, e) draws of the next epoch, e = epochs().
+  [[nodiscard]] BlockEpoch nextEpoch() const noexcept {
+    return BlockEpoch::draw(seed_, epoch_);
+  }
+
+  /// Counts the next epoch as run by another sampler of the same epoch law
+  /// (the rejection-free kernel), with its boundary rejects.
+  void completeEpoch(std::uint64_t boundaryRejects) noexcept {
+    boundaryRejects_ += boundaryRejects;
+    ++epoch_;
+  }
+
   /// Proposals per epoch, L.
   [[nodiscard]] std::uint64_t epochLength() const noexcept {
     return epochLength_;

@@ -31,9 +31,20 @@
 /// During an epoch over the dense grid the ParticleSystem's cell→id hash
 /// index — the one structure every move would otherwise share — is
 /// suspended (ParticleSystem::suspendIndex) and restored on exit.
+///
+/// **Rejection-free epochs.**  For a compression-like model — uniform
+/// weight, no aux move — with uniform selection, an epoch runs through
+/// core::RejectionFreeIndex instead when the previous epoch accepted fewer
+/// than L / kRejectionFreeAcceptDivisor moves.  That kernel samples
+/// exactly the block-path epoch's law (rejection_free.hpp), so choosing
+/// between the two by the past — even by the state — leaves every epoch's
+/// law, and π, unchanged; the rule reads only seed-determined counts, so
+/// trajectories stay identical at every thread count and across resume.
+/// Other models and weighted selection run every epoch on the block path.
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -42,6 +53,7 @@
 #include "core/biased_chain_engine.hpp"
 #include "core/block_executor.hpp"
 #include "core/cancel.hpp"
+#include "core/rejection_free.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 
@@ -51,6 +63,14 @@ namespace sops::core {
 /// and rates (particle-selection weights; empty is the paper's uniform
 /// chain) — see BlockExecutorOptions.
 using ShardedChainOptions = BlockExecutorOptions;
+
+/// The routing constant: an epoch runs rejection-free when the previous
+/// one accepted fewer than L / kRejectionFreeAcceptDivisor moves.  Taken
+/// from one runner-level crossover table (DESIGN.md §Rejection-free
+/// epochs: a 10⁵ spiral at 2 and 4 threads); no benchmark workload runs
+/// the block side of the route, so other n and thread counts are
+/// unmeasured.
+inline constexpr std::uint64_t kRejectionFreeAcceptDivisor = 256;
 
 template <typename Model>
   requires ChainWeightModel<Model>
@@ -72,6 +92,29 @@ class ShardedChainRunner {
     if constexpr (kMaintainsIds) partnerIds_.sync(system_);
     tallies_.edges = system::countEdges(system_);
     decisions_ = buildDecisionTable(chainOptions);
+    rejectionFreeCapable_ = kRejectionFreeCapable && options.rates.empty();
+    rejectionFree_ = rejectionFreeCapable_;
+  }
+
+  /// Runs every epoch on the block path.  Test-only: it pins the block
+  /// path's trajectory (golden hashes, list-order oracles); the law is the
+  /// same either way.
+  void forceBlockPathForTest() noexcept {
+    rejectionFree_ = false;
+    forceRejectionFree_ = false;
+  }
+
+  /// Routes every epoch through the rejection-free kernel, from the first,
+  /// and with `verifyEachMove` compares its index against a from-scratch
+  /// rebuild after every accepted move (throwing on a mismatch).
+  /// Test-only: it changes the trajectory, not the law.
+  void forceRejectionFreeForTest(bool verifyEachMove = false) {
+    SOPS_REQUIRE(rejectionFreeCapable_,
+                 "rejection-free epochs need a uniform-weight model without "
+                 "aux moves and uniform selection");
+    rejectionFree_ = true;
+    forceRejectionFree_ = true;
+    verifyEachMove_ = verifyEachMove;
   }
 
   /// Installs a cooperative cancel token polled between epochs: once it
@@ -91,12 +134,19 @@ class ShardedChainRunner {
     Kernel kernel(*this);
     std::uint64_t executed = 0;
     while (executed < minEvents && !isCancelled(cancel_)) {
-      if (system_.grid().enabled()) {
-        model_.attach(system_);
-        if constexpr (kMaintainsIds) partnerIds_.sync(system_);
-        system_.suspendIndex();
+      const std::uint64_t acceptedBefore = tallies_.stats.movement.accepted;
+      if (routeRejectionFree()) {
+        runRejectionFreeEpoch();
+      } else {
+        if (system_.grid().enabled()) {
+          model_.attach(system_);
+          if constexpr (kMaintainsIds) partnerIds_.sync(system_);
+          system_.suspendIndex();
+        }
+        executor_.runEpoch(kernel, tallies_);
+        indexCurrent_ = false;
       }
-      executor_.runEpoch(kernel, tallies_);
+      lastEpochAccepted_ = tallies_.stats.movement.accepted - acceptedBefore;
       executed += executor_.epochLength();
     }
     return executed;
@@ -127,6 +177,12 @@ class ShardedChainRunner {
     return executor_.boundaryRejects();
   }
 
+  /// Epochs run by the rejection-free kernel since construction — a pure
+  /// function of the seed, like epochs().
+  [[nodiscard]] std::uint64_t rejectionFreeEpochs() const noexcept {
+    return rejectionFreeEpochs_;
+  }
+
   /// Blocks holding at least one proposal in the last block-path epoch.
   [[nodiscard]] std::size_t lastEpochBlocks() const noexcept {
     return executor_.lastEpochBlocks();
@@ -142,10 +198,12 @@ class ShardedChainRunner {
     return 3 * static_cast<std::int64_t>(system_.size()) - tallies_.edges - 3;
   }
 
-  /// Serializes the runner's evolving state (snapshot v4): system, model
-  /// aux state, tallies, e(σ), the epoch index and the boundary-reject
-  /// count.  Everything else — L, the alias table, the decision table, the
-  /// planes — comes from the spec.  Only legal between runAtLeast calls.
+  /// Serializes the runner's evolving state (snapshot v6): system, model
+  /// aux state, tallies, e(σ), the epoch index, the boundary-reject count,
+  /// and the routing state — the last epoch's accepted count and the
+  /// rejection-free epoch count.  Everything else — L, the alias table,
+  /// the decision table, the planes, the rejection-free index — comes from
+  /// the spec or the configuration.  Only legal between runAtLeast calls.
   void saveState(system::SnapshotWriter& w) const {
     SOPS_REQUIRE(!system_.indexSuspended(),
                  "saveState: only legal between runs (index suspended)");
@@ -155,12 +213,16 @@ class ShardedChainRunner {
     w.i64(tallies_.edges);
     w.u64(executor_.epochs());
     w.u64(executor_.boundaryRejects());
+    w.u64(lastEpochAccepted_);
+    w.u64(rejectionFreeEpochs_);
   }
 
   /// Inverse of saveState on a runner constructed from the same spec; the
   /// restored runner continues the snapshotted trajectory exactly, at any
   /// thread count.  Payloads older than v4 were written by the
-  /// Poisson-clock runner, whose trajectory this runner cannot continue.
+  /// Poisson-clock runner, whose trajectory this runner cannot continue;
+  /// v4/v5 payloads predate the routing state and resume with the first
+  /// epoch on the block path.
   void restoreState(system::SnapshotReader& r) {
     SOPS_REQUIRE(r.version() >= 4,
                  "snapshot: sharded chain payload is version " +
@@ -175,6 +237,13 @@ class ShardedChainRunner {
     tallies_.edges = r.i64();
     const std::uint64_t epochs = r.u64();
     executor_.restore(epochs, r.u64());
+    lastEpochAccepted_ = kNoEpoch;
+    rejectionFreeEpochs_ = 0;
+    if (r.version() >= 6) {
+      lastEpochAccepted_ = r.u64();
+      rejectionFreeEpochs_ = r.u64();
+    }
+    indexCurrent_ = false;
     SOPS_REQUIRE(system_.size() == particles,
                  "snapshot: particle count does not match the runner's spec");
     model_.attach(system_);
@@ -191,6 +260,48 @@ class ShardedChainRunner {
 
  private:
   static constexpr bool kMaintainsIds = ModelNeedsPartnerIds<Model>::value;
+  /// Models whose acceptance depends on δ alone, with movement moves only.
+  static constexpr bool kRejectionFreeCapable =
+      Model::kUniformWeight && !Model::kHasAuxMove && !kMaintainsIds;
+  /// lastEpochAccepted_ before any epoch: routes the first to the block
+  /// path.
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
+  /// The routing rule: a function of the previous epoch's accepted count
+  /// and L only, both seed-determined.
+  [[nodiscard]] bool routeRejectionFree() const noexcept {
+    if (!rejectionFree_) return false;
+    if (forceRejectionFree_) return true;
+    return lastEpochAccepted_ != kNoEpoch &&
+           lastEpochAccepted_ * kRejectionFreeAcceptDivisor <
+               executor_.epochLength();
+  }
+
+  /// One epoch through the rejection-free kernel.  Its index is built at
+  /// the first such epoch and rebuilt after any block-path epoch; it needs
+  /// the cell → id index live.
+  void runRejectionFreeEpoch() {
+    if constexpr (kRejectionFreeCapable) {
+      system_.restoreIndex();
+      if (!index_) {
+        index_ = std::make_unique<RejectionFreeIndex>(
+            decisions_, greedy_, ModelInteractionRadius<Model>::value - 1);
+      }
+      if (!indexCurrent_) {
+        index_->rebuild(system_);
+        indexCurrent_ = true;
+      }
+      const std::uint64_t boundaryRejects = index_->runEpoch(
+          system_, executor_.nextEpoch(), executor_.epochLength(),
+          tallies_.stats, tallies_.edges,
+          [this](std::size_t particle, TriPoint from, TriPoint to) {
+            model_.onMoved(system_, particle, from, to);
+          },
+          verifyEachMove_);
+      executor_.completeEpoch(boundaryRejects);
+      ++rejectionFreeEpochs_;
+    }
+  }
 
   /// RAII index restoration for one run (suspension itself is per-epoch):
   /// restore must happen even when an epoch throws, and is idempotent.
@@ -292,6 +403,17 @@ class ShardedChainRunner {
   std::array<MoveDecision, 256> decisions_{};
   BlockExecutor<Kernel> executor_;
   const CancelToken* cancel_ = nullptr;
+
+  bool rejectionFreeCapable_ = false;  ///< model and selection qualify
+  bool rejectionFree_ = false;         ///< routing on (off only in tests)
+  bool forceRejectionFree_ = false;
+  bool verifyEachMove_ = false;
+  std::uint64_t lastEpochAccepted_ = kNoEpoch;
+  std::uint64_t rejectionFreeEpochs_ = 0;
+  /// Built at the first rejection-free epoch; current while only
+  /// rejection-free epochs have run since its last rebuild.
+  std::unique_ptr<RejectionFreeIndex> index_;
+  bool indexCurrent_ = false;
 };
 
 }  // namespace sops::core

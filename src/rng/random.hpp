@@ -65,6 +65,143 @@ template <typename Engine>
   return static_cast<std::uint32_t>(m >> 32);
 }
 
+/// Geometric: the number of failures before the first success of
+/// independent trials with success probability p ∈ (0, 1].  Inversion,
+/// P(G ≥ k) = P(U ≤ (1 − p)^k) = (1 − p)^k for U uniform on (0, 1], with
+/// log1p keeping tiny p exact to rounding.  One draw; saturates at
+/// UINT64_MAX where the count no longer fits.
+template <typename Engine>
+[[nodiscard]] std::uint64_t drawGeometric(Engine& engine, double p) noexcept {
+  SOPS_DASSERT(p > 0.0 && p <= 1.0);
+  if (p >= 1.0) return 0;
+  const double g =
+      std::floor(std::log(drawUniformPositive(engine)) / std::log1p(-p));
+  // 2^64 as a double: the largest g that still converts is just below it.
+  return g < 0x1.0p64 ? static_cast<std::uint64_t>(g)
+                      : ~std::uint64_t{0};
+}
+
+namespace detail {
+
+/// Stirling-series remainder fc(k) = log k! − [(k + ½)·log(k + 1) − (k + 1)
+/// + ½·log 2π] of the BTRD acceptance test: tabulated below 10, the
+/// asymptotic series above.
+[[nodiscard]] inline double stirlingCorrection(std::uint64_t k) noexcept {
+  static constexpr double kTable[10] = {
+      0.08106146679532726,  0.04134069595540929,  0.02767792568499834,
+      0.02079067210376509,  0.01664469118982119,  0.01387612882307075,
+      0.01189670994589177,  0.01041126526197209,  0.009255462182712733,
+      0.008330563433362871};
+  if (k < 10) return kTable[k];
+  const double inv = 1.0 / (static_cast<double>(k) + 1.0);
+  const double inv2 = inv * inv;
+  return (1.0 / 12 - (1.0 / 360 - inv2 / 1260) * inv2) * inv;
+}
+
+/// BTRD (Hörmann, "The generation of binomial random variates", J. Stat.
+/// Comput. Simul. 46, 1993): transformed rejection with a decomposition,
+/// exact, O(1) expected draws.  Preconditions: p ≤ ½ and (n + 1)·p ≥ 11.
+template <typename Engine>
+[[nodiscard]] std::uint64_t drawBinomialBtrd(Engine& engine, std::uint64_t n,
+                                             double p) noexcept {
+  const double nd = static_cast<double>(n);
+  const auto m = static_cast<std::int64_t>((nd + 1.0) * p);
+  const double r = p / (1.0 - p);
+  const double nr = (nd + 1.0) * r;
+  const double npq = nd * p * (1.0 - p);
+  const double sqrtNpq = std::sqrt(npq);
+  const double b = 1.15 + 2.53 * sqrtNpq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double alpha = (2.83 + 5.1 / b) * sqrtNpq;
+  const double vr = 0.92 - 4.2 / b;
+  const double urvr = 0.86 * vr;
+  const auto nn = static_cast<std::int64_t>(n);
+  while (true) {
+    double v = drawUniform(engine);
+    double u;
+    if (v <= urvr) {
+      u = v / vr - 0.43;
+      return static_cast<std::uint64_t>(
+          std::floor((2.0 * a / (0.5 - std::fabs(u)) + b) * u + c));
+    }
+    if (v >= vr) {
+      u = drawUniform(engine) - 0.5;
+    } else {
+      u = v / vr - 0.93;
+      u = (u < 0.0 ? -0.5 : 0.5) - u;
+      v = drawUniform(engine) * vr;
+    }
+    const double us = 0.5 - std::fabs(u);
+    const double kd = std::floor((2.0 * a / us + b) * u + c);
+    if (kd < 0.0 || kd > nd) continue;
+    const auto k = static_cast<std::int64_t>(kd);
+    v = v * alpha / (a / (us * us) + b);
+    const auto km = static_cast<double>(k > m ? k - m : m - k);
+    if (km <= 15.0) {
+      // Recursive evaluation of f(k)/f(m).
+      double f = 1.0;
+      if (m < k) {
+        for (std::int64_t i = m + 1; i <= k; ++i) {
+          f *= nr / static_cast<double>(i) - r;
+        }
+      } else if (m > k) {
+        for (std::int64_t i = k + 1; i <= m; ++i) {
+          v *= nr / static_cast<double>(i) - r;
+        }
+      }
+      if (v <= f) return static_cast<std::uint64_t>(k);
+      continue;
+    }
+    // Squeeze, then the exact test through Stirling's series.
+    v = std::log(v);
+    const double rho =
+        (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5);
+    const double t = -km * km / (2.0 * npq);
+    if (v < t - rho) return static_cast<std::uint64_t>(k);
+    if (v > t + rho) continue;
+    const auto nm = static_cast<double>(nn - m + 1);
+    const double h = (static_cast<double>(m) + 0.5) *
+                         std::log((static_cast<double>(m) + 1.0) / (r * nm)) +
+                     stirlingCorrection(static_cast<std::uint64_t>(m)) +
+                     stirlingCorrection(static_cast<std::uint64_t>(nn - m));
+    const auto nk = static_cast<double>(nn - k + 1);
+    if (v <= h + (nd + 1.0) * std::log(nm / nk) +
+                 (static_cast<double>(k) + 0.5) *
+                     std::log(nk * r / (static_cast<double>(k) + 1.0)) -
+                 stirlingCorrection(static_cast<std::uint64_t>(k)) -
+                 stirlingCorrection(static_cast<std::uint64_t>(nn - k))) {
+      return static_cast<std::uint64_t>(k);
+    }
+  }
+}
+
+}  // namespace detail
+
+/// Binomial(n, p): the number of successes in n independent trials.
+/// Exact for every n < 2^63 and p: p > ½ draws the failures instead; a
+/// small mean ((n + 1)·p < 11) sums geometric gaps between successes
+/// (about n·p + 1 draws); otherwise BTRD (a few draws).
+template <typename Engine>
+[[nodiscard]] std::uint64_t drawBinomial(Engine& engine, std::uint64_t n,
+                                         double p) noexcept {
+  SOPS_DASSERT(n < (std::uint64_t{1} << 63));
+  if (n == 0 || !(p > 0.0)) return 0;
+  if (p >= 1.0) return n;
+  if (p > 0.5) return n - drawBinomial(engine, n, 1.0 - p);
+  if ((static_cast<double>(n) + 1.0) * p < 11.0) {
+    std::uint64_t successes = 0;
+    std::uint64_t position = drawGeometric(engine, p);
+    while (position < n) {
+      ++successes;
+      const std::uint64_t gap = drawGeometric(engine, p);
+      position = gap < n ? position + 1 + gap : n;
+    }
+    return successes;
+  }
+  return detail::drawBinomialBtrd(engine, n, p);
+}
+
 class Random {
  public:
   explicit Random(std::uint64_t seed = 0x5eed5eed5eed5eedULL) noexcept
@@ -169,6 +306,16 @@ class CounterStream {
   }
   double uniform() noexcept { return drawUniform(*this); }
   bool bernoulli(double p) noexcept { return uniform() < p; }
+  /// See drawGeometric: failures before the first success, one draw.
+  std::uint64_t geometric(double p) noexcept {
+    return drawGeometric(*this, p);
+  }
+  /// See drawBinomial.  A few draws on average; the rejection loops stay
+  /// far inside one stream's 256-output window except with negligible
+  /// probability.
+  std::uint64_t binomial(std::uint64_t n, double p) noexcept {
+    return drawBinomial(*this, n, p);
+  }
 
  private:
   static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;

@@ -135,6 +135,9 @@ void JsonlSink::onReplicaEnd(const ReplicaSummary& summary) {
   if (!summary.regime.empty()) {
     out_ << ",\"regime\":" << jsonEscaped(summary.regime);
   }
+  if (summary.rejectionFreeEpochs) {
+    out_ << ",\"rejection_free_epochs\":" << *summary.rejectionFreeEpochs;
+  }
   for (std::size_t i = 0; i < summary.finalMetrics.size(); ++i) {
     out_ << ',' << jsonEscaped(metricNames_[i]) << ':'
          << jsonNumber(summary.finalMetrics[i]);

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,6 +59,9 @@ struct ReplicaSummary {
   /// "dense-tiled", "sparse"), or "" when the scenario does not report
   /// one (ScenarioRun::regime).
   std::string regime;
+  /// Epochs run rejection-free (ScenarioRun::rejectionFreeEpochs), when
+  /// the replica ran on the sharded chain runner.
+  std::optional<std::uint64_t> rejectionFreeEpochs;
   /// The replica's final configuration; valid only for the duration of the
   /// onReplicaEnd call (copy it to keep it).
   const system::ParticleSystem* finalSystem = nullptr;

@@ -174,6 +174,7 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   summary.seed = seed;
   summary.steps = run->stepsDone();
   summary.regime = run->regime();
+  summary.rejectionFreeEpochs = run->rejectionFreeEpochs();
   warnIfSparseRegime(spec, replica, summary.regime);
   run->sampleMetrics(summary.finalMetrics);
   summary.wallSeconds =

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ class ScenarioRun {
   /// this into ReplicaSummary::regime and warns on stderr the first
   /// time a run degrades to "sparse".
   [[nodiscard]] virtual std::string regime() const { return {}; }
+
+  /// Epochs the sharded chain runner ran through its rejection-free kernel
+  /// (a seed-only count, identical at every thread count and across
+  /// resume), or nullopt for runs without that runner.
+  [[nodiscard]] virtual std::optional<std::uint64_t> rejectionFreeEpochs()
+      const {
+    return std::nullopt;
+  }
 
   /// Installs a cooperative cancel token: once it trips, advance() returns
   /// early — possibly having made no progress — with the run in a

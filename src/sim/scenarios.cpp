@@ -18,8 +18,13 @@
 /// the seed (identical for every thread count > 1, but *not* draw-for-draw
 /// the sequential engine's: proposals come from counter-based lists and
 /// block-boundary proposals are rejected; π is the same, checked exactly
-/// in tests/sharded_chain_test.cpp).  The amoebot scenario, whose runner
-/// is sharded either way, spends the whole budget (0 = all cores).
+/// in tests/sharded_chain_test.cpp).  For compression with uniform
+/// selection the runner routes an epoch after one that accepted fewer
+/// than L/256 moves — the compressed regime — through its rejection-free
+/// kernel on the calling thread, which samples the block epoch's exact
+/// law; the replica record's rejection_free_epochs counts them.  The
+/// amoebot scenario, whose runner is sharded either way, spends the whole
+/// budget (0 = all cores).
 ///
 /// Adding a workload = one weight model (core/scenario_models.hpp style)
 /// plus one Scenario subclass here (or anywhere, via ScenarioRegistrar).
@@ -227,6 +232,10 @@ class ShardedRun : public ScenarioRun {
   }
   [[nodiscard]] std::string regime() const override {
     return runner_.system().regimeName();
+  }
+  [[nodiscard]] std::optional<std::uint64_t> rejectionFreeEpochs()
+      const override {
+    return runner_.rejectionFreeEpochs();
   }
   void setCancelToken(const core::CancelToken* cancel) override {
     runner_.setCancelToken(cancel);

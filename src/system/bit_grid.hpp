@@ -318,6 +318,19 @@ class BitGrid {
     return (word >> (dx & 63)) & 1u;
   }
 
+  /// The occupancy of the 64 cells (x + j, y), j = 0..63, as one word (bit
+  /// j); cells outside the allocated storage read 0.  At most two word
+  /// loads and a funnel shift — the word-parallel form of test() for scans
+  /// along a row.
+  [[nodiscard]] std::uint64_t rowBits(std::int64_t x,
+                                      std::int64_t y) const noexcept {
+    const std::int64_t rel = tiled_ ? x : x - originX_;
+    const std::int64_t k = rel >> 6;  // floor: rel may be negative
+    const int shift = static_cast<int>(rel & 63);
+    const std::uint64_t lo = alignedRowWord(k, y) >> shift;
+    return shift == 0 ? lo : lo | (alignedRowWord(k + 1, y) << (64 - shift));
+  }
+
   /// Sets the bit for p.  Flat precondition: covers(p).  Tiled: allocates
   /// p's tile on demand (so may throw on the tile cap — never reachable
   /// from a sharded parallel phase, which writes only inside tiles
@@ -547,6 +560,29 @@ class BitGrid {
         static_cast<std::int64_t>(p.y) & (kTileHeight - 1);
     return static_cast<std::uint64_t>(slot) * kTileBits +
            static_cast<std::uint64_t>(inY * kTileWidth + inX);
+  }
+
+  /// Word k of row y: cells [64k, 64k + 64) relative to the window origin
+  /// (flat) or in absolute columns (tiled); 0 outside the storage.
+  [[nodiscard]] std::uint64_t alignedRowWord(std::int64_t k,
+                                             std::int64_t y) const noexcept {
+    if (tiled_) {
+      const std::int64_t x = k * 64;
+      const std::uint32_t* slot =
+          tiles_.find(tileKey(x >> kTileShiftX, y >> kTileShiftY));
+      if (slot == nullptr) return 0;
+      return words_[static_cast<std::size_t>(*slot) * kTileWords +
+                    static_cast<std::size_t>(y & (kTileHeight - 1)) *
+                        kTileRowWords +
+                    static_cast<std::size_t>((x & (kTileWidth - 1)) >> 6)];
+    }
+    const std::int64_t row = y - originY_;
+    if (row < 0 || row >= static_cast<std::int64_t>(height_) || k < 0 ||
+        k >= static_cast<std::int64_t>(strideWords_)) {
+      return 0;
+    }
+    return words_[static_cast<std::size_t>(row) * strideWords_ +
+                  static_cast<std::size_t>(k)];
   }
 
   [[nodiscard]] std::uint8_t gatherRing(std::uint64_t base,

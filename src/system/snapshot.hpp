@@ -7,7 +7,7 @@
 /// A snapshot file is a framed payload:
 ///
 ///   bytes 0..7    magic "SOPSSNAP"
-///   bytes 8..11   format version (u32 little-endian, currently 5)
+///   bytes 8..11   format version (u32 little-endian, currently 6)
 ///   bytes 12..19  payload length in bytes (u64 LE)
 ///   bytes 20..27  FNV-1a-64 checksum of the payload (u64 LE)
 ///   bytes 28..    payload
@@ -44,22 +44,26 @@ namespace sops::system {
 [[nodiscard]] std::uint64_t snapshotChecksum(
     std::span<const std::uint8_t> bytes) noexcept;
 
-/// Current frame format version.  v5: the sharded amoebot runner's payload
-/// is the block executor's — epoch length, epoch index and boundary-skip
-/// count; its restore rejects older payloads, which the Poisson-clock
-/// runner wrote (clock and coin streams per particle, adaptive epoch
-/// target); chain payloads did not change.  v4: the sharded chain runner's
-/// payload is the block executor's — system, model, tallies, e(σ), epoch
-/// index and boundary-reject count; its restore rejects older payloads,
-/// which the Poisson-clock runner wrote (per-particle clock and coin
-/// streams, epoch target, id-plane directory).  v3: occupancy serializes a
+/// Current frame format version.  v6: the sharded chain runner's payload
+/// ends with its epoch-routing state — the last epoch's accepted count and
+/// the rejection-free epoch count; v4/v5 chain payloads still restore
+/// (routing starts over on the block path).  v5: the sharded amoebot
+/// runner's payload is the block executor's — epoch length, epoch index
+/// and boundary-skip count; its restore rejects older payloads, which the
+/// Poisson-clock runner wrote (clock and coin streams per particle,
+/// adaptive epoch target); chain payloads did not change.  v4: the sharded
+/// chain runner's payload is the block executor's — system, model,
+/// tallies, e(σ), epoch index and boundary-reject count; its restore
+/// rejects older payloads, which the Poisson-clock runner wrote
+/// (per-particle clock and coin streams, epoch target, id-plane
+/// directory).  v3: occupancy serializes a
 /// backend tag
 /// (sparse / flat window / tiled directory, with the tiled grid's exact
 /// allocated-tile set).  v2 payloads (flat or sparse only) are still
 /// accepted by every other reader: their occupancy byte layout is a strict
 /// subset of v3's.  v1 payloads stored full (seed, state) Random pairs, so
 /// they must fail loudly rather than be misread.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Oldest frame version readSnapshotFile still accepts.
 inline constexpr std::uint32_t kMinSnapshotVersion = 2;

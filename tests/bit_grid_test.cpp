@@ -43,6 +43,39 @@ TEST(BitGrid, OutOfWindowCellsReadUnoccupied) {
   EXPECT_FALSE(grid.test({INT32_MIN, INT32_MAX}));
 }
 
+TEST(BitGrid, RowBitsMatchesPerCellTest) {
+  // Random points straddling tile seams and the window edge: every
+  // 64-cell row word, at aligned and unaligned starts, inside and past
+  // the storage, must equal 64 single-cell tests — flat and tiled.
+  rng::Random rng(91);
+  std::vector<TriPoint> points;
+  for (int i = 0; i < 3000; ++i) {
+    points.push_back({static_cast<std::int32_t>(rng.between(-1100, 300)),
+                      static_cast<std::int32_t>(rng.between(-300, 40))});
+  }
+  for (const bool tiled : {false, true}) {
+    BitGrid grid;
+    if (tiled) {
+      grid.rebuildTiled(points, 2);
+    } else {
+      ASSERT_TRUE(grid.rebuild(points, 2));
+    }
+    for (int probe = 0; probe < 4000; ++probe) {
+      const std::int64_t x = rng.between(-1300, 500);
+      const std::int64_t y = rng.between(-400, 120);
+      std::uint64_t expected = 0;
+      for (int j = 0; j < 64; ++j) {
+        if (grid.test({static_cast<std::int32_t>(x + j),
+                       static_cast<std::int32_t>(y)})) {
+          expected |= std::uint64_t{1} << j;
+        }
+      }
+      ASSERT_EQ(grid.rowBits(x, y), expected)
+          << (tiled ? "tiled" : "flat") << " at (" << x << ", " << y << ")";
+    }
+  }
+}
+
 TEST(BitGrid, RebuildCapPromotesToTiled) {
   BitGrid grid;
   // Bounding box ~2^30 × 2^30 cells: far over kMaxWords for a flat

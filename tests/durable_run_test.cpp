@@ -25,7 +25,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -232,6 +234,7 @@ struct FinalState {
   std::string arrangement;
   std::uint64_t steps = 0;
   bool cancelled = false;
+  std::optional<std::uint64_t> rejectionFreeEpochs;
 };
 
 /// Captures the final configuration (the part RunReport doesn't keep).
@@ -255,6 +258,7 @@ class FinalArrangementCapture : public sim::Observer {
   out.arrangement = capture.arrangement;
   out.steps = report.replicas.at(0).steps;
   out.cancelled = report.cancelled;
+  out.rejectionFreeEpochs = report.replicas.at(0).rejectionFreeEpochs;
   return out;
 }
 
@@ -273,20 +277,22 @@ class FinalArrangementCapture : public sim::Observer {
 
 /// The golden contract: run uninterrupted; run the same spec "killed"
 /// after two checkpoints with a snapshot-file; resume in a fresh run.
-/// Final arrangement, metrics, and exact step count must all agree.
-void expectKillResumeIdentical(const sim::RunSpec& base,
-                               const std::string& tag,
-                               unsigned resumeThreads) {
+/// Final arrangement, metrics, exact step count and rejection-free epoch
+/// count must all agree.  Returns the killed run's and the resumed run's
+/// final states.
+std::pair<FinalState, FinalState> expectKillResumeIdentical(
+    const sim::RunSpec& base, const std::string& tag,
+    unsigned resumeThreads) {
   const FinalState uninterrupted = runToEnd(base);
-  ASSERT_GT(uninterrupted.steps, 0u);
+  EXPECT_GT(uninterrupted.steps, 0u);
 
   const std::string snap = tempPath(tag + ".snap");
   sim::RunSpec partial = base;
   partial.steps = base.checkpointEvery * 2;  // die after two checkpoints
   partial.snapshotPath = snap;
   const FinalState atKill = runToEnd(partial);
-  ASSERT_GE(atKill.steps, partial.steps);
-  ASSERT_LT(atKill.steps, base.steps);
+  EXPECT_GE(atKill.steps, partial.steps);
+  EXPECT_LT(atKill.steps, base.steps);
 
   sim::RunSpec resumed = base;
   resumed.resumePath = snap;
@@ -296,6 +302,8 @@ void expectKillResumeIdentical(const sim::RunSpec& base,
   EXPECT_EQ(r.steps, uninterrupted.steps) << tag;
   EXPECT_EQ(r.arrangement, uninterrupted.arrangement) << tag;
   EXPECT_EQ(r.metrics, uninterrupted.metrics) << tag;
+  EXPECT_EQ(r.rejectionFreeEpochs, uninterrupted.rejectionFreeEpochs) << tag;
+  return {atKill, r};
 }
 
 TEST(DurableRunGolden, CompressionSequentialKillResume) {
@@ -313,6 +321,22 @@ TEST(DurableRunGolden, CompressionShardedResumeAtDifferentThreadCount) {
   // thread count > 1 — so is a resumed tail started at a different count.
   const sim::RunSpec spec = baseSpec("compression", 2);
   expectKillResumeIdentical(spec, "comp_sharded_hw", 4);
+}
+
+TEST(DurableRunGolden, CompressionRejectionFreeResumeAtDifferentThreadCount) {
+  // An 8000-particle spiral at λ = 4 accepts about half of L/256 moves
+  // per epoch, so every epoch after the first runs rejection-free: the
+  // kill lands between rejection-free epochs, and the tail resumes at
+  // four threads instead of two.
+  sim::RunSpec spec = baseSpec("compression", 2);
+  spec.shape = "spiral";
+  spec.n = 8000;
+  spec.steps = 20 * 16000;  // L = 2n = 16000 proposals per epoch
+  spec.checkpointEvery = 4 * 16000;
+  const auto [atKill, resumed] =
+      expectKillResumeIdentical(spec, "comp_rejection_free", 4);
+  EXPECT_EQ(atKill.rejectionFreeEpochs, std::optional<std::uint64_t>(7));
+  EXPECT_EQ(resumed.rejectionFreeEpochs, std::optional<std::uint64_t>(19));
 }
 
 TEST(DurableRunGolden, SeparationSequentialKillResume) {

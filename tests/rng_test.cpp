@@ -1,11 +1,13 @@
 // Tests for the deterministic RNG substrate (S2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "analysis/stats.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/random.hpp"
 #include "rng/xoshiro.hpp"
@@ -190,6 +192,100 @@ TEST(CounterStream, BelowIsApproximatelyUniformAcrossStreams) {
   const double p = 1.0 / kBuckets;
   const double sd = std::sqrt(kDraws * p * (1.0 - p));
   for (const int c : counts) EXPECT_NEAR(c, kDraws / kBuckets, 5.0 * sd);
+}
+
+// Geometric and binomial samplers: Pearson chi-square of one draw per
+// counter stream (the rejection-free epoch's use) against the exact pmf,
+// cells below 5 expected pooled; p > 0.001 at fixed seeds.
+
+constexpr int kPmfDraws = 200000;
+constexpr double kPmfAcceptP = 0.001;
+
+TEST(CounterStream, GeometricMatchesPmf) {
+  for (const double p : {0.5, 0.05, 1e-3, 1e-9}) {
+    // Cells [e_j, e_{j+1}) at the law's 64-quantiles, the last open.
+    const double logq = std::log1p(-p);
+    std::vector<std::uint64_t> edges;
+    for (int j = 0; j < 64; ++j) {
+      const auto e = static_cast<std::uint64_t>(
+          std::floor(std::log1p(-j / 64.0) / logq));
+      if (edges.empty() || e > edges.back()) edges.push_back(e);
+    }
+    const auto survival = [&](std::uint64_t k) {
+      return std::exp(static_cast<double>(k) * logq);
+    };
+    std::vector<double> expected;
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      expected.push_back(j + 1 < edges.size()
+                             ? survival(edges[j]) - survival(edges[j + 1])
+                             : survival(edges[j]));
+    }
+    std::vector<double> counts(edges.size(), 0.0);
+    for (int k = 0; k < kPmfDraws; ++k) {
+      const std::uint64_t g =
+          CounterStream(0x6e6f, static_cast<std::uint64_t>(k)).geometric(p);
+      std::size_t cell = edges.size() - 1;
+      while (g < edges[cell]) --cell;
+      counts[cell] += 1.0;
+    }
+    const analysis::ChiSquareResult gof =
+        analysis::chiSquareGoodnessOfFit(counts, expected);
+    EXPECT_GT(gof.pValue, kPmfAcceptP)
+        << "p = " << p << ", chi2 = " << gof.statistic << ", dof = " << gof.dof;
+  }
+  EXPECT_EQ(CounterStream(1, 2).geometric(1.0), 0u);
+}
+
+TEST(CounterStream, BinomialMatchesPmf) {
+  struct Case {
+    std::uint64_t n;
+    double p;
+  };
+  // Small means (geometric gaps), BTRD from moderate to large n, p > 1/2
+  // (complement), and tiny p over huge trial counts.
+  const Case cases[] = {{30, 0.2},          {50, 0.97},
+                        {1000, 0.3},        {200, 0.93},
+                        {200000, 0.04},     {1000000000, 3e-9},
+                        {1ULL << 40, 1e-11}, {1ULL << 40, 1e-8}};
+  for (const Case c : cases) {
+    const double n = static_cast<double>(c.n);
+    const double mean = n * c.p;
+    const double sd = std::sqrt(mean * (1.0 - c.p));
+    const auto lo = static_cast<std::uint64_t>(std::max(0.0, mean - 8 * sd));
+    const auto hi =
+        static_cast<std::uint64_t>(std::min(n, std::ceil(mean + 8 * sd)));
+    // log pmf by the ratio recursion from k = 0 (exact to rounding even
+    // where lgamma(n + 1) would cancel catastrophically).
+    const double logRatio = std::log(c.p) - std::log1p(-c.p);
+    double logPmf = n * std::log1p(-c.p);
+    std::vector<double> expected;
+    for (std::uint64_t k = 0; k <= hi; ++k) {
+      if (k >= lo) expected.push_back(std::exp(logPmf));
+      logPmf += std::log((n - static_cast<double>(k)) /
+                         (static_cast<double>(k) + 1.0)) +
+                logRatio;
+    }
+    double inside = 0.0;
+    for (const double e : expected) inside += e;
+    expected.push_back(std::max(0.0, 1.0 - inside));  // both tails
+    std::vector<double> counts(expected.size(), 0.0);
+    for (int k = 0; k < kPmfDraws; ++k) {
+      const std::uint64_t x =
+          CounterStream(0x62696e, static_cast<std::uint64_t>(k))
+              .binomial(c.n, c.p);
+      ASSERT_LE(x, c.n);
+      counts[x >= lo && x <= hi ? x - lo : expected.size() - 1] += 1.0;
+    }
+    const analysis::ChiSquareResult gof =
+        analysis::chiSquareGoodnessOfFit(counts, expected);
+    EXPECT_GT(gof.pValue, kPmfAcceptP)
+        << "n = " << c.n << ", p = " << c.p << ", chi2 = " << gof.statistic
+        << ", dof = " << gof.dof;
+  }
+  CounterStream s(3, 4);
+  EXPECT_EQ(s.binomial(0, 0.5), 0u);
+  EXPECT_EQ(s.binomial(17, 0.0), 0u);
+  EXPECT_EQ(s.binomial(17, 1.0), 17u);
 }
 
 TEST(AliasTable, SamplesInProportionToWeights) {

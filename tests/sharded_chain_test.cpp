@@ -342,8 +342,10 @@ TEST(ShardedChain, BlockPathMatchesListOrderOracleOnLargeSpiral) {
         ShardedChainOptions sharded;
         sharded.threads = threads;
         sharded.targetEventsPerEpoch = 60000;
-        return ShardedChainRunner<CompressionModel>(
+        ShardedChainRunner<CompressionModel> runner(
             spiral, CompressionModel(options), 9101, sharded);
+        runner.forceBlockPathForTest();
+        return runner;
       },
       120000, 8);
   EXPECT_GT(oracle.sweepEvents, 0u);
@@ -395,9 +397,11 @@ TEST(ShardedChain, StoragePrePhaseMatchesListOrderOracle) {
         ShardedChainOptions sharded;
         sharded.threads = threads;
         sharded.targetEventsPerEpoch = 4096;
-        return ShardedChainRunner<CompressionModel>(
+        ShardedChainRunner<CompressionModel> runner(
             system::lineConfiguration(20), CompressionModel(options), 9111,
             sharded);
+        runner.forceBlockPathForTest();
+        return runner;
       },
       16384, 1);
   SeparationModel::Options separation;
@@ -456,6 +460,7 @@ TEST(ShardedChain, GoldenPinsAtLargeScale) {
   ShardedChainRunner<CompressionModel> spiral(
       system::spiralConfiguration(10000), CompressionModel(compression), 1213,
       four);
+  spiral.forceBlockPathForTest();  // compression would route rejection-free
   spiral.runAtLeast(4 * 20000);
   EXPECT_EQ(spiral.epochs(), 4u);
   EXPECT_EQ(trajectoryHash(spiral), 0x2b6295b9f3b907b9ULL);

@@ -8,7 +8,10 @@ column shape with one sample row per (replica, checkpoint).
 Also the cross-thread contract of both sharded runners at the CLI: a
 20000-particle spiral at threads=2 and threads=4 must end on the same
 final CSV row, byte for byte, for the compression chain and for the
-amoebot Algorithm A.
+amoebot Algorithm A.  The compression runs route their compressed-regime
+epochs through the rejection-free kernel: the replica record's
+rejection_free_epochs must be a positive integer, equal at both thread
+counts.
 
 Also a holed start: a ring's iteration-0 sample must count its hole and
 carry it into the perimeter.
@@ -16,7 +19,8 @@ carry it into the perimeter.
 And the crash-resume smoke for durable runs: SIGKILL an spps process
 mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
-uninterrupted run of the same spec; plus SIGTERM → graceful exit 3 with
+uninterrupted run of the same spec (for sharded compression, with the
+same rejection_free_epochs count); plus SIGTERM → graceful exit 3 with
 a resumable snapshot.
 
 Usage:
@@ -170,13 +174,32 @@ def final_csv_row(path):
     return lines[-1]
 
 
-def check_crash_resume(spps, workdir, scenario, extra):
+def rejection_free_epochs(jsonl_path, what):
+    """The replica record's rejection_free_epochs, strictly parsed: present
+    and a non-negative JSON integer (not a float, not a bool)."""
+    with open(jsonl_path) as f:
+        records = [strict_json_loads(line) for line in f if line.strip()]
+    replicas = [r for r in records if r["type"] == "replica"]
+    if len(replicas) != 1:
+        fail(f"{what}: {len(replicas)} replica records, expected 1")
+    value = replicas[0].get("rejection_free_epochs")
+    if type(value) is not int or value < 0:
+        fail(f"{what}: rejection_free_epochs {value!r} is not a "
+             "non-negative integer")
+    return value
+
+
+def check_crash_resume(spps, workdir, scenario, extra, tag=None,
+                       size="n=60", routed=False):
     """SIGKILL mid-run, resume from the snapshot, compare the final CSV row
-    against an uninterrupted run of the identical spec."""
+    against an uninterrupted run of the identical spec.  With `routed`
+    (sharded compression), the rejection-free epoch count must be positive
+    and survive the crash too."""
+    tag = tag or scenario
     checkpoint = 50000
-    base = (f"scenario={scenario} n=60 checkpoint={checkpoint} seed=1603 "
+    base = (f"scenario={scenario} {size} checkpoint={checkpoint} seed=1603 "
             f"{extra}").strip()
-    snap = os.path.join(workdir, f"{scenario}_crash.snap")
+    snap = os.path.join(workdir, f"{tag}_crash.snap")
     for leftover in (snap, snap + ".prev"):
         if os.path.exists(leftover):
             os.remove(leftover)
@@ -196,51 +219,82 @@ def check_crash_resume(spps, workdir, scenario, extra):
         fail(f"{scenario}: no resumable snapshot survived the SIGKILL")
     target = steps_at_kill + 4 * checkpoint
 
-    resumed_csv = os.path.join(workdir, f"{scenario}_resumed.csv")
+    resumed_csv = os.path.join(workdir, f"{tag}_resumed.csv")
+    resumed_jsonl = os.path.join(workdir, f"{tag}_resumed.jsonl")
     result = subprocess.run(
         [spps] + f"{base} steps={target} resume={snap} "
-                 f"csv={resumed_csv}".split(),
+                 f"csv={resumed_csv} jsonl={resumed_jsonl}".split(),
         capture_output=True, text=True)
     if result.returncode != 0:
-        fail(f"{scenario}: resume exited {result.returncode}:\n"
+        fail(f"{tag}: resume exited {result.returncode}:\n"
              f"{result.stdout}\n{result.stderr}")
 
-    reference_csv = os.path.join(workdir, f"{scenario}_reference.csv")
+    reference_csv = os.path.join(workdir, f"{tag}_reference.csv")
+    reference_jsonl = os.path.join(workdir, f"{tag}_reference.jsonl")
     result = subprocess.run(
-        [spps] + f"{base} steps={target} csv={reference_csv}".split(),
+        [spps] + f"{base} steps={target} csv={reference_csv} "
+                 f"jsonl={reference_jsonl}".split(),
         capture_output=True, text=True)
     if result.returncode != 0:
-        fail(f"{scenario}: reference run exited {result.returncode}")
+        fail(f"{tag}: reference run exited {result.returncode}")
 
     resumed = final_csv_row(resumed_csv)
     reference = final_csv_row(reference_csv)
     if resumed != reference:
-        fail(f"{scenario}: resumed trajectory diverged\n"
+        fail(f"{tag}: resumed trajectory diverged\n"
              f"  resumed:   {resumed}\n  reference: {reference}")
-    print(f"ok: {scenario} SIGKILL at {steps_at_kill} steps, resumed to "
-          f"{target} — final row identical to the uninterrupted run")
+    routing = ""
+    if routed:
+        resumed_epochs = rejection_free_epochs(resumed_jsonl, f"{tag} resumed")
+        reference_epochs = rejection_free_epochs(reference_jsonl,
+                                                 f"{tag} reference")
+        if reference_epochs <= 0:
+            fail(f"{tag}: no epoch ran rejection-free")
+        if resumed_epochs != reference_epochs:
+            fail(f"{tag}: rejection_free_epochs {resumed_epochs} after "
+                 f"resume, {reference_epochs} uninterrupted")
+        routing = f", {reference_epochs} rejection-free epochs either way"
+    print(f"ok: {tag} SIGKILL at {steps_at_kill} steps, resumed to "
+          f"{target} — final row identical to the uninterrupted run"
+          f"{routing}")
 
 
-def check_cross_thread(spps, workdir, scenario):
+def check_cross_thread(spps, workdir, scenario, routed=False):
     """A sharded runner's trajectory is a pure function of the seed: the
     same spec at threads=2 and threads=4 must end on byte-identical final
-    CSV rows."""
+    CSV rows.  With `routed` (compression), the rejection-free epoch count
+    must be positive and equal at both thread counts."""
     rows = {}
+    epochs = {}
     for threads in (2, 4):
         csv_path = os.path.join(workdir, f"{scenario}_threads{threads}.csv")
+        jsonl_path = os.path.join(workdir,
+                                  f"{scenario}_threads{threads}.jsonl")
         spec = (f"scenario={scenario} shape=spiral n=20000 lambda=4 "
-                f"steps=2000000 threads={threads} csv={csv_path}")
+                f"steps=2000000 threads={threads} csv={csv_path} "
+                f"jsonl={jsonl_path}")
         result = subprocess.run([spps] + spec.split(), capture_output=True,
                                 text=True)
         if result.returncode != 0:
             fail(f"spps {spec!r} exited {result.returncode}:\n"
                  f"{result.stdout}\n{result.stderr}")
         rows[threads] = final_csv_row(csv_path)
+        if routed:
+            epochs[threads] = rejection_free_epochs(
+                jsonl_path, f"{scenario} threads={threads}")
     if rows[2] != rows[4]:
         fail(f"{scenario}: sharded runner diverged across thread counts\n"
              f"  threads=2: {rows[2]}\n  threads=4: {rows[4]}")
+    routing = ""
+    if routed:
+        if epochs[2] <= 0:
+            fail(f"{scenario}: no epoch ran rejection-free")
+        if epochs[2] != epochs[4]:
+            fail(f"{scenario}: rejection_free_epochs {epochs[2]} at "
+                 f"threads=2, {epochs[4]} at threads=4")
+        routing = f", {epochs[2]} rejection-free epochs at both"
     print(f"ok: {scenario} 20000-particle spiral, threads=2 and threads=4 "
-          "end on the same final CSV row")
+          f"end on the same final CSV row{routing}")
 
 
 def check_holed_start(spps, workdir):
@@ -333,13 +387,18 @@ def main():
     print("ok: unknown scenario/parameter specs fail loudly")
 
     check_holed_start(spps, workdir)
-    check_cross_thread(spps, workdir, "compression")
+    check_cross_thread(spps, workdir, "compression", routed=True)
     check_cross_thread(spps, workdir, "amoebot")
 
-    # Durable runs: a real SIGKILL (sequential compression, the sharded
-    # separation runner — the chain with the most derived state to rebuild
-    # on restore — and the sharded amoebot runner), then graceful SIGTERM.
+    # Durable runs: a real SIGKILL (sequential compression; sharded
+    # compression on a spiral large enough that its epochs run
+    # rejection-free; the sharded separation runner — the chain with the
+    # most derived state to rebuild on restore — and the sharded amoebot
+    # runner), then graceful SIGTERM.
     check_crash_resume(spps, workdir, "compression", "lambda=4.0")
+    check_crash_resume(spps, workdir, "compression", "lambda=4.0 threads=2",
+                       tag="compression_sharded",
+                       size="shape=spiral n=20000", routed=True)
     check_crash_resume(spps, workdir, "separation", "gamma=4.0 threads=2")
     check_crash_resume(spps, workdir, "amoebot", "threads=2")
     check_sigterm_exit(spps, workdir)
