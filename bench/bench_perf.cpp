@@ -289,7 +289,28 @@ BENCHMARK(BM_LocalActivateReference)->Arg(100)->Arg(10000);
 void BM_ShardedActivations(benchmark::State& state) {
   // Million-particle Algorithm A through the sharded block runner; Arg is
   // the block-phase thread count (1 = the list-order path).  Items are
-  // activations, so items/s is comparable with BM_LocalActivate.
+  // activations, so items/s is comparable with BM_LocalActivate.  Every
+  // epoch runs on the block path (the runner's rejection-free route is
+  // pinned off), keeping the rows comparable with their history.
+  rng::Random rng(7);
+  amoebot::AmoebotSystem sys(system::spiralConfiguration(1000000), rng);
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  amoebot::ShardedOptions options;
+  options.threads = static_cast<unsigned>(state.range(0));
+  amoebot::ShardedPoissonRunner runner(sys, algo, 11, options);
+  runner.forceBlockPathForTest();
+  std::uint64_t done = 0;
+  for (auto _ : state) {
+    done += runner.runAtLeast(4000000);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(done));
+}
+BENCHMARK(BM_ShardedActivations)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_ShardedActivationsRouted(benchmark::State& state) {
+  // The same spiral with the runner's own epoch routing: after the first
+  // epoch every epoch runs rejection-free (amoebot/rejection_free.hpp), on
+  // the calling thread — the row the block rows above compare against.
   rng::Random rng(7);
   amoebot::AmoebotSystem sys(system::spiralConfiguration(1000000), rng);
   const amoebot::LocalCompressionAlgorithm algo({4.0});
@@ -302,7 +323,7 @@ void BM_ShardedActivations(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
 }
-BENCHMARK(BM_ShardedActivations)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_ShardedActivationsRouted)->Arg(4)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Weight-model engine: the three scenarios on the shared bitboard hot loop.

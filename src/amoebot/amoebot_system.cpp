@@ -77,6 +77,7 @@ void AmoebotSystem::forceSparseForTest() {
   // maintenance resumes and at() is valid again.
   gridsGaveUp_ = true;
   gridsOn_ = false;
+  liveIndex_ = false;
   occ_.disable();
   heads_.disable();
   expanded_.disable();
@@ -99,7 +100,7 @@ void AmoebotSystem::rebuildIdIndex() const {
     const Particle& p = particles_[id];
     occupancy_.insertOrAssign(lattice::pack(p.tail),
                               (static_cast<std::int32_t>(id) << 1));
-    if (p.expanded) {
+    if (p.expanded && !gridsOn_) {
       occupancy_.insertOrAssign(lattice::pack(p.head),
                                 (static_cast<std::int32_t>(id) << 1) | 1);
     }
@@ -110,6 +111,7 @@ void AmoebotSystem::rebuildIdIndex() const {
 void AmoebotSystem::suspendIdIndex() {
   SOPS_REQUIRE(gridsOn_, "suspendIdIndex: dense planes required");
   sharded_ = true;
+  liveIndex_ = false;
 }
 
 void AmoebotSystem::restoreIdIndex() {
@@ -123,12 +125,54 @@ void AmoebotSystem::restoreIdIndex() {
   }
 }
 
+void AmoebotSystem::keepIdIndexLive() {
+  restoreIdIndex();
+  if (idIndexDirty_) rebuildIdIndex();
+  liveIndex_ = gridsOn_;  // the sparse regime is eager anyway
+}
+
 AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
   SOPS_DASSERT(!sharded_);
   if (idIndexDirty_) rebuildIdIndex();
+  if (gridsOn_ && heads_.test(cell)) {
+    // Heads are not indexed with the planes on: the particle whose head
+    // this is has its tail on a neighbouring cell.
+    for (const Direction d : lattice::kAllDirections) {
+      const std::int32_t* raw =
+          occupancy_.find(lattice::pack(lattice::neighbor(cell, d)));
+      if (raw == nullptr) continue;
+      const Particle& p = particles_[static_cast<std::size_t>(*raw >> 1)];
+      if (p.expanded && p.head == cell) return {*raw >> 1, true};
+    }
+    SOPS_REQUIRE(false, "at: head cell without its particle's tail");
+  }
   const std::int32_t* raw = occupancy_.find(lattice::pack(cell));
   if (raw == nullptr) return {};
   return {*raw >> 1, (*raw & 1) != 0};
+}
+
+AmoebotSystem::Neighborhood AmoebotSystem::neighborhood(TriPoint cell) const {
+  Neighborhood nb;
+  if (gridsOn_) {
+    nb.occupied = occ_.neighborMaskUnchecked(cell);
+    nb.expanded = expanded_.neighborMaskUnchecked(cell);
+    nb.hereExpanded = expanded_.testUnchecked(cell);
+    return nb;
+  }
+  // Sparse: 0 empty, 1 contracted, 2 expanded.
+  const auto stateAt = [&](TriPoint c) {
+    const std::int32_t* raw = occupancy_.find(lattice::pack(c));
+    if (raw == nullptr) return 0;
+    return particles_[static_cast<std::size_t>(*raw >> 1)].expanded ? 2 : 1;
+  };
+  for (const Direction d : lattice::kAllDirections) {
+    const int state = stateAt(lattice::neighbor(cell, d));
+    const auto bit = static_cast<std::uint8_t>(1u << index(d));
+    if (state != 0) nb.occupied = static_cast<std::uint8_t>(nb.occupied | bit);
+    if (state == 2) nb.expanded = static_cast<std::uint8_t>(nb.expanded | bit);
+  }
+  nb.hereExpanded = stateAt(cell) == 2;
+  return nb;
 }
 
 bool AmoebotSystem::expandedParticleAdjacent(TriPoint cell,
@@ -268,7 +312,8 @@ void AmoebotSystem::contractToHead(std::size_t id) {
     expanded_.clear(p.tail);
     expanded_.clear(p.head);
     noteMutation();
-  } else {
+  }
+  if (!gridsOn_ || liveIndex_) {
     clearCell(p.tail);
     setCell(p.head, static_cast<std::int32_t>(id), false);
   }
@@ -287,9 +332,8 @@ void AmoebotSystem::contractBack(std::size_t id) {
     expanded_.clear(p.tail);
     expanded_.clear(p.head);
     noteMutation();
-  } else {
-    clearCell(p.head);
   }
+  if (!gridsOn_) clearCell(p.head);
   if (maintainCount()) --expandedCount_;
   p.head = p.tail;
   p.expanded = false;
@@ -396,6 +440,7 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
 
   particles_ = std::move(particles);
   sharded_ = false;
+  liveIndex_ = false;
   recountExpanded();
   if (backend != 0) {
     std::vector<TriPoint> cells;

@@ -35,8 +35,13 @@
 /// ParticleSystem.
 ///
 /// The cell -> (id << 1 | isHead) hash index is still maintained for id
-/// lookups (at()) and as the sparse fallback; a sharded runner may suspend
-/// it during a concurrent section (see suspendIdIndex()).
+/// lookups (at()) and as the sparse fallback.  With the planes on it holds
+/// tails only — at() finds a head through the heads plane and the tail
+/// next to it — so only a contraction to the head moves an entry.  A
+/// sharded runner may suspend it during a concurrent section (see
+/// suspendIdIndex()), or keep it live through every mutation while its
+/// rejection-free kernel looks up ids after each event (see
+/// keepIdIndexLive()).
 
 #include <array>
 #include <cstdint>
@@ -148,6 +153,20 @@ class AmoebotSystem {
     return kPortTable[p.orientationOffset][p.mirrored ? 1 : 0][port];
   }
 
+  /// A cell and its six neighbours as the planes see them; neighbour
+  /// masks have bit d for direction index d.
+  struct Neighborhood {
+    std::uint8_t occupied = 0;  ///< occupied neighbours
+    std::uint8_t expanded = 0;  ///< neighbours holding an expanded particle
+    bool hereExpanded = false;  ///< the cell itself holds an expanded one
+  };
+
+  /// The neighbourhood of a cell within distance 1 of a particle cell
+  /// (two gathers and a bit test while the planes are on).  For a
+  /// contracted particle's tail, `expanded != 0` is
+  /// expandedParticleAdjacent().
+  [[nodiscard]] Neighborhood neighborhood(TriPoint cell) const;
+
   /// True iff any cell adjacent to `cell` holds (head or tail of) an
   /// *expanded* particle other than `self`.
   [[nodiscard]] bool expandedParticleAdjacent(TriPoint cell,
@@ -245,6 +264,14 @@ class AmoebotSystem {
   /// resumes maintenance.
   void restoreIdIndex();
 
+  /// Ends any suspension, makes the id index current, and from then on
+  /// updates it in place (instead of marking it stale) — with the planes
+  /// on, only contractToHead() moves an entry — until the next
+  /// suspendIdIndex() or restoreState().  For a single-threaded caller
+  /// that reads at() after every mutation; the index itself already
+  /// exists, so this costs no memory.
+  void keepIdIndexLive();
+
   // --- snapshot support (system/snapshot.hpp) ---
 
   /// Serializes every particle (cells, expansion state, private port
@@ -261,9 +288,10 @@ class AmoebotSystem {
 
  private:
   std::vector<Particle> particles_;
-  /// cell -> (id << 1) | isHead.  Eagerly maintained only in sparse mode
-  /// (it is then the occupancy source of truth); with the planes on it is
-  /// rebuilt lazily by at() / restoreIdIndex() when dirty.
+  /// cell -> (id << 1) | isHead.  In sparse mode every particle cell,
+  /// eagerly maintained (it is then the occupancy source of truth); with
+  /// the planes on only tails, rebuilt lazily by at() when dirty or kept
+  /// live (keepIdIndexLive()).
   mutable util::FlatMap64<std::int32_t> occupancy_;
   mutable bool idIndexDirty_ = false;
   std::size_t expandedCount_ = 0;
@@ -274,12 +302,14 @@ class AmoebotSystem {
   bool gridsOn_ = false;
   bool gridsGaveUp_ = false;
   bool sharded_ = false;  ///< between suspendIdIndex() and restoreIdIndex()
+  bool liveIndex_ = false;  ///< see keepIdIndexLive()
 
-  /// Bookkeeping after a mutation: sparse mode keeps the hash eagerly (the
-  /// caller already applied its updates); plane mode just marks the index
-  /// stale; a sharded section does nothing at all (restore rebuilds).
+  /// Bookkeeping after a mutation: sparse mode and a live index keep the
+  /// hash eagerly (the caller already applied its updates); plane mode
+  /// otherwise just marks the index stale; a sharded section does nothing
+  /// at all (restore rebuilds).
   void noteMutation() noexcept {
-    if (gridsOn_ && !sharded_) idIndexDirty_ = true;
+    if (gridsOn_ && !sharded_ && !liveIndex_) idIndexDirty_ = true;
   }
   /// expandedCount_ must not be touched by concurrent block workers; it
   /// is recomputed on restore (and on plane fallback, where execution is

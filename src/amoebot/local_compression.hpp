@@ -46,6 +46,35 @@ enum class ActivationResult : std::uint8_t {
   ContractedBack,  ///< expanded particle aborted its move
 };
 
+/// Outcome counts of executed activations (block-skipped ones are counted
+/// by the runner instead).  Integer sums, so merging in any order gives
+/// the same totals.
+struct ActivationTallies {
+  std::uint64_t idle = 0;
+  std::uint64_t expanded = 0;
+  std::uint64_t movedToHead = 0;
+  std::uint64_t contractedBack = 0;
+
+  void record(ActivationResult result) noexcept {
+    switch (result) {
+      case ActivationResult::Idle: ++idle; break;
+      case ActivationResult::Expanded: ++expanded; break;
+      case ActivationResult::MovedToHead: ++movedToHead; break;
+      case ActivationResult::ContractedBack: ++contractedBack; break;
+    }
+  }
+  void merge(const ActivationTallies& other) noexcept {
+    idle += other.idle;
+    expanded += other.expanded;
+    movedToHead += other.movedToHead;
+    contractedBack += other.contractedBack;
+  }
+  /// Activations that changed the system: every outcome but Idle.
+  [[nodiscard]] std::uint64_t events() const noexcept {
+    return expanded + movedToHead + contractedBack;
+  }
+};
+
 class LocalCompressionAlgorithm {
  public:
   explicit LocalCompressionAlgorithm(LocalOptions options);

@@ -37,12 +37,26 @@
 /// oracle.  Tiled planes and the forced-sparse regime need nothing
 /// special: the former has 1024-aligned tiles, the latter runs in list
 /// order.
+///
+/// **Rejection-free epochs.**  In the compressed regime about 99.5% of
+/// activations are Idle: a contracted particle with no legal expansion
+/// writes nothing.  With uniform rates, an epoch runs through
+/// amoebot::RejectionFreeIndex instead — on the calling thread, at every
+/// thread count — when the previous epoch had fewer than
+/// L / kAmoebotRejectionFreeDivisor non-Idle activations.  That kernel
+/// samples exactly the block-path epoch's law (rejection_free.hpp), so
+/// choosing between the two by the past leaves every epoch's law, and π,
+/// unchanged; the rule reads only seed-determined counts, so trajectories
+/// stay identical at every thread count and across resume.  `rate-spread`
+/// runs stay on the block path.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "amoebot/amoebot_system.hpp"
 #include "amoebot/local_compression.hpp"
+#include "amoebot/rejection_free.hpp"
 #include "core/block_executor.hpp"
 #include "core/cancel.hpp"
 #include "rng/random.hpp"
@@ -56,6 +70,16 @@ namespace sops::amoebot {
 /// rates without changing the stationary distribution).  See
 /// core::BlockExecutorOptions.
 using ShardedOptions = core::BlockExecutorOptions;
+
+/// The routing constant: an epoch runs rejection-free when the previous
+/// one had fewer than L / kAmoebotRejectionFreeDivisor non-Idle
+/// activations.  Taken from a per-epoch crossover table (DESIGN.md
+/// §Rejection-free Algorithm A: 10⁵ particles at λ ∈ {1, 2, 3, 4}, block
+/// path at 1, 2 and 4 threads against the rejection-free kernel): inside
+/// the four-thread crossover range (~L/55 to L/90) and above the one- and
+/// two-thread ones (~L/28 to L/40), since the route must not read the
+/// thread count.
+inline constexpr std::uint64_t kAmoebotRejectionFreeDivisor = 64;
 
 class ShardedPoissonRunner {
  public:
@@ -73,23 +97,42 @@ class ShardedPoissonRunner {
     cancel_ = cancel;
   }
 
+  /// Runs every epoch on the block path.  Test-only: it pins the block
+  /// path's trajectory (list-order oracles, thread-count identity on the
+  /// block path); the law is the same either way.
+  void forceBlockPathForTest() noexcept {
+    rejectionFree_ = false;
+    forceRejectionFree_ = false;
+  }
+
+  /// Routes every epoch through the rejection-free kernel, from the first,
+  /// and with `verifyEachEvent` compares its index against a from-scratch
+  /// rebuild after every event (throwing on a mismatch).  Test-only: it
+  /// changes the trajectory, not the law.
+  void forceRejectionFreeForTest(bool verifyEachEvent = false);
+
   /// Runs whole epochs until at least `minActivations` activations have
   /// run in this call (or the cancel token trips); returns the number
-  /// run.  The id index is suspended for the duration and restored before
-  /// returning, so the system is fully consistent (at(), expandedCount())
-  /// between calls.
+  /// run.  Block-path epochs suspend the id index and rejection-free ones
+  /// keep it live; either way the system is fully consistent (at(),
+  /// expandedCount()) between calls.  Between calls the system may be
+  /// read but not mutated, except through restoreState.
   std::uint64_t runAtLeast(std::uint64_t minActivations);
 
-  /// Serializes the runner's evolving state (snapshot v5): L, the epoch
-  /// index and the boundary-skip count.  The system itself is serialized
-  /// separately (AmoebotSystem::saveState); rates come from the spec.
-  /// Only legal between runs.
+  /// Serializes the runner's evolving state (snapshot v7): L, the epoch
+  /// index, the boundary-skip count, the outcome tallies and the routing
+  /// state — the last epoch's non-Idle count and the rejection-free epoch
+  /// count.  The system itself is serialized separately
+  /// (AmoebotSystem::saveState); rates come from the spec.  Only legal
+  /// between runs.
   void saveState(system::SnapshotWriter& w) const;
 
   /// Inverse of saveState on a runner constructed with the same
   /// (sys, algo, seed, options); continues the trajectory exactly, at any
   /// thread count.  Payloads older than v5 were written by the
-  /// Poisson-clock runner, whose trajectory this runner cannot continue.
+  /// Poisson-clock runner, whose trajectory this runner cannot continue;
+  /// v5/v6 payloads predate the tallies and the routing state and resume
+  /// with the tallies at zero and the first epoch on the block path.
   void restoreState(system::SnapshotReader& r);
 
   /// Simulated time: epochs · L / Σrates.
@@ -113,14 +156,34 @@ class ShardedPoissonRunner {
   [[nodiscard]] std::size_t lastEpochBlocks() const noexcept {
     return executor_.lastEpochBlocks();
   }
+  /// Outcomes of the executed (not skipped) activations since
+  /// construction — seed-only counts, identical at every thread count and
+  /// across resume: idle + expanded + movedToHead + contractedBack +
+  /// sweepActivations() = activations().
+  [[nodiscard]] const ActivationTallies& tallies() const noexcept {
+    return tallies_;
+  }
+  /// Epochs run by the rejection-free kernel since construction.
+  [[nodiscard]] std::uint64_t rejectionFreeEpochs() const noexcept {
+    return rejectionFreeEpochs_;
+  }
 
  private:
+  /// lastEpochEvents_ before any epoch: routes the first to the block
+  /// path.
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
+  /// The routing rule: a function of the previous epoch's non-Idle count
+  /// and L only, both seed-determined.
+  [[nodiscard]] bool routeRejectionFree() const noexcept;
+  /// One epoch through the rejection-free kernel.  Its index is built at
+  /// the first such epoch and rebuilt after any block-path epoch.
+  void runRejectionFreeEpoch();
+
   /// Algorithm A's event kernel for the block executor.
   class Kernel {
    public:
-    struct Tallies {
-      void merge(const Tallies& /*other*/) noexcept {}
-    };
+    using Tallies = ActivationTallies;
 
     /// Reads reach distance 2 of the tail: the pair plus one cell.
     static constexpr std::int64_t kRadius = 2;
@@ -156,6 +219,18 @@ class ShardedPoissonRunner {
   double rateSum_ = 0.0;
   core::BlockExecutor<Kernel> executor_;
   const core::CancelToken* cancel_ = nullptr;
+  ActivationTallies tallies_;
+
+  bool uniformRates_ = true;
+  bool rejectionFree_ = false;  ///< routing on (off only in tests)
+  bool forceRejectionFree_ = false;
+  bool verifyEachEvent_ = false;
+  std::uint64_t lastEpochEvents_ = kNoEpoch;
+  std::uint64_t rejectionFreeEpochs_ = 0;
+  /// Built at the first rejection-free epoch; current while only
+  /// rejection-free epochs have run since its last rebuild.
+  std::unique_ptr<RejectionFreeIndex> index_;
+  bool indexCurrent_ = false;
 };
 
 }  // namespace sops::amoebot

@@ -67,6 +67,7 @@
 #include "core/biased_chain_engine.hpp"
 #include "core/block_executor.hpp"
 #include "core/chain_stats.hpp"
+#include "core/chunk_fenwick.hpp"
 #include "core/compression_chain.hpp"
 #include "lattice/direction.hpp"
 #include "lattice/tri_point.hpp"
@@ -102,8 +103,6 @@ static_assert([] {
   }
   return true;
 }());
-
-namespace detail {
 
 inline constexpr std::size_t kRefreshSize = 24;
 inline constexpr std::size_t kRefreshNear = 10;
@@ -155,8 +154,6 @@ static_assert([] {
   return true;
 }());
 
-}  // namespace detail
-
 /// The index of every (particle, direction) pair's code, and the epoch
 /// sampler built on it (see the file comment).
 class RejectionFreeIndex {
@@ -196,31 +193,20 @@ class RejectionFreeIndex {
     const std::size_t n = sys.size();
     SOPS_REQUIRE(n <= 0xFFFFFFFFu / lattice::kNumDirections,
                  "rejection-free index: too many particles for u32 ranks");
-    chunks_ = (n + kChunk - 1) / kChunk;
     codes_.assign(n, 0);
     all_.fill(0);
-    chunkCount_.assign(kPairFilterClasses * chunks_, 0);
+    for (ChunkFenwick& members : members_) members.reset(n);
     for (std::size_t i = 0; i < n; ++i) {
       codes_[i] = codesAt(sys, sys.position(i));
       for (int d = 0; d < lattice::kNumDirections; ++d) {
         const std::uint8_t code = codeOf(codes_[i], d);
         ++all_[code];
         if (code >= kPairFilter) {
-          ++chunkCount_[(code - kPairFilter) * chunks_ + i / kChunk];
+          members_[code - kPairFilter].addBeforeBuild(i, 1);
         }
       }
     }
-    // Fenwick trees from the chunk counts in O(chunks) per class.
-    tree_.assign(kPairFilterClasses * (chunks_ + 1), 0);
-    for (int c = 0; c < kPairFilterClasses; ++c) {
-      std::uint32_t* tree =
-          &tree_[static_cast<std::size_t>(c) * (chunks_ + 1)];
-      for (std::size_t j = 1; j <= chunks_; ++j) {
-        tree[j] += chunkCount_[static_cast<std::size_t>(c) * chunks_ + j - 1];
-        const std::size_t parent = j + (j & (~j + 1));
-        if (parent <= chunks_) tree[parent] += tree[j];
-      }
-    }
+    for (ChunkFenwick& members : members_) members.build();
   }
 
   /// Counts the epoch's crossing pairs per code: a word-parallel scan of
@@ -300,8 +286,7 @@ class RejectionFreeIndex {
     fresh.rebuild(sys);
     fresh.countCrossingsByParticles(sys, ep);
     return fresh.codes_ == codes_ && fresh.all_ == all_ &&
-           fresh.chunkCount_ == chunkCount_ && fresh.tree_ == tree_ &&
-           fresh.crossing_ == crossing_;
+           fresh.members_ == members_ && fresh.crossing_ == crossing_;
   }
 
   /// Counts the epoch's crossing pairs particle by particle into the
@@ -414,13 +399,12 @@ class RejectionFreeIndex {
   }
   /// Bytes held by the index's arrays.
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
-    return codes_.capacity() * sizeof(std::uint32_t) +
-           chunkCount_.capacity() * sizeof(std::uint16_t) +
-           tree_.capacity() * sizeof(std::uint32_t);
+    std::size_t bytes = codes_.capacity() * sizeof(std::uint32_t);
+    for (const ChunkFenwick& members : members_) bytes += members.memoryBytes();
+    return bytes;
   }
 
  private:
-  static constexpr std::size_t kChunk = 64;
   /// "rejfree": the epoch's stream key is mix64(moveKey ^ salt).
   static constexpr std::uint64_t kStreamSalt = 0x72656a66726565ULL;
 
@@ -449,18 +433,6 @@ class RejectionFreeIndex {
     return codes;
   }
 
-  /// Adds `delta` to class c's count of chunk `chunk` and its tree.
-  void chunkAdd(int c, std::size_t chunk, int delta) noexcept {
-    const std::size_t cls = static_cast<std::size_t>(c);
-    chunkCount_[cls * chunks_ + chunk] =
-        static_cast<std::uint16_t>(chunkCount_[cls * chunks_ + chunk] + delta);
-    std::uint32_t* tree = &tree_[cls * (chunks_ + 1)];
-    for (std::size_t j = chunk + 1; j <= chunks_; j += j & (~j + 1)) {
-      tree[j] = static_cast<std::uint32_t>(static_cast<std::int64_t>(tree[j]) +
-                                           delta);
-    }
-  }
-
   /// Candidate pair ∝ a: a class by mass, then a uniform member of it by
   /// canonical rank.
   [[nodiscard]] Pair pick(rng::CounterStream& draw, double mass) const {
@@ -477,22 +449,16 @@ class RejectionFreeIndex {
     }
     SOPS_DASSERT(cls >= 0);
     const auto code = static_cast<std::uint8_t>(cls);
-    auto rank = draw.below(
-        static_cast<std::uint32_t>(all_[static_cast<std::size_t>(cls)]));
-    // Fenwick descent: the chunk holding the rank-th member.
-    const std::uint32_t* tree =
-        &tree_[static_cast<std::size_t>(cls - kPairFilter) * (chunks_ + 1)];
-    std::size_t pos = 0;
-    for (std::size_t step = std::bit_floor(chunks_); step != 0; step >>= 1) {
-      if (pos + step <= chunks_ && tree[pos + step] <= rank) {
-        pos += step;
-        rank -= tree[pos];
-      }
-    }
+    // The chunk holding the rank-th member of the class.
+    auto [first, rank] =
+        members_[static_cast<std::size_t>(cls - kPairFilter)].descend(
+            draw.below(static_cast<std::uint32_t>(
+                all_[static_cast<std::size_t>(cls)])));
     // Within the chunk: skip whole particles by their match count (a
     // nibble of codes ^ code·0x111111 is zero exactly where it matches).
-    const std::size_t end = std::min(codes_.size(), (pos + 1) * kChunk);
-    for (std::size_t i = pos * kChunk; i < end; ++i) {
+    const std::size_t end =
+        std::min(codes_.size(), first + ChunkFenwick::kChunk);
+    for (std::size_t i = first; i < end; ++i) {
       std::uint32_t diff = codes_[i] ^ (std::uint32_t{code} * 0x111111u);
       diff |= diff >> 1;
       diff |= diff >> 2;
@@ -569,7 +535,7 @@ class RejectionFreeIndex {
     for (std::size_t k = 0; k < cells.size(); ++k) {
       const TriPoint cell = from + cells[k];
       if (!sys.occupied(cell)) continue;
-      if (k >= detail::kRefreshNear && fullNeighborhood(sys, cell)) {
+      if (k >= kRefreshNear && fullNeighborhood(sys, cell)) {
         continue;
       }
       const std::optional<std::size_t> id = sys.particleAt(cell);
@@ -601,8 +567,8 @@ class RejectionFreeIndex {
       if (was != now) {
         --all_[was];
         ++all_[now];
-        if (was >= kPairFilter) chunkAdd(was - kPairFilter, i / kChunk, -1);
-        if (now >= kPairFilter) chunkAdd(now - kPairFilter, i / kChunk, +1);
+        if (was >= kPairFilter) members_[was - kPairFilter].add(i, -1);
+        if (now >= kPairFilter) members_[now - kPairFilter].add(i, +1);
       }
       const BlockReach& box = reach_[static_cast<std::size_t>(d)];
       if (!ep.inside(before, box)) --crossing_[was];
@@ -610,20 +576,17 @@ class RejectionFreeIndex {
     }
   }
 
-  /// See detail::refreshCells().
-  static constexpr auto kRefreshCells = detail::refreshCells();
+  /// See refreshCells().
+  static constexpr auto kRefreshCells = refreshCells();
 
   std::array<BlockReach, kReachRing + 1> reach_;
   std::array<std::uint8_t, 256> maskCode_{};
   std::array<double, kPairCodes> accept_{};  ///< a per code (0 off-filter)
-  std::size_t chunks_ = 0;
   std::vector<std::uint32_t> codes_;  ///< 6 × 4-bit codes per particle
   PairCounts all_{};
   PairCounts crossing_{};
-  /// [class · chunks + chunk]: filter-class pairs per 64-particle chunk.
-  std::vector<std::uint16_t> chunkCount_;
-  /// [class · (chunks + 1) + j]: 1-based Fenwick trees over chunkCount_.
-  std::vector<std::uint32_t> tree_;
+  /// Per filter class: its pairs per particle, by chunk.
+  std::array<ChunkFenwick, kPairFilterClasses> members_;
 };
 
 }  // namespace sops::core

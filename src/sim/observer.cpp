@@ -135,8 +135,8 @@ void JsonlSink::onReplicaEnd(const ReplicaSummary& summary) {
   if (!summary.regime.empty()) {
     out_ << ",\"regime\":" << jsonEscaped(summary.regime);
   }
-  if (summary.rejectionFreeEpochs) {
-    out_ << ",\"rejection_free_epochs\":" << *summary.rejectionFreeEpochs;
+  for (const auto& [name, count] : summary.counts) {
+    out_ << ',' << jsonEscaped(name) << ':' << count;
   }
   for (std::size_t i = 0; i < summary.finalMetrics.size(); ++i) {
     out_ << ',' << jsonEscaped(metricNames_[i]) << ':'

@@ -23,9 +23,9 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/csv.hpp"
@@ -59,9 +59,9 @@ struct ReplicaSummary {
   /// "dense-tiled", "sparse"), or "" when the scenario does not report
   /// one (ScenarioRun::regime).
   std::string regime;
-  /// Epochs run rejection-free (ScenarioRun::rejectionFreeEpochs), when
-  /// the replica ran on the sharded chain runner.
-  std::optional<std::uint64_t> rejectionFreeEpochs;
+  /// Named seed-only counts (ScenarioRun::counts), each emitted as its own
+  /// key of the JSONL replica record.
+  std::vector<std::pair<std::string, std::uint64_t>> counts;
   /// The replica's final configuration; valid only for the duration of the
   /// onReplicaEnd call (copy it to keep it).
   const system::ParticleSystem* finalSystem = nullptr;

@@ -174,7 +174,7 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   summary.seed = seed;
   summary.steps = run->stepsDone();
   summary.regime = run->regime();
-  summary.rejectionFreeEpochs = run->rejectionFreeEpochs();
+  summary.counts = run->counts();
   warnIfSparseRegime(spec, replica, summary.regime);
   run->sampleMetrics(summary.finalMetrics);
   summary.wallSeconds =

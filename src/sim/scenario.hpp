@@ -17,8 +17,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -61,12 +61,13 @@ class ScenarioRun {
   /// time a run degrades to "sparse".
   [[nodiscard]] virtual std::string regime() const { return {}; }
 
-  /// Epochs the sharded chain runner ran through its rejection-free kernel
-  /// (a seed-only count, identical at every thread count and across
-  /// resume), or nullopt for runs without that runner.
-  [[nodiscard]] virtual std::optional<std::uint64_t> rejectionFreeEpochs()
-      const {
-    return std::nullopt;
+  /// Named seed-only counts of what the run did (the sharded runners'
+  /// rejection-free epochs, the amoebot runner's activation outcomes),
+  /// identical at every thread count and across resume; the runner copies
+  /// them into ReplicaSummary::counts.  Empty for scenarios without any.
+  [[nodiscard]] virtual std::vector<std::pair<std::string, std::uint64_t>>
+  counts() const {
+    return {};
   }
 
   /// Installs a cooperative cancel token: once it trips, advance() returns

@@ -24,7 +24,11 @@
 /// kernel on the calling thread, which samples the block epoch's exact
 /// law; the replica record's rejection_free_epochs counts them.  The
 /// amoebot scenario, whose runner is sharded either way, spends the whole
-/// budget (0 = all cores).
+/// budget (0 = all cores); without rate-spread its runner routes an epoch
+/// after one with fewer than L/64 non-Idle activations through its own
+/// rejection-free kernel, and the replica record carries its
+/// rejection_free_epochs and activation outcome counts (idle, expanded,
+/// moved_to_head, contracted_back).
 ///
 /// Adding a workload = one weight model (core/scenario_models.hpp style)
 /// plus one Scenario subclass here (or anywhere, via ScenarioRegistrar).
@@ -233,9 +237,9 @@ class ShardedRun : public ScenarioRun {
   [[nodiscard]] std::string regime() const override {
     return runner_.system().regimeName();
   }
-  [[nodiscard]] std::optional<std::uint64_t> rejectionFreeEpochs()
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counts()
       const override {
-    return runner_.rejectionFreeEpochs();
+    return {{"rejection_free_epochs", runner_.rejectionFreeEpochs()}};
   }
   void setCancelToken(const core::CancelToken* cancel) override {
     runner_.setCancelToken(cancel);
@@ -478,12 +482,22 @@ class AmoebotRun : public ScenarioRun {
   [[nodiscard]] std::string regime() const override {
     return sys_.regimeName();
   }
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counts()
+      const override {
+    const amoebot::ActivationTallies& t = runner_->tallies();
+    return {{"rejection_free_epochs", runner_->rejectionFreeEpochs()},
+            {"idle", t.idle},
+            {"expanded", t.expanded},
+            {"moved_to_head", t.movedToHead},
+            {"contracted_back", t.contractedBack}};
+  }
   void setCancelToken(const core::CancelToken* cancel) override {
     runner_->setCancelToken(cancel);
   }
   [[nodiscard]] bool supportsSnapshots() const override { return true; }
   // The system (particle structs, fault flags, window geometry) and the
-  // runner (epoch index, boundary-skip count) serialize back to back; the
+  // runner (epoch index, boundary-skip count, tallies, routing state)
+  // serialize back to back; the
   // constructor's random orientation/fault draws are overwritten wholesale
   // on restore, so a resumed run needs only the same spec and seed.
   void saveState(system::SnapshotWriter& w) const override {

@@ -7,7 +7,7 @@
 /// A snapshot file is a framed payload:
 ///
 ///   bytes 0..7    magic "SOPSSNAP"
-///   bytes 8..11   format version (u32 little-endian, currently 6)
+///   bytes 8..11   format version (u32 little-endian, currently 7)
 ///   bytes 12..19  payload length in bytes (u64 LE)
 ///   bytes 20..27  FNV-1a-64 checksum of the payload (u64 LE)
 ///   bytes 28..    payload
@@ -44,7 +44,12 @@ namespace sops::system {
 [[nodiscard]] std::uint64_t snapshotChecksum(
     std::span<const std::uint8_t> bytes) noexcept;
 
-/// Current frame format version.  v6: the sharded chain runner's payload
+/// Current frame format version.  v7: the sharded amoebot runner's payload
+/// ends with its outcome tallies (Idle, Expanded, MovedToHead,
+/// ContractedBack) and its epoch-routing state — the last epoch's non-Idle
+/// count and the rejection-free epoch count; v5/v6 amoebot payloads still
+/// restore (tallies at zero, routing starting over on the block path);
+/// chain payloads did not change.  v6: the sharded chain runner's payload
 /// ends with its epoch-routing state — the last epoch's accepted count and
 /// the rejection-free epoch count; v4/v5 chain payloads still restore
 /// (routing starts over on the block path).  v5: the sharded amoebot
@@ -63,7 +68,7 @@ namespace sops::system {
 /// accepted by every other reader: their occupancy byte layout is a strict
 /// subset of v3's.  v1 payloads stored full (seed, state) Random pairs, so
 /// they must fail loudly rather than be misread.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Oldest frame version readSnapshotFile still accepts.
 inline constexpr std::uint32_t kMinSnapshotVersion = 2;

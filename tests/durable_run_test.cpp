@@ -234,7 +234,16 @@ struct FinalState {
   std::string arrangement;
   std::uint64_t steps = 0;
   bool cancelled = false;
-  std::optional<std::uint64_t> rejectionFreeEpochs;
+  std::vector<std::pair<std::string, std::uint64_t>> counts;
+
+  /// The replica record's count `name`, or nullopt when it has none.
+  [[nodiscard]] std::optional<std::uint64_t> count(
+      const std::string& name) const {
+    for (const auto& [key, value] : counts) {
+      if (key == name) return value;
+    }
+    return std::nullopt;
+  }
 };
 
 /// Captures the final configuration (the part RunReport doesn't keep).
@@ -258,7 +267,7 @@ class FinalArrangementCapture : public sim::Observer {
   out.arrangement = capture.arrangement;
   out.steps = report.replicas.at(0).steps;
   out.cancelled = report.cancelled;
-  out.rejectionFreeEpochs = report.replicas.at(0).rejectionFreeEpochs;
+  out.counts = report.replicas.at(0).counts;
   return out;
 }
 
@@ -277,8 +286,9 @@ class FinalArrangementCapture : public sim::Observer {
 
 /// The golden contract: run uninterrupted; run the same spec "killed"
 /// after two checkpoints with a snapshot-file; resume in a fresh run.
-/// Final arrangement, metrics, exact step count and rejection-free epoch
-/// count must all agree.  Returns the killed run's and the resumed run's
+/// Final arrangement, metrics, exact step count and the replica record's
+/// seed-only counts (rejection-free epochs, outcome tallies) must all
+/// agree.  Returns the killed run's and the resumed run's
 /// final states.
 std::pair<FinalState, FinalState> expectKillResumeIdentical(
     const sim::RunSpec& base, const std::string& tag,
@@ -302,7 +312,7 @@ std::pair<FinalState, FinalState> expectKillResumeIdentical(
   EXPECT_EQ(r.steps, uninterrupted.steps) << tag;
   EXPECT_EQ(r.arrangement, uninterrupted.arrangement) << tag;
   EXPECT_EQ(r.metrics, uninterrupted.metrics) << tag;
-  EXPECT_EQ(r.rejectionFreeEpochs, uninterrupted.rejectionFreeEpochs) << tag;
+  EXPECT_EQ(r.counts, uninterrupted.counts) << tag;
   return {atKill, r};
 }
 
@@ -335,8 +345,10 @@ TEST(DurableRunGolden, CompressionRejectionFreeResumeAtDifferentThreadCount) {
   spec.checkpointEvery = 4 * 16000;
   const auto [atKill, resumed] =
       expectKillResumeIdentical(spec, "comp_rejection_free", 4);
-  EXPECT_EQ(atKill.rejectionFreeEpochs, std::optional<std::uint64_t>(7));
-  EXPECT_EQ(resumed.rejectionFreeEpochs, std::optional<std::uint64_t>(19));
+  EXPECT_EQ(atKill.count("rejection_free_epochs"),
+            std::optional<std::uint64_t>(7));
+  EXPECT_EQ(resumed.count("rejection_free_epochs"),
+            std::optional<std::uint64_t>(19));
 }
 
 TEST(DurableRunGolden, SeparationSequentialKillResume) {
@@ -375,6 +387,34 @@ TEST(DurableRunGolden, AmoebotWithCrashFaultsKillResume) {
   sim::RunSpec spec = baseSpec("amoebot", 2);
   spec.params.set("crash-fraction", "0.2");
   expectKillResumeIdentical(spec, "amoebot_crash", 2);
+}
+
+TEST(DurableRunGolden, AmoebotRejectionFreeResumeAtDifferentThreadCount) {
+  // An 8000-particle spiral at λ = 4 has about L/70 non-Idle activations
+  // per epoch, just under the L/64 route: most epochs after the first run
+  // rejection-free and a few go back to the block path, so the kill lands
+  // among mixed epochs, and the tail resumes at four threads instead of
+  // two.  The outcome tallies in the replica record must agree too.
+  sim::RunSpec spec = baseSpec("amoebot", 2);
+  spec.shape = "spiral";
+  spec.n = 8000;
+  spec.steps = 20 * 16000;  // L = 2n = 16000 activations per epoch
+  spec.checkpointEvery = 4 * 16000;
+  const auto [atKill, resumed] =
+      expectKillResumeIdentical(spec, "amoebot_rejection_free", 4);
+  EXPECT_EQ(atKill.count("rejection_free_epochs"),
+            std::optional<std::uint64_t>(7));
+  EXPECT_EQ(resumed.count("rejection_free_epochs"),
+            std::optional<std::uint64_t>(17));
+  std::uint64_t executed = 0;
+  for (const char* outcome :
+       {"idle", "expanded", "moved_to_head", "contracted_back"}) {
+    const std::optional<std::uint64_t> count = resumed.count(outcome);
+    ASSERT_TRUE(count.has_value()) << outcome;
+    executed += *count;
+  }
+  EXPECT_GT(executed, 0u);
+  EXPECT_LE(executed, resumed.steps);
 }
 
 TEST(DurableRunGolden, ResumeRejectsMismatchedSpec) {

@@ -285,7 +285,9 @@ struct AmoebotSignature {
 };
 
 /// Runs `start` at threads = 1 (the list-order oracle) and at every
-/// block-path count in {2, 3, 4, hw}: two epochs of `epoch` activations,
+/// block-path count in {2, 3, 4, hw}, every epoch on the block path (the
+/// runner's rejection-free route pinned off): two epochs of `epoch`
+/// activations,
 /// a snapshot, a resume into a fresh system and runner at another thread
 /// count, two more epochs.  Every block-path run must equal the oracle
 /// bit for bit and spread an epoch over at least `minBlocks` blocks.
@@ -300,6 +302,7 @@ void expectBlockPathMatchesOracle(const ParticleSystem& start,
     rng::Random ctor(31);
     AmoebotSystem sys(start, ctor);
     ShardedPoissonRunner runner(sys, algo, seed, options);
+    runner.forceBlockPathForTest();
     runner.runAtLeast(2 * epoch);
     if (threads > 1) {
       EXPECT_GE(runner.lastEpochBlocks(), minBlocks) << "threads " << threads;
@@ -312,6 +315,7 @@ void expectBlockPathMatchesOracle(const ParticleSystem& start,
     rng::Random otherCtor(37);  // restore overwrites its draws
     AmoebotSystem resumedSys(start, otherCtor);
     ShardedPoissonRunner resumed(resumedSys, algo, seed, options);
+    resumed.forceBlockPathForTest();
     system::SnapshotReader r(w.payload());
     resumedSys.restoreState(r);
     resumed.restoreState(r);

@@ -136,12 +136,15 @@ TEST(LocalVsChain, HeterogeneousRatesLeavePiUnchanged) {
 TEST(LocalVsChain, ShardedRunnerSamplesPi) {
   // The sharded runner's proposal lists, with their block-boundary skips,
   // are another admissible asynchronous execution: its quiescent
-  // configurations must sample the same π.  Two threads, so the block
-  // path runs.  Each runAtLeast() burst is one sampling interval of eight
-  // epochs, each with fresh block offsets: with one epoch per sample, a
-  // tiny configuration parked at a block edge would repeat samples (see
-  // tests/sharded_chain_test.cpp).  At least 3% of the bursts must contain
-  // a skip, so the chi-square actually weighs the boundary rule.
+  // configurations must sample the same π.  Two threads and the
+  // rejection-free route pinned off, so the block path runs every epoch
+  // (tests/amoebot_rejection_free_test.cpp holds the rejection-free
+  // epochs to the same π).  Each runAtLeast() burst is one sampling
+  // interval of eight epochs, each with fresh block offsets: with one
+  // epoch per sample, a tiny configuration parked at a block edge would
+  // repeat samples (see tests/sharded_chain_test.cpp).  At least 3% of
+  // the bursts must contain a skip, so the chi-square actually weighs the
+  // boundary rule.
   constexpr int kEpochsPerSample = 8;
   const enumeration::ExactEnsemble ensemble(4);
   const double lambda = 2.0;
@@ -153,6 +156,7 @@ TEST(LocalVsChain, ShardedRunnerSamplesPi) {
   options.threads = 2;
   options.targetEventsPerEpoch = kStride / kEpochsPerSample;
   ShardedPoissonRunner runner(sys, algo, 43, options);
+  runner.forceBlockPathForTest();
   runner.runAtLeast(kBurnIn);
   std::vector<double> counts(ensemble.configs().size(), 0.0);
   constexpr int kInstants = 120000;

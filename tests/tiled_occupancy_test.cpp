@@ -377,6 +377,7 @@ TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
     amoebot::ShardedOptions options;
     options.threads = threads;
     amoebot::ShardedPoissonRunner runner(sys, algo, 991, options);
+    runner.forceBlockPathForTest();
     runner.runAtLeast(40000);
     Outcome outcome;
     for (std::size_t id = 0; id < sys.size(); ++id) {

@@ -8,10 +8,11 @@ column shape with one sample row per (replica, checkpoint).
 Also the cross-thread contract of both sharded runners at the CLI: a
 20000-particle spiral at threads=2 and threads=4 must end on the same
 final CSV row, byte for byte, for the compression chain and for the
-amoebot Algorithm A.  The compression runs route their compressed-regime
-epochs through the rejection-free kernel: the replica record's
+amoebot Algorithm A.  Both runners route their compressed-regime epochs
+through a rejection-free kernel: the replica record's
 rejection_free_epochs must be a positive integer, equal at both thread
-counts.
+counts — and for amoebot so must the activation outcome counts idle,
+expanded, moved_to_head and contracted_back.
 
 Also a holed start: a ring's iteration-0 sample must count its hole and
 carry it into the perimeter.
@@ -19,9 +20,10 @@ carry it into the perimeter.
 And the crash-resume smoke for durable runs: SIGKILL an spps process
 mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
-uninterrupted run of the same spec (for sharded compression, with the
-same rejection_free_epochs count); plus SIGTERM → graceful exit 3 with
-a resumable snapshot.
+uninterrupted run of the same spec (for sharded compression and amoebot
+on a 20000-particle spiral, with the same rejection_free_epochs and
+outcome counts); plus SIGTERM → graceful exit 3 with a resumable
+snapshot.
 
 Usage:
     python3 tools/check_spps_smoke.py path/to/spps [workdir]
@@ -51,6 +53,11 @@ SCENARIOS = [
 ]
 BASE = "n=60 steps=200000 checkpoint=50000 seed=1603"
 CHECKPOINTS = 4  # steps / checkpoint
+
+# Seed-only counts of each sharded runner's replica record.
+COMPRESSION_COUNTS = ("rejection_free_epochs",)
+AMOEBOT_OUTCOMES = ("idle", "expanded", "moved_to_head", "contracted_back")
+AMOEBOT_COUNTS = ("rejection_free_epochs",) + AMOEBOT_OUTCOMES
 
 
 def fail(message):
@@ -174,27 +181,40 @@ def final_csv_row(path):
     return lines[-1]
 
 
-def rejection_free_epochs(jsonl_path, what):
-    """The replica record's rejection_free_epochs, strictly parsed: present
-    and a non-negative JSON integer (not a float, not a bool)."""
+def replica_counts(jsonl_path, what, keys):
+    """The replica record's seed-only counts `keys`, strictly parsed: each
+    present and a non-negative JSON integer (not a float, not a bool)."""
     with open(jsonl_path) as f:
         records = [strict_json_loads(line) for line in f if line.strip()]
     replicas = [r for r in records if r["type"] == "replica"]
     if len(replicas) != 1:
         fail(f"{what}: {len(replicas)} replica records, expected 1")
-    value = replicas[0].get("rejection_free_epochs")
-    if type(value) is not int or value < 0:
-        fail(f"{what}: rejection_free_epochs {value!r} is not a "
-             "non-negative integer")
-    return value
+    counts = {}
+    for key in keys:
+        value = replicas[0].get(key)
+        if type(value) is not int or value < 0:
+            fail(f"{what}: {key} {value!r} is not a non-negative integer")
+        counts[key] = value
+    if set(keys) >= set(AMOEBOT_OUTCOMES):
+        executed = sum(counts[key] for key in AMOEBOT_OUTCOMES)
+        if executed > replicas[0]["steps"]:
+            fail(f"{what}: {executed} executed activations, more than the "
+                 f"{replicas[0]['steps']} steps run")
+    return counts
+
+
+def expect_positive_counts(counts, what):
+    for key, value in counts.items():
+        if value <= 0:
+            fail(f"{what}: {key} is {value}, expected a positive count")
 
 
 def check_crash_resume(spps, workdir, scenario, extra, tag=None,
-                       size="n=60", routed=False):
+                       size="n=60", counts=()):
     """SIGKILL mid-run, resume from the snapshot, compare the final CSV row
-    against an uninterrupted run of the identical spec.  With `routed`
-    (sharded compression), the rejection-free epoch count must be positive
-    and survive the crash too."""
+    against an uninterrupted run of the identical spec.  The replica
+    record's `counts` (a routed sharded runner's) must be positive and
+    survive the crash too."""
     tag = tag or scenario
     checkpoint = 50000
     base = (f"scenario={scenario} {size} checkpoint={checkpoint} seed=1603 "
@@ -244,28 +264,29 @@ def check_crash_resume(spps, workdir, scenario, extra, tag=None,
         fail(f"{tag}: resumed trajectory diverged\n"
              f"  resumed:   {resumed}\n  reference: {reference}")
     routing = ""
-    if routed:
-        resumed_epochs = rejection_free_epochs(resumed_jsonl, f"{tag} resumed")
-        reference_epochs = rejection_free_epochs(reference_jsonl,
-                                                 f"{tag} reference")
-        if reference_epochs <= 0:
-            fail(f"{tag}: no epoch ran rejection-free")
-        if resumed_epochs != reference_epochs:
-            fail(f"{tag}: rejection_free_epochs {resumed_epochs} after "
-                 f"resume, {reference_epochs} uninterrupted")
-        routing = f", {reference_epochs} rejection-free epochs either way"
+    if counts:
+        resumed_counts = replica_counts(resumed_jsonl, f"{tag} resumed",
+                                        counts)
+        reference_counts = replica_counts(reference_jsonl,
+                                          f"{tag} reference", counts)
+        expect_positive_counts(reference_counts, f"{tag} reference")
+        if resumed_counts != reference_counts:
+            fail(f"{tag}: counts {resumed_counts} after resume, "
+                 f"{reference_counts} uninterrupted")
+        routing = (f", {reference_counts['rejection_free_epochs']} "
+                   "rejection-free epochs either way")
     print(f"ok: {tag} SIGKILL at {steps_at_kill} steps, resumed to "
           f"{target} — final row identical to the uninterrupted run"
           f"{routing}")
 
 
-def check_cross_thread(spps, workdir, scenario, routed=False):
+def check_cross_thread(spps, workdir, scenario, counts):
     """A sharded runner's trajectory is a pure function of the seed: the
     same spec at threads=2 and threads=4 must end on byte-identical final
-    CSV rows.  With `routed` (compression), the rejection-free epoch count
-    must be positive and equal at both thread counts."""
+    CSV rows.  The replica record's `counts` (rejection-free epochs, and
+    amoebot's outcomes) must be positive and equal at both thread counts."""
     rows = {}
-    epochs = {}
+    seen = {}
     for threads in (2, 4):
         csv_path = os.path.join(workdir, f"{scenario}_threads{threads}.csv")
         jsonl_path = os.path.join(workdir,
@@ -279,22 +300,19 @@ def check_cross_thread(spps, workdir, scenario, routed=False):
             fail(f"spps {spec!r} exited {result.returncode}:\n"
                  f"{result.stdout}\n{result.stderr}")
         rows[threads] = final_csv_row(csv_path)
-        if routed:
-            epochs[threads] = rejection_free_epochs(
-                jsonl_path, f"{scenario} threads={threads}")
+        seen[threads] = replica_counts(
+            jsonl_path, f"{scenario} threads={threads}", counts)
     if rows[2] != rows[4]:
         fail(f"{scenario}: sharded runner diverged across thread counts\n"
              f"  threads=2: {rows[2]}\n  threads=4: {rows[4]}")
-    routing = ""
-    if routed:
-        if epochs[2] <= 0:
-            fail(f"{scenario}: no epoch ran rejection-free")
-        if epochs[2] != epochs[4]:
-            fail(f"{scenario}: rejection_free_epochs {epochs[2]} at "
-                 f"threads=2, {epochs[4]} at threads=4")
-        routing = f", {epochs[2]} rejection-free epochs at both"
+    expect_positive_counts(seen[2], f"{scenario} threads=2")
+    if seen[2] != seen[4]:
+        fail(f"{scenario}: counts {seen[2]} at threads=2, {seen[4]} at "
+             "threads=4")
     print(f"ok: {scenario} 20000-particle spiral, threads=2 and threads=4 "
-          f"end on the same final CSV row{routing}")
+          f"end on the same final CSV row, "
+          f"{seen[2]['rejection_free_epochs']} rejection-free epochs at "
+          "both")
 
 
 def check_holed_start(spps, workdir):
@@ -374,6 +392,8 @@ def main():
         replicas = 2 if "replicas=2" in extra else 1
         check_csv(csv_path, scenario, metrics, replicas)
         check_jsonl(jsonl_path, scenario, metrics, replicas)
+        if scenario == "amoebot":
+            replica_counts(jsonl_path, scenario, AMOEBOT_COUNTS)
         print(f"ok: {scenario} ({replicas} replica(s), sinks well-formed)")
 
     # The error paths must be loud: unknown scenario and unknown parameter.
@@ -387,20 +407,23 @@ def main():
     print("ok: unknown scenario/parameter specs fail loudly")
 
     check_holed_start(spps, workdir)
-    check_cross_thread(spps, workdir, "compression", routed=True)
-    check_cross_thread(spps, workdir, "amoebot")
+    check_cross_thread(spps, workdir, "compression", COMPRESSION_COUNTS)
+    check_cross_thread(spps, workdir, "amoebot", AMOEBOT_COUNTS)
 
     # Durable runs: a real SIGKILL (sequential compression; sharded
-    # compression on a spiral large enough that its epochs run
-    # rejection-free; the sharded separation runner — the chain with the
-    # most derived state to rebuild on restore — and the sharded amoebot
-    # runner), then graceful SIGTERM.
+    # compression and amoebot on a spiral large enough that their epochs
+    # run rejection-free; the sharded separation runner — the chain with
+    # the most derived state to rebuild on restore — and the sharded
+    # amoebot runner on the block path), then graceful SIGTERM.
     check_crash_resume(spps, workdir, "compression", "lambda=4.0")
     check_crash_resume(spps, workdir, "compression", "lambda=4.0 threads=2",
                        tag="compression_sharded",
-                       size="shape=spiral n=20000", routed=True)
+                       size="shape=spiral n=20000", counts=COMPRESSION_COUNTS)
     check_crash_resume(spps, workdir, "separation", "gamma=4.0 threads=2")
     check_crash_resume(spps, workdir, "amoebot", "threads=2")
+    check_crash_resume(spps, workdir, "amoebot", "lambda=4.0 threads=2",
+                       tag="amoebot_routed",
+                       size="shape=spiral n=20000", counts=AMOEBOT_COUNTS)
     check_sigterm_exit(spps, workdir)
     print("spps smoke: all scenarios runnable from a RunSpec alone; "
           "crash-resume and SIGTERM cancellation verified")
