@@ -1,11 +1,18 @@
+// sim::run's replica loop: sample, snapshot and advance one replica per
+// checkpoint, with checkpoint files written by a background writer that
+// overlaps each framed, fsynced write with the next advance (see
+// BackgroundSnapshotWriter and DESIGN.md §Durable runs).
 #include "sim/runner.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/ensemble.hpp"
 #include "sim/registry.hpp"
@@ -59,6 +66,44 @@ void warnIfSparseRegime(const RunSpec& spec, std::size_t replica,
                spec.scenario.c_str(), replica);
 }
 
+/// Writes checkpoint snapshots off the run thread: the chain advances to
+/// checkpoint k+1 while checkpoint k's framed, fsynced write
+/// (system::writeSnapshotFile) runs on a worker.  At most one write is in
+/// flight — submit() first waits for the previous one and rethrows its
+/// error — so the durable state trails the run by at most two
+/// checkpoints, and drain() makes it the last one submitted.  The
+/// destructor waits for the in-flight write, so an exception unwinding the
+/// run never leaves a write running; that write's own error is dropped
+/// then, behind the one already propagating.
+class BackgroundSnapshotWriter {
+ public:
+  explicit BackgroundSnapshotWriter(std::string path)
+      : path_(std::move(path)) {}
+  ~BackgroundSnapshotWriter() {
+    if (pending_.valid()) pending_.wait();
+  }
+  BackgroundSnapshotWriter(const BackgroundSnapshotWriter&) = delete;
+  BackgroundSnapshotWriter& operator=(const BackgroundSnapshotWriter&) =
+      delete;
+
+  void submit(std::vector<std::uint8_t> payload) {
+    drain();
+    pending_ = std::async(std::launch::async,
+                          [path = path_, payload = std::move(payload)] {
+                            system::writeSnapshotFile(path, payload);
+                          });
+  }
+
+  /// Waits for the in-flight write, if any, and rethrows its error.
+  void drain() {
+    if (pending_.valid()) pending_.get();
+  }
+
+ private:
+  std::string path_;
+  std::future<void> pending_;
+};
+
 /// Runs one replica to completion, streaming into `observer`.  Returns the
 /// replica's summary (without the finalSystem pointer, which is only valid
 /// during the onReplicaEnd call).
@@ -100,9 +145,12 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   warnIfSparseRegime(spec, replica, run->regime());
 
   // Atomic checkpoint snapshot: the full trajectory-identity key plus the
-  // run's complete evolving state, written after every advance (so the
-  // newest durable state is at most one checkpoint old) and at the
-  // cancellation point.
+  // run's complete evolving state, taken after every advance and at the
+  // cancellation point.  Serializing captures step k here, before the
+  // chain moves on; the file write runs in the background, so while the
+  // run is in flight the newest durable state is at most two checkpoints
+  // old, and the drain after the loop makes it the last one.
+  BackgroundSnapshotWriter snapshotWriter(spec.snapshotPath);
   const auto writeSnapshot = [&] {
     if (spec.snapshotPath.empty()) return;
     SOPS_REQUIRE(run->supportsSnapshots(),
@@ -113,7 +161,7 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
     writer.u64(replica);
     writer.u64(run->stepsDone());
     run->saveState(writer);
-    system::writeSnapshotFile(spec.snapshotPath, writer.payload());
+    snapshotWriter.submit(std::move(writer).take());
   };
 
   // Enforced here, once, for every consumer (sinks, StopWhen, reports):
@@ -167,6 +215,10 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
       break;
     }
   }
+
+  // Every exit (the last step, a StopWhen stop, a cancellation) reaches
+  // here: when the run returns, the primary snapshot holds its last step.
+  snapshotWriter.drain();
 
   ReplicaSummary summary;
   summary.replica = replica;

@@ -22,10 +22,14 @@
 /// Checkpoint cadence: metrics are sampled at iteration 0, after every
 /// `checkpoint` steps (when set), and after the final step.
 ///
-/// Durable runs: with `snapshot-file=` set (replicas=1), the runner writes
+/// Durable runs: with `snapshot-file=` set (replicas=1), the runner takes
 /// an atomic binary snapshot of the replica's complete state after every
 /// checkpoint and at the cancellation point; `resume=` restores one and
-/// continues the identical trajectory.  A CancelToken (caller-supplied or
+/// continues the identical trajectory.  The state is serialized on the run
+/// thread and written by one background writer while the chain moves on,
+/// so mid-run the file trails by at most two checkpoints; every exit
+/// drains the writer, so when run() returns the snapshot holds the last
+/// step.  A CancelToken (caller-supplied or
 /// armed from `deadline-ms=`) makes the whole run cooperatively
 /// interruptible.  See DESIGN.md §Durable runs.
 

@@ -22,15 +22,25 @@ namespace {
 constexpr char kMagic[8] = {'S', 'O', 'P', 'S', 'S', 'N', 'A', 'P'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
 
+/// Stores the low `bytes` bytes of v at dst, least significant first.  On
+/// a little-endian host that is a memcpy, one store once inlined; a
+/// byte loop is not merged into one at -O2.
+void storeLE(std::uint8_t* dst, std::uint64_t v, int bytes) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, static_cast<std::size_t>(bytes));
+  } else {
+    for (int i = 0; i < bytes; ++i) {
+      dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
 /// Appends the low `bytes` bytes of v, least significant first: one
-/// resize per primitive, then plain stores the compiler merges.
+/// resize per primitive.
 void putLE(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
   const std::size_t at = out.size();
   out.resize(at + static_cast<std::size_t>(bytes));
-  std::uint8_t* dst = out.data() + at;
-  for (int i = 0; i < bytes; ++i) {
-    dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
+  storeLE(out.data() + at, v, bytes);
 }
 
 [[nodiscard]] std::uint64_t getLE(const std::uint8_t* p, int bytes) noexcept {
@@ -70,6 +80,11 @@ std::uint64_t snapshotChecksum(std::span<const std::uint8_t> bytes) noexcept {
 
 void SnapshotWriter::reserve(std::size_t additionalBytes) {
   payload_.reserve(payload_.size() + additionalBytes);
+}
+std::span<std::uint8_t> SnapshotWriter::append(std::size_t count) {
+  const std::size_t at = payload_.size();
+  payload_.resize(at + count);
+  return {payload_.data() + at, count};
 }
 void SnapshotWriter::u8(std::uint8_t v) { payload_.push_back(v); }
 void SnapshotWriter::u32(std::uint32_t v) { putLE(payload_, v, 4); }
@@ -145,26 +160,23 @@ void writeSnapshotFile(const std::string& path,
   SOPS_REQUIRE(version >= kMinSnapshotVersion && version <= kSnapshotVersion,
                "snapshot: cannot write unsupported format version " +
                    std::to_string(version));
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderBytes + payload.size());
-  // Byte-wise on purpose: the const char* range-insert overload trips
-  // gcc 12's -Wstringop-overflow analysis under sanitizer
-  // instrumentation (false positive through the inlined memmove).
-  for (const char byte : kMagic) {
-    frame.push_back(static_cast<std::uint8_t>(byte));
-  }
-  putLE(frame, version, 4);
-  putLE(frame, payload.size(), 8);
-  putLE(frame, snapshotChecksum(payload), 8);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  // The header goes out first and the payload straight after it, from the
+  // caller's buffer: no framed copy of a payload that can be megabytes.
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  std::memcpy(header.data(), kMagic, sizeof kMagic);
+  storeLE(header.data() + 8, version, 4);
+  storeLE(header.data() + 12, payload.size(), 8);
+  storeLE(header.data() + 20, snapshotChecksum(payload), 8);
 
   const std::string tmpPath = path + ".tmp";
   std::FILE* file = std::fopen(tmpPath.c_str(), "wb");
   SOPS_REQUIRE(file != nullptr, "snapshot: cannot open " + tmpPath + ": " +
                                     std::strerror(errno));
-  const std::size_t written =
-      std::fwrite(frame.data(), 1, frame.size(), file);
-  bool ok = written == frame.size() && std::fflush(file) == 0;
+  bool ok = std::fwrite(header.data(), 1, header.size(), file) ==
+                header.size() &&
+            std::fwrite(payload.data(), 1, payload.size(), file) ==
+                payload.size() &&
+            std::fflush(file) == 0;
 #if !defined(_WIN32)
   ok = ok && ::fsync(::fileno(file)) == 0;
 #endif
@@ -239,11 +251,17 @@ void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
   // the four window fields or the tile count and 16 bytes per tile.
   const std::size_t tail =
       grid.tiled() ? 1 + 8 + 16 * grid.tileCount() : 1 + 4 * 8;
-  w.reserve(8 + 16 * sys.size() + tail);
-  w.u64(sys.size());
-  for (const TriPoint p : sys.positions()) {
-    w.i64(p.x);
-    w.i64(p.y);
+  const std::vector<TriPoint>& positions = sys.positions();
+  w.reserve(8 + 16 * positions.size() + tail);
+  // Count and positions in one append, then direct stores: the same bytes
+  // as u64 + i64 per coordinate, without a resize per primitive.
+  std::uint8_t* out = w.append(8 + 16 * positions.size()).data();
+  storeLE(out, positions.size(), 8);
+  out += 8;
+  for (const TriPoint p : positions) {
+    storeLE(out, static_cast<std::uint64_t>(std::int64_t{p.x}), 8);
+    storeLE(out + 8, static_cast<std::uint64_t>(std::int64_t{p.y}), 8);
+    out += 16;
   }
   if (grid.tiled()) {
     // Tag 2: the exact allocated-tile set, sorted by raw key so the byte

@@ -27,12 +27,19 @@
 /// A crash at any point leaves either the previous durable snapshot at
 /// `<path>` or at `<path>.prev`; loadResumableSnapshot() tries `<path>`
 /// first and falls back to `<path>.prev` when the primary is torn,
-/// truncated, or missing.
+/// truncated, or missing.  The header and the caller's payload go out as
+/// two writes, with no framed copy of the payload.
+///
+/// writeSnapshotFile touches only its arguments and the file system, so
+/// it may run on any thread: sim::run serializes a checkpoint on the run
+/// thread (SnapshotWriter) and hands the payload to one background writer
+/// that calls it while the chain advances.
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "rng/random.hpp"
@@ -88,8 +95,18 @@ class SnapshotWriter {
   void str(std::string_view v);
   void bytes(std::span<const std::uint8_t> v);
 
+  /// Appends `count` bytes and returns them for the caller to fill: a
+  /// bulk record grows the buffer once instead of once per primitive.  The
+  /// span is valid until the next call on this writer.
+  [[nodiscard]] std::span<std::uint8_t> append(std::size_t count);
+
   [[nodiscard]] const std::vector<std::uint8_t>& payload() const noexcept {
     return payload_;
+  }
+  /// Moves the payload out, leaving the writer empty — hands a finished
+  /// snapshot to another owner without copying it.
+  [[nodiscard]] std::vector<std::uint8_t> take() && noexcept {
+    return std::move(payload_);
   }
 
  private:

@@ -15,7 +15,11 @@
 //     honestly;
 //  4. Satellites: sink-path preflight, the MemorySink buffering cap, the
 //     strict text-configuration parser, and the amoebot crash-fraction
-//     fault path through the facade.
+//     fault path through the facade;
+//  5. The background snapshot writer: every exit leaves the last step in
+//     the primary snapshot and the checkpoint before it in `.prev`; a
+//     write that fails mid-run, or an observer error while a write is in
+//     flight, surfaces from sim::run instead of being lost or terminating.
 //
 // Suite names all start with DurableRun so CI's TSan job can filter them
 // with one anchor (they re-run full trajectories and would dominate its
@@ -24,8 +28,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -664,6 +671,133 @@ TEST(DurableRunFaults, AmoebotCompressesAroundCrashedParticles) {
   const system::ParticleSystem tails = system::fromText(capture.arrangement);
   EXPECT_EQ(tails.size(), spec.n);
   EXPECT_TRUE(system::isConnected(tails));
+}
+
+// -- 5. background snapshot writer -----------------------------------------
+
+/// The step count a snapshot file records (its payload opens with the
+/// compat key and the replica index).
+[[nodiscard]] std::uint64_t snapshotSteps(const std::string& path) {
+  const system::SnapshotData data = system::readSnapshotFile(path);
+  system::SnapshotReader r(data.payload, data.version);
+  (void)r.str();
+  (void)r.u64();
+  return r.u64();
+}
+
+TEST(DurableRunWriter, PrimaryHoldsTheLastStepOnEveryExit) {
+  // Writes run in the background, but sim::run drains the writer on every
+  // exit: the primary snapshot holds the report's last step and `.prev`
+  // the checkpoint before it — after the last step, a StopWhen stop and a
+  // token cancel alike.  Sharded (threads = 2, checkpoints rounded up to
+  // whole epochs), so block workers, the writer and the run thread all
+  // overlap.
+  const sim::RunSpec base = baseSpec("compression", 2);
+  const std::uint64_t stopAt = 2 * base.checkpointEvery;
+  // One exit: `stop` sees every sample (and may cancel); returns true to
+  // stop the run there.
+  const auto expectDrained =
+      [&](const std::string& tag,
+          const std::function<bool(std::uint64_t)>& stop,
+          core::CancelToken* token, bool expectCancelled) {
+        sim::RunSpec spec = base;
+        spec.snapshotPath = tempPath("drain_" + tag + ".snap");
+        std::vector<std::uint64_t> sampled;
+        const FinalState state = runToEnd(
+            spec,
+            [&](const sim::Sample& s) {
+              sampled.push_back(s.iteration);
+              return stop(s.iteration);
+            },
+            token);
+        EXPECT_EQ(state.cancelled, expectCancelled) << tag;
+        if (tag != "end") {
+          EXPECT_LT(state.steps, base.steps) << tag;
+        }
+        ASSERT_GE(sampled.size(), 3u) << tag;
+        EXPECT_EQ(sampled.back(), state.steps) << tag;
+        EXPECT_EQ(snapshotSteps(spec.snapshotPath), state.steps) << tag;
+        EXPECT_EQ(snapshotSteps(spec.snapshotPath + ".prev"),
+                  sampled[sampled.size() - 2])
+            << tag;
+      };
+
+  expectDrained("end", [](std::uint64_t) { return false; }, nullptr, false);
+  expectDrained(
+      "stop", [&](std::uint64_t step) { return step >= stopAt; }, nullptr,
+      false);
+  core::CancelToken token;
+  expectDrained(
+      "cancel",
+      [&](std::uint64_t step) {
+        if (step >= stopAt) token.requestCancel();
+        return false;
+      },
+      &token, true);
+}
+
+/// Removes a directory once, at the first sample after the baseline.
+class DirectoryRemover : public sim::Observer {
+ public:
+  explicit DirectoryRemover(std::filesystem::path dir)
+      : dir_(std::move(dir)) {}
+  void onSample(const sim::Sample& s) override {
+    if (s.iteration == 0 || removed_) return;
+    // The baseline write may still be creating files in it: retry until
+    // the directory is gone.  Nothing else is written until this returns.
+    std::error_code ignored;
+    while (std::filesystem::exists(dir_)) {
+      std::filesystem::remove_all(dir_, ignored);
+    }
+    removed_ = true;
+  }
+
+ private:
+  std::filesystem::path dir_;
+  bool removed_ = false;
+};
+
+TEST(DurableRunWriter, FailedWriteMidRunThrowsNamingThePath) {
+  const std::filesystem::path dir = tempPath("vanishing_dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  sim::RunSpec spec = baseSpec("compression", 1);
+  spec.snapshotPath = (dir / "run.snap").string();
+  DirectoryRemover remover(dir);
+  try {
+    (void)sim::run(spec, remover);
+    FAIL() << "a snapshot write into a removed directory was swallowed";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(spec.snapshotPath),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Throws from the sample after the given step.
+class FailingObserver : public sim::Observer {
+ public:
+  explicit FailingObserver(std::uint64_t after) : after_(after) {}
+  void onSample(const sim::Sample& s) override {
+    if (s.iteration > after_) throw std::runtime_error("observer failed");
+  }
+
+ private:
+  std::uint64_t after_;
+};
+
+TEST(DurableRunWriter, ObserverErrorUnwindsPastTheInFlightWrite) {
+  // The observer throws while the previous checkpoint's write may still be
+  // running: the error reaches the caller, and the unwind waits for that
+  // write, so the file it leaves is whole and holds that checkpoint.
+  sim::RunSpec spec = baseSpec("compression", 1);
+  spec.snapshotPath = tempPath("unwind.snap");
+  const std::uint64_t lastWritten = 2 * spec.checkpointEvery;
+  FailingObserver failing(lastWritten);
+  EXPECT_THROW((void)sim::run(spec, failing), std::runtime_error);
+  EXPECT_EQ(snapshotSteps(spec.snapshotPath), lastWritten);
+  EXPECT_EQ(snapshotSteps(spec.snapshotPath + ".prev"),
+            lastWritten - spec.checkpointEvery);
 }
 
 }  // namespace

@@ -22,8 +22,9 @@ mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
 uninterrupted run of the same spec (for sharded compression and amoebot
 on a 20000-particle spiral, with the same rejection_free_epochs and
-outcome counts); plus SIGTERM → graceful exit 3 with a resumable
-snapshot.
+outcome counts); plus SIGTERM → graceful exit 3 with the cancelled step
+in the primary snapshot, and a clean run that leaves its final step
+there.
 
 Usage:
     python3 tools/check_spps_smoke.py path/to/spps [workdir]
@@ -341,13 +342,44 @@ def check_holed_start(spps, workdir):
     print(f"ok: ring start samples holes = 1, perimeter = {perimeter:g}")
 
 
+def check_clean_snapshot(spps, workdir):
+    """Snapshots are written in the background, but a run that ends must
+    leave its final step in the primary snapshot (no .prev fallback) and
+    the checkpoint before it in .prev."""
+    checkpoint = 50000
+    steps = 4 * checkpoint
+    snap = os.path.join(workdir, "clean.snap")
+    spec = (f"scenario=compression n=60 steps={steps} "
+            f"checkpoint={checkpoint} seed=1603 snapshot-file={snap}")
+    result = subprocess.run([spps] + spec.split(), capture_output=True,
+                            text=True)
+    if result.returncode != 0:
+        fail(f"spps {spec!r} exited {result.returncode}:\n"
+             f"{result.stdout}\n{result.stderr}")
+    primary = snapshot_steps(snap)
+    previous = snapshot_steps(snap + ".prev")
+    if primary != steps or previous != steps - checkpoint:
+        fail(f"clean run: primary snapshot at {primary} steps and .prev at "
+             f"{previous}, expected {steps} and {steps - checkpoint}")
+    print(f"ok: clean run leaves its final step {steps} in the primary "
+          "snapshot")
+
+
 def check_sigterm_exit(spps, workdir):
     """SIGTERM must cancel cooperatively: exit 3, resumable snapshot named,
-    and the snapshot must actually resume to completion."""
+    the cancelled step in the primary snapshot (no .prev fallback), and the
+    snapshot must actually resume to completion."""
     checkpoint = 50000
     snap = os.path.join(workdir, "sigterm.snap")
+    jsonl_path = os.path.join(workdir, "sigterm.jsonl")
+    # A leftover snapshot would satisfy the wait below before spps has
+    # installed its signal handler.
+    for leftover in (snap, snap + ".prev"):
+        if os.path.exists(leftover):
+            os.remove(leftover)
     spec = (f"scenario=compression n=60 steps=4000000000 "
-            f"checkpoint={checkpoint} seed=1603 snapshot-file={snap}")
+            f"checkpoint={checkpoint} seed=1603 snapshot-file={snap} "
+            f"jsonl={jsonl_path}")
     proc = subprocess.Popen([spps] + spec.split(), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
     wait_for_checkpoints(proc, snap, checkpoint)
@@ -358,9 +390,11 @@ def check_sigterm_exit(spps, workdir):
              f"{stdout}\n{stderr}")
     if "interrupted" not in stdout or "resumable snapshot" not in stdout:
         fail(f"SIGTERM: stdout does not name the resumable snapshot:\n{stdout}")
-    steps = resumable_steps(snap)
-    if steps is None:
-        fail("SIGTERM: no resumable snapshot left behind")
+    steps = snapshot_steps(snap)
+    cancelled_at = replica_counts(jsonl_path, "SIGTERM", ("steps",))["steps"]
+    if steps != cancelled_at:
+        fail(f"SIGTERM: primary snapshot holds {steps} steps, the run was "
+             f"cancelled at {cancelled_at}")
     result = subprocess.run(
         [spps] + f"scenario=compression n=60 steps={steps + checkpoint} "
                  f"checkpoint={checkpoint} seed=1603 "
@@ -424,6 +458,7 @@ def main():
     check_crash_resume(spps, workdir, "amoebot", "lambda=4.0 threads=2",
                        tag="amoebot_routed",
                        size="shape=spiral n=20000", counts=AMOEBOT_COUNTS)
+    check_clean_snapshot(spps, workdir)
     check_sigterm_exit(spps, workdir)
     print("spps smoke: all scenarios runnable from a RunSpec alone; "
           "crash-resume and SIGTERM cancellation verified")
