@@ -9,7 +9,7 @@
 
 #include "analysis/csv.hpp"
 #include "bench_util.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 
@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   bench::Table table({"variant", "connected", "holes", "alpha=p/pmin",
                       "accept%"}, 26);
   for (const AblationRow& row : rows) {
-    core::CompressionChain chain(system::lineConfiguration(n), row.options,
-                                 1603);
+    core::CompressionEngine chain(system::lineConfiguration(n),
+                                  core::CompressionModel(row.options), 1603);
     // Track the worst violation seen along the trajectory, not just the end
     // state (holes/disconnection can be transient).
     bool everDisconnected = false;
@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
     table.row({row.name, everDisconnected ? "VIOLATED" : "yes",
                bench::fmtInt(maxHoles),
                connectedNow ? bench::fmt(alpha) : "n/a",
-               bench::fmt(100.0 * chain.stats().acceptanceRate(), 1)});
+               bench::fmt(100.0 * chain.stats().movement.acceptanceRate(),
+                          1)});
     csv.writeRow({row.name, everDisconnected ? "0" : "1",
                   std::to_string(maxHoles), analysis::formatDouble(alpha)});
   }

@@ -8,7 +8,7 @@
 #include "analysis/csv.hpp"
 #include "baseline/hexagon_builder.hpp"
 #include "bench_util.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 
@@ -32,10 +32,11 @@ int main(int argc, char** argv) {
 
     core::ChainOptions options;
     options.lambda = 4.0;
-    core::CompressionChain chain(system::lineConfiguration(n), options, 1603);
+    core::CompressionEngine chain(system::lineConfiguration(n),
+                                  core::CompressionModel(options), 1603);
     const double threshold = 1.75 * static_cast<double>(system::pMin(n));
     while (static_cast<double>(system::perimeter(chain.system())) > threshold &&
-           chain.iterations() < static_cast<std::uint64_t>(60000000)) {
+           chain.stats().steps < static_cast<std::uint64_t>(60000000)) {
       chain.run(static_cast<std::uint64_t>(n) * 200);
     }
     const double chainAlpha =
@@ -45,13 +46,13 @@ int main(int argc, char** argv) {
     table.row({bench::fmtInt(n),
                bench::fmtInt(static_cast<std::int64_t>(built.unitMoves)),
                bench::fmt(builderAlpha, 2),
-               bench::fmtInt(static_cast<std::int64_t>(chain.iterations())),
+               bench::fmtInt(static_cast<std::int64_t>(chain.stats().steps)),
                bench::fmt(chainAlpha, 2),
-               bench::fmtInt(
-                   static_cast<std::int64_t>(chain.stats().accepted))});
+               bench::fmtInt(static_cast<std::int64_t>(
+                   chain.stats().movement.accepted))});
     csv.writeRow({std::to_string(n), std::to_string(built.unitMoves),
                   analysis::formatDouble(builderAlpha),
-                  std::to_string(chain.iterations()),
+                  std::to_string(chain.stats().steps),
                   analysis::formatDouble(chainAlpha)});
   }
   std::printf(

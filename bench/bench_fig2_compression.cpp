@@ -5,12 +5,10 @@
 // iterations and is well-compressed at 5M.  We report p(σ)/p_min (the α of
 // Definition 2.2), edges, and ASCII snapshots.
 //
-// Since ISSUE 4 the whole experiment is one facade RunSpec: the primary
-// seed plus a seed ensemble run as replicas of the compression scenario
-// (sim::Registry), measurement is an Observer instead of an inline loop,
-// and the plot CSV/SVG come from the spec's sinks.  The replica seeds
-// (seed + 7·r) and engine construction are identical to the pre-facade
-// core::runEnsemble path, so the trajectories are unchanged.
+// The whole experiment is one facade RunSpec: the primary seed plus a seed
+// ensemble run as replicas of the compression scenario (sim::Registry),
+// measurement is an Observer instead of an inline loop, and the plot
+// CSV/SVG come from the spec's sinks.  Replica r runs from seed + 7·r.
 //
 // Env knobs (CI shrink): SOPS_FIG2_N, SOPS_FIG2_LAMBDA,
 // SOPS_FIG2_CHECKPOINT, SOPS_FIG2_CHECKPOINTS, SOPS_SEED, SOPS_FIG2_SEEDS,

@@ -13,7 +13,7 @@
 #include "analysis/csv.hpp"
 #include "analysis/stats.hpp"
 #include "bench_util.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 
@@ -25,15 +25,15 @@ std::uint64_t hitTime(const system::ParticleSystem& start, double lambda,
                       double alpha, std::uint64_t seed, std::uint64_t cap) {
   core::ChainOptions options;
   options.lambda = lambda;
-  core::CompressionChain chain(start, options, seed);
+  core::CompressionEngine chain(start, core::CompressionModel(options), seed);
   const auto n = static_cast<std::int64_t>(start.size());
   const double threshold = alpha * static_cast<double>(system::pMin(n));
   const std::uint64_t stride = static_cast<std::uint64_t>(n) * 250;
-  while (chain.iterations() < cap) {
+  while (chain.stats().steps < cap) {
     chain.run(stride);
     if (system::countHoles(chain.system()) != 0) continue;
     if (static_cast<double>(chain.perimeterIfHoleFree()) <= threshold) {
-      return chain.iterations();
+      return chain.stats().steps;
     }
   }
   return cap;

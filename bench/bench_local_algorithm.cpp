@@ -21,7 +21,7 @@
 #include "amoebot/scheduler.hpp"
 #include "analysis/csv.hpp"
 #include "bench_util.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "markov/stationary.hpp"
 #include "system/canonical.hpp"
@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
         bench::envInt("SOPS_LOCAL_STEPS", 4000000));
     core::ChainOptions options;
     options.lambda = 4.0;
-    core::CompressionChain chain(system::lineConfiguration(n), options, 7);
+    core::CompressionEngine chain(system::lineConfiguration(n),
+                                  core::CompressionModel(options), 7);
     const auto t0 = std::chrono::steady_clock::now();
     chain.run(steps);
     const auto t1 = std::chrono::steady_clock::now();

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,13 +19,13 @@
 #include "amoebot/reference_local_kernel.hpp"
 #include "amoebot/scheduler.hpp"
 #include "core/compression_chain.hpp"
-#include "core/ensemble.hpp"
 #include "core/move_table.hpp"
 #include "core/properties.hpp"
 #include "core/reference_kernel.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
 #include "extensions/separation.hpp"
+#include "sim/runner.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 #include "util/flat_hash.hpp"
@@ -41,10 +42,12 @@ using namespace sops;
 // measured baseline is exactly the certified one.
 
 void BM_ChainStep(benchmark::State& state) {
+  // The paper's chain M as it runs: the compression scenario of the
+  // weight-model engine.
   core::ChainOptions options;
   options.lambda = 4.0;
-  core::CompressionChain chain(
-      system::lineConfiguration(state.range(0)), options, 42);
+  core::CompressionEngine chain(system::lineConfiguration(state.range(0)),
+                                core::CompressionModel(options), 42);
   for (auto _ : state) {
     benchmark::DoNotOptimize(chain.step());
   }
@@ -205,22 +208,29 @@ void BM_FlatMapLookup(benchmark::State& state) {
 BENCHMARK(BM_FlatMapLookup);
 
 void BM_EnsembleSweep(benchmark::State& state) {
-  // Small λ × seed grid end-to-end through the thread pool; items are chain
+  // Small λ × seed grid end-to-end through sim::run — one RunSpec per λ,
+  // its seeds fanned out as replicas across the pool; items are chain
   // steps, so items/s is directly comparable with BM_ChainStep.
-  const std::vector<double> lambdas = {2.0, 4.0};
-  const std::vector<std::uint64_t> seeds = {1, 2};
   constexpr std::uint64_t kIterations = 50000;
-  const auto specs = core::lambdaSeedGrid(
-      [] { return system::lineConfiguration(50); }, core::ChainOptions{},
-      lambdas, seeds, kIterations);
-  core::EnsembleOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
-  options.keepFinalSystems = false;
+  constexpr std::uint32_t kSeeds = 4;
+  std::vector<sim::RunSpec> specs;
+  for (const char* lambda : {"2.0", "4.0"}) {
+    sim::RunSpec spec = sim::RunSpec::parse(
+        std::string("scenario=compression shape=line n=50 seed=1 "
+                    "seed-stride=1 lambda=") +
+        lambda);
+    spec.steps = kIterations;
+    spec.replicas = kSeeds;
+    spec.threads = static_cast<unsigned>(state.range(0));
+    specs.push_back(std::move(spec));
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::runEnsemble(specs, options));
+    for (const sim::RunSpec& spec : specs) {
+      benchmark::DoNotOptimize(sim::run(spec));
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * specs.size() * kIterations));
+      state.iterations() * specs.size() * kSeeds * kIterations));
 }
 BENCHMARK(BM_EnsembleSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
@@ -366,20 +376,6 @@ void BM_SeparationEngineStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SeparationEngineStep)->Arg(100)->Arg(400)->Arg(100000);
-
-void BM_CompressionEngineStep(benchmark::State& state) {
-  // Must track BM_ChainStep: the golden tests prove the trajectory is
-  // identical, this shows the generalization is also free of overhead.
-  core::ChainOptions options;
-  options.lambda = 4.0;
-  core::CompressionEngine engine(system::lineConfiguration(state.range(0)),
-                                 core::CompressionModel(options), 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.step());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CompressionEngineStep)->Arg(100)->Arg(400);
 
 void BM_CompressionEngineStepSpiral(benchmark::State& state) {
   // The sequential single-replica baseline BM_ShardedChainStepCompression

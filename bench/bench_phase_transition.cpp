@@ -7,8 +7,9 @@
 // a long run; the curve must fall from the expanded plateau to the
 // compressed plateau somewhere inside the paper's window.
 //
-// The whole (λ × seed) grid runs as one replica ensemble across all cores
-// (core/ensemble); per-replica trajectories are deterministic per seed and
+// Each λ is one facade RunSpec of the compression scenario whose replicas
+// are the seed ensemble (seed + 7·r), fanned out across cores by
+// sim::run; per-replica trajectories are deterministic per seed and
 // independent of the thread count.
 #include <algorithm>
 #include <cstdio>
@@ -17,15 +18,40 @@
 #include "analysis/csv.hpp"
 #include "analysis/time_series.hpp"
 #include "bench_util.hpp"
-#include "core/ensemble.hpp"
+#include "sim/runner.hpp"
 #include "system/metrics.hpp"
-#include "system/shapes.hpp"
+
+namespace {
+
+using namespace sops;
+
+/// Every replica's sampled perimeter after iteration 0, as a time series.
+class PerimeterSeries : public sim::Observer {
+ public:
+  explicit PerimeterSeries(std::size_t replicas) : series_(replicas) {}
+
+  void onSample(const sim::Sample& sample) override {
+    if (sample.iteration == 0) return;
+    // Metric order is the compression scenario's declared columns:
+    // edges, perimeter, alpha, acceptance.
+    series_[sample.replica].record(sample.iteration, sample.values[1]);
+  }
+
+  [[nodiscard]] const std::vector<analysis::TimeSeries>& series()
+      const noexcept {
+    return series_;
+  }
+
+ private:
+  std::vector<analysis::TimeSeries> series_;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  sops::bench::expectNoArgs(argc, argv,
-                            "SOPS_PHASE_N, SOPS_PHASE_ITERS, "
-                            "SOPS_PHASE_SEEDS, SOPS_SEED, SOPS_THREADS");
-  using namespace sops;
+  bench::expectNoArgs(argc, argv,
+                      "SOPS_PHASE_N, SOPS_PHASE_ITERS, "
+                      "SOPS_PHASE_SEEDS, SOPS_SEED, SOPS_THREADS");
   const auto n = bench::envInt("SOPS_PHASE_N", 100);
   const auto iterations = bench::envInt("SOPS_PHASE_ITERS", 8000000);
   const auto seedCount =
@@ -40,23 +66,6 @@ int main(int argc, char** argv) {
 
   const std::vector<double> lambdas = {1.0, 1.5,  2.0, 2.17, 2.5,
                                        3.0, 3.41, 4.0, 5.0,  6.0};
-  std::vector<std::uint64_t> seeds;
-  for (std::int64_t s = 0; s < seedCount; ++s) {
-    seeds.push_back(baseSeed + 7 * static_cast<std::uint64_t>(s));
-  }
-
-  const auto specs = core::lambdaSeedGrid(
-      [n] { return system::lineConfiguration(n); }, core::ChainOptions{},
-      lambdas, seeds, static_cast<std::uint64_t>(iterations),
-      static_cast<std::uint64_t>(iterations) / 40,
-      [](const core::CompressionChain& chain) {
-        return static_cast<double>(system::perimeter(chain.system()));
-      });
-
-  core::EnsembleOptions ensembleOptions;
-  ensembleOptions.threads = threads;
-  ensembleOptions.keepFinalSystems = false;
-  const auto results = core::runEnsemble(specs, ensembleOptions);
 
   analysis::CsvWriter csv(bench::csvPath("phase_transition.csv"),
                           {"lambda", "alpha", "beta", "regime"});
@@ -64,21 +73,28 @@ int main(int argc, char** argv) {
 
   const double pMin = static_cast<double>(system::pMin(n));
   const double pMax = static_cast<double>(system::pMax(n));
-  // Specs are λ-major: results [i*seeds .. (i+1)*seeds) share lambdas[i].
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    const double lambda = lambdas[i];
+  for (const double lambda : lambdas) {
+    sim::RunSpec spec;
+    spec.scenario = "compression";
+    spec.params.set("lambda", bench::exactText(lambda));
+    spec.n = n;
+    spec.steps = static_cast<std::uint64_t>(iterations);
+    spec.checkpointEvery = static_cast<std::uint64_t>(iterations) / 40;
+    spec.seed = baseSeed;
+    spec.replicas = static_cast<std::uint32_t>(seedCount);
+    // One replica runs inline with the spec's thread budget: keep it on
+    // the sequential engine, like every replica of a larger ensemble.
+    spec.threads = seedCount == 1 ? 1 : threads;
+    PerimeterSeries perimeters(spec.replicas);
+    (void)sim::run(spec, perimeters);
+
     // Quasi-stationary estimate: per replica, mean perimeter over the last
     // quarter of the run; then average across the seed ensemble.
     double p = 0.0;
-    for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const core::ReplicaResult& r = results[i * seeds.size() + s];
-      analysis::TimeSeries series;
-      for (const core::ReplicaSample& sample : r.samples) {
-        series.record(sample.iteration, sample.value);
-      }
+    for (const analysis::TimeSeries& series : perimeters.series()) {
       p += series.meanAfter(static_cast<std::uint64_t>(3 * iterations / 4));
     }
-    p /= static_cast<double>(seeds.size());
+    p /= static_cast<double>(seedCount);
     const char* regime = lambda < 2.17  ? "expansion (Thm 5.7)"
                          : lambda > 3.42 ? "compression (Thm 4.5)"
                                          : "conjectured window";

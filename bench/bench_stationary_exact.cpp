@@ -14,6 +14,7 @@
 #include "analysis/csv.hpp"
 #include "bench_util.hpp"
 #include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "enumeration/chain_matrix.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "markov/stationary.hpp"
@@ -124,7 +125,8 @@ int main(int argc, char** argv) {
       const std::vector<double> exact = vEnsemble.stationary(lambda);
       core::ChainOptions opts;
       opts.lambda = lambda;
-      core::CompressionChain chain(system::lineConfiguration(vN), opts, 77);
+      core::CompressionEngine chain(system::lineConfiguration(vN),
+                                    core::CompressionModel(opts), 77);
       chain.run(50000);
       std::vector<double> empirical(exact.size(), 0.0);
       const int samples =

@@ -11,6 +11,8 @@
 /// Unknown argv flags are hard errors — the old per-binary parsers
 /// silently ignored them.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -58,17 +60,49 @@ inline void expectNoArgs(int argc, const char* const* argv,
   std::exit(2);
 }
 
-/// Integer override: SOPS_<NAME> environment variable, else fallback.
-inline std::int64_t envInt(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  return std::strtoll(raw, nullptr, 10);
+/// Rejects a malformed environment knob the way expectNoArgs rejects
+/// argv: the message names the variable, and the run exits with code 2.
+[[noreturn]] inline void badEnvValue(const char* name, const char* raw,
+                                     const char* expected) {
+  std::fprintf(stderr, "%s=\"%s\" is not %s\n", name, raw, expected);
+  std::exit(2);
 }
 
+/// Integer override: SOPS_<NAME> environment variable, else fallback.
+/// The whole value must be one in-range integer ("1e7" and "8M" are
+/// errors, not 1 and 8).
+inline std::int64_t envInt(const char* name, std::int64_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(raw, &end, 10);
+  if (*raw == '\0' || *end != '\0' || errno == ERANGE) {
+    badEnvValue(name, raw, "an in-range integer");
+  }
+  return value;
+}
+
+/// Floating-point override, with envInt's whole-value and range checks.
 inline double envDouble(const char* name, double fallback) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  return std::strtod(raw, nullptr);
+  if (raw == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(raw, &end);
+  if (*raw == '\0' || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    badEnvValue(name, raw, "a finite, in-range number");
+  }
+  return value;
+}
+
+/// Decimal text that parses back to exactly `value`, for spec keys set
+/// from a number the bench already holds.
+inline std::string exactText(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
 }
 
 /// Where benches drop plot-ready CSVs (next to the working directory).

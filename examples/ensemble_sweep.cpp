@@ -1,8 +1,8 @@
 // Replica-ensemble parameter sweep: the workload shape of every scaled-up
 // SOPS study (λ-grid × seed ensemble, each replica millions of chain
 // steps), saturating all cores — one facade RunSpec per λ with a
-// seed-replica fan-out (sim::run dispatches replicas across the
-// core/ensemble pool).
+// seed-replica fan-out (sim::run, the one ensemble path, dispatches
+// replicas across core::parallelForIndex).
 //
 // Prints a λ × seed matrix of final compression ratios α = p/p_min, the
 // aggregate step throughput, and — when run with scaling=1 — a

@@ -37,10 +37,11 @@
 ///   // to auxStep, so partner identity is an array load instead of a
 ///   // hash probe.
 ///
-/// For a kUniformWeight model the factor path compiles away entirely and
-/// the step body is literally the CompressionChain step: the golden test
-/// (tests/biased_engine_test.cpp) pins the compression scenario
-/// draw-for-draw and outcome-for-outcome against core::CompressionChain.
+/// For a kUniformWeight model the factor path compiles away entirely: the
+/// compression scenario (CompressionEngine, core/scenario_models.hpp) *is*
+/// the paper's chain M, pinned draw-for-draw and outcome-for-outcome
+/// against the frozen seed kernel core::ReferenceKernel by
+/// tests/golden_trajectory_test.cpp.
 ///
 /// The move body itself lives in the free chainEventStep() below, shared
 /// with core::ShardedChainRunner (the exact block-parallel execution of
@@ -224,8 +225,8 @@ class BiasedChainEngine {
     model_.attach(system_);
     if constexpr (kMaintainsIds) partnerIds_.sync(system_);
     edges_ = system::countEdges(system_);
-    // The exact fold CompressionChain uses — one shared implementation, so
-    // the ablation semantics cannot drift between chain and engine.
+    // The one shared fold (core/compression_chain.hpp), also used by the
+    // sharded runner, so the ablation semantics cannot drift.
     decisions_ = buildDecisionTable(options);
   }
 
@@ -257,6 +258,25 @@ class BiasedChainEngine {
 
   void run(std::uint64_t iterations) {
     for (std::uint64_t i = 0; i < iterations; ++i) step();
+  }
+
+  /// Deterministic single-proposal entry point for tests: the movement
+  /// proposal (particle, d) with the Metropolis uniform fixed to q ∈ [0, 1),
+  /// through the same chainEventStep (and so the same threshold
+  /// comparison) as step() and the sharded runner.  Tallied like step().
+  EngineStepResult applyProposal(std::size_t particle, Direction d, double q) {
+    SOPS_REQUIRE(particle < system_.size(), "applyProposal: bad particle");
+    SOPS_REQUIRE(q >= 0.0 && q < 1.0, "applyProposal: q must be in [0, 1)");
+    struct FixedUniform {
+      double q;
+      [[nodiscard]] double uniform() const noexcept { return q; }
+    } fixed{q};
+    ++stats_.steps;
+    const EngineStepResult result = chainEventStep(
+        system_, model_, partnerIds_, decisions_, greedy_, particle,
+        lattice::index(d), /*auxMove=*/false, fixed, edges_);
+    stats_.movement.record(result.movement);
+    return result;
   }
 
   /// Runs `iterations` steps, invoking callback(done) every

@@ -1,8 +1,5 @@
 #include "core/compression_chain.hpp"
 
-#include "core/draw_guard.hpp"
-#include "system/metrics.hpp"
-
 namespace sops::core {
 
 namespace {
@@ -41,95 +38,10 @@ double acceptanceProbability(const MoveEvaluation& eval,
   if (options.enforceGapCondition && !eval.gapOk) return 0.0;
   if (!propertyPasses(eval, options)) return 0.0;
   if (options.greedy) return eval.eAfter >= eval.eBefore ? 1.0 : 0.0;
-  // lambdaPower is the single λ^δ implementation shared with the chain's
-  // decision table, so this function and step() agree exactly.
+  // lambdaPower is the single λ^δ implementation shared with the
+  // decision table, so this function and the engine's step agree exactly.
   const double ratio = lambdaPower(options.lambda, eval.eAfter - eval.eBefore);
   return ratio >= 1.0 ? 1.0 : ratio;
-}
-
-CompressionChain::CompressionChain(system::ParticleSystem initial,
-                                   ChainOptions options, std::uint64_t seed)
-    : system_(std::move(initial)), options_(options), rng_(seed) {
-  SOPS_REQUIRE(options_.lambda > 0.0, "lambda must be positive");
-  // Particle selection draws 32-bit uniforms; the count is conserved by M,
-  // so one construction-time guard protects every step() from sampling a
-  // truncated prefix of a ≥2³²-particle system.
-  particleCount32_ = checkedParticleDrawBound(system_.size());
-  SOPS_REQUIRE(system::isConnected(system_),
-               "M requires a connected starting configuration (paper §3.1)");
-  edges_ = system::countEdges(system_);
-  decisions_ = buildDecisionTable(options_);
-}
-
-void CompressionChain::applyAccepted(std::size_t particle, TriPoint l,
-                                     Direction d,
-                                     const MoveDecision& decision) {
-  const TriPoint target = lattice::neighbor(l, d);
-  system_.moveParticle(particle, target);
-  edges_ += decision.delta;
-  lastMove_ = MoveRecord{particle, l, target};
-}
-
-StepOutcome CompressionChain::step() {
-  // Step 1-2 of Algorithm M: uniform particle, uniform neighboring location.
-  const auto particle = static_cast<std::size_t>(rng_.below(particleCount32_));
-  const Direction d =
-      lattice::directionFromIndex(static_cast<int>(rng_.below(6)));
-
-  const TriPoint l = system_.position(particle);
-  StepOutcome outcome;
-  if (system_.occupiedNear(lattice::neighbor(l, d))) {
-    outcome = StepOutcome::TargetOccupied;
-  } else {
-    const std::uint8_t mask = ringMask(system_, l, d);
-    const MoveDecision& decision = decisions_[mask];
-    if (decision.stage != kFilterStage) {
-      outcome = static_cast<StepOutcome>(decision.stage);
-    } else {
-      // Draw q lazily: distributionally identical to Algorithm M's step 2,
-      // and draw-for-draw identical to the reference branch ladder (no
-      // uniform is consumed when the threshold ≥ 1 or in greedy mode).
-      const bool accept =
-          decision.acceptNoDraw ||
-          (!options_.greedy && rng_.uniform() < decision.threshold);
-      if (accept) {
-        applyAccepted(particle, l, d, decision);
-        outcome = StepOutcome::Accepted;
-      } else {
-        outcome = StepOutcome::RejectedFilter;
-      }
-    }
-  }
-  stats_.record(outcome);
-  return outcome;
-}
-
-void CompressionChain::run(std::uint64_t iterations) {
-  for (std::uint64_t i = 0; i < iterations; ++i) step();
-}
-
-StepOutcome CompressionChain::applyProposal(std::size_t particle, Direction d,
-                                            double q) {
-  SOPS_REQUIRE(particle < system_.size(), "applyProposal: bad particle");
-  const TriPoint l = system_.position(particle);
-  StepOutcome outcome;
-  if (system_.occupiedNear(lattice::neighbor(l, d))) {
-    outcome = StepOutcome::TargetOccupied;
-  } else {
-    const std::uint8_t mask = ringMask(system_, l, d);
-    const MoveDecision& decision = decisions_[mask];
-    if (decision.stage != kFilterStage) {
-      outcome = static_cast<StepOutcome>(decision.stage);
-    } else if (options_.greedy ? decision.acceptNoDraw
-                               : q < decision.threshold) {
-      applyAccepted(particle, l, d, decision);
-      outcome = StepOutcome::Accepted;
-    } else {
-      outcome = StepOutcome::RejectedFilter;
-    }
-  }
-  stats_.record(outcome);
-  return outcome;
 }
 
 }  // namespace sops::core

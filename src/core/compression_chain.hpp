@@ -2,7 +2,8 @@
 #define SOPS_CORE_COMPRESSION_CHAIN_HPP
 
 /// \file compression_chain.hpp
-/// The paper's Markov chain M for compression (Algorithm M, §3.1).
+/// The rules of the paper's Markov chain M for compression (Algorithm M,
+/// §3.1), as data the step loops fold into their decision tables.
 ///
 /// One iteration: choose a particle P at ℓ and a direction uniformly at
 /// random; let ℓ' be the neighboring cell.  If ℓ' is unoccupied and
@@ -11,9 +12,12 @@
 /// distribution is α-compressed w.h.p. (Theorem 4.5); with λ < 2.17 it is
 /// β-expanded (Theorem 5.7).
 ///
-/// The expand/contract mechanics of the amoebot model are atomic at this
-/// level (§3.2 shows the decoupled local algorithm A is equivalent); the
-/// faithful two-phase implementation lives in sops::amoebot.
+/// The chain itself runs as core::CompressionEngine, the compression
+/// scenario of BiasedChainEngine (core/biased_chain_engine.hpp,
+/// core/scenario_models.hpp).  The expand/contract mechanics of the
+/// amoebot model are atomic at this level (§3.2 shows the decoupled local
+/// algorithm A is equivalent); the faithful two-phase implementation lives
+/// in sops::amoebot.
 ///
 /// ChainOptions carries ablation switches (used only by bench_ablation to
 /// demonstrate why each rule exists — E13 in DESIGN.md); defaults implement
@@ -21,14 +25,11 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 
 #include "core/chain_stats.hpp"
 #include "core/move_table.hpp"
 #include "core/properties.hpp"
-#include "rng/random.hpp"
-#include "system/particle_system.hpp"
 
 namespace sops::core {
 
@@ -137,93 +138,10 @@ static_assert([] {
      "switches");
 
 /// Builds the 256-entry decision table for the given options — the single
-/// fold shared by CompressionChain and BiasedChainEngine, so the ablation
-/// semantics cannot drift between the chain and the engine scenarios.
+/// fold shared by BiasedChainEngine and ShardedChainRunner, so the
+/// ablation semantics cannot drift between the execution disciplines.
 [[nodiscard]] std::array<MoveDecision, 256> buildDecisionTable(
     const ChainOptions& options);
-
-class CompressionChain {
- public:
-  /// A record of the last accepted move, for invariant instrumentation.
-  struct MoveRecord {
-    std::size_t particle;
-    TriPoint from;
-    TriPoint to;
-  };
-
-  CompressionChain(system::ParticleSystem initial, ChainOptions options,
-                   std::uint64_t seed);
-
-  /// Runs a single iteration of M.
-  StepOutcome step();
-
-  /// Runs `iterations` steps.
-  void run(std::uint64_t iterations);
-
-  /// Runs `iterations` steps, invoking callback(iterationsDone) after every
-  /// `checkpointEvery` steps (and once at the end if not aligned).
-  template <typename Callback>
-  void runWithCheckpoints(std::uint64_t iterations,
-                          std::uint64_t checkpointEvery,
-                          Callback&& callback) {
-    SOPS_REQUIRE(checkpointEvery > 0, "checkpointEvery must be positive");
-    std::uint64_t done = 0;
-    while (done < iterations) {
-      const std::uint64_t burst = std::min(checkpointEvery, iterations - done);
-      for (std::uint64_t i = 0; i < burst; ++i) step();
-      done += burst;
-      callback(done);
-    }
-  }
-
-  [[nodiscard]] const system::ParticleSystem& system() const noexcept {
-    return system_;
-  }
-  [[nodiscard]] const ChainStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const ChainOptions& options() const noexcept {
-    return options_;
-  }
-  [[nodiscard]] std::uint64_t iterations() const noexcept {
-    return stats_.steps;
-  }
-
-  /// Current e(σ), maintained incrementally from move deltas — O(1) per
-  /// step instead of O(n) recounts.  Tests verify it against
-  /// system::countEdges along full trajectories.
-  [[nodiscard]] std::int64_t edges() const noexcept { return edges_; }
-
-  /// Current perimeter via Lemma 2.3 (p = 3n − e − 3), valid whenever the
-  /// configuration is hole-free — which is absorbing (Lemma 3.2), so after
-  /// a hole-free start this is always exact under the paper's rules.
-  [[nodiscard]] std::int64_t perimeterIfHoleFree() const noexcept {
-    return 3 * static_cast<std::int64_t>(system_.size()) - edges_ - 3;
-  }
-
-  /// Last accepted move, if any step has accepted yet.
-  [[nodiscard]] const std::optional<MoveRecord>& lastMove() const noexcept {
-    return lastMove_;
-  }
-
-  /// Deterministic single-proposal entry point for tests: evaluates the
-  /// proposal (particle, d) and applies it iff valid and q < λ^{e'-e}.
-  StepOutcome applyProposal(std::size_t particle, Direction d, double q);
-
- private:
-  static constexpr std::uint8_t kFilterStage = kDecisionFilterStage;
-
-  /// Applies an accepted move of `particle` along the decided delta.
-  void applyAccepted(std::size_t particle, TriPoint l, Direction d,
-                     const MoveDecision& decision);
-
-  system::ParticleSystem system_;
-  ChainOptions options_;
-  rng::Random rng_;
-  ChainStats stats_;
-  std::optional<MoveRecord> lastMove_;
-  std::int64_t edges_ = 0;
-  std::uint32_t particleCount32_ = 0;
-  std::array<MoveDecision, 256> decisions_;
-};
 
 }  // namespace sops::core
 

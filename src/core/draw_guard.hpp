@@ -8,7 +8,7 @@
 /// system of 2³² or more particles would silently sample only a truncated
 /// prefix.  The particle count is conserved by all move kinds, so checking
 /// once at construction protects every subsequent step.  All runners
-/// (CompressionChain, SeparationChain, BiasedChainEngine) share this one
+/// (BiasedChainEngine, ShardedChainRunner, SeparationChain) share this one
 /// helper so the guard cannot be forgotten by the next scenario.
 
 #include <cstdint>

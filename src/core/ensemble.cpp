@@ -1,60 +1,15 @@
 #include "core/ensemble.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 
 namespace sops::core {
-
-namespace {
-
-ReplicaResult runReplica(const ReplicaSpec& spec, std::size_t index,
-                         bool keepFinalSystem) {
-  SOPS_REQUIRE(spec.makeInitial != nullptr,
-               "ReplicaSpec::makeInitial must be set");
-  const auto start = std::chrono::steady_clock::now();
-
-  CompressionChain chain(spec.makeInitial(), spec.options, spec.seed);
-
-  ReplicaResult result;
-  result.index = index;
-  result.label = spec.label;
-  result.seed = spec.seed;
-  result.lambda = spec.options.lambda;
-
-  const std::uint64_t burst =
-      spec.checkpointEvery > 0 ? spec.checkpointEvery : spec.iterations;
-  std::uint64_t done = 0;
-  while (done < spec.iterations) {
-    const std::uint64_t chunk = std::min(burst, spec.iterations - done);
-    chain.run(chunk);
-    done += chunk;
-    if (spec.observable) {
-      result.samples.push_back({done, spec.observable(chain)});
-    }
-    if (spec.observer) spec.observer(chain, done);
-    if (spec.stopWhen && spec.stopWhen(chain, done)) {
-      result.stoppedEarly = true;
-      break;
-    }
-  }
-
-  result.iterationsRun = done;
-  result.edges = chain.edges();
-  result.stats = chain.stats();
-  if (keepFinalSystem) result.finalSystem = chain.system();
-  result.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
-}
-
-}  // namespace
 
 void parallelForIndex(std::size_t count, unsigned threads,
                       const CancelToken* cancel,
@@ -99,54 +54,6 @@ void parallelForIndex(std::size_t count, unsigned threads,
     for (std::thread& t : pool) t.join();
   }
   if (firstError) std::rethrow_exception(firstError);
-}
-
-void parallelForIndex(std::size_t count, unsigned threads,
-                      const std::function<void(std::size_t)>& fn) {
-  parallelForIndex(count, threads, nullptr, fn);
-}
-
-std::vector<ReplicaResult> runEnsemble(std::span<const ReplicaSpec> specs,
-                                       const EnsembleOptions& options) {
-  std::vector<ReplicaResult> results(specs.size());
-  if (specs.empty()) return results;
-
-  std::mutex doneMutex;
-  parallelForIndex(specs.size(), options.threads, [&](std::size_t i) {
-    ReplicaResult result = runReplica(specs[i], i, options.keepFinalSystems);
-    if (options.onReplicaDone) {
-      const std::lock_guard<std::mutex> lock(doneMutex);
-      options.onReplicaDone(result);
-    }
-    results[i] = std::move(result);
-  });
-  return results;
-}
-
-std::vector<ReplicaSpec> lambdaSeedGrid(
-    std::function<system::ParticleSystem()> makeInitial, ChainOptions base,
-    std::span<const double> lambdas, std::span<const std::uint64_t> seeds,
-    std::uint64_t iterations, std::uint64_t checkpointEvery,
-    std::function<double(const CompressionChain&)> observable) {
-  SOPS_REQUIRE(makeInitial != nullptr, "lambdaSeedGrid: makeInitial required");
-  std::vector<ReplicaSpec> specs;
-  specs.reserve(lambdas.size() * seeds.size());
-  for (const double lambda : lambdas) {
-    for (const std::uint64_t seed : seeds) {
-      ReplicaSpec spec;
-      spec.label = "lambda=" + std::to_string(lambda) +
-                   " seed=" + std::to_string(seed);
-      spec.options = base;
-      spec.options.lambda = lambda;
-      spec.seed = seed;
-      spec.iterations = iterations;
-      spec.checkpointEvery = checkpointEvery;
-      spec.makeInitial = makeInitial;
-      spec.observable = observable;
-      specs.push_back(std::move(spec));
-    }
-  }
-  return specs;
 }
 
 }  // namespace sops::core

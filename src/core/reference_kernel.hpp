@@ -10,7 +10,8 @@
 ///
 /// This is the correctness and performance anchor for the optimized hot
 /// path (bitboard + move/decision tables): the golden-trajectory tests
-/// assert CompressionChain is draw-for-draw identical to ReferenceKernel,
+/// assert core::CompressionEngine is draw-for-draw identical to
+/// ReferenceKernel,
 /// and bench_perf measures the speedup against it.  It is deliberately
 /// NOT part of any production path — do not "optimize" it; change it only
 /// if the chain's specified semantics change, in which case the golden
@@ -64,7 +65,7 @@ template <typename OccupiedFn>
 }
 
 /// Seed chain: the full branch ladder with ablation switches, identical
-/// RNG draw order to CompressionChain::step().
+/// RNG draw order to CompressionEngine::step().
 class ReferenceKernel {
  public:
   ReferenceKernel(system::ParticleSystem initial, ChainOptions options,

@@ -153,7 +153,8 @@ class ShadowPlanes {
 
 // ---------------------------------------------------------------------------
 // Compression: w(σ) = λ^e.  The factor path compiles away; the engine step
-// is the CompressionChain step, draw-for-draw (golden-tested).
+// is the paper's chain M, draw-for-draw the frozen core::ReferenceKernel
+// (tests/golden_trajectory_test.cpp).
 
 class CompressionModel {
  public:

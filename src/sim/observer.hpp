@@ -16,8 +16,7 @@
 /// then that replica's onReplicaEnd, then onRunEnd.  Multi-replica runs
 /// buffer per-replica events on the workers and replay them in replica
 /// order on the caller's thread, so sink output is deterministic and
-/// independent of the thread count (the same guarantee core::runEnsemble
-/// gives for its results).
+/// independent of the thread count.
 
 #include <cstdint>
 #include <cstdio>

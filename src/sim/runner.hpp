@@ -13,8 +13,8 @@
 ///                     spec's thread budget (the amoebot scenario uses it
 ///                     for its block workers — the sharded path);
 ///   replicas  > 1  →  replicas fan out across core::parallelForIndex
-///                     (the core/ensemble pool discipline), each worker
-///                     buffering its replica's events in a MemorySink;
+///                     (core/ensemble.hpp), each worker buffering its
+///                     replica's events in a MemorySink;
 ///                     after the join the events replay into the observer
 ///                     in replica order, so sink output is deterministic
 ///                     and thread-count independent.
@@ -42,7 +42,7 @@
 namespace sops::sim {
 
 /// Early-stop predicate, evaluated after every checkpoint sample; true
-/// ends that replica (the ensemble stopWhen, facade-shaped).
+/// ends that replica.
 ///
 /// **Concurrency contract.**  sim::run() holds ONE StopWhen and, when
 /// replicas > 1, invokes it concurrently and unsynchronized from every

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hexagon_builder.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -66,12 +66,13 @@ TEST(GreedyBaseline, GetsStuckAboveStationaryCompression) {
   core::ChainOptions greedyOptions;
   greedyOptions.lambda = 4.0;
   greedyOptions.greedy = true;
-  core::CompressionChain greedy(system::lineConfiguration(60), greedyOptions,
-                                9);
+  core::CompressionEngine greedy(system::lineConfiguration(60),
+                                 core::CompressionModel(greedyOptions), 9);
   core::ChainOptions metropolisOptions;
   metropolisOptions.lambda = 4.0;
-  core::CompressionChain metropolis(system::lineConfiguration(60),
-                                    metropolisOptions, 9);
+  core::CompressionEngine metropolis(
+      system::lineConfiguration(60), core::CompressionModel(metropolisOptions),
+      9);
   greedy.run(2000000);
   metropolis.run(2000000);
   EXPECT_GE(system::perimeter(greedy.system()),

@@ -1,29 +1,27 @@
 // The weight-model engine's correctness contract:
 //
-//  1. the compression scenario is *draw-for-draw identical* to the frozen
-//     CompressionChain (golden trajectory — the engine is a no-op refactor
-//     for the paper's chain M);
-//  2. the separation scenario (color bit planes + power tables) is
+//  1. the separation scenario (color bit planes + power tables) is
 //     draw-for-draw identical to the fixed extensions::SeparationChain,
 //     whose sparse sameColorNeighbors counts independently re-derive every
 //     Δhom — on the dense bitboard path AND on the sparse hash fallback;
-//  3. at γ = 1 with swaps disabled, the separation scenario degenerates to
-//     the compression chain exactly (the threshold-unification pin);
-//  4. the alignment scenario preserves the movement invariants and
+//  2. at γ = 1 with swaps disabled, the separation scenario degenerates to
+//     the compression scenario exactly (the threshold-unification pin);
+//  3. the alignment scenario preserves the movement invariants and
 //     produces the ferromagnetic phase behavior;
-//  5. scenario ensembles are deterministic and thread-count independent
-//     (this test is also the TSan CI job's target);
-//  6. the shared 32-bit particle-draw guard rejects truncating counts
+//  4. the shared 32-bit particle-draw guard rejects truncating counts
 //     (regression for the SeparationChain size_t→uint32 draw bug).
+//
+// The compression scenario itself (CompressionEngine, the paper's chain M)
+// is pinned draw-for-draw against the frozen seed kernel by
+// tests/golden_trajectory_test.cpp; multi-replica ensembles of every
+// scenario run through sim::run (tests/sim_api_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/biased_chain_engine.hpp"
-#include "core/compression_chain.hpp"
 #include "core/draw_guard.hpp"
-#include "core/scenario_ensemble.hpp"
 #include "core/scenario_models.hpp"
 #include "extensions/separation.hpp"
 #include "system/metrics.hpp"
@@ -50,7 +48,7 @@ SeparationModel::Options separationOptions(double lambda, double gamma) {
   return o;
 }
 
-// -- 6. draw-bound guard ----------------------------------------------------
+// -- 4. draw-bound guard ----------------------------------------------------
 
 TEST(DrawGuard, AcceptsDrawableCountsAndRejectsTruncatingOnes) {
   EXPECT_EQ(checkedParticleDrawBound(1), 1u);
@@ -62,58 +60,7 @@ TEST(DrawGuard, AcceptsDrawableCountsAndRejectsTruncatingOnes) {
                ContractViolation);
 }
 
-// -- 1. compression golden trajectory ---------------------------------------
-
-void expectCompressionGolden(const ParticleSystem& start, ChainOptions options,
-                             std::uint64_t seed, std::uint64_t steps) {
-  CompressionEngine engine(start, CompressionModel(options), seed);
-  CompressionChain chain(start, options, seed);
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    const EngineStepResult result = engine.step();
-    const StepOutcome expected = chain.step();
-    ASSERT_FALSE(result.wasAux);
-    ASSERT_EQ(result.movement, expected) << "diverged at step " << i;
-  }
-  EXPECT_TRUE(engine.system().sameArrangement(chain.system()));
-  EXPECT_EQ(engine.edges(), chain.edges());
-  const ChainStats& es = engine.stats().movement;
-  const ChainStats& cs = chain.stats();
-  EXPECT_EQ(es.steps, cs.steps);
-  EXPECT_EQ(es.accepted, cs.accepted);
-  EXPECT_EQ(es.targetOccupied, cs.targetOccupied);
-  EXPECT_EQ(es.rejectedGap, cs.rejectedGap);
-  EXPECT_EQ(es.rejectedProperty, cs.rejectedProperty);
-  EXPECT_EQ(es.rejectedFilter, cs.rejectedFilter);
-}
-
-TEST(EngineGolden, CompressionMatchesChainAcrossRegimes) {
-  ChainOptions compress;
-  compress.lambda = 4.0;
-  expectCompressionGolden(system::lineConfiguration(60), compress, 1603, 20000);
-  ChainOptions expand;
-  expand.lambda = 2.0;
-  expectCompressionGolden(system::lineConfiguration(60), expand, 77, 20000);
-  ChainOptions disperse;
-  disperse.lambda = 0.5;
-  expectCompressionGolden(system::spiralConfiguration(64), disperse, 13, 15000);
-}
-
-TEST(EngineGolden, CompressionMatchesChainWithAblationSwitches) {
-  ChainOptions p1Only;
-  p1Only.lambda = 3.0;
-  p1Only.allowProperty2 = false;
-  expectCompressionGolden(system::lineConfiguration(40), p1Only, 31, 10000);
-  ChainOptions noGap;
-  noGap.lambda = 3.0;
-  noGap.enforceGapCondition = false;
-  expectCompressionGolden(system::lineConfiguration(40), noGap, 37, 10000);
-  ChainOptions greedy;
-  greedy.lambda = 4.0;
-  greedy.greedy = true;
-  expectCompressionGolden(system::lineConfiguration(40), greedy, 5, 10000);
-}
-
-// -- 2. separation golden vs the reference chain ----------------------------
+// -- 1. separation golden vs the reference chain ----------------------------
 
 void expectSeparationGolden(const ParticleSystem& start,
                             std::vector<std::uint8_t> colors,
@@ -176,7 +123,7 @@ TEST(EngineGolden, SeparationMatchesReferenceChainOnSparseFallback) {
                          separationOptions(4.0, 4.0), 41, 30000);
 }
 
-// -- 3. γ = 1 degenerates to the compression chain --------------------------
+// -- 2. γ = 1 degenerates to the compression chain --------------------------
 
 TEST(EngineGolden, SeparationAtGammaOneMatchesCompressionChain) {
   // With γ = 1 every γ-power is exactly 1.0, and with swaps disabled the
@@ -190,10 +137,11 @@ TEST(EngineGolden, SeparationAtGammaOneMatchesCompressionChain) {
                           1603);
   ChainOptions chainOptions;
   chainOptions.lambda = 4.0;
-  CompressionChain chain(start, chainOptions, 1603);
+  CompressionEngine chain(start, CompressionModel(chainOptions), 1603);
   for (int i = 0; i < 50000; ++i) {
     const EngineStepResult result = engine.step();
-    ASSERT_EQ(result.movement, chain.step()) << "diverged at step " << i;
+    ASSERT_EQ(result.movement, chain.step().movement)
+        << "diverged at step " << i;
   }
   EXPECT_TRUE(engine.system().sameArrangement(chain.system()));
   EXPECT_EQ(engine.edges(), chain.edges());
@@ -216,7 +164,7 @@ TEST(Separation, MovementThresholdMatchesCompressionChainAtGammaOne) {
   EXPECT_EQ(extensions::separationSwapThreshold(options, 7), 1.0);
 }
 
-// -- invariants of the two new scenarios ------------------------------------
+// -- 3. invariants of the two new scenarios ---------------------------------
 
 TEST(SeparationEngine, PreservesInvariantsAndSegregates) {
   const ParticleSystem start = system::lineConfiguration(40);
@@ -286,107 +234,6 @@ TEST(AlignmentEngine, CompressesUnderLargeLambda) {
   engine.run(2500000);
   EXPECT_LT(system::perimeter(engine.system()), (2 * initial) / 3);
   EXPECT_EQ(engine.edges(), system::countEdges(engine.system()));
-}
-
-// -- 5. scenario ensembles (the TSan job's primary target) ------------------
-
-std::vector<ScenarioReplicaSpec<SeparationModel>> separationGrid(
-    int replicas, std::uint64_t iterations) {
-  std::vector<ScenarioReplicaSpec<SeparationModel>> specs;
-  for (int r = 0; r < replicas; ++r) {
-    ScenarioReplicaSpec<SeparationModel> spec;
-    spec.label = "seed=" + std::to_string(r + 1);
-    spec.iterations = iterations;
-    spec.checkpointEvery = iterations / 4;
-    const auto seed = static_cast<std::uint64_t>(r + 1);
-    const double gamma = r % 2 == 0 ? 4.0 : 0.5;
-    spec.makeEngine = [seed, gamma] {
-      return SeparationEngine(
-          system::lineConfiguration(30),
-          SeparationModel(separationOptions(4.0, gamma), alternatingColors(30)),
-          seed);
-    };
-    spec.observable = [](const SeparationEngine& engine) {
-      return static_cast<double>(
-          engine.model().homogeneousEdges(engine.system()));
-    };
-    spec.finish = [](const SeparationEngine& engine,
-                     std::vector<std::pair<std::string, double>>& metrics) {
-      metrics.emplace_back(
-          "perimeter",
-          static_cast<double>(system::perimeter(engine.system())));
-    };
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
-TEST(ScenarioEnsemble, DeterministicAndThreadCountIndependent) {
-  const auto specs = separationGrid(8, 40000);
-  const auto one = runScenarioEnsemble<SeparationModel>(specs, 1);
-  const auto four = runScenarioEnsemble<SeparationModel>(specs, 4);
-  ASSERT_EQ(one.size(), 8u);
-  ASSERT_EQ(four.size(), 8u);
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].index, i);
-    EXPECT_EQ(one[i].label, four[i].label);
-    EXPECT_EQ(one[i].edges, four[i].edges);
-    EXPECT_EQ(one[i].stats.movement.accepted, four[i].stats.movement.accepted);
-    EXPECT_EQ(one[i].stats.auxAccepted, four[i].stats.auxAccepted);
-    ASSERT_EQ(one[i].samples.size(), four[i].samples.size());
-    for (std::size_t s = 0; s < one[i].samples.size(); ++s) {
-      EXPECT_EQ(one[i].samples[s].value, four[i].samples[s].value);
-    }
-    ASSERT_EQ(one[i].metrics.size(), 1u);
-    EXPECT_EQ(one[i].metrics[0].second, four[i].metrics[0].second);
-  }
-}
-
-TEST(ScenarioEnsemble, CompressionReplicaMatchesDirectEngineRun) {
-  ScenarioReplicaSpec<CompressionModel> spec;
-  spec.iterations = 30000;
-  ChainOptions options;
-  options.lambda = 4.0;
-  spec.makeEngine = [options] {
-    return CompressionEngine(system::lineConfiguration(40),
-                             CompressionModel(options), 99);
-  };
-  const auto results = runScenarioEnsemble<CompressionModel>(
-      std::span<const ScenarioReplicaSpec<CompressionModel>>(&spec, 1), 2);
-  CompressionEngine direct(system::lineConfiguration(40),
-                           CompressionModel(options), 99);
-  direct.run(30000);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].edges, direct.edges());
-  EXPECT_EQ(results[0].stats.movement.accepted,
-            direct.stats().movement.accepted);
-}
-
-TEST(ScenarioEnsemble, AlignmentGridRuns) {
-  std::vector<ScenarioReplicaSpec<AlignmentModel>> specs;
-  for (const double kappa : {0.5, 4.0}) {
-    ScenarioReplicaSpec<AlignmentModel> spec;
-    spec.iterations = 40000;
-    spec.makeEngine = [kappa] {
-      AlignmentModel::Options options;
-      options.lambda = 4.0;
-      options.kappa = kappa;
-      return AlignmentEngine(system::lineConfiguration(24),
-                             AlignmentModel(options, cyclingOrientations(24)),
-                             17);
-    };
-    spec.finish = [](const AlignmentEngine& engine,
-                     std::vector<std::pair<std::string, double>>& metrics) {
-      metrics.emplace_back(
-          "aligned",
-          static_cast<double>(engine.model().alignedEdges(engine.system())));
-    };
-    specs.push_back(std::move(spec));
-  }
-  const auto results = runScenarioEnsemble<AlignmentModel>(specs, 2);
-  ASSERT_EQ(results.size(), 2u);
-  // κ = 4 replica ends more aligned than the κ = 0.5 one.
-  EXPECT_GT(results[1].metrics[0].second, results[0].metrics[0].second);
 }
 
 }  // namespace

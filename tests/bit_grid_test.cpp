@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "system/bit_grid.hpp"
 #include "system/metrics.hpp"
@@ -163,7 +163,8 @@ TEST(ParticleSystemGrid, NeighborQueriesMatchSparseAlongTrajectory) {
   // derived neighborMask/neighborCount) at every particle periodically.
   core::ChainOptions options;
   options.lambda = 4.0;
-  core::CompressionChain chain(lineConfiguration(30), options, 1603);
+  core::CompressionEngine chain(lineConfiguration(30),
+                                core::CompressionModel(options), 1603);
   for (int burst = 0; burst < 20; ++burst) {
     chain.run(2500);
     const ParticleSystem& sys = chain.system();

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "analysis/convergence.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -108,7 +108,8 @@ TEST(ChainDiagnostics, PerimeterTraceReachesQuasiStationarity) {
   // Geweke diagnostic and has a finite autocorrelation time.
   core::ChainOptions options;
   options.lambda = 4.0;
-  core::CompressionChain chain(system::lineConfiguration(30), options, 17);
+  core::CompressionEngine chain(system::lineConfiguration(30),
+                                core::CompressionModel(options), 17);
   chain.run(600000);  // burn-in past the compression transient
   std::vector<double> trace;
   for (int i = 0; i < 4000; ++i) {

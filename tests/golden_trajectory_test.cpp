@@ -11,9 +11,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/compression_chain.hpp"
 #include "core/properties.hpp"
 #include "core/reference_kernel.hpp"
+#include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -32,17 +32,17 @@ using system::ParticleSystem;
 void expectIdenticalTrajectory(const ParticleSystem& start,
                                ChainOptions options, std::uint64_t seed,
                                std::uint64_t steps) {
-  CompressionChain fast(start, options, seed);
+  CompressionEngine fast(start, CompressionModel(options), seed);
   ReferenceKernel reference(start, options, seed);
   for (std::uint64_t i = 0; i < steps; ++i) {
-    const StepOutcome a = fast.step();
+    const StepOutcome a = fast.step().movement;
     const StepOutcome b = reference.step();
     ASSERT_EQ(a, b) << "outcome diverged at step " << i;
   }
   EXPECT_TRUE(fast.system().sameArrangement(reference.system()));
   EXPECT_EQ(fast.edges(), reference.edges());
   EXPECT_EQ(fast.edges(), system::countEdges(fast.system()));
-  const ChainStats& fs = fast.stats();
+  const ChainStats& fs = fast.stats().movement;
   const ChainStats& rs = reference.stats();
   EXPECT_EQ(fs.steps, rs.steps);
   EXPECT_EQ(fs.accepted, rs.accepted);
@@ -117,12 +117,14 @@ TEST(GoldenTrajectory, ApplyProposalMatchesReferenceSemantics) {
   // q < λ^{e'-e} must be evaluated with the exact same threshold the
   // reference kernel uses, including the q-at-threshold boundary.
   const std::vector<TriPoint> triangle{{0, 0}, {1, 0}, {0, 1}};
-  CompressionChain chain(ParticleSystem(triangle), withLambda(4.0), 1);
+  CompressionEngine chain(ParticleSystem(triangle),
+                          CompressionModel(withLambda(4.0)), 1);
   // Moving the top particle East loses one neighbor: threshold 1/4.
-  EXPECT_EQ(chain.applyProposal(2, Direction::East, 0.2499999),
+  EXPECT_EQ(chain.applyProposal(2, Direction::East, 0.2499999).movement,
             StepOutcome::Accepted);
-  CompressionChain chain2(ParticleSystem(triangle), withLambda(4.0), 1);
-  EXPECT_EQ(chain2.applyProposal(2, Direction::East, 0.25),
+  CompressionEngine chain2(ParticleSystem(triangle),
+                           CompressionModel(withLambda(4.0)), 1);
+  EXPECT_EQ(chain2.applyProposal(2, Direction::East, 0.25).movement,
             StepOutcome::RejectedFilter);
 }
 

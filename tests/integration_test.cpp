@@ -6,7 +6,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "io/ascii_render.hpp"
 #include "markov/stationary.hpp"
@@ -18,7 +18,8 @@ namespace sops {
 namespace {
 
 using core::ChainOptions;
-using core::CompressionChain;
+using core::CompressionEngine;
+using core::CompressionModel;
 
 ChainOptions withLambda(double lambda) {
   ChainOptions options;
@@ -29,7 +30,8 @@ ChainOptions withLambda(double lambda) {
 TEST(Integration, MiniFig2CompressionAtLambdaFour) {
   // Fig 2 scaled down: a 30-particle line at λ=4 compresses to a small
   // constant times p_min well within the budget.
-  CompressionChain chain(system::lineConfiguration(30), withLambda(4.0), 2016);
+  CompressionEngine chain(system::lineConfiguration(30),
+                          CompressionModel(withLambda(4.0)), 2016);
   chain.run(600000);
   const auto summary = system::summarize(chain.system());
   EXPECT_TRUE(summary.connected);
@@ -40,7 +42,8 @@ TEST(Integration, MiniFig2CompressionAtLambdaFour) {
 TEST(Integration, MiniFig10NoCompressionAtLambdaTwo) {
   // Fig 10 scaled down: λ=2 stays expanded — perimeter remains a constant
   // fraction of p_max (Theorem 5.7 regime).
-  CompressionChain chain(system::lineConfiguration(30), withLambda(2.0), 2016);
+  CompressionEngine chain(system::lineConfiguration(30),
+                          CompressionModel(withLambda(2.0)), 2016);
   chain.run(600000);
   const auto p = system::perimeter(chain.system());
   EXPECT_GT(static_cast<double>(p),
@@ -59,7 +62,8 @@ TEST(Integration, ChainSamplesExactStationaryDistribution) {
   }
   const std::vector<double> exact = ensemble.stationary(lambda);
 
-  CompressionChain chain(system::lineConfiguration(n), withLambda(lambda), 99);
+  CompressionEngine chain(system::lineConfiguration(n),
+                          CompressionModel(withLambda(lambda)), 99);
   chain.run(20000);  // burn-in
   std::vector<double> empirical(exact.size(), 0.0);
   const int samples = 150000;
@@ -77,7 +81,8 @@ TEST(Integration, AblationNoGapConditionCreatesHoles) {
   // start — the rule is what Lemma 3.2 rests on.
   ChainOptions options = withLambda(4.0);
   options.enforceGapCondition = false;
-  CompressionChain chain(system::lineConfiguration(30), options, 5);
+  CompressionEngine chain(system::lineConfiguration(30),
+                          CompressionModel(options), 5);
   bool sawHole = false;
   for (int burst = 0; burst < 300 && !sawHole; ++burst) {
     chain.run(1000);
@@ -91,7 +96,8 @@ TEST(Integration, AblationNoPropertiesDisconnects) {
   // guarantee disappears).
   ChainOptions options = withLambda(1.5);
   options.enforceProperties = false;
-  CompressionChain chain(system::lineConfiguration(30), options, 5);
+  CompressionEngine chain(system::lineConfiguration(30),
+                          CompressionModel(options), 5);
   bool sawDisconnect = false;
   for (int burst = 0; burst < 300 && !sawDisconnect; ++burst) {
     chain.run(1000);
@@ -102,7 +108,8 @@ TEST(Integration, AblationNoPropertiesDisconnects) {
 
 TEST(Integration, FullRulesNeverDisconnectNorHole) {
   // Control for the two ablations above, same seeds and budgets.
-  CompressionChain chain(system::lineConfiguration(30), withLambda(4.0), 5);
+  CompressionEngine chain(system::lineConfiguration(30),
+                          CompressionModel(withLambda(4.0)), 5);
   for (int burst = 0; burst < 300; ++burst) {
     chain.run(1000);
     ASSERT_TRUE(system::isConnected(chain.system()));
@@ -116,7 +123,8 @@ TEST(Integration, P1OnlyAblationShrinksTheValidMoveSet) {
   ChainOptions full = withLambda(4.0);
   ChainOptions p1Only = withLambda(4.0);
   p1Only.allowProperty2 = false;
-  CompressionChain chain(system::lineConfiguration(25), full, 77);
+  CompressionEngine chain(system::lineConfiguration(25),
+                          CompressionModel(full), 77);
   std::uint64_t fullMoves = 0;
   std::uint64_t p1Moves = 0;
   for (int burst = 0; burst < 100; ++burst) {
@@ -139,7 +147,8 @@ TEST(Integration, P1OnlyAblationShrinksTheValidMoveSet) {
 }
 
 TEST(Integration, RenderPipelineProducesSnapshot) {
-  CompressionChain chain(system::lineConfiguration(40), withLambda(4.0), 11);
+  CompressionEngine chain(system::lineConfiguration(40),
+                          CompressionModel(withLambda(4.0)), 11);
   chain.run(200000);
   const std::string art = io::renderAscii(chain.system());
   // The snapshot contains exactly n particle glyphs.
@@ -149,7 +158,8 @@ TEST(Integration, RenderPipelineProducesSnapshot) {
 }
 
 TEST(Integration, PerimeterSeriesDecreasesUnderCompression) {
-  CompressionChain chain(system::lineConfiguration(40), withLambda(4.0), 13);
+  CompressionEngine chain(system::lineConfiguration(40),
+                          CompressionModel(withLambda(4.0)), 13);
   std::vector<double> ratios;
   chain.runWithCheckpoints(400000, 40000, [&](std::uint64_t) {
     ratios.push_back(system::summarize(chain.system()).perimeterRatio);

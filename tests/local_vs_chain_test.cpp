@@ -37,7 +37,7 @@
 #include "amoebot/parallel_scheduler.hpp"
 #include "amoebot/scheduler.hpp"
 #include "analysis/stats.hpp"
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "system/canonical.hpp"
 #include "system/metrics.hpp"
@@ -191,7 +191,8 @@ TEST(LocalVsChain, PerimeterDistributionMatchesChainKS) {
 
   core::ChainOptions chainOptions;
   chainOptions.lambda = lambda;
-  core::CompressionChain chain(system::lineConfiguration(n), chainOptions, 247);
+  core::CompressionEngine chain(system::lineConfiguration(n),
+                                core::CompressionModel(chainOptions), 247);
   chain.run(100000);  // burn-in
   std::vector<double> chainPerimeters;
   chainPerimeters.reserve(kSamples);

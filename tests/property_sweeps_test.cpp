@@ -6,7 +6,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "enumeration/chain_matrix.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "markov/stationary.hpp"
@@ -27,7 +27,8 @@ TEST_P(ChainInvariantSweep, ConnectivityHoleFreedomAndEdgeTracking) {
   const auto [lambda, seed] = GetParam();
   core::ChainOptions options;
   options.lambda = lambda;
-  core::CompressionChain chain(system::lineConfiguration(24), options, seed);
+  core::CompressionEngine chain(system::lineConfiguration(24),
+                                core::CompressionModel(options), seed);
   for (int burst = 0; burst < 30; ++burst) {
     chain.run(2000);
     ASSERT_TRUE(system::isConnected(chain.system()));

@@ -15,9 +15,11 @@
 //     is a re-layering, not a new sampler), including the replica seed
 //     derivation; amoebot runs are thread-count independent;
 //  6. Runner dispatch: multi-replica runs are deterministic and
-//     thread-count independent; StopWhen ends replicas early.
+//     thread-count independent; a worker's error surfaces on the caller
+//     after the join; StopWhen ends replicas early.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -548,26 +550,69 @@ TEST(SimGolden, ReplicaSeedsMatchDirectEngineRuns) {
 // -- 6. runner dispatch ------------------------------------------------------
 
 TEST(SimRunner, MultiReplicaRunsAreThreadCountIndependent) {
-  const char* text =
-      "scenario=separation n=30 steps=30000 checkpoint=10000 replicas=4 "
-      "gamma=2.0 seed=5";
-  RunSpec one = RunSpec::parse(text);
-  one.threads = 1;
-  RunSpec four = RunSpec::parse(text);
-  four.threads = 4;
-  MemorySink sinkOne;
-  MemorySink sinkFour;
-  const RunReport a = run(one, sinkOne);
-  const RunReport b = run(four, sinkFour);
-  ASSERT_EQ(sinkOne.samples().size(), sinkFour.samples().size());
-  for (std::size_t i = 0; i < sinkOne.samples().size(); ++i) {
-    EXPECT_EQ(sinkOne.samples()[i].replica, sinkFour.samples()[i].replica);
-    EXPECT_EQ(sinkOne.samples()[i].iteration,
-              sinkFour.samples()[i].iteration);
-    EXPECT_EQ(sinkOne.samples()[i].values, sinkFour.samples()[i].values);
+  for (const char* text :
+       {"scenario=separation n=30 steps=30000 checkpoint=10000 replicas=4 "
+        "gamma=2.0 seed=5",
+        "scenario=alignment n=24 steps=30000 checkpoint=10000 replicas=4 "
+        "kappa=4.0 seed=17"}) {
+    SCOPED_TRACE(text);
+    RunSpec one = RunSpec::parse(text);
+    one.threads = 1;
+    RunSpec four = RunSpec::parse(text);
+    four.threads = 4;
+    MemorySink sinkOne;
+    MemorySink sinkFour;
+    const RunReport a = run(one, sinkOne);
+    const RunReport b = run(four, sinkFour);
+    ASSERT_EQ(sinkOne.samples().size(), sinkFour.samples().size());
+    for (std::size_t i = 0; i < sinkOne.samples().size(); ++i) {
+      EXPECT_EQ(sinkOne.samples()[i].replica, sinkFour.samples()[i].replica);
+      EXPECT_EQ(sinkOne.samples()[i].iteration,
+                sinkFour.samples()[i].iteration);
+      EXPECT_EQ(sinkOne.samples()[i].values, sinkFour.samples()[i].values);
+    }
+    // One summary per replica, replayed in replica order with its seed.
+    ASSERT_EQ(sinkFour.summaries().size(), 4u);
+    ASSERT_EQ(a.replicas.size(), 4u);
+    for (std::size_t r = 0; r < a.replicas.size(); ++r) {
+      EXPECT_EQ(sinkFour.summaries()[r].summary.replica, r);
+      EXPECT_EQ(b.replicas[r].seed, four.replicaSeed(r));
+      EXPECT_EQ(a.replicas[r].finalMetrics, b.replicas[r].finalMetrics);
+    }
   }
-  for (std::size_t r = 0; r < a.replicas.size(); ++r) {
-    EXPECT_EQ(a.replicas[r].finalMetrics, b.replicas[r].finalMetrics);
+}
+
+TEST(SimRunner, ReplicaErrorPropagatesFromWorkers) {
+  // A replica failing on a worker thread must surface on the caller, and
+  // only after the pool has joined: every other replica a worker had
+  // already claimed runs to its last step before run() throws.
+  RunSpec spec = RunSpec::parse(
+      "scenario=compression n=20 steps=20000 checkpoint=5000 replicas=4 "
+      "seed=3");
+  spec.threads = 2;
+  std::array<std::atomic<std::uint64_t>, 4> lastIteration{};
+  std::array<std::atomic<bool>, 4> started{};
+  Observer none;
+  const StopWhen failOnReplicaTwo = [&](const Sample& sample) {
+    if (sample.replica == 2) throw ContractViolation("replica 2 failed");
+    started[sample.replica].store(true);
+    lastIteration[sample.replica].store(sample.iteration);
+    return false;
+  };
+  try {
+    (void)run(spec, none, failOnReplicaTwo);
+    ADD_FAILURE() << "the worker's error was swallowed";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("replica 2 failed"),
+              std::string::npos)
+        << e.what();
+  }
+  // Replicas 0 and 1 are claimed before replica 2 can be.
+  EXPECT_TRUE(started[0].load());
+  EXPECT_TRUE(started[1].load());
+  for (std::size_t r = 0; r < 4; ++r) {
+    if (r == 2 || !started[r].load()) continue;
+    EXPECT_EQ(lastIteration[r].load(), 20000u) << "replica " << r;
   }
 }
 
