@@ -505,11 +505,10 @@ BENCHMARK(BM_ShardedChainStepAlignment)->Arg(1)->Arg(2)->Arg(8)
 void BM_ShardedChainStepSeparationTiledLine(benchmark::State& state) {
   // The previously-cliffed shape: a 3e5-particle line's derived window is
   // ~1e9 words — far past the 32 MiB flat cap — so before the tiled
-  // backend this configuration fell onto the sparse hash path and ran
+  // backend this configuration fell onto a hash-index-only path and ran
   // every event sequentially.  Now it runs dense-tiled on the block path
-  // with the paged id plane; items/s here against the *Sparse row below is
-  // the measured price of the old cliff.  Arg is the block-phase thread
-  // count.
+  // with the paged id plane (BENCH_perf.json keeps the old hash-only
+  // rows).  Arg is the block-phase thread count.
   core::SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -527,30 +526,6 @@ void BM_ShardedChainStepSeparationTiledLine(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedChainStepSeparationTiledLine)->Arg(1)->Arg(2)->Arg(8)
     ->UseRealTime();
-
-void BM_ShardedChainStepSeparationSparseLine(benchmark::State& state) {
-  // The before side of the tiled-occupancy work, kept measurable from the
-  // same binary: the identical 3e5-line workload forced onto the sparse
-  // regime (hash-index queries, the proposal list in order) — exactly
-  // where this shape landed before the flat cap was broken.
-  core::SeparationModel::Options options;
-  options.lambda = 4.0;
-  options.gamma = 4.0;
-  core::ShardedChainOptions sharded;
-  sharded.threads = 1;
-  system::ParticleSystem start = system::lineConfiguration(300000);
-  start.forceSparseForTest();
-  core::ShardedChainRunner<core::SeparationModel> runner(
-      std::move(start),
-      core::SeparationModel(options, system::alternatingClasses(300000, 2)),
-      42, sharded);
-  std::uint64_t done = 0;
-  for (auto _ : state) {
-    done += runner.runAtLeast(400000);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(done));
-}
-BENCHMARK(BM_ShardedChainStepSeparationSparseLine)->UseRealTime();
 
 void BM_SchedulerNext(benchmark::State& state) {
   amoebot::PoissonScheduler scheduler(

@@ -1,7 +1,5 @@
 #include "amoebot/amoebot_system.hpp"
 
-#include "lattice/edge_ring.hpp"
-
 namespace sops::amoebot {
 
 namespace {
@@ -13,11 +11,25 @@ constexpr std::int64_t kPlaneBaseMargin = 32;
 /// further expansions in the same direction before the next directory
 /// touch (mirrors ParticleSystem's policy).
 constexpr std::int64_t kPlaneEnsureMargin = 8;
+
+/// Every occupied cell: each particle's tail, and the head of each
+/// expanded one.
+std::vector<TriPoint> cellsOf(const std::vector<Particle>& particles) {
+  std::size_t expanded = 0;
+  for (const Particle& p : particles) expanded += p.expanded ? 1 : 0;
+  std::vector<TriPoint> cells;
+  cells.reserve(particles.size() + expanded);
+  for (const Particle& p : particles) {
+    cells.push_back(p.tail);
+    if (p.expanded) cells.push_back(p.head);
+  }
+  return cells;
+}
 }  // namespace
 
 AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
                              rng::Random& rng)
-    : occupancy_(initial.size() * 2) {
+    : tailIds_(initial.size()) {
   SOPS_REQUIRE(initial.size() > 0, "AmoebotSystem requires particles");
   particles_.reserve(initial.size());
   for (std::size_t id = 0; id < initial.size(); ++id) {
@@ -27,25 +39,12 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
     p.orientationOffset = static_cast<std::uint8_t>(rng.below(6));
     p.mirrored = rng.bernoulli(0.5);
     particles_.push_back(p);
-    setCell(p.tail, static_cast<std::int32_t>(id), false);
+    setTail(p.tail, id);
   }
   regrowPlanes();
 }
 
-void AmoebotSystem::regrowPlanes(const system::BitGrid::CellBox* cover) {
-  if (gridsGaveUp_) return;
-  std::vector<TriPoint> cells;
-  cells.reserve(particles_.size() + expandedCount_);
-  for (const Particle& p : particles_) {
-    cells.push_back(p.tail);
-    if (p.expanded) cells.push_back(p.head);
-  }
-  // rebuild() promotes oversized bounding boxes to the tiled backend, so
-  // it only fails on an empty cell set — excluded by the constructor.
-  // The sparse regime survives solely behind forceSparseForTest().
-  const bool built = occ_.rebuild(cells, kPlaneBaseMargin, cover);
-  SOPS_DASSERT(built);
-  (void)built;
+void AmoebotSystem::rebuildExpansionPlanes() {
   heads_.allocateLike(occ_);
   expanded_.allocateLike(occ_);
   for (const Particle& p : particles_) {
@@ -54,12 +53,20 @@ void AmoebotSystem::regrowPlanes(const system::BitGrid::CellBox* cover) {
     expanded_.set(p.tail);
     expanded_.set(p.head);
   }
-  gridsOn_ = true;
+}
+
+void AmoebotSystem::regrowPlanes(const system::BitGrid::CellBox* cover) {
+  // rebuild() promotes oversized bounding boxes to the tiled backend, so
+  // it only fails on an empty cell set — excluded by the constructor.
+  const bool built = occ_.rebuild(cellsOf(particles_), kPlaneBaseMargin, cover);
+  SOPS_DASSERT(built);
+  (void)built;
+  rebuildExpansionPlanes();
 }
 
 void AmoebotSystem::reserveInterior(std::span<const TriPoint> centers,
                                     std::int64_t depth) {
-  if (!gridsOn_ || centers.empty()) return;
+  if (centers.empty()) return;
   if (!occ_.tiled()) {
     const system::BitGrid::CellBox box =
         system::BitGrid::CellBox::around(centers, depth);
@@ -71,20 +78,6 @@ void AmoebotSystem::reserveInterior(std::span<const TriPoint> centers,
   expanded_.ensureTilesOf(occ_);
 }
 
-void AmoebotSystem::forceSparseForTest() {
-  SOPS_REQUIRE(!sharded_, "forceSparseForTest: inside a sharded section");
-  // The hash index becomes the occupancy source of truth, so eager
-  // maintenance resumes and at() is valid again.
-  gridsGaveUp_ = true;
-  gridsOn_ = false;
-  liveIndex_ = false;
-  occ_.disable();
-  heads_.disable();
-  expanded_.disable();
-  rebuildIdIndex();
-  recountExpanded();
-}
-
 void AmoebotSystem::recountExpanded() {
   std::size_t count = 0;
   for (const Particle& p : particles_) {
@@ -94,22 +87,16 @@ void AmoebotSystem::recountExpanded() {
 }
 
 void AmoebotSystem::rebuildIdIndex() const {
-  occupancy_.clear();
-  occupancy_.reserve(particles_.size() * 2);
+  tailIds_.clear();
+  tailIds_.reserve(particles_.size());
   for (std::size_t id = 0; id < particles_.size(); ++id) {
-    const Particle& p = particles_[id];
-    occupancy_.insertOrAssign(lattice::pack(p.tail),
-                              (static_cast<std::int32_t>(id) << 1));
-    if (p.expanded && !gridsOn_) {
-      occupancy_.insertOrAssign(lattice::pack(p.head),
-                                (static_cast<std::int32_t>(id) << 1) | 1);
-    }
+    tailIds_.insertOrAssign(lattice::pack(particles_[id].tail),
+                            static_cast<std::int32_t>(id));
   }
   idIndexDirty_ = false;
 }
 
 void AmoebotSystem::suspendIdIndex() {
-  SOPS_REQUIRE(gridsOn_, "suspendIdIndex: dense planes required");
   sharded_ = true;
   liveIndex_ = false;
 }
@@ -117,155 +104,104 @@ void AmoebotSystem::suspendIdIndex() {
 void AmoebotSystem::restoreIdIndex() {
   if (!sharded_) return;
   sharded_ = false;
-  if (gridsOn_) {
-    // The hash refresh stays lazy (at() rebuilds on demand) — a sharded
-    // burst between samples should not pay O(n) hash work nobody reads.
-    idIndexDirty_ = true;
-    recountExpanded();
-  }
+  // The hash refresh stays lazy (at() rebuilds on demand) — a sharded
+  // burst between samples should not pay O(n) hash work nobody reads.
+  idIndexDirty_ = true;
+  recountExpanded();
 }
 
 void AmoebotSystem::keepIdIndexLive() {
   restoreIdIndex();
   if (idIndexDirty_) rebuildIdIndex();
-  liveIndex_ = gridsOn_;  // the sparse regime is eager anyway
+  liveIndex_ = true;
 }
 
 AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
   SOPS_DASSERT(!sharded_);
   if (idIndexDirty_) rebuildIdIndex();
-  if (gridsOn_ && heads_.test(cell)) {
-    // Heads are not indexed with the planes on: the particle whose head
-    // this is has its tail on a neighbouring cell.
+  if (heads_.test(cell)) {
+    // Heads are not indexed: the particle whose head this is has its
+    // tail on a neighbouring cell.
     for (const Direction d : lattice::kAllDirections) {
-      const std::int32_t* raw =
-          occupancy_.find(lattice::pack(lattice::neighbor(cell, d)));
-      if (raw == nullptr) continue;
-      const Particle& p = particles_[static_cast<std::size_t>(*raw >> 1)];
-      if (p.expanded && p.head == cell) return {*raw >> 1, true};
+      const std::int32_t* id =
+          tailIds_.find(lattice::pack(lattice::neighbor(cell, d)));
+      if (id == nullptr) continue;
+      const Particle& p = particles_[static_cast<std::size_t>(*id)];
+      if (p.expanded && p.head == cell) return {*id, true};
     }
     SOPS_REQUIRE(false, "at: head cell without its particle's tail");
   }
-  const std::int32_t* raw = occupancy_.find(lattice::pack(cell));
-  if (raw == nullptr) return {};
-  return {*raw >> 1, (*raw & 1) != 0};
+  const std::int32_t* id = tailIds_.find(lattice::pack(cell));
+  if (id == nullptr) return {};
+  return {*id, false};
 }
 
 AmoebotSystem::Neighborhood AmoebotSystem::neighborhood(TriPoint cell) const {
   Neighborhood nb;
-  if (gridsOn_) {
-    nb.occupied = occ_.neighborMaskUnchecked(cell);
-    nb.expanded = expanded_.neighborMaskUnchecked(cell);
-    nb.hereExpanded = expanded_.testUnchecked(cell);
-    return nb;
-  }
-  // Sparse: 0 empty, 1 contracted, 2 expanded.
-  const auto stateAt = [&](TriPoint c) {
-    const std::int32_t* raw = occupancy_.find(lattice::pack(c));
-    if (raw == nullptr) return 0;
-    return particles_[static_cast<std::size_t>(*raw >> 1)].expanded ? 2 : 1;
-  };
-  for (const Direction d : lattice::kAllDirections) {
-    const int state = stateAt(lattice::neighbor(cell, d));
-    const auto bit = static_cast<std::uint8_t>(1u << index(d));
-    if (state != 0) nb.occupied = static_cast<std::uint8_t>(nb.occupied | bit);
-    if (state == 2) nb.expanded = static_cast<std::uint8_t>(nb.expanded | bit);
-  }
-  nb.hereExpanded = stateAt(cell) == 2;
+  nb.occupied = occ_.neighborMaskUnchecked(cell);
+  nb.expanded = expanded_.neighborMaskUnchecked(cell);
+  nb.hereExpanded = expanded_.testUnchecked(cell);
   return nb;
 }
 
 bool AmoebotSystem::expandedParticleAdjacent(TriPoint cell,
                                              std::size_t self) const {
-  if (gridsOn_) {
-    std::uint8_t mask;
-    if (expanded_.coversInterior(cell)) {
-      mask = expanded_.neighborMaskUnchecked(cell);
-    } else {
-      mask = 0;
-      for (const Direction d : lattice::kAllDirections) {
-        if (expanded_.test(lattice::neighbor(cell, d))) {
-          mask = static_cast<std::uint8_t>(mask | (1u << index(d)));
-        }
+  std::uint8_t mask;
+  if (expanded_.coversInterior(cell)) {
+    mask = expanded_.neighborMaskUnchecked(cell);
+  } else {
+    mask = 0;
+    for (const Direction d : lattice::kAllDirections) {
+      if (expanded_.test(lattice::neighbor(cell, d))) {
+        mask = static_cast<std::uint8_t>(mask | (1u << index(d)));
       }
-    }
-    if (mask == 0) return false;
-    const Particle& s = particles_[self];
-    if (s.expanded) {
-      // The only expanded cells belonging to `self` are its own tail and
-      // head; drop their direction bits if they happen to be adjacent.
-      if (const auto d = lattice::directionBetween(cell, s.tail)) {
-        mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
-      }
-      if (const auto d = lattice::directionBetween(cell, s.head)) {
-        mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
-      }
-    }
-    return mask != 0;
-  }
-  for (const Direction d : lattice::kAllDirections) {
-    const CellView view = at(lattice::neighbor(cell, d));
-    if (view.empty()) continue;
-    if (static_cast<std::size_t>(view.particle) == self) continue;
-    if (particles_[static_cast<std::size_t>(view.particle)].expanded) {
-      return true;
     }
   }
-  return false;
+  if (mask == 0) return false;
+  const Particle& s = particles_[self];
+  if (s.expanded) {
+    // The only expanded cells belonging to `self` are its own tail and
+    // head; drop their direction bits if they happen to be adjacent.
+    if (const auto d = lattice::directionBetween(cell, s.tail)) {
+      mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
+    }
+    if (const auto d = lattice::directionBetween(cell, s.head)) {
+      mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
+    }
+  }
+  return mask != 0;
 }
 
 bool AmoebotSystem::occupiedExcludingHeads(TriPoint cell,
                                            std::size_t self) const {
-  if (gridsOn_) {
-    if (!occ_.test(cell)) return false;
-    if (heads_.test(cell)) return false;
-    // Of self's cells only the tail can still match here: a contracted
-    // self has head == tail, and an expanded self's head carries the
-    // heads-plane bit just tested.
-    return cell != particles_[self].tail;
-  }
-  const CellView view = at(cell);
-  if (view.empty()) return false;
-  if (static_cast<std::size_t>(view.particle) == self) return false;
-  const Particle& p = particles_[static_cast<std::size_t>(view.particle)];
-  if (p.expanded && view.isHead) return false;
-  return true;
+  if (!occ_.test(cell)) return false;
+  if (heads_.test(cell)) return false;
+  // Of self's cells only the tail can still match here: a contracted
+  // self has head == tail, and an expanded self's head carries the
+  // heads-plane bit just tested.
+  return cell != particles_[self].tail;
 }
 
 bool AmoebotSystem::expandedAdjacentToMovePair(std::size_t id) const {
   const Particle& p = particles_[id];
   SOPS_DASSERT(p.expanded);
-  if (gridsOn_) {
-    // Of the twelve neighbor probes around (tail, head), the only cells of
-    // particle `id` itself are the two ends of the expansion edge: mask
-    // the head's direction bit at the tail and vice versa.
-    const std::uint32_t tailMask =
-        expanded_.neighborMaskUnchecked(p.tail) & ~(1u << p.expandDir);
-    const std::uint32_t headMask =
-        expanded_.neighborMaskUnchecked(p.head) &
-        ~(1u << ((p.expandDir + 3) % 6));
-    return (tailMask | headMask) != 0;
-  }
-  return expandedParticleAdjacent(p.tail, id) ||
-         expandedParticleAdjacent(p.head, id);
+  // Of the twelve neighbor probes around (tail, head), the only cells of
+  // particle `id` itself are the two ends of the expansion edge: mask
+  // the head's direction bit at the tail and vice versa.
+  const std::uint32_t tailMask =
+      expanded_.neighborMaskUnchecked(p.tail) & ~(1u << p.expandDir);
+  const std::uint32_t headMask =
+      expanded_.neighborMaskUnchecked(p.head) &
+      ~(1u << ((p.expandDir + 3) % 6));
+  return (tailMask | headMask) != 0;
 }
 
 std::uint8_t AmoebotSystem::nStarRingMask(std::size_t id) const {
   const Particle& p = particles_[id];
   SOPS_DASSERT(p.expanded);
   const int di = p.expandDir;
-  if (gridsOn_) {
-    return static_cast<std::uint8_t>(occ_.ringMaskUnchecked(p.tail, di) &
-                                     ~heads_.ringMaskUnchecked(p.tail, di));
-  }
-  const auto& offsets = lattice::kEdgeRingOffsets[di];
-  std::uint8_t mask = 0;
-  for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
-    if (occupiedExcludingHeads(p.tail + offsets[idx], id)) {
-      mask = static_cast<std::uint8_t>(mask | (1u << idx));
-    }
-  }
-  return mask;
+  return static_cast<std::uint8_t>(occ_.ringMaskUnchecked(p.tail, di) &
+                                   ~heads_.ringMaskUnchecked(p.tail, di));
 }
 
 void AmoebotSystem::expand(std::size_t id, Direction d) {
@@ -278,44 +214,39 @@ void AmoebotSystem::expand(std::size_t id, Direction d) {
   p.expanded = true;
   p.expandDir = static_cast<std::uint8_t>(index(d));
   if (maintainCount()) ++expandedCount_;
-  if (!gridsOn_) {
-    setCell(target, static_cast<std::int32_t>(id), true);
-  } else {
-    noteMutation();
-    // Keep every particle cell interior so unchecked gathers stay
-    // licensed.  Tiled planes only grow: allocating around the escape up
-    // front keeps all three directories mirrored (heads_/expanded_ must
-    // cover every occ_ tile so block workers never allocate); flat
-    // windows rebuild below, after the bits are placed.  Neither path
-    // triggers during a sharded parallel phase: the runner's storage
-    // check reserves every cell a block's activations can reach first.
-    if (occ_.tiled() && !occ_.coversInterior(target)) {
-      occ_.ensureRegion(target, kPlaneEnsureMargin);
-      heads_.ensureTilesOf(occ_);
-      expanded_.ensureTilesOf(occ_);
-    }
-    occ_.set(target);
-    heads_.set(target);
-    expanded_.set(p.tail);
-    expanded_.set(target);
-    if (!occ_.coversInterior(target)) regrowPlanes();
+  noteMutation();
+  // Keep every particle cell interior so unchecked gathers stay licensed.
+  // Tiled planes only grow: allocating around the escape up front keeps
+  // all three directories mirrored (heads_/expanded_ must cover every
+  // occ_ tile so block workers never allocate); flat windows rebuild
+  // below, after the bits are placed.  Neither path triggers during a
+  // sharded parallel phase: the runner's storage check reserves every
+  // cell a block's activations can reach first.
+  if (occ_.tiled() && !occ_.coversInterior(target)) {
+    occ_.ensureRegion(target, kPlaneEnsureMargin);
+    heads_.ensureTilesOf(occ_);
+    expanded_.ensureTilesOf(occ_);
   }
+  occ_.set(target);
+  heads_.set(target);
+  expanded_.set(p.tail);
+  expanded_.set(target);
+  if (!occ_.coversInterior(target)) regrowPlanes();
 }
 
 void AmoebotSystem::contractToHead(std::size_t id) {
   SOPS_REQUIRE(id < particles_.size(), "contractToHead: bad id");
   Particle& p = particles_[id];
   SOPS_REQUIRE(p.expanded, "contractToHead: particle not expanded");
-  if (gridsOn_) {
-    occ_.clear(p.tail);
-    heads_.clear(p.head);
-    expanded_.clear(p.tail);
-    expanded_.clear(p.head);
-    noteMutation();
-  }
-  if (!gridsOn_ || liveIndex_) {
-    clearCell(p.tail);
-    setCell(p.head, static_cast<std::int32_t>(id), false);
+  occ_.clear(p.tail);
+  heads_.clear(p.head);
+  expanded_.clear(p.tail);
+  expanded_.clear(p.head);
+  noteMutation();
+  if (liveIndex_) {
+    const bool removed = tailIds_.erase(lattice::pack(p.tail));
+    SOPS_REQUIRE(removed, "contractToHead: tail missing from the id index");
+    setTail(p.head, id);
   }
   if (maintainCount()) --expandedCount_;
   p.tail = p.head;
@@ -326,14 +257,11 @@ void AmoebotSystem::contractBack(std::size_t id) {
   SOPS_REQUIRE(id < particles_.size(), "contractBack: bad id");
   Particle& p = particles_[id];
   SOPS_REQUIRE(p.expanded, "contractBack: particle not expanded");
-  if (gridsOn_) {
-    occ_.clear(p.head);
-    heads_.clear(p.head);
-    expanded_.clear(p.tail);
-    expanded_.clear(p.head);
-    noteMutation();
-  }
-  if (!gridsOn_) clearCell(p.head);
+  occ_.clear(p.head);
+  heads_.clear(p.head);
+  expanded_.clear(p.tail);
+  expanded_.clear(p.head);
+  noteMutation();
   if (maintainCount()) --expandedCount_;
   p.head = p.tail;
   p.expanded = false;
@@ -378,8 +306,8 @@ void AmoebotSystem::saveState(system::SnapshotWriter& w) const {
       w.i64(system::BitGrid::tileYOfKey(key));
     }
   } else {
-    // Tags 0/1 keep frame v2's exact byte layout.
-    w.u8(gridsOn_ ? 1 : 0);
+    // Tag 1 keeps frame v2's exact byte layout.
+    w.u8(1);
     w.i64(occ_.originX());
     w.i64(occ_.originY());
     w.u64(occ_.width());
@@ -412,6 +340,11 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
     SOPS_REQUIRE(p.expandDir < 6, "snapshot: bad expansion direction");
     SOPS_REQUIRE(p.expanded || p.head == p.tail,
                  "snapshot: contracted particle with head != tail");
+    const TriPoint expandedHead =
+        lattice::neighbor(p.tail, lattice::directionFromIndex(p.expandDir));
+    SOPS_REQUIRE(!p.expanded || p.head == expandedHead,
+                 "snapshot: expanded particle whose head is not its tail's "
+                 "neighbor along the expansion direction");
     particles.push_back(p);
   }
   const std::uint8_t backend = r.u8();
@@ -438,40 +371,28 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
     height = r.u64();
   }
 
+  const std::vector<TriPoint> cells = cellsOf(particles);
+  util::FlatSet64 seen(cells.size());
+  for (const TriPoint cell : cells) {
+    const bool fresh = seen.insert(lattice::pack(cell));
+    SOPS_REQUIRE(fresh, "snapshot: two particles share a cell");
+  }
+
   particles_ = std::move(particles);
+  recountExpanded();
   sharded_ = false;
   liveIndex_ = false;
-  recountExpanded();
-  if (backend != 0) {
-    std::vector<TriPoint> cells;
-    cells.reserve(particles_.size() + expandedCount_);
-    for (const Particle& p : particles_) {
-      cells.push_back(p.tail);
-      if (p.expanded) cells.push_back(p.head);
-    }
-    if (backend == 2) {
-      occ_.rebuildTiledExact(cells, tileKeys);
-    } else {
-      occ_.rebuildExact(cells, originX, originY, width, height);
-    }
-    heads_.allocateLike(occ_);
-    expanded_.allocateLike(occ_);
-    for (const Particle& p : particles_) {
-      if (!p.expanded) continue;
-      heads_.set(p.head);
-      expanded_.set(p.tail);
-      expanded_.set(p.head);
-    }
-    gridsOn_ = true;
-    gridsGaveUp_ = false;
-    idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
+  idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
+  if (backend == 2) {
+    occ_.rebuildTiledExact(cells, tileKeys);
+    rebuildExpansionPlanes();
+  } else if (backend == 1) {
+    occ_.rebuildExact(cells, originX, originY, width, height);
+    rebuildExpansionPlanes();
   } else {
-    gridsGaveUp_ = true;
-    gridsOn_ = false;
-    occ_.disable();
-    heads_.disable();
-    expanded_.disable();
-    rebuildIdIndex();
+    // Tag 0: the retired hash-only regime of older payloads.  The default
+    // dense planes stand in for it.
+    regrowPlanes();
   }
 }
 
@@ -482,13 +403,8 @@ system::ParticleSystem AmoebotSystem::tailConfiguration() const {
   return system::ParticleSystem(tails);
 }
 
-void AmoebotSystem::setCell(TriPoint cell, std::int32_t id, bool isHead) {
-  occupancy_.insertOrAssign(lattice::pack(cell), (id << 1) | (isHead ? 1 : 0));
-}
-
-void AmoebotSystem::clearCell(TriPoint cell) {
-  const bool removed = occupancy_.erase(lattice::pack(cell));
-  SOPS_REQUIRE(removed, "clearCell: cell was not occupied");
+void AmoebotSystem::setTail(TriPoint cell, std::size_t id) {
+  tailIds_.insertOrAssign(lattice::pack(cell), static_cast<std::int32_t>(id));
 }
 
 }  // namespace sops::amoebot

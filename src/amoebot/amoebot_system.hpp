@@ -30,15 +30,12 @@
 /// Configurations too spread out for one flat window (BitGrid::kMaxWords)
 /// run on the tiled backend: all three planes share one tile directory
 /// layout (heads_/expanded_ always cover every occ_ tile), so the
-/// word-exclusive block discipline carries over.  The sparse hash-index
-/// regime survives only behind forceSparseForTest(), exactly like
-/// ParticleSystem.
+/// word-exclusive block discipline carries over.
 ///
-/// The cell -> (id << 1 | isHead) hash index is still maintained for id
-/// lookups (at()) and as the sparse fallback.  With the planes on it holds
-/// tails only — at() finds a head through the heads plane and the tail
-/// next to it — so only a contraction to the head moves an entry.  A
-/// sharded runner may suspend it during a concurrent section (see
+/// A cell -> id hash index serves id lookups (at()).  It holds tails
+/// only — at() finds a head through the heads plane and the tail next to
+/// it — so only a contraction to the head moves an entry.  A sharded
+/// runner may suspend it during a concurrent section (see
 /// suspendIdIndex()), or keep it live through every mutation while its
 /// rejection-free kernel looks up ids after each event (see
 /// keepIdIndexLive()).
@@ -122,24 +119,22 @@ class AmoebotSystem {
   }
 
   /// Requires the id index to be live (it always is outside a sharded
-  /// runner's concurrent section).  While the dense planes are on, the
-  /// index is refreshed lazily here rather than on every expand/contract —
-  /// activations never consult it, so the hot path pays one dirty-bit
-  /// store instead of hash mutations.  The lazy rebuild allocates, so
+  /// runner's concurrent section).  The index is refreshed lazily here
+  /// rather than on every expand/contract — activations never consult
+  /// it, so the hot path pays one dirty-bit store instead of hash
+  /// mutations.  The lazy rebuild allocates, so
   /// (unlike the seed's pure hash probe) this is not noexcept.
   [[nodiscard]] CellView at(TriPoint cell) const;
 
   [[nodiscard]] bool occupied(TriPoint cell) const noexcept {
-    if (gridsOn_) return occ_.test(cell);
-    return occupancy_.contains(lattice::pack(cell));
+    return occ_.test(cell);
   }
 
   /// Occupancy of a cell within graph distance kInteriorMargin of some
   /// particle cell (move targets and neighbor probes qualify): skips the
   /// window bounds check — one word load on the hot path.
   [[nodiscard]] bool occupiedNear(TriPoint cell) const noexcept {
-    if (gridsOn_) return occ_.testUnchecked(cell);
-    return occupancy_.contains(lattice::pack(cell));
+    return occ_.testUnchecked(cell);
   }
 
   /// Translates a particle's private port (0..5) to a global direction.
@@ -162,9 +157,8 @@ class AmoebotSystem {
   };
 
   /// The neighbourhood of a cell within distance 1 of a particle cell
-  /// (two gathers and a bit test while the planes are on).  For a
-  /// contracted particle's tail, `expanded != 0` is
-  /// expandedParticleAdjacent().
+  /// (two gathers and a bit test).  For a contracted particle's tail,
+  /// `expanded != 0` is expandedParticleAdjacent().
   [[nodiscard]] Neighborhood neighborhood(TriPoint cell) const;
 
   /// True iff any cell adjacent to `cell` holds (head or tail of) an
@@ -222,22 +216,11 @@ class AmoebotSystem {
 
   // --- sharded-execution support (amoebot/parallel_scheduler) ---
 
-  /// True while the dense bit planes are live (the sharded runner requires
-  /// them for its block geometry; the forced-sparse test regime falls back
-  /// to the hash index and to list-order execution).
-  [[nodiscard]] bool fastPathEnabled() const noexcept { return gridsOn_; }
-
-  /// Which occupancy regime the planes are running: "dense-flat",
-  /// "dense-tiled", or "sparse" (see ParticleSystem::regimeName).
+  /// Which occupancy regime the planes are running: "dense-flat" or
+  /// "dense-tiled" (see ParticleSystem::regimeName).
   [[nodiscard]] const char* regimeName() const noexcept {
-    if (!gridsOn_) return "sparse";
     return occ_.tiled() ? "dense-tiled" : "dense-flat";
   }
-
-  /// Pins the sparse (hash-only) regime — the organic fallback no longer
-  /// exists now that plane rebuilds promote to tiled, but tests still
-  /// need to exercise the sparse code paths.
-  void forceSparseForTest();
 
   /// The occupancy plane — the sharded runner aligns its blocks to it and
   /// checks storage against it (heads and expanded mirror its geometry).
@@ -248,16 +231,15 @@ class AmoebotSystem {
   /// Grows the three planes together so that
   /// occupancyGrid().coversInteriorBy(c, depth) holds for every center —
   /// the sharded runner calls it between parallel phases, so that no
-  /// plane regrows inside one.  A no-op in the sparse regime.
+  /// plane regrows inside one.
   void reserveInterior(std::span<const TriPoint> centers, std::int64_t depth);
 
   /// Suspends maintenance of the cell -> id hash index and of
   /// expandedCount() so concurrent block workers touch only bit-plane
-  /// words and per-particle state.  Only meaningful while
-  /// fastPathEnabled(); at()/particleAt-style lookups are invalid until
-  /// restoreIdIndex().  The planes never give up mid-section: a flat
-  /// window that outgrows BitGrid::kMaxWords promotes to the tiled
-  /// backend, and tiled directories only grow.
+  /// words and per-particle state.  at()/particleAt-style lookups are
+  /// invalid until restoreIdIndex().  The planes never give up
+  /// mid-section: a flat window that outgrows BitGrid::kMaxWords promotes
+  /// to the tiled backend, and tiled directories only grow.
   void suspendIdIndex();
 
   /// Rebuilds the id index and expandedCount() from particle state and
@@ -265,8 +247,8 @@ class AmoebotSystem {
   void restoreIdIndex();
 
   /// Ends any suspension, makes the id index current, and from then on
-  /// updates it in place (instead of marking it stale) — with the planes
-  /// on, only contractToHead() moves an entry — until the next
+  /// updates it in place (instead of marking it stale) — only
+  /// contractToHead() moves an entry — until the next
   /// suspendIdIndex() or restoreState().  For a single-threaded caller
   /// that reads at() after every mutation; the index itself already
   /// exists, so this costs no memory.
@@ -282,47 +264,45 @@ class AmoebotSystem {
 
   /// Inverse of saveState: replaces the particle set wholesale (the
   /// constructor's random orientation draws are overwritten), rebuilds
-  /// the planes with the snapshotted geometry or pins the sparse
-  /// fallback, and recomputes the derived index/counters.
+  /// the planes with the snapshotted geometry, and recomputes the derived
+  /// index/counters.  A tag-0 payload (the retired hash-only regime)
+  /// restores into the default dense planes.  Rejects payloads whose
+  /// particles share a cell, or whose expanded head is not the tail's
+  /// neighbor along the expansion direction.
   void restoreState(system::SnapshotReader& r);
 
  private:
   std::vector<Particle> particles_;
-  /// cell -> (id << 1) | isHead.  In sparse mode every particle cell,
-  /// eagerly maintained (it is then the occupancy source of truth); with
-  /// the planes on only tails, rebuilt lazily by at() when dirty or kept
-  /// live (keepIdIndexLive()).
-  mutable util::FlatMap64<std::int32_t> occupancy_;
+  /// tail cell -> id, rebuilt lazily by at() when dirty or kept live
+  /// (keepIdIndexLive()).
+  mutable util::FlatMap64<std::int32_t> tailIds_;
   mutable bool idIndexDirty_ = false;
   std::size_t expandedCount_ = 0;
 
   system::BitGrid occ_;       ///< all occupied cells (heads + tails)
   system::BitGrid heads_;     ///< heads of expanded particles
   system::BitGrid expanded_;  ///< head and tail cells of expanded particles
-  bool gridsOn_ = false;
-  bool gridsGaveUp_ = false;
   bool sharded_ = false;  ///< between suspendIdIndex() and restoreIdIndex()
   bool liveIndex_ = false;  ///< see keepIdIndexLive()
 
-  /// Bookkeeping after a mutation: sparse mode and a live index keep the
-  /// hash eagerly (the caller already applied its updates); plane mode
-  /// otherwise just marks the index stale; a sharded section does nothing
-  /// at all (restore rebuilds).
+  /// Bookkeeping after a mutation: a live index keeps the hash eagerly
+  /// (the caller already applied its update); otherwise the index is
+  /// just marked stale; a sharded section does nothing at all (restore
+  /// rebuilds).
   void noteMutation() noexcept {
-    if (gridsOn_ && !sharded_ && !liveIndex_) idIndexDirty_ = true;
+    if (!sharded_ && !liveIndex_) idIndexDirty_ = true;
   }
   /// expandedCount_ must not be touched by concurrent block workers; it
-  /// is recomputed on restore (and on plane fallback, where execution is
-  /// single-threaded again).
-  [[nodiscard]] bool maintainCount() const noexcept {
-    return !sharded_ || !gridsOn_;
-  }
+  /// is recomputed on restore.
+  [[nodiscard]] bool maintainCount() const noexcept { return !sharded_; }
 
-  void setCell(TriPoint cell, std::int32_t id, bool isHead);
-  void clearCell(TriPoint cell);
+  void setTail(TriPoint cell, std::size_t id);
   /// Rebuilds the planes around every particle cell (and `cover`, when
   /// given); promotes to tiled past the flat cap.
   void regrowPlanes(const system::BitGrid::CellBox* cover = nullptr);
+  /// Mirrors occ_'s geometry into heads_/expanded_ and sets their bits
+  /// from the particle state.
+  void rebuildExpansionPlanes();
   void rebuildIdIndex() const;
   void recountExpanded();
 };

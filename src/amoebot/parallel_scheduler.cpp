@@ -99,7 +99,7 @@ std::uint64_t ShardedPoissonRunner::runAtLeast(std::uint64_t minActivations) {
     if (routeRejectionFree()) {
       runRejectionFreeEpoch();
     } else {
-      if (sys_.fastPathEnabled()) sys_.suspendIdIndex();
+      sys_.suspendIdIndex();
       executor_.runEpoch(kernel, tallies_);
       indexCurrent_ = false;
     }

@@ -34,9 +34,8 @@
 /// Every draw is a pure function of (seed, epoch, k), so the trajectory is
 /// identical at every thread count and across snapshot/restore;
 /// tests/local_golden_test.cpp holds the block path to the list-order
-/// oracle.  Tiled planes and the forced-sparse regime need nothing
-/// special: the former has 1024-aligned tiles, the latter runs in list
-/// order.
+/// oracle.  Tiled planes need nothing special: their tiles are
+/// 1024-aligned.
 ///
 /// **Rejection-free epochs.**  In the compressed regime about 99.5% of
 /// activations are Idle: a contracted particle with no legal expansion

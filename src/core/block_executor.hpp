@@ -42,8 +42,8 @@
 /// **Execution.**  Proposals of different blocks touch disjoint state, so
 /// running each block's proposals in list order — blocks in parallel — is
 /// the same computation as running the whole list in order.  With
-/// threads == 1 and in the forced-sparse regime the executor does exactly
-/// that: the list in order, on the calling thread.  That path is the
+/// threads == 1 the executor does exactly that: the list in order, on the
+/// calling thread.  That path is the
 /// oracle the block path is tested against, bit for bit.  The block path:
 ///   1. bucket (parallel over T list chunks): each proposal's particle is
 ///      drawn and filed, by the block of its epoch-start position, into a
@@ -235,7 +235,7 @@ class BlockExecutor {
   /// outcomes to `total`.
   void runEpoch(Kernel& kernel, Tallies& total) {
     const BlockEpoch ep = BlockEpoch::draw(seed_, epoch_);
-    if (threads_ > 1 && kernel.grid().enabled()) {
+    if (threads_ > 1) {
       runBlocks(kernel, ep, total);
     } else {
       runListOrder(kernel, ep, total);

@@ -12,7 +12,7 @@
 /// accepted moves (BiasedChainEngine::step maintains it for models that
 /// declare kNeedsPartnerIds).
 ///
-/// Three modes, selected by sync() from the grid's shape:
+/// Two modes, selected by sync() from the grid's shape:
 ///
 ///   Flat   — one contiguous u32 mirror of a flat occupancy window whose
 ///            area fits kMaxCells: exactly the pre-tiled fast path.
@@ -25,8 +25,9 @@
 ///            the grid grows — no O(n) rebuild per window event, which is
 ///            what used to force the sharded runner back to sequential
 ///            epochs past kMaxCells.
-///   Inactive — the system runs sparse; callers fall back to
-///            ParticleSystem::particleAt.
+///
+/// Before the first sync() (and after invalidate()) the plane is Inactive:
+/// tracksMoves() is false, so callers sync() or use particleAt().
 ///
 /// Paged-mode invariant: every particle's current position has its page
 /// allocated and holding its id (the initial build allocates a
@@ -96,24 +97,17 @@ class ParticleIdPlane {
     return mode_ == Mode::Paged && pagedValid_;
   }
 
-  /// Ensures the plane mirrors sys.grid(); returns false (deactivated)
-  /// only when the system runs sparse.  Flat windows past kMaxCells and
-  /// tiled grids build the paged mode; a valid paged plane is a no-op
+  /// Ensures the plane mirrors sys.grid().  Flat windows past kMaxCells
+  /// and tiled grids build the paged mode; a valid paged plane is a no-op
   /// here (its absolute-keyed content survives grid growth).
-  bool sync(const system::ParticleSystem& sys) {
+  void sync(const system::ParticleSystem& sys) {
     const system::BitGrid& grid = sys.grid();
-    if (!grid.enabled()) {
-      invalidate();
-      return false;
-    }
     if (!grid.tiled() && grid.width() * grid.height() <= kMaxCells) {
-      if (syncedWith(grid)) return true;
-      buildFlat(sys, grid);
-      return true;
+      if (!syncedWith(grid)) buildFlat(sys, grid);
+      return;
     }
-    if (mode_ == Mode::Paged && pagedValid_) return true;
+    if (mode_ == Mode::Paged && pagedValid_) return;
     buildPaged(sys);
-    return true;
   }
 
   /// Forces the next sync() to rebuild from scratch.  Required after the

@@ -83,11 +83,11 @@ template <typename OccupiedFn>
   return mask;
 }
 
-/// Ring mask against a ParticleSystem: with the dense bitboard enabled
-/// this is one bit-index computation plus eight precomputed-delta word
-/// loads (BitGrid::ringMaskUnchecked) — inline so the chain step sees
-/// through it.  Precondition: ℓ is an occupied particle position (ring
-/// cells then sit within the grid's interior-margin invariant).
+/// Ring mask against a ParticleSystem: one bit-index computation plus
+/// eight precomputed-delta word loads (BitGrid::ringMaskUnchecked) —
+/// inline so the chain step sees through it.  Precondition: ℓ is an
+/// occupied particle position (ring cells then sit within the grid's
+/// interior-margin invariant).
 [[nodiscard]] inline std::uint8_t ringMask(const system::ParticleSystem& sys,
                                            TriPoint l, Direction d) {
   return sys.ringMask(l, d);

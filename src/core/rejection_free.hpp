@@ -47,7 +47,7 @@
 ///     never by insertion order, so the pick does not depend on history;
 ///   - the epoch's crossing pairs per code, counted at the epoch start by a
 ///     word-parallel scan of the block-line bands of the occupancy grid
-///     (per particle on a tiled or sparse system) and kept during it.
+///     (per particle on a tiled system) and kept during it.
 /// An accepted move of ℓ → ℓ′ changes the codes of pairs whose ring or
 /// target it touches — particles within distance 2 of ℓ or ℓ′ — and only
 /// those are refreshed.  About 5 bytes per particle: 0.5 MiB at n = 10⁵.
@@ -213,7 +213,7 @@ class RejectionFreeIndex {
   /// the block-line bands on a flat grid, a pass over the particles near a
   /// block edge otherwise.
   void beginEpoch(const system::ParticleSystem& sys, const BlockEpoch& ep) {
-    if (sys.grid().enabled() && !sys.grid().tiled()) {
+    if (!sys.grid().tiled()) {
       countCrossingsByBands(sys, ep);
     } else {
       countCrossingsByParticles(sys, ep);
@@ -548,8 +548,7 @@ class RejectionFreeIndex {
   [[nodiscard]] static bool fullNeighborhood(const system::ParticleSystem& sys,
                                              TriPoint p) noexcept {
     constexpr std::uint8_t kAll = (1u << lattice::kNumDirections) - 1;
-    return (sys.grid().enabled() ? sys.grid().neighborMaskUnchecked(p)
-                                 : sys.neighborMask(p)) == kAll;
+    return sys.grid().neighborMaskUnchecked(p) == kAll;
   }
 
   /// Moves particle i's six pairs from their old codes (at `before`) to

@@ -20,11 +20,9 @@
 /// or two word gathers, and every Metropolis threshold is a load from an
 /// 11/13/21-entry power table built with the shared core::lambdaPower.
 /// No std::pow and no hash probe runs on the accept path.
-///
-/// When the system degrades to its sparse hash index (window cap), the
-/// models degrade with it: neighbor classes are then resolved through
-/// particleAt().  tests/biased_engine_test.cpp pins the dense and sparse
-/// paths to the identical trajectory.
+/// tests/biased_engine_test.cpp pins the separation model to the
+/// hash-index reference chain (extensions::SeparationChain) on flat and
+/// tiled grids.
 
 #include <bit>
 #include <cstdint>
@@ -40,57 +38,50 @@
 namespace sops::core {
 
 /// K shadow bit planes kept geometry-aligned with a ParticleSystem's
-/// occupancy grid.  sync() detects geometry changes (and the sparse
-/// fallback) by fingerprinting the grid — origin/size plus the grid's
-/// geometryVersion().  A flat-window change rebuilds the planes from
-/// scratch — O(n), amortized by the system's own O(log drift) rebuild
-/// schedule.  A *tiled* grid never rebuilds, it only allocates tiles, and
-/// plane bits key absolute coordinates — so a fingerprint mismatch while
-/// both sides are tiled means "new tiles only": the planes grow their
-/// directories to match (ensureTilesOf) and keep their content.
+/// occupancy grid.  sync() detects geometry changes by fingerprinting the
+/// grid — origin/size plus the grid's geometryVersion().  A flat-window
+/// change rebuilds the planes from scratch — O(n), amortized by the
+/// system's own O(log drift) rebuild schedule.  A *tiled* grid never
+/// rebuilds, it only allocates tiles, and plane bits key absolute
+/// coordinates — so a fingerprint mismatch while both sides are tiled
+/// means "new tiles only": the planes grow their directories to match
+/// (ensureTilesOf) and keep their content.
 template <std::size_t K>
 class ShadowPlanes {
  public:
   /// True when the dense planes mirror `grid` exactly (same geometry, no
   /// rebuild pending) — the licence for the unchecked gathers below.
   [[nodiscard]] bool syncedWith(const system::BitGrid& grid) const noexcept {
-    return dense_ && grid.enabled() &&
-           grid.geometryVersion() == gridVersion_ &&
+    return built_ && grid.geometryVersion() == gridVersion_ &&
            grid.originX() == originX_ && grid.originY() == originY_ &&
            grid.width() == width_ && grid.height() == height_;
   }
 
   /// Ensures the planes mirror sys.grid(); classOf(particle) ∈ [0, K) maps
-  /// each particle to its plane.  Returns false (sparse mode) when the
-  /// system itself runs without a dense grid.
+  /// each particle to its plane.
   template <typename ClassOf>
-  bool sync(const system::ParticleSystem& sys, ClassOf&& classOf) {
+  void sync(const system::ParticleSystem& sys, ClassOf&& classOf) {
     const system::BitGrid& grid = sys.grid();
-    if (!grid.enabled()) {
-      dense_ = false;
-      return false;
-    }
-    if (syncedWith(grid)) return true;
-    if (dense_ && grid.tiled() && planes_[0].tiled()) {
+    if (syncedWith(grid)) return;
+    if (built_ && grid.tiled() && planes_[0].tiled()) {
       // Tiled growth: the directory gained tiles but no bit moved (tiles
       // are absolutely anchored), so the planes just follow the directory.
       for (auto& plane : planes_) plane.ensureTilesOf(grid);
       fingerprint(grid);
-      return true;
+      return;
     }
     for (auto& plane : planes_) plane.allocateLike(grid);
     for (std::size_t i = 0; i < sys.size(); ++i) {
       planes_[static_cast<std::size_t>(classOf(i))].set(sys.position(i));
     }
     fingerprint(grid);
-    dense_ = true;
-    return true;
+    built_ = true;
   }
 
   /// Forces the next sync() to rebuild from scratch — used after a model
   /// deserialize replaces the per-particle classes wholesale (the grid
   /// geometry alone cannot detect that).
-  void invalidate() noexcept { dense_ = false; }
+  void invalidate() noexcept { built_ = false; }
 
   [[nodiscard]] system::BitGrid& plane(std::size_t k) noexcept {
     return planes_[k];
@@ -114,25 +105,8 @@ class ShadowPlanes {
   std::uint64_t width_ = 0;
   std::uint64_t height_ = 0;
   std::uint64_t gridVersion_ = 0;
-  bool dense_ = false;
+  bool built_ = false;
 };
-
-/// Sparse-fallback class query shared by the separation and alignment
-/// models (the reference SeparationChain keeps its own copy by design):
-/// neighbors of `cell` whose per-particle class equals `classValue`,
-/// skipping `exclude`, resolved through the hash index.
-[[nodiscard]] inline int sameClassNeighbors(
-    const system::ParticleSystem& sys, std::span<const std::uint8_t> classes,
-    TriPoint cell, std::uint8_t classValue, TriPoint exclude) {
-  int count = 0;
-  for (const Direction d : lattice::kAllDirections) {
-    const TriPoint q = lattice::neighbor(cell, d);
-    if (q == exclude) continue;
-    const auto id = sys.particleAt(q);
-    if (id.has_value() && classes[*id] == classValue) ++count;
-  }
-  return count;
-}
 
 /// Induced edges whose endpoints share a class — the exact hom(σ) / ali(σ)
 /// recount behind both models' observables.
@@ -251,23 +225,16 @@ class SeparationModel {
     planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
   }
 
-  /// γ^{Δhom} for the movement (l → l+d) of `particle`.  Dense: one ring
-  /// gather of the particle's own color plane, two popcounts, one table
-  /// load.
+  /// γ^{Δhom} for the movement (l → l+d) of `particle`: one ring gather
+  /// of the particle's own color plane, two popcounts, one table load.
   double movementFactor(const system::ParticleSystem& sys, std::size_t particle,
                         TriPoint l, Direction d, std::uint8_t /*ringOcc*/) {
-    const std::uint8_t color = colors_[particle];
-    int delta;
-    if (planes_.sync(sys, [this](std::size_t i) { return colors_[i]; })) {
-      const std::uint8_t ringSame =
-          planes_.plane(color).ringMaskUnchecked(l, lattice::index(d));
-      delta = std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
-              std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
-    } else {
-      const TriPoint target = lattice::neighbor(l, d);
-      delta = sameClassNeighbors(sys, colors_, target, color, l) -
-              sameClassNeighbors(sys, colors_, l, color, target);
-    }
+    planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
+    const std::uint8_t ringSame = planes_.plane(colors_[particle])
+                                      .ringMaskUnchecked(l, lattice::index(d));
+    const int delta =
+        std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
+        std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
@@ -277,9 +244,7 @@ class SeparationModel {
     // grew tiles.  After a flat rebuild the planes were reconstructed from
     // post-move positions, so the clear/set below are no-ops; after tiled
     // growth they are the move's one real update.
-    if (!planes_.sync(sys, [this](std::size_t i) { return colors_[i]; })) {
-      return;
-    }
+    planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
     system::BitGrid& plane = planes_.plane(colors_[particle]);
     plane.clear(from);
     plane.set(to);
@@ -293,7 +258,7 @@ class SeparationModel {
   }
 
   /// Color swap across a heterochromatic edge, accepted with
-  /// min(1, γ^{Δhom}).  Dense path: the partner's color is a word load,
+  /// min(1, γ^{Δhom}).  The partner's color is a word load,
   /// and Δhom comes from *two edge-ring gathers* — N(p)∪N(q)\{p,q} is
   /// exactly the 8-cell ring of the edge (p, q), the two color planes
   /// partition its occupancy, and kBeforeMask/kAfterMask split it into
@@ -310,55 +275,37 @@ class SeparationModel {
     const TriPoint p = sys.position(particle);
     const TriPoint q = lattice::neighbor(p, d);
     const std::uint8_t colorP = colors_[particle];
-    if (planes_.sync(sys, [this](std::size_t i) { return colors_[i]; })) {
-      if (!sys.occupiedNear(q)) return AuxOutcome::Skipped;
-      const std::uint8_t colorQ =
-          planes_.plane(1).testUnchecked(q) ? std::uint8_t{1} : std::uint8_t{0};
-      if (colorQ == colorP) return AuxOutcome::Skipped;
-      const std::uint8_t ringP =
-          planes_.plane(colorP).ringMaskUnchecked(p, lattice::index(d));
-      const std::uint8_t ringQ =
-          planes_.plane(colorQ).ringMaskUnchecked(p, lattice::index(d));
-      const int before =
-          std::popcount(static_cast<unsigned>(ringP & kBeforeMask)) +
-          std::popcount(static_cast<unsigned>(ringQ & kAfterMask));
-      const int after =
-          std::popcount(static_cast<unsigned>(ringQ & kBeforeMask)) +
-          std::popcount(static_cast<unsigned>(ringP & kAfterMask));
-      const double threshold =
-          swapPow_[static_cast<std::size_t>(after - before + kMaxSwapDelta)];
-      if (threshold >= 1.0 || rng.uniform() < threshold) {
-        const std::size_t other =
-            ids.tracksMoves(sys.grid())
-                ? static_cast<std::size_t>(ids.idAtUnchecked(q))
-                : *sys.particleAt(q);
-        // Position-based identity check: valid under the sharded runner's
-        // index suspension, where particleAt() would read a stale index.
-        SOPS_DASSERT(sys.position(other) == q);
-        colors_[particle] = colorQ;
-        colors_[other] = colorP;
-        planes_.plane(colorP).clear(p);
-        planes_.plane(colorQ).set(p);
-        planes_.plane(colorQ).clear(q);
-        planes_.plane(colorP).set(q);
-        return AuxOutcome::Accepted;
-      }
-      return AuxOutcome::Rejected;
-    }
-    // Sparse fallback: identical decision sequence through the hash index.
-    const auto other = sys.particleAt(q);
-    if (!other.has_value()) return AuxOutcome::Skipped;
-    const std::uint8_t colorQ = colors_[*other];
+    planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
+    if (!sys.occupiedNear(q)) return AuxOutcome::Skipped;
+    const std::uint8_t colorQ =
+        planes_.plane(1).testUnchecked(q) ? std::uint8_t{1} : std::uint8_t{0};
     if (colorQ == colorP) return AuxOutcome::Skipped;
-    const int before = sameClassNeighbors(sys, colors_, p, colorP, q) +
-                       sameClassNeighbors(sys, colors_, q, colorQ, p);
-    const int after = sameClassNeighbors(sys, colors_, p, colorQ, q) +
-                      sameClassNeighbors(sys, colors_, q, colorP, p);
+    const std::uint8_t ringP =
+        planes_.plane(colorP).ringMaskUnchecked(p, lattice::index(d));
+    const std::uint8_t ringQ =
+        planes_.plane(colorQ).ringMaskUnchecked(p, lattice::index(d));
+    const int before =
+        std::popcount(static_cast<unsigned>(ringP & kBeforeMask)) +
+        std::popcount(static_cast<unsigned>(ringQ & kAfterMask));
+    const int after =
+        std::popcount(static_cast<unsigned>(ringQ & kBeforeMask)) +
+        std::popcount(static_cast<unsigned>(ringP & kAfterMask));
     const double threshold =
         swapPow_[static_cast<std::size_t>(after - before + kMaxSwapDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {
+      const std::size_t other =
+          ids.tracksMoves(sys.grid())
+              ? static_cast<std::size_t>(ids.idAtUnchecked(q))
+              : *sys.particleAt(q);
+      // Position-based identity check: valid under the sharded runner's
+      // index suspension, where particleAt() would read a stale index.
+      SOPS_DASSERT(sys.position(other) == q);
       colors_[particle] = colorQ;
-      colors_[*other] = colorP;
+      colors_[other] = colorP;
+      planes_.plane(colorP).clear(p);
+      planes_.plane(colorQ).set(p);
+      planes_.plane(colorQ).clear(q);
+      planes_.plane(colorP).set(q);
       return AuxOutcome::Accepted;
     }
     return AuxOutcome::Rejected;
@@ -473,18 +420,13 @@ class AlignmentModel {
   /// the particle's own orientation plane.
   double movementFactor(const system::ParticleSystem& sys, std::size_t particle,
                         TriPoint l, Direction d, std::uint8_t /*ringOcc*/) {
-    const std::uint8_t orientation = orientations_[particle];
-    int delta;
-    if (planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; })) {
-      const std::uint8_t ringSame =
-          planes_.plane(orientation).ringMaskUnchecked(l, lattice::index(d));
-      delta = std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
-              std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
-    } else {
-      const TriPoint target = lattice::neighbor(l, d);
-      delta = sameClassNeighbors(sys, orientations_, target, orientation, l) -
-              sameClassNeighbors(sys, orientations_, l, orientation, target);
-    }
+    planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
+    const std::uint8_t ringSame =
+        planes_.plane(orientations_[particle])
+            .ringMaskUnchecked(l, lattice::index(d));
+    const int delta =
+        std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
+        std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
@@ -492,10 +434,7 @@ class AlignmentModel {
                TriPoint from, TriPoint to) {
     // See SeparationModel::onMoved: sync first, then apply (no-ops after a
     // flat rebuild, the real update after tiled growth).
-    if (!planes_.sync(sys,
-                      [this](std::size_t i) { return orientations_[i]; })) {
-      return;
-    }
+    planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
     system::BitGrid& plane = planes_.plane(orientations_[particle]);
     plane.clear(from);
     plane.set(to);
@@ -521,26 +460,18 @@ class AlignmentModel {
     const std::uint8_t current = orientations_[particle];
     if (proposed == current) return AuxOutcome::Skipped;
     const TriPoint p = sys.position(particle);
-    int delta;
-    const bool dense =
-        planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
-    if (dense) {
-      delta = std::popcount(static_cast<unsigned>(
-                  planes_.plane(proposed).neighborMaskUnchecked(p))) -
-              std::popcount(static_cast<unsigned>(
-                  planes_.plane(current).neighborMaskUnchecked(p)));
-    } else {
-      delta = sameClassNeighbors(sys, orientations_, p, proposed, p) -
-              sameClassNeighbors(sys, orientations_, p, current, p);
-    }
+    planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
+    const int delta =
+        std::popcount(static_cast<unsigned>(
+            planes_.plane(proposed).neighborMaskUnchecked(p))) -
+        std::popcount(static_cast<unsigned>(
+            planes_.plane(current).neighborMaskUnchecked(p)));
     const double threshold =
         rotationPow_[static_cast<std::size_t>(delta + kMaxRotationDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {
       orientations_[particle] = proposed;
-      if (dense) {
-        planes_.plane(current).clear(p);
-        planes_.plane(proposed).set(p);
-      }
+      planes_.plane(current).clear(p);
+      planes_.plane(proposed).set(p);
       return AuxOutcome::Accepted;
     }
     return AuxOutcome::Rejected;

@@ -138,11 +138,9 @@ class ShardedChainRunner {
       if (routeRejectionFree()) {
         runRejectionFreeEpoch();
       } else {
-        if (system_.grid().enabled()) {
-          model_.attach(system_);
-          if constexpr (kMaintainsIds) partnerIds_.sync(system_);
-          system_.suspendIndex();
-        }
+        model_.attach(system_);
+        if constexpr (kMaintainsIds) partnerIds_.sync(system_);
+        system_.suspendIndex();
         executor_.runEpoch(kernel, tallies_);
         indexCurrent_ = false;
       }

@@ -54,9 +54,9 @@ struct ReplicaSummary {
   std::uint64_t steps = 0;  ///< exact steps executed
   std::vector<double> finalMetrics;
   double wallSeconds = 0.0;
-  /// Occupancy regime at the end of the replica ("dense-flat",
-  /// "dense-tiled", "sparse"), or "" when the scenario does not report
-  /// one (ScenarioRun::regime).
+  /// Occupancy regime at the end of the replica ("dense-flat" or
+  /// "dense-tiled"), or "" when the scenario does not report one
+  /// (ScenarioRun::regime).
   std::string regime;
   /// Named seed-only counts (ScenarioRun::counts), each emitted as its own
   /// key of the JSONL replica record.

@@ -5,9 +5,7 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -47,23 +45,6 @@ constexpr std::size_t kMaxBufferedEventsPerReplica = std::size_t{1} << 22;
   std::sort(entries.begin(), entries.end());
   for (const auto& [key, value] : entries) out += " " + key + "=" + value;
   return out;
-}
-
-/// One stderr line, once per process, the first time a replica reports the
-/// degraded sparse occupancy regime (hash-index-only queries — no dense
-/// planes, no block parallelism).  Dense configurations promote to the
-/// tiled backend instead of degrading, so this fires only for runs resumed
-/// from a sparse-tagged snapshot or drivers wired up unexpectedly.
-void warnIfSparseRegime(const RunSpec& spec, std::size_t replica,
-                        const std::string& regime) {
-  static std::atomic_flag warned = ATOMIC_FLAG_INIT;
-  if (regime != "sparse") return;
-  if (warned.test_and_set()) return;
-  std::fprintf(stderr,
-               "[sops] warning: scenario '%s' replica %zu degraded to the "
-               "sparse occupancy regime (hash-index queries only; no dense "
-               "fast path, no striping)\n",
-               spec.scenario.c_str(), replica);
 }
 
 /// Writes checkpoint snapshots off the run thread: the chain advances to
@@ -142,7 +123,6 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
                      " steps but the snapshot recorded " +
                      std::to_string(storedSteps));
   }
-  warnIfSparseRegime(spec, replica, run->regime());
 
   // Atomic checkpoint snapshot: the full trajectory-identity key plus the
   // run's complete evolving state, taken after every advance and at the
@@ -227,7 +207,6 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   summary.steps = run->stepsDone();
   summary.regime = run->regime();
   summary.counts = run->counts();
-  warnIfSparseRegime(spec, replica, summary.regime);
   run->sampleMetrics(summary.finalMetrics);
   summary.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

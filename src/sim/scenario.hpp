@@ -54,11 +54,9 @@ class ScenarioRun {
   [[nodiscard]] virtual system::ParticleSystem snapshot() const = 0;
 
   /// The occupancy regime the replica currently executes in —
-  /// "dense-flat" (one flat bitboard window), "dense-tiled" (paged
-  /// tile directory), or "sparse" (hash-index-only degraded mode) —
-  /// or "" for scenarios that do not report one.  The runner copies
-  /// this into ReplicaSummary::regime and warns on stderr the first
-  /// time a run degrades to "sparse".
+  /// "dense-flat" (one flat bitboard window) or "dense-tiled" (paged
+  /// tile directory) — or "" for scenarios that do not report one.  The
+  /// runner copies this into ReplicaSummary::regime.
   [[nodiscard]] virtual std::string regime() const { return {}; }
 
   /// Named seed-only counts of what the run did (the sharded runners'

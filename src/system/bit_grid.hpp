@@ -414,12 +414,12 @@ class BitGrid {
                     std::uint64_t height);
 
   /// Tiled analogue of rebuildExact: rebuilds the tiled backend with
-  /// EXACTLY the given tile directory (the amoebot runner's deferral
-  /// predicates are functions of the allocated-tile set, so resume must
-  /// reproduce it verbatim rather than re-derive it from the points) and
-  /// sets exactly the given points.  Throws on duplicate keys, on the tile
-  /// cap, or when a point violates the interior invariant under the given
-  /// directory.
+  /// EXACTLY the given tile directory (the directory only grows, so it is
+  /// a function of the run's history, not of the points; resume must
+  /// reproduce it verbatim so that later snapshots match an uninterrupted
+  /// run's) and sets exactly the given points.  Throws on duplicate keys,
+  /// on the tile cap, or when a point violates the interior invariant
+  /// under the given directory.
   void rebuildTiledExact(std::span<const TriPoint> points,
                          std::span<const std::uint64_t> tileKeys);
 
@@ -502,7 +502,7 @@ class BitGrid {
   /// straight line at y = 0 sits on a tile-row boundary for its whole
   /// length (tiles are absolutely anchored), so without this the dominant
   /// shape of the tiled regime would pay ~10 directory probes per mask —
-  /// sparse-path speed.
+  /// the speed of a hash-probe gather.
   struct SeamBlock {
     std::int64_t tx0 = 0;  // top-left tile of the 2×2 block
     std::int64_t ty0 = 0;

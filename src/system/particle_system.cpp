@@ -13,13 +13,12 @@ constexpr std::int64_t kGridEnsureMargin = 8;
 }  // namespace
 
 void ParticleSystem::regrowGrid() {
-  if (gridGaveUp_ || positions_.empty()) {
+  if (positions_.empty()) {
     grid_.disable();
     return;
   }
   // rebuild() promotes oversized bounding boxes to the tiled backend, so
-  // it only fails (false) on an empty point set — excluded above.  The
-  // sparse regime survives solely behind forceSparseForTest().
+  // it only fails (false) on an empty point set — excluded above.
   const bool built = grid_.rebuild(positions_, kGridBaseMargin);
   SOPS_DASSERT(built);
   (void)built;
@@ -37,11 +36,7 @@ ParticleSystem::ParticleSystem(std::span<const TriPoint> points)
   regrowGrid();
 }
 
-void ParticleSystem::suspendIndex() {
-  SOPS_REQUIRE(grid_.enabled(),
-               "index suspension requires the dense occupancy window");
-  indexSuspended_ = true;
-}
+void ParticleSystem::suspendIndex() { indexSuspended_ = true; }
 
 void ParticleSystem::restoreIndex() {
   if (!indexSuspended_) return;
@@ -57,7 +52,7 @@ void ParticleSystem::restoreIndex() {
 
 void ParticleSystem::reserveInterior(std::span<const TriPoint> centers,
                                      std::int64_t depth) {
-  if (!grid_.enabled() || centers.empty()) return;
+  if (positions_.empty() || centers.empty()) return;
   if (!grid_.tiled()) {
     const BitGrid::CellBox box = BitGrid::CellBox::around(centers, depth);
     grid_.rebuild(positions_, kGridBaseMargin, &box);
@@ -73,14 +68,14 @@ std::size_t ParticleSystem::add(TriPoint p) {
                     static_cast<std::int32_t>(positions_.size()));
   SOPS_REQUIRE(fresh, "add() target already occupied");
   positions_.push_back(p);
-  if (grid_.enabled() && grid_.coversInterior(p)) {
+  if (grid_.coversInterior(p)) {
     grid_.set(p);
   } else if (grid_.tiled()) {
     // A tiled grid never rebuilds from scratch: grow the directory around
     // the new particle and set its bit.
     grid_.ensureRegion(p, kGridEnsureMargin);
     grid_.set(p);
-  } else if (!gridGaveUp_) {
+  } else {
     regrowGrid();
   }
   return positions_.size() - 1;
@@ -91,7 +86,7 @@ void ParticleSystem::remove(std::size_t particle) {
   SOPS_REQUIRE(particle < positions_.size(), "remove(): bad particle id");
   const TriPoint p = positions_[particle];
   index_.erase(lattice::pack(p));
-  if (grid_.enabled()) grid_.clear(p);
+  grid_.clear(p);
   const std::size_t last = positions_.size() - 1;
   if (particle != last) {
     positions_[particle] = positions_[last];
@@ -111,46 +106,36 @@ void ParticleSystem::moveParticle(std::size_t particle, TriPoint to) {
     index_.insert(lattice::pack(to), static_cast<std::int32_t>(particle));
   }
   positions_[particle] = to;
-  if (grid_.enabled()) {
-    // Regrow as soon as a particle reaches the 2-cell interior margin, so
-    // ring/target queries around any particle stay safely in-window for
-    // occupiedNear()'s unchecked word load.
-    if (grid_.coversInterior(to)) {
-      grid_.clear(from);
-      grid_.set(to);
-    } else if (grid_.tiled()) {
-      // A tiled grid only ever grows: allocating the few tiles around the
-      // escape restores the interior invariant without re-deriving any
-      // geometry, so shadow/id planes stay incrementally valid.  Never
-      // reached from a sharded parallel phase — the chain runner reserves
-      // coverage first, the amoebot runner defers such events.
-      grid_.ensureRegion(to, kGridEnsureMargin);
-      grid_.clear(from);
-      grid_.set(to);
-    } else {
-      regrowGrid();  // positions_ already reflects the move
-      // Sparse fallback ends a suspension immediately: without the dense
-      // window, occupancy queries need the hash index again.
-      if (indexSuspended_ && !grid_.enabled()) restoreIndex();
-    }
+  // Regrow as soon as a particle reaches the 2-cell interior margin, so
+  // ring/target queries around any particle stay safely in-window for
+  // occupiedNear()'s unchecked word load.
+  if (grid_.coversInterior(to)) {
+    grid_.clear(from);
+    grid_.set(to);
+  } else if (grid_.tiled()) {
+    // A tiled grid only ever grows: allocating the few tiles around the
+    // escape restores the interior invariant without re-deriving any
+    // geometry, so shadow/id planes stay incrementally valid.  Never
+    // reached from a parallel phase: the block executor checks each
+    // block's reach against the storage first and grows it between
+    // phases (reserveInterior).
+    grid_.ensureRegion(to, kGridEnsureMargin);
+    grid_.clear(from);
+    grid_.set(to);
+  } else {
+    regrowGrid();  // positions_ already reflects the move
   }
-  SOPS_DASSERT(!grid_.enabled() || grid_.test(to));
-  SOPS_DASSERT(!grid_.enabled() || !grid_.test(from));
+  SOPS_DASSERT(grid_.test(to));
+  SOPS_DASSERT(!grid_.test(from));
 }
 
-void ParticleSystem::restoreWindowGeometry(bool dense, std::int64_t originX,
+void ParticleSystem::restoreWindowGeometry(std::int64_t originX,
                                            std::int64_t originY,
                                            std::uint64_t width,
                                            std::uint64_t height) {
   SOPS_REQUIRE(!indexSuspended_,
                "restoreWindowGeometry() while the id index is suspended");
-  if (dense) {
-    grid_.rebuildExact(positions_, originX, originY, width, height);
-    gridGaveUp_ = false;
-  } else {
-    gridGaveUp_ = true;
-    grid_.disable();
-  }
+  grid_.rebuildExact(positions_, originX, originY, width, height);
 }
 
 void ParticleSystem::restoreTiledGeometry(
@@ -158,21 +143,12 @@ void ParticleSystem::restoreTiledGeometry(
   SOPS_REQUIRE(!indexSuspended_,
                "restoreTiledGeometry() while the id index is suspended");
   grid_.rebuildTiledExact(positions_, tileKeys);
-  gridGaveUp_ = false;
-}
-
-void ParticleSystem::forceSparseForTest() {
-  SOPS_REQUIRE(!indexSuspended_,
-               "forceSparseForTest() while the id index is suspended");
-  gridGaveUp_ = true;
-  grid_.disable();
 }
 
 void ParticleSystem::forceTiledForTest() {
   SOPS_REQUIRE(!indexSuspended_,
                "forceTiledForTest() while the id index is suspended");
   SOPS_REQUIRE(!positions_.empty(), "forceTiledForTest() needs particles");
-  gridGaveUp_ = false;
   grid_.rebuildTiled(positions_, kGridBaseMargin);
 }
 

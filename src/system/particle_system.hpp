@@ -12,8 +12,10 @@
 ///     word load — the hot path of every chain step (~9 queries per
 ///     proposed move),
 ///   - a flat hash index mapping cell → particle id, which serves
-///     particleAt() and is the occupancy fallback when the configuration
-///     is too spread out for a dense window (BitGrid::kMaxWords).
+///     particleAt().
+///
+/// Every non-empty system keeps the dense grid on: a flat window while
+/// the bounding box fits BitGrid::kMaxWords, the tiled backend beyond.
 ///
 /// Expanded particles exist only in the amoebot layer (S7); the chain's
 /// states consider contracted particles only, exactly as in the paper
@@ -24,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "lattice/edge_ring.hpp"
 #include "lattice/tri_point.hpp"
 #include "system/bit_grid.hpp"
 #include "util/assert.hpp"
@@ -56,15 +57,15 @@ class ParticleSystem {
   }
 
   [[nodiscard]] bool occupied(TriPoint p) const noexcept {
-    // Dense fast path: one word load.  The grid invariantly covers every
-    // particle, so an out-of-window cell is unoccupied by construction.
-    if (grid_.enabled()) return grid_.test(p);
-    return index_.contains(lattice::pack(p));
+    // One word load.  The grid invariantly covers every particle, so an
+    // out-of-window cell is unoccupied by construction (and an empty
+    // system's disabled grid reports every cell empty).
+    return grid_.test(p);
   }
 
   /// Occupancy via the hash index only, bypassing the bitboard.  Exposed
-  /// for the reference kernels in tests/benches that measure or validate
-  /// the dense fast path against the sparse implementation.
+  /// for the reference kernels in tests/benches that validate the dense
+  /// grid against an independent oracle.
   [[nodiscard]] bool occupiedSparse(TriPoint p) const noexcept {
     return index_.contains(lattice::pack(p));
   }
@@ -76,20 +77,17 @@ class ParticleSystem {
   /// bounds check: one word load on the hot path.  For arbitrary cells use
   /// occupied().
   [[nodiscard]] bool occupiedNear(TriPoint p) const noexcept {
-    if (grid_.enabled()) return grid_.testUnchecked(p);
-    return index_.contains(lattice::pack(p));
+    return grid_.testUnchecked(p);
   }
 
   /// The dense occupancy grid: a flat window for small bounding boxes,
-  /// the tiled backend for large ones (disabled only when forced sparse).
+  /// the tiled backend for large ones (disabled only while empty).
   [[nodiscard]] const BitGrid& grid() const noexcept { return grid_; }
 
   /// Which occupancy regime the system is running: "dense-flat" (one flat
-  /// window), "dense-tiled" (tile directory), or "sparse" (hash index
-  /// only — reachable only via forceSparseForTest() or a snapshot of such
-  /// a run).  Surfaced through the sim facade so regime changes are loud.
+  /// window) or "dense-tiled" (tile directory).  Surfaced through the sim
+  /// facade so a promotion to tiled is visible in the replica record.
   [[nodiscard]] const char* regimeName() const noexcept {
-    if (!grid_.enabled()) return "sparse";
     return grid_.tiled() ? "dense-tiled" : "dense-flat";
   }
 
@@ -119,16 +117,11 @@ class ParticleSystem {
   /// writes touch disjoint grid words (the sharded chain runner's
   /// blocks): the open-addressing index is the one structure every move
   /// would otherwise share.  While suspended, occupancy is answered
-  /// by the dense window alone and particleAt() must not be called.
-  /// Requires an enabled dense window.  If a move during suspension
-  /// forces the sparse fallback (window cap), the index is restored on
-  /// the spot — from then on occupancy needs it — mirroring the amoebot
-  /// system's id-index suspension.
+  /// by the dense grid alone and particleAt() must not be called.
   void suspendIndex();
 
   /// Rebuilds the hash index from the position vector and resumes normal
-  /// maintenance.  Idempotent, including after a mid-suspension sparse
-  /// fallback already restored it.
+  /// maintenance.  Idempotent.
   void restoreIndex();
 
   [[nodiscard]] bool indexSuspended() const noexcept {
@@ -140,7 +133,6 @@ class ParticleSystem {
   /// [c ± depth] (promoting to tiled past the flat cap); a tiled grid
   /// allocates the tiles of each box.  The sharded chain runner calls this
   /// between parallel phases, so no move inside one can regrow the grid.
-  /// No-op on a sparse system.
   void reserveInterior(std::span<const TriPoint> centers, std::int64_t depth);
 
   /// Number of occupied neighbors of vertex p (0..6).  p itself does not
@@ -158,17 +150,7 @@ class ParticleSystem {
   /// Precondition: ℓ is an occupied particle position, so the grid's
   /// interior-margin invariant makes the dense gather branch-free.
   [[nodiscard]] std::uint8_t ringMask(TriPoint l, Direction d) const noexcept {
-    if (grid_.enabled()) {
-      return grid_.ringMaskUnchecked(l, lattice::index(d));
-    }
-    std::uint8_t mask = 0;
-    const auto& offsets = lattice::kEdgeRingOffsets[lattice::index(d)];
-    for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
-      if (index_.contains(lattice::pack(l + offsets[idx]))) {
-        mask = static_cast<std::uint8_t>(mask | (1u << idx));
-      }
-    }
-    return mask;
+    return grid_.ringMaskUnchecked(l, lattice::index(d));
   }
 
   /// 6-bit occupancy mask of p's neighborhood; bit i is direction index i.
@@ -186,25 +168,20 @@ class ParticleSystem {
   /// ordering are irrelevant, matching the paper's notion of arrangement).
   [[nodiscard]] bool sameArrangement(const ParticleSystem& other) const;
 
-  /// Snapshot-restore hook: forces the dense window to the exact geometry
-  /// a snapshot recorded (the amoebot runner's trajectory depends on it;
-  /// regrowGrid()'s proportional margin would re-derive a different one),
-  /// or pins the permanent sparse fallback when the snapshotted run had
-  /// already given up on the dense window.  Must not be called while the
-  /// index is suspended.
-  void restoreWindowGeometry(bool dense, std::int64_t originX,
-                             std::int64_t originY, std::uint64_t width,
-                             std::uint64_t height);
+  /// Snapshot-restore hook: forces the flat window to the exact geometry
+  /// a snapshot recorded.  The geometry is part of the serialized state:
+  /// regrowGrid()'s proportional margin would re-derive a different,
+  /// history-dependent window, and with it different later regrows, so a
+  /// resumed run would no longer write the same snapshot bytes as an
+  /// uninterrupted one.  Must not be called while the index is suspended.
+  void restoreWindowGeometry(std::int64_t originX, std::int64_t originY,
+                             std::uint64_t width, std::uint64_t height);
 
   /// Snapshot-restore hook for the tiled backend: rebuilds the tile
-  /// directory EXACTLY as a v3 snapshot recorded it (the amoebot runner's
-  /// deferral predicates are functions of the allocated-tile set).
+  /// directory EXACTLY as a v3 snapshot recorded it, for the same reason
+  /// (the allocated-tile set is serialized state, and the tiled backend
+  /// only grows, so it cannot be re-derived from the positions).
   void restoreTiledGeometry(std::span<const std::uint64_t> tileKeys);
-
-  /// Pins the sparse (hash-only) regime — the organic fallback no longer
-  /// exists now that rebuild() promotes to tiled, but tests still need to
-  /// exercise the sparse code paths.
-  void forceSparseForTest();
 
   /// Forces the tiled backend on a system whose bounding box would
   /// otherwise fit a flat window, so tests can compare the two backends
@@ -221,7 +198,6 @@ class ParticleSystem {
   std::vector<TriPoint> positions_;
   util::FlatMap64<std::int32_t> index_;
   BitGrid grid_;
-  bool gridGaveUp_ = false;
   bool indexSuspended_ = false;
 };
 

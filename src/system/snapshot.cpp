@@ -275,7 +275,8 @@ void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
       w.i64(BitGrid::tileYOfKey(key));
     }
   } else {
-    // Tags 0/1 keep frame v2's exact byte layout.
+    // Tags 0/1 keep frame v2's exact byte layout; only an empty system,
+    // whose grid is disabled, writes tag 0.
     w.u8(grid.enabled() ? 1 : 0);
     w.i64(grid.originX());
     w.i64(grid.originY());
@@ -310,13 +311,14 @@ ParticleSystem readParticleSystem(SnapshotReader& r) {
     sys.restoreTiledGeometry(keys);
     return sys;
   }
-  const bool dense = backend != 0;
   const std::int64_t originX = r.i64();
   const std::int64_t originY = r.i64();
   const std::uint64_t width = r.u64();
   const std::uint64_t height = r.u64();
   ParticleSystem sys(points);
-  sys.restoreWindowGeometry(dense, originX, originY, width, height);
+  // Tag 0 is the retired hash-only regime of v2/v3 payloads (and an empty
+  // system): the constructor's default dense grid stands in for it.
+  if (backend == 1) sys.restoreWindowGeometry(originX, originY, width, height);
   return sys;
 }
 

@@ -70,8 +70,8 @@ namespace sops::system {
 /// (per-particle clock and coin streams, epoch target, id-plane
 /// directory).  v3: occupancy serializes a
 /// backend tag
-/// (sparse / flat window / tiled directory, with the tiled grid's exact
-/// allocated-tile set).  v2 payloads (flat or sparse only) are still
+/// (hash-only / flat window / tiled directory, with the tiled grid's exact
+/// allocated-tile set).  v2 payloads (flat or hash-only) are still
 /// accepted by every other reader: their occupancy byte layout is a strict
 /// subset of v3's.  v1 payloads stored full (seed, state) Random pairs, so
 /// they must fail loudly rather than be misread.
@@ -182,12 +182,15 @@ void writeSnapshotFile(const std::string& path,
 /// errors in the message.
 [[nodiscard]] SnapshotData loadResumableSnapshot(const std::string& path);
 
-/// Serializes a ParticleSystem: positions plus a backend tag (0 sparse,
-/// 1 flat window, 2 tiled) and the backend's exact geometry — the window
-/// rectangle for flat, the sorted allocated-tile coordinate list for
-/// tiled (the sharded runners' trajectories depend on both — see
-/// ParticleSystem::restoreWindowGeometry / restoreTiledGeometry).  The
-/// sparse and flat encodings are byte-identical to frame v2's.
+/// Serializes a ParticleSystem: positions plus a backend tag (1 flat
+/// window, 2 tiled; 0 only for an empty system) and the backend's exact
+/// geometry — the window rectangle for flat, the sorted allocated-tile
+/// coordinate list for tiled.  Restore reproduces that geometry verbatim,
+/// so a resumed run writes the same later snapshots as an uninterrupted
+/// one (see ParticleSystem::restoreWindowGeometry / restoreTiledGeometry).
+/// Tags 0 and 1 are byte-identical to frame v2's.  The reader still
+/// accepts tag 0 on a non-empty system — the hash-only regime older runs
+/// could record — and restores it in the default dense regime.
 void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys);
 [[nodiscard]] ParticleSystem readParticleSystem(SnapshotReader& r);
 

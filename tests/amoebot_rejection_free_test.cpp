@@ -3,8 +3,8 @@
 //
 //  1. The index: after every event its bytes, mass sums, chunk masses,
 //     Fenwick tree, tail histogram and crossing mass C equal a
-//     from-scratch rebuild — on flat, tiled and forced-sparse planes, with
-//     crash and Byzantine faults; the histogram's band count equals the
+//     from-scratch rebuild — on flat and tiled planes, with crash and
+//     Byzantine faults; the histogram's band count equals the
 //     particle-by-particle count; the memory budget.
 //  2. The law: a rejection-free epoch samples the block-path epoch's law.
 //     Chi-square of the quiescent configurations against exact π at
@@ -63,56 +63,44 @@ ParticleSystem lineWithOutlier(std::int32_t n, bool tiled) {
 TEST(AmoebotRejectionFreeIndex, MatchesRebuildAfterEveryEvent) {
   for (const bool faulty : {false, true}) {
     for (const bool tiled : {false, true}) {
-      std::vector<ActivationTallies> bySparse;
-      for (const bool sparse : {false, true}) {
-        // A 1100-particle line at λ = 4 (past the particle-pass size, so
-        // the histogram counts C) in 1000-activation epochs: hundreds of
-        // events, each followed by a full comparison (verifyEachEvent
-        // throws on the first drift).  With faults, 10% of the particles
-        // crash and 5% turn Byzantine.
-        rng::Random ctor(17);
-        AmoebotSystem sys(lineWithOutlier(1100, tiled), ctor);
-        ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
-        if (faulty) {
-          rng::Random faultRng(19);
-          FaultPlan plan = randomCrashes(sys.size(), 0.1, faultRng);
-          plan.byzantine =
-              randomByzantine(sys.size(), 0.05, faultRng).byzantine;
-          applyFaults(sys, plan);
-        }
-        if (sparse) sys.forceSparseForTest();
-        const LocalCompressionAlgorithm algo({4.0});
-        ShardedOptions options;
-        options.threads = 1;
-        options.targetEventsPerEpoch = 1000;
-        ShardedPoissonRunner runner(sys, algo, 4001, options);
-        runner.forceRejectionFreeForTest(/*verifyEachEvent=*/true);
-        const std::string label = std::string(faulty ? "faults" : "none") +
-                                  (tiled ? " tiled" : " flat") +
-                                  (sparse ? " sparse" : "");
-        ASSERT_NO_THROW(runner.runAtLeast(4 * 1000)) << label;
-        EXPECT_EQ(runner.rejectionFreeEpochs(), 4u) << label;
-        const ActivationTallies& t = runner.tallies();
-        EXPECT_EQ(t.idle + t.events() + runner.sweepActivations(),
-                  runner.activations())
-            << label;
-        EXPECT_GT(t.events(), 100u) << label;
-        // The live id index agrees with the particles.
-        std::size_t expanded = 0;
-        for (std::size_t id = 0; id < sys.size(); ++id) {
-          const Particle& p = sys.particle(id);
-          ASSERT_EQ(sys.at(p.tail).particle, static_cast<std::int32_t>(id));
-          ASSERT_EQ(sys.at(p.head).particle, static_cast<std::int32_t>(id));
-          if (p.expanded) ++expanded;
-        }
-        EXPECT_EQ(expanded, sys.expandedCount()) << label;
-        bySparse.push_back(t);
+      // A 1100-particle line at λ = 4 (past the particle-pass size, so
+      // the histogram counts C) in 1000-activation epochs: hundreds of
+      // events, each followed by a full comparison (verifyEachEvent
+      // throws on the first drift).  With faults, 10% of the particles
+      // crash and 5% turn Byzantine.
+      rng::Random ctor(17);
+      AmoebotSystem sys(lineWithOutlier(1100, tiled), ctor);
+      ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
+      if (faulty) {
+        rng::Random faultRng(19);
+        FaultPlan plan = randomCrashes(sys.size(), 0.1, faultRng);
+        plan.byzantine = randomByzantine(sys.size(), 0.05, faultRng).byzantine;
+        applyFaults(sys, plan);
       }
-      // The index reads the same values from the planes and from the
-      // hash, so the draws — and the trajectory — do not depend on it.
-      EXPECT_EQ(bySparse[0].idle, bySparse[1].idle);
-      EXPECT_EQ(bySparse[0].expanded, bySparse[1].expanded);
-      EXPECT_EQ(bySparse[0].movedToHead, bySparse[1].movedToHead);
+      const LocalCompressionAlgorithm algo({4.0});
+      ShardedOptions options;
+      options.threads = 1;
+      options.targetEventsPerEpoch = 1000;
+      ShardedPoissonRunner runner(sys, algo, 4001, options);
+      runner.forceRejectionFreeForTest(/*verifyEachEvent=*/true);
+      const std::string label = std::string(faulty ? "faults" : "none") +
+                                (tiled ? " tiled" : " flat");
+      ASSERT_NO_THROW(runner.runAtLeast(4 * 1000)) << label;
+      EXPECT_EQ(runner.rejectionFreeEpochs(), 4u) << label;
+      const ActivationTallies& t = runner.tallies();
+      EXPECT_EQ(t.idle + t.events() + runner.sweepActivations(),
+                runner.activations())
+          << label;
+      EXPECT_GT(t.events(), 100u) << label;
+      // The live id index agrees with the particles.
+      std::size_t expanded = 0;
+      for (std::size_t id = 0; id < sys.size(); ++id) {
+        const Particle& p = sys.particle(id);
+        ASSERT_EQ(sys.at(p.tail).particle, static_cast<std::int32_t>(id));
+        ASSERT_EQ(sys.at(p.head).particle, static_cast<std::int32_t>(id));
+        if (p.expanded) ++expanded;
+      }
+      EXPECT_EQ(expanded, sys.expandedCount()) << label;
     }
   }
 }

@@ -2,8 +2,8 @@
 //
 //  1. the separation scenario (color bit planes + power tables) is
 //     draw-for-draw identical to the fixed extensions::SeparationChain,
-//     whose sparse sameColorNeighbors counts independently re-derive every
-//     Δhom — on the dense bitboard path AND on the sparse hash fallback;
+//     whose hash-index sameColorNeighbors counts independently re-derive
+//     every Δhom — on a flat window AND on the tiled backend;
 //  2. at γ = 1 with swaps disabled, the separation scenario degenerates to
 //     the compression scenario exactly (the threshold-unification pin);
 //  3. the alignment scenario preserves the movement invariants and
@@ -108,17 +108,6 @@ TEST(EngineGolden, SeparationMatchesReferenceChainOnTiledWindow) {
   const ParticleSystem start = system::lineConfiguration(20000);
   ASSERT_TRUE(start.grid().enabled());
   ASSERT_TRUE(start.grid().tiled());
-  expectSeparationGolden(start, alternatingColors(20000),
-                         separationOptions(4.0, 4.0), 41, 30000);
-}
-
-TEST(EngineGolden, SeparationMatchesReferenceChainOnSparseFallback) {
-  // The sparse regime survives only behind forceSparseForTest(): every
-  // query goes through the hash index and the model's plane-free fallback
-  // is what executes.  It must stay golden too.
-  ParticleSystem start = system::lineConfiguration(20000);
-  start.forceSparseForTest();
-  ASSERT_FALSE(start.grid().enabled());
   expectSeparationGolden(start, alternatingColors(20000),
                          separationOptions(4.0, 4.0), 41, 30000);
 }

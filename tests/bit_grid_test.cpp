@@ -1,7 +1,8 @@
 // Tests for the dense bitboard occupancy window (system/bit_grid) and its
-// integration into ParticleSystem: the bitboard and the sparse hash index
-// must answer occupancy identically along whole chain trajectories, across
-// window regrowth, and in the degraded (too-sparse-for-dense) fallback.
+// integration into ParticleSystem: the bitboard and the cell → id hash
+// index (occupiedSparse, the oracle) must answer occupancy identically
+// along whole chain trajectories, across window regrowth, and after
+// promotion to the tiled backend.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -2,9 +2,12 @@
 // cancellation, and deadlines.
 //
 //  1. Primitives: xoshiro/Random state round-trip; SnapshotWriter/Reader
-//     typed round-trip with bounds-checked failure modes; the framed file
-//     format (atomic write, checksum rejection of torn/truncated files,
-//     .prev fallback);
+//     typed round-trip with bounds-checked failure modes; pinned payload
+//     bytes; payloads of the retired hash-only regime (occupancy tag 0)
+//     restoring into the dense regime; amoebot restore rejecting
+//     overlapping particles and detached heads; the framed file format
+//     (atomic write, checksum rejection of torn/truncated files, .prev
+//     fallback);
 //  2. Golden kill-and-resume: for every scenario × execution regime, a
 //     run snapshotted at a checkpoint and resumed in a fresh process
 //     state equals the uninterrupted run — same final arrangement, same
@@ -37,6 +40,9 @@
 #include <utility>
 #include <vector>
 
+#include "amoebot/amoebot_system.hpp"
+#include "amoebot/local_compression.hpp"
+#include "amoebot/scheduler.hpp"
 #include "core/cancel.hpp"
 #include "core/scenario_models.hpp"
 #include "rng/random.hpp"
@@ -128,11 +134,192 @@ TEST(DurableRunPayload, ParticleSystemBytesArePinned) {
   ASSERT_STREQ(flat.regimeName(), "dense-flat");
   system::ParticleSystem tiled = flat;
   tiled.forceTiledForTest();
-  system::ParticleSystem sparse = flat;
-  sparse.forceSparseForTest();
   EXPECT_EQ(particleSystemChecksum(flat), 0x8db242cd2abfb1ffull);
   EXPECT_EQ(particleSystemChecksum(tiled), 0x06244ad9741543d6ull);
-  EXPECT_EQ(particleSystemChecksum(sparse), 0x3a20c92eaa6023ccull);
+}
+
+/// Rewrites the occupancy tail that starts at `tagOffset` (tag byte plus
+/// the four window fields of a flat system) as tag 0 with a zeroed window:
+/// the exact bytes older writers emitted for the hash-only regime.
+[[nodiscard]] std::vector<std::uint8_t> asSparseTagged(
+    std::vector<std::uint8_t> payload, std::size_t tagOffset) {
+  EXPECT_EQ(payload.at(tagOffset), 1u) << "expected a flat-window tag";
+  std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(tagOffset), 33,
+              std::uint8_t{0});
+  return payload;
+}
+
+/// Overwrites 8 bytes of `payload` at `offset` with v, little-endian.
+void patchI64(std::vector<std::uint8_t>& payload, std::size_t offset,
+              std::int64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload.at(offset + i) =
+        static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i));
+  }
+}
+
+/// AmoebotSystem::saveState layout: a u64 count, then per particle four
+/// i64 coordinates (tail x/y, head x/y) and three u8s (flags, orientation
+/// offset, expansion direction), then the occupancy tail.
+constexpr std::size_t kAmoebotParticleBytes = 4 * 8 + 3;
+[[nodiscard]] constexpr std::size_t amoebotParticleOffset(std::size_t id) {
+  return 8 + kAmoebotParticleBytes * id;
+}
+
+void expectSameParticles(const amoebot::AmoebotSystem& a,
+                         const amoebot::AmoebotSystem& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t id = 0; id < a.size(); ++id) {
+    const amoebot::Particle& p = a.particle(id);
+    const amoebot::Particle& q = b.particle(id);
+    ASSERT_EQ(p.tail, q.tail) << id;
+    ASSERT_EQ(p.head, q.head) << id;
+    ASSERT_EQ(p.expanded, q.expanded) << id;
+    ASSERT_EQ(p.flag, q.flag) << id;
+    ASSERT_EQ(p.orientationOffset, q.orientationOffset) << id;
+    ASSERT_EQ(p.mirrored, q.mirrored) << id;
+  }
+  EXPECT_EQ(a.expandedCount(), b.expandedCount());
+}
+
+TEST(DurableRunPayload, SparseTaggedPayloadsRestoreDense) {
+  // Writers no longer emit occupancy tag 0 for a non-empty system, but
+  // payloads that older runs wrote in the hash-only regime must still
+  // restore — into the default dense regime, with the same arrangement,
+  // continuing the same trajectory.
+  rng::Random rng(4242);
+  const system::ParticleSystem flat = system::randomConnected(2000, rng);
+  system::SnapshotWriter w;
+  w.u64(flat.size());
+  for (const lattice::TriPoint p : flat.positions()) {
+    w.i64(p.x);
+    w.i64(p.y);
+  }
+  w.u8(0);
+  for (int field = 0; field < 4; ++field) w.i64(0);
+  // The checksum the pre-deletion writer pinned for this system's
+  // forced-hash-only copy: the hand-built payload is those exact bytes.
+  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x3a20c92eaa6023ccull);
+  system::SnapshotReader r(w.payload());
+  const system::ParticleSystem restored = system::readParticleSystem(r);
+  r.finish();
+  EXPECT_EQ(restored.positions(), flat.positions());
+  EXPECT_TRUE(restored.sameArrangement(flat));
+  EXPECT_STREQ(restored.regimeName(), "dense-flat");
+
+  // Amoebot: a run with expanded particles, saved, its tail rewritten to
+  // tag 0, restored into a fresh system, then both continue identically.
+  const system::ParticleSystem start = system::lineConfiguration(40);
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  rng::Random ctor(31);
+  amoebot::AmoebotSystem original(start, ctor);
+  amoebot::SequentialScheduler scheduler(start.size(), rng::Random(33));
+  rng::Random coins(35);
+  for (int i = 0; i < 20000 || original.expandedCount() == 0; ++i) {
+    (void)algo.activate(original, scheduler.next(), coins);
+  }
+  system::SnapshotWriter amoebotWriter;
+  original.saveState(amoebotWriter);
+  const std::vector<std::uint8_t> amoebotSparse = asSparseTagged(
+      amoebotWriter.payload(), amoebotParticleOffset(start.size()));
+  rng::Random otherCtor(37);
+  amoebot::AmoebotSystem resumed(start, otherCtor);
+  system::SnapshotReader amoebotReader(amoebotSparse);
+  resumed.restoreState(amoebotReader);
+  amoebotReader.finish();
+  EXPECT_STREQ(resumed.regimeName(), "dense-flat");
+  expectSameParticles(original, resumed);
+  amoebot::SequentialScheduler schedulerCopy = scheduler;
+  rng::Random coinsCopy = coins;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(algo.activate(original, scheduler.next(), coins),
+              algo.activate(resumed, schedulerCopy.next(), coinsCopy))
+        << "activation " << i;
+  }
+  expectSameParticles(original, resumed);
+
+  // CompressionEngine: restored from the tag-0 and from the tag-1 payload
+  // of the same state, both engines run the same trajectory.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  const auto makeEngine = [&] {
+    return core::CompressionEngine(system::lineConfiguration(300),
+                                   core::CompressionModel(options), 2016);
+  };
+  core::CompressionEngine source = makeEngine();
+  source.run(50000);
+  system::SnapshotWriter engineWriter;
+  source.saveState(engineWriter);
+  const std::vector<std::uint8_t> engineSparse =
+      asSparseTagged(engineWriter.payload(), 8 + 16 * source.system().size());
+  core::CompressionEngine fromFlat = makeEngine();
+  system::SnapshotReader flatReader(engineWriter.payload());
+  fromFlat.restoreState(flatReader);
+  flatReader.finish();
+  core::CompressionEngine fromSparse = makeEngine();
+  system::SnapshotReader sparseReader(engineSparse);
+  fromSparse.restoreState(sparseReader);
+  sparseReader.finish();
+  EXPECT_STREQ(fromSparse.system().regimeName(), "dense-flat");
+  EXPECT_TRUE(fromSparse.system().sameArrangement(fromFlat.system()));
+  fromFlat.run(100000);
+  fromSparse.run(100000);
+  EXPECT_EQ(fromSparse.system().positions(), fromFlat.system().positions());
+  EXPECT_EQ(fromSparse.stats().movement.accepted,
+            fromFlat.stats().movement.accepted);
+  EXPECT_EQ(fromSparse.edges(), fromFlat.edges());
+}
+
+/// A saved 40-particle line (all contracted) and a fresh system to
+/// restore it into.
+struct AmoebotRestoreFixture {
+  system::ParticleSystem start = system::lineConfiguration(40);
+  rng::Random ctor{41};
+  amoebot::AmoebotSystem sys{start, ctor};
+  std::vector<std::uint8_t> payload;
+  AmoebotRestoreFixture() {
+    system::SnapshotWriter w;
+    sys.saveState(w);
+    payload = w.payload();
+  }
+  void expectRejected(const std::string& needle) {
+    rng::Random otherCtor(43);
+    amoebot::AmoebotSystem into(start, otherCtor);
+    system::SnapshotReader r(payload);
+    try {
+      into.restoreState(r);
+      ADD_FAILURE() << "corrupt payload was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("snapshot"), std::string::npos) << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  }
+};
+
+TEST(DurableRunPayload, AmoebotRestoreRejectsOverlappingParticles) {
+  // Particle 0's cells copied onto particle 1's: two particles, one cell.
+  AmoebotRestoreFixture f;
+  std::copy_n(f.payload.begin() +
+                  static_cast<std::ptrdiff_t>(amoebotParticleOffset(0)),
+              32,
+              f.payload.begin() +
+                  static_cast<std::ptrdiff_t>(amoebotParticleOffset(1)));
+  f.expectRejected("two particles share a cell");
+}
+
+TEST(DurableRunPayload, AmoebotRestoreRejectsDetachedHead) {
+  // Particle 0 marked expanded (flags bit 0) toward direction 0, with a
+  // free head cell two rows up: inside the saved window, but not the
+  // tail's neighbor in any direction.
+  AmoebotRestoreFixture f;
+  const lattice::TriPoint tail = f.sys.particle(0).tail;
+  const std::size_t at = amoebotParticleOffset(0);
+  patchI64(f.payload, at + 16, tail.x);      // head x
+  patchI64(f.payload, at + 24, tail.y + 2);  // head y
+  f.payload.at(at + 32) |= 1u;
+  f.payload.at(at + 34) = 0;
+  f.expectRejected("head is not its tail's neighbor");
 }
 
 TEST(DurableRunPayload, EngineStateBytesArePinned) {

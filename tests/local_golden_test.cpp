@@ -3,8 +3,8 @@
 // be *draw-for-draw identical* to the frozen seed kernel in
 // amoebot/reference_local_kernel.hpp — same ActivationResult per
 // activation, same RNG consumption, same tails/heads/flags — under every
-// scheduler, with and without faults, on the dense fast path and on the
-// sparse fallback.  This is what keeps the stationary-distribution and
+// scheduler, with and without faults, on flat and on tiled planes.  This
+// is what keeps the stationary-distribution and
 // differential tests meaningful after hot-path rewrites: the optimization
 // is required to be a no-op on the trajectory.
 //
@@ -56,17 +56,12 @@ enum class SchedulerKind { Sequential, RoundRobin, Poisson };
 
 void expectGoldenTrajectory(const ParticleSystem& start, double lambda,
                             SchedulerKind kind, std::uint64_t steps,
-                            const FaultPlan& faults = {},
-                            bool forceSparse = false) {
+                            const FaultPlan& faults = {}) {
   // Identically seeded construction draws on both sides.
   rng::Random ctorFast(101);
   rng::Random ctorRef(101);
   AmoebotSystem fast(start, ctorFast);
   ReferenceAmoebotSystem ref(start, ctorRef);
-  if (forceSparse) {
-    fast.forceSparseForTest();
-    ASSERT_FALSE(fast.fastPathEnabled());
-  }
   applyFaults(fast, faults);
   for (const std::size_t id : faults.crashed) ref.markCrashed(id);
   for (const std::size_t id : faults.byzantine) ref.markByzantine(id);
@@ -161,18 +156,9 @@ TEST(LocalGolden, TiledWindowMatchesReference) {
   {
     rng::Random probe(1);
     AmoebotSystem sys(start, probe);
-    ASSERT_TRUE(sys.fastPathEnabled()) << "expected tiled promotion";
-    ASSERT_TRUE(sys.occupancyGrid().tiled());
+    ASSERT_TRUE(sys.occupancyGrid().tiled()) << "expected tiled promotion";
   }
   expectGoldenTrajectory(start, 4.0, SchedulerKind::Sequential, 150000);
-}
-
-TEST(LocalGolden, SparseFallbackMatchesReference) {
-  // The sparse regime survives only behind forceSparseForTest() (the hash
-  // index serves every query): the fallback path must stay golden too.
-  expectGoldenTrajectory(system::lineConfiguration(30), 4.0,
-                         SchedulerKind::Sequential, 150000, {},
-                         /*forceSparse=*/true);
 }
 
 // --- sharded runner determinism ---------------------------------------

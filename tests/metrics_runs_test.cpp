@@ -3,8 +3,8 @@
 // analyzeComplement's flood of the complement window for holes, a plain
 // BFS over occupied cells for components, and Euler's relation
 // holes = e − n + C − t tying both to the local counts.  Every check
-// repeats on forced-tiled and forced-sparse copies, so all three
-// occupancy regimes answer the decomposition's lookups.
+// repeats on a forced-tiled copy, so both occupancy regimes answer the
+// decomposition's lookups.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,9 +81,6 @@ void expectMatchesOracle(const ParticleSystem& sys) {
   ParticleSystem tiled = sys;
   tiled.forceTiledForTest();
   expectMatchesOracleIn(tiled, tiled.regimeName());
-  ParticleSystem sparse = sys;
-  sparse.forceSparseForTest();
-  expectMatchesOracleIn(sparse, sparse.regimeName());
 }
 
 [[nodiscard]] ParticleSystem translated(const ParticleSystem& sys,

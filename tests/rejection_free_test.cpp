@@ -3,8 +3,8 @@
 //
 //  1. The index: after every accepted move its incrementally kept codes,
 //     per-code counts, chunk counts, Fenwick trees and crossing counts
-//     equal a from-scratch rebuild — on flat, tiled and forced-sparse
-//     systems, for the paper's chain and its ablations; the band scan
+//     equal a from-scratch rebuild — on flat and tiled systems, for the
+//     paper's chain and its ablations; the band scan
 //     equals the particle-by-particle crossing count; the memory budget.
 //  2. The law: a rejection-free epoch samples the block-path epoch's law.
 //     Chi-square of visited configurations against exact π at n = 4, 5, 6
@@ -58,7 +58,7 @@ Runner makeRunner(system::ParticleSystem initial, const ChainOptions& options,
 // --- 1. the index -----------------------------------------------------------
 
 TEST(RejectionFreeIndex, MatchesRebuildAfterEveryAcceptedMove) {
-  enum class Backend { Flat, Tiled, Sparse };
+  enum class Backend { Flat, Tiled };
   struct Ablation {
     const char* name;
     ChainOptions options;
@@ -73,14 +73,12 @@ TEST(RejectionFreeIndex, MatchesRebuildAfterEveryAcceptedMove) {
   ablations[3].options.allowProperty2 = false;
   for (const Ablation& ablation : ablations) {
     std::vector<std::uint64_t> acceptedByBackend;
-    for (const Backend backend :
-         {Backend::Flat, Backend::Tiled, Backend::Sparse}) {
+    for (const Backend backend : {Backend::Flat, Backend::Tiled}) {
       // A 150-particle line at λ = 4 in 1500-proposal epochs: dozens of
       // accepted moves (a handful under greedy), each followed by a full
       // comparison (verifyEachMove throws on the first drift).
       system::ParticleSystem line = system::lineConfiguration(150);
       if (backend == Backend::Tiled) line.forceTiledForTest();
-      if (backend == Backend::Sparse) line.forceSparseForTest();
       Runner runner =
           makeRunner(std::move(line), ablation.options, 4001, 1, 1500);
       runner.forceRejectionFreeForTest(/*verifyEachMove=*/true);
@@ -95,7 +93,6 @@ TEST(RejectionFreeIndex, MatchesRebuildAfterEveryAcceptedMove) {
     // The crossing counts are exact on every backend, so the draws — and
     // the trajectory — do not depend on it.
     EXPECT_EQ(acceptedByBackend[1], acceptedByBackend[0]) << ablation.name;
-    EXPECT_EQ(acceptedByBackend[2], acceptedByBackend[0]) << ablation.name;
   }
 }
 

@@ -10,7 +10,7 @@
 //     allocate gigabytes);
 //  4. ParticleIdPlane picks Flat below kMaxCells and Paged above (and on
 //     every tiled grid), keeps ids exact across page-seam moves, and
-//     reports coversNear honestly — the sharded runner's deferral signal;
+//     reports coversNear honestly — the sharded runner's storage check;
 //  5. the backends are trajectory-invisible: a sequential engine run is
 //     bit-identical flat vs forced-tiled, and the sharded runners stay
 //     thread-count invariant on organically tiled windows (the sizes that
@@ -164,7 +164,7 @@ TEST(IdPlane, PageCapThrowsWithCapAndFixInMessage) {
   ParticleIdPlane plane;
   plane.setMaxPagesForTest(2);
   try {
-    (void)plane.sync(sys);
+    plane.sync(sys);
     FAIL() << "expected ContractViolation";
   } catch (const ContractViolation& e) {
     const std::string message = e.what();
@@ -206,17 +206,17 @@ TEST(TiledBitGrid, RebuildExactAcceptsTheCapAndRejectsOnePastIt) {
 TEST(IdPlane, FlatAtKMaxCellsPagedOnePast) {
   // Exactly kMaxCells (4096 * 4096): the flat mirror still applies.
   ParticleSystem atCap = system::lineConfiguration(10);
-  atCap.restoreWindowGeometry(true, -2048, -2048, 4096, 4096);
+  atCap.restoreWindowGeometry(-2048, -2048, 4096, 4096);
   ParticleIdPlane flat;
-  ASSERT_TRUE(flat.sync(atCap));
+  flat.sync(atCap);
   EXPECT_EQ(flat.mode(), ParticleIdPlane::Mode::Flat);
   EXPECT_TRUE(flat.tracksMoves(atCap.grid()));
   // One cell-row past the cap: the plane goes paged, allocating only the
   // pages around the particles instead of a >64 MiB mirror.
   ParticleSystem pastCap = system::lineConfiguration(10);
-  pastCap.restoreWindowGeometry(true, -2050, -2050, 4100, 4100);
+  pastCap.restoreWindowGeometry(-2050, -2050, 4100, 4100);
   ParticleIdPlane paged;
-  ASSERT_TRUE(paged.sync(pastCap));
+  paged.sync(pastCap);
   EXPECT_EQ(paged.mode(), ParticleIdPlane::Mode::Paged);
   EXPECT_TRUE(paged.tracksMoves(pastCap.grid()));
   EXPECT_LT(paged.pageCount() * ParticleIdPlane::kPageCells,
@@ -232,7 +232,7 @@ TEST(IdPlane, PagedMoveAllocatesFreshPagesAndKeepsIdsExact) {
   ParticleSystem sys = system::lineConfiguration(10);
   sys.forceTiledForTest();
   ParticleIdPlane plane;
-  ASSERT_TRUE(plane.sync(sys));
+  plane.sync(sys);
   ASSERT_EQ(plane.mode(), ParticleIdPlane::Mode::Paged);
   const std::size_t before = plane.pageCount();
   // (0, 200) lies on a page the margin-4 build never touched: move() must
@@ -333,8 +333,9 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
 
 TEST(TiledTrajectory, Line300kRunsDenseTiledStriped) {
   // The headline size from the window-caps roadmap item: 300k particles in
-  // a line used to be sparse (flat window far over the cap), running every
-  // event sequentially.  It must now run dense-tiled on the block path.
+  // a line used to fall off the dense path (flat window far over the cap),
+  // running every event sequentially.  It must now run dense-tiled on the
+  // block path.
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -371,7 +372,6 @@ TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
   for (const unsigned threads : {1u, 2u, 7u}) {
     rng::Random ctor(7);
     amoebot::AmoebotSystem sys(start, ctor);
-    ASSERT_TRUE(sys.fastPathEnabled());
     ASSERT_TRUE(sys.occupancyGrid().tiled());
     const amoebot::LocalCompressionAlgorithm algo({4.0});
     amoebot::ShardedOptions options;
@@ -445,7 +445,7 @@ TEST(TiledSnapshot, TiledParticleSystemRoundTripsByteIdentical) {
 }
 
 TEST(TiledSnapshot, FlatParticleSystemBytesParseUnderAV2Reader) {
-  // The flat/sparse encodings are v2's exact byte layout, so today's
+  // The flat encoding is v2's exact byte layout, so today's
   // writer output for a flat system must parse under a version-2 reader.
   const ParticleSystem sys = system::lineConfiguration(25);
   ASSERT_FALSE(sys.grid().tiled());

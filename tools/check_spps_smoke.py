@@ -14,6 +14,9 @@ rejection_free_epochs must be a positive integer, equal at both thread
 counts — and for amoebot so must the activation outcome counts idle,
 expanded, moved_to_head and contracted_back.
 
+Every replica record must name its occupancy regime: "dense-flat" or
+"dense-tiled" (a missing or any other value fails).
+
 Also a holed start: a ring's iteration-0 sample must count its hole and
 carry it into the perimeter.
 
@@ -60,9 +63,18 @@ COMPRESSION_COUNTS = ("rejection_free_epochs",)
 AMOEBOT_OUTCOMES = ("idle", "expanded", "moved_to_head", "contracted_back")
 AMOEBOT_COUNTS = ("rejection_free_epochs",) + AMOEBOT_OUTCOMES
 
+# The occupancy regimes a replica record may report.
+REGIMES = ("dense-flat", "dense-tiled")
+
 
 def fail(message):
     raise SystemExit(f"FAIL: {message}")
+
+
+def check_regime(replica, what):
+    regime = replica.get("regime")
+    if regime not in REGIMES:
+        fail(f"{what}: replica regime {regime!r}, expected one of {REGIMES}")
 
 
 def strict_json_loads(line):
@@ -128,6 +140,7 @@ def check_jsonl(path, scenario, metrics, replicas):
     for summary in summaries:
         if summary["steps"] < 200000:
             fail(f"{scenario}: replica ran only {summary['steps']} steps")
+        check_regime(summary, scenario)
 
 
 def snapshot_steps(path):
@@ -190,6 +203,7 @@ def replica_counts(jsonl_path, what, keys):
     replicas = [r for r in records if r["type"] == "replica"]
     if len(replicas) != 1:
         fail(f"{what}: {len(replicas)} replica records, expected 1")
+    check_regime(replicas[0], what)
     counts = {}
     for key in keys:
         value = replicas[0].get(key)
