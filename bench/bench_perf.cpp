@@ -446,8 +446,9 @@ BENCHMARK(BM_ShardedChainStepCompression)->Arg(1)->Arg(2)->Arg(8)
     ->UseRealTime();
 
 // The same spiral with the runner's own epoch routing: after the first
-// epoch every epoch runs rejection-free (core/rejection_free.hpp), on the
-// calling thread — the row the block rows above compare against.
+// epoch every epoch runs rejection-free (core/rejection_free.hpp), its
+// blocks on the worker pool — the row the block rows above compare
+// against, at 1, 2 and 4 threads.
 void BM_ShardedChainStepCompressionRouted(benchmark::State& state) {
   core::ChainOptions options;
   options.lambda = 4.0;
@@ -462,7 +463,11 @@ void BM_ShardedChainStepCompressionRouted(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
 }
-BENCHMARK(BM_ShardedChainStepCompressionRouted)->Arg(2)->UseRealTime();
+BENCHMARK(BM_ShardedChainStepCompressionRouted)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
 
 void BM_ShardedChainStepSeparation(benchmark::State& state) {
   core::SeparationModel::Options options;

@@ -397,10 +397,14 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
 }
 
 system::ParticleSystem AmoebotSystem::tailConfiguration() const {
-  std::vector<TriPoint> tails;
-  tails.reserve(particles_.size());
-  for (const Particle& p : particles_) tails.push_back(p.tail);
-  return system::ParticleSystem(tails);
+  return system::ParticleSystem(tails());
+}
+
+std::vector<TriPoint> AmoebotSystem::tails() const {
+  std::vector<TriPoint> cells;
+  cells.reserve(particles_.size());
+  for (const Particle& p : particles_) cells.push_back(p.tail);
+  return cells;
 }
 
 void AmoebotSystem::setTail(TriPoint cell, std::size_t id) {

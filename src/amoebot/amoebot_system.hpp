@@ -214,6 +214,15 @@ class AmoebotSystem {
   /// location, expanded particles at their tails (§3.2, footnote 2).
   [[nodiscard]] system::ParticleSystem tailConfiguration() const;
 
+  /// The same projection without building a ParticleSystem: every
+  /// particle's tail, and a test for "p is some particle's tail" (occupied
+  /// and not an expanded particle's head) — the inputs of the
+  /// system::topology()/countEdges() overloads for a cell list.
+  [[nodiscard]] std::vector<TriPoint> tails() const;
+  [[nodiscard]] bool isTail(TriPoint p) const noexcept {
+    return occ_.test(p) && !heads_.test(p);
+  }
+
   // --- sharded-execution support (amoebot/parallel_scheduler) ---
 
   /// Which occupancy regime the planes are running: "dense-flat" or

@@ -67,6 +67,7 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <thread>
@@ -253,6 +254,19 @@ class BlockExecutor {
   void completeEpoch(std::uint64_t boundaryRejects) noexcept {
     boundaryRejects_ += boundaryRejects;
     ++epoch_;
+  }
+
+  /// Runs fn(j) for every j in [0, count): on the worker pool when
+  /// threads > 1, in order on the calling thread otherwise.  For another
+  /// sampler of the epoch law whose blocks run independently (the
+  /// rejection-free kernel).
+  void forEachBlock(std::size_t count,
+                    const std::function<void(std::size_t)>& fn) {
+    if (threads_ > 1 && count > 1) {
+      pool().run(count, fn);
+      return;
+    }
+    for (std::size_t j = 0; j < count; ++j) fn(j);
   }
 
   /// Proposals per epoch, L.

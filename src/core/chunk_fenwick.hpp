@@ -7,10 +7,9 @@
 /// unit of weight is found by an O(log n) descent to its chunk, then a
 /// scan of that chunk's items, which the caller weighs itself.  Items are
 /// found by their position in the sequence, never by insertion order, so
-/// a rebuilt tree finds what an incrementally kept one finds.  Both
-/// rejection-free indexes keep their weights in one: chain M's per-class
-/// pair counts (core/rejection_free.hpp) and Algorithm A's candidate
-/// masses (amoebot/rejection_free.hpp).
+/// a rebuilt tree finds what an incrementally kept one finds.  Algorithm
+/// A's rejection-free index keeps its candidate masses in one
+/// (amoebot/rejection_free.hpp).
 
 #include <bit>
 #include <cstddef>

@@ -3,8 +3,9 @@
 
 /// \file rejection_free.hpp
 /// Rejection-free epochs for chain M in the compressed regime: the n-fold
-/// way of Bortz, Kalos and Lebowitz (J. Comput. Phys. 17, 1975), sampling
-/// exactly the law of one block-path epoch of core::BlockExecutor.
+/// way of Bortz, Kalos and Lebowitz (J. Comput. Phys. 17, 1975), run block
+/// by block on core::BlockExecutor's workers, sampling exactly the law of
+/// one block-path epoch.
 ///
 /// **The law.**  A block-path epoch e runs L proposals of M_e: M with
 /// every proposal whose widened box leaves its block (under
@@ -17,40 +18,67 @@
 /// a depends only on the pair's δ = e′ − e (the decision table's
 /// threshold λ^δ, or the greedy rule), and is 0 outside the filter stage.
 ///
-/// **The n-fold way.**  Split every proposal into a *candidate* — the pair
-/// chosen in proportion to a, probability A/6n with A = Σ a — and a
-/// *failure* otherwise.  Both pick pair i with total probability
-/// (a_i + (1 − a_i))/6n = 1/6n, so the split changes nothing.  A candidate
-/// that crosses a block line is a boundary reject (thinning); any other
-/// candidate is an accepted move.  A failure changes nothing, and the
-/// stage it is tallied under has probability proportional to the failure
-/// masses
-///   boundary Σ_crossing (1 − a), occupied / gap / property their
-///   non-crossing pair counts, filter Σ_non-crossing filter (1 − a).
-/// Since σ only changes at an accepted move, the failures before the next
-/// candidate are Geometric(A/6n) and their stages one multinomial draw
-/// over those masses.  The epoch stops exactly after L proposals: a
-/// geometric run that reaches the end is cut there, which is exact because
-/// the geometric law is memoryless.  All draws come from counter streams
-/// keyed by (seed, e) — two per run, one for the geometric gap and the
-/// candidate, one for the multinomial split — so an epoch is a pure
-/// function of the seed and the configuration.
+/// **The factorisation.**  block_executor.hpp §Execution shows that
+/// proposals of different blocks touch disjoint state and that no particle
+/// leaves its block within an epoch.  Each proposal picks its particle
+/// uniformly over n, so the numbers of proposals that land in the occupied
+/// blocks are (m_b) ~ Multinomial(L, n_b / n), n_b the particles of block
+/// b at the epoch start; given (m_b), block b runs m_b proposals uniform
+/// over its own particles, independently of every other block.  The
+/// sampler draws (m_b) as conditional binomials over the occupied blocks in
+/// canonical order (absolute block row, then column), one counter stream
+/// per block under a key hashed from (seed, e); block b then runs its own
+/// n-fold way from counter streams keyed by (seed, e, b's absolute block
+/// coordinates).  Tallies merge in canonical order, so an epoch is a pure
+/// function of the seed and the configuration, whatever the thread count.
 ///
-/// **The structure.**  Each pair carries a 4-bit code: occupied, gap,
-/// property, or filter class δ + 5 (the decision table's δ).  The index
-/// keeps, exactly and in integers:
-///   - every pair's code (one u32 per particle);
-///   - the count of pairs per code over all pairs (occupied = 2e);
-///   - per filter class, the count in each 64-particle chunk and a Fenwick
-///     tree over the chunks, so a uniform member of a class is found by
-///     its canonical rank (particle id, then direction) in O(log n) —
-///     never by insertion order, so the pick does not depend on history;
-///   - the epoch's crossing pairs per code, counted at the epoch start by a
-///     word-parallel scan of the block-line bands of the occupancy grid
-///     (per particle on a tiled system) and kept during it.
-/// An accepted move of ℓ → ℓ′ changes the codes of pairs whose ring or
-/// target it touches — particles within distance 2 of ℓ or ℓ′ — and only
-/// those are refreshed.  About 5 bytes per particle: 0.5 MiB at n = 10⁵.
+/// **The per-block n-fold way.**  Split each of block b's proposals into a
+/// *candidate* — the pair chosen in proportion to a over the block's
+/// non-crossing pairs, probability A_b/6n_b — and a *failure* otherwise.
+/// Both pick pair i with total probability 1/6n_b, so the split changes
+/// nothing.  A crossing pair is a boundary reject whatever its stage, so
+/// the block line thins it out of the candidate mass entirely: every
+/// candidate is an accepted move.  A failure changes nothing, and the
+/// stage it is tallied under has probability proportional to the block's
+/// failure masses
+///   boundary: its crossing pairs; occupied / gap / property: their
+///   non-crossing pair counts; filter: Σ_non-crossing filter (1 − a).
+/// Since σ only changes at an accepted move, the failures before the next
+/// candidate are Geometric(A_b/6n_b) and their stages one multinomial draw
+/// over those masses.  The block stops exactly after m_b proposals: a
+/// geometric run that reaches the end is cut there, which is exact because
+/// the geometric law is memoryless.
+///
+/// **The per-block structures** are rebuilt at every epoch start from the
+/// grid words of the block's occupied rows (128 × 2 words at most), so
+/// nothing persists across epochs: n_b, from the coordinator's count;
+/// per pair code (occupied, gap, property, or filter class δ + 5)
+/// the non-crossing pair counts — occupied targets by word AND and
+/// popcount, the ring of a pair only when its target is empty, read from
+/// shifted row words a whole ring pattern at a time; the
+/// crossing pair count; and per filter class the list of its non-crossing
+/// pairs, from which a candidate is drawn uniformly.  An accepted move
+/// ℓ → ℓ′ changes the codes of pairs whose ring or target it touches —
+/// cells within distance 2 of ℓ or ℓ′ — and only the block's own cells
+/// among those are recomputed, before and after the move.  Every read of
+/// a block stays in the block's words: a non-crossing pair's target and
+/// ring lie inside its block, and a crossing pair needs no code.
+///
+/// **Execution.**  The coordinator counts n_b and the occupied rows of
+/// every block — one pass over a flat window's words, or over the
+/// positions of a tiled grid, whose allocated area can far exceed n —
+/// draws (m_b), and has the
+/// storage grown around every block with m_b > 0 that it does not cover
+/// widened by BitGrid::kInteriorMargin — the executor's storage rule,
+/// whose per-particle need c_i + slack becomes the whole block once c_i
+/// may be any of m_b moves that never leave it.  Blocks then run largest
+/// m_b first on the executor's workers (in order on the calling thread at
+/// threads = 1).  Inside that phase a move changes occupancy bits only
+/// (ParticleSystem::moveOccupancy) and is logged; afterwards the
+/// coordinator replays each block's log, blocks in canonical order, into
+/// the position vector and the cell → id index (ParticleSystem::
+/// commitMove) — O(moves), where a suspended index would cost an O(n)
+/// rebuild per epoch.
 ///
 /// Only uniform-weight models without an aux move (compression) and
 /// uniform selection qualify: a weight model's a would depend on more than
@@ -61,37 +89,70 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <optional>
+#include <exception>
+#include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/biased_chain_engine.hpp"
 #include "core/block_executor.hpp"
 #include "core/chain_stats.hpp"
-#include "core/chunk_fenwick.hpp"
 #include "core/compression_chain.hpp"
 #include "lattice/direction.hpp"
+#include "lattice/edge_ring.hpp"
 #include "lattice/tri_point.hpp"
 #include "rng/random.hpp"
 #include "system/bit_grid.hpp"
 #include "system/particle_system.hpp"
 #include "util/assert.hpp"
+#include "util/flat_hash.hpp"
 #include "util/mix.hpp"
 
 namespace sops::core {
 
-/// Pair codes: what a movement proposal of the pair would do past the
-/// boundary rule.  Filter pairs carry kPairFilter + δ + 5.
+/// Pair codes: what a movement proposal of a non-crossing pair would do.
+/// Filter pairs carry kPairFilter + δ + 5.
 inline constexpr std::uint8_t kPairOccupied = 0;
 inline constexpr std::uint8_t kPairGap = 1;
 inline constexpr std::uint8_t kPairProperty = 2;
 inline constexpr std::uint8_t kPairFilter = 3;
 inline constexpr int kPairFilterClasses = 11;  ///< δ ∈ [−5, 5]
 inline constexpr int kPairCodes = kPairFilter + kPairFilterClasses;
+/// Nibbles of a cell's packed codes that are not pair codes: a pair that
+/// crosses a block line, and every pair of an empty cell.
+inline constexpr std::uint8_t kPairCrossing = kPairCodes;
+inline constexpr std::uint8_t kPairNone = 15;
+
+/// The set bits of a word.  Without a popcount instruction in the target
+/// ISA std::popcount is a library call; this SWAR form inlines to a dozen
+/// ALU operations, and the epoch's counts run it on every occupied word.
+[[nodiscard]] constexpr std::uint64_t popcount64(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
+static_assert(popcount64(0) == 0 && popcount64(~std::uint64_t{0}) == 64 &&
+              popcount64(0x8000000000000101ULL) == 3);
+
+/// A set of block-local rows (bit y of the 128), as two words.
+using RowSet = std::array<std::uint64_t, 2>;
+
+/// Calls fn(y) for every row y of `rows`, in increasing order.
+template <typename Fn>
+void forEachRow(const RowSet& rows, Fn&& fn) {
+  for (std::size_t half = 0; half < 2; ++half) {
+    for (std::uint64_t w = rows[half]; w != 0; w &= w - 1) {
+      fn(static_cast<std::int64_t>(64 * half) + std::countr_zero(w));
+    }
+  }
+}
 
 /// Per-code pair counts.
 using PairCounts = std::array<std::uint64_t, kPairCodes>;
 
-// The band scan shifts whole words by the direction offsets E (1, 0),
+// The rebuild shifts whole words by the direction offsets E (1, 0),
 // NE (0, 1), NW (−1, 1), W (−1, 0), SW (0, −1), SE (1, −1).
 static_assert([] {
   constexpr std::array<std::array<int, 2>, lattice::kNumDirections> kWant = {
@@ -154,16 +215,16 @@ static_assert([] {
   return true;
 }());
 
-/// The index of every (particle, direction) pair's code, and the epoch
-/// sampler built on it (see the file comment).
-class RejectionFreeIndex {
- public:
+/// What the decision table and the boundary rule fix for every block: the
+/// code of an empty-target pair by its ring mask, the acceptance
+/// probability a per code, and per direction the block-local cells whose
+/// pair does not cross a block line.
+struct RejectionFreeRules {
   /// `decisions` is the runner's decision table (its δ, stage and
   /// thresholds fix every code and acceptance probability); `widen` the
   /// boundary rule's widening, Model::kInteractionRadius − 1.
-  RejectionFreeIndex(const std::array<MoveDecision, 256>& decisions,
-                     bool greedy, std::int64_t widen)
-      : reach_(blockReach(widen)) {
+  RejectionFreeRules(const std::array<MoveDecision, 256>& decisions,
+                     bool greedy, std::int64_t widen) {
     for (int m = 0; m < 256; ++m) {
       const MoveDecision& decision = decisions[static_cast<std::size_t>(m)];
       std::uint8_t code = kPairFilter + decision.delta + 5;
@@ -174,418 +235,907 @@ class RejectionFreeIndex {
                  static_cast<std::uint8_t>(StepOutcome::RejectedProperty)) {
         code = kPairProperty;
       }
-      maskCode_[static_cast<std::size_t>(m)] = code;
+      maskCode[static_cast<std::size_t>(m)] = code;
       // The block path accepts iff acceptNoDraw, or (not greedy) a 53-bit
       // uniform k·2⁻⁵³ < threshold: probability ⌈threshold·2⁵³⌉·2⁻⁵³.
-      double accept = 1.0;
+      double a = 1.0;
       if (!decision.acceptNoDraw) {
-        accept = greedy ? 0.0
-                        : std::ceil(std::ldexp(decision.threshold, 53)) *
-                              0x1.0p-53;
+        a = greedy ? 0.0
+                   : std::ceil(std::ldexp(decision.threshold, 53)) * 0x1.0p-53;
       }
-      accept_[kPairFilter + decision.delta + 5] = accept;
+      accept[kPairFilter + decision.delta + 5] = a;
     }
-  }
-
-  /// Recomputes every code and count from the configuration.  Crossing
-  /// counts are per epoch: see beginEpoch().
-  void rebuild(const system::ParticleSystem& sys) {
-    const std::size_t n = sys.size();
-    SOPS_REQUIRE(n <= 0xFFFFFFFFu / lattice::kNumDirections,
-                 "rejection-free index: too many particles for u32 ranks");
-    codes_.assign(n, 0);
-    all_.fill(0);
-    for (ChunkFenwick& members : members_) members.reset(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      codes_[i] = codesAt(sys, sys.position(i));
+    const auto reach = blockReach(widen);
+    for (int d = 0; d < lattice::kNumDirections; ++d) {
+      const BlockReach& box = reach[static_cast<std::size_t>(d)];
+      Span& span = inside[static_cast<std::size_t>(d)];
+      span = {-box.loX, kSize - 1 - box.hiX, -box.loY, kSize - 1 - box.hiY};
+      for (std::int64_t x = span.x0; x <= span.x1; ++x) {
+        span.columns[static_cast<std::size_t>(x >> 6)] |= std::uint64_t{1}
+                                                          << (x & 63);
+      }
+      rowsY0 = std::max(rowsY0, span.y0);
+      rowsY1 = std::min(rowsY1, span.y1);
+    }
+    for (std::int64_t x = 0; x < kSize; ++x) {
       for (int d = 0; d < lattice::kNumDirections; ++d) {
-        const std::uint8_t code = codeOf(codes_[i], d);
-        ++all_[code];
-        if (code >= kPairFilter) {
-          members_[code - kPairFilter].addBeforeBuild(i, 1);
+        const Span& span = inside[static_cast<std::size_t>(d)];
+        if (x < span.x0 || x > span.x1) {
+          ++edgeCrossings[static_cast<std::size_t>(x)];
+          edgeColumns[static_cast<std::size_t>(x >> 6)] |= std::uint64_t{1}
+                                                           << (x & 63);
         }
       }
     }
-    for (ChunkFenwick& members : members_) members.build();
   }
 
-  /// Counts the epoch's crossing pairs per code: a word-parallel scan of
-  /// the block-line bands on a flat grid, a pass over the particles near a
-  /// block edge otherwise.
-  void beginEpoch(const system::ParticleSystem& sys, const BlockEpoch& ep) {
-    if (!sys.grid().tiled()) {
-      countCrossingsByBands(sys, ep);
-    } else {
-      countCrossingsByParticles(sys, ep);
+  static constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
+
+  /// The block-local cells (x, y) ∈ [x0, x1] × [y0, y1] whose pair in one
+  /// direction stays inside the block, and the columns as two words.
+  struct Span {
+    std::int64_t x0, x1, y0, y1;
+    std::array<std::uint64_t, 2> columns{};
+  };
+
+  /// The pair of block-local cell (x, y) in direction d crosses no block
+  /// line: BlockEpoch::inside() in block coordinates.
+  [[nodiscard]] bool nonCrossing(std::int64_t x, std::int64_t y,
+                                 int d) const noexcept {
+    const Span& span = inside[static_cast<std::size_t>(d)];
+    return static_cast<bool>((x >= span.x0) & (x <= span.x1) &
+                             (y >= span.y0) & (y <= span.y1));
+  }
+
+  std::array<std::uint8_t, 256> maskCode{};
+  std::array<double, kPairCodes> accept{};  ///< a per code (0 off-filter)
+  std::array<Span, lattice::kNumDirections> inside{};
+  /// The rows [rowsY0, rowsY1] inside every direction's span; in them a
+  /// cell of column x has edgeCrossings[x] crossing pairs, nonzero only
+  /// on the few edgeColumns.
+  std::int64_t rowsY0 = 0;
+  std::int64_t rowsY1 = kSize - 1;
+  std::array<std::uint8_t, kSize> edgeCrossings{};
+  std::array<std::uint64_t, 2> edgeColumns{};
+};
+
+/// One occupied block of one epoch: its structures (see the file comment),
+/// its n-fold way, its tallies and the log of its moves.
+class RejectionFreeBlock {
+ public:
+  static constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
+
+  /// One accepted move, replayed into the particle system after the phase.
+  struct Move {
+    TriPoint from;
+    TriPoint to;
+  };
+
+  /// Places the block at absolute block coordinates (bx, by) under ep's
+  /// offsets, with `particles` particles in the block-local `rows` and
+  /// `proposals` proposals, and clears its tallies and move log.
+  void reset(const BlockEpoch& ep, std::int64_t bx, std::int64_t by,
+             std::uint32_t particles, const RowSet& rows,
+             std::uint64_t proposals) noexcept {
+    bx_ = bx;
+    by_ = by;
+    x0_ = (bx << BlockEpoch::kBlockShift) + ep.offsetX;
+    y0_ = (by << BlockEpoch::kBlockShift) + ep.offsetY;
+    particles_ = particles;
+    rows_ = rows;
+    proposals_ = proposals;
+    stats_ = {};
+    edges_ = 0;
+    boundaryRejects_ = 0;
+    moves_.clear();
+  }
+
+  /// Rebuilds the pair counts and candidate lists from the block's grid
+  /// words — those of its occupied rows and their neighbours, so a sparse
+  /// block costs its rows, not its area; reads nothing outside the block.
+  void rebuild(const system::BitGrid& grid, const RejectionFreeRules& rules) {
+    counts_.fill(0);
+    crossing_ = 0;
+    for (std::vector<std::uint32_t>& members : members_) members.clear();
+    // Row y sits at rows[y + kPad].  Only the occupied rows and the two
+    // on either side (targets and rings reach that far) are ever read:
+    // those are loaded, and the padding beyond the block reads zero — it
+    // only ever feeds crossing pairs.
+    std::array<std::array<std::uint64_t, 2>, kSize + 2 * kPad> rows;
+    for (std::int64_t pad = 0; pad < kPad; ++pad) {
+      rows[static_cast<std::size_t>(pad)] = {};
+      rows[static_cast<std::size_t>(kSize + kPad + pad)] = {};
     }
+    RowSet load = rows_;
+    for (int step = 0; step < kPad; ++step) {
+      load = {load[0] | (load[0] << 1) | (load[0] >> 1) | (load[1] << 63),
+              load[1] | (load[1] << 1) | (load[1] >> 1) | (load[0] >> 63)};
+    }
+    forEachRow(load, [&](std::int64_t y) {
+      rows[static_cast<std::size_t>(y + kPad)] = {
+          grid.rowBits(x0_, y0_ + y), grid.rowBits(x0_ + 64, y0_ + y)};
+    });
+    // Occupied pairs are 6·n_b (the coordinator's count) minus the
+    // crossing and the empty-target pairs; crossing pairs are the band
+    // rows' cells plus the few edge columns of the others.
+    std::uint64_t emptyTargets = 0;
+    forEachRow(rows_, [&](std::int64_t y) {
+      const auto& row = rows[static_cast<std::size_t>(y + kPad)];
+      const std::uint64_t lo = row[0];
+      const std::uint64_t hi = row[1];
+      if ((lo | hi) == 0) return;  // emptied by this epoch's moves
+      const auto& up = rows[static_cast<std::size_t>(y + kPad + 1)];
+      const auto& down = rows[static_cast<std::size_t>(y + kPad - 1)];
+      if (y >= rules.rowsY0 && y <= rules.rowsY1) {
+        for (std::size_t half = 0; half < 2; ++half) {
+          for (std::uint64_t edge = row[half] & rules.edgeColumns[half];
+               edge != 0; edge &= edge - 1) {
+            crossing_ += rules.edgeCrossings[64 * half +
+                                             static_cast<std::size_t>(
+                                                 std::countr_zero(edge))];
+          }
+        }
+        // Full here and above and below: every non-crossing target is
+        // occupied.
+        if ((lo & hi & up[0] & up[1] & down[0] & down[1]) == ~std::uint64_t{0}) {
+          return;
+        }
+      }
+      // The target of every cell of the row, per direction (E, NE, NW, W,
+      // SW, SE: the offsets the static_assert above pins) and half.
+      const std::array<std::array<std::uint64_t, 2>, lattice::kNumDirections>
+          targets = {{{(lo >> 1) | (hi << 63), hi >> 1},
+                      {up[0], up[1]},
+                      {up[0] << 1, (up[1] << 1) | (up[0] >> 63)},
+                      {lo << 1, (hi << 1) | (lo >> 63)},
+                      {down[0], down[1]},
+                      {(down[0] >> 1) | (down[1] << 63), down[1] >> 1}}};
+      for (int d = 0; d < lattice::kNumDirections; ++d) {
+        const RejectionFreeRules::Span& span =
+            rules.inside[static_cast<std::size_t>(d)];
+        if (y < span.y0 || y > span.y1) {  // a band row: every pair crosses
+          crossing_ += popcount64(lo) + popcount64(hi);
+          continue;
+        }
+        for (std::size_t half = 0; half < 2; ++half) {
+          if (y < rules.rowsY0 || y > rules.rowsY1) {
+            crossing_ += popcount64(row[half] & ~span.columns[half]);
+          }
+          const std::uint64_t inside = row[half] & span.columns[half];
+          std::uint64_t empty =
+              inside & ~targets[static_cast<std::size_t>(d)][half];
+          if (empty == 0) continue;
+          // The eight ring cells of all 64 pairs, one word each, from the
+          // loaded rows (a ring gather through the grid per pair costs a
+          // tile lookup on a tiled grid).
+          std::array<std::uint64_t, lattice::kEdgeRingSize> ring{};
+          for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
+            const TriPoint off = lattice::kEdgeRingOffsets
+                [static_cast<std::size_t>(d)][static_cast<std::size_t>(idx)];
+            ring[static_cast<std::size_t>(idx)] = shiftedHalf(
+                rows[static_cast<std::size_t>(y + off.y + kPad)], half, off.x);
+          }
+          // One ring pattern at a time: the first empty pair's, then every
+          // pair of the word that shares it (a straight run of particles
+          // shares one per direction).
+          while (empty != 0) {
+            const int first = std::countr_zero(empty);
+            std::uint32_t mask = 0;
+            std::uint64_t same = empty;
+            for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
+              const std::uint64_t cells = ring[static_cast<std::size_t>(idx)];
+              const bool set = ((cells >> first) & 1u) != 0;
+              mask |= static_cast<std::uint32_t>(set) << idx;
+              same &= set ? cells : ~cells;
+            }
+            empty &= ~same;
+            const std::uint8_t code = rules.maskCode[mask];
+            const std::uint64_t count = popcount64(same);
+            counts_[code] += count;
+            emptyTargets += count;
+            if (code < kPairFilter) continue;
+            for (; same != 0; same &= same - 1) {
+              const std::int64_t x = static_cast<std::int64_t>(64 * half) +
+                                     std::countr_zero(same);
+              SOPS_DASSERT(mask == grid.ringMaskUnchecked(cellAt(x, y), d));
+              members_[code - kPairFilter].push_back(pairKey(x, y, d));
+            }
+          }
+        }
+      }
+    });
+    counts_[kPairOccupied] =
+        lattice::kNumDirections * std::uint64_t{particles_} - crossing_ -
+        emptyTargets;
   }
 
-  /// Runs one epoch of `length` proposals on `sys` (which must have its
-  /// cell → id index live), adding its outcomes to `stats` and `edges`;
-  /// returns its boundary rejects (tallied by the executor).
-  /// `onMoved(particle, from, to)` follows each executed move (the model's
-  /// hook).  With `verifyEachMove`, every accepted move is followed by a
-  /// comparison against a from-scratch rebuild, which must agree.
-  template <typename OnMoved>
-  std::uint64_t runEpoch(system::ParticleSystem& sys, const BlockEpoch& ep,
-                         std::uint64_t length, EngineStats& stats,
-                         std::int64_t& edges, OnMoved&& onMoved,
-                         bool verifyEachMove = false) {
-    beginEpoch(sys, ep);
-    const std::uint64_t key = util::mix64(ep.moveKey ^ kStreamSalt);
+  /// Runs the block's proposals by the n-fold way, every draw from counter
+  /// streams under `key`.  Moves change occupancy bits only (see the file
+  /// comment) and are logged.  With `verifyEachMove`, every accepted move
+  /// is followed by a comparison against a from-scratch rebuild, which
+  /// must agree.
+  void run(system::ParticleSystem& sys, const RejectionFreeRules& rules,
+           std::uint64_t key, bool verifyEachMove) {
     const double pairs =
-        static_cast<double>(lattice::kNumDirections * codes_.size());
-    std::uint64_t boundaryRejects = 0;
-    std::uint64_t remaining = length;
+        static_cast<double>(lattice::kNumDirections * particles_);
+    std::uint64_t remaining = proposals_;
     for (std::uint64_t run = 0; remaining > 0; ++run) {
       rng::CounterStream draw(key, 2 * run);
       rng::CounterStream split(key, 2 * run + 1);
-      const double mass = acceptMass();
+      const double mass = acceptMass(rules);
       const std::uint64_t gap =
           mass > 0.0 ? draw.geometric(std::min(1.0, mass / pairs))
                      : ~std::uint64_t{0};
       const std::uint64_t failures = std::min(gap, remaining);
       if (failures > 0) {
-        boundaryRejects += splitFailures(split, failures, stats);
+        splitFailures(split, failures, rules);
         remaining -= failures;
         if (remaining == 0) break;
       }
-      // The candidate: pair ∝ a, then the boundary rule thins it.
       --remaining;
-      ++stats.steps;
-      const auto [particle, direction] = pick(draw, mass);
-      const TriPoint from = sys.position(particle);
-      if (!ep.inside(from, reach_[static_cast<std::size_t>(direction)])) {
-        ++boundaryRejects;
-        continue;
-      }
-      const std::uint8_t code = codeOf(codes_[particle], direction);
-      const TriPoint to =
-          lattice::neighbor(from, lattice::directionFromIndex(direction));
-      sys.moveParticle(particle, to);
-      edges += code - kPairFilter - 5;
-      stats.movement.record(StepOutcome::Accepted);
-      onMoved(particle, from, to);
-      refresh(sys, ep, particle, from, direction);
+      ++stats_.steps;
+      const auto [pair, code] = pick(draw, mass, rules);
+      move(sys, rules, pair);
+      edges_ += code - kPairFilter - 5;
+      stats_.movement.record(StepOutcome::Accepted);
       if (verifyEachMove) {
-        SOPS_REQUIRE(matchesRebuild(sys, ep),
-                     "rejection-free index drifted from a rebuild");
+        SOPS_REQUIRE(matchesRebuild(sys.grid(), rules),
+                     "rejection-free block drifted from a rebuild");
       }
     }
-    SOPS_DASSERT(matchesRebuild(sys, ep));
-    return boundaryRejects;
+    SOPS_DASSERT(matchesRebuild(sys.grid(), rules));
   }
 
-  /// True when the incrementally kept codes, per-code counts, chunk counts,
-  /// Fenwick trees and crossing counts equal a from-scratch rebuild's
-  /// (crossings counted particle by particle, independently of the band
-  /// scan).  O(n): the brute-force check of the tests and debug builds.
-  [[nodiscard]] bool matchesRebuild(const system::ParticleSystem& sys,
-                                    const BlockEpoch& ep) const {
-    RejectionFreeIndex fresh = *this;
-    fresh.rebuild(sys);
-    fresh.countCrossingsByParticles(sys, ep);
-    return fresh.codes_ == codes_ && fresh.all_ == all_ &&
-           fresh.members_ == members_ && fresh.crossing_ == crossing_;
-  }
-
-  /// Counts the epoch's crossing pairs particle by particle into the
-  /// current crossing counts — the reference for the band scan.
-  void countCrossingsByParticles(const system::ParticleSystem& sys,
-                                 const BlockEpoch& ep) {
-    crossing_.fill(0);
-    for (std::size_t i = 0; i < codes_.size(); ++i) {
-      const TriPoint p = sys.position(i);
-      if (ep.inside(p, reach_[kReachRing])) continue;  // no pair crosses
-      for (int d = 0; d < lattice::kNumDirections; ++d) {
-        if (!ep.inside(p, reach_[static_cast<std::size_t>(d)])) {
-          ++crossing_[codeOf(codes_[i], d)];
-        }
-      }
+  /// True when the incrementally kept counts and candidate lists equal a
+  /// from-scratch rebuild's (lists as sets: their order follows the
+  /// moves).  Reads only the block's words, like rebuild().
+  [[nodiscard]] bool matchesRebuild(const system::BitGrid& grid,
+                                    const RejectionFreeRules& rules) const {
+    RejectionFreeBlock fresh = *this;
+    fresh.rebuild(grid, rules);
+    if (fresh.counts_ != counts_ || fresh.crossing_ != crossing_) return false;
+    for (std::size_t c = 0; c < members_.size(); ++c) {
+      std::vector<std::uint32_t> mine = members_[c];
+      std::vector<std::uint32_t> theirs = fresh.members_[c];
+      std::sort(mine.begin(), mine.end());
+      std::sort(theirs.begin(), theirs.end());
+      if (mine != theirs) return false;
     }
+    return true;
   }
 
-  /// Counts the epoch's crossing pairs from the occupancy grid alone, 64
-  /// cells at a time, over the grid's window (meant for a flat grid: a
-  /// tiled grid's box can be far larger than its tiles).  Block lines sit
-  /// at absolute multiples of 64, so every aligned 64-cell word is the
-  /// left or the right half of one block row: its band cells are a few
-  /// bits at one end, or the whole word in a band row.  Occupied targets
-  /// are counted by popcount; the few band pairs with an empty target are
-  /// classified by their ring.
-  void countCrossingsByBands(const system::ParticleSystem& sys,
-                             const BlockEpoch& ep) {
-    const system::BitGrid& grid = sys.grid();
-    crossing_.fill(0);
-    constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
-    // Per direction: the band bits of a left-half and of a right-half word.
-    std::array<std::uint64_t, lattice::kNumDirections> left{};
-    std::array<std::uint64_t, lattice::kNumDirections> right{};
-    for (int d = 0; d < lattice::kNumDirections; ++d) {
-      const BlockReach& box = reach_[static_cast<std::size_t>(d)];
-      left[static_cast<std::size_t>(d)] =
-          (std::uint64_t{1} << -box.loX) - 1;  // local x < −loX
-      right[static_cast<std::size_t>(d)] =
-          ~std::uint64_t{0} << (64 - box.hiX);  // local x > 127 − hiX
-    }
-    const std::int64_t x0 = (grid.originX() >> 6) << 6;
-    const std::int64_t x1 =
-        grid.originX() + static_cast<std::int64_t>(grid.width());
-    const std::int64_t y0 = grid.originY();
-    const std::int64_t y1 = y0 + static_cast<std::int64_t>(grid.height());
-    for (std::int64_t y = y0; y < y1; ++y) {
-      const std::int64_t ly = (y - ep.offsetY) & (kSize - 1);
-      std::array<bool, lattice::kNumDirections> rowCrosses{};
-      for (int d = 0; d < lattice::kNumDirections; ++d) {
-        const BlockReach& box = reach_[static_cast<std::size_t>(d)];
-        rowCrosses[static_cast<std::size_t>(d)] =
-            ly + box.loY < 0 || ly + box.hiY >= kSize;
-      }
-      for (std::int64_t x = x0; x < x1; x += 64) {
-        const std::uint64_t cells = grid.rowBits(x, y);
-        if (cells == 0) continue;
-        const bool leftHalf = ((x - ep.offsetX) & (kSize - 1)) == 0;
-        std::array<std::uint64_t, lattice::kNumDirections> crossing{};
-        std::uint64_t any = 0;
-        for (std::size_t d = 0; d < crossing.size(); ++d) {
-          crossing[d] = cells & (rowCrosses[d] ? ~std::uint64_t{0}
-                                 : leftHalf   ? left[d]
-                                              : right[d]);
-          any |= crossing[d];
-        }
-        if (any == 0) continue;
-        // The targets of all 64 cells in each direction, from the six
-        // words around this one (E, NE, NW, W, SW, SE: the offsets the
-        // static_assert above the class pins).
-        const std::uint64_t west = grid.rowBits(x - 64, y);
-        const std::uint64_t east = grid.rowBits(x + 64, y);
-        const std::uint64_t up = grid.rowBits(x, y + 1);
-        const std::uint64_t upWest = grid.rowBits(x - 64, y + 1);
-        const std::uint64_t down = grid.rowBits(x, y - 1);
-        const std::uint64_t downEast = grid.rowBits(x + 64, y - 1);
-        const std::array<std::uint64_t, lattice::kNumDirections> targets = {
-            (cells >> 1) | (east << 63),  up,   (up << 1) | (upWest >> 63),
-            (cells << 1) | (west >> 63),  down, (down >> 1) | (downEast << 63)};
-        for (std::size_t d = 0; d < crossing.size(); ++d) {
-          crossing_[kPairOccupied] += static_cast<std::uint64_t>(
-              std::popcount(crossing[d] & targets[d]));
-          for (std::uint64_t open = crossing[d] & ~targets[d]; open != 0;
-               open &= open - 1) {
-            const TriPoint cell{
-                static_cast<std::int32_t>(x + std::countr_zero(open)),
-                static_cast<std::int32_t>(y)};
-            ++crossing_[maskCode_[sys.ringMask(
-                cell, lattice::directionFromIndex(static_cast<int>(d)))]];
-          }
-        }
-      }
-    }
+  /// Non-crossing pairs per code, and crossing pairs.
+  [[nodiscard]] const PairCounts& counts() const noexcept { return counts_; }
+  [[nodiscard]] std::uint64_t crossing() const noexcept { return crossing_; }
+  [[nodiscard]] std::uint32_t particles() const noexcept { return particles_; }
+  /// The block-local rows holding particles (at the epoch start, and any a
+  /// move has entered since).
+  [[nodiscard]] const RowSet& rows() const noexcept { return rows_; }
+  [[nodiscard]] std::uint64_t proposals() const noexcept { return proposals_; }
+  [[nodiscard]] std::int64_t blockX() const noexcept { return bx_; }
+  [[nodiscard]] std::int64_t blockY() const noexcept { return by_; }
+  /// The absolute cell of the block's lower-left corner.
+  [[nodiscard]] std::int64_t originX() const noexcept { return x0_; }
+  [[nodiscard]] std::int64_t originY() const noexcept { return y0_; }
+  [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] std::int64_t edgeDelta() const noexcept { return edges_; }
+  [[nodiscard]] std::uint64_t boundaryRejects() const noexcept {
+    return boundaryRejects_;
   }
-
-  /// Σ over pairs of the acceptance probability a.
-  [[nodiscard]] double acceptMass() const noexcept {
-    double mass = 0.0;
-    for (int c = kPairFilter; c < kPairCodes; ++c) {
-      mass += static_cast<double>(all_[static_cast<std::size_t>(c)]) *
-              accept_[static_cast<std::size_t>(c)];
-    }
-    return mass;
+  [[nodiscard]] const std::vector<Move>& moves() const noexcept {
+    return moves_;
   }
-
-  /// Pairs per code, over all pairs and over the epoch's crossing pairs.
-  [[nodiscard]] const PairCounts& counts() const noexcept { return all_; }
-  [[nodiscard]] const PairCounts& crossingCounts() const noexcept {
-    return crossing_;
-  }
-  /// Bytes held by the index's arrays.
+  /// Bytes held by the block's lists.
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
-    std::size_t bytes = codes_.capacity() * sizeof(std::uint32_t);
-    for (const ChunkFenwick& members : members_) bytes += members.memoryBytes();
+    std::size_t bytes = sizeof(*this) + moves_.capacity() * sizeof(Move);
+    for (const std::vector<std::uint32_t>& members : members_) {
+      bytes += members.capacity() * sizeof(std::uint32_t);
+    }
     return bytes;
   }
 
  private:
-  /// "rejfree": the epoch's stream key is mix64(moveKey ^ salt).
-  static constexpr std::uint64_t kStreamSalt = 0x72656a66726565ULL;
+  /// Rows of padding on either side of the rebuild's row array: a ring
+  /// reaches two rows from its cell.
+  static constexpr std::int64_t kPad = 2;
 
-  /// Particle, direction.
-  struct Pair {
-    std::uint32_t particle;
-    int direction;
-  };
+  /// The cells x + dx of a 128-cell row for the 64 x of one half, as a
+  /// word (bit j for x = 64·half + j); cells past the block read 0.
+  [[nodiscard]] static std::uint64_t shiftedHalf(
+      const std::array<std::uint64_t, 2>& row, std::size_t half,
+      std::int32_t dx) noexcept {
+    if (dx == 0) return row[half];
+    if (dx > 0) {
+      return half == 0 ? (row[0] >> dx) | (row[1] << (64 - dx))
+                       : row[1] >> dx;
+    }
+    return half == 0 ? row[0] << -dx
+                     : (row[1] << -dx) | (row[0] >> (64 + dx));
+  }
+
+  /// A pair as (block-local cell y·128 + x) · 8 + direction.
+  [[nodiscard]] static std::uint32_t pairKey(std::int64_t x, std::int64_t y,
+                                             int d) noexcept {
+    return static_cast<std::uint32_t>(((y * kSize + x) << 3) | d);
+  }
+
+  [[nodiscard]] TriPoint cellAt(std::int64_t x, std::int64_t y) const noexcept {
+    return {static_cast<std::int32_t>(x0_ + x),
+            static_cast<std::int32_t>(y0_ + y)};
+  }
 
   [[nodiscard]] static std::uint8_t codeOf(std::uint32_t codes,
                                            int d) noexcept {
     return static_cast<std::uint8_t>((codes >> (4 * d)) & 0xF);
   }
 
-  /// The six codes of the pairs of a particle at p, packed 4 bits each.
-  [[nodiscard]] std::uint32_t codesAt(const system::ParticleSystem& sys,
-                                      TriPoint p) const noexcept {
+  /// Counts a non-crossing pair under `code` (and lists a filter pair).
+  void add(std::int64_t x, std::int64_t y, int d, std::uint8_t code) {
+    ++counts_[code];
+    if (code >= kPairFilter) {
+      members_[code - kPairFilter].push_back(pairKey(x, y, d));
+    }
+  }
+
+  /// Undoes add().  A class list holds one δ's boundary pairs of one
+  /// block — tens in the compressed regime the route serves — so the
+  /// linear search stays short.
+  void remove(std::int64_t x, std::int64_t y, int d, std::uint8_t code) {
+    --counts_[code];
+    if (code >= kPairFilter) {
+      std::vector<std::uint32_t>& members = members_[code - kPairFilter];
+      const auto it = std::find(members.begin(), members.end(), pairKey(x, y, d));
+      SOPS_DASSERT(it != members.end());
+      *it = members.back();
+      members.pop_back();
+    }
+  }
+
+  /// The non-crossing directions of block-local cell (x, y), as a mask.
+  [[nodiscard]] static std::uint8_t nonCrossingMask(
+      const RejectionFreeRules& rules, std::int64_t x,
+      std::int64_t y) noexcept {
+    std::uint32_t mask = 0;
+    for (int d = 0; d < lattice::kNumDirections; ++d) {
+      mask |= static_cast<std::uint32_t>(rules.nonCrossing(x, y, d)) << d;
+    }
+    return static_cast<std::uint8_t>(mask);
+  }
+
+  /// The occupied targets among the non-crossing pairs of the particle at
+  /// block-local (x, y): one neighbourhood gather away from the block
+  /// edge, else a test per non-crossing direction (every read in the
+  /// block).
+  [[nodiscard]] std::uint8_t occupiedTargets(const system::BitGrid& grid,
+                                             TriPoint cell, std::int64_t x,
+                                             std::int64_t y,
+                                             std::uint8_t nonCrossing) const
+      noexcept {
+    if (x > 0 && x < kSize - 1 && y > 0 && y < kSize - 1) {
+      return grid.neighborMaskUnchecked(cell) & nonCrossing;
+    }
+    std::uint32_t mask = 0;
+    for (int d = 0; d < lattice::kNumDirections; ++d) {
+      if ((nonCrossing >> d) & 1u) {
+        mask |= static_cast<std::uint32_t>(grid.testUnchecked(lattice::neighbor(
+                    cell, lattice::directionFromIndex(d))))
+                << d;
+      }
+    }
+    return static_cast<std::uint8_t>(mask);
+  }
+
+  /// The six codes of the particle at block-local (x, y), packed 4 bits
+  /// each (kPairCrossing for a crossing pair), given its non-crossing
+  /// directions and which of their targets are occupied.
+  [[nodiscard]] std::uint32_t codesOf(const system::BitGrid& grid,
+                                      const RejectionFreeRules& rules,
+                                      TriPoint cell, std::uint8_t nonCrossing,
+                                      std::uint8_t occupied) const noexcept {
     std::uint32_t codes = 0;
     for (int d = 0; d < lattice::kNumDirections; ++d) {
-      const lattice::Direction dir = lattice::directionFromIndex(d);
-      const std::uint8_t code = sys.occupiedNear(lattice::neighbor(p, dir))
-                                    ? kPairOccupied
-                                    : maskCode_[sys.ringMask(p, dir)];
+      std::uint8_t code = kPairCrossing;
+      if ((occupied >> d) & 1u) {
+        code = kPairOccupied;
+      } else if ((nonCrossing >> d) & 1u) {
+        code = rules.maskCode[grid.ringMaskUnchecked(cell, d)];
+      }
       codes |= std::uint32_t{code} << (4 * d);
     }
     return codes;
   }
 
-  /// Candidate pair ∝ a: a class by mass, then a uniform member of it by
-  /// canonical rank.
-  [[nodiscard]] Pair pick(rng::CounterStream& draw, double mass) const {
+  /// codesOf() for block-local (x, y), or six kPairNone if it is empty.
+  [[nodiscard]] std::uint32_t codesAt(const system::BitGrid& grid,
+                                      const RejectionFreeRules& rules,
+                                      std::int64_t x,
+                                      std::int64_t y) const noexcept {
+    const TriPoint cell = cellAt(x, y);
+    if (!grid.testUnchecked(cell)) return kEmptyCodes;
+    const std::uint8_t nonCrossing = nonCrossingMask(rules, x, y);
+    return codesOf(grid, rules, cell, nonCrossing,
+                   occupiedTargets(grid, cell, x, y, nonCrossing));
+  }
+
+  /// Moves cell (x, y)'s pairs from their codes `before` to `after`.
+  void recode(std::int64_t x, std::int64_t y, std::uint32_t before,
+              std::uint32_t after) {
+    for (int d = 0; d < lattice::kNumDirections && before != after; ++d) {
+      const std::uint8_t was = codeOf(before, d);
+      const std::uint8_t now = codeOf(after, d);
+      if (was == now) continue;
+      if (was == kPairCrossing) {
+        --crossing_;
+      } else if (was != kPairNone) {
+        remove(x, y, d, was);
+      }
+      if (now == kPairCrossing) {
+        ++crossing_;
+      } else if (now != kPairNone) {
+        add(x, y, d, now);
+      }
+    }
+  }
+
+  /// Executes the accepted move of `pair` and refreshes the codes of the
+  /// block's cells within distance 2 of either endpoint.  Beyond distance
+  /// 1 of both, a particle's neighbours do not change: only its pairs with
+  /// an empty non-crossing target can change (through their rings), and
+  /// one without such pairs is skipped.
+  void move(system::ParticleSystem& sys, const RejectionFreeRules& rules,
+            std::uint32_t pair) {
+    const system::BitGrid& grid = sys.grid();
+    const int d = static_cast<int>(pair & 7);
+    const std::int64_t x = (pair >> 3) & (kSize - 1);
+    const std::int64_t y = pair >> (3 + BlockEpoch::kBlockShift);
+    const TriPoint from = cellAt(x, y);
+    const TriPoint to = lattice::neighbor(from, lattice::directionFromIndex(d));
+    struct Refresh {
+      std::int64_t x, y;
+      std::uint8_t nonCrossing, occupied;  ///< far cells: fixed by the move
+      bool near;
+      std::uint32_t before;
+    };
+    std::array<Refresh, kRefreshSize> refresh;
+    std::size_t count = 0;
+    const auto& cells = kRefreshCells[static_cast<std::size_t>(d)];
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const std::int64_t cx = x + cells[k].x;
+      const std::int64_t cy = y + cells[k].y;
+      if (cx < 0 || cx >= kSize || cy < 0 || cy >= kSize) continue;
+      Refresh& r = refresh[count];
+      r = {cx, cy, 0, 0, k < kRefreshNear, kEmptyCodes};
+      if (r.near) {
+        r.before = codesAt(grid, rules, cx, cy);
+        // Empty before and after: only the target fills.
+        if (r.before == kEmptyCodes && !(cellAt(cx, cy) == to)) continue;
+      } else {
+        const TriPoint cell = cellAt(cx, cy);
+        if (!grid.testUnchecked(cell)) continue;  // far cells stay empty
+        r.nonCrossing = nonCrossingMask(rules, cx, cy);
+        r.occupied = occupiedTargets(grid, cell, cx, cy, r.nonCrossing);
+        if (r.occupied == r.nonCrossing) continue;
+        r.before = codesOf(grid, rules, cell, r.nonCrossing, r.occupied);
+      }
+      ++count;
+    }
+    sys.moveOccupancy(from, to);
+    moves_.push_back({from, to});
+    const std::int64_t toY = to.y - y0_;
+    rows_[static_cast<std::size_t>(toY >> 6)] |= std::uint64_t{1} << (toY & 63);
+    for (std::size_t k = 0; k < count; ++k) {
+      const Refresh& r = refresh[k];
+      const std::uint32_t after =
+          r.near ? codesAt(grid, rules, r.x, r.y)
+                 : codesOf(grid, rules, cellAt(r.x, r.y), r.nonCrossing,
+                           r.occupied);
+      recode(r.x, r.y, r.before, after);
+    }
+  }
+
+  /// Σ over the block's non-crossing pairs of the acceptance probability.
+  [[nodiscard]] double acceptMass(
+      const RejectionFreeRules& rules) const noexcept {
+    double mass = 0.0;
+    for (int c = kPairFilter; c < kPairCodes; ++c) {
+      mass += static_cast<double>(counts_[static_cast<std::size_t>(c)]) *
+              rules.accept[static_cast<std::size_t>(c)];
+    }
+    return mass;
+  }
+
+  /// Candidate pair ∝ a: a class by mass, then a uniform member of it.
+  /// Returns the pair and its code.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint8_t> pick(
+      rng::CounterStream& draw, double mass,
+      const RejectionFreeRules& rules) const {
     const double target = draw.uniform() * mass;
     int cls = -1;
     double cumulative = 0.0;
     for (int c = kPairFilter; c < kPairCodes; ++c) {
-      const double m = static_cast<double>(all_[static_cast<std::size_t>(c)]) *
-                       accept_[static_cast<std::size_t>(c)];
+      const double m =
+          static_cast<double>(counts_[static_cast<std::size_t>(c)]) *
+          rules.accept[static_cast<std::size_t>(c)];
       if (m <= 0.0) continue;
       cls = c;  // rounding at the top end falls to the last positive class
       cumulative += m;
       if (target < cumulative) break;
     }
-    SOPS_DASSERT(cls >= 0);
-    const auto code = static_cast<std::uint8_t>(cls);
-    // The chunk holding the rank-th member of the class.
-    auto [first, rank] =
-        members_[static_cast<std::size_t>(cls - kPairFilter)].descend(
-            draw.below(static_cast<std::uint32_t>(
-                all_[static_cast<std::size_t>(cls)])));
-    // Within the chunk: skip whole particles by their match count (a
-    // nibble of codes ^ code·0x111111 is zero exactly where it matches).
-    const std::size_t end =
-        std::min(codes_.size(), first + ChunkFenwick::kChunk);
-    for (std::size_t i = first; i < end; ++i) {
-      std::uint32_t diff = codes_[i] ^ (std::uint32_t{code} * 0x111111u);
-      diff |= diff >> 1;
-      diff |= diff >> 2;
-      const auto matches = static_cast<std::uint32_t>(
-          lattice::kNumDirections - std::popcount(diff & 0x111111u));
-      if (rank >= matches) {
-        rank -= matches;
-        continue;
-      }
-      for (int d = 0; d < lattice::kNumDirections; ++d) {
-        if (codeOf(codes_[i], d) != code) continue;
-        if (rank == 0) return {static_cast<std::uint32_t>(i), d};
-        --rank;
-      }
-    }
-    SOPS_REQUIRE(false, "rejection-free index: class count out of sync");
-    return {};
+    SOPS_REQUIRE(cls >= 0, "rejection-free block: no candidate class");
+    const std::vector<std::uint32_t>& members =
+        members_[static_cast<std::size_t>(cls - kPairFilter)];
+    return {members[draw.below(static_cast<std::uint32_t>(members.size()))],
+            static_cast<std::uint8_t>(cls)};
   }
 
   /// Tallies `failures` failed proposals by one multinomial draw over the
-  /// stage masses (conditional binomials, largest stage last); returns
-  /// the boundary rejects among them.
-  std::uint64_t splitFailures(rng::CounterStream& split,
-                              std::uint64_t failures, EngineStats& stats) {
-    double boundary = 0.0;
+  /// block's stage masses (conditional binomials, largest stage last).
+  void splitFailures(rng::CounterStream& split, std::uint64_t failures,
+                     const RejectionFreeRules& rules) {
     double filter = 0.0;
-    for (int c = 0; c < kPairCodes; ++c) {
-      const auto code = static_cast<std::size_t>(c);
-      const double reject = c >= kPairFilter ? 1.0 - accept_[code] : 1.0;
-      boundary += static_cast<double>(crossing_[code]) * reject;
-      if (c >= kPairFilter) {
-        filter += static_cast<double>(all_[code] - crossing_[code]) * reject;
-      }
+    for (int c = kPairFilter; c < kPairCodes; ++c) {
+      filter += static_cast<double>(counts_[static_cast<std::size_t>(c)]) *
+                (1.0 - rules.accept[static_cast<std::size_t>(c)]);
     }
-    const auto inside = [&](std::uint8_t code) {
-      return static_cast<double>(all_[code] - crossing_[code]);
-    };
     // Stage order: boundary, gap, property, filter, occupied (the rest).
-    const std::array<double, 5> masses = {boundary, inside(kPairGap),
-                                          inside(kPairProperty), filter,
-                                          inside(kPairOccupied)};
+    const std::array<double, 5> masses = {
+        static_cast<double>(crossing_),
+        static_cast<double>(counts_[kPairGap]),
+        static_cast<double>(counts_[kPairProperty]), filter,
+        static_cast<double>(counts_[kPairOccupied])};
     std::array<std::uint64_t, 5> drawn{};
-    std::uint64_t left = failures;
-    double suffix = 0.0;
     std::array<double, 5> tail{};
+    double suffix = 0.0;
     for (int s = 4; s >= 0; --s) {
       suffix += masses[static_cast<std::size_t>(s)];
       tail[static_cast<std::size_t>(s)] = suffix;
     }
+    std::uint64_t left = failures;
     for (std::size_t s = 0; s + 1 < masses.size(); ++s) {
       const double p = tail[s] > 0.0 ? masses[s] / tail[s] : 0.0;
       drawn[s] = split.binomial(left, p);
       left -= drawn[s];
     }
     drawn[4] = left;
-    stats.steps += failures;
-    stats.movement.steps += failures - drawn[0];
-    stats.movement.rejectedGap += drawn[1];
-    stats.movement.rejectedProperty += drawn[2];
-    stats.movement.rejectedFilter += drawn[3];
-    stats.movement.targetOccupied += drawn[4];
-    return drawn[0];
+    stats_.steps += failures;
+    stats_.movement.steps += failures - drawn[0];
+    stats_.movement.rejectedGap += drawn[1];
+    stats_.movement.rejectedProperty += drawn[2];
+    stats_.movement.rejectedFilter += drawn[3];
+    stats_.movement.targetOccupied += drawn[4];
+    boundaryRejects_ += drawn[0];
   }
 
-  /// After particle `moved` went from `from` in direction d: recomputes the
-  /// codes of every particle within distance 2 of either endpoint.
-  /// Beyond distance 1 of ℓ and ℓ′ a particle's neighbours did not
-  /// change, so one with all six still occupied keeps six "occupied" codes
-  /// and is skipped without an id lookup — most of them, in a compressed
-  /// configuration.
-  void refresh(const system::ParticleSystem& sys, const BlockEpoch& ep,
-               std::uint32_t moved, TriPoint from, int d) {
-    const auto& cells = kRefreshCells[static_cast<std::size_t>(d)];
-    for (std::size_t k = 0; k < cells.size(); ++k) {
-      const TriPoint cell = from + cells[k];
-      if (!sys.occupied(cell)) continue;
-      if (k >= kRefreshNear && fullNeighborhood(sys, cell)) {
-        continue;
-      }
-      const std::optional<std::size_t> id = sys.particleAt(cell);
-      if (!id) continue;  // unreachable: the cell is occupied
-      update(sys, ep, *id, *id == moved ? from : cell, cell);
-    }
-  }
-
-  /// All six neighbours of the particle at p are occupied.
-  [[nodiscard]] static bool fullNeighborhood(const system::ParticleSystem& sys,
-                                             TriPoint p) noexcept {
-    constexpr std::uint8_t kAll = (1u << lattice::kNumDirections) - 1;
-    return sys.grid().neighborMaskUnchecked(p) == kAll;
-  }
-
-  /// Moves particle i's six pairs from their old codes (at `before`) to
-  /// the codes at `after`, in every count.
-  void update(const system::ParticleSystem& sys, const BlockEpoch& ep,
-              std::size_t i, TriPoint before, TriPoint after) {
-    const std::uint32_t oldCodes = codes_[i];
-    const std::uint32_t newCodes = codesAt(sys, after);
-    const bool moved = !(before == after);
-    if (oldCodes == newCodes && !moved) return;
-    codes_[i] = newCodes;
-    for (int d = 0; d < lattice::kNumDirections; ++d) {
-      const std::uint8_t was = codeOf(oldCodes, d);
-      const std::uint8_t now = codeOf(newCodes, d);
-      if (was != now) {
-        --all_[was];
-        ++all_[now];
-        if (was >= kPairFilter) members_[was - kPairFilter].add(i, -1);
-        if (now >= kPairFilter) members_[now - kPairFilter].add(i, +1);
-      }
-      const BlockReach& box = reach_[static_cast<std::size_t>(d)];
-      if (!ep.inside(before, box)) --crossing_[was];
-      if (!ep.inside(after, box)) ++crossing_[now];
-    }
-  }
-
+  /// The packed codes of an empty cell: six kPairNone.
+  static constexpr std::uint32_t kEmptyCodes = 0xFFFFFFu;
   /// See refreshCells().
   static constexpr auto kRefreshCells = refreshCells();
 
-  std::array<BlockReach, kReachRing + 1> reach_;
-  std::array<std::uint8_t, 256> maskCode_{};
-  std::array<double, kPairCodes> accept_{};  ///< a per code (0 off-filter)
-  std::vector<std::uint32_t> codes_;  ///< 6 × 4-bit codes per particle
-  PairCounts all_{};
-  PairCounts crossing_{};
-  /// Per filter class: its pairs per particle, by chunk.
-  std::array<ChunkFenwick, kPairFilterClasses> members_;
+  std::int64_t bx_ = 0;
+  std::int64_t by_ = 0;
+  std::int64_t x0_ = 0;  ///< absolute cell of block-local (0, 0)
+  std::int64_t y0_ = 0;
+  std::uint32_t particles_ = 0;
+  RowSet rows_{};
+  std::uint64_t proposals_ = 0;
+  PairCounts counts_{};  ///< non-crossing pairs per code
+  std::uint64_t crossing_ = 0;
+  /// Per filter class: its non-crossing pairs (pairKey), in no fixed
+  /// order.
+  std::array<std::vector<std::uint32_t>, kPairFilterClasses> members_;
+  EngineStats stats_;
+  std::int64_t edges_ = 0;  ///< Σ δ of the block's accepted moves
+  std::uint64_t boundaryRejects_ = 0;
+  std::vector<Move> moves_;
+};
+
+/// The rejection-free epoch: the multinomial over the occupied blocks, the
+/// storage rule, the parallel phase and the replay (see the file comment).
+class RejectionFreeSampler {
+ public:
+  /// Runs fn(j) for j in [0, count): on the executor's workers, or in
+  /// order on the calling thread.
+  using ForEach = std::function<void(
+      std::size_t count, const std::function<void(std::size_t)>& fn)>;
+
+  RejectionFreeSampler(const std::array<MoveDecision, 256>& decisions,
+                       bool greedy, std::int64_t widen)
+      : rules_(decisions, greedy, widen),
+        reserveSlack_(widen + 1 + system::BitGrid::kInteriorMargin) {}
+
+  /// Runs one epoch of `length` proposals on `sys` (whose cell → id index
+  /// must be live), adding its outcomes to `stats` and `edges`; returns
+  /// its boundary rejects (tallied by the executor).  `onMoved(particle,
+  /// from, to)` follows each move as it is replayed.  With
+  /// `verifyEachMove`, every accepted move is followed by a comparison of
+  /// its block against a from-scratch rebuild, which must agree.
+  template <typename OnMoved>
+  std::uint64_t runEpoch(system::ParticleSystem& sys, const BlockEpoch& ep,
+                         std::uint64_t length, EngineStats& stats,
+                         std::int64_t& edges, const ForEach& forEach,
+                         OnMoved&& onMoved, bool verifyEachMove = false) {
+    realign(sys);
+    placeBlocks(sys, ep, length);
+    reserveStorage(sys);
+    order_.resize(active_);
+    for (std::size_t b = 0; b < active_; ++b) order_[b] = b;
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      const std::uint64_t sizeA = blocks_[a].proposals();
+      const std::uint64_t sizeB = blocks_[b].proposals();
+      return sizeA != sizeB ? sizeA > sizeB : a < b;
+    });
+    const std::uint64_t key = util::mix64(ep.moveKey ^ kStreamSalt);
+    // A throw inside the phase (a failed verification) still replays every
+    // logged move, so the system stays consistent.
+    std::exception_ptr error;
+    try {
+      forEach(order_.size(), [&](std::size_t j) {
+        RejectionFreeBlock& block = blocks_[order_[j]];
+        block.rebuild(sys.grid(), rules_);
+        block.run(sys, rules_, blockKey(key, block), verifyEachMove);
+      });
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::uint64_t boundaryRejects = 0;
+    for (std::size_t b = 0; b < active_; ++b) {
+      const RejectionFreeBlock& block = blocks_[b];
+      for (const RejectionFreeBlock::Move& m : block.moves()) {
+        onMoved(sys.commitMove(m.from, m.to), m.from, m.to);
+      }
+      stats.merge(block.stats());
+      edges += block.edgeDelta();
+      boundaryRejects += block.boundaryRejects();
+    }
+    if (error) std::rethrow_exception(error);
+    return boundaryRejects;
+  }
+
+  /// The epoch's occupied blocks with at least one proposal, in canonical
+  /// order, as the last runEpoch() left them (counts and lists as after its
+  /// last move).  For tests.
+  [[nodiscard]] std::span<const RejectionFreeBlock> blocks() const noexcept {
+    return {blocks_.data(), active_};
+  }
+
+  /// Places the occupied blocks of `sys` under `ep` in canonical order
+  /// and draws their proposal counts from a total of `length`; blocks
+  /// without proposals are dropped.  A flat window is counted by one pass
+  /// over its words; a tiled grid — whose allocated area can be far
+  /// larger than n — by one pass over the positions.  Public for tests:
+  /// runEpoch() calls it.
+  void placeBlocks(const system::ParticleSystem& sys, const BlockEpoch& ep,
+                   std::uint64_t length) {
+    occupied_.clear();
+    const system::BitGrid& grid = sys.grid();
+    const auto blockOf = [](std::int64_t v, std::int64_t offset) {
+      return (v - offset) >> BlockEpoch::kBlockShift;
+    };
+    const auto addRow = [](RowSet& rows, std::int64_t y, std::int64_t offset) {
+      const std::int64_t local = (y - offset) & (BlockEpoch::kBlockSize - 1);
+      rows[static_cast<std::size_t>(local >> 6)] |= std::uint64_t{1}
+                                                     << (local & 63);
+    };
+    if (!grid.tiled()) {
+      // Every 64-aligned word is the left or the right half of one block
+      // row.
+      const std::int64_t x0 = grid.originX();
+      const std::int64_t y0 = grid.originY();
+      const std::int64_t x1 = x0 + static_cast<std::int64_t>(grid.width());
+      const std::int64_t y1 = y0 + static_cast<std::int64_t>(grid.height());
+      SOPS_DASSERT((x0 & 63) == 0);
+      const std::int64_t bx0 = blockOf(x0, ep.offsetX);
+      const std::int64_t by0 = blockOf(y0, ep.offsetY);
+      const std::int64_t columns = blockOf(x1 - 1, ep.offsetX) - bx0 + 1;
+      const std::int64_t rows = blockOf(y1 - 1, ep.offsetY) - by0 + 1;
+      window_.assign(static_cast<std::size_t>(columns * rows), {});
+      for (std::int64_t y = y0; y < y1; ++y) {
+        OccupiedBlock* row =
+            window_.data() + (blockOf(y, ep.offsetY) - by0) * columns;
+        const std::span<const std::uint64_t> words = grid.flatRow(y);
+        for (std::size_t k = 0; k < words.size(); ++k) {
+          if (words[k] == 0) continue;
+          OccupiedBlock& block =
+              row[blockOf(x0 + 64 * static_cast<std::int64_t>(k), ep.offsetX) -
+                  bx0];
+          block.particles += popcount64(words[k]);
+          addRow(block.rows, y, ep.offsetY);
+        }
+      }
+      for (std::int64_t by = 0; by < rows; ++by) {
+        for (std::int64_t bx = 0; bx < columns; ++bx) {
+          OccupiedBlock block =
+              window_[static_cast<std::size_t>(by * columns + bx)];
+          if (block.particles == 0) continue;
+          block.by = by + by0;
+          block.bx = bx + bx0;
+          occupied_.push_back(block);
+        }
+      }
+    } else {
+      // Particles in id order are mostly near each other: a run of them in
+      // one block accumulates locally and is flushed when the block
+      // changes.
+      slotOf_.clear();
+      OccupiedBlock run;
+      std::uint64_t runKey = 0;
+      const auto flush = [&] {
+        if (run.particles == 0) return;
+        const std::uint32_t* slot = slotOf_.find(runKey);
+        if (slot == nullptr) {
+          slotOf_.insert(runKey, static_cast<std::uint32_t>(occupied_.size()));
+          occupied_.push_back(run);
+          return;
+        }
+        OccupiedBlock& block = occupied_[*slot];
+        block.particles += run.particles;
+        block.rows[0] |= run.rows[0];
+        block.rows[1] |= run.rows[1];
+      };
+      for (const TriPoint p : sys.positions()) {
+        const std::int64_t bx = blockOf(p.x, ep.offsetX);
+        const std::int64_t by = blockOf(p.y, ep.offsetY);
+        const std::uint64_t key =
+            (std::uint64_t{static_cast<std::uint32_t>(by)} << 32) |
+            static_cast<std::uint32_t>(bx);
+        if (key != runKey || run.particles == 0) {
+          flush();
+          run = {by, bx, 0, {}};
+          runKey = key;
+        }
+        ++run.particles;
+        addRow(run.rows, p.y, ep.offsetY);
+      }
+      flush();
+      std::sort(occupied_.begin(), occupied_.end(),
+                [](const OccupiedBlock& a, const OccupiedBlock& b) {
+                  return a.by != b.by ? a.by < b.by : a.bx < b.bx;
+                });
+    }
+    // (m_b) by conditional binomials in canonical order: block i's count
+    // from stream i.
+    const std::uint64_t multinomialKey =
+        util::mix64(ep.moveKey ^ kMultinomialSalt);
+    std::uint64_t remainingProposals = length;
+    std::uint64_t remainingParticles = sys.size();
+    active_ = 0;
+    for (std::size_t i = 0; i < occupied_.size(); ++i) {
+      const OccupiedBlock& block = occupied_[i];
+      SOPS_REQUIRE(block.particles <= remainingParticles,
+                   "rejection-free epoch: grid population exceeds n");
+      rng::CounterStream stream(multinomialKey, i);
+      const std::uint64_t proposals = stream.binomial(
+          remainingProposals, static_cast<double>(block.particles) /
+                                  static_cast<double>(remainingParticles));
+      remainingProposals -= proposals;
+      remainingParticles -= block.particles;
+      if (proposals == 0) continue;
+      if (blocks_.size() <= active_) blocks_.emplace_back();
+      blocks_[active_++].reset(ep, block.bx, block.by,
+                               static_cast<std::uint32_t>(block.particles),
+                               block.rows, proposals);
+    }
+    SOPS_REQUIRE(remainingParticles == 0 && remainingProposals == 0,
+                 "rejection-free epoch: grid population differs from n");
+  }
+
+  /// Bytes held by the per-block structures and the coordinator's buffers.
+  [[nodiscard]] std::size_t memoryBytes() const noexcept {
+    std::size_t bytes = occupied_.capacity() * sizeof(OccupiedBlock) +
+                        window_.capacity() * sizeof(OccupiedBlock) +
+                        order_.capacity() * sizeof(std::size_t) +
+                        centers_.capacity() * sizeof(TriPoint);
+    for (const RejectionFreeBlock& block : blocks_) {
+      bytes += block.memoryBytes();
+    }
+    return bytes;
+  }
+
+  [[nodiscard]] const RejectionFreeRules& rules() const noexcept {
+    return rules_;
+  }
+
+ private:
+  /// Block b's stream key under the epoch key: (seed, e, block).
+  [[nodiscard]] static std::uint64_t blockKey(
+      std::uint64_t epochKey, const RejectionFreeBlock& block) noexcept {
+    const auto bx = static_cast<std::uint32_t>(block.blockX());
+    const auto by = static_cast<std::uint32_t>(block.blockY());
+    return util::mix64(epochKey ^
+                       util::mix64((std::uint64_t{by} << 32) | bx));
+  }
+
+  /// "rejfree" and "blocks": the epoch's stream keys are
+  /// mix64(moveKey ^ salt).
+  static constexpr std::uint64_t kStreamSalt = 0x72656a66726565ULL;
+  static constexpr std::uint64_t kMultinomialSalt = 0x626c6f636b73ULL;
+
+  /// A flat window restored from a foreign snapshot may sit off the
+  /// 64-column lattice the block words need; one regrow realigns it.
+  static void realign(system::ParticleSystem& sys) {
+    if (!sys.grid().tiled() && (sys.grid().originX() & 63) != 0) {
+      const TriPoint anchor = sys.position(0);
+      sys.reserveInterior({&anchor, 1}, 0);
+    }
+  }
+
+  /// Grows the storage so that no move of the phase can regrow it: the
+  /// executor's storage rule with m_b in place of c_i.  Each particle of a
+  /// block needs m_b + kReserveSlack cells of storage around it, and never
+  /// more than the block widened by kInteriorMargin (no particle leaves
+  /// it), so a block not covered that far needs the box of its particles
+  /// widened by m_b + kReserveSlack, clipped to that.
+  void reserveStorage(system::ParticleSystem& sys) {
+    const system::BitGrid& grid = sys.grid();
+    constexpr std::int64_t kHalf = BlockEpoch::kBlockSize / 2;
+    constexpr std::int64_t kMargin = system::BitGrid::kInteriorMargin;
+    centers_.clear();
+    std::int64_t depth = 0;
+    for (std::size_t b = 0; b < active_; ++b) {
+      const RejectionFreeBlock& block = blocks_[b];
+      const std::int64_t x0 = block.originX();
+      const std::int64_t y0 = block.originY();
+      const TriPoint center{static_cast<std::int32_t>(x0 + kHalf),
+                            static_cast<std::int32_t>(y0 + kHalf)};
+      if (grid.coversInteriorBy(center, kHalf + kMargin)) continue;
+      // The box of the block's particles, from its occupied rows.
+      std::int64_t loX = BlockEpoch::kBlockSize;
+      std::int64_t hiX = -1;
+      std::int64_t loY = BlockEpoch::kBlockSize;
+      std::int64_t hiY = -1;
+      forEachRow(block.rows(), [&](std::int64_t y) {
+        const std::uint64_t left = grid.rowBits(x0, y0 + y);
+        const std::uint64_t right = grid.rowBits(x0 + 64, y0 + y);
+        if ((left | right) == 0) return;
+        loY = std::min(loY, y);
+        hiY = y;
+        loX = std::min<std::int64_t>(
+            loX, left != 0 ? std::countr_zero(left)
+                           : 64 + std::countr_zero(right));
+        hiX = std::max<std::int64_t>(
+            hiX, right != 0 ? 127 - std::countl_zero(right)
+                            : 63 - std::countl_zero(left));
+      });
+      const auto reach =
+          static_cast<std::int64_t>(block.proposals()) + reserveSlack_;
+      loX = std::max(loX - reach, -kMargin);
+      hiX = std::min(hiX + reach, BlockEpoch::kBlockSize - 1 + kMargin);
+      loY = std::max(loY - reach, -kMargin);
+      hiY = std::min(hiY + reach, BlockEpoch::kBlockSize - 1 + kMargin);
+      const TriPoint boxCenter{static_cast<std::int32_t>(x0 + (loX + hiX) / 2),
+                               static_cast<std::int32_t>(y0 + (loY + hiY) / 2)};
+      const std::int64_t boxDepth = (std::max(hiX - loX, hiY - loY) + 1) / 2;
+      if (grid.coversInteriorBy(boxCenter, boxDepth)) continue;
+      centers_.push_back(boxCenter);
+      depth = std::max(depth, boxDepth);
+    }
+    if (!centers_.empty()) sys.reserveInterior(centers_, depth);
+  }
+
+  /// An occupied block at absolute block coordinates (bx, by).
+  struct OccupiedBlock {
+    std::int64_t by = 0;
+    std::int64_t bx = 0;
+    std::uint64_t particles = 0;
+    RowSet rows{};  ///< block-local rows holding its particles
+  };
+
+  RejectionFreeRules rules_;
+  /// The storage a particle needs beyond its moves: the model's reach and
+  /// the grid's interior margin (the executor's kReserveSlack).
+  std::int64_t reserveSlack_;
+  /// The epoch's occupied blocks, in canonical order.
+  std::vector<OccupiedBlock> occupied_;
+  /// Flat grids: every block of the window's block grid.
+  std::vector<OccupiedBlock> window_;
+  /// Tiled grids: block key → its index in occupied_.
+  util::FlatMap64<std::uint32_t> slotOf_;
+  /// The epoch's blocks with proposals are blocks_[0, active_), in
+  /// canonical order; the vector keeps the rest for reuse.
+  std::vector<RejectionFreeBlock> blocks_;
+  std::size_t active_ = 0;
+  std::vector<std::size_t> order_;
+  std::vector<TriPoint> centers_;
 };
 
 }  // namespace sops::core

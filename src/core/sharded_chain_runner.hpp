@@ -34,16 +34,21 @@
 ///
 /// **Rejection-free epochs.**  For a compression-like model — uniform
 /// weight, no aux move — with uniform selection, an epoch runs through
-/// core::RejectionFreeIndex instead when the previous epoch accepted fewer
-/// than L / kRejectionFreeAcceptDivisor moves.  That kernel samples
+/// core::RejectionFreeSampler instead when the previous epoch accepted
+/// fewer than L / kRejectionFreeAcceptDivisor moves: a per-block n-fold
+/// way whose blocks run on the executor's workers.  That kernel samples
 /// exactly the block-path epoch's law (rejection_free.hpp), so choosing
 /// between the two by the past — even by the state — leaves every epoch's
 /// law, and π, unchanged; the rule reads only seed-determined counts, so
 /// trajectories stay identical at every thread count and across resume.
-/// Other models and weighted selection run every epoch on the block path.
+/// Its phase moves occupancy bits only and replays the moves into the
+/// cell → id index afterwards, so the index stays live through
+/// rejection-free epochs.  Other models and weighted selection run every
+/// epoch on the block path.
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -66,10 +71,9 @@ using ShardedChainOptions = BlockExecutorOptions;
 
 /// The routing constant: an epoch runs rejection-free when the previous
 /// one accepted fewer than L / kRejectionFreeAcceptDivisor moves.  Taken
-/// from one runner-level crossover table (DESIGN.md §Rejection-free
-/// epochs: a 10⁵ spiral at 2 and 4 threads); no benchmark workload runs
-/// the block side of the route, so other n and thread counts are
-/// unmeasured.
+/// from runner-level crossover tables (DESIGN.md §Rejection-free epochs:
+/// a 10⁵ spiral at 1, 2 and 4 threads); no benchmark workload runs the
+/// block side of the route, so other n and thread counts are unmeasured.
 inline constexpr std::uint64_t kRejectionFreeAcceptDivisor = 256;
 
 template <typename Model>
@@ -105,8 +109,9 @@ class ShardedChainRunner {
   }
 
   /// Routes every epoch through the rejection-free kernel, from the first,
-  /// and with `verifyEachMove` compares its index against a from-scratch
-  /// rebuild after every accepted move (throwing on a mismatch).
+  /// and with `verifyEachMove` compares each block's structures against a
+  /// from-scratch rebuild after every accepted move (throwing on a
+  /// mismatch).
   /// Test-only: it changes the trajectory, not the law.
   void forceRejectionFreeForTest(bool verifyEachMove = false) {
     SOPS_REQUIRE(rejectionFreeCapable_,
@@ -142,7 +147,6 @@ class ShardedChainRunner {
         if constexpr (kMaintainsIds) partnerIds_.sync(system_);
         system_.suspendIndex();
         executor_.runEpoch(kernel, tallies_);
-        indexCurrent_ = false;
       }
       lastEpochAccepted_ = tallies_.stats.movement.accepted - acceptedBefore;
       executed += executor_.epochLength();
@@ -200,8 +204,8 @@ class ShardedChainRunner {
   /// aux state, tallies, e(σ), the epoch index, the boundary-reject count,
   /// and the routing state — the last epoch's accepted count and the
   /// rejection-free epoch count.  Everything else — L, the alias table,
-  /// the decision table, the planes, the rejection-free index — comes from
-  /// the spec or the configuration.  Only legal between runAtLeast calls.
+  /// the decision table, the planes, the rejection-free blocks — comes
+  /// from the spec or the configuration.  Only legal between runAtLeast calls.
   void saveState(system::SnapshotWriter& w) const {
     SOPS_REQUIRE(!system_.indexSuspended(),
                  "saveState: only legal between runs (index suspended)");
@@ -241,7 +245,6 @@ class ShardedChainRunner {
       lastEpochAccepted_ = r.u64();
       rejectionFreeEpochs_ = r.u64();
     }
-    indexCurrent_ = false;
     SOPS_REQUIRE(system_.size() == particles,
                  "snapshot: particle count does not match the runner's spec");
     model_.attach(system_);
@@ -275,23 +278,23 @@ class ShardedChainRunner {
                executor_.epochLength();
   }
 
-  /// One epoch through the rejection-free kernel.  Its index is built at
-  /// the first such epoch and rebuilt after any block-path epoch; it needs
-  /// the cell → id index live.
+  /// One epoch through the rejection-free kernel, its blocks on the
+  /// executor's workers.  The replay after its phase needs the cell → id
+  /// index live.
   void runRejectionFreeEpoch() {
     if constexpr (kRejectionFreeCapable) {
       system_.restoreIndex();
-      if (!index_) {
-        index_ = std::make_unique<RejectionFreeIndex>(
+      if (!sampler_) {
+        sampler_ = std::make_unique<RejectionFreeSampler>(
             decisions_, greedy_, ModelInteractionRadius<Model>::value - 1);
       }
-      if (!indexCurrent_) {
-        index_->rebuild(system_);
-        indexCurrent_ = true;
-      }
-      const std::uint64_t boundaryRejects = index_->runEpoch(
+      const std::uint64_t boundaryRejects = sampler_->runEpoch(
           system_, executor_.nextEpoch(), executor_.epochLength(),
           tallies_.stats, tallies_.edges,
+          [this](std::size_t count,
+                 const std::function<void(std::size_t)>& fn) {
+            executor_.forEachBlock(count, fn);
+          },
           [this](std::size_t particle, TriPoint from, TriPoint to) {
             model_.onMoved(system_, particle, from, to);
           },
@@ -408,10 +411,9 @@ class ShardedChainRunner {
   bool verifyEachMove_ = false;
   std::uint64_t lastEpochAccepted_ = kNoEpoch;
   std::uint64_t rejectionFreeEpochs_ = 0;
-  /// Built at the first rejection-free epoch; current while only
-  /// rejection-free epochs have run since its last rebuild.
-  std::unique_ptr<RejectionFreeIndex> index_;
-  bool indexCurrent_ = false;
+  /// Built at the first rejection-free epoch; holds no state across
+  /// epochs beyond reused buffers.
+  std::unique_ptr<RejectionFreeSampler> sampler_;
 };
 
 }  // namespace sops::core

@@ -207,7 +207,10 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   summary.steps = run->stepsDone();
   summary.regime = run->regime();
   summary.counts = run->counts();
-  run->sampleMetrics(summary.finalMetrics);
+  // Every exit follows a sample of the state it leaves (the iteration-0
+  // row, or the one after the last advance), so the final metrics are
+  // that sample's checked values, not a second pass over the same state.
+  summary.finalMetrics = values;
   summary.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

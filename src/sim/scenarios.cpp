@@ -239,7 +239,16 @@ class ShardedRun : public ScenarioRun {
   }
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counts()
       const override {
-    return {{"rejection_free_epochs", runner_.rejectionFreeEpochs()}};
+    // The stage histogram of every proposal: movement outcomes plus the
+    // block-boundary rejects (with no aux move they sum to the steps).
+    const core::ChainStats& m = runner_.stats().movement;
+    return {{"rejection_free_epochs", runner_.rejectionFreeEpochs()},
+            {"accepted", m.accepted},
+            {"target_occupied", m.targetOccupied},
+            {"rejected_gap", m.rejectedGap},
+            {"rejected_property", m.rejectedProperty},
+            {"rejected_filter", m.rejectedFilter},
+            {"boundary_rejects", runner_.sweepEvents()}};
   }
   void setCancelToken(const core::CancelToken* cancel) override {
     runner_.setCancelToken(cancel);
@@ -468,8 +477,13 @@ class AmoebotRun : public ScenarioRun {
     return runner_->activations();
   }
   void sampleMetrics(std::vector<double>& out) const override {
-    const system::ParticleSystem tails = sys_.tailConfiguration();
-    pushPerimeterAndAlpha(tails, out);
+    // The tail projection read straight off the planes (occ & ~heads):
+    // no ParticleSystem, grid or hash is built per sample.
+    const std::vector<lattice::TriPoint> tails = sys_.tails();
+    const std::int64_t perimeter = system::perimeter(
+        tails, [this](lattice::TriPoint p) { return sys_.isTail(p); });
+    out.push_back(static_cast<double>(perimeter));
+    out.push_back(alphaOf(perimeter, tails.size()));
     out.push_back(runner_->activations() == 0
                       ? 0.0
                       : static_cast<double>(runner_->sweepActivations()) /

@@ -331,6 +331,18 @@ class BitGrid {
     return shift == 0 ? lo : lo | (alignedRowWord(k + 1, y) << (64 - shift));
   }
 
+  /// The words of window row y of the flat backend, y in [originY,
+  /// originY + height): word k holds the cells (originX + 64k + j, y) at
+  /// bit j — the raw form of rowBits() for whole-window scans.
+  [[nodiscard]] std::span<const std::uint64_t> flatRow(
+      std::int64_t y) const noexcept {
+    SOPS_DASSERT(!tiled_ && y >= originY_ &&
+                 y < originY_ + static_cast<std::int64_t>(height_));
+    return {words_.data() +
+                static_cast<std::size_t>(y - originY_) * strideWords_,
+            strideWords_};
+  }
+
   /// Sets the bit for p.  Flat precondition: covers(p).  Tiled: allocates
   /// p's tile on demand (so may throw on the tile cap — never reachable
   /// from a sharded parallel phase, which writes only inside tiles

@@ -16,22 +16,7 @@ using lattice::kAllDirections;
 using lattice::neighbor;
 using lattice::pack;
 
-// Directions whose offsets cover each undirected edge exactly once (their
-// opposites cover the other orientation).
-constexpr Direction kPositiveDirs[3] = {Direction::East, Direction::NorthEast,
-                                        Direction::SouthEast};
-
 }  // namespace
-
-std::int64_t countEdges(const ParticleSystem& sys) {
-  std::int64_t edges = 0;
-  for (const TriPoint p : sys.positions()) {
-    for (const Direction d : kPositiveDirs) {
-      edges += sys.occupied(neighbor(p, d)) ? 1 : 0;
-    }
-  }
-  return edges;
-}
 
 std::int64_t countTriangles(const ParticleSystem& sys) {
   std::int64_t triangles = 0;
@@ -48,30 +33,6 @@ std::int64_t countTriangles(const ParticleSystem& sys) {
 }
 
 namespace {
-
-/// A maximal horizontal run of occupied cells: row y, columns [a, b].
-struct Run {
-  std::int32_t y;
-  std::int32_t a;
-  std::int32_t b;
-};
-
-/// Every maximal horizontal run, sorted by (row, start): a particle whose
-/// West cell is free starts one, and the walk East ends it.  O(n)
-/// occupancy lookups plus O(R log R) for R runs.
-[[nodiscard]] std::vector<Run> horizontalRuns(const ParticleSystem& sys) {
-  std::vector<Run> runs;
-  for (const TriPoint p : sys.positions()) {
-    if (sys.occupied(neighbor(p, Direction::West))) continue;
-    std::int32_t end = p.x;
-    while (sys.occupied({end + 1, p.y})) ++end;
-    runs.push_back({p.y, p.x, end});
-  }
-  std::sort(runs.begin(), runs.end(), [](const Run& l, const Run& r) {
-    return l.y != r.y ? l.y < r.y : l.a < r.a;
-  });
-  return runs;
-}
 
 /// Union–find over dense ids with path halving.
 class DisjointSets {
@@ -125,9 +86,11 @@ void mergeAdjacentRows(std::size_t upperBegin, std::size_t upperEnd,
 
 }  // namespace
 
-Topology topology(const ParticleSystem& sys) {
-  if (sys.empty()) return {};
-  const std::vector<Run> runs = horizontalRuns(sys);
+Topology topologyOfRuns(std::vector<CellRun> runs) {
+  if (runs.empty()) return {};
+  std::sort(runs.begin(), runs.end(), [](const CellRun& l, const CellRun& r) {
+    return l.y != r.y ? l.y < r.y : l.a < r.a;
+  });
   // rows[k] is the index of row k's first run; rows.back() == runs.size().
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r < runs.size(); ++r) {
@@ -270,12 +233,8 @@ int countHoles(const ParticleSystem& sys) {
 }
 
 std::int64_t perimeter(const ParticleSystem& sys) {
-  SOPS_REQUIRE(!sys.empty(), "perimeter of empty system");
-  const Topology shape = topology(sys);
-  SOPS_REQUIRE(shape.components == 1,
-               "perimeter requires a connected configuration");
-  const auto n = static_cast<std::int64_t>(sys.size());
-  return perimeterFromCounts(n, countEdges(sys), shape.holes);
+  return perimeter(sys.positions(),
+                   [&sys](TriPoint p) { return sys.occupied(p); });
 }
 
 std::int64_t pMin(std::int64_t n) {

@@ -40,6 +40,8 @@
 /// face).
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "system/particle_system.hpp"
@@ -47,8 +49,28 @@
 
 namespace sops::system {
 
-/// Number of lattice edges with both endpoints occupied (e(σ)).
-[[nodiscard]] std::int64_t countEdges(const ParticleSystem& sys);
+/// Number of lattice edges with both endpoints occupied (e(σ)) among the
+/// distinct `cells`, where `occupied(p)` is true exactly on them — a
+/// configuration held outside a ParticleSystem (the amoebot tails).
+template <typename Occupied>
+[[nodiscard]] std::int64_t countEdges(std::span<const TriPoint> cells,
+                                      const Occupied& occupied) {
+  // East, NorthEast and SouthEast cover each undirected edge exactly
+  // once (their opposites cover the other orientation).
+  std::int64_t edges = 0;
+  for (const TriPoint p : cells) {
+    for (const Direction d : {Direction::East, Direction::NorthEast,
+                              Direction::SouthEast}) {
+      edges += occupied(lattice::neighbor(p, d)) ? 1 : 0;
+    }
+  }
+  return edges;
+}
+
+[[nodiscard]] inline std::int64_t countEdges(const ParticleSystem& sys) {
+  return countEdges(sys.positions(),
+                    [&sys](TriPoint p) { return sys.occupied(p); });
+}
 
 /// Number of triangular faces of G∆ with all three corners occupied (t(σ)).
 [[nodiscard]] std::int64_t countTriangles(const ParticleSystem& sys);
@@ -62,7 +84,38 @@ struct Topology {
   /// Finite maximal connected unoccupied regions (§2.2).
   std::int64_t holes = 0;
 };
-[[nodiscard]] Topology topology(const ParticleSystem& sys);
+
+/// A maximal horizontal run of occupied cells: row y, columns [a, b].
+struct CellRun {
+  std::int32_t y;
+  std::int32_t a;
+  std::int32_t b;
+};
+
+/// topology() from every maximal horizontal run of a configuration, in any
+/// order.
+[[nodiscard]] Topology topologyOfRuns(std::vector<CellRun> runs);
+
+/// topology() of the distinct `cells`, where `occupied(p)` is true exactly
+/// on them: a cell whose West cell is free starts a run, and the walk
+/// East ends it.
+template <typename Occupied>
+[[nodiscard]] Topology topology(std::span<const TriPoint> cells,
+                                const Occupied& occupied) {
+  std::vector<CellRun> runs;
+  for (const TriPoint p : cells) {
+    if (occupied(lattice::neighbor(p, Direction::West))) continue;
+    std::int32_t end = p.x;
+    while (occupied(TriPoint{end + 1, p.y})) ++end;
+    runs.push_back({p.y, p.x, end});
+  }
+  return topologyOfRuns(std::move(runs));
+}
+
+[[nodiscard]] inline Topology topology(const ParticleSystem& sys) {
+  return topology(sys.positions(),
+                  [&sys](TriPoint p) { return sys.occupied(p); });
+}
 
 /// True iff the configuration graph (occupied vertices, induced edges) is
 /// connected.  The empty system counts as connected.
@@ -98,6 +151,12 @@ struct ComplementRegions {
 /// n ≥ 1.
 [[nodiscard]] std::int64_t perimeter(const ParticleSystem& sys);
 
+/// perimeter() of the distinct `cells`, where `occupied(p)` is true
+/// exactly on them.
+template <typename Occupied>
+[[nodiscard]] std::int64_t perimeter(std::span<const TriPoint> cells,
+                                     const Occupied& occupied);
+
 /// Perimeter given precomputed pieces (hot-ish paths that already know
 /// e/h): 3n − e − 3C + 3·holes, which for a disconnected configuration is
 /// the sum of its components' perimeters.
@@ -110,6 +169,17 @@ struct ComplementRegions {
 /// Minimum possible perimeter of n particles: ⌈√(12n−3)⌉ − 3 (achieved by
 /// hexagonal spirals; Harary–Harborth via the hex-lattice duality of Fig 9).
 [[nodiscard]] std::int64_t pMin(std::int64_t n);
+
+template <typename Occupied>
+std::int64_t perimeter(std::span<const TriPoint> cells,
+                       const Occupied& occupied) {
+  SOPS_REQUIRE(!cells.empty(), "perimeter of empty system");
+  const Topology shape = topology(cells, occupied);
+  SOPS_REQUIRE(shape.components == 1,
+               "perimeter requires a connected configuration");
+  return perimeterFromCounts(static_cast<std::int64_t>(cells.size()),
+                             countEdges(cells, occupied), shape.holes);
+}
 
 /// Maximum possible perimeter of a connected hole-free configuration:
 /// 2n − 2 (spanning trees of G∆ with no induced triangles, §2.3).

@@ -129,6 +129,18 @@ void ParticleSystem::moveParticle(std::size_t particle, TriPoint to) {
   SOPS_DASSERT(!grid_.test(from));
 }
 
+std::size_t ParticleSystem::commitMove(TriPoint from, TriPoint to) {
+  SOPS_REQUIRE(!indexSuspended_, "commitMove() while the id index is suspended");
+  const std::int32_t* id = index_.find(lattice::pack(from));
+  SOPS_REQUIRE(id != nullptr, "commitMove(): no particle at the source cell");
+  const auto particle = static_cast<std::size_t>(*id);
+  index_.erase(lattice::pack(from));
+  index_.insert(lattice::pack(to), static_cast<std::int32_t>(particle));
+  positions_[particle] = to;
+  SOPS_DASSERT(grid_.test(to));
+  return particle;
+}
+
 void ParticleSystem::restoreWindowGeometry(std::int64_t originX,
                                            std::int64_t originY,
                                            std::uint64_t width,

@@ -112,6 +112,26 @@ class ParticleSystem {
   /// chain enforces adjacency itself).
   void moveParticle(std::size_t particle, TriPoint to);
 
+  /// The grid half of moveParticle(), for a parallel phase: clears `from`
+  /// and sets `to` in the occupancy grid and touches nothing else, so
+  /// concurrent workers may call it for cells in disjoint grid words.  The
+  /// position vector and the cell → id index keep the particle at `from`
+  /// until commitMove(from, to); in between only the grid may be read.
+  /// Preconditions: `from` occupied, `to` free, and coversInterior(to) —
+  /// nothing regrows.
+  void moveOccupancy(TriPoint from, TriPoint to) {
+    SOPS_DASSERT(grid_.test(from) && !grid_.test(to));
+    SOPS_DASSERT(grid_.coversInterior(to));
+    grid_.clear(from);
+    grid_.set(to);
+  }
+
+  /// Completes a moveOccupancy(from, to): the particle the index places at
+  /// `from` moves to `to` in the position vector and the index.  Returns
+  /// its id.  Moves committed in the order they were made replay any
+  /// sequence of moveOccupancy() calls exactly.
+  std::size_t commitMove(TriPoint from, TriPoint to);
+
   /// Suspends maintenance of the cell → id hash index so that concurrent
   /// workers may moveParticle() *disjoint* particles whose reads and
   /// writes touch disjoint grid words (the sharded chain runner's

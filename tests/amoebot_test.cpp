@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "amoebot/amoebot_system.hpp"
+#include "system/metrics.hpp"
 #include "system/shapes.hpp"
 
 namespace sops::amoebot {
@@ -140,6 +141,48 @@ TEST(AmoebotSystem, TailConfigurationProjectsExpandedParticles) {
   EXPECT_TRUE(tails.occupied({0, 0}));  // expanded particle counted at tail
   EXPECT_TRUE(tails.occupied({1, 0}));
   EXPECT_FALSE(tails.occupied({0, 1}));
+}
+
+TEST(AmoebotSystem, TailTopologyWithoutATailConfiguration) {
+  // The sampler's projection — tails() and isTail() fed to the cell-list
+  // overloads of topology()/countEdges()/perimeter() — must equal the
+  // same metrics of tailConfiguration(), with expanded and crashed
+  // particles, on flat planes (a ring with a hole, so holes count) and on
+  // tiled ones (a far outlier promotes them; two components).
+  for (const bool tiled : {false, true}) {
+    std::vector<TriPoint> points = system::ringConfiguration(4).positions();
+    for (std::int32_t x = 5; x < 40; ++x) points.push_back({x, 0});
+    if (tiled) points.push_back({60000, 20000});
+    AmoebotSystem sys = makeSystem(points, 7);
+    ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
+    std::size_t expanded = 0;
+    for (std::size_t i = 0; i < sys.size(); i += 3) {
+      for (const Direction d : lattice::kAllDirections) {
+        const TriPoint head = lattice::neighbor(sys.particle(i).tail, d);
+        if (sys.occupancyGrid().test(head)) continue;
+        sys.expand(i, d);
+        ++expanded;
+        break;
+      }
+      if (i % 2 == 0) sys.markCrashed(i);
+    }
+    ASSERT_GT(expanded, 10u);
+    const system::ParticleSystem reference = sys.tailConfiguration();
+    const std::vector<TriPoint> tails = sys.tails();
+    const auto isTail = [&sys](TriPoint p) { return sys.isTail(p); };
+    const system::Topology shape = system::topology(tails, isTail);
+    const system::Topology expected = system::topology(reference);
+    EXPECT_EQ(shape.components, expected.components);
+    EXPECT_EQ(shape.holes, expected.holes);
+    EXPECT_EQ(shape.components, tiled ? 2 : 1);
+    EXPECT_EQ(system::countEdges(tails, isTail),
+              system::countEdges(reference));
+    if (!tiled) {
+      EXPECT_EQ(shape.holes, 1);
+      EXPECT_EQ(system::perimeter(tails, isTail),
+                system::perimeter(reference));
+    }
+  }
 }
 
 TEST(AmoebotSystem, FlagStorage) {

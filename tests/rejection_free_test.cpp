@@ -1,17 +1,19 @@
 // Rejection-free epochs (core/rejection_free.hpp) and the sharded runner's
 // epoch routing (core/sharded_chain_runner.hpp).
 //
-//  1. The index: after every accepted move its incrementally kept codes,
-//     per-code counts, chunk counts, Fenwick trees and crossing counts
-//     equal a from-scratch rebuild — on flat and tiled systems, for the
-//     paper's chain and its ablations; the band scan
-//     equals the particle-by-particle crossing count; the memory budget.
+//  1. The per-block structures: after every accepted move each block's
+//     counts and candidate lists equal a from-scratch rebuild — on flat
+//     and tiled systems, for the paper's chain and its ablations, and at
+//     four threads while the other blocks run; each block's word rebuild
+//     equals the particle-by-particle count; the memory budget.
 //  2. The law: a rejection-free epoch samples the block-path epoch's law.
 //     Chi-square of visited configurations against exact π at n = 4, 5, 6
 //     (and at 3-proposal epochs, where nearly every geometric run is cut
-//     at the epoch end); two-sample KS of e(σ), the perimeter, the
+//     at a block's end); two-sample KS of e(σ), the perimeter, the
 //     boundary-reject count and every stage tally against the list-order
-//     oracle at n = 10⁴.
+//     oracle at n = 10⁴ and on configurations a block line cuts in every
+//     epoch; chi-square of the blocks' proposal counts against the
+//     multinomial; two identical blocks draw independently.
 //  3. Routing: the default runner never leaves the block path; with
 //     routing on, the trajectory — and the rejection-free epoch count — is
 //     identical at every thread count and across a snapshot at a different
@@ -23,11 +25,15 @@
 // below 5 expected pooled; KS p > 0.001 per observable; fixed seeds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/stats.hpp"
@@ -55,7 +61,7 @@ Runner makeRunner(system::ParticleSystem initial, const ChainOptions& options,
   return Runner(std::move(initial), CompressionModel(options), seed, sharded);
 }
 
-// --- 1. the index -----------------------------------------------------------
+// --- 1. the per-block structures -------------------------------------------
 
 TEST(RejectionFreeIndex, MatchesRebuildAfterEveryAcceptedMove) {
   enum class Backend { Flat, Tiled };
@@ -96,37 +102,124 @@ TEST(RejectionFreeIndex, MatchesRebuildAfterEveryAcceptedMove) {
   }
 }
 
-TEST(RejectionFreeIndex, BandScanMatchesParticleScan) {
-  // A 10⁵ spiral on a flat grid crosses several block lines in both axes
-  // under every offset; the word-parallel band scan must count exactly
-  // the crossing pairs the per-particle definition does, code by code.
-  const system::ParticleSystem spiral = system::spiralConfiguration(100000);
-  ASSERT_FALSE(spiral.grid().tiled());
+TEST(RejectionFreeIndex, MatchesRebuildAfterEveryMoveAtFourThreads) {
+  // A 10⁴ spiral at λ = 4 on four workers: every accepted move of every
+  // block is checked against a rebuild of its block while the other
+  // blocks run, and the run must match the single-thread one.
   ChainOptions options;
-  RejectionFreeIndex index(buildDecisionTable(options), false, 1);
-  index.rebuild(spiral);
-  for (std::uint64_t e = 0; e < 48; ++e) {
-    const BlockEpoch ep = BlockEpoch::draw(77, e);
-    index.countCrossingsByBands(spiral, ep);
-    const PairCounts bands = index.crossingCounts();
-    index.countCrossingsByParticles(spiral, ep);
-    EXPECT_EQ(bands, index.crossingCounts()) << "epoch " << e;
-    EXPECT_GT(bands[kPairOccupied], 1000u);
+  const system::ParticleSystem spiral = system::spiralConfiguration(10000);
+  const auto runWith = [&](unsigned threads) {
+    Runner runner = makeRunner(spiral, options, 4101, threads);
+    runner.forceRejectionFreeForTest(/*verifyEachMove=*/true);
+    runner.runAtLeast(8 * 20000);
+    EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
+    EXPECT_TRUE(system::isConnected(runner.system()));
+    return std::pair{runner.system().positions(),
+                     runner.stats().movement.accepted};
+  };
+  const auto four = runWith(4);
+  EXPECT_GT(four.second, 100u);
+  EXPECT_TRUE(four == runWith(1));
+}
+
+/// Block b's counts, crossing pairs and particles, particle by particle.
+struct BlockReference {
+  PairCounts counts{};
+  std::uint64_t crossing = 0;
+  std::uint64_t particles = 0;
+};
+
+std::map<std::pair<std::int64_t, std::int64_t>, BlockReference>
+referenceBlocks(const system::ParticleSystem& sys, const BlockEpoch& ep,
+                const RejectionFreeRules& rules) {
+  std::map<std::pair<std::int64_t, std::int64_t>, BlockReference> blocks;
+  const auto reach = blockReach(1);
+  for (const TriPoint p : sys.positions()) {
+    const std::int64_t bx = (p.x - ep.offsetX) >> BlockEpoch::kBlockShift;
+    const std::int64_t by = (p.y - ep.offsetY) >> BlockEpoch::kBlockShift;
+    BlockReference& block = blocks[{by, bx}];
+    ++block.particles;
+    for (int d = 0; d < lattice::kNumDirections; ++d) {
+      const lattice::Direction dir = lattice::directionFromIndex(d);
+      if (!ep.inside(p, reach[static_cast<std::size_t>(d)])) {
+        ++block.crossing;
+      } else if (sys.occupied(lattice::neighbor(p, dir))) {
+        ++block.counts[kPairOccupied];
+      } else {
+        ++block.counts[rules.maskCode[sys.ringMask(p, dir)]];
+      }
+    }
+  }
+  return blocks;
+}
+
+TEST(RejectionFreeIndex, BandScanMatchesParticleScan) {
+  // A 10⁵ spiral on a flat grid (and on a tiled one) crosses several
+  // block lines in both axes under every offset; each block's word-
+  // parallel rebuild must count exactly the pairs the per-particle
+  // definition does, code by code, and list every filter pair once.
+  for (const bool tiled : {false, true}) {
+    system::ParticleSystem spiral = system::spiralConfiguration(100000);
+    if (tiled) spiral.forceTiledForTest();
+    ASSERT_EQ(spiral.grid().tiled(), tiled);
+    RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+    for (std::uint64_t e = 0; e < 24; ++e) {
+      const BlockEpoch ep = BlockEpoch::draw(77, e);
+      // L far above n: every occupied block draws proposals.
+      sampler.placeBlocks(spiral, ep, 1000 * 100000);
+      const auto reference =
+          referenceBlocks(spiral, ep, sampler.rules());
+      ASSERT_EQ(sampler.blocks().size(), reference.size()) << "epoch " << e;
+      std::uint64_t crossing = 0;
+      for (const RejectionFreeBlock& placed : sampler.blocks()) {
+        RejectionFreeBlock block = placed;
+        block.rebuild(spiral.grid(), sampler.rules());
+        const auto it = reference.find({block.blockY(), block.blockX()});
+        ASSERT_NE(it, reference.end());
+        EXPECT_EQ(block.particles(), it->second.particles);
+        EXPECT_EQ(block.counts(), it->second.counts) << "epoch " << e;
+        EXPECT_EQ(block.crossing(), it->second.crossing) << "epoch " << e;
+        EXPECT_TRUE(block.matchesRebuild(spiral.grid(), sampler.rules()));
+        crossing += block.crossing();
+      }
+      EXPECT_GT(crossing, 1000u);
+    }
   }
 }
 
 TEST(RejectionFreeIndex, FitsTheMemoryBudgetAtN1e5) {
-  const system::ParticleSystem spiral = system::spiralConfiguration(100000);
-  ChainOptions options;
-  RejectionFreeIndex index(buildDecisionTable(options), false, 1);
-  index.rebuild(spiral);
-  EXPECT_LE(index.memoryBytes(), std::size_t{1} << 20);
-  // Occupied pairs are the edges counted from both ends.
-  EXPECT_EQ(index.counts()[kPairOccupied],
-            2 * static_cast<std::uint64_t>(system::countEdges(spiral)));
+  // The per-block structures of a 10⁵ spiral at λ = 4, after twenty
+  // epochs, against the 0.5 MiB the persistent index they replace held.
+  system::ParticleSystem spiral = system::spiralConfiguration(100000);
+  const std::int64_t edgesBefore = system::countEdges(spiral);
+  RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+  EngineStats stats;
+  std::int64_t edges = edgesBefore;
+  std::uint64_t rejects = 0;
+  const RejectionFreeSampler::ForEach inOrder =
+      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        for (std::size_t j = 0; j < count; ++j) fn(j);
+      };
+  for (std::uint64_t e = 0; e < 20; ++e) {
+    rejects += sampler.runEpoch(spiral, BlockEpoch::draw(5, e), 200000, stats,
+                                edges, inOrder,
+                                [](std::size_t, TriPoint, TriPoint) {});
+  }
+  EXPECT_LE(sampler.memoryBytes(), std::size_t{1} << 19);
+  EXPECT_EQ(stats.steps, 20u * 200000u);
+  EXPECT_EQ(stats.steps, stats.movement.steps + rejects);
+  EXPECT_GT(stats.movement.accepted, 0u);
+  EXPECT_EQ(edges, system::countEdges(spiral));
+  // Every pair of every particle is counted once: coded or crossing.
   std::uint64_t pairs = 0;
-  for (const std::uint64_t c : index.counts()) pairs += c;
-  EXPECT_EQ(pairs, 6u * 100000u);
+  std::uint64_t particles = 0;
+  for (const RejectionFreeBlock& block : sampler.blocks()) {
+    for (const std::uint64_t c : block.counts()) pairs += c;
+    pairs += block.crossing();
+    particles += block.particles();
+  }
+  EXPECT_EQ(pairs, 6 * particles);
+  EXPECT_LE(particles, 100000u);
 }
 
 }  // namespace
@@ -197,16 +290,15 @@ TEST(RejectionFreeDistribution, TruncatedEpochsMatchExactPi) {
   expectRejectionFreeMatchesPi(5, 200000, 2501, 3);
 }
 
-TEST(RejectionFreeDistribution, MatchesListOrderOracleKS) {
-  // The compressed regime at n = 10⁴: R independent replicas per side
-  // from the same spiral, k epochs each; the rejection-free side against
-  // the list-order oracle (the block path's law, bit for bit).  e(σ), the
-  // perimeter, the boundary-reject count and every stage tally of
-  // EngineStats, each by two-sample KS.
-  const std::int64_t n = 10000;
-  constexpr int kReplicas = 48;
-  constexpr int kEpochs = 6;
-  constexpr std::uint64_t kLength = 2 * n;
+/// Two-sample KS of e(σ), the perimeter, the boundary-reject count and
+/// every stage tally of EngineStats after `epochs` epochs of `length`
+/// proposals from `start`: R replicas with rejection-free epochs forced
+/// against R on the list-order oracle (the block path's law, bit for
+/// bit).
+void expectRejectionFreeMatchesListOrder(const system::ParticleSystem& start,
+                                         int replicas, int epochs,
+                                         std::uint64_t length,
+                                         std::uint64_t seed) {
   ChainOptions options;
   options.lambda = 4.0;
   constexpr int kObservables = 8;
@@ -215,19 +307,19 @@ TEST(RejectionFreeDistribution, MatchesListOrderOracleKS) {
       "occupied", "rejected gap", "rejected property", "rejected filter"};
   std::vector<double> samples[kObservables][2];
   for (int side = 0; side < 2; ++side) {
-    for (int r = 0; r < kReplicas; ++r) {
+    for (int r = 0; r < replicas; ++r) {
       Runner runner =
-          makeRunner(system::spiralConfiguration(n), options,
-                     7000 + static_cast<std::uint64_t>(r) * 31 + 100000 * side,
-                     1, kLength);
+          makeRunner(start, options,
+                     seed + static_cast<std::uint64_t>(r) * 31 + 100000 * side,
+                     1, length);
       if (side == 0) {
         runner.forceRejectionFreeForTest();
       } else {
         runner.forceBlockPathForTest();
       }
-      runner.runAtLeast(kEpochs * kLength);
+      runner.runAtLeast(static_cast<std::uint64_t>(epochs) * length);
       ASSERT_EQ(runner.rejectionFreeEpochs(),
-                static_cast<std::uint64_t>(side == 0 ? kEpochs : 0));
+                static_cast<std::uint64_t>(side == 0 ? epochs : 0));
       const ChainStats& m = runner.stats().movement;
       ASSERT_EQ(runner.stats().steps, m.steps + runner.sweepEvents());
       const double values[kObservables] = {
@@ -249,6 +341,121 @@ TEST(RejectionFreeDistribution, MatchesListOrderOracleKS) {
         analysis::ksTwoSample(samples[k][0], samples[k][1]);
     EXPECT_GT(ks.pValue, 0.001) << names[k] << ": D = " << ks.statistic;
   }
+}
+
+TEST(RejectionFreeDistribution, MatchesListOrderOracleKS) {
+  // The compressed regime at n = 10⁴: many blocks, few accepted moves.
+  expectRejectionFreeMatchesListOrder(system::spiralConfiguration(10000), 48,
+                                      6, 20000, 7000);
+}
+
+TEST(RejectionFreeDistribution, MatchesListOrderOracleOnCutLineKS) {
+  // A hexagon of 37 with a tail along x ∈ [34, 140]: a vertical block line
+  // (x = 64 or x = 128, by the epoch's x-offset) cuts the tail in every
+  // epoch, so the blocks differ in size and composition — one holds the
+  // hexagon, which accepts little, the other the loose tail, which
+  // accepts much.
+  std::vector<TriPoint> points;
+  for (std::int32_t y = -3; y <= 3; ++y) {
+    for (std::int32_t x = -3; x <= 3; ++x) {
+      if (lattice::latticeDistance({0, 0}, {x, y}) <= 3) {
+        points.push_back({30 + x, y});
+      }
+    }
+  }
+  for (std::int32_t x = 34; x <= 140; ++x) points.push_back({x, 0});
+  const system::ParticleSystem start(points);
+  expectRejectionFreeMatchesListOrder(start, 300, 4, 2 * start.size(), 9100);
+  // An 8-particle line at x ∈ [60, 67]: cut 4 | 4 under an x-offset of
+  // 64, whole under 0.  Blocks this small weigh every per-block
+  // quantity — n_b in the candidate rate, the block's own streams.
+  std::vector<TriPoint> line;
+  for (std::int32_t x = 60; x < 68; ++x) line.push_back({x, 0});
+  expectRejectionFreeMatchesListOrder(system::ParticleSystem(line), 300, 20,
+                                      16, 9200);
+}
+
+TEST(RejectionFreeDistribution, BlocksDrawIndependently) {
+  // Two copies of one 3-particle line at the same place in two blocks (the
+  // sampler alone: it needs no connected configuration).  Each block runs
+  // from its own (seed, e, block) streams, so their first moves coincide
+  // only as often as two independent draws do; blocks sharing one stream
+  // would repeat each other's moves.
+  std::vector<TriPoint> points;
+  for (const std::int32_t shift : {0, 256}) {
+    for (std::int32_t x = 20; x < 23; ++x) points.push_back({shift + x, 20});
+  }
+  RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+  const RejectionFreeSampler::ForEach inOrder =
+      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        for (std::size_t j = 0; j < count; ++j) fn(j);
+      };
+  int both = 0;
+  int same = 0;
+  for (std::uint64_t e = 0; e < 4000; ++e) {
+    system::ParticleSystem sys(points);
+    BlockEpoch ep = BlockEpoch::draw(1401, e);
+    ep.offsetX = 0;
+    ep.offsetY = 0;
+    EngineStats stats;
+    std::int64_t edges = 4;
+    sampler.runEpoch(sys, ep, 40, stats, edges, inOrder,
+                     [](std::size_t, TriPoint, TriPoint) {});
+    const auto blocks = sampler.blocks();
+    if (blocks.size() != 2 || blocks[0].moves().empty() ||
+        blocks[1].moves().empty()) {
+      continue;
+    }
+    ++both;
+    const RejectionFreeBlock::Move a = blocks[0].moves()[0];
+    const RejectionFreeBlock::Move b = blocks[1].moves()[0];
+    const TriPoint shift{256, 0};
+    same += (a.from + shift == b.from && a.to + shift == b.to) ? 1 : 0;
+  }
+  ASSERT_GT(both, 1000);
+  // Independent first moves coincide with probability Σ p² over the few
+  // candidate moves of the line — well under one half.
+  EXPECT_LT(static_cast<double>(same) / both, 0.5)
+      << same << " of " << both << " first moves coincide";
+}
+
+TEST(RejectionFreeDistribution, BlockProposalCountsMatchTheMultinomial) {
+  // A 10-particle line at x ∈ [60, 69] under an x-offset of 64: 4
+  // particles left of the block line, 6 right of it.  Over many epoch
+  // keys, the left block's share of L = 8 proposals must be Binomial(8,
+  // 4/10) — the factorisation's (m_b) ~ Multinomial(L, n_b / n).
+  std::vector<TriPoint> points;
+  for (std::int32_t x = 60; x < 70; ++x) points.push_back({x, 5});
+  const system::ParticleSystem line(points);
+  RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+  constexpr std::uint64_t kLength = 8;
+  std::vector<double> counts(kLength + 1, 0.0);
+  for (std::uint64_t e = 0; e < 40000; ++e) {
+    BlockEpoch ep = BlockEpoch::draw(1301, e);
+    ep.offsetX = 64;
+    ep.offsetY = 0;
+    sampler.placeBlocks(line, ep, kLength);
+    std::uint64_t left = 0;
+    std::uint64_t total = 0;
+    for (const RejectionFreeBlock& block : sampler.blocks()) {
+      if (block.blockX() == -1) left = block.proposals();
+      total += block.proposals();
+      EXPECT_EQ(block.particles(), block.blockX() == -1 ? 4u : 6u);
+    }
+    ASSERT_EQ(total, kLength);
+    counts[left] += 1.0;
+  }
+  std::vector<double> pmf(kLength + 1, 0.0);
+  for (std::uint64_t k = 0; k <= kLength; ++k) {
+    pmf[k] = std::tgamma(kLength + 1.0) /
+             (std::tgamma(k + 1.0) * std::tgamma(kLength - k + 1.0)) *
+             std::pow(0.4, static_cast<double>(k)) *
+             std::pow(0.6, static_cast<double>(kLength - k));
+  }
+  const analysis::ChiSquareResult gof =
+      analysis::chiSquareGoodnessOfFit(counts, pmf);
+  EXPECT_GT(gof.pValue, kAcceptP)
+      << "chi2 = " << gof.statistic << ", dof = " << gof.dof;
 }
 
 }  // namespace

@@ -29,11 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "core/cancel.hpp"
 #include "core/scenario_models.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
+#include "system/snapshot.hpp"
 
 namespace sops::sim {
 namespace {
@@ -409,6 +411,118 @@ class FixedMetricsScenario : public Scenario {
 void registerOnce(std::unique_ptr<Scenario> scenario) {
   if (Registry::instance().find(scenario->name()) == nullptr) {
     Registry::instance().add(std::move(scenario));
+  }
+}
+
+/// A scenario whose one metric is its step count, counting every
+/// sampleMetrics() call in a process-wide counter; snapshots carry the
+/// step count, so it resumes.
+std::atomic<int> gCountingSamples{0};
+
+class CountingScenario : public Scenario {
+ public:
+  [[nodiscard]] std::string name() const override { return "test-counting"; }
+  [[nodiscard]] std::string description() const override {
+    return "test scenario that counts its metric samples";
+  }
+  [[nodiscard]] ParamSchema schema() const override { return {}; }
+  [[nodiscard]] std::vector<std::string> metricNames() const override {
+    return {"steps"};
+  }
+  [[nodiscard]] std::unique_ptr<ScenarioRun> start(
+      const RunSpec&, std::uint64_t, unsigned) const override {
+    class Run : public ScenarioRun {
+     public:
+      void advance(std::uint64_t steps) override { done_ += steps; }
+      [[nodiscard]] std::uint64_t stepsDone() const override { return done_; }
+      void sampleMetrics(std::vector<double>& out) const override {
+        ++gCountingSamples;
+        out.push_back(static_cast<double>(done_));
+      }
+      [[nodiscard]] system::ParticleSystem snapshot() const override {
+        return system::lineConfiguration(1);
+      }
+      [[nodiscard]] bool supportsSnapshots() const override { return true; }
+      void saveState(system::SnapshotWriter& w) const override { w.u64(done_); }
+      void restoreState(system::SnapshotReader& r) override { done_ = r.u64(); }
+
+     private:
+      std::uint64_t done_ = 0;
+    };
+    return std::make_unique<Run>();
+  }
+};
+
+/// Records every sample row; trips `cancel` after the row at `cancelAt`.
+class RowRecorder : public Observer {
+ public:
+  explicit RowRecorder(core::CancelToken* cancel = nullptr,
+                       std::uint64_t cancelAt = 0)
+      : cancel_(cancel), cancelAt_(cancelAt) {}
+  void onSample(const Sample& sample) override {
+    rows.emplace_back(sample.values.begin(), sample.values.end());
+    if (cancel_ != nullptr && sample.iteration == cancelAt_) {
+      cancel_->requestCancel();
+    }
+  }
+  std::vector<std::vector<double>> rows;
+
+ private:
+  core::CancelToken* cancel_;
+  std::uint64_t cancelAt_;
+};
+
+TEST(SimRunner, FinalMetricsReuseTheLastSampleRow) {
+  // The replica's final metrics are the last sample row — the state has
+  // not changed since — so the sampler runs once per checkpoint plus the
+  // iteration-0 row, whichever way the replica ends.
+  registerOnce(std::make_unique<CountingScenario>());
+  const auto expectRows = [](const RunReport& report, const RowRecorder& rec,
+                             std::size_t samples, const char* what) {
+    EXPECT_EQ(gCountingSamples.load(), static_cast<int>(samples)) << what;
+    ASSERT_EQ(rec.rows.size(), samples) << what;
+    EXPECT_EQ(report.replicas.at(0).finalMetrics, rec.rows.back()) << what;
+  };
+  const RunSpec spec =
+      RunSpec::parse("scenario=test-counting steps=100 checkpoint=25");
+  {  // Normal end: rows at 0, 25, 50, 75, 100.
+    gCountingSamples = 0;
+    RowRecorder rec;
+    const RunReport report = run(spec, rec);
+    expectRows(report, rec, 5, "normal end");
+    EXPECT_EQ(report.finalMetric(0, "steps"), 100.0);
+  }
+  {  // StopWhen after the row at 50.
+    gCountingSamples = 0;
+    RowRecorder rec;
+    const RunReport report = run(
+        spec, rec, [](const Sample& sample) { return sample.values[0] >= 50; });
+    expectRows(report, rec, 3, "StopWhen");
+    EXPECT_EQ(report.finalMetric(0, "steps"), 50.0);
+  }
+  {  // Cancelled after the row at 25: the loop top sees the token.
+    gCountingSamples = 0;
+    core::CancelToken cancel;
+    RowRecorder rec(&cancel, 25);
+    const RunReport report = run(spec, rec, nullptr, &cancel);
+    expectRows(report, rec, 2, "cancel at the loop top");
+    EXPECT_EQ(report.finalMetric(0, "steps"), 25.0);
+  }
+  {  // Resumed at the last step: only the restored checkpoint's row.
+    const std::string snap = ::testing::TempDir() + "counting_final.snap";
+    RunSpec finished = spec;
+    finished.snapshotPath = snap;
+    RowRecorder first;
+    (void)run(finished, first);
+    gCountingSamples = 0;
+    RunSpec resumed = spec;
+    resumed.resumePath = snap;
+    RowRecorder rec;
+    const RunReport report = run(resumed, rec);
+    expectRows(report, rec, 1, "resume at the last step");
+    EXPECT_EQ(report.finalMetric(0, "steps"), 100.0);
+    std::remove(snap.c_str());
+    std::remove((snap + ".prev").c_str());
   }
 }
 

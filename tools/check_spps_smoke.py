@@ -12,7 +12,10 @@ amoebot Algorithm A.  Both runners route their compressed-regime epochs
 through a rejection-free kernel: the replica record's
 rejection_free_epochs must be a positive integer, equal at both thread
 counts — and for amoebot so must the activation outcome counts idle,
-expanded, moved_to_head and contracted_back.
+expanded, moved_to_head and contracted_back.  The compression record's
+stage histogram (accepted, target_occupied, rejected_gap,
+rejected_property, rejected_filter, boundary_rejects) must sum to its
+steps and be equal at both thread counts.
 
 Every replica record must name its occupancy regime: "dense-flat" or
 "dense-tiled" (a missing or any other value fails).
@@ -24,8 +27,8 @@ And the crash-resume smoke for durable runs: SIGKILL an spps process
 mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
 uninterrupted run of the same spec (for sharded compression and amoebot
-on a 20000-particle spiral, with the same rejection_free_epochs and
-outcome counts); plus SIGTERM → graceful exit 3 with the cancelled step
+on a 20000-particle spiral, with the same rejection_free_epochs, stage
+histogram and outcome counts); plus SIGTERM → graceful exit 3 with the cancelled step
 in the primary snapshot, and a clean run that leaves its final step
 there.
 
@@ -59,7 +62,11 @@ BASE = "n=60 steps=200000 checkpoint=50000 seed=1603"
 CHECKPOINTS = 4  # steps / checkpoint
 
 # Seed-only counts of each sharded runner's replica record.
-COMPRESSION_COUNTS = ("rejection_free_epochs",)
+# Every proposal of the sharded chain ends in exactly one of these stages.
+COMPRESSION_STAGES = ("accepted", "target_occupied", "rejected_gap",
+                      "rejected_property", "rejected_filter",
+                      "boundary_rejects")
+COMPRESSION_COUNTS = ("rejection_free_epochs",) + COMPRESSION_STAGES
 AMOEBOT_OUTCOMES = ("idle", "expanded", "moved_to_head", "contracted_back")
 AMOEBOT_COUNTS = ("rejection_free_epochs",) + AMOEBOT_OUTCOMES
 
@@ -210,6 +217,11 @@ def replica_counts(jsonl_path, what, keys):
         if type(value) is not int or value < 0:
             fail(f"{what}: {key} {value!r} is not a non-negative integer")
         counts[key] = value
+    if set(keys) >= set(COMPRESSION_STAGES):
+        staged = sum(counts[key] for key in COMPRESSION_STAGES)
+        if staged != replicas[0]["steps"]:
+            fail(f"{what}: the stage histogram sums to {staged}, not the "
+                 f"{replicas[0]['steps']} steps run")
     if set(keys) >= set(AMOEBOT_OUTCOMES):
         executed = sum(counts[key] for key in AMOEBOT_OUTCOMES)
         if executed > replicas[0]["steps"]:
@@ -219,8 +231,10 @@ def replica_counts(jsonl_path, what, keys):
 
 
 def expect_positive_counts(counts, what):
+    """Routing and outcome counts must be positive; a stage of the
+    compression histogram may legitimately stay empty."""
     for key, value in counts.items():
-        if value <= 0:
+        if key not in COMPRESSION_STAGES and value <= 0:
             fail(f"{what}: {key} is {value}, expected a positive count")
 
 
