@@ -319,8 +319,9 @@ BENCHMARK(BM_ShardedActivations)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_ShardedActivationsRouted(benchmark::State& state) {
   // The same spiral with the runner's own epoch routing: after the first
-  // epoch every epoch runs rejection-free (amoebot/rejection_free.hpp), on
-  // the calling thread — the row the block rows above compare against.
+  // epoch every epoch runs rejection-free (core::RejectionFreeSampler
+  // under amoebot::RejectionFreeRule), its blocks on the runner's
+  // workers — the row the block rows above compare against.
   rng::Random rng(7);
   amoebot::AmoebotSystem sys(system::spiralConfiguration(1000000), rng);
   const amoebot::LocalCompressionAlgorithm algo({4.0});

@@ -47,7 +47,9 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
 void AmoebotSystem::rebuildExpansionPlanes() {
   heads_.allocateLike(occ_);
   expanded_.allocateLike(occ_);
+  faulty_.allocateLike(occ_);
   for (const Particle& p : particles_) {
+    if (p.crashed || p.byzantine) faulty_.set(p.tail);
     if (!p.expanded) continue;
     heads_.set(p.head);
     expanded_.set(p.tail);
@@ -76,6 +78,7 @@ void AmoebotSystem::reserveInterior(std::span<const TriPoint> centers,
   for (const TriPoint c : centers) occ_.ensureRegion(c, depth);
   heads_.ensureTilesOf(occ_);
   expanded_.ensureTilesOf(occ_);
+  faulty_.ensureTilesOf(occ_);
 }
 
 void AmoebotSystem::recountExpanded() {
@@ -96,10 +99,7 @@ void AmoebotSystem::rebuildIdIndex() const {
   idIndexDirty_ = false;
 }
 
-void AmoebotSystem::suspendIdIndex() {
-  sharded_ = true;
-  liveIndex_ = false;
-}
+void AmoebotSystem::suspendIdIndex() { sharded_ = true; }
 
 void AmoebotSystem::restoreIdIndex() {
   if (!sharded_) return;
@@ -110,10 +110,22 @@ void AmoebotSystem::restoreIdIndex() {
   recountExpanded();
 }
 
-void AmoebotSystem::keepIdIndexLive() {
+void AmoebotSystem::freezeIdIndex() {
   restoreIdIndex();
   if (idIndexDirty_) rebuildIdIndex();
-  liveIndex_ = true;
+  sharded_ = true;
+}
+
+void AmoebotSystem::moveTailId(std::size_t id, TriPoint from, TriPoint to) {
+  const bool removed = tailIds_.erase(lattice::pack(from));
+  SOPS_REQUIRE(removed, "moveTailId: tail missing from the id index");
+  setTail(to, id);
+}
+
+void AmoebotSystem::thawIdIndex(std::int64_t expandedDelta) {
+  sharded_ = false;
+  expandedCount_ = static_cast<std::size_t>(
+      static_cast<std::int64_t>(expandedCount_) + expandedDelta);
 }
 
 AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
@@ -134,14 +146,6 @@ AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
   const std::int32_t* id = tailIds_.find(lattice::pack(cell));
   if (id == nullptr) return {};
   return {*id, false};
-}
-
-AmoebotSystem::Neighborhood AmoebotSystem::neighborhood(TriPoint cell) const {
-  Neighborhood nb;
-  nb.occupied = occ_.neighborMaskUnchecked(cell);
-  nb.expanded = expanded_.neighborMaskUnchecked(cell);
-  nb.hereExpanded = expanded_.testUnchecked(cell);
-  return nb;
 }
 
 bool AmoebotSystem::expandedParticleAdjacent(TriPoint cell,
@@ -226,6 +230,7 @@ void AmoebotSystem::expand(std::size_t id, Direction d) {
     occ_.ensureRegion(target, kPlaneEnsureMargin);
     heads_.ensureTilesOf(occ_);
     expanded_.ensureTilesOf(occ_);
+    faulty_.ensureTilesOf(occ_);
   }
   occ_.set(target);
   heads_.set(target);
@@ -243,11 +248,6 @@ void AmoebotSystem::contractToHead(std::size_t id) {
   expanded_.clear(p.tail);
   expanded_.clear(p.head);
   noteMutation();
-  if (liveIndex_) {
-    const bool removed = tailIds_.erase(lattice::pack(p.tail));
-    SOPS_REQUIRE(removed, "contractToHead: tail missing from the id index");
-    setTail(p.head, id);
-  }
   if (maintainCount()) --expandedCount_;
   p.tail = p.head;
   p.expanded = false;
@@ -381,7 +381,6 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
   particles_ = std::move(particles);
   recountExpanded();
   sharded_ = false;
-  liveIndex_ = false;
   idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
   if (backend == 2) {
     occ_.rebuildTiledExact(cells, tileKeys);

@@ -13,12 +13,14 @@
 /// contraction onto head or tail.  Atomicity of activations is provided by
 /// the schedulers in scheduler.hpp / parallel_scheduler.hpp.
 ///
-/// Occupancy encoding.  Three bit planes share one window geometry (same
-/// origin/stride, so one bit-index computation addresses all three):
+/// Occupancy encoding.  Four bit planes share one window geometry (same
+/// origin/stride, so one bit-index computation addresses all four):
 ///
 ///   occ       every occupied cell — heads and tails alike,
 ///   heads     heads of currently *expanded* particles,
-///   expanded  both cells (head and tail) of currently expanded particles.
+///   expanded  both cells (head and tail) of currently expanded particles,
+///   faulty    tails of crashed and Byzantine particles (fixed: neither
+///             kind ever contracts, so such a tail never moves).
 ///
 /// Every per-activation query of Algorithm A becomes word loads against
 /// these planes: cell occupancy is one load of `occ`; the N* oracle of
@@ -28,17 +30,17 @@
 /// invariant — every particle cell sits ≥ BitGrid::kInteriorMargin inside
 /// the window, regrown on escape — which licenses the unchecked gathers.
 /// Configurations too spread out for one flat window (BitGrid::kMaxWords)
-/// run on the tiled backend: all three planes share one tile directory
-/// layout (heads_/expanded_ always cover every occ_ tile), so the
+/// run on the tiled backend: all four planes share one tile directory
+/// layout (the others always cover every occ_ tile), so the
 /// word-exclusive block discipline carries over.
 ///
 /// A cell -> id hash index serves id lookups (at()).  It holds tails
 /// only — at() finds a head through the heads plane and the tail next to
 /// it — so only a contraction to the head moves an entry.  A sharded
-/// runner may suspend it during a concurrent section (see
-/// suspendIdIndex()), or keep it live through every mutation while its
-/// rejection-free kernel looks up ids after each event (see
-/// keepIdIndexLive()).
+/// runner suspends it during a concurrent section (see
+/// suspendIdIndex()), or freezes it current while its rejection-free
+/// blocks read it and report their contractions to the head afterwards
+/// (see freezeIdIndex()).
 
 #include <array>
 #include <cstdint>
@@ -148,19 +150,6 @@ class AmoebotSystem {
     return kPortTable[p.orientationOffset][p.mirrored ? 1 : 0][port];
   }
 
-  /// A cell and its six neighbours as the planes see them; neighbour
-  /// masks have bit d for direction index d.
-  struct Neighborhood {
-    std::uint8_t occupied = 0;  ///< occupied neighbours
-    std::uint8_t expanded = 0;  ///< neighbours holding an expanded particle
-    bool hereExpanded = false;  ///< the cell itself holds an expanded one
-  };
-
-  /// The neighbourhood of a cell within distance 1 of a particle cell
-  /// (two gathers and a bit test).  For a contracted particle's tail,
-  /// `expanded != 0` is expandedParticleAdjacent().
-  [[nodiscard]] Neighborhood neighborhood(TriPoint cell) const;
-
   /// True iff any cell adjacent to `cell` holds (head or tail of) an
   /// *expanded* particle other than `self`.
   [[nodiscard]] bool expandedParticleAdjacent(TriPoint cell,
@@ -201,8 +190,14 @@ class AmoebotSystem {
     SOPS_DASSERT(id < particles_.size());
     particles_[id].flag = value;
   }
-  void markCrashed(std::size_t id) { particles_[id].crashed = true; }
-  void markByzantine(std::size_t id) { particles_[id].byzantine = true; }
+  void markCrashed(std::size_t id) {
+    particles_[id].crashed = true;
+    faulty_.set(particles_[id].tail);
+  }
+  void markByzantine(std::size_t id) {
+    particles_[id].byzantine = true;
+    faulty_.set(particles_[id].tail);
+  }
 
   /// Number of currently expanded particles (diagnostics; not maintained
   /// while the id index is suspended — restoreIdIndex() recomputes it).
@@ -232,12 +227,21 @@ class AmoebotSystem {
   }
 
   /// The occupancy plane — the sharded runner aligns its blocks to it and
-  /// checks storage against it (heads and expanded mirror its geometry).
+  /// checks storage against it (the other planes mirror its geometry).
   [[nodiscard]] const system::BitGrid& occupancyGrid() const noexcept {
     return occ_;
   }
+  [[nodiscard]] const system::BitGrid& headGrid() const noexcept {
+    return heads_;
+  }
+  [[nodiscard]] const system::BitGrid& expandedGrid() const noexcept {
+    return expanded_;
+  }
+  [[nodiscard]] const system::BitGrid& faultyGrid() const noexcept {
+    return faulty_;
+  }
 
-  /// Grows the three planes together so that
+  /// Grows the four planes together so that
   /// occupancyGrid().coversInteriorBy(c, depth) holds for every center —
   /// the sharded runner calls it between parallel phases, so that no
   /// plane regrows inside one.
@@ -255,13 +259,23 @@ class AmoebotSystem {
   /// resumes maintenance.
   void restoreIdIndex();
 
-  /// Ends any suspension, makes the id index current, and from then on
-  /// updates it in place (instead of marking it stale) — only
-  /// contractToHead() moves an entry — until the next
-  /// suspendIdIndex() or restoreState().  For a single-threaded caller
-  /// that reads at() after every mutation; the index itself already
-  /// exists, so this costs no memory.
-  void keepIdIndexLive();
+  /// For a rejection-free phase: ends any suspension, makes the id index
+  /// current and freezes it — read by concurrent workers through
+  /// frozenTailId(), maintained by nobody — until thawIdIndex().  The
+  /// caller reports each contraction to a head through moveTailId() in
+  /// between, so thawing costs O(moves), not restoreIdIndex()'s O(n).
+  void freezeIdIndex();
+  /// The particle the frozen index places at tail `cell`, or
+  /// CellView::kEmpty.
+  [[nodiscard]] std::int32_t frozenTailId(TriPoint cell) const noexcept {
+    const std::int32_t* id = tailIds_.find(lattice::pack(cell));
+    return id == nullptr ? CellView::kEmpty : *id;
+  }
+  /// Moves `id`'s frozen entry from `from` to `to`; coordinator only.
+  void moveTailId(std::size_t id, TriPoint from, TriPoint to);
+  /// Ends the frozen section; expandedCount() moves by `expandedDelta`,
+  /// the section's expansions less its contractions.
+  void thawIdIndex(std::int64_t expandedDelta);
 
   // --- snapshot support (system/snapshot.hpp) ---
 
@@ -282,8 +296,8 @@ class AmoebotSystem {
 
  private:
   std::vector<Particle> particles_;
-  /// tail cell -> id, rebuilt lazily by at() when dirty or kept live
-  /// (keepIdIndexLive()).
+  /// tail cell -> id, rebuilt lazily by at() when dirty, or by
+  /// freezeIdIndex().
   mutable util::FlatMap64<std::int32_t> tailIds_;
   mutable bool idIndexDirty_ = false;
   std::size_t expandedCount_ = 0;
@@ -291,15 +305,14 @@ class AmoebotSystem {
   system::BitGrid occ_;       ///< all occupied cells (heads + tails)
   system::BitGrid heads_;     ///< heads of expanded particles
   system::BitGrid expanded_;  ///< head and tail cells of expanded particles
-  bool sharded_ = false;  ///< between suspendIdIndex() and restoreIdIndex()
-  bool liveIndex_ = false;  ///< see keepIdIndexLive()
+  system::BitGrid faulty_;    ///< tails of crashed and Byzantine particles
+  /// Between suspendIdIndex() or freezeIdIndex() and the restore or thaw.
+  bool sharded_ = false;
 
-  /// Bookkeeping after a mutation: a live index keeps the hash eagerly
-  /// (the caller already applied its update); otherwise the index is
-  /// just marked stale; a sharded section does nothing at all (restore
-  /// rebuilds).
+  /// Bookkeeping after a mutation: the index is marked stale; a sharded
+  /// section does nothing at all (restore rebuilds, thaw is told).
   void noteMutation() noexcept {
-    if (!sharded_ && !liveIndex_) idIndexDirty_ = true;
+    if (!sharded_) idIndexDirty_ = true;
   }
   /// expandedCount_ must not be touched by concurrent block workers; it
   /// is recomputed on restore.
@@ -309,7 +322,7 @@ class AmoebotSystem {
   /// Rebuilds the planes around every particle cell (and `cover`, when
   /// given); promotes to tiled past the flat cap.
   void regrowPlanes(const system::BitGrid::CellBox* cover = nullptr);
-  /// Mirrors occ_'s geometry into heads_/expanded_ and sets their bits
+  /// Mirrors occ_'s geometry into the other planes and sets their bits
   /// from the particle state.
   void rebuildExpansionPlanes();
   void rebuildIdIndex() const;

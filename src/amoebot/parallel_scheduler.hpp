@@ -38,26 +38,33 @@
 /// 1024-aligned.
 ///
 /// **Rejection-free epochs.**  In the compressed regime about 99.5% of
-/// activations are Idle: a contracted particle with no legal expansion
-/// writes nothing.  With uniform rates, an epoch runs through
-/// amoebot::RejectionFreeIndex instead — on the calling thread, at every
-/// thread count — when the previous epoch had fewer than
-/// L / kAmoebotRejectionFreeDivisor non-Idle activations.  That kernel
-/// samples exactly the block-path epoch's law (rejection_free.hpp), so
-/// choosing between the two by the past leaves every epoch's law, and π,
-/// unchanged; the rule reads only seed-determined counts, so trajectories
-/// stay identical at every thread count and across resume.  `rate-spread`
-/// runs stay on the block path.
+/// activations are Idle.  With uniform rates, an epoch runs through
+/// core::RejectionFreeSampler<RejectionFreeRule> — the chain's per-block
+/// n-fold way, its blocks on the executor's workers — when the previous
+/// epoch had fewer than L / kAmoebotRejectionFreeDivisor non-Idle
+/// activations.  That kernel samples exactly the block-path epoch's law,
+/// so choosing by the past leaves every epoch's law, and π, unchanged;
+/// the rule reads only seed-determined counts.  `rate-spread` runs stay on
+/// the block path.  The block rule (DESIGN.md §Rejection-free Algorithm
+/// A): block b's *candidates* are the pairs that cross no block line and
+/// would not run Idle — a contracted protocol-following particle's legal
+/// expansions, the six ports of an expanded particle or of a contracted
+/// Byzantine one with an empty neighbour.  The failures before the next
+/// candidate are Geometric(Σ_b/6n_b), each a skip with probability
+/// C_b/(6n_b − Σ_b) (C_b the crossing pairs) and Idle otherwise; the
+/// candidate runs through LocalCompressionAlgorithm::activate.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "amoebot/amoebot_system.hpp"
 #include "amoebot/local_compression.hpp"
-#include "amoebot/rejection_free.hpp"
 #include "core/block_executor.hpp"
 #include "core/cancel.hpp"
+#include "core/rejection_free.hpp"
 #include "rng/random.hpp"
 #include "system/snapshot.hpp"
 
@@ -74,11 +81,141 @@ using ShardedOptions = core::BlockExecutorOptions;
 /// one had fewer than L / kAmoebotRejectionFreeDivisor non-Idle
 /// activations.  Taken from a per-epoch crossover table (DESIGN.md
 /// §Rejection-free Algorithm A: 10⁵ particles at λ ∈ {1, 2, 3, 4}, block
-/// path at 1, 2 and 4 threads against the rejection-free kernel): inside
-/// the four-thread crossover range (~L/55 to L/90) and above the one- and
-/// two-thread ones (~L/28 to L/40), since the route must not read the
-/// thread count.
+/// path against the per-block rejection-free kernel at 1, 2 and 4
+/// threads); the route must not read the thread count.
 inline constexpr std::uint64_t kAmoebotRejectionFreeDivisor = 64;
+
+class RejectionFreeBlock;
+
+/// Algorithm A's block rule for core::RejectionFreeSampler (see the file
+/// comment): its boundary rule is the executor kernel's, the move pair
+/// widened by 1.
+struct RejectionFreeRule : core::BlockLines {
+  using System = AmoebotSystem;
+  using Block = RejectionFreeBlock;
+  /// The kernel's interaction radius (ShardedPoissonRunner::Kernel).
+  static constexpr std::int64_t kRadius = 2;
+
+  /// `algo` runs the events; it must outlive the rule.
+  explicit RejectionFreeRule(const LocalCompressionAlgorithm& algo) noexcept
+      : core::BlockLines(kRadius - 1), algo(&algo) {}
+
+  [[nodiscard]] static const system::BitGrid& grid(
+      const AmoebotSystem& sys) noexcept {
+    return sys.occupancyGrid();
+  }
+  [[nodiscard]] static TriPoint anchor(const AmoebotSystem& sys,
+                                       std::size_t i) {
+    return sys.particle(i).tail;
+  }
+  /// The tails of a flat window word: occupied cells that are no head.
+  [[nodiscard]] static std::uint64_t anchorWord(const AmoebotSystem& sys,
+                                                std::int64_t y,
+                                                std::size_t k) noexcept {
+    return sys.occupancyGrid().flatRow(y)[k] & ~sys.headGrid().flatRow(y)[k];
+  }
+  void runBlock(AmoebotSystem& sys, RejectionFreeBlock& block,
+                std::uint64_t key, bool verifyEachEvent) const;
+
+  const LocalCompressionAlgorithm* algo;
+};
+
+/// One occupied block of one Algorithm A epoch: its candidates, C_b, its
+/// n-fold way, its tallies and the log of its contractions to the head.
+class RejectionFreeBlock : public core::BlockPlacement {
+ public:
+  /// A contraction to the head: the particle's tail moved from → to.
+  struct Move {
+    std::uint32_t particle;
+    TriPoint from;
+    TriPoint to;
+  };
+
+  /// place(), and clears the tallies and the log.
+  void reset(const core::BlockEpoch& ep, std::int64_t bx, std::int64_t by,
+             std::uint32_t particles, const core::RowSet& rows,
+             std::uint64_t proposals) noexcept;
+
+  /// Rebuilds the candidates and C_b from the planes' words of the
+  /// block's tail rows; reads nothing outside the block but the id index.
+  void rebuild(const AmoebotSystem& sys, const RejectionFreeRule& rule);
+
+  /// Runs the block's activations, every draw from streams under `key`;
+  /// with `verifyEachEvent`, throws unless every event runs non-Idle and
+  /// leaves structures equal to a from-scratch rebuild.
+  void run(AmoebotSystem& sys, const RejectionFreeRule& rule,
+           std::uint64_t key, bool verifyEachEvent);
+
+  /// True when the incrementally kept structures equal a from-scratch
+  /// rebuild's (lists as sets) and the block still holds n_b tails.
+  [[nodiscard]] bool matchesRebuild(const AmoebotSystem& sys,
+                                    const RejectionFreeRule& rule) const;
+
+  /// Σ_b, the candidate pairs, and C_b, the crossing pairs.
+  [[nodiscard]] std::uint64_t candidateMass() const noexcept;
+  [[nodiscard]] std::uint64_t crossing() const noexcept { return crossing_; }
+  [[nodiscard]] const ActivationTallies& tallies() const noexcept {
+    return tallies_;
+  }
+  [[nodiscard]] const std::vector<Move>& moves() const noexcept {
+    return moves_;
+  }
+  /// Bytes held by the block's lists.
+  [[nodiscard]] std::size_t memoryBytes() const noexcept;
+
+ private:
+  /// A tail's candidate pairs, packed: bits 0–5 its legal expansions, bit 6
+  /// its six ports; 0 for a cell holding no tail.
+  using Code = std::uint8_t;
+  static constexpr int kSixPortsBit = lattice::kNumDirections;
+  static constexpr Code kSixPorts = 1u << kSixPortsBit;
+
+  /// A block-local cell as y·128 + x.
+  [[nodiscard]] static std::uint16_t cellKey(std::int64_t x,
+                                             std::int64_t y) noexcept {
+    return static_cast<std::uint16_t>(y * kSize + x);
+  }
+
+  /// The particle whose tail is at `cell`.
+  [[nodiscard]] std::uint32_t idAt(const AmoebotSystem& sys,
+                                   TriPoint cell) const;
+  /// The code of block-local (x, y), from the planes.
+  [[nodiscard]] Code codeAt(const AmoebotSystem& sys,
+                            const RejectionFreeRule& rule, std::int64_t x,
+                            std::int64_t y) const;
+  /// The crossing pairs of particle `p` with its tail at block-local (x, y).
+  [[nodiscard]] static int crossingOf(const Particle& p,
+                                      const RejectionFreeRule& rule,
+                                      std::int64_t x, std::int64_t y) noexcept;
+  /// The kept code of block-local (x, y), its row zeroed at first touch.
+  [[nodiscard]] Code& keptCode(std::int64_t x, std::int64_t y);
+  /// Moves cell (x, y) to code `after`.
+  void recode(std::int64_t x, std::int64_t y, Code after);
+  /// Runs the candidate of rank `rank` < Σ_b and refreshes around it.
+  void execute(AmoebotSystem& sys, const RejectionFreeRule& rule,
+               rng::CounterStream& draw, std::uint32_t rank,
+               bool verifyEachEvent);
+
+  /// Per code bit, the cells that carry it: per direction the block's
+  /// legal expansions, then its six-port particles.  In no fixed order.
+  std::array<std::vector<std::uint16_t>, kSixPortsBit + 1> cells_;
+  std::uint64_t crossing_ = 0;
+  /// Every cell's code (cellKey order), valid in the rows of zeroed_;
+  /// crossing pairs change only with their own particle, so stay out.
+  std::vector<Code> codes_;
+  core::RowSet zeroed_{};
+  ActivationTallies tallies_;
+  std::vector<Move> moves_;
+};
+
+/// One rejection-free epoch of `length` activations on `sys`, its blocks
+/// run by `forEach`, the id index frozen for the phase; adds the outcomes
+/// to `tallies` and returns the skips (tallied by the executor).
+std::uint64_t runRejectionFreeEpoch(
+    core::RejectionFreeSampler<RejectionFreeRule>& sampler,
+    AmoebotSystem& sys, const core::BlockEpoch& ep, std::uint64_t length,
+    const core::BlockForEach& forEach, ActivationTallies& tallies,
+    bool verifyEachEvent = false);
 
 class ShardedPoissonRunner {
  public:
@@ -105,15 +242,15 @@ class ShardedPoissonRunner {
   }
 
   /// Routes every epoch through the rejection-free kernel, from the first,
-  /// and with `verifyEachEvent` compares its index against a from-scratch
-  /// rebuild after every event (throwing on a mismatch).  Test-only: it
-  /// changes the trajectory, not the law.
+  /// and with `verifyEachEvent` compares each block's structures against a
+  /// from-scratch rebuild after every event (throwing on a mismatch).
+  /// Test-only: it changes the trajectory, not the law.
   void forceRejectionFreeForTest(bool verifyEachEvent = false);
 
   /// Runs whole epochs until at least `minActivations` activations have
   /// run in this call (or the cancel token trips); returns the number
   /// run.  Block-path epochs suspend the id index and rejection-free ones
-  /// keep it live; either way the system is fully consistent (at(),
+  /// freeze it; either way the system is fully consistent (at(),
   /// expandedCount()) between calls.  Between calls the system may be
   /// read but not mutated, except through restoreState.
   std::uint64_t runAtLeast(std::uint64_t minActivations);
@@ -175,8 +312,8 @@ class ShardedPoissonRunner {
   /// The routing rule: a function of the previous epoch's non-Idle count
   /// and L only, both seed-determined.
   [[nodiscard]] bool routeRejectionFree() const noexcept;
-  /// One epoch through the rejection-free kernel.  Its index is built at
-  /// the first such epoch and rebuilt after any block-path epoch.
+  /// One epoch through the rejection-free kernel, its blocks on the
+  /// executor's workers.
   void runRejectionFreeEpoch();
 
   /// Algorithm A's event kernel for the block executor.
@@ -185,7 +322,7 @@ class ShardedPoissonRunner {
     using Tallies = ActivationTallies;
 
     /// Reads reach distance 2 of the tail: the pair plus one cell.
-    static constexpr std::int64_t kRadius = 2;
+    static constexpr std::int64_t kRadius = RejectionFreeRule::kRadius;
 
     Kernel(AmoebotSystem& sys, const LocalCompressionAlgorithm& algo) noexcept
         : sys_(sys), algo_(algo) {}
@@ -226,10 +363,9 @@ class ShardedPoissonRunner {
   bool verifyEachEvent_ = false;
   std::uint64_t lastEpochEvents_ = kNoEpoch;
   std::uint64_t rejectionFreeEpochs_ = 0;
-  /// Built at the first rejection-free epoch; current while only
-  /// rejection-free epochs have run since its last rebuild.
-  std::unique_ptr<RejectionFreeIndex> index_;
-  bool indexCurrent_ = false;
+  /// Built at the first rejection-free epoch; holds no state across
+  /// epochs beyond reused buffers.
+  std::unique_ptr<core::RejectionFreeSampler<RejectionFreeRule>> sampler_;
 };
 
 }  // namespace sops::amoebot

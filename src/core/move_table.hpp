@@ -126,12 +126,12 @@ static_assert([] {
   for (int m = 0; m < 256; ++m) {
     const auto mask = static_cast<std::uint8_t>(m);
     const MoveTableEntry& entry = kMoveTable[mask];
-    if (entry.eBefore != __builtin_popcount(mask & kBeforeMask)) return false;
-    if (entry.eAfter != __builtin_popcount(mask & kAfterMask)) return false;
+    if (entry.eBefore != util::popcount64(mask & kBeforeMask)) return false;
+    if (entry.eAfter != util::popcount64(mask & kAfterMask)) return false;
     if (entry.delta != entry.eAfter - entry.eBefore) return false;
     if (entry.delta < -5 || entry.delta > 5) return false;
     if (entry.eBefore + entry.eAfter !=
-        __builtin_popcount(mask) + __builtin_popcount(mask & kCommonMask)) {
+        util::popcount64(mask) + util::popcount64(mask & kCommonMask)) {
       return false;
     }
   }

@@ -31,6 +31,7 @@
 #include "lattice/direction.hpp"
 #include "lattice/tri_point.hpp"
 #include "system/particle_system.hpp"
+#include "util/popcount.hpp"
 
 namespace sops::core {
 
@@ -95,12 +96,12 @@ template <typename OccupiedFn>
 
 /// Number of neighbors of P while at ℓ (ℓ' unoccupied): e in the paper.
 [[nodiscard]] constexpr int neighborsBefore(std::uint8_t mask) noexcept {
-  return __builtin_popcount(mask & kBeforeMask);
+  return util::popcount64(mask & kBeforeMask);
 }
 
 /// Number of neighbors P would have after contracting to ℓ': e'.
 [[nodiscard]] constexpr int neighborsAfter(std::uint8_t mask) noexcept {
-  return __builtin_popcount(mask & kAfterMask);
+  return util::popcount64(mask & kAfterMask);
 }
 
 /// Property 1 (§3.1): |S| ∈ {1,2} and every occupied ring cell is connected

@@ -2,92 +2,56 @@
 #define SOPS_CORE_REJECTION_FREE_HPP
 
 /// \file rejection_free.hpp
-/// Rejection-free epochs for chain M in the compressed regime: the n-fold
-/// way of Bortz, Kalos and Lebowitz (J. Comput. Phys. 17, 1975), run block
-/// by block on core::BlockExecutor's workers, sampling exactly the law of
-/// one block-path epoch.
+/// Rejection-free epochs: the n-fold way of Bortz, Kalos and Lebowitz (J.
+/// Comput. Phys. 17, 1975), run block by block on core::BlockExecutor's
+/// workers, sampling exactly the law of one block-path epoch (DESIGN.md
+/// §Rejection-free epochs).  One sampler, RejectionFreeSampler<Rule>,
+/// serves both runners, the way BlockExecutor<Kernel> does: the rule
+/// supplies the per-block n-fold way — RejectionFreeRules here for chain
+/// M, amoebot::RejectionFreeRule for Algorithm A.
 ///
-/// **The law.**  A block-path epoch e runs L proposals of M_e: M with
-/// every proposal whose widened box leaves its block (under
-/// BlockEpoch::draw(seed, e)'s offsets) counted as a boundary reject.
-/// Given the configuration σ, one proposal picks a (particle, direction)
-/// pair uniformly among the 6n and
-///   - rejects it at the boundary if the pair crosses a block line;
-///   - otherwise stops at its stage: target occupied, gap, property, or
-///     the filter, which accepts with probability a(pair).
-/// a depends only on the pair's δ = e′ − e (the decision table's
-/// threshold λ^δ, or the greedy rule), and is 0 outside the filter stage.
+/// **The factorisation.**  No particle leaves its block within an epoch
+/// and blocks touch disjoint state (block_executor.hpp §Execution), so the
+/// proposal counts of the occupied blocks are (m_b) ~ Multinomial(L,
+/// n_b/n), and given them block b runs m_b proposals uniform over its own
+/// particles, independently of the others.  The sampler draws (m_b) as
+/// conditional binomials over the occupied blocks in canonical order
+/// (block row, then column); block b runs from counter streams keyed by
+/// (seed, e, b).  The coordinator counts n_b and the occupied rows (one
+/// pass over a flat window's words, or over the particles of a tiled
+/// grid), grows the storage by the executor's rule with m_b in place of
+/// c_i, runs the blocks largest m_b first on the executor's workers (in
+/// order at threads = 1) — each writing only its own words and particles,
+/// never a structure another block reads, the cell → id index above all —
+/// and commits them in canonical order, O(moves).  An epoch is a pure
+/// function of the seed and the configuration at any thread count.
 ///
-/// **The factorisation.**  block_executor.hpp §Execution shows that
-/// proposals of different blocks touch disjoint state and that no particle
-/// leaves its block within an epoch.  Each proposal picks its particle
-/// uniformly over n, so the numbers of proposals that land in the occupied
-/// blocks are (m_b) ~ Multinomial(L, n_b / n), n_b the particles of block
-/// b at the epoch start; given (m_b), block b runs m_b proposals uniform
-/// over its own particles, independently of every other block.  The
-/// sampler draws (m_b) as conditional binomials over the occupied blocks in
-/// canonical order (absolute block row, then column), one counter stream
-/// per block under a key hashed from (seed, e); block b then runs its own
-/// n-fold way from counter streams keyed by (seed, e, b's absolute block
-/// coordinates).  Tallies merge in canonical order, so an epoch is a pure
-/// function of the seed and the configuration, whatever the thread count.
-///
-/// **The per-block n-fold way.**  Split each of block b's proposals into a
-/// *candidate* — the pair chosen in proportion to a over the block's
-/// non-crossing pairs, probability A_b/6n_b — and a *failure* otherwise.
-/// Both pick pair i with total probability 1/6n_b, so the split changes
-/// nothing.  A crossing pair is a boundary reject whatever its stage, so
-/// the block line thins it out of the candidate mass entirely: every
-/// candidate is an accepted move.  A failure changes nothing, and the
-/// stage it is tallied under has probability proportional to the block's
-/// failure masses
-///   boundary: its crossing pairs; occupied / gap / property: their
-///   non-crossing pair counts; filter: Σ_non-crossing filter (1 − a).
-/// Since σ only changes at an accepted move, the failures before the next
-/// candidate are Geometric(A_b/6n_b) and their stages one multinomial draw
-/// over those masses.  The block stops exactly after m_b proposals: a
-/// geometric run that reaches the end is cut there, which is exact because
-/// the geometric law is memoryless.
-///
-/// **The per-block structures** are rebuilt at every epoch start from the
-/// grid words of the block's occupied rows (128 × 2 words at most), so
-/// nothing persists across epochs: n_b, from the coordinator's count;
-/// per pair code (occupied, gap, property, or filter class δ + 5)
-/// the non-crossing pair counts — occupied targets by word AND and
-/// popcount, the ring of a pair only when its target is empty, read from
-/// shifted row words a whole ring pattern at a time; the
-/// crossing pair count; and per filter class the list of its non-crossing
-/// pairs, from which a candidate is drawn uniformly.  An accepted move
-/// ℓ → ℓ′ changes the codes of pairs whose ring or target it touches —
-/// cells within distance 2 of ℓ or ℓ′ — and only the block's own cells
-/// among those are recomputed, before and after the move.  Every read of
-/// a block stays in the block's words: a non-crossing pair's target and
-/// ring lie inside its block, and a crossing pair needs no code.
-///
-/// **Execution.**  The coordinator counts n_b and the occupied rows of
-/// every block — one pass over a flat window's words, or over the
-/// positions of a tiled grid, whose allocated area can far exceed n —
-/// draws (m_b), and has the
-/// storage grown around every block with m_b > 0 that it does not cover
-/// widened by BitGrid::kInteriorMargin — the executor's storage rule,
-/// whose per-particle need c_i + slack becomes the whole block once c_i
-/// may be any of m_b moves that never leave it.  Blocks then run largest
-/// m_b first on the executor's workers (in order on the calling thread at
-/// threads = 1).  Inside that phase a move changes occupancy bits only
-/// (ParticleSystem::moveOccupancy) and is logged; afterwards the
-/// coordinator replays each block's log, blocks in canonical order, into
-/// the position vector and the cell → id index (ParticleSystem::
-/// commitMove) — O(moves), where a suspended index would cost an O(n)
-/// rebuild per epoch.
-///
-/// Only uniform-weight models without an aux move (compression) and
-/// uniform selection qualify: a weight model's a would depend on more than
-/// δ, and an aux move on more than the movement pairs.
+/// **Chain M's rule** (RejectionFreeRules, RejectionFreeBlock; DESIGN.md
+/// §Rejection-free epochs).  A proposal picks a (particle, direction) pair
+/// uniformly among the block's 6n_b: a boundary reject if the pair crosses
+/// a block line, else it stops at its stage — target occupied, gap,
+/// property, or the filter, which accepts with probability a(δ), δ the
+/// pair's e′ − e.  The block line thins crossing pairs out of the
+/// candidates, the non-crossing pairs drawn ∝ a, so every candidate is an
+/// accepted move; the failures before the next one are
+/// Geometric(A_b/6n_b), their stages one multinomial draw over the block's
+/// failure masses, and a run that passes m_b is cut there (the geometric
+/// law is memoryless).  The structures — per code the non-crossing pair
+/// counts, the crossing count, per filter class the list of its pairs —
+/// are rebuilt from the grid words of the block's occupied rows every
+/// epoch and recoded around each move (cells within distance 2 of ℓ or
+/// ℓ′); every read stays in the block's words.  A move changes occupancy
+/// bits only (ParticleSystem::moveOccupancy) and is logged; the commit
+/// replays the log into the positions and the cell → id index
+/// (ParticleSystem::commitMove).  Only uniform-weight models without an
+/// aux move, under uniform selection, qualify: otherwise a would depend on
+/// more than δ.
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -108,6 +72,7 @@
 #include "util/assert.hpp"
 #include "util/flat_hash.hpp"
 #include "util/mix.hpp"
+#include "util/popcount.hpp"
 
 namespace sops::core {
 
@@ -124,18 +89,6 @@ inline constexpr int kPairCodes = kPairFilter + kPairFilterClasses;
 inline constexpr std::uint8_t kPairCrossing = kPairCodes;
 inline constexpr std::uint8_t kPairNone = 15;
 
-/// The set bits of a word.  Without a popcount instruction in the target
-/// ISA std::popcount is a library call; this SWAR form inlines to a dozen
-/// ALU operations, and the epoch's counts run it on every occupied word.
-[[nodiscard]] constexpr std::uint64_t popcount64(std::uint64_t x) noexcept {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return (x * 0x0101010101010101ULL) >> 56;
-}
-static_assert(popcount64(0) == 0 && popcount64(~std::uint64_t{0}) == 64 &&
-              popcount64(0x8000000000000101ULL) == 3);
-
 /// A set of block-local rows (bit y of the 128), as two words.
 using RowSet = std::array<std::uint64_t, 2>;
 
@@ -149,10 +102,22 @@ void forEachRow(const RowSet& rows, Fn&& fn) {
   }
 }
 
+/// The rows y − reach … y + reach of every row y of `rows`.
+[[nodiscard]] inline RowSet dilateRows(RowSet rows, int reach) noexcept {
+  for (int step = 0; step < reach; ++step) {
+    rows = {rows[0] | (rows[0] << 1) | (rows[0] >> 1) | (rows[1] << 63),
+            rows[1] | (rows[1] << 1) | (rows[1] >> 1) | (rows[0] >> 63)};
+  }
+  return rows;
+}
+
 /// Per-code pair counts.
 using PairCounts = std::array<std::uint64_t, kPairCodes>;
 
-// The rebuild shifts whole words by the direction offsets E (1, 0),
+/// One 128-cell block row as two words.
+using BlockRow = std::array<std::uint64_t, 2>;
+
+// The rebuilds shift whole words by the direction offsets E (1, 0),
 // NE (0, 1), NW (−1, 1), W (−1, 0), SW (0, −1), SE (1, −1).
 static_assert([] {
   constexpr std::array<std::array<int, 2>, lattice::kNumDirections> kWant = {
@@ -164,6 +129,22 @@ static_assert([] {
   }
   return true;
 }());
+
+/// Per direction d, the neighbour in direction d of every cell of `row`
+/// (bit x: the cell x + offset(d)), from the row and the rows above and
+/// below; cells past the block read 0.
+[[nodiscard]] inline std::array<BlockRow, lattice::kNumDirections>
+neighborWords(const BlockRow& row, const BlockRow& up,
+              const BlockRow& down) noexcept {
+  const std::uint64_t lo = row[0];
+  const std::uint64_t hi = row[1];
+  return {{{(lo >> 1) | (hi << 63), hi >> 1},
+           {up[0], up[1]},
+           {up[0] << 1, (up[1] << 1) | (up[0] >> 63)},
+           {lo << 1, (hi << 1) | (lo >> 63)},
+           {down[0], down[1]},
+           {(down[0] >> 1) | (down[1] << 63), down[1] >> 1}}};
+}
 
 inline constexpr std::size_t kRefreshSize = 24;
 inline constexpr std::size_t kRefreshNear = 10;
@@ -215,16 +196,151 @@ static_assert([] {
   return true;
 }());
 
-/// What the decision table and the boundary rule fix for every block: the
-/// code of an empty-target pair by its ring mask, the acceptance
-/// probability a per code, and per direction the block-local cells whose
-/// pair does not cross a block line.
-struct RejectionFreeRules {
+/// See refreshCells().
+inline constexpr auto kRefreshCells = refreshCells();
+
+/// The block lines as a boundary rule widened by `widen` sees them: per
+/// direction d, the block-local cells (x, y) ∈ [x0, x1] × [y0, y1] whose
+/// pair (ℓ, ℓ + d), widened, stays inside the block (BlockEpoch::inside()
+/// in block coordinates), with the columns as two words; and the same as
+/// per-column and per-row direction masks, and as crossing pairs per
+/// column for the rows every span covers.
+struct BlockLines {
+  static constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
+
+  struct Span {
+    std::int64_t x0, x1, y0, y1;
+    std::array<std::uint64_t, 2> columns{};
+  };
+
+  explicit BlockLines(std::int64_t widen) {
+    const auto reach = blockReach(widen);
+    for (int d = 0; d < lattice::kNumDirections; ++d) {
+      const BlockReach& box = reach[static_cast<std::size_t>(d)];
+      Span& span = inside[static_cast<std::size_t>(d)];
+      span = {-box.loX, kSize - 1 - box.hiX, -box.loY, kSize - 1 - box.hiY};
+      for (std::int64_t x = span.x0; x <= span.x1; ++x) {
+        span.columns[static_cast<std::size_t>(x >> 6)] |= std::uint64_t{1}
+                                                          << (x & 63);
+        columnMask[static_cast<std::size_t>(x)] |=
+            static_cast<std::uint8_t>(1u << d);
+      }
+      for (std::int64_t y = span.y0; y <= span.y1; ++y) {
+        rowMask[static_cast<std::size_t>(y)] |=
+            static_cast<std::uint8_t>(1u << d);
+      }
+      rowsY0 = std::max(rowsY0, span.y0);
+      rowsY1 = std::min(rowsY1, span.y1);
+    }
+    for (std::int64_t x = 0; x < kSize; ++x) {
+      const int crossing = lattice::kNumDirections -
+                           util::popcount64(columnMask[static_cast<std::size_t>(x)]);
+      edgeCrossings[static_cast<std::size_t>(x)] =
+          static_cast<std::uint8_t>(crossing);
+      if (crossing != 0) {
+        edgeColumns[static_cast<std::size_t>(x >> 6)] |= std::uint64_t{1}
+                                                         << (x & 63);
+      }
+    }
+  }
+
+  /// The directions d whose pair (ℓ, ℓ + d) from block-local cell (x, y)
+  /// crosses no block line — BlockEpoch::inside() in block coordinates —
+  /// as a mask.
+  [[nodiscard]] std::uint8_t nonCrossingMask(std::int64_t x,
+                                             std::int64_t y) const noexcept {
+    return columnMask[static_cast<std::size_t>(x)] &
+           rowMask[static_cast<std::size_t>(y)];
+  }
+
+  std::array<Span, lattice::kNumDirections> inside{};
+  /// Bit d: column x (row y) lies in direction d's span.
+  std::array<std::uint8_t, kSize> columnMask{};
+  std::array<std::uint8_t, kSize> rowMask{};
+  /// The rows [rowsY0, rowsY1] inside every direction's span; in them a
+  /// cell of column x has edgeCrossings[x] crossing pairs, nonzero only
+  /// on the few edgeColumns.
+  std::int64_t rowsY0 = 0;
+  std::int64_t rowsY1 = kSize - 1;
+  std::array<std::uint8_t, kSize> edgeCrossings{};
+  std::array<std::uint64_t, 2> edgeColumns{};
+};
+
+/// Where one occupied block of an epoch sits and what the multinomial
+/// dealt it; every rule's block derives from it.
+class BlockPlacement {
+ public:
+  static constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
+
+  /// Places the block at absolute block coordinates (bx, by) under ep's
+  /// offsets, with `particles` particles in the block-local `rows` and
+  /// `proposals` proposals.
+  void place(const BlockEpoch& ep, std::int64_t bx, std::int64_t by,
+             std::uint32_t particles, const RowSet& rows,
+             std::uint64_t proposals) noexcept {
+    bx_ = bx;
+    by_ = by;
+    x0_ = (bx << BlockEpoch::kBlockShift) + ep.offsetX;
+    y0_ = (by << BlockEpoch::kBlockShift) + ep.offsetY;
+    particles_ = particles;
+    rows_ = rows;
+    proposals_ = proposals;
+    boundaryRejects_ = 0;
+  }
+
+  [[nodiscard]] std::uint32_t particles() const noexcept { return particles_; }
+  /// The block-local rows holding particles (at the epoch start, and any a
+  /// move has entered since).
+  [[nodiscard]] const RowSet& rows() const noexcept { return rows_; }
+  [[nodiscard]] std::uint64_t proposals() const noexcept { return proposals_; }
+  [[nodiscard]] std::int64_t blockX() const noexcept { return bx_; }
+  [[nodiscard]] std::int64_t blockY() const noexcept { return by_; }
+  /// The absolute cell of the block's lower-left corner.
+  [[nodiscard]] std::int64_t originX() const noexcept { return x0_; }
+  [[nodiscard]] std::int64_t originY() const noexcept { return y0_; }
+  /// Proposals the boundary rule rejected (tallied by the executor).
+  [[nodiscard]] std::uint64_t boundaryRejects() const noexcept {
+    return boundaryRejects_;
+  }
+
+ protected:
+  [[nodiscard]] TriPoint cellAt(std::int64_t x, std::int64_t y) const noexcept {
+    return {static_cast<std::int32_t>(x0_ + x),
+            static_cast<std::int32_t>(y0_ + y)};
+  }
+  /// Adds the row of absolute cell y to rows().
+  void enterRow(std::int64_t y) noexcept {
+    const std::int64_t local = y - y0_;
+    rows_[static_cast<std::size_t>(local >> 6)] |= std::uint64_t{1}
+                                                   << (local & 63);
+  }
+
+  std::int64_t bx_ = 0;
+  std::int64_t by_ = 0;
+  std::int64_t x0_ = 0;  ///< absolute cell of block-local (0, 0)
+  std::int64_t y0_ = 0;
+  std::uint32_t particles_ = 0;
+  RowSet rows_{};
+  std::uint64_t proposals_ = 0;
+  std::uint64_t boundaryRejects_ = 0;
+};
+
+class RejectionFreeBlock;
+
+/// Chain M's block rule: what the decision table and the boundary rule fix
+/// for every block — the code of an empty-target pair by its ring mask,
+/// the acceptance probability a per code, and per direction the
+/// block-local cells whose pair does not cross a block line.
+struct RejectionFreeRules : BlockLines {
+  using System = system::ParticleSystem;
+  using Block = RejectionFreeBlock;
+
   /// `decisions` is the runner's decision table (its δ, stage and
   /// thresholds fix every code and acceptance probability); `widen` the
   /// boundary rule's widening, Model::kInteractionRadius − 1.
   RejectionFreeRules(const std::array<MoveDecision, 256>& decisions,
-                     bool greedy, std::int64_t widen) {
+                     bool greedy, std::int64_t widen)
+      : BlockLines(widen) {
     for (int m = 0; m < 256; ++m) {
       const MoveDecision& decision = decisions[static_cast<std::size_t>(m)];
       std::uint8_t code = kPairFilter + decision.delta + 5;
@@ -245,88 +361,46 @@ struct RejectionFreeRules {
       }
       accept[kPairFilter + decision.delta + 5] = a;
     }
-    const auto reach = blockReach(widen);
-    for (int d = 0; d < lattice::kNumDirections; ++d) {
-      const BlockReach& box = reach[static_cast<std::size_t>(d)];
-      Span& span = inside[static_cast<std::size_t>(d)];
-      span = {-box.loX, kSize - 1 - box.hiX, -box.loY, kSize - 1 - box.hiY};
-      for (std::int64_t x = span.x0; x <= span.x1; ++x) {
-        span.columns[static_cast<std::size_t>(x >> 6)] |= std::uint64_t{1}
-                                                          << (x & 63);
-      }
-      rowsY0 = std::max(rowsY0, span.y0);
-      rowsY1 = std::min(rowsY1, span.y1);
-    }
-    for (std::int64_t x = 0; x < kSize; ++x) {
-      for (int d = 0; d < lattice::kNumDirections; ++d) {
-        const Span& span = inside[static_cast<std::size_t>(d)];
-        if (x < span.x0 || x > span.x1) {
-          ++edgeCrossings[static_cast<std::size_t>(x)];
-          edgeColumns[static_cast<std::size_t>(x >> 6)] |= std::uint64_t{1}
-                                                           << (x & 63);
-        }
-      }
-    }
   }
 
-  static constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
-
-  /// The block-local cells (x, y) ∈ [x0, x1] × [y0, y1] whose pair in one
-  /// direction stays inside the block, and the columns as two words.
-  struct Span {
-    std::int64_t x0, x1, y0, y1;
-    std::array<std::uint64_t, 2> columns{};
-  };
-
-  /// The pair of block-local cell (x, y) in direction d crosses no block
-  /// line: BlockEpoch::inside() in block coordinates.
-  [[nodiscard]] bool nonCrossing(std::int64_t x, std::int64_t y,
-                                 int d) const noexcept {
-    const Span& span = inside[static_cast<std::size_t>(d)];
-    return static_cast<bool>((x >= span.x0) & (x <= span.x1) &
-                             (y >= span.y0) & (y <= span.y1));
+  /// The sampler's view of the system: the grid the blocks align to, a
+  /// particle's cell, and the particles of a flat window word.
+  [[nodiscard]] static const system::BitGrid& grid(const System& sys) noexcept {
+    return sys.grid();
   }
+  [[nodiscard]] static TriPoint anchor(const System& sys, std::size_t i) {
+    return sys.position(i);
+  }
+  [[nodiscard]] static std::uint64_t anchorWord(const System& sys,
+                                                std::int64_t y,
+                                                std::size_t k) noexcept {
+    return sys.grid().flatRow(y)[k];
+  }
+  /// Rebuilds `block` and runs its proposals (see RejectionFreeBlock).
+  void runBlock(System& sys, RejectionFreeBlock& block, std::uint64_t key,
+                bool verifyEachMove) const;
 
   std::array<std::uint8_t, 256> maskCode{};
   std::array<double, kPairCodes> accept{};  ///< a per code (0 off-filter)
-  std::array<Span, lattice::kNumDirections> inside{};
-  /// The rows [rowsY0, rowsY1] inside every direction's span; in them a
-  /// cell of column x has edgeCrossings[x] crossing pairs, nonzero only
-  /// on the few edgeColumns.
-  std::int64_t rowsY0 = 0;
-  std::int64_t rowsY1 = kSize - 1;
-  std::array<std::uint8_t, kSize> edgeCrossings{};
-  std::array<std::uint64_t, 2> edgeColumns{};
 };
 
-/// One occupied block of one epoch: its structures (see the file comment),
-/// its n-fold way, its tallies and the log of its moves.
-class RejectionFreeBlock {
+/// One occupied block of one chain epoch: its structures (see the file
+/// comment), its n-fold way, its tallies and the log of its moves.
+class RejectionFreeBlock : public BlockPlacement {
  public:
-  static constexpr std::int64_t kSize = BlockEpoch::kBlockSize;
-
   /// One accepted move, replayed into the particle system after the phase.
   struct Move {
     TriPoint from;
     TriPoint to;
   };
 
-  /// Places the block at absolute block coordinates (bx, by) under ep's
-  /// offsets, with `particles` particles in the block-local `rows` and
-  /// `proposals` proposals, and clears its tallies and move log.
+  /// place(), and clears the tallies and the move log.
   void reset(const BlockEpoch& ep, std::int64_t bx, std::int64_t by,
              std::uint32_t particles, const RowSet& rows,
              std::uint64_t proposals) noexcept {
-    bx_ = bx;
-    by_ = by;
-    x0_ = (bx << BlockEpoch::kBlockShift) + ep.offsetX;
-    y0_ = (by << BlockEpoch::kBlockShift) + ep.offsetY;
-    particles_ = particles;
-    rows_ = rows;
-    proposals_ = proposals;
+    place(ep, bx, by, particles, rows, proposals);
     stats_ = {};
     edges_ = 0;
-    boundaryRejects_ = 0;
     moves_.clear();
   }
 
@@ -341,17 +415,12 @@ class RejectionFreeBlock {
     // on either side (targets and rings reach that far) are ever read:
     // those are loaded, and the padding beyond the block reads zero — it
     // only ever feeds crossing pairs.
-    std::array<std::array<std::uint64_t, 2>, kSize + 2 * kPad> rows;
+    std::array<BlockRow, kSize + 2 * kPad> rows;
     for (std::int64_t pad = 0; pad < kPad; ++pad) {
       rows[static_cast<std::size_t>(pad)] = {};
       rows[static_cast<std::size_t>(kSize + kPad + pad)] = {};
     }
-    RowSet load = rows_;
-    for (int step = 0; step < kPad; ++step) {
-      load = {load[0] | (load[0] << 1) | (load[0] >> 1) | (load[1] << 63),
-              load[1] | (load[1] << 1) | (load[1] >> 1) | (load[0] >> 63)};
-    }
-    forEachRow(load, [&](std::int64_t y) {
+    forEachRow(dilateRows(rows_, kPad), [&](std::int64_t y) {
       rows[static_cast<std::size_t>(y + kPad)] = {
           grid.rowBits(x0_, y0_ + y), grid.rowBits(x0_ + 64, y0_ + y)};
     });
@@ -381,25 +450,17 @@ class RejectionFreeBlock {
           return;
         }
       }
-      // The target of every cell of the row, per direction (E, NE, NW, W,
-      // SW, SE: the offsets the static_assert above pins) and half.
-      const std::array<std::array<std::uint64_t, 2>, lattice::kNumDirections>
-          targets = {{{(lo >> 1) | (hi << 63), hi >> 1},
-                      {up[0], up[1]},
-                      {up[0] << 1, (up[1] << 1) | (up[0] >> 63)},
-                      {lo << 1, (hi << 1) | (lo >> 63)},
-                      {down[0], down[1]},
-                      {(down[0] >> 1) | (down[1] << 63), down[1] >> 1}}};
+      // The target of every cell of the row, per direction and half.
+      const auto targets = neighborWords(row, up, down);
       for (int d = 0; d < lattice::kNumDirections; ++d) {
-        const RejectionFreeRules::Span& span =
-            rules.inside[static_cast<std::size_t>(d)];
+        const BlockLines::Span& span = rules.inside[static_cast<std::size_t>(d)];
         if (y < span.y0 || y > span.y1) {  // a band row: every pair crosses
-          crossing_ += popcount64(lo) + popcount64(hi);
+          crossing_ += util::popcount64(lo) + util::popcount64(hi);
           continue;
         }
         for (std::size_t half = 0; half < 2; ++half) {
           if (y < rules.rowsY0 || y > rules.rowsY1) {
-            crossing_ += popcount64(row[half] & ~span.columns[half]);
+            crossing_ += util::popcount64(row[half] & ~span.columns[half]);
           }
           const std::uint64_t inside = row[half] & span.columns[half];
           std::uint64_t empty =
@@ -430,7 +491,7 @@ class RejectionFreeBlock {
             }
             empty &= ~same;
             const std::uint8_t code = rules.maskCode[mask];
-            const std::uint64_t count = popcount64(same);
+            const std::uint64_t count = util::popcount64(same);
             counts_[code] += count;
             emptyTargets += count;
             if (code < kPairFilter) continue;
@@ -507,21 +568,8 @@ class RejectionFreeBlock {
   /// Non-crossing pairs per code, and crossing pairs.
   [[nodiscard]] const PairCounts& counts() const noexcept { return counts_; }
   [[nodiscard]] std::uint64_t crossing() const noexcept { return crossing_; }
-  [[nodiscard]] std::uint32_t particles() const noexcept { return particles_; }
-  /// The block-local rows holding particles (at the epoch start, and any a
-  /// move has entered since).
-  [[nodiscard]] const RowSet& rows() const noexcept { return rows_; }
-  [[nodiscard]] std::uint64_t proposals() const noexcept { return proposals_; }
-  [[nodiscard]] std::int64_t blockX() const noexcept { return bx_; }
-  [[nodiscard]] std::int64_t blockY() const noexcept { return by_; }
-  /// The absolute cell of the block's lower-left corner.
-  [[nodiscard]] std::int64_t originX() const noexcept { return x0_; }
-  [[nodiscard]] std::int64_t originY() const noexcept { return y0_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::int64_t edgeDelta() const noexcept { return edges_; }
-  [[nodiscard]] std::uint64_t boundaryRejects() const noexcept {
-    return boundaryRejects_;
-  }
   [[nodiscard]] const std::vector<Move>& moves() const noexcept {
     return moves_;
   }
@@ -537,13 +585,13 @@ class RejectionFreeBlock {
  private:
   /// Rows of padding on either side of the rebuild's row array: a ring
   /// reaches two rows from its cell.
-  static constexpr std::int64_t kPad = 2;
+  static constexpr int kPad = 2;
 
   /// The cells x + dx of a 128-cell row for the 64 x of one half, as a
   /// word (bit j for x = 64·half + j); cells past the block read 0.
-  [[nodiscard]] static std::uint64_t shiftedHalf(
-      const std::array<std::uint64_t, 2>& row, std::size_t half,
-      std::int32_t dx) noexcept {
+  [[nodiscard]] static std::uint64_t shiftedHalf(const BlockRow& row,
+                                                 std::size_t half,
+                                                 std::int32_t dx) noexcept {
     if (dx == 0) return row[half];
     if (dx > 0) {
       return half == 0 ? (row[0] >> dx) | (row[1] << (64 - dx))
@@ -557,11 +605,6 @@ class RejectionFreeBlock {
   [[nodiscard]] static std::uint32_t pairKey(std::int64_t x, std::int64_t y,
                                              int d) noexcept {
     return static_cast<std::uint32_t>(((y * kSize + x) << 3) | d);
-  }
-
-  [[nodiscard]] TriPoint cellAt(std::int64_t x, std::int64_t y) const noexcept {
-    return {static_cast<std::int32_t>(x0_ + x),
-            static_cast<std::int32_t>(y0_ + y)};
   }
 
   [[nodiscard]] static std::uint8_t codeOf(std::uint32_t codes,
@@ -589,17 +632,6 @@ class RejectionFreeBlock {
       *it = members.back();
       members.pop_back();
     }
-  }
-
-  /// The non-crossing directions of block-local cell (x, y), as a mask.
-  [[nodiscard]] static std::uint8_t nonCrossingMask(
-      const RejectionFreeRules& rules, std::int64_t x,
-      std::int64_t y) noexcept {
-    std::uint32_t mask = 0;
-    for (int d = 0; d < lattice::kNumDirections; ++d) {
-      mask |= static_cast<std::uint32_t>(rules.nonCrossing(x, y, d)) << d;
-    }
-    return static_cast<std::uint8_t>(mask);
   }
 
   /// The occupied targets among the non-crossing pairs of the particle at
@@ -652,7 +684,7 @@ class RejectionFreeBlock {
                                       std::int64_t y) const noexcept {
     const TriPoint cell = cellAt(x, y);
     if (!grid.testUnchecked(cell)) return kEmptyCodes;
-    const std::uint8_t nonCrossing = nonCrossingMask(rules, x, y);
+    const std::uint8_t nonCrossing = rules.nonCrossingMask(x, y);
     return codesOf(grid, rules, cell, nonCrossing,
                    occupiedTargets(grid, cell, x, y, nonCrossing));
   }
@@ -712,7 +744,7 @@ class RejectionFreeBlock {
       } else {
         const TriPoint cell = cellAt(cx, cy);
         if (!grid.testUnchecked(cell)) continue;  // far cells stay empty
-        r.nonCrossing = nonCrossingMask(rules, cx, cy);
+        r.nonCrossing = rules.nonCrossingMask(cx, cy);
         r.occupied = occupiedTargets(grid, cell, cx, cy, r.nonCrossing);
         if (r.occupied == r.nonCrossing) continue;
         r.before = codesOf(grid, rules, cell, r.nonCrossing, r.occupied);
@@ -721,8 +753,7 @@ class RejectionFreeBlock {
     }
     sys.moveOccupancy(from, to);
     moves_.push_back({from, to});
-    const std::int64_t toY = to.y - y0_;
-    rows_[static_cast<std::size_t>(toY >> 6)] |= std::uint64_t{1} << (toY & 63);
+    enterRow(to.y);
     for (std::size_t k = 0; k < count; ++k) {
       const Refresh& r = refresh[k];
       const std::uint32_t after =
@@ -808,16 +839,7 @@ class RejectionFreeBlock {
 
   /// The packed codes of an empty cell: six kPairNone.
   static constexpr std::uint32_t kEmptyCodes = 0xFFFFFFu;
-  /// See refreshCells().
-  static constexpr auto kRefreshCells = refreshCells();
 
-  std::int64_t bx_ = 0;
-  std::int64_t by_ = 0;
-  std::int64_t x0_ = 0;  ///< absolute cell of block-local (0, 0)
-  std::int64_t y0_ = 0;
-  std::uint32_t particles_ = 0;
-  RowSet rows_{};
-  std::uint64_t proposals_ = 0;
   PairCounts counts_{};  ///< non-crossing pairs per code
   std::uint64_t crossing_ = 0;
   /// Per filter class: its non-crossing pairs (pairKey), in no fixed
@@ -825,35 +847,71 @@ class RejectionFreeBlock {
   std::array<std::vector<std::uint32_t>, kPairFilterClasses> members_;
   EngineStats stats_;
   std::int64_t edges_ = 0;  ///< Σ δ of the block's accepted moves
-  std::uint64_t boundaryRejects_ = 0;
   std::vector<Move> moves_;
 };
 
+inline void RejectionFreeRules::runBlock(System& sys, RejectionFreeBlock& block,
+                                         std::uint64_t key,
+                                         bool verifyEachMove) const {
+  block.rebuild(sys.grid(), *this);
+  block.run(sys, *this, key, verifyEachMove);
+}
+
+/// What RejectionFreeSampler needs of a block rule: System; Block, a
+/// BlockPlacement that reset() places; grid(sys), the occupancy grid the
+/// blocks align to; anchor(sys, i), the cell that puts particle i in its
+/// block, and anchorWord(sys, y, k), the anchors of word k of flat window
+/// row y; runBlock(sys, block, key, verify), the block's n-fold way from
+/// the streams under `key` — on a worker, writing only its own words and
+/// particles.
+template <typename R>
+concept RejectionFreeRule =
+    std::derived_from<typename R::Block, BlockPlacement> &&
+    requires(const R& rule, typename R::System& sys,
+             const typename R::System& view, typename R::Block& block,
+             const BlockEpoch& ep, std::int64_t y, std::size_t k,
+             std::uint64_t key, bool verify, const RowSet& rows) {
+      { R::grid(view) } -> std::same_as<const system::BitGrid&>;
+      { R::anchor(view, k) } -> std::same_as<TriPoint>;
+      { R::anchorWord(view, y, k) } -> std::same_as<std::uint64_t>;
+      { view.size() } -> std::convertible_to<std::size_t>;
+      block.reset(ep, y, y, std::uint32_t{0}, rows, key);
+      rule.runBlock(sys, block, key, verify);
+    };
+
+/// Runs fn(j) for j in [0, count): on the executor's workers, or in order
+/// on the calling thread.
+using BlockForEach = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& fn)>;
+
 /// The rejection-free epoch: the multinomial over the occupied blocks, the
-/// storage rule, the parallel phase and the replay (see the file comment).
+/// storage rule, the parallel phase and the canonical-order commit (see
+/// the file comment), for any block rule.
+template <typename Rule>
+  requires RejectionFreeRule<Rule>
 class RejectionFreeSampler {
  public:
-  /// Runs fn(j) for j in [0, count): on the executor's workers, or in
-  /// order on the calling thread.
-  using ForEach = std::function<void(
-      std::size_t count, const std::function<void(std::size_t)>& fn)>;
+  using System = typename Rule::System;
+  using Block = typename Rule::Block;
 
-  RejectionFreeSampler(const std::array<MoveDecision, 256>& decisions,
-                       bool greedy, std::int64_t widen)
-      : rules_(decisions, greedy, widen),
-        reserveSlack_(widen + 1 + system::BitGrid::kInteriorMargin) {}
+  /// `radius` is the model's interaction radius: with the grid's interior
+  /// margin, the storage a particle needs beyond its moves (the
+  /// executor's kReserveSlack).
+  RejectionFreeSampler(Rule rule, std::int64_t radius)
+      : rule_(std::move(rule)),
+        reserveSlack_(radius + system::BitGrid::kInteriorMargin) {}
 
-  /// Runs one epoch of `length` proposals on `sys` (whose cell → id index
-  /// must be live), adding its outcomes to `stats` and `edges`; returns
-  /// its boundary rejects (tallied by the executor).  `onMoved(particle,
-  /// from, to)` follows each move as it is replayed.  With
-  /// `verifyEachMove`, every accepted move is followed by a comparison of
-  /// its block against a from-scratch rebuild, which must agree.
-  template <typename OnMoved>
-  std::uint64_t runEpoch(system::ParticleSystem& sys, const BlockEpoch& ep,
-                         std::uint64_t length, EngineStats& stats,
-                         std::int64_t& edges, const ForEach& forEach,
-                         OnMoved&& onMoved, bool verifyEachMove = false) {
+  /// Runs one epoch of `length` proposals on `sys`, then calls
+  /// commit(block) for every block, in canonical order; returns the
+  /// epoch's boundary rejects (tallied by the executor).  With
+  /// `verifyEachMove`, every move is followed by a comparison of its block
+  /// against a from-scratch rebuild, which must agree.  A throw inside the
+  /// phase (a failed verification) still commits every block, so the
+  /// system stays consistent.
+  template <typename Commit>
+  std::uint64_t runEpoch(System& sys, const BlockEpoch& ep,
+                         std::uint64_t length, const BlockForEach& forEach,
+                         Commit&& commit, bool verifyEachMove = false) {
     realign(sys);
     placeBlocks(sys, ep, length);
     reserveStorage(sys);
@@ -865,36 +923,28 @@ class RejectionFreeSampler {
       return sizeA != sizeB ? sizeA > sizeB : a < b;
     });
     const std::uint64_t key = util::mix64(ep.moveKey ^ kStreamSalt);
-    // A throw inside the phase (a failed verification) still replays every
-    // logged move, so the system stays consistent.
     std::exception_ptr error;
     try {
       forEach(order_.size(), [&](std::size_t j) {
-        RejectionFreeBlock& block = blocks_[order_[j]];
-        block.rebuild(sys.grid(), rules_);
-        block.run(sys, rules_, blockKey(key, block), verifyEachMove);
+        Block& block = blocks_[order_[j]];
+        rule_.runBlock(sys, block, blockKey(key, block), verifyEachMove);
       });
     } catch (...) {
       error = std::current_exception();
     }
     std::uint64_t boundaryRejects = 0;
     for (std::size_t b = 0; b < active_; ++b) {
-      const RejectionFreeBlock& block = blocks_[b];
-      for (const RejectionFreeBlock::Move& m : block.moves()) {
-        onMoved(sys.commitMove(m.from, m.to), m.from, m.to);
-      }
-      stats.merge(block.stats());
-      edges += block.edgeDelta();
-      boundaryRejects += block.boundaryRejects();
+      commit(blocks_[b]);
+      boundaryRejects += blocks_[b].boundaryRejects();
     }
     if (error) std::rethrow_exception(error);
     return boundaryRejects;
   }
 
   /// The epoch's occupied blocks with at least one proposal, in canonical
-  /// order, as the last runEpoch() left them (counts and lists as after its
+  /// order, as the last runEpoch() left them (structures as after its
   /// last move).  For tests.
-  [[nodiscard]] std::span<const RejectionFreeBlock> blocks() const noexcept {
+  [[nodiscard]] std::span<const Block> blocks() const noexcept {
     return {blocks_.data(), active_};
   }
 
@@ -902,12 +952,12 @@ class RejectionFreeSampler {
   /// and draws their proposal counts from a total of `length`; blocks
   /// without proposals are dropped.  A flat window is counted by one pass
   /// over its words; a tiled grid — whose allocated area can be far
-  /// larger than n — by one pass over the positions.  Public for tests:
+  /// larger than n — by one pass over the particles.  Public for tests:
   /// runEpoch() calls it.
-  void placeBlocks(const system::ParticleSystem& sys, const BlockEpoch& ep,
+  void placeBlocks(const System& sys, const BlockEpoch& ep,
                    std::uint64_t length) {
     occupied_.clear();
-    const system::BitGrid& grid = sys.grid();
+    const system::BitGrid& grid = Rule::grid(sys);
     const auto blockOf = [](std::int64_t v, std::int64_t offset) {
       return (v - offset) >> BlockEpoch::kBlockShift;
     };
@@ -932,13 +982,14 @@ class RejectionFreeSampler {
       for (std::int64_t y = y0; y < y1; ++y) {
         OccupiedBlock* row =
             window_.data() + (blockOf(y, ep.offsetY) - by0) * columns;
-        const std::span<const std::uint64_t> words = grid.flatRow(y);
-        for (std::size_t k = 0; k < words.size(); ++k) {
-          if (words[k] == 0) continue;
+        const std::size_t words = grid.flatRow(y).size();
+        for (std::size_t k = 0; k < words; ++k) {
+          const std::uint64_t word = Rule::anchorWord(sys, y, k);
+          if (word == 0) continue;
           OccupiedBlock& block =
               row[blockOf(x0 + 64 * static_cast<std::int64_t>(k), ep.offsetX) -
                   bx0];
-          block.particles += popcount64(words[k]);
+          block.particles += util::popcount64(word);
           addRow(block.rows, y, ep.offsetY);
         }
       }
@@ -972,7 +1023,8 @@ class RejectionFreeSampler {
         block.rows[0] |= run.rows[0];
         block.rows[1] |= run.rows[1];
       };
-      for (const TriPoint p : sys.positions()) {
+      for (std::size_t i = 0; i < sys.size(); ++i) {
+        const TriPoint p = Rule::anchor(sys, i);
         const std::int64_t bx = blockOf(p.x, ep.offsetX);
         const std::int64_t by = blockOf(p.y, ep.offsetY);
         const std::uint64_t key =
@@ -1025,20 +1077,16 @@ class RejectionFreeSampler {
                         window_.capacity() * sizeof(OccupiedBlock) +
                         order_.capacity() * sizeof(std::size_t) +
                         centers_.capacity() * sizeof(TriPoint);
-    for (const RejectionFreeBlock& block : blocks_) {
-      bytes += block.memoryBytes();
-    }
+    for (const Block& block : blocks_) bytes += block.memoryBytes();
     return bytes;
   }
 
-  [[nodiscard]] const RejectionFreeRules& rules() const noexcept {
-    return rules_;
-  }
+  [[nodiscard]] const Rule& rule() const noexcept { return rule_; }
 
  private:
   /// Block b's stream key under the epoch key: (seed, e, block).
-  [[nodiscard]] static std::uint64_t blockKey(
-      std::uint64_t epochKey, const RejectionFreeBlock& block) noexcept {
+  [[nodiscard]] static std::uint64_t blockKey(std::uint64_t epochKey,
+                                              const Block& block) noexcept {
     const auto bx = static_cast<std::uint32_t>(block.blockX());
     const auto by = static_cast<std::uint32_t>(block.blockY());
     return util::mix64(epochKey ^
@@ -1052,9 +1100,10 @@ class RejectionFreeSampler {
 
   /// A flat window restored from a foreign snapshot may sit off the
   /// 64-column lattice the block words need; one regrow realigns it.
-  static void realign(system::ParticleSystem& sys) {
-    if (!sys.grid().tiled() && (sys.grid().originX() & 63) != 0) {
-      const TriPoint anchor = sys.position(0);
+  static void realign(System& sys) {
+    const system::BitGrid& grid = Rule::grid(sys);
+    if (!grid.tiled() && (grid.originX() & 63) != 0) {
+      const TriPoint anchor = Rule::anchor(sys, 0);
       sys.reserveInterior({&anchor, 1}, 0);
     }
   }
@@ -1063,16 +1112,16 @@ class RejectionFreeSampler {
   /// executor's storage rule with m_b in place of c_i.  Each particle of a
   /// block needs m_b + kReserveSlack cells of storage around it, and never
   /// more than the block widened by kInteriorMargin (no particle leaves
-  /// it), so a block not covered that far needs the box of its particles
-  /// widened by m_b + kReserveSlack, clipped to that.
-  void reserveStorage(system::ParticleSystem& sys) {
-    const system::BitGrid& grid = sys.grid();
+  /// it), so a block not covered that far needs the box of its occupied
+  /// rows' cells widened by m_b + kReserveSlack, clipped to that.
+  void reserveStorage(System& sys) {
+    const system::BitGrid& grid = Rule::grid(sys);
     constexpr std::int64_t kHalf = BlockEpoch::kBlockSize / 2;
     constexpr std::int64_t kMargin = system::BitGrid::kInteriorMargin;
     centers_.clear();
     std::int64_t depth = 0;
     for (std::size_t b = 0; b < active_; ++b) {
-      const RejectionFreeBlock& block = blocks_[b];
+      const Block& block = blocks_[b];
       const std::int64_t x0 = block.originX();
       const std::int64_t y0 = block.originY();
       const TriPoint center{static_cast<std::int32_t>(x0 + kHalf),
@@ -1120,7 +1169,7 @@ class RejectionFreeSampler {
     RowSet rows{};  ///< block-local rows holding its particles
   };
 
-  RejectionFreeRules rules_;
+  Rule rule_;
   /// The storage a particle needs beyond its moves: the model's reach and
   /// the grid's interior margin (the executor's kReserveSlack).
   std::int64_t reserveSlack_;
@@ -1132,7 +1181,7 @@ class RejectionFreeSampler {
   util::FlatMap64<std::uint32_t> slotOf_;
   /// The epoch's blocks with proposals are blocks_[0, active_), in
   /// canonical order; the vector keeps the rest for reuse.
-  std::vector<RejectionFreeBlock> blocks_;
+  std::vector<Block> blocks_;
   std::size_t active_ = 0;
   std::vector<std::size_t> order_;
   std::vector<TriPoint> centers_;

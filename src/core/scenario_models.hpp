@@ -24,7 +24,6 @@
 /// hash-index reference chain (extensions::SeparationChain) on flat and
 /// tiled grids.
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "system/bit_grid.hpp"
 #include "system/particle_system.hpp"
 #include "system/snapshot.hpp"
+#include "util/popcount.hpp"
 
 namespace sops::core {
 
@@ -233,8 +233,8 @@ class SeparationModel {
     const std::uint8_t ringSame = planes_.plane(colors_[particle])
                                       .ringMaskUnchecked(l, lattice::index(d));
     const int delta =
-        std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
-        std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
+        util::popcount64(ringSame & kAfterMask) -
+        util::popcount64(ringSame & kBeforeMask);
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
@@ -285,11 +285,11 @@ class SeparationModel {
     const std::uint8_t ringQ =
         planes_.plane(colorQ).ringMaskUnchecked(p, lattice::index(d));
     const int before =
-        std::popcount(static_cast<unsigned>(ringP & kBeforeMask)) +
-        std::popcount(static_cast<unsigned>(ringQ & kAfterMask));
+        util::popcount64(ringP & kBeforeMask) +
+        util::popcount64(ringQ & kAfterMask);
     const int after =
-        std::popcount(static_cast<unsigned>(ringQ & kBeforeMask)) +
-        std::popcount(static_cast<unsigned>(ringP & kAfterMask));
+        util::popcount64(ringQ & kBeforeMask) +
+        util::popcount64(ringP & kAfterMask);
     const double threshold =
         swapPow_[static_cast<std::size_t>(after - before + kMaxSwapDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {
@@ -425,8 +425,8 @@ class AlignmentModel {
         planes_.plane(orientations_[particle])
             .ringMaskUnchecked(l, lattice::index(d));
     const int delta =
-        std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
-        std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
+        util::popcount64(ringSame & kAfterMask) -
+        util::popcount64(ringSame & kBeforeMask);
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
@@ -462,10 +462,8 @@ class AlignmentModel {
     const TriPoint p = sys.position(particle);
     planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
     const int delta =
-        std::popcount(static_cast<unsigned>(
-            planes_.plane(proposed).neighborMaskUnchecked(p))) -
-        std::popcount(static_cast<unsigned>(
-            planes_.plane(current).neighborMaskUnchecked(p)));
+        util::popcount64(planes_.plane(proposed).neighborMaskUnchecked(p)) -
+        util::popcount64(planes_.plane(current).neighborMaskUnchecked(p));
     const double threshold =
         rotationPow_[static_cast<std::size_t>(delta + kMaxRotationDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {

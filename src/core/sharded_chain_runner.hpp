@@ -34,9 +34,9 @@
 ///
 /// **Rejection-free epochs.**  For a compression-like model — uniform
 /// weight, no aux move — with uniform selection, an epoch runs through
-/// core::RejectionFreeSampler instead when the previous epoch accepted
-/// fewer than L / kRejectionFreeAcceptDivisor moves: a per-block n-fold
-/// way whose blocks run on the executor's workers.  That kernel samples
+/// RejectionFreeSampler<RejectionFreeRules> instead when the previous
+/// epoch accepted fewer than L / kRejectionFreeAcceptDivisor moves: a
+/// per-block n-fold way whose blocks run on the executor's workers.  That kernel samples
 /// exactly the block-path epoch's law (rejection_free.hpp), so choosing
 /// between the two by the past — even by the state — leaves every epoch's
 /// law, and π, unchanged; the rule reads only seed-determined counts, so
@@ -279,24 +279,30 @@ class ShardedChainRunner {
   }
 
   /// One epoch through the rejection-free kernel, its blocks on the
-  /// executor's workers.  The replay after its phase needs the cell → id
-  /// index live.
+  /// executor's workers.  The commit after its phase replays each block's
+  /// moves into the cell → id index, which must be live.
   void runRejectionFreeEpoch() {
     if constexpr (kRejectionFreeCapable) {
       system_.restoreIndex();
       if (!sampler_) {
-        sampler_ = std::make_unique<RejectionFreeSampler>(
-            decisions_, greedy_, ModelInteractionRadius<Model>::value - 1);
+        sampler_ = std::make_unique<RejectionFreeSampler<RejectionFreeRules>>(
+            RejectionFreeRules(decisions_, greedy_,
+                               ModelInteractionRadius<Model>::value - 1),
+            ModelInteractionRadius<Model>::value);
       }
       const std::uint64_t boundaryRejects = sampler_->runEpoch(
           system_, executor_.nextEpoch(), executor_.epochLength(),
-          tallies_.stats, tallies_.edges,
           [this](std::size_t count,
                  const std::function<void(std::size_t)>& fn) {
             executor_.forEachBlock(count, fn);
           },
-          [this](std::size_t particle, TriPoint from, TriPoint to) {
-            model_.onMoved(system_, particle, from, to);
+          [this](const RejectionFreeBlock& block) {
+            for (const RejectionFreeBlock::Move& m : block.moves()) {
+              model_.onMoved(system_, system_.commitMove(m.from, m.to),
+                             m.from, m.to);
+            }
+            tallies_.stats.merge(block.stats());
+            tallies_.edges += block.edgeDelta();
           },
           verifyEachMove_);
       executor_.completeEpoch(boundaryRejects);
@@ -413,7 +419,7 @@ class ShardedChainRunner {
   std::uint64_t rejectionFreeEpochs_ = 0;
   /// Built at the first rejection-free epoch; holds no state across
   /// epochs beyond reused buffers.
-  std::unique_ptr<RejectionFreeSampler> sampler_;
+  std::unique_ptr<RejectionFreeSampler<RejectionFreeRules>> sampler_;
 };
 
 }  // namespace sops::core

@@ -29,15 +29,16 @@ constexpr std::size_t kMaxBufferedEventsPerReplica = std::size_t{1} << 22;
 /// The canonical trajectory-identity key of a spec: the fields a snapshot
 /// is only valid under.  Steps, checkpoint cadence, sinks, deadline, and
 /// the exact thread *count* may change between save and resume; scenario,
-/// shape, n, seed, the scenario parameters, and the execution regime
-/// (sequential engine at threads <= 1 vs sharded runner at threads > 1 —
-/// the sharded trajectory is identical for every count > 1) may not.
-/// Scenario params are sorted so spelling order cannot matter.
-[[nodiscard]] std::string resumeCompatText(const RunSpec& spec) {
+/// shape, n, seed, the scenario parameters, and the engine the run takes
+/// (ScenarioRun::sharded(): a chain scenario's sharded runner only at
+/// threads > 1, the amoebot runner at every count) may not.  Scenario
+/// params are sorted so spelling order cannot matter.
+[[nodiscard]] std::string resumeCompatText(const RunSpec& spec,
+                                           const ScenarioRun& run) {
   std::string out = "scenario=" + spec.scenario + " shape=" + spec.shape +
                     " n=" + std::to_string(spec.n) +
                     " seed=" + std::to_string(spec.seed) +
-                    " engine=" + (spec.threads > 1 ? "sharded" : "sequential");
+                    " engine=" + (run.sharded() ? "sharded" : "sequential");
   std::vector<std::pair<std::string, std::string>> entries;
   for (const auto& [key, value] : spec.params.entries()) {
     entries.emplace_back(key, value);
@@ -105,7 +106,7 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
         system::loadResumableSnapshot(spec.resumePath);
     system::SnapshotReader reader(snapshot.payload, snapshot.version);
     const std::string storedCompat = reader.str();
-    const std::string expectedCompat = resumeCompatText(spec);
+    const std::string expectedCompat = resumeCompatText(spec, *run);
     SOPS_REQUIRE(storedCompat == expectedCompat,
                  "resume: snapshot " + spec.resumePath +
                      " was written by an incompatible spec\n  snapshot: " +
@@ -137,7 +138,7 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
                  "scenario '" + spec.scenario +
                      "' does not support snapshot-file");
     system::SnapshotWriter writer;
-    writer.str(resumeCompatText(spec));
+    writer.str(resumeCompatText(spec, *run));
     writer.u64(replica);
     writer.u64(run->stepsDone());
     run->saveState(writer);

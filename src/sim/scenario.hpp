@@ -75,6 +75,11 @@ class ScenarioRun {
   /// the token between advances either way.  nullptr uninstalls.
   virtual void setCancelToken(const core::CancelToken* /*cancel*/) {}
 
+  /// Whether the run executes on a sharded block runner (the same
+  /// trajectory at every thread count) rather than a sequential engine:
+  /// the snapshot identity's engine=, which a resume may not change.
+  [[nodiscard]] virtual bool sharded() const { return false; }
+
   /// Whether saveState()/restoreState() are implemented.  Scenarios that
   /// return false here cannot be used with snapshot-file=/resume=.
   [[nodiscard]] virtual bool supportsSnapshots() const { return false; }

@@ -20,13 +20,15 @@
 /// block-boundary proposals are rejected; π is the same, checked exactly
 /// in tests/sharded_chain_test.cpp).  For compression with uniform
 /// selection the runner routes an epoch after one that accepted fewer
-/// than L/256 moves — the compressed regime — through its rejection-free
-/// kernel on the calling thread, which samples the block epoch's exact
-/// law; the replica record's rejection_free_epochs counts them.  The
-/// amoebot scenario, whose runner is sharded either way, spends the whole
-/// budget (0 = all cores); without rate-spread its runner routes an epoch
-/// after one with fewer than L/64 non-Idle activations through its own
-/// rejection-free kernel, and the replica record carries its
+/// than L/256 moves — the compressed regime — through the rejection-free
+/// kernel (core::RejectionFreeSampler, its blocks on the runner's
+/// workers), which samples the block epoch's exact law; the replica
+/// record's rejection_free_epochs counts them.  The amoebot scenario,
+/// whose runner is sharded at every count (so its snapshots resume at
+/// any count, threads = 1 included), spends the whole budget (0 = all
+/// cores); without rate-spread its runner routes an epoch after one with
+/// fewer than L/64 non-Idle activations through the same sampler under
+/// Algorithm A's block rule, and the replica record carries its
 /// rejection_free_epochs and activation outcome counts (idle, expanded,
 /// moved_to_head, contracted_back).
 ///
@@ -228,6 +230,7 @@ class ShardedRun : public ScenarioRun {
   [[nodiscard]] std::uint64_t stepsDone() const override {
     return runner_.stats().steps;
   }
+  [[nodiscard]] bool sharded() const override { return true; }
   void sampleMetrics(std::vector<double>& out) const override {
     sampler_(runner_, out);
   }
@@ -476,6 +479,7 @@ class AmoebotRun : public ScenarioRun {
   [[nodiscard]] std::uint64_t stepsDone() const override {
     return runner_->activations();
   }
+  [[nodiscard]] bool sharded() const override { return true; }
   void sampleMetrics(std::vector<double>& out) const override {
     // The tail projection read straight off the planes (occ & ~heads):
     // no ParticleSystem, grid or hash is built per sample.

@@ -1,17 +1,20 @@
-// Rejection-free epochs for Algorithm A (amoebot/rejection_free.hpp) and
-// the sharded amoebot runner's epoch routing (amoebot/parallel_scheduler).
+// Rejection-free epochs for Algorithm A — core::RejectionFreeSampler under
+// amoebot::RejectionFreeRule — and the sharded amoebot runner's epoch
+// routing (amoebot/parallel_scheduler).
 //
-//  1. The index: after every event its bytes, mass sums, chunk masses,
-//     Fenwick tree, tail histogram and crossing mass C equal a
-//     from-scratch rebuild — on flat and tiled planes, with crash and
-//     Byzantine faults; the histogram's band count equals the
-//     particle-by-particle count; the memory budget.
+//  1. The per-block structures: after every event each block's candidate
+//     lists and crossing count equal a from-scratch rebuild — on flat and
+//     tiled planes, with crash and Byzantine faults, at one thread and at
+//     four while the other blocks run; each block's word rebuild equals
+//     the particle-by-particle count under 48 offsets; the memory budget.
 //  2. The law: a rejection-free epoch samples the block-path epoch's law.
 //     Chi-square of the quiescent configurations against exact π at
 //     n = 4, 5 (and at 3-activation epochs, where nearly every geometric
 //     run is cut at the epoch end); two-sample KS of the perimeter, the
 //     skip count and every outcome tally against the list-order oracle at
-//     n = 10⁴.
+//     n = 10⁴ and across a block line; chi-square of the blocks'
+//     activation counts against the multinomial; two identical blocks
+//     draw independently.
 //  3. Routing: compressed epochs route rejection-free and the runner
 //     pinned to the block path never does; with routing on, the
 //     trajectory — tallies and rejection-free epoch count included — is
@@ -25,19 +28,23 @@
 // p > 0.001 per observable; fixed seeds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "amoebot/amoebot_system.hpp"
 #include "amoebot/faults.hpp"
 #include "amoebot/local_compression.hpp"
 #include "amoebot/parallel_scheduler.hpp"
-#include "amoebot/rejection_free.hpp"
 #include "analysis/stats.hpp"
 #include "core/block_executor.hpp"
+#include "core/rejection_free.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "system/canonical.hpp"
 #include "system/metrics.hpp"
@@ -48,8 +55,14 @@ namespace sops::amoebot {
 namespace {
 
 using system::ParticleSystem;
+using Sampler = core::RejectionFreeSampler<RejectionFreeRule>;
 
-// --- 1. the index -----------------------------------------------------------
+/// Runs fn(j) for every j in order on this thread.
+void inOrder(std::size_t count, const std::function<void(std::size_t)>& fn) {
+  for (std::size_t j = 0; j < count; ++j) fn(j);
+}
+
+// --- 1. the per-block structures -------------------------------------------
 
 /// A line of `n` along the x-axis, plus (for `tiled`) a far singleton that
 /// promotes the planes to tiles.
@@ -60,23 +73,41 @@ ParticleSystem lineWithOutlier(std::int32_t n, bool tiled) {
   return ParticleSystem(points);
 }
 
+/// Crashes 10% and turns 5% Byzantine (`fraction` scales both).
+void applyTestFaults(AmoebotSystem& sys, double fraction,
+                     std::uint64_t seed) {
+  rng::Random faultRng(seed);
+  FaultPlan plan = randomCrashes(sys.size(), 0.1 * fraction, faultRng);
+  plan.byzantine =
+      randomByzantine(sys.size(), 0.05 * fraction, faultRng).byzantine;
+  applyFaults(sys, plan);
+}
+
+/// The live id index and the expanded count agree with the particles.
+void expectIdIndexConsistent(const AmoebotSystem& sys,
+                             const std::string& label) {
+  std::size_t expanded = 0;
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    const Particle& p = sys.particle(id);
+    ASSERT_EQ(sys.at(p.tail).particle, static_cast<std::int32_t>(id)) << label;
+    ASSERT_EQ(sys.at(p.head).particle, static_cast<std::int32_t>(id)) << label;
+    if (p.expanded) ++expanded;
+  }
+  EXPECT_EQ(expanded, sys.expandedCount()) << label;
+}
+
 TEST(AmoebotRejectionFreeIndex, MatchesRebuildAfterEveryEvent) {
   for (const bool faulty : {false, true}) {
     for (const bool tiled : {false, true}) {
-      // A 1100-particle line at λ = 4 (past the particle-pass size, so
-      // the histogram counts C) in 1000-activation epochs: hundreds of
-      // events, each followed by a full comparison (verifyEachEvent
-      // throws on the first drift).  With faults, 10% of the particles
-      // crash and 5% turn Byzantine.
+      // An 1100-particle line at λ = 4 (nine blocks and more along x) in
+      // 1000-activation epochs: hundreds of events, each followed by a
+      // full comparison of its block (verifyEachEvent throws on the first
+      // drift).  With faults, 10% of the particles crash and 5% turn
+      // Byzantine.
       rng::Random ctor(17);
       AmoebotSystem sys(lineWithOutlier(1100, tiled), ctor);
       ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
-      if (faulty) {
-        rng::Random faultRng(19);
-        FaultPlan plan = randomCrashes(sys.size(), 0.1, faultRng);
-        plan.byzantine = randomByzantine(sys.size(), 0.05, faultRng).byzantine;
-        applyFaults(sys, plan);
-      }
+      if (faulty) applyTestFaults(sys, 1.0, 19);
       const LocalCompressionAlgorithm algo({4.0});
       ShardedOptions options;
       options.threads = 1;
@@ -92,29 +123,99 @@ TEST(AmoebotRejectionFreeIndex, MatchesRebuildAfterEveryEvent) {
                 runner.activations())
           << label;
       EXPECT_GT(t.events(), 100u) << label;
-      // The live id index agrees with the particles.
-      std::size_t expanded = 0;
-      for (std::size_t id = 0; id < sys.size(); ++id) {
-        const Particle& p = sys.particle(id);
-        ASSERT_EQ(sys.at(p.tail).particle, static_cast<std::int32_t>(id));
-        ASSERT_EQ(sys.at(p.head).particle, static_cast<std::int32_t>(id));
-        if (p.expanded) ++expanded;
-      }
-      EXPECT_EQ(expanded, sys.expandedCount()) << label;
+      expectIdIndexConsistent(sys, label);
     }
   }
 }
 
+TEST(AmoebotRejectionFreeIndex, MatchesRebuildAfterEveryEventAtFourThreads) {
+  // A 10⁴ spiral at λ = 4 with crash and Byzantine faults on four
+  // workers: every event of every block is checked against a rebuild of
+  // its block while the other blocks run, and the run must match the
+  // single-thread one.
+  const LocalCompressionAlgorithm algo({4.0});
+  const ParticleSystem spiral = system::spiralConfiguration(10000);
+  const auto runWith = [&](unsigned threads) {
+    rng::Random ctor(21);
+    AmoebotSystem sys(spiral, ctor);
+    applyTestFaults(sys, 0.2, 22);
+    ShardedOptions options;
+    options.threads = threads;
+    ShardedPoissonRunner runner(sys, algo, 4101, options);
+    runner.forceRejectionFreeForTest(/*verifyEachEvent=*/true);
+    runner.runAtLeast(8 * 20000);
+    expectIdIndexConsistent(sys, std::to_string(threads) + " threads");
+    std::vector<TriPoint> cells;
+    for (std::size_t id = 0; id < sys.size(); ++id) {
+      cells.push_back(sys.particle(id).tail);
+      cells.push_back(sys.particle(id).head);
+    }
+    return std::pair{cells, runner.tallies().events()};
+  };
+  const auto four = runWith(4);
+  EXPECT_GT(four.second, 100u);
+  EXPECT_TRUE(four == runWith(1));
+}
+
+/// Per block, particle by particle: its particles, and how many of their
+/// six ports the block path would skip (crossing) or run non-Idle
+/// (candidates) — the executor kernel's boundary rule and Algorithm A's
+/// conditions, read off the particle records.
+struct BlockReference {
+  std::uint64_t particles = 0;
+  std::uint64_t candidates = 0;
+  std::uint64_t crossing = 0;
+};
+
+std::map<std::pair<std::int64_t, std::int64_t>, BlockReference>
+referenceBlocks(const AmoebotSystem& sys, const core::BlockEpoch& ep) {
+  std::map<std::pair<std::int64_t, std::int64_t>, BlockReference> blocks;
+  const auto reach = core::blockReach(1);
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    const Particle& p = sys.particle(id);
+    const std::int64_t bx = (p.tail.x - ep.offsetX) >> core::BlockEpoch::kBlockShift;
+    const std::int64_t by = (p.tail.y - ep.offsetY) >> core::BlockEpoch::kBlockShift;
+    BlockReference& block = blocks[{by, bx}];
+    ++block.particles;
+    bool anyEmpty = false;
+    for (const Direction d : lattice::kAllDirections) {
+      anyEmpty = anyEmpty || !sys.occupied(lattice::neighbor(p.tail, d));
+    }
+    for (int port = 0; port < lattice::kNumDirections; ++port) {
+      const Direction d = sys.globalDirection(id, port);
+      const int box = p.expanded    ? p.expandDir
+                      : p.byzantine ? core::kReachRing
+                                    : lattice::index(d);
+      if (!ep.inside(p.tail, reach[static_cast<std::size_t>(box)])) {
+        ++block.crossing;
+        continue;
+      }
+      bool acts = false;
+      if (p.crashed) {
+        acts = false;
+      } else if (p.byzantine) {
+        acts = !p.expanded && anyEmpty;
+      } else if (p.expanded) {
+        acts = true;
+      } else {
+        acts = !sys.occupied(lattice::neighbor(p.tail, d)) &&
+               !sys.expandedParticleAdjacent(p.tail, id);
+      }
+      block.candidates += acts ? 1 : 0;
+    }
+  }
+  return blocks;
+}
+
 TEST(AmoebotRejectionFreeIndex, BandCountMatchesParticleCount) {
   // A 10⁵ spiral after a few block epochs (so expanded particles exist),
-  // with crash and Byzantine faults: the histogram's band count of C must
-  // equal the particle-by-particle count under every offset.
+  // with crash and Byzantine faults, cut by block lines in both axes under
+  // every offset: each block's word-parallel rebuild must count exactly
+  // the candidates and the crossing pairs of the block-line bands that
+  // the per-particle definition does.
   rng::Random ctor(23);
   AmoebotSystem sys(system::spiralConfiguration(100000), ctor);
-  rng::Random faultRng(29);
-  FaultPlan plan = randomCrashes(sys.size(), 0.01, faultRng);
-  plan.byzantine = randomByzantine(sys.size(), 0.01, faultRng).byzantine;
-  applyFaults(sys, plan);
+  applyTestFaults(sys, 0.1, 29);
   const LocalCompressionAlgorithm algo({4.0});
   ShardedOptions options;
   options.threads = 2;
@@ -122,33 +223,57 @@ TEST(AmoebotRejectionFreeIndex, BandCountMatchesParticleCount) {
   runner.forceBlockPathForTest();
   runner.runAtLeast(3 * 200000);
   ASSERT_GT(sys.expandedCount(), 0u);
-  RejectionFreeIndex index(algo);
-  index.rebuild(sys);
+  Sampler sampler(RejectionFreeRule(algo), RejectionFreeRule::kRadius);
+  sys.freezeIdIndex();
   for (std::uint64_t e = 0; e < 48; ++e) {
     const core::BlockEpoch ep = core::BlockEpoch::draw(77, e);
-    index.beginEpoch(sys, ep);
-    EXPECT_EQ(static_cast<std::int64_t>(index.crossingMass()),
-              index.crossingByParticles(sys, ep))
-        << "epoch " << e;
-    EXPECT_GT(index.crossingMass(), 10000u);
-    EXPECT_TRUE(index.matchesRebuild(sys, ep));
+    // L far above n: every occupied block draws activations.
+    sampler.placeBlocks(sys, ep, 1000 * 100000);
+    const auto reference = referenceBlocks(sys, ep);
+    ASSERT_EQ(sampler.blocks().size(), reference.size()) << "epoch " << e;
+    std::uint64_t crossing = 0;
+    for (const RejectionFreeBlock& placed : sampler.blocks()) {
+      RejectionFreeBlock block = placed;
+      block.rebuild(sys, sampler.rule());
+      const auto it = reference.find({block.blockY(), block.blockX()});
+      ASSERT_NE(it, reference.end());
+      EXPECT_EQ(block.particles(), it->second.particles) << "epoch " << e;
+      EXPECT_EQ(block.candidateMass(), it->second.candidates) << "epoch " << e;
+      EXPECT_EQ(block.crossing(), it->second.crossing) << "epoch " << e;
+      EXPECT_TRUE(block.matchesRebuild(sys, sampler.rule()));
+      crossing += block.crossing();
+    }
+    EXPECT_GT(crossing, 10000u);
   }
+  sys.thawIdIndex(0);
 }
 
 TEST(AmoebotRejectionFreeIndex, FitsTheMemoryBudgetAtN1e5) {
+  // The per-block structures of a 10⁵ spiral at λ = 4 after twenty
+  // epochs — lists, logs and a byte of candidate bits per cell of each
+  // block — stay within 256 KiB.
   rng::Random ctor(37);
-  const ParticleSystem spiral = system::spiralConfiguration(100000);
-  const AmoebotSystem sys(spiral, ctor);
+  AmoebotSystem sys(system::spiralConfiguration(100000), ctor);
   const LocalCompressionAlgorithm algo({4.0});
-  RejectionFreeIndex index(algo);
-  index.rebuild(sys);
-  // One byte per particle, two chunk words per 64, the 64 KiB histogram.
-  EXPECT_LE(index.memoryBytes(), std::size_t{256} << 10);
-  // All contracted, none expanded: the candidates are the (particle,
-  // empty neighbour) pairs, 6n − 2e.
-  EXPECT_EQ(index.candidateMass(),
-            6u * 100000u - 2 * static_cast<std::uint64_t>(
-                                   system::countEdges(spiral)));
+  Sampler sampler(RejectionFreeRule(algo), RejectionFreeRule::kRadius);
+  ActivationTallies tallies;
+  std::uint64_t skipped = 0;
+  for (std::uint64_t e = 0; e < 20; ++e) {
+    skipped += runRejectionFreeEpoch(sampler, sys, core::BlockEpoch::draw(5, e),
+                                     200000, inOrder, tallies);
+  }
+  EXPECT_LE(sampler.memoryBytes(), std::size_t{256} << 10);
+  EXPECT_EQ(tallies.idle + tallies.events() + skipped, 20u * 200000u);
+  EXPECT_GT(tallies.events(), 0u);
+  expectIdIndexConsistent(sys, "after the epochs");
+  // Every pair of every block is a candidate, crossing, or Idle.
+  std::uint64_t particles = 0;
+  for (const RejectionFreeBlock& block : sampler.blocks()) {
+    EXPECT_LE(block.candidateMass() + block.crossing(),
+              6u * block.particles());
+    particles += block.particles();
+  }
+  EXPECT_LE(particles, 100000u);
 }
 
 }  // namespace
@@ -294,6 +419,92 @@ TEST(AmoebotRejectionFreeDistribution, MatchesListOrderOracleAcrossABlockLine) {
   // still samples π).
   expectRejectionFreeMatchesListOrderKS(system::lineConfiguration(130), 260,
                                         4, 300, 9000);
+}
+
+TEST(AmoebotRejectionFreeDistribution, BlocksDrawIndependently) {
+  // Two copies of one 3-particle line at the same place in two blocks,
+  // two activations per epoch.  Each block runs from its own (seed, e,
+  // block) streams, so when both blocks get one activation and both
+  // expand, their expansions coincide only as often as two independent
+  // draws among the line's 14 legal expansions do; blocks sharing one
+  // stream would repeat each other.
+  std::vector<TriPoint> points;
+  for (const std::int32_t shift : {0, 256}) {
+    for (std::int32_t x = 20; x < 23; ++x) points.push_back({shift + x, 20});
+  }
+  const LocalCompressionAlgorithm algo({4.0});
+  Sampler sampler(RejectionFreeRule(algo), RejectionFreeRule::kRadius);
+  int both = 0;
+  int same = 0;
+  for (std::uint64_t e = 0; e < 4000; ++e) {
+    rng::Random ctor(e);
+    AmoebotSystem sys(ParticleSystem(points), ctor);
+    core::BlockEpoch ep = core::BlockEpoch::draw(1401, e);
+    ep.offsetX = 0;
+    ep.offsetY = 0;
+    ActivationTallies tallies;
+    runRejectionFreeEpoch(sampler, sys, ep, 2, inOrder, tallies);
+    const auto blocks = sampler.blocks();
+    if (blocks.size() != 2 || blocks[0].tallies().expanded != 1 ||
+        blocks[1].tallies().expanded != 1) {
+      continue;
+    }
+    ++both;
+    bool coincide = true;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const Particle& a = sys.particle(i);
+      const Particle& b = sys.particle(i + 3);
+      coincide = coincide && a.expanded == b.expanded &&
+                 a.head - a.tail == b.head - b.tail;
+    }
+    same += coincide ? 1 : 0;
+  }
+  ASSERT_GT(both, 500);
+  EXPECT_LT(static_cast<double>(same) / both, 0.5)
+      << same << " of " << both << " expansions coincide";
+}
+
+TEST(AmoebotRejectionFreeDistribution, BlockProposalCountsMatchTheMultinomial) {
+  // A 10-particle line at x ∈ [60, 69] under an x-offset of 64, its right
+  // end expanded across x = 70: 4 tails left of the block line, 6 right
+  // of it (and one head, which is no particle of its block).  Over many
+  // epoch keys, the left block's share of L = 8 activations must be
+  // Binomial(8, 4/10) — the factorisation's (m_b) ~ Multinomial(L, n_b/n).
+  std::vector<TriPoint> points;
+  for (std::int32_t x = 60; x < 70; ++x) points.push_back({x, 5});
+  rng::Random ctor(7);
+  AmoebotSystem sys(ParticleSystem(points), ctor);
+  sys.expand(9, Direction::East);
+  const LocalCompressionAlgorithm algo({4.0});
+  Sampler sampler(RejectionFreeRule(algo), RejectionFreeRule::kRadius);
+  constexpr std::uint64_t kLength = 8;
+  std::vector<double> counts(kLength + 1, 0.0);
+  for (std::uint64_t e = 0; e < 40000; ++e) {
+    core::BlockEpoch ep = core::BlockEpoch::draw(1301, e);
+    ep.offsetX = 64;
+    ep.offsetY = 0;
+    sampler.placeBlocks(sys, ep, kLength);
+    std::uint64_t left = 0;
+    std::uint64_t total = 0;
+    for (const RejectionFreeBlock& block : sampler.blocks()) {
+      if (block.blockX() == -1) left = block.proposals();
+      total += block.proposals();
+      EXPECT_EQ(block.particles(), block.blockX() == -1 ? 4u : 6u);
+    }
+    ASSERT_EQ(total, kLength);
+    counts[left] += 1.0;
+  }
+  std::vector<double> pmf(kLength + 1, 0.0);
+  for (std::uint64_t k = 0; k <= kLength; ++k) {
+    pmf[k] = std::tgamma(kLength + 1.0) /
+             (std::tgamma(k + 1.0) * std::tgamma(kLength - k + 1.0)) *
+             std::pow(0.4, static_cast<double>(k)) *
+             std::pow(0.6, static_cast<double>(kLength - k));
+  }
+  const analysis::ChiSquareResult gof =
+      analysis::chiSquareGoodnessOfFit(counts, pmf);
+  EXPECT_GT(gof.pValue, kAcceptP)
+      << "chi2 = " << gof.statistic << ", dof = " << gof.dof;
 }
 
 }  // namespace

@@ -575,6 +575,12 @@ TEST(DurableRunGolden, AmoebotKillResume) {
   expectKillResumeIdentical(spec, "amoebot", 2);
 }
 
+TEST(DurableRunGolden, AmoebotResumeAcrossThreadsOne) {
+  // The amoebot runner is sharded at every thread count, threads = 1
+  // included, so a snapshot written at four threads resumes at one.
+  expectKillResumeIdentical(baseSpec("amoebot", 4), "amoebot_threads_one", 1);
+}
+
 TEST(DurableRunGolden, AmoebotWithCrashFaultsKillResume) {
   // Crashed-particle flags must survive the snapshot, or the resumed run
   // would wake the crashed particles and diverge.
@@ -585,10 +591,11 @@ TEST(DurableRunGolden, AmoebotWithCrashFaultsKillResume) {
 
 TEST(DurableRunGolden, AmoebotRejectionFreeResumeAtDifferentThreadCount) {
   // An 8000-particle spiral at λ = 4 has about L/70 non-Idle activations
-  // per epoch, just under the L/64 route: most epochs after the first run
-  // rejection-free and a few go back to the block path, so the kill lands
-  // among mixed epochs, and the tail resumes at four threads instead of
-  // two.  The outcome tallies in the replica record must agree too.
+  // per epoch, just under the L/64 route, so any epoch after the first
+  // may run rejection-free or go back to the block path (at this seed all
+  // nineteen route rejection-free); the kill lands between rejection-free
+  // epochs, and the tail resumes at four threads instead of two.  The
+  // outcome tallies in the replica record must agree too.
   sim::RunSpec spec = baseSpec("amoebot", 2);
   spec.shape = "spiral";
   spec.n = 8000;
@@ -599,7 +606,7 @@ TEST(DurableRunGolden, AmoebotRejectionFreeResumeAtDifferentThreadCount) {
   EXPECT_EQ(atKill.count("rejection_free_epochs"),
             std::optional<std::uint64_t>(7));
   EXPECT_EQ(resumed.count("rejection_free_epochs"),
-            std::optional<std::uint64_t>(17));
+            std::optional<std::uint64_t>(19));
   std::uint64_t executed = 0;
   for (const char* outcome :
        {"idle", "expanded", "moved_to_head", "contracted_back"}) {

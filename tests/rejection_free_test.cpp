@@ -51,6 +51,27 @@ namespace sops::core {
 namespace {
 
 using Runner = ShardedChainRunner<CompressionModel>;
+using Sampler = RejectionFreeSampler<RejectionFreeRules>;
+
+/// One epoch of `sampler` in order on this thread, committed as the runner
+/// commits it: each block's moves into the system, its tallies into
+/// `stats` and `edges`.  Returns the boundary rejects.
+std::uint64_t runInOrder(Sampler& sampler, system::ParticleSystem& sys,
+                         const BlockEpoch& ep, std::uint64_t length,
+                         EngineStats& stats, std::int64_t& edges) {
+  return sampler.runEpoch(
+      sys, ep, length,
+      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
+        for (std::size_t j = 0; j < count; ++j) fn(j);
+      },
+      [&](const RejectionFreeBlock& block) {
+        for (const RejectionFreeBlock::Move& m : block.moves()) {
+          sys.commitMove(m.from, m.to);
+        }
+        stats.merge(block.stats());
+        edges += block.edgeDelta();
+      });
+}
 
 Runner makeRunner(system::ParticleSystem initial, const ChainOptions& options,
                   std::uint64_t seed, unsigned threads,
@@ -162,24 +183,25 @@ TEST(RejectionFreeIndex, BandScanMatchesParticleScan) {
     system::ParticleSystem spiral = system::spiralConfiguration(100000);
     if (tiled) spiral.forceTiledForTest();
     ASSERT_EQ(spiral.grid().tiled(), tiled);
-    RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+    Sampler sampler(
+        RejectionFreeRules(buildDecisionTable(ChainOptions{}), false, 1), 2);
     for (std::uint64_t e = 0; e < 24; ++e) {
       const BlockEpoch ep = BlockEpoch::draw(77, e);
       // L far above n: every occupied block draws proposals.
       sampler.placeBlocks(spiral, ep, 1000 * 100000);
       const auto reference =
-          referenceBlocks(spiral, ep, sampler.rules());
+          referenceBlocks(spiral, ep, sampler.rule());
       ASSERT_EQ(sampler.blocks().size(), reference.size()) << "epoch " << e;
       std::uint64_t crossing = 0;
       for (const RejectionFreeBlock& placed : sampler.blocks()) {
         RejectionFreeBlock block = placed;
-        block.rebuild(spiral.grid(), sampler.rules());
+        block.rebuild(spiral.grid(), sampler.rule());
         const auto it = reference.find({block.blockY(), block.blockX()});
         ASSERT_NE(it, reference.end());
         EXPECT_EQ(block.particles(), it->second.particles);
         EXPECT_EQ(block.counts(), it->second.counts) << "epoch " << e;
         EXPECT_EQ(block.crossing(), it->second.crossing) << "epoch " << e;
-        EXPECT_TRUE(block.matchesRebuild(spiral.grid(), sampler.rules()));
+        EXPECT_TRUE(block.matchesRebuild(spiral.grid(), sampler.rule()));
         crossing += block.crossing();
       }
       EXPECT_GT(crossing, 1000u);
@@ -192,18 +214,14 @@ TEST(RejectionFreeIndex, FitsTheMemoryBudgetAtN1e5) {
   // epochs, against the 0.5 MiB the persistent index they replace held.
   system::ParticleSystem spiral = system::spiralConfiguration(100000);
   const std::int64_t edgesBefore = system::countEdges(spiral);
-  RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+  Sampler sampler(
+      RejectionFreeRules(buildDecisionTable(ChainOptions{}), false, 1), 2);
   EngineStats stats;
   std::int64_t edges = edgesBefore;
   std::uint64_t rejects = 0;
-  const RejectionFreeSampler::ForEach inOrder =
-      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
-        for (std::size_t j = 0; j < count; ++j) fn(j);
-      };
   for (std::uint64_t e = 0; e < 20; ++e) {
-    rejects += sampler.runEpoch(spiral, BlockEpoch::draw(5, e), 200000, stats,
-                                edges, inOrder,
-                                [](std::size_t, TriPoint, TriPoint) {});
+    rejects += runInOrder(sampler, spiral, BlockEpoch::draw(5, e), 200000,
+                          stats, edges);
   }
   EXPECT_LE(sampler.memoryBytes(), std::size_t{1} << 19);
   EXPECT_EQ(stats.steps, 20u * 200000u);
@@ -385,11 +403,8 @@ TEST(RejectionFreeDistribution, BlocksDrawIndependently) {
   for (const std::int32_t shift : {0, 256}) {
     for (std::int32_t x = 20; x < 23; ++x) points.push_back({shift + x, 20});
   }
-  RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
-  const RejectionFreeSampler::ForEach inOrder =
-      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
-        for (std::size_t j = 0; j < count; ++j) fn(j);
-      };
+  Sampler sampler(
+      RejectionFreeRules(buildDecisionTable(ChainOptions{}), false, 1), 2);
   int both = 0;
   int same = 0;
   for (std::uint64_t e = 0; e < 4000; ++e) {
@@ -399,8 +414,7 @@ TEST(RejectionFreeDistribution, BlocksDrawIndependently) {
     ep.offsetY = 0;
     EngineStats stats;
     std::int64_t edges = 4;
-    sampler.runEpoch(sys, ep, 40, stats, edges, inOrder,
-                     [](std::size_t, TriPoint, TriPoint) {});
+    runInOrder(sampler, sys, ep, 40, stats, edges);
     const auto blocks = sampler.blocks();
     if (blocks.size() != 2 || blocks[0].moves().empty() ||
         blocks[1].moves().empty()) {
@@ -427,7 +441,8 @@ TEST(RejectionFreeDistribution, BlockProposalCountsMatchTheMultinomial) {
   std::vector<TriPoint> points;
   for (std::int32_t x = 60; x < 70; ++x) points.push_back({x, 5});
   const system::ParticleSystem line(points);
-  RejectionFreeSampler sampler(buildDecisionTable(ChainOptions{}), false, 1);
+  Sampler sampler(
+      RejectionFreeRules(buildDecisionTable(ChainOptions{}), false, 1), 2);
   constexpr std::uint64_t kLength = 8;
   std::vector<double> counts(kLength + 1, 0.0);
   for (std::uint64_t e = 0; e < 40000; ++e) {

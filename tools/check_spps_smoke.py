@@ -7,12 +7,13 @@ column shape with one sample row per (replica, checkpoint).
 
 Also the cross-thread contract of both sharded runners at the CLI: a
 20000-particle spiral at threads=2 and threads=4 must end on the same
-final CSV row, byte for byte, for the compression chain and for the
-amoebot Algorithm A.  Both runners route their compressed-regime epochs
-through a rejection-free kernel: the replica record's
-rejection_free_epochs must be a positive integer, equal at both thread
-counts — and for amoebot so must the activation outcome counts idle,
-expanded, moved_to_head and contracted_back.  The compression record's
+final CSV row, byte for byte, for the compression chain, and at threads=1,
+2 and 4 for the amoebot Algorithm A, whose runner is sharded at every
+count.  Both runners route their compressed-regime epochs through the
+rejection-free kernel: the replica record's rejection_free_epochs must be
+a positive integer, equal at every thread count — and for amoebot so must
+the activation outcome counts idle, expanded, moved_to_head and
+contracted_back.  The compression record's
 stage histogram (accepted, target_occupied, rejected_gap,
 rejected_property, rejected_filter, boundary_rejects) must sum to its
 steps and be equal at both thread counts.
@@ -28,7 +29,8 @@ mid-run (no cleanup, the real crash), resume from the snapshot it left,
 and require the resumed trajectory to finish byte-identical to an
 uninterrupted run of the same spec (for sharded compression and amoebot
 on a 20000-particle spiral, with the same rejection_free_epochs, stage
-histogram and outcome counts); plus SIGTERM → graceful exit 3 with the cancelled step
+histogram and outcome counts; the amoebot run killed at threads=2 resumes
+at threads=1); plus SIGTERM → graceful exit 3 with the cancelled step
 in the primary snapshot, and a clean run that leaves its final step
 there.
 
@@ -239,11 +241,12 @@ def expect_positive_counts(counts, what):
 
 
 def check_crash_resume(spps, workdir, scenario, extra, tag=None,
-                       size="n=60", counts=()):
+                       size="n=60", counts=(), resume_threads=None):
     """SIGKILL mid-run, resume from the snapshot, compare the final CSV row
     against an uninterrupted run of the identical spec.  The replica
     record's `counts` (a routed sharded runner's) must be positive and
-    survive the crash too."""
+    survive the crash too.  With `resume_threads`, the resume runs at that
+    thread count instead of the killed run's."""
     tag = tag or scenario
     checkpoint = 50000
     base = (f"scenario={scenario} {size} checkpoint={checkpoint} seed=1603 "
@@ -270,8 +273,13 @@ def check_crash_resume(spps, workdir, scenario, extra, tag=None,
 
     resumed_csv = os.path.join(workdir, f"{tag}_resumed.csv")
     resumed_jsonl = os.path.join(workdir, f"{tag}_resumed.jsonl")
+    resume_base = base
+    if resume_threads is not None:
+        resume_base = " ".join(
+            f"threads={resume_threads}" if key.startswith("threads=") else key
+            for key in base.split())
     result = subprocess.run(
-        [spps] + f"{base} steps={target} resume={snap} "
+        [spps] + f"{resume_base} steps={target} resume={snap} "
                  f"csv={resumed_csv} jsonl={resumed_jsonl}".split(),
         capture_output=True, text=True)
     if result.returncode != 0:
@@ -304,19 +312,21 @@ def check_crash_resume(spps, workdir, scenario, extra, tag=None,
                  f"{reference_counts} uninterrupted")
         routing = (f", {reference_counts['rejection_free_epochs']} "
                    "rejection-free epochs either way")
-    print(f"ok: {tag} SIGKILL at {steps_at_kill} steps, resumed to "
-          f"{target} — final row identical to the uninterrupted run"
+    resumed_at = ("" if resume_threads is None
+                  else f" at threads={resume_threads}")
+    print(f"ok: {tag} SIGKILL at {steps_at_kill} steps, resumed{resumed_at} "
+          f"to {target} — final row identical to the uninterrupted run"
           f"{routing}")
 
 
-def check_cross_thread(spps, workdir, scenario, counts):
+def check_cross_thread(spps, workdir, scenario, counts, thread_counts):
     """A sharded runner's trajectory is a pure function of the seed: the
-    same spec at threads=2 and threads=4 must end on byte-identical final
-    CSV rows.  The replica record's `counts` (rejection-free epochs, and
-    amoebot's outcomes) must be positive and equal at both thread counts."""
+    same spec at every count of `thread_counts` must end on byte-identical
+    final CSV rows.  The replica record's `counts` (rejection-free epochs,
+    and amoebot's outcomes) must be positive and equal at every count."""
     rows = {}
     seen = {}
-    for threads in (2, 4):
+    for threads in thread_counts:
         csv_path = os.path.join(workdir, f"{scenario}_threads{threads}.csv")
         jsonl_path = os.path.join(workdir,
                                   f"{scenario}_threads{threads}.jsonl")
@@ -331,17 +341,20 @@ def check_cross_thread(spps, workdir, scenario, counts):
         rows[threads] = final_csv_row(csv_path)
         seen[threads] = replica_counts(
             jsonl_path, f"{scenario} threads={threads}", counts)
-    if rows[2] != rows[4]:
-        fail(f"{scenario}: sharded runner diverged across thread counts\n"
-             f"  threads=2: {rows[2]}\n  threads=4: {rows[4]}")
-    expect_positive_counts(seen[2], f"{scenario} threads=2")
-    if seen[2] != seen[4]:
-        fail(f"{scenario}: counts {seen[2]} at threads=2, {seen[4]} at "
-             "threads=4")
-    print(f"ok: {scenario} 20000-particle spiral, threads=2 and threads=4 "
-          f"end on the same final CSV row, "
-          f"{seen[2]['rejection_free_epochs']} rejection-free epochs at "
-          "both")
+    first = thread_counts[0]
+    expect_positive_counts(seen[first], f"{scenario} threads={first}")
+    for threads in thread_counts[1:]:
+        if rows[threads] != rows[first]:
+            fail(f"{scenario}: sharded runner diverged across thread "
+                 f"counts\n  threads={first}: {rows[first]}\n"
+                 f"  threads={threads}: {rows[threads]}")
+        if seen[threads] != seen[first]:
+            fail(f"{scenario}: counts {seen[first]} at threads={first}, "
+                 f"{seen[threads]} at threads={threads}")
+    counts_text = " and ".join(f"threads={t}" for t in thread_counts)
+    print(f"ok: {scenario} 20000-particle spiral, {counts_text} end on the "
+          f"same final CSV row, {seen[first]['rejection_free_epochs']} "
+          "rejection-free epochs at each")
 
 
 def check_holed_start(spps, workdir):
@@ -469,8 +482,9 @@ def main():
     print("ok: unknown scenario/parameter specs fail loudly")
 
     check_holed_start(spps, workdir)
-    check_cross_thread(spps, workdir, "compression", COMPRESSION_COUNTS)
-    check_cross_thread(spps, workdir, "amoebot", AMOEBOT_COUNTS)
+    check_cross_thread(spps, workdir, "compression", COMPRESSION_COUNTS,
+                       (2, 4))
+    check_cross_thread(spps, workdir, "amoebot", AMOEBOT_COUNTS, (1, 2, 4))
 
     # Durable runs: a real SIGKILL (sequential compression; sharded
     # compression and amoebot on a spiral large enough that their epochs
@@ -485,7 +499,8 @@ def main():
     check_crash_resume(spps, workdir, "amoebot", "threads=2")
     check_crash_resume(spps, workdir, "amoebot", "lambda=4.0 threads=2",
                        tag="amoebot_routed",
-                       size="shape=spiral n=20000", counts=AMOEBOT_COUNTS)
+                       size="shape=spiral n=20000", counts=AMOEBOT_COUNTS,
+                       resume_threads=1)
     check_clean_snapshot(spps, workdir)
     check_sigterm_exit(spps, workdir)
     print("spps smoke: all scenarios runnable from a RunSpec alone; "
