@@ -449,7 +449,9 @@ BENCHMARK(BM_ShardedChainStepCompression)->Arg(1)->Arg(2)->Arg(8)
 // The same spiral with the runner's own epoch routing: after the first
 // epoch every epoch runs rejection-free (core/rejection_free.hpp), its
 // blocks on the worker pool — the row the block rows above compare
-// against, at 1, 2 and 4 threads.
+// against, at 1, 2 and 4 threads.  A rejection-free epoch costs about its
+// accepted moves, so the row reports them per iteration (`accepted`):
+// real time over `accepted` is the cost per event.
 void BM_ShardedChainStepCompressionRouted(benchmark::State& state) {
   core::ChainOptions options;
   options.lambda = 4.0;
@@ -458,11 +460,15 @@ void BM_ShardedChainStepCompressionRouted(benchmark::State& state) {
   core::ShardedChainRunner<core::CompressionModel> runner(
       system::spiralConfiguration(100000), core::CompressionModel(options), 42,
       sharded);
+  const std::uint64_t acceptedBefore = runner.stats().movement.accepted;
   std::uint64_t done = 0;
   for (auto _ : state) {
     done += runner.runAtLeast(400000);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
+  state.counters["accepted"] = benchmark::Counter(
+      static_cast<double>(runner.stats().movement.accepted - acceptedBefore),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ShardedChainStepCompressionRouted)
     ->Arg(1)

@@ -38,11 +38,19 @@
 /// failure masses, and a run that passes m_b is cut there (the geometric
 /// law is memoryless).  The structures — per code the non-crossing pair
 /// counts, the crossing count, per filter class the list of its pairs —
-/// are rebuilt from the grid words of the block's occupied rows every
-/// epoch and recoded around each move (cells within distance 2 of ℓ or
-/// ℓ′); every read stays in the block's words.  A move changes occupancy
-/// bits only (ParticleSystem::moveOccupancy) and is logged; the commit
-/// replays the log into the positions and the cell → id index
+/// are rebuilt every epoch from the block's own copy of its 128 rows,
+/// loaded from the grid words of its occupied rows, and recoded around
+/// each move (cells within distance 2 of ℓ or ℓ′).  A move reads no grid
+/// word: the refresh gathers each cell's disc (its cells within distance
+/// 2) once from the block's rows, and the flip tables give its disc after
+/// the move — the invariant they rest on is that ℓ → ℓ′ flips exactly the
+/// two cells ℓ and ℓ′, so every refresh cell's targets and rings after the
+/// move are those before XOR a fixed mask per (d, cell).  The refresh
+/// issues its count and list updates cell by cell in kRefreshCells order,
+/// directions ascending, as a recode from grid gathers would.  A move
+/// changes the block's rows and the grid's occupancy bits
+/// (ParticleSystem::moveOccupancy) and is logged; the commit replays the
+/// log into the positions and the cell → id index
 /// (ParticleSystem::commitMove).  Only uniform-weight models without an
 /// aux move, under uniform selection, qualify: otherwise a would depend on
 /// more than δ.
@@ -198,6 +206,87 @@ static_assert([] {
 
 /// See refreshCells().
 inline constexpr auto kRefreshCells = refreshCells();
+
+/// The disc of a cell c: its cells within distance 2, one bit each — bit e
+/// the neighbour c + offset(e), bit 6 + j the second-ring cell j (2e:
+/// c + 2·offset(e); 2e + 1: c + offset(e) + offset(e + 1)), bit kDiscCenter
+/// c itself.  It holds every target and ring cell of c's six pairs.
+inline constexpr int kDiscCenter = 18;
+
+/// The disc bit of the cell `off` from the centre; −1 beyond distance 2.
+[[nodiscard]] constexpr int discBit(TriPoint off) noexcept {
+  if (off == TriPoint{0, 0}) return kDiscCenter;
+  for (int e = 0; e < lattice::kNumDirections; ++e) {
+    const TriPoint step = lattice::offset(lattice::directionFromIndex(e));
+    const TriPoint next = lattice::offset(lattice::directionFromIndex(e + 1));
+    if (off == step) return e;
+    if (off == step + step) return 6 + 2 * e;
+    if (off == step + next) return 6 + 2 * e + 1;
+  }
+  return -1;
+}
+
+/// The ring mask of the pair (c, e) from c's disc: ring cells 0–4 are the
+/// neighbours e + 1 … e + 5, ring cells 5–7 the second-ring cells 2e − 1 …
+/// 2e + 1 (lattice/edge_ring.hpp) — two rotations, no gather.
+[[nodiscard]] constexpr std::uint8_t discRing(std::uint32_t disc,
+                                              int e) noexcept {
+  // Each ring of the disc written twice, so a rotation is one shift.
+  const std::uint32_t near = (disc & 0x3F) * 0x41;
+  const std::uint32_t far = ((disc >> 6) & 0xFFF) * 0x1001;
+  return static_cast<std::uint8_t>(((near >> (e + 1)) & 0x1F) |
+                                   (((far >> (2 * e + 11)) & 7) << 5));
+}
+
+static_assert([] {
+  for (int e = 0; e < lattice::kNumDirections; ++e) {
+    for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
+      const auto& offsets =
+          lattice::kEdgeRingOffsets[static_cast<std::size_t>(e)];
+      const int bit = discBit(offsets[static_cast<std::size_t>(idx)]);
+      if (bit < 0 || discRing(std::uint32_t{1} << bit, e) != 1u << idx) {
+        return false;
+      }
+    }
+  }
+  return true;
+}());
+
+/// What the move ℓ → ℓ′ = ℓ + d changes for one refresh cell: only ℓ
+/// empties and only ℓ′ fills, so the cell's disc after the move is its
+/// disc before XOR `disc`, and of a particle that stays there only the
+/// pairs in `pairs` — those whose ring holds ℓ or ℓ′ — can change code.
+/// (A pair whose target is one of them has the other in its ring: ℓ and
+/// ℓ′ are neighbours.)
+struct RefreshFlip {
+  std::uint32_t disc = 0;
+  std::uint32_t pairs = 0;
+};
+
+/// The flip tables: per move direction d, the flips of each cell of
+/// kRefreshCells[d].
+[[nodiscard]] constexpr auto refreshFlips() noexcept {
+  std::array<std::array<RefreshFlip, kRefreshSize>, lattice::kNumDirections>
+      table{};
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    const TriPoint to = lattice::offset(lattice::directionFromIndex(d));
+    for (std::size_t k = 0; k < kRefreshSize; ++k) {
+      const TriPoint cell = kRefreshCells[static_cast<std::size_t>(d)][k];
+      RefreshFlip& flip = table[static_cast<std::size_t>(d)][k];
+      for (const TriPoint moved : {TriPoint{0, 0}, to}) {
+        const int bit = discBit({moved.x - cell.x, moved.y - cell.y});
+        if (bit >= 0) flip.disc |= 1u << bit;
+      }
+      for (int e = 0; e < lattice::kNumDirections; ++e) {
+        if (discRing(flip.disc, e) != 0) flip.pairs |= 1u << e;
+      }
+    }
+  }
+  return table;
+}
+
+/// See refreshFlips().
+inline constexpr auto kRefreshFlips = refreshFlips();
 
 /// The block lines as a boundary rule widened by `widen` sees them: per
 /// direction d, the block-local cells (x, y) ∈ [x0, x1] × [y0, y1] whose
@@ -404,24 +493,19 @@ class RejectionFreeBlock : public BlockPlacement {
     moves_.clear();
   }
 
-  /// Rebuilds the pair counts and candidate lists from the block's grid
-  /// words — those of its occupied rows and their neighbours, so a sparse
-  /// block costs its rows, not its area; reads nothing outside the block.
+  /// Loads the block's words from the grid — those of its occupied rows,
+  /// the others being empty — and rebuilds the pair counts and candidate
+  /// lists from them, so a sparse block costs its rows, not its area;
+  /// reads nothing outside the block.
   void rebuild(const system::BitGrid& grid, const RejectionFreeRules& rules) {
     counts_.fill(0);
     crossing_ = 0;
     for (std::vector<std::uint32_t>& members : members_) members.clear();
-    // Row y sits at rows[y + kPad].  Only the occupied rows and the two
-    // on either side (targets and rings reach that far) are ever read:
-    // those are loaded, and the padding beyond the block reads zero — it
-    // only ever feeds crossing pairs.
-    std::array<BlockRow, kSize + 2 * kPad> rows;
-    for (std::int64_t pad = 0; pad < kPad; ++pad) {
-      rows[static_cast<std::size_t>(pad)] = {};
-      rows[static_cast<std::size_t>(kSize + kPad + pad)] = {};
-    }
-    forEachRow(dilateRows(rows_, kPad), [&](std::int64_t y) {
-      rows[static_cast<std::size_t>(y + kPad)] = {
+    // The padding beyond the block reads zero: it only ever feeds crossing
+    // pairs.
+    words_.fill({});
+    forEachRow(rows_, [&](std::int64_t y) {
+      words_[static_cast<std::size_t>(y + kPad)] = {
           grid.rowBits(x0_, y0_ + y), grid.rowBits(x0_ + 64, y0_ + y)};
     });
     // Occupied pairs are 6·n_b (the coordinator's count) minus the
@@ -429,12 +513,12 @@ class RejectionFreeBlock : public BlockPlacement {
     // rows' cells plus the few edge columns of the others.
     std::uint64_t emptyTargets = 0;
     forEachRow(rows_, [&](std::int64_t y) {
-      const auto& row = rows[static_cast<std::size_t>(y + kPad)];
+      const auto& row = words_[static_cast<std::size_t>(y + kPad)];
       const std::uint64_t lo = row[0];
       const std::uint64_t hi = row[1];
       if ((lo | hi) == 0) return;  // emptied by this epoch's moves
-      const auto& up = rows[static_cast<std::size_t>(y + kPad + 1)];
-      const auto& down = rows[static_cast<std::size_t>(y + kPad - 1)];
+      const auto& up = words_[static_cast<std::size_t>(y + kPad + 1)];
+      const auto& down = words_[static_cast<std::size_t>(y + kPad - 1)];
       if (y >= rules.rowsY0 && y <= rules.rowsY1) {
         for (std::size_t half = 0; half < 2; ++half) {
           for (std::uint64_t edge = row[half] & rules.edgeColumns[half];
@@ -473,8 +557,9 @@ class RejectionFreeBlock : public BlockPlacement {
           for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
             const TriPoint off = lattice::kEdgeRingOffsets
                 [static_cast<std::size_t>(d)][static_cast<std::size_t>(idx)];
-            ring[static_cast<std::size_t>(idx)] = shiftedHalf(
-                rows[static_cast<std::size_t>(y + off.y + kPad)], half, off.x);
+            ring[static_cast<std::size_t>(idx)] =
+                shiftedHalf(words_[static_cast<std::size_t>(y + off.y + kPad)],
+                            half, off.x);
           }
           // One ring pattern at a time: the first empty pair's, then every
           // pair of the word that shares it (a straight run of particles
@@ -547,14 +632,18 @@ class RejectionFreeBlock : public BlockPlacement {
     SOPS_DASSERT(matchesRebuild(sys.grid(), rules));
   }
 
-  /// True when the incrementally kept counts and candidate lists equal a
-  /// from-scratch rebuild's (lists as sets: their order follows the
-  /// moves).  Reads only the block's words, like rebuild().
+  /// True when the incrementally kept words, counts and candidate lists
+  /// equal a from-scratch rebuild's (lists as sets: their order follows
+  /// the moves).  Reads only the block's cells of the grid, like
+  /// rebuild().
   [[nodiscard]] bool matchesRebuild(const system::BitGrid& grid,
                                     const RejectionFreeRules& rules) const {
     RejectionFreeBlock fresh = *this;
     fresh.rebuild(grid, rules);
-    if (fresh.counts_ != counts_ || fresh.crossing_ != crossing_) return false;
+    if (fresh.words_ != words_ || fresh.counts_ != counts_ ||
+        fresh.crossing_ != crossing_) {
+      return false;
+    }
     for (std::size_t c = 0; c < members_.size(); ++c) {
       std::vector<std::uint32_t> mine = members_[c];
       std::vector<std::uint32_t> theirs = fresh.members_[c];
@@ -582,10 +671,160 @@ class RejectionFreeBlock : public BlockPlacement {
     return bytes;
   }
 
+  /// The packed codes of an empty cell: six kPairNone.
+  static constexpr std::uint32_t kEmptyCodes = 0xFFFFFFu;
+
+  /// The refresh of the move of `pair` (block-local ℓ, direction d): calls
+  /// emit(x, y, before, after) with the six codes, packed 4 bits per
+  /// direction (kPairCrossing for a crossing pair, kEmptyCodes for an
+  /// empty cell), before and after the move, of each of the block's cells
+  /// within distance 2 of ℓ or ℓ′ = ℓ + d whose codes the move changes, in
+  /// kRefreshCells order.  Reads only the block's words as they stand
+  /// before the move: one disc gather per cell, its disc after the move
+  /// from kRefreshFlips.  move() recodes through it; public for tests.
+  template <typename Emit>
+  void refresh(const RejectionFreeRules& rules, std::uint32_t pair,
+               Emit&& emit) const {
+    const auto d = static_cast<std::size_t>(pair & 7);
+    const std::int64_t x = (pair >> 3) & (kSize - 1);
+    const std::int64_t y = pair >> (3 + BlockEpoch::kBlockShift);
+    // Columns x − kPad … x + kPad of rows y − kPad … y + kPad: the discs
+    // of every refresh cell.
+    std::array<std::uint32_t, 2 * kPad + 1> window;
+    for (std::size_t r = 0; r < window.size(); ++r) {
+      window[r] = columnsFrom(words_[static_cast<std::size_t>(y) + r],
+                              x - kPad);
+    }
+    for (std::size_t k = 0; k < kRefreshSize; ++k) {
+      const TriPoint cell = kRefreshCells[d][k];
+      const std::int64_t cx = x + cell.x;
+      const std::int64_t cy = y + cell.y;
+      if (cx < 0 || cx >= kSize || cy < 0 || cy >= kSize) continue;
+      const RefreshFlip& flip = kRefreshFlips[d][k];
+      const bool full =
+          ((window[static_cast<std::size_t>(cell.y + kPad)] >>
+            (cell.x + kPad)) &
+           1u) != 0;
+      const bool fullAfter = full != (((flip.disc >> kDiscCenter) & 1u) != 0);
+      if (!full && !fullAfter) continue;
+      const std::uint32_t disc = discOf(window, cell);
+      const std::uint32_t discAfter = disc ^ flip.disc;
+      const std::uint32_t nonCrossing = rules.nonCrossingMask(cx, cy);
+      std::uint32_t before = kEmptyCodes;
+      std::uint32_t after = kEmptyCodes;
+      if (full == fullAfter) {
+        // A particle that stays: only its flipped non-crossing pairs with
+        // an empty target before or after change.
+        const std::uint32_t changed =
+            flip.pairs & nonCrossing & ~(disc & discAfter);
+        if (changed == 0) continue;
+        before = codesOf(rules, disc, nonCrossing);
+        after = before;
+        for (std::uint32_t pairs = changed; pairs != 0; pairs &= pairs - 1) {
+          const int e = std::countr_zero(pairs);
+          after = (after & ~(std::uint32_t{0xF} << (4 * e))) |
+                  (ringCode(rules, discAfter, nonCrossing, e) << (4 * e));
+        }
+      } else if (full) {
+        before = codesOf(rules, disc, nonCrossing);  // ℓ
+      } else {
+        after = codesOf(rules, discAfter, nonCrossing);  // ℓ′
+      }
+      if (before != after) emit(cx, cy, before, after);
+    }
+  }
+
  private:
-  /// Rows of padding on either side of the rebuild's row array: a ring
-  /// reaches two rows from its cell.
-  static constexpr int kPad = 2;
+  /// Rows of padding on either side of the block's words: a refresh cell
+  /// sits up to three rows from ℓ, and its disc two more.
+  static constexpr int kPad = 5;
+
+  /// The packed codes of a particle whose non-crossing pairs (bit e of the
+  /// index) all have full targets.
+  static constexpr auto kCrossingCodes = [] {
+    std::array<std::uint32_t, 64> codes{};
+    for (std::uint32_t mask = 0; mask < codes.size(); ++mask) {
+      for (int e = 0; e < lattice::kNumDirections; ++e) {
+        if (((mask >> e) & 1u) == 0) codes[mask] |= kPairCrossing << (4 * e);
+      }
+    }
+    return codes;
+  }();
+
+  /// The code of the pair (c, e) from c's disc if it is non-crossing with
+  /// an empty target, else 0.
+  [[nodiscard]] static std::uint32_t ringCode(const RejectionFreeRules& rules,
+                                              std::uint32_t disc,
+                                              std::uint32_t nonCrossing,
+                                              int e) noexcept {
+    const std::uint32_t open = ((nonCrossing & ~disc) >> e) & 1u;
+    return rules.maskCode[discRing(disc, e)] & (0u - open);
+  }
+
+  /// The six packed codes of a particle with this disc.
+  [[nodiscard]] static std::uint32_t codesOf(
+      const RejectionFreeRules& rules, std::uint32_t disc,
+      std::uint32_t nonCrossing) noexcept {
+    std::uint32_t codes = kCrossingCodes[nonCrossing];
+    for (int e = 0; e < lattice::kNumDirections; ++e) {
+      codes |= ringCode(rules, disc, nonCrossing, e) << (4 * e);
+    }
+    return codes;
+  }
+
+  /// Per row dy ∈ [−2, 2] of a disc: its cells dx ∈ [lo, lo + width) and,
+  /// per pattern of their occupancy, the disc bits they set.
+  struct DiscRow {
+    int lo, width;
+    std::array<std::uint32_t, 32> bits;
+  };
+  static constexpr auto kDiscRows = [] {
+    std::array<DiscRow, 5> rows{};
+    for (int dy = -2; dy <= 2; ++dy) {
+      DiscRow& row = rows[static_cast<std::size_t>(dy + 2)];
+      row.lo = std::max(-2, -2 - dy);
+      row.width = std::min(2, 2 - dy) - row.lo + 1;
+      for (std::uint32_t pattern = 0; pattern < (1u << row.width); ++pattern) {
+        for (int j = 0; j < row.width; ++j) {
+          if (((pattern >> j) & 1u) != 0) {
+            row.bits[pattern] |= 1u << discBit({row.lo + j, dy});
+          }
+        }
+      }
+    }
+    return rows;
+  }();
+
+  /// The disc of the refresh cell `cell` (relative to ℓ) from the window
+  /// around ℓ: five row segments, five table lookups.
+  [[nodiscard]] static std::uint32_t discOf(
+      const std::array<std::uint32_t, 2 * kPad + 1>& window,
+      TriPoint cell) noexcept {
+    std::uint32_t disc = 0;
+    for (int dy = -2; dy <= 2; ++dy) {
+      const DiscRow& row = kDiscRows[static_cast<std::size_t>(dy + 2)];
+      const std::uint32_t cells =
+          window[static_cast<std::size_t>(cell.y + kPad + dy)] >>
+          (cell.x + kPad + row.lo);
+      disc |= row.bits[cells & ((1u << row.width) - 1)];
+    }
+    return disc;
+  }
+
+  /// The 2·kPad + 1 cells first … first + 2·kPad of a 128-cell row (bit j:
+  /// cell first + j), first ∈ [−kPad, 127]; cells past the block read 0.
+  [[nodiscard]] static std::uint32_t columnsFrom(const BlockRow& row,
+                                                 std::int64_t first) noexcept {
+    constexpr std::uint64_t kMask = (std::uint64_t{1} << (2 * kPad + 1)) - 1;
+    if (first < 0) {
+      return static_cast<std::uint32_t>((row[0] << -first) & kMask);
+    }
+    if (first < 64) {
+      return static_cast<std::uint32_t>(
+          ((row[0] >> first) | ((row[1] << 1) << (63 - first))) & kMask);
+    }
+    return static_cast<std::uint32_t>((row[1] >> (first - 64)) & kMask);
+  }
 
   /// The cells x + dx of a 128-cell row for the 64 x of one half, as a
   /// word (bit j for x = 64·half + j); cells past the block read 0.
@@ -634,68 +873,14 @@ class RejectionFreeBlock : public BlockPlacement {
     }
   }
 
-  /// The occupied targets among the non-crossing pairs of the particle at
-  /// block-local (x, y): one neighbourhood gather away from the block
-  /// edge, else a test per non-crossing direction (every read in the
-  /// block).
-  [[nodiscard]] std::uint8_t occupiedTargets(const system::BitGrid& grid,
-                                             TriPoint cell, std::int64_t x,
-                                             std::int64_t y,
-                                             std::uint8_t nonCrossing) const
-      noexcept {
-    if (x > 0 && x < kSize - 1 && y > 0 && y < kSize - 1) {
-      return grid.neighborMaskUnchecked(cell) & nonCrossing;
-    }
-    std::uint32_t mask = 0;
-    for (int d = 0; d < lattice::kNumDirections; ++d) {
-      if ((nonCrossing >> d) & 1u) {
-        mask |= static_cast<std::uint32_t>(grid.testUnchecked(lattice::neighbor(
-                    cell, lattice::directionFromIndex(d))))
-                << d;
-      }
-    }
-    return static_cast<std::uint8_t>(mask);
-  }
-
-  /// The six codes of the particle at block-local (x, y), packed 4 bits
-  /// each (kPairCrossing for a crossing pair), given its non-crossing
-  /// directions and which of their targets are occupied.
-  [[nodiscard]] std::uint32_t codesOf(const system::BitGrid& grid,
-                                      const RejectionFreeRules& rules,
-                                      TriPoint cell, std::uint8_t nonCrossing,
-                                      std::uint8_t occupied) const noexcept {
-    std::uint32_t codes = 0;
-    for (int d = 0; d < lattice::kNumDirections; ++d) {
-      std::uint8_t code = kPairCrossing;
-      if ((occupied >> d) & 1u) {
-        code = kPairOccupied;
-      } else if ((nonCrossing >> d) & 1u) {
-        code = rules.maskCode[grid.ringMaskUnchecked(cell, d)];
-      }
-      codes |= std::uint32_t{code} << (4 * d);
-    }
-    return codes;
-  }
-
-  /// codesOf() for block-local (x, y), or six kPairNone if it is empty.
-  [[nodiscard]] std::uint32_t codesAt(const system::BitGrid& grid,
-                                      const RejectionFreeRules& rules,
-                                      std::int64_t x,
-                                      std::int64_t y) const noexcept {
-    const TriPoint cell = cellAt(x, y);
-    if (!grid.testUnchecked(cell)) return kEmptyCodes;
-    const std::uint8_t nonCrossing = rules.nonCrossingMask(x, y);
-    return codesOf(grid, rules, cell, nonCrossing,
-                   occupiedTargets(grid, cell, x, y, nonCrossing));
-  }
-
   /// Moves cell (x, y)'s pairs from their codes `before` to `after`.
   void recode(std::int64_t x, std::int64_t y, std::uint32_t before,
               std::uint32_t after) {
-    for (int d = 0; d < lattice::kNumDirections && before != after; ++d) {
+    for (std::uint32_t diff = before ^ after; diff != 0;) {
+      const int d = std::countr_zero(diff) / 4;
+      diff &= ~(std::uint32_t{0xF} << (4 * d));
       const std::uint8_t was = codeOf(before, d);
       const std::uint8_t now = codeOf(after, d);
-      if (was == now) continue;
       if (was == kPairCrossing) {
         --crossing_;
       } else if (was != kPairNone) {
@@ -709,59 +894,31 @@ class RejectionFreeBlock : public BlockPlacement {
     }
   }
 
-  /// Executes the accepted move of `pair` and refreshes the codes of the
-  /// block's cells within distance 2 of either endpoint.  Beyond distance
-  /// 1 of both, a particle's neighbours do not change: only its pairs with
-  /// an empty non-crossing target can change (through their rings), and
-  /// one without such pairs is skipped.
+  /// Executes the accepted move of `pair`: recodes the refresh cells
+  /// (refresh()), then moves the particle in the block's words and on
+  /// the grid, and logs the move.
   void move(system::ParticleSystem& sys, const RejectionFreeRules& rules,
             std::uint32_t pair) {
-    const system::BitGrid& grid = sys.grid();
+    refresh(rules, pair,
+            [this](std::int64_t cx, std::int64_t cy, std::uint32_t before,
+                   std::uint32_t after) { recode(cx, cy, before, after); });
     const int d = static_cast<int>(pair & 7);
     const std::int64_t x = (pair >> 3) & (kSize - 1);
     const std::int64_t y = pair >> (3 + BlockEpoch::kBlockShift);
+    const TriPoint off = lattice::offset(lattice::directionFromIndex(d));
+    flipCell(x, y);
+    flipCell(x + off.x, y + off.y);
     const TriPoint from = cellAt(x, y);
-    const TriPoint to = lattice::neighbor(from, lattice::directionFromIndex(d));
-    struct Refresh {
-      std::int64_t x, y;
-      std::uint8_t nonCrossing, occupied;  ///< far cells: fixed by the move
-      bool near;
-      std::uint32_t before;
-    };
-    std::array<Refresh, kRefreshSize> refresh;
-    std::size_t count = 0;
-    const auto& cells = kRefreshCells[static_cast<std::size_t>(d)];
-    for (std::size_t k = 0; k < cells.size(); ++k) {
-      const std::int64_t cx = x + cells[k].x;
-      const std::int64_t cy = y + cells[k].y;
-      if (cx < 0 || cx >= kSize || cy < 0 || cy >= kSize) continue;
-      Refresh& r = refresh[count];
-      r = {cx, cy, 0, 0, k < kRefreshNear, kEmptyCodes};
-      if (r.near) {
-        r.before = codesAt(grid, rules, cx, cy);
-        // Empty before and after: only the target fills.
-        if (r.before == kEmptyCodes && !(cellAt(cx, cy) == to)) continue;
-      } else {
-        const TriPoint cell = cellAt(cx, cy);
-        if (!grid.testUnchecked(cell)) continue;  // far cells stay empty
-        r.nonCrossing = rules.nonCrossingMask(cx, cy);
-        r.occupied = occupiedTargets(grid, cell, cx, cy, r.nonCrossing);
-        if (r.occupied == r.nonCrossing) continue;
-        r.before = codesOf(grid, rules, cell, r.nonCrossing, r.occupied);
-      }
-      ++count;
-    }
+    const TriPoint to = from + off;
     sys.moveOccupancy(from, to);
     moves_.push_back({from, to});
     enterRow(to.y);
-    for (std::size_t k = 0; k < count; ++k) {
-      const Refresh& r = refresh[k];
-      const std::uint32_t after =
-          r.near ? codesAt(grid, rules, r.x, r.y)
-                 : codesOf(grid, rules, cellAt(r.x, r.y), r.nonCrossing,
-                           r.occupied);
-      recode(r.x, r.y, r.before, after);
-    }
+  }
+
+  /// Toggles block-local cell (x, y) in the block's words.
+  void flipCell(std::int64_t x, std::int64_t y) noexcept {
+    words_[static_cast<std::size_t>(y + kPad)][static_cast<std::size_t>(
+        x >> 6)] ^= std::uint64_t{1} << (x & 63);
   }
 
   /// Σ over the block's non-crossing pairs of the acceptance probability.
@@ -837,9 +994,9 @@ class RejectionFreeBlock : public BlockPlacement {
     boundaryRejects_ += drawn[0];
   }
 
-  /// The packed codes of an empty cell: six kPairNone.
-  static constexpr std::uint32_t kEmptyCodes = 0xFFFFFFu;
-
+  /// The block's cells, row y at words_[y + kPad]: loaded by rebuild(),
+  /// kept by move().
+  std::array<BlockRow, kSize + 2 * kPad> words_{};
   PairCounts counts_{};  ///< non-crossing pairs per code
   std::uint64_t crossing_ = 0;
   /// Per filter class: its non-crossing pairs (pairKey), in no fixed

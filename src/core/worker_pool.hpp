@@ -9,6 +9,14 @@
 /// replaces by a wake-up.  Workers spin briefly (yielding) for the next
 /// phase, then sleep on a condition variable, so an idle pool — between
 /// the runner's calls — costs no CPU.
+///
+/// A phase joins on its tasks, not on its workers: run() returns once
+/// every index has finished (or been skipped after a throw), and a worker
+/// that wakes after every index was claimed finds the phase exhausted and
+/// goes back to sleep.  Indices are claimed by compare-and-swap on one
+/// word packing (generation, next index), so a claim made against a phase
+/// that has ended fails, and a late worker never runs a task of, nor reads
+/// the function of, a phase it did not claim in.
 
 #include <atomic>
 #include <condition_variable>
@@ -19,6 +27,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace sops::core {
 
@@ -49,19 +59,23 @@ class WorkerPool {
   /// The first exception thrown by any call is rethrown here (indices not
   /// yet claimed are then skipped).
   void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
+    SOPS_REQUIRE(count <= kIndexMask, "WorkerPool: too many tasks");
+    if (count == 0) return;
+    fn_ = &fn;
+    error_ = nullptr;
+    finished_.store(0, std::memory_order_relaxed);
+    const std::uint64_t generation =
+        (claim_.load(std::memory_order_relaxed) >> 32) + 1;
+    // The count first, then the claim word that opens the phase: a claim
+    // that sees this generation also sees its count and function.
+    phase_.store((generation << 32) | count, std::memory_order_release);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      fn_ = &fn;
-      count_ = count;
-      next_.store(0, std::memory_order_relaxed);
-      error_ = nullptr;
-      busy_.store(static_cast<unsigned>(workers_.size()),
-                  std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_release);
+      claim_.store(generation << 32, std::memory_order_release);
     }
     wake_.notify_all();
     drain();
-    while (busy_.load(std::memory_order_acquire) != 0) {
+    while (finished_.load(std::memory_order_acquire) != count) {
       std::this_thread::yield();
     }
     if (error_) std::rethrow_exception(error_);
@@ -70,39 +84,59 @@ class WorkerPool {
  private:
   /// Yield-spins a worker makes for the next phase before sleeping.
   static constexpr int kSpins = 64;
+  /// The low half of the claim and phase words: the next index, the count.
+  static constexpr std::uint64_t kIndexMask = 0xFFFFFFFFu;
+
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return claim_.load(std::memory_order_acquire) >> 32;
+  }
 
   void workerLoop() {
     std::uint64_t seen = 0;
     while (true) {
-      for (int spin = 0; spin < kSpins; ++spin) {
-        if (generation_.load(std::memory_order_acquire) != seen) break;
+      for (int spin = 0; spin < kSpins && generation() == seen; ++spin) {
         std::this_thread::yield();
       }
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        wake_.wait(lock, [&] {
-          return stop_ || generation_.load(std::memory_order_relaxed) != seen;
-        });
+        wake_.wait(lock, [&] { return stop_ || generation() != seen; });
         if (stop_) return;
-        seen = generation_.load(std::memory_order_relaxed);
       }
+      seen = generation();
       drain();
-      busy_.fetch_sub(1, std::memory_order_release);
     }
   }
 
+  /// Claims and runs indices until the current phase has none left.
   void drain() {
     while (true) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count_) return;
-      try {
-        (*fn_)(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-        next_.store(count_, std::memory_order_relaxed);
-        return;
+      const std::uint64_t phase = phase_.load(std::memory_order_acquire);
+      std::uint64_t claim = claim_.load(std::memory_order_acquire);
+      // A phase opening between the two loads: read both again.
+      if ((claim >> 32) != (phase >> 32)) continue;
+      if ((claim & kIndexMask) >= (phase & kIndexMask)) return;
+      if (!claim_.compare_exchange_weak(claim, claim + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
+        continue;
       }
+      std::uint64_t done = 1;
+      try {
+        (*fn_)(claim & kIndexMask);
+      } catch (...) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex_);
+          if (!error_) error_ = std::current_exception();
+        }
+        // Skip the unclaimed indices: they count as finished.
+        const std::uint64_t count = phase & kIndexMask;
+        const std::uint64_t claimed =
+            claim_.exchange((phase & ~kIndexMask) | count,
+                            std::memory_order_acq_rel) &
+            kIndexMask;
+        done += count - claimed;
+      }
+      finished_.fetch_add(done, std::memory_order_release);
     }
   }
 
@@ -110,10 +144,12 @@ class WorkerPool {
   std::condition_variable wake_;
   std::vector<std::thread> workers_;
   const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t count_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::uint64_t> generation_{0};
-  std::atomic<unsigned> busy_{0};
+  /// (generation, next index): the claim word of the current phase.
+  std::atomic<std::uint64_t> claim_{0};
+  /// (generation, count) of the current phase.
+  std::atomic<std::uint64_t> phase_{0};
+  /// Indices of the current phase finished or skipped.
+  std::atomic<std::uint64_t> finished_{0};
   std::exception_ptr error_;
   bool stop_ = false;
 };

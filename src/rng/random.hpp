@@ -65,6 +65,22 @@ template <typename Engine>
   return static_cast<std::uint32_t>(m >> 32);
 }
 
+namespace detail {
+
+/// drawGeometric given log1p(−p) < 0: the same draw, bit for bit, for a
+/// caller that draws many gaps of one p.
+template <typename Engine>
+[[nodiscard]] std::uint64_t drawGeometricLog(Engine& engine,
+                                             double logFailure) noexcept {
+  const double g =
+      std::floor(std::log(drawUniformPositive(engine)) / logFailure);
+  // 2^64 as a double: the largest g that still converts is just below it.
+  return g < 0x1.0p64 ? static_cast<std::uint64_t>(g)
+                      : ~std::uint64_t{0};
+}
+
+}  // namespace detail
+
 /// Geometric: the number of failures before the first success of
 /// independent trials with success probability p ∈ (0, 1].  Inversion,
 /// P(G ≥ k) = P(U ≤ (1 − p)^k) = (1 − p)^k for U uniform on (0, 1], with
@@ -74,11 +90,7 @@ template <typename Engine>
 [[nodiscard]] std::uint64_t drawGeometric(Engine& engine, double p) noexcept {
   SOPS_DASSERT(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;
-  const double g =
-      std::floor(std::log(drawUniformPositive(engine)) / std::log1p(-p));
-  // 2^64 as a double: the largest g that still converts is just below it.
-  return g < 0x1.0p64 ? static_cast<std::uint64_t>(g)
-                      : ~std::uint64_t{0};
+  return detail::drawGeometricLog(engine, std::log1p(-p));
 }
 
 namespace detail {
@@ -181,7 +193,8 @@ template <typename Engine>
 /// Binomial(n, p): the number of successes in n independent trials.
 /// Exact for every n < 2^63 and p: p > ½ draws the failures instead; a
 /// small mean ((n + 1)·p < 11) sums geometric gaps between successes
-/// (about n·p + 1 draws); otherwise BTRD (a few draws).
+/// (about n·p + 1 draws, log1p(−p) computed once — libm may set errno, so
+/// the compiler cannot hoist it); otherwise BTRD (a few draws).
 template <typename Engine>
 [[nodiscard]] std::uint64_t drawBinomial(Engine& engine, std::uint64_t n,
                                          double p) noexcept {
@@ -190,11 +203,12 @@ template <typename Engine>
   if (p >= 1.0) return n;
   if (p > 0.5) return n - drawBinomial(engine, n, 1.0 - p);
   if ((static_cast<double>(n) + 1.0) * p < 11.0) {
+    const double logFailure = std::log1p(-p);
     std::uint64_t successes = 0;
-    std::uint64_t position = drawGeometric(engine, p);
+    std::uint64_t position = detail::drawGeometricLog(engine, logFailure);
     while (position < n) {
       ++successes;
-      const std::uint64_t gap = drawGeometric(engine, p);
+      const std::uint64_t gap = detail::drawGeometricLog(engine, logFailure);
       position = gap < n ? position + 1 + gap : n;
     }
     return successes;

@@ -4,8 +4,11 @@
 //  1. The per-block structures: after every accepted move each block's
 //     counts and candidate lists equal a from-scratch rebuild — on flat
 //     and tiled systems, for the paper's chain and its ablations, and at
-//     four threads while the other blocks run; each block's word rebuild
-//     equals the particle-by-particle count; the memory budget.
+//     four threads while the other blocks run; the refresh's codes from
+//     the block's words and the flip tables equal the grid's, before and
+//     after a move, at every position relative to the block lines; each
+//     block's word rebuild equals the particle-by-particle count; the
+//     memory budget.
 //  2. The law: a rejection-free epoch samples the block-path epoch's law.
 //     Chi-square of visited configurations against exact π at n = 4, 5, 6
 //     (and at 3-proposal epochs, where nearly every geometric run is cut
@@ -207,6 +210,151 @@ TEST(RejectionFreeIndex, BandScanMatchesParticleScan) {
       EXPECT_GT(crossing, 1000u);
     }
   }
+}
+
+/// The packed codes of block-local cell (x, y), read from the grid by
+/// definition: kEmptyCodes for an empty cell, else per direction
+/// kPairCrossing, kPairOccupied for a full target, or its ring mask's code.
+std::uint32_t codesAt(const system::ParticleSystem& sys,
+                      const RejectionFreeRules& rules,
+                      const RejectionFreeBlock& block, std::int64_t x,
+                      std::int64_t y) {
+  const TriPoint cell{static_cast<std::int32_t>(block.originX() + x),
+                      static_cast<std::int32_t>(block.originY() + y)};
+  if (!sys.occupied(cell)) return RejectionFreeBlock::kEmptyCodes;
+  const std::uint8_t nonCrossing = rules.nonCrossingMask(x, y);
+  std::uint32_t codes = 0;
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    const lattice::Direction dir = lattice::directionFromIndex(d);
+    std::uint32_t code = kPairCrossing;
+    if (((nonCrossing >> d) & 1u) != 0) {
+      code = sys.occupied(lattice::neighbor(cell, dir))
+                 ? kPairOccupied
+                 : rules.maskCode[sys.ringMask(cell, dir)];
+    }
+    codes |= code << (4 * d);
+  }
+  return codes;
+}
+
+TEST(RejectionFreeIndex, RecodeTablesMatchTheGridAroundEveryMove) {
+  // ℓ at every distance 0–7 from each block line and mid-block, every
+  // non-crossing move direction, random occupancy of four densities within
+  // 5 cells of ℓ (on both sides of a block line), flat and tiled grids:
+  // refresh() — the block's words and the flip tables, no grid read — must
+  // give, for each cell it lists, the codes the grid gives before and after
+  // the move (codesAt() above), list the cells in kRefreshCells order, and
+  // leave out only cells whose codes the move does not change.
+  const RejectionFreeRules rules(buildDecisionTable(ChainOptions{}), false, 1);
+  BlockEpoch ep;
+  ep.offsetX = 64;
+  ep.offsetY = 37;
+  constexpr std::int64_t kBlockX = 3;
+  constexpr std::int64_t kBlockY = -2;
+  std::vector<std::int64_t> coords;
+  for (std::int64_t v = 0; v < 8; ++v) {
+    coords.push_back(v);
+    coords.push_back(BlockEpoch::kBlockSize - 1 - v);
+  }
+  coords.push_back(BlockEpoch::kBlockSize / 2);
+  std::uint64_t stream = 0;
+  std::uint64_t listed = 0;
+  for (const bool tiled : {false, true}) {
+    for (const std::int64_t x : coords) {
+      for (const std::int64_t y : coords) {
+        for (int d = 0; d < lattice::kNumDirections; ++d) {
+          if (((rules.nonCrossingMask(x, y) >> d) & 1u) == 0) continue;
+          for (const double density : {0.3, 0.5, 0.7, 0.85}) {
+            RejectionFreeBlock block;
+            block.reset(ep, kBlockX, kBlockY, 0, {}, 1);
+            const TriPoint from{static_cast<std::int32_t>(block.originX() + x),
+                                static_cast<std::int32_t>(block.originY() + y)};
+            const TriPoint to =
+                lattice::neighbor(from, lattice::directionFromIndex(d));
+            rng::CounterStream draw(0x7461626c65, stream++);
+            std::vector<TriPoint> cells = {from};
+            for (std::int32_t dy = -5; dy <= 5; ++dy) {
+              for (std::int32_t dx = -5; dx <= 5; ++dx) {
+                const TriPoint c = from + TriPoint{dx, dy};
+                if (c == from || c == to || !draw.bernoulli(density)) continue;
+                cells.push_back(c);
+              }
+            }
+            system::ParticleSystem sys(cells);
+            if (tiled) sys.forceTiledForTest();
+            ASSERT_EQ(sys.grid().tiled(), tiled);
+            // The block's particles and rows, as the coordinator counts them.
+            std::uint32_t particles = 0;
+            RowSet rows{};
+            for (const TriPoint c : cells) {
+              const std::int64_t lx = c.x - block.originX();
+              const std::int64_t ly = c.y - block.originY();
+              if (lx < 0 || lx >= BlockEpoch::kBlockSize || ly < 0 ||
+                  ly >= BlockEpoch::kBlockSize) {
+                continue;
+              }
+              ++particles;
+              rows[static_cast<std::size_t>(ly >> 6)] |= std::uint64_t{1}
+                                                         << (ly & 63);
+            }
+            block.reset(ep, kBlockX, kBlockY, particles, rows, 1);
+            block.rebuild(sys.grid(), rules);
+            // The grid's codes of every refresh cell in the block, before.
+            const auto& refresh = kRefreshCells[static_cast<std::size_t>(d)];
+            std::vector<std::pair<std::int64_t, std::int64_t>> inBlock;
+            std::vector<std::uint32_t> before;
+            for (const TriPoint c : refresh) {
+              const std::int64_t cx = x + c.x;
+              const std::int64_t cy = y + c.y;
+              if (cx < 0 || cx >= BlockEpoch::kBlockSize || cy < 0 ||
+                  cy >= BlockEpoch::kBlockSize) {
+                continue;
+              }
+              inBlock.emplace_back(cx, cy);
+              before.push_back(codesAt(sys, rules, block, cx, cy));
+            }
+            struct Listed {
+              std::int64_t x, y;
+              std::uint32_t before, after;
+            };
+            std::vector<Listed> out;
+            block.refresh(rules,
+                          static_cast<std::uint32_t>(
+                              ((y * BlockEpoch::kBlockSize + x) << 3) | d),
+                          [&](std::int64_t cx, std::int64_t cy,
+                              std::uint32_t was, std::uint32_t now) {
+                            out.push_back({cx, cy, was, now});
+                          });
+            sys.moveOccupancy(from, to);
+            std::size_t next = 0;
+            for (std::size_t k = 0; k < inBlock.size(); ++k) {
+              const auto [cx, cy] = inBlock[k];
+              const std::uint32_t after = codesAt(sys, rules, block, cx, cy);
+              const bool isListed = next < out.size() && out[next].x == cx &&
+                                    out[next].y == cy;
+              if (!isListed) {
+                ASSERT_EQ(before[k], after)
+                    << "unlisted cell (" << cx << ", " << cy << ") changed; ℓ ("
+                    << x << ", " << y << "), d " << d << ", tiled " << tiled;
+                continue;
+              }
+              ASSERT_EQ(out[next].before, before[k])
+                  << "cell (" << cx << ", " << cy << "); ℓ (" << x << ", " << y
+                  << "), d " << d << ", tiled " << tiled;
+              ASSERT_EQ(out[next].after, after)
+                  << "cell (" << cx << ", " << cy << "); ℓ (" << x << ", " << y
+                  << "), d " << d << ", tiled " << tiled;
+              ++next;
+            }
+            ASSERT_EQ(next, out.size())
+                << "a listed cell out of kRefreshCells order";
+            listed += out.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(listed, 50000u);
 }
 
 TEST(RejectionFreeIndex, FitsTheMemoryBudgetAtN1e5) {

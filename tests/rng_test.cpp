@@ -288,6 +288,45 @@ TEST(CounterStream, BinomialMatchesPmf) {
   EXPECT_EQ(s.binomial(17, 1.0), 17u);
 }
 
+/// drawBinomial's small-mean path as it was before log1p(−p) was hoisted
+/// out of its loop: one drawGeometric, log1p included, per gap.
+template <typename Engine>
+std::uint64_t binomialBeforeHoist(Engine& engine, std::uint64_t n, double p) {
+  if (n == 0 || !(p > 0.0)) return 0;
+  if (p >= 1.0) return n;
+  if (p > 0.5) return n - binomialBeforeHoist(engine, n, 1.0 - p);
+  if ((static_cast<double>(n) + 1.0) * p < 11.0) {
+    std::uint64_t successes = 0;
+    std::uint64_t position = drawGeometric(engine, p);
+    while (position < n) {
+      ++successes;
+      const std::uint64_t gap = drawGeometric(engine, p);
+      position = gap < n ? position + 1 + gap : n;
+    }
+    return successes;
+  }
+  return detail::drawBinomialBtrd(engine, n, p);
+}
+
+TEST(CounterStream, BinomialIsBitIdenticalToTheUnhoistedLoop) {
+  // Every stream must give the same count and leave the stream at the
+  // same point, on both sides of the small-mean / BTRD switch and of ½.
+  const std::uint64_t trials[] = {1, 2, 7, 40, 1000, 250000, 1ULL << 40};
+  const double probabilities[] = {1e-12, 1e-6, 1e-3, 0.004, 0.01, 0.05,
+                                  0.1,   0.25, 0.5,  0.75,  0.99, 0.9999};
+  for (const std::uint64_t n : trials) {
+    for (const double p : probabilities) {
+      for (std::uint64_t k = 0; k < 10000; ++k) {
+        CounterStream now(0x686f6973, k);
+        CounterStream before(0x686f6973, k);
+        ASSERT_EQ(now.binomial(n, p), binomialBeforeHoist(before, n, p))
+            << "n = " << n << ", p = " << p << ", stream " << k;
+        ASSERT_EQ(now(), before()) << "n = " << n << ", p = " << p;
+      }
+    }
+  }
+}
+
 TEST(AliasTable, SamplesInProportionToWeights) {
   const std::vector<double> weights = {0.5, 2.0, 1.25, 3.0, 0.25};
   const AliasTable table(weights);
