@@ -1,8 +1,6 @@
 #include "amoebot/parallel_scheduler.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "util/popcount.hpp"
@@ -10,22 +8,6 @@
 namespace sops::amoebot {
 
 namespace {
-
-/// RAII id-index restoration for one run (suspension itself is per
-/// block-path epoch): restore must happen even when an epoch throws
-/// (ContractViolation, bad_alloc), or the system would be left with
-/// at()/expandedCount() permanently invalid (a frozen one included).
-/// restoreIdIndex() is idempotent, and leaves a current index current.
-class IdIndexRestore {
- public:
-  explicit IdIndexRestore(AmoebotSystem& sys) : sys_(sys) {}
-  ~IdIndexRestore() { sys_.restoreIdIndex(); }
-  IdIndexRestore(const IdIndexRestore&) = delete;
-  IdIndexRestore& operator=(const IdIndexRestore&) = delete;
-
- private:
-  AmoebotSystem& sys_;
-};
 
 [[nodiscard]] double rateSumOf(const ShardedOptions& options,
                                std::size_t particles) {
@@ -291,30 +273,20 @@ void RejectionFreeBlock::run(AmoebotSystem& sys, const RejectionFreeRule& rule,
                              std::uint64_t key, bool verifyEachEvent) {
   const std::uint64_t pairs =
       lattice::kNumDirections * std::uint64_t{particles_};
-  std::uint64_t remaining = proposals_;
-  for (std::uint64_t run = 0; remaining > 0; ++run) {
-    rng::CounterStream draw(key, 2 * run);
-    rng::CounterStream split(key, 2 * run + 1);
-    const std::uint64_t mass = candidateMass();
-    const std::uint64_t gap =
-        mass > 0 ? draw.geometric(static_cast<double>(mass) /
-                                  static_cast<double>(pairs))
-                 : ~std::uint64_t{0};
-    const std::uint64_t failures = std::min(gap, remaining);
-    if (failures > 0) {
-      // Failures are non-candidate pairs: skipped when they cross.
-      const std::uint64_t skipped = split.binomial(
-          failures,
-          static_cast<double>(crossing_) / static_cast<double>(pairs - mass));
-      boundaryRejects_ += skipped;
-      tallies_.idle += failures - skipped;
-      remaining -= failures;
-      if (remaining == 0) break;
-    }
-    --remaining;
+  const auto massOf = [&] { return static_cast<double>(candidateMass()); };
+  // Failures are non-candidate pairs: skipped when they cross.
+  const auto split = [&](rng::CounterStream& draw, std::uint64_t failures) {
+    const std::uint64_t skipped = draw.binomial(
+        failures, static_cast<double>(crossing_) /
+                      static_cast<double>(pairs - candidateMass()));
+    boundaryRejects_ += skipped;
+    tallies_.idle += failures - skipped;
+  };
+  const auto run = [&](rng::CounterStream& draw, double mass) {
     execute(sys, rule, draw, draw.below(static_cast<std::uint32_t>(mass)),
             verifyEachEvent);
-  }
+  };
+  runNFoldWay(key, massOf, split, run);
   SOPS_DASSERT(matchesRebuild(sys, rule));
 }
 
@@ -432,38 +404,7 @@ ShardedPoissonRunner::ShardedPoissonRunner(
       algo_(algo),
       rateSum_(rateSumOf(options, sys.size())),
       executor_(seed, sys.size(), options),
-      uniformRates_(options.rates.empty()),
-      rejectionFree_(uniformRates_) {}
-
-void ShardedPoissonRunner::forceRejectionFreeForTest(bool verifyEachEvent) {
-  SOPS_REQUIRE(uniformRates_, "rejection-free epochs need uniform rates");
-  rejectionFree_ = true;
-  forceRejectionFree_ = true;
-  verifyEachEvent_ = verifyEachEvent;
-}
-
-bool ShardedPoissonRunner::routeRejectionFree() const noexcept {
-  if (!rejectionFree_) return false;
-  if (forceRejectionFree_) return true;
-  return lastEpochEvents_ != kNoEpoch &&
-         lastEpochEvents_ * kAmoebotRejectionFreeDivisor <
-             executor_.epochLength();
-}
-
-void ShardedPoissonRunner::runRejectionFreeEpoch() {
-  if (!sampler_) {
-    sampler_ = std::make_unique<core::RejectionFreeSampler<RejectionFreeRule>>(
-        RejectionFreeRule(algo_), RejectionFreeRule::kRadius);
-  }
-  const std::uint64_t skipped = amoebot::runRejectionFreeEpoch(
-      *sampler_, sys_, executor_.nextEpoch(), executor_.epochLength(),
-      [this](std::size_t count, const std::function<void(std::size_t)>& fn) {
-        executor_.forEachBlock(count, fn);
-      },
-      tallies_, verifyEachEvent_);
-  executor_.completeEpoch(skipped);
-  ++rejectionFreeEpochs_;
-}
+      router_(kAmoebotRejectionFreeDivisor, executor_.uniformSelection()) {}
 
 bool ShardedPoissonRunner::Kernel::runProposal(const core::BlockEpoch& ep,
                                                std::uint32_t particle,
@@ -483,22 +424,10 @@ bool ShardedPoissonRunner::Kernel::runProposal(const core::BlockEpoch& ep,
   return true;
 }
 
-std::uint64_t ShardedPoissonRunner::runAtLeast(std::uint64_t minActivations) {
-  const IdIndexRestore restore(sys_);
+void ShardedPoissonRunner::runBlockEpoch() {
+  sys_.suspendIdIndex();
   Kernel kernel(sys_, algo_);
-  std::uint64_t executed = 0;
-  while (executed < minActivations && !core::isCancelled(cancel_)) {
-    const std::uint64_t eventsBefore = tallies_.events();
-    if (routeRejectionFree()) {
-      runRejectionFreeEpoch();
-    } else {
-      sys_.suspendIdIndex();
-      executor_.runEpoch(kernel, tallies_);
-    }
-    lastEpochEvents_ = tallies_.events() - eventsBefore;
-    executed += executor_.epochLength();
-  }
-  return executed;
+  executor_.runEpoch(kernel, tallies_);
 }
 
 void ShardedPoissonRunner::saveState(system::SnapshotWriter& w) const {
@@ -509,8 +438,7 @@ void ShardedPoissonRunner::saveState(system::SnapshotWriter& w) const {
   w.u64(tallies_.expanded);
   w.u64(tallies_.movedToHead);
   w.u64(tallies_.contractedBack);
-  w.u64(lastEpochEvents_);
-  w.u64(rejectionFreeEpochs_);
+  router_.save(w);
 }
 
 void ShardedPoissonRunner::restoreState(system::SnapshotReader& r) {
@@ -525,16 +453,13 @@ void ShardedPoissonRunner::restoreState(system::SnapshotReader& r) {
   const std::uint64_t epochs = r.u64();
   executor_.restore(epochs, r.u64());
   tallies_ = {};
-  lastEpochEvents_ = kNoEpoch;
-  rejectionFreeEpochs_ = 0;
   if (r.version() >= 7) {
     tallies_.idle = r.u64();
     tallies_.expanded = r.u64();
     tallies_.movedToHead = r.u64();
     tallies_.contractedBack = r.u64();
-    lastEpochEvents_ = r.u64();
-    rejectionFreeEpochs_ = r.u64();
   }
+  router_.restore(r, r.version() >= 7);
 }
 
 }  // namespace sops::amoebot

@@ -38,25 +38,21 @@
 /// 1024-aligned.
 ///
 /// **Rejection-free epochs.**  In the compressed regime about 99.5% of
-/// activations are Idle.  With uniform rates, an epoch runs through
-/// core::RejectionFreeSampler<RejectionFreeRule> — the chain's per-block
-/// n-fold way, its blocks on the executor's workers — when the previous
-/// epoch had fewer than L / kAmoebotRejectionFreeDivisor non-Idle
-/// activations.  That kernel samples exactly the block-path epoch's law,
-/// so choosing by the past leaves every epoch's law, and π, unchanged;
-/// the rule reads only seed-determined counts.  `rate-spread` runs stay on
-/// the block path.  The block rule (DESIGN.md §Rejection-free Algorithm
-/// A): block b's *candidates* are the pairs that cross no block line and
-/// would not run Idle — a contracted protocol-following particle's legal
-/// expansions, the six ports of an expanded particle or of a contracted
-/// Byzantine one with an empty neighbour.  The failures before the next
+/// activations are Idle.  With uniform rates, core::EpochRouter routes
+/// compressed-regime epochs through
+/// core::RejectionFreeSampler<RejectionFreeRule> (core/epoch_router.hpp;
+/// events are non-Idle activations); `rate-spread` runs stay on the block
+/// path.  The block rule (DESIGN.md §Rejection-free Algorithm A): block
+/// b's *candidates* are the pairs that cross no block line and would not
+/// run Idle — a contracted protocol-following particle's legal expansions,
+/// the six ports of an expanded particle or of a contracted Byzantine one
+/// with an empty neighbour.  The failures before the next
 /// candidate are Geometric(Σ_b/6n_b), each a skip with probability
 /// C_b/(6n_b − Σ_b) (C_b the crossing pairs) and Idle otherwise; the
 /// candidate runs through LocalCompressionAlgorithm::activate.
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -64,6 +60,7 @@
 #include "amoebot/local_compression.hpp"
 #include "core/block_executor.hpp"
 #include "core/cancel.hpp"
+#include "core/epoch_router.hpp"
 #include "core/rejection_free.hpp"
 #include "rng/random.hpp"
 #include "system/snapshot.hpp"
@@ -77,9 +74,8 @@ namespace sops::amoebot {
 /// core::BlockExecutorOptions.
 using ShardedOptions = core::BlockExecutorOptions;
 
-/// The routing constant: an epoch runs rejection-free when the previous
-/// one had fewer than L / kAmoebotRejectionFreeDivisor non-Idle
-/// activations.  Taken from a per-epoch crossover table (DESIGN.md
+/// The route's divisor (core/epoch_router.hpp) for non-Idle activations.
+/// Taken from a per-epoch crossover table (DESIGN.md
 /// §Rejection-free Algorithm A: 10⁵ particles at λ ∈ {1, 2, 3, 4}, block
 /// path against the per-block rejection-free kernel at 1, 2 and 4
 /// threads); the route must not read the thread count.
@@ -224,36 +220,29 @@ class ShardedPoissonRunner {
                        const LocalCompressionAlgorithm& algo,
                        std::uint64_t seed, ShardedOptions options = {});
 
-  /// Installs a cooperative cancel token polled between epochs: once it
-  /// trips, runAtLeast returns early (possibly with zero progress) with
-  /// the system fully consistent — epoch boundaries are the only safe
-  /// preemption points, and also exactly the states saveState() can
-  /// serialize.  nullptr uninstalls.
+  /// See core::EpochRouter::setCancelToken.
   void setCancelToken(const core::CancelToken* cancel) noexcept {
-    cancel_ = cancel;
+    router_.setCancelToken(cancel);
   }
 
-  /// Runs every epoch on the block path.  Test-only: it pins the block
-  /// path's trajectory (list-order oracles, thread-count identity on the
-  /// block path); the law is the same either way.
-  void forceBlockPathForTest() noexcept {
-    rejectionFree_ = false;
-    forceRejectionFree_ = false;
+  /// Test-only (core::EpochRoute::BlockOnly): pins the block path's
+  /// trajectory for list-order oracles and thread-count identity.
+  void forceBlockPathForTest() noexcept { router_.forceBlockPath(); }
+
+  /// Test-only (core::EpochRoute::RejectionFreeOnly, from the first
+  /// epoch); `verifyEachEvent` checks each block against a rebuild after
+  /// every event.
+  void forceRejectionFreeForTest(bool verifyEachEvent = false) {
+    router_.forceRejectionFree(executor_.uniformSelection(), verifyEachEvent);
   }
 
-  /// Routes every epoch through the rejection-free kernel, from the first,
-  /// and with `verifyEachEvent` compares each block's structures against a
-  /// from-scratch rebuild after every event (throwing on a mismatch).
-  /// Test-only: it changes the trajectory, not the law.
-  void forceRejectionFreeForTest(bool verifyEachEvent = false);
-
-  /// Runs whole epochs until at least `minActivations` activations have
-  /// run in this call (or the cancel token trips); returns the number
-  /// run.  Block-path epochs suspend the id index and rejection-free ones
-  /// freeze it; either way the system is fully consistent (at(),
-  /// expandedCount()) between calls.  Between calls the system may be
+  /// core::EpochRouter::runAtLeast over activations.  Block-path epochs
+  /// suspend the id index and rejection-free ones freeze it; between calls
+  /// the system is fully consistent (at(), expandedCount()) and may be
   /// read but not mutated, except through restoreState.
-  std::uint64_t runAtLeast(std::uint64_t minActivations);
+  std::uint64_t runAtLeast(std::uint64_t minActivations) {
+    return router_.runAtLeast(minActivations, executor_, *this);
+  }
 
   /// Serializes the runner's evolving state (snapshot v7): L, the epoch
   /// index, the boundary-skip count, the outcome tallies and the routing
@@ -301,20 +290,28 @@ class ShardedPoissonRunner {
   }
   /// Epochs run by the rejection-free kernel since construction.
   [[nodiscard]] std::uint64_t rejectionFreeEpochs() const noexcept {
-    return rejectionFreeEpochs_;
+    return router_.rejectionFreeEpochs();
   }
 
  private:
-  /// lastEpochEvents_ before any epoch: routes the first to the block
-  /// path.
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+  friend class core::EpochRouter<RejectionFreeRule>;
 
-  /// The routing rule: a function of the previous epoch's non-Idle count
-  /// and L only, both seed-determined.
-  [[nodiscard]] bool routeRejectionFree() const noexcept;
-  /// One epoch through the rejection-free kernel, its blocks on the
-  /// executor's workers.
-  void runRejectionFreeEpoch();
+  // The router's hooks (core::EpochRouter::runAtLeast).
+  [[nodiscard]] std::uint64_t routedEvents() const noexcept {
+    return tallies_.events();
+  }
+  void runBlockEpoch();
+  [[nodiscard]] RejectionFreeRule rejectionFreeRule() const noexcept {
+    return RejectionFreeRule(algo_);
+  }
+  std::uint64_t runRejectionFreeEpoch(
+      core::RejectionFreeSampler<RejectionFreeRule>& sampler,
+      const core::BlockEpoch& ep, std::uint64_t length,
+      const core::BlockForEach& forEach, bool verify) {
+    return amoebot::runRejectionFreeEpoch(sampler, sys_, ep, length, forEach,
+                                          tallies_, verify);
+  }
+  void restoreIndex() { sys_.restoreIdIndex(); }
 
   /// Algorithm A's event kernel for the block executor.
   class Kernel {
@@ -354,18 +351,8 @@ class ShardedPoissonRunner {
   const LocalCompressionAlgorithm& algo_;
   double rateSum_ = 0.0;
   core::BlockExecutor<Kernel> executor_;
-  const core::CancelToken* cancel_ = nullptr;
+  core::EpochRouter<RejectionFreeRule> router_;
   ActivationTallies tallies_;
-
-  bool uniformRates_ = true;
-  bool rejectionFree_ = false;  ///< routing on (off only in tests)
-  bool forceRejectionFree_ = false;
-  bool verifyEachEvent_ = false;
-  std::uint64_t lastEpochEvents_ = kNoEpoch;
-  std::uint64_t rejectionFreeEpochs_ = 0;
-  /// Built at the first rejection-free epoch; holds no state across
-  /// epochs beyond reused buffers.
-  std::unique_ptr<core::RejectionFreeSampler<RejectionFreeRule>> sampler_;
 };
 
 }  // namespace sops::amoebot

@@ -67,7 +67,6 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <thread>
@@ -244,29 +243,29 @@ class BlockExecutor {
     ++epoch_;
   }
 
-  /// The (seed, e) draws of the next epoch, e = epochs().
-  [[nodiscard]] BlockEpoch nextEpoch() const noexcept {
-    return BlockEpoch::draw(seed_, epoch_);
-  }
-
-  /// Counts the next epoch as run by another sampler of the same epoch law
-  /// (the rejection-free kernel), with its boundary rejects.
-  void completeEpoch(std::uint64_t boundaryRejects) noexcept {
-    boundaryRejects_ += boundaryRejects;
+  /// Runs epoch epochs() through another sampler of the same epoch law
+  /// whose blocks run independently (the rejection-free kernel):
+  /// sample(ep, L, forEach) returns the epoch's boundary rejects, and
+  /// forEach(count, fn) runs fn(j) for every j in [0, count) — on the
+  /// worker pool when threads > 1, in order on the calling thread
+  /// otherwise.  An epoch whose sample throws is not counted.
+  template <typename Sample>
+  void runEpochWith(const Sample& sample) {
+    const auto forEach = [this](std::size_t count, const auto& fn) {
+      if (threads_ > 1 && count > 1) {
+        pool().run(count, fn);
+        return;
+      }
+      for (std::size_t j = 0; j < count; ++j) fn(j);
+    };
+    boundaryRejects_ +=
+        sample(BlockEpoch::draw(seed_, epoch_), epochLength_, forEach);
     ++epoch_;
   }
 
-  /// Runs fn(j) for every j in [0, count): on the worker pool when
-  /// threads > 1, in order on the calling thread otherwise.  For another
-  /// sampler of the epoch law whose blocks run independently (the
-  /// rejection-free kernel).
-  void forEachBlock(std::size_t count,
-                    const std::function<void(std::size_t)>& fn) {
-    if (threads_ > 1 && count > 1) {
-      pool().run(count, fn);
-      return;
-    }
-    for (std::size_t j = 0; j < count; ++j) fn(j);
+  /// Particles are selected uniformly (no rates).
+  [[nodiscard]] bool uniformSelection() const noexcept {
+    return selection_.empty();
   }
 
   /// Proposals per epoch, L.

@@ -393,6 +393,35 @@ class BlockPlacement {
   }
 
  protected:
+  /// The n-fold way over the block's proposals, both rules' skeleton: run
+  /// r draws from streams (key, 2r) and (key, 2r + 1); its failures,
+  /// Geometric(mass/6n_b) (mass ≤ 6n_b) cut at the proposals left (the law
+  /// is memoryless), go to split(); then execute(draw, mass) runs a
+  /// candidate.
+  template <typename MassOf, typename Split, typename Execute>
+  void runNFoldWay(std::uint64_t key, const MassOf& massOf, const Split& split,
+                   const Execute& execute) {
+    const double pairs =
+        static_cast<double>(lattice::kNumDirections * particles_);
+    std::uint64_t remaining = proposals_;
+    for (std::uint64_t run = 0; remaining > 0; ++run) {
+      rng::CounterStream draw(key, 2 * run);
+      rng::CounterStream failureDraw(key, 2 * run + 1);
+      const double mass = massOf();
+      const std::uint64_t gap =
+          mass > 0.0 ? draw.geometric(std::min(1.0, mass / pairs))
+                     : ~std::uint64_t{0};
+      const std::uint64_t failures = std::min(gap, remaining);
+      if (failures > 0) {
+        split(failureDraw, failures);
+        remaining -= failures;
+        if (remaining == 0) break;
+      }
+      --remaining;
+      execute(draw, mass);
+    }
+  }
+
   [[nodiscard]] TriPoint cellAt(std::int64_t x, std::int64_t y) const noexcept {
     return {static_cast<std::int32_t>(x0_ + x),
             static_cast<std::int32_t>(y0_ + y)};
@@ -602,23 +631,11 @@ class RejectionFreeBlock : public BlockPlacement {
   /// must agree.
   void run(system::ParticleSystem& sys, const RejectionFreeRules& rules,
            std::uint64_t key, bool verifyEachMove) {
-    const double pairs =
-        static_cast<double>(lattice::kNumDirections * particles_);
-    std::uint64_t remaining = proposals_;
-    for (std::uint64_t run = 0; remaining > 0; ++run) {
-      rng::CounterStream draw(key, 2 * run);
-      rng::CounterStream split(key, 2 * run + 1);
-      const double mass = acceptMass(rules);
-      const std::uint64_t gap =
-          mass > 0.0 ? draw.geometric(std::min(1.0, mass / pairs))
-                     : ~std::uint64_t{0};
-      const std::uint64_t failures = std::min(gap, remaining);
-      if (failures > 0) {
-        splitFailures(split, failures, rules);
-        remaining -= failures;
-        if (remaining == 0) break;
-      }
-      --remaining;
+    const auto massOf = [&] { return acceptMass(rules); };
+    const auto split = [&](rng::CounterStream& draw, std::uint64_t failures) {
+      splitFailures(draw, failures, rules);
+    };
+    const auto execute = [&](rng::CounterStream& draw, double mass) {
       ++stats_.steps;
       const auto [pair, code] = pick(draw, mass, rules);
       move(sys, rules, pair);
@@ -628,7 +645,8 @@ class RejectionFreeBlock : public BlockPlacement {
         SOPS_REQUIRE(matchesRebuild(sys.grid(), rules),
                      "rejection-free block drifted from a rebuild");
       }
-    }
+    };
+    runNFoldWay(key, massOf, split, execute);
     SOPS_DASSERT(matchesRebuild(sys.grid(), rules));
   }
 

@@ -33,23 +33,15 @@
 /// suspended (ParticleSystem::suspendIndex) and restored on exit.
 ///
 /// **Rejection-free epochs.**  For a compression-like model — uniform
-/// weight, no aux move — with uniform selection, an epoch runs through
-/// RejectionFreeSampler<RejectionFreeRules> instead when the previous
-/// epoch accepted fewer than L / kRejectionFreeAcceptDivisor moves: a
-/// per-block n-fold way whose blocks run on the executor's workers.  That kernel samples
-/// exactly the block-path epoch's law (rejection_free.hpp), so choosing
-/// between the two by the past — even by the state — leaves every epoch's
-/// law, and π, unchanged; the rule reads only seed-determined counts, so
-/// trajectories stay identical at every thread count and across resume.
-/// Its phase moves occupancy bits only and replays the moves into the
-/// cell → id index afterwards, so the index stays live through
-/// rejection-free epochs.  Other models and weighted selection run every
-/// epoch on the block path.
+/// weight, no aux move — with uniform selection, core::EpochRouter routes
+/// compressed-regime epochs through RejectionFreeSampler<RejectionFreeRules>
+/// (epoch_router.hpp; events are accepted moves).  Its phase moves
+/// occupancy bits only and replays the moves into the cell → id index
+/// afterwards, so the index stays live through rejection-free epochs.
+/// Other models and weighted selection run every epoch on the block path.
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -58,6 +50,7 @@
 #include "core/biased_chain_engine.hpp"
 #include "core/block_executor.hpp"
 #include "core/cancel.hpp"
+#include "core/epoch_router.hpp"
 #include "core/rejection_free.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
@@ -69,8 +62,7 @@ namespace sops::core {
 /// chain) — see BlockExecutorOptions.
 using ShardedChainOptions = BlockExecutorOptions;
 
-/// The routing constant: an epoch runs rejection-free when the previous
-/// one accepted fewer than L / kRejectionFreeAcceptDivisor moves.  Taken
+/// The route's divisor (epoch_router.hpp) for accepted moves.  Taken
 /// from runner-level crossover tables (DESIGN.md §Rejection-free epochs:
 /// a 10⁵ spiral at 1, 2 and 4 threads); no benchmark workload runs the
 /// block side of the route, so other n and thread counts are unmeasured.
@@ -84,7 +76,8 @@ class ShardedChainRunner {
                      std::uint64_t seed, ShardedChainOptions options = {})
       : system_(std::move(initial)),
         model_(std::move(model)),
-        executor_(seed, system_.size(), options) {
+        executor_(seed, system_.size(), options),
+        router_(kRejectionFreeAcceptDivisor, rejectionFreeCapable()) {
     const ChainOptions chainOptions = model_.chainOptions();
     SOPS_REQUIRE(chainOptions.lambda > 0.0, "lambda must be positive");
     SOPS_REQUIRE(Model::kUniformWeight || !chainOptions.greedy,
@@ -96,62 +89,28 @@ class ShardedChainRunner {
     if constexpr (kMaintainsIds) partnerIds_.sync(system_);
     tallies_.edges = system::countEdges(system_);
     decisions_ = buildDecisionTable(chainOptions);
-    rejectionFreeCapable_ = kRejectionFreeCapable && options.rates.empty();
-    rejectionFree_ = rejectionFreeCapable_;
   }
 
-  /// Runs every epoch on the block path.  Test-only: it pins the block
-  /// path's trajectory (golden hashes, list-order oracles); the law is the
-  /// same either way.
-  void forceBlockPathForTest() noexcept {
-    rejectionFree_ = false;
-    forceRejectionFree_ = false;
-  }
+  /// Test-only (EpochRoute::BlockOnly): pins the block path's trajectory
+  /// for golden hashes and list-order oracles.
+  void forceBlockPathForTest() noexcept { router_.forceBlockPath(); }
 
-  /// Routes every epoch through the rejection-free kernel, from the first,
-  /// and with `verifyEachMove` compares each block's structures against a
-  /// from-scratch rebuild after every accepted move (throwing on a
-  /// mismatch).
-  /// Test-only: it changes the trajectory, not the law.
+  /// Test-only (EpochRoute::RejectionFreeOnly, from the first epoch);
+  /// `verifyEachMove` checks each block against a rebuild after every move.
   void forceRejectionFreeForTest(bool verifyEachMove = false) {
-    SOPS_REQUIRE(rejectionFreeCapable_,
-                 "rejection-free epochs need a uniform-weight model without "
-                 "aux moves and uniform selection");
-    rejectionFree_ = true;
-    forceRejectionFree_ = true;
-    verifyEachMove_ = verifyEachMove;
+    router_.forceRejectionFree(rejectionFreeCapable(), verifyEachMove);
   }
 
-  /// Installs a cooperative cancel token polled between epochs: once it
-  /// trips, runAtLeast returns early (possibly with zero progress) with
-  /// the system fully consistent — epoch boundaries are the runner's only
-  /// preemption points, and exactly the states saveState() serializes.
-  /// nullptr uninstalls.
-  void setCancelToken(const CancelToken* cancel) noexcept { cancel_ = cancel; }
+  /// See EpochRouter::setCancelToken.
+  void setCancelToken(const CancelToken* cancel) noexcept {
+    router_.setCancelToken(cancel);
+  }
 
-  /// Runs whole epochs until at least `minEvents` proposals have run in
-  /// this call (or the cancel token trips); returns the number run.  The
-  /// system's id index is suspended for the duration and restored before
-  /// returning, so the system is fully consistent (particleAt()) between
-  /// calls.
+  /// EpochRouter::runAtLeast over proposals.  Block-path epochs suspend
+  /// the id index; between calls the system is fully consistent
+  /// (particleAt()).
   std::uint64_t runAtLeast(std::uint64_t minEvents) {
-    const IndexRestore restore(system_);
-    Kernel kernel(*this);
-    std::uint64_t executed = 0;
-    while (executed < minEvents && !isCancelled(cancel_)) {
-      const std::uint64_t acceptedBefore = tallies_.stats.movement.accepted;
-      if (routeRejectionFree()) {
-        runRejectionFreeEpoch();
-      } else {
-        model_.attach(system_);
-        if constexpr (kMaintainsIds) partnerIds_.sync(system_);
-        system_.suspendIndex();
-        executor_.runEpoch(kernel, tallies_);
-      }
-      lastEpochAccepted_ = tallies_.stats.movement.accepted - acceptedBefore;
-      executed += executor_.epochLength();
-    }
-    return executed;
+    return router_.runAtLeast(minEvents, executor_, *this);
   }
 
   [[nodiscard]] const system::ParticleSystem& system() const noexcept {
@@ -182,7 +141,7 @@ class ShardedChainRunner {
   /// Epochs run by the rejection-free kernel since construction — a pure
   /// function of the seed, like epochs().
   [[nodiscard]] std::uint64_t rejectionFreeEpochs() const noexcept {
-    return rejectionFreeEpochs_;
+    return router_.rejectionFreeEpochs();
   }
 
   /// Blocks holding at least one proposal in the last block-path epoch.
@@ -215,8 +174,7 @@ class ShardedChainRunner {
     w.i64(tallies_.edges);
     w.u64(executor_.epochs());
     w.u64(executor_.boundaryRejects());
-    w.u64(lastEpochAccepted_);
-    w.u64(rejectionFreeEpochs_);
+    router_.save(w);
   }
 
   /// Inverse of saveState on a runner constructed from the same spec; the
@@ -239,12 +197,7 @@ class ShardedChainRunner {
     tallies_.edges = r.i64();
     const std::uint64_t epochs = r.u64();
     executor_.restore(epochs, r.u64());
-    lastEpochAccepted_ = kNoEpoch;
-    rejectionFreeEpochs_ = 0;
-    if (r.version() >= 6) {
-      lastEpochAccepted_ = r.u64();
-      rejectionFreeEpochs_ = r.u64();
-    }
+    router_.restore(r, r.version() >= 6);
     SOPS_REQUIRE(system_.size() == particles,
                  "snapshot: particle count does not match the runner's spec");
     model_.attach(system_);
@@ -260,68 +213,49 @@ class ShardedChainRunner {
   }
 
  private:
+  friend class EpochRouter<RejectionFreeRules>;
+
   static constexpr bool kMaintainsIds = ModelNeedsPartnerIds<Model>::value;
-  /// Models whose acceptance depends on δ alone, with movement moves only.
-  static constexpr bool kRejectionFreeCapable =
-      Model::kUniformWeight && !Model::kHasAuxMove && !kMaintainsIds;
-  /// lastEpochAccepted_ before any epoch: routes the first to the block
-  /// path.
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
-  /// The routing rule: a function of the previous epoch's accepted count
-  /// and L only, both seed-determined.
-  [[nodiscard]] bool routeRejectionFree() const noexcept {
-    if (!rejectionFree_) return false;
-    if (forceRejectionFree_) return true;
-    return lastEpochAccepted_ != kNoEpoch &&
-           lastEpochAccepted_ * kRejectionFreeAcceptDivisor <
-               executor_.epochLength();
+  /// Models whose acceptance depends on δ alone, with movement moves only,
+  /// under uniform selection.
+  [[nodiscard]] bool rejectionFreeCapable() const noexcept {
+    return Model::kUniformWeight && !Model::kHasAuxMove && !kMaintainsIds &&
+           executor_.uniformSelection();
   }
 
-  /// One epoch through the rejection-free kernel, its blocks on the
-  /// executor's workers.  The commit after its phase replays each block's
-  /// moves into the cell → id index, which must be live.
-  void runRejectionFreeEpoch() {
-    if constexpr (kRejectionFreeCapable) {
-      system_.restoreIndex();
-      if (!sampler_) {
-        sampler_ = std::make_unique<RejectionFreeSampler<RejectionFreeRules>>(
-            RejectionFreeRules(decisions_, greedy_,
-                               ModelInteractionRadius<Model>::value - 1),
-            ModelInteractionRadius<Model>::value);
-      }
-      const std::uint64_t boundaryRejects = sampler_->runEpoch(
-          system_, executor_.nextEpoch(), executor_.epochLength(),
-          [this](std::size_t count,
-                 const std::function<void(std::size_t)>& fn) {
-            executor_.forEachBlock(count, fn);
-          },
-          [this](const RejectionFreeBlock& block) {
-            for (const RejectionFreeBlock::Move& m : block.moves()) {
-              model_.onMoved(system_, system_.commitMove(m.from, m.to),
-                             m.from, m.to);
-            }
-            tallies_.stats.merge(block.stats());
-            tallies_.edges += block.edgeDelta();
-          },
-          verifyEachMove_);
-      executor_.completeEpoch(boundaryRejects);
-      ++rejectionFreeEpochs_;
-    }
+  // The router's hooks (EpochRouter::runAtLeast).  The rejection-free
+  // commit replays each block's moves into the live cell → id index.
+  [[nodiscard]] std::uint64_t routedEvents() const noexcept {
+    return tallies_.stats.movement.accepted;
   }
-
-  /// RAII index restoration for one run (suspension itself is per-epoch):
-  /// restore must happen even when an epoch throws, and is idempotent.
-  class IndexRestore {
-   public:
-    explicit IndexRestore(system::ParticleSystem& sys) : sys_(sys) {}
-    ~IndexRestore() { sys_.restoreIndex(); }
-    IndexRestore(const IndexRestore&) = delete;
-    IndexRestore& operator=(const IndexRestore&) = delete;
-
-   private:
-    system::ParticleSystem& sys_;
-  };
+  void runBlockEpoch() {
+    model_.attach(system_);
+    if constexpr (kMaintainsIds) partnerIds_.sync(system_);
+    system_.suspendIndex();
+    Kernel kernel(*this);
+    executor_.runEpoch(kernel, tallies_);
+  }
+  [[nodiscard]] RejectionFreeRules rejectionFreeRule() const {
+    return RejectionFreeRules(decisions_, greedy_, Kernel::kRadius - 1);
+  }
+  std::uint64_t runRejectionFreeEpoch(
+      RejectionFreeSampler<RejectionFreeRules>& sampler, const BlockEpoch& ep,
+      std::uint64_t length, const BlockForEach& forEach, bool verify) {
+    system_.restoreIndex();
+    return sampler.runEpoch(
+        system_, ep, length, forEach,
+        [this](const RejectionFreeBlock& block) {
+          for (const RejectionFreeBlock::Move& m : block.moves()) {
+            model_.onMoved(system_, system_.commitMove(m.from, m.to), m.from,
+                           m.to);
+          }
+          tallies_.stats.merge(block.stats());
+          tallies_.edges += block.edgeDelta();
+        },
+        verify);
+  }
+  void restoreIndex() { system_.restoreIndex(); }
 
   /// The chain's event kernel for the block executor.
   class Kernel {
@@ -409,17 +343,7 @@ class ShardedChainRunner {
   ParticleIdPlane partnerIds_;
   std::array<MoveDecision, 256> decisions_{};
   BlockExecutor<Kernel> executor_;
-  const CancelToken* cancel_ = nullptr;
-
-  bool rejectionFreeCapable_ = false;  ///< model and selection qualify
-  bool rejectionFree_ = false;         ///< routing on (off only in tests)
-  bool forceRejectionFree_ = false;
-  bool verifyEachMove_ = false;
-  std::uint64_t lastEpochAccepted_ = kNoEpoch;
-  std::uint64_t rejectionFreeEpochs_ = 0;
-  /// Built at the first rejection-free epoch; holds no state across
-  /// epochs beyond reused buffers.
-  std::unique_ptr<RejectionFreeSampler<RejectionFreeRules>> sampler_;
+  EpochRouter<RejectionFreeRules> router_;
 };
 
 }  // namespace sops::core

@@ -3,12 +3,13 @@
 ///
 /// Each chain scenario constructs its core::BiasedChainEngine exactly as
 /// the direct call sites do — same initial system, same model options,
-/// same seed, and advance() is engine.run() — so a facade run is
-/// draw-for-draw identical to the pre-facade code path (pinned by
-/// tests/sim_api_test.cpp against direct engine runs).  The amoebot
-/// scenario drives Algorithm A through amoebot::ShardedPoissonRunner, on
-/// the same block executor, whose trajectory is a pure function of the
-/// seed for every thread count.
+/// same seed, and advance() runs the engine (engine.run(), or
+/// runWithCheckpoints() in bursts under a cancel token, the same
+/// trajectory) — so a facade run is draw-for-draw identical to the
+/// pre-facade code path (pinned by tests/sim_api_test.cpp against direct
+/// engine runs).  The amoebot scenario drives Algorithm A through
+/// amoebot::ShardedPoissonRunner, on the same block executor, whose
+/// trajectory is a pure function of the seed for every thread count.
 ///
 /// Thread budget (the workerThreads argument of Scenario::start): chain
 /// scenarios run the sequential engine at threads ≤ 1 — preserving the
@@ -19,16 +20,16 @@
 /// the sequential engine's: proposals come from counter-based lists and
 /// block-boundary proposals are rejected; π is the same, checked exactly
 /// in tests/sharded_chain_test.cpp).  For compression with uniform
-/// selection the runner routes an epoch after one that accepted fewer
-/// than L/256 moves — the compressed regime — through the rejection-free
-/// kernel (core::RejectionFreeSampler, its blocks on the runner's
-/// workers), which samples the block epoch's exact law; the replica
-/// record's rejection_free_epochs counts them.  The amoebot scenario,
-/// whose runner is sharded at every count (so its snapshots resume at
-/// any count, threads = 1 included), spends the whole budget (0 = all
-/// cores); without rate-spread its runner routes an epoch after one with
-/// fewer than L/64 non-Idle activations through the same sampler under
-/// Algorithm A's block rule, and the replica record carries its
+/// selection the runner routes compressed-regime epochs (by
+/// core::kRejectionFreeAcceptDivisor; core/epoch_router.hpp) through the
+/// rejection-free kernel (core::RejectionFreeSampler, its blocks on the
+/// runner's workers), which samples the block epoch's exact law; the
+/// replica record's rejection_free_epochs counts them.  The amoebot
+/// scenario, whose runner is sharded at every count (so its snapshots
+/// resume at any count, threads = 1 included), spends the whole budget
+/// (0 = all cores); without rate-spread its runner routes the same way
+/// (by amoebot::kAmoebotRejectionFreeDivisor) through the same sampler
+/// under Algorithm A's block rule, and the replica record carries its
 /// rejection_free_epochs and activation outcome counts (idle, expanded,
 /// moved_to_head, contracted_back).
 ///
@@ -84,26 +85,16 @@ void addChainKeys(ParamSchema& schema) {
              "allow Property 2 moves (Fig 3 ablation)");
 }
 
-/// The sharded-runner knobs of the chain scenarios (consulted only when
+/// The block runners' knobs (the chain scenarios consult them only when
 /// threads > 1 routes the run through core::ShardedChainRunner).
-void addChainShardedKeys(ParamSchema& schema) {
+void addShardedKeys(ParamSchema& schema) {
   schema.add("epoch-events", ParamType::Int, "0",
-             "fixed proposals per epoch; 0 derives min(max(2n,1024),2^28)");
-  schema.add("rate-spread", ParamType::Double, "0.0",
-             "sharded runner: particle-selection weights — particle i is "
-             "proposed with weight 1 + spread*i/(n-1); 0 keeps the uniform "
-             "chain");
-}
-
-/// The amoebot scenario's sharded-runner knobs.
-void addAmoebotShardedKeys(ParamSchema& schema) {
-  schema.add("epoch-events", ParamType::Int, "0",
-             "sharded runner: fixed proposals per epoch (activations); 0 "
+             "sharded runner: fixed proposals (activations) per epoch; 0 "
              "derives min(max(2n,1024),2^28)");
   schema.add("rate-spread", ParamType::Double, "0.0",
-             "sharded runner: heterogeneous Poisson rates as selection "
-             "weights — particle i is activated with selection weight "
-             "1 + spread*i/(n-1); 0 keeps the uniform chain");
+             "sharded runner: selection weights (amoebot: Poisson rates) — "
+             "particle i gets weight 1 + spread*i/(n-1); 0 keeps the "
+             "uniform chain");
 }
 
 [[nodiscard]] double rateSpreadFrom(const ParamMap& params) {
@@ -155,8 +146,9 @@ void addAmoebotShardedKeys(ParamSchema& schema) {
   return options;
 }
 
-/// One replica of any weight-model engine: advance() is engine.run(), and
-/// a per-scenario sampler maps the engine onto the declared metrics.
+/// One replica of any weight-model engine: advance() runs the engine (see
+/// the file comment), and a per-scenario sampler maps the engine onto the
+/// declared metrics.
 template <typename Model>
   requires core::ChainWeightModel<Model>
 class EngineRun : public ScenarioRun {
@@ -329,7 +321,7 @@ class CompressionScenario : public Scenario {
   [[nodiscard]] ParamSchema schema() const override {
     ParamSchema schema;
     addChainKeys(schema);
-    addChainShardedKeys(schema);
+    addShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {
@@ -377,7 +369,7 @@ class SeparationScenario : public Scenario {
     schema.add("swaps", ParamType::Bool, "true", "enable color-swap moves");
     schema.add("swap-prob", ParamType::Double, "0.5",
                "mixture weight of the swap move");
-    addChainShardedKeys(schema);
+    addShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {
@@ -432,7 +424,7 @@ class AlignmentScenario : public Scenario {
                "enable orientation re-sampling moves");
     schema.add("rotation-prob", ParamType::Double, "0.5",
                "mixture weight of the rotation move");
-    addChainShardedKeys(schema);
+    addShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {
@@ -547,7 +539,7 @@ class AmoebotScenario : public Scenario {
                "compression bias on edges");
     schema.add("crash-fraction", ParamType::Double, "0.0",
                "fraction of particles crashed at start (section 3.3)");
-    addAmoebotShardedKeys(schema);
+    addShardedKeys(schema);
     return schema;
   }
   [[nodiscard]] std::vector<std::string> metricNames() const override {

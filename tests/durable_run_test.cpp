@@ -42,9 +42,11 @@
 
 #include "amoebot/amoebot_system.hpp"
 #include "amoebot/local_compression.hpp"
+#include "amoebot/parallel_scheduler.hpp"
 #include "amoebot/scheduler.hpp"
 #include "core/cancel.hpp"
 #include "core/scenario_models.hpp"
+#include "core/sharded_chain_runner.hpp"
 #include "rng/random.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
@@ -331,6 +333,38 @@ TEST(DurableRunPayload, EngineStateBytesArePinned) {
   system::SnapshotWriter w;
   engine.saveState(w);
   EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x46c5fa9b374b2b5bull);
+}
+
+// The sharded runners' payloads, routing words included, after a
+// block-path epoch and five rejection-free ones.
+TEST(DurableRunPayload, ShardedChainStateBytesArePinned) {
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  core::ShardedChainOptions sharded;
+  sharded.threads = 2;
+  core::ShardedChainRunner<core::CompressionModel> runner(
+      system::spiralConfiguration(3000), core::CompressionModel(options), 2016,
+      sharded);
+  runner.runAtLeast(6 * runner.epochTarget());
+  EXPECT_EQ(runner.rejectionFreeEpochs(), 5u);
+  system::SnapshotWriter w;
+  runner.saveState(w);
+  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x4cc815542c4f16feull);
+}
+
+TEST(DurableRunPayload, AmoebotRunnerStateBytesArePinned) {
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  rng::Random ctor(2016);
+  amoebot::AmoebotSystem sys(system::spiralConfiguration(10000), ctor);
+  amoebot::ShardedOptions sharded;
+  sharded.threads = 2;
+  amoebot::ShardedPoissonRunner runner(sys, algo, 2016, sharded);
+  runner.runAtLeast(6 * runner.epochTarget());
+  EXPECT_EQ(runner.rejectionFreeEpochs(), 5u);
+  system::SnapshotWriter w;
+  sys.saveState(w);
+  runner.saveState(w);
+  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0xaf59edfcbcba7da3ull);
 }
 
 TEST(DurableRunFile, RoundTripsAndVerifiesChecksum) {
