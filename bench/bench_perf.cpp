@@ -193,6 +193,33 @@ void BM_IsConnected(benchmark::State& state) {
 BENCHMARK(BM_IsConnected)->ArgName("line")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// The amoebot checkpoint sample's perimeter on a 10⁵ spiral after three
+// block-path epochs (expanded particles present): the word-parallel
+// planeShape() over occ & ~heads (`planes` 1), against the cell-list
+// scan of tails() and isTail() it replaced (`planes` 0).
+void BM_AmoebotSample(benchmark::State& state) {
+  rng::Random rng(7);
+  amoebot::AmoebotSystem sys(system::spiralConfiguration(100000), rng);
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  amoebot::ShardedOptions options;
+  options.threads = 2;
+  amoebot::ShardedPoissonRunner runner(sys, algo, 11, options);
+  runner.forceBlockPathForTest();
+  runner.runAtLeast(3 * runner.epochTarget());
+  for (auto _ : state) {
+    if (state.range(0) != 0) {
+      benchmark::DoNotOptimize(system::perimeter(
+          system::planeShape(sys.occupancyGrid(), sys.headGrid())));
+    } else {
+      const std::vector<lattice::TriPoint> tails = sys.tails();
+      benchmark::DoNotOptimize(system::perimeter(
+          tails, [&sys](lattice::TriPoint p) { return sys.isTail(p); }));
+    }
+  }
+}
+BENCHMARK(BM_AmoebotSample)->ArgName("planes")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FlatMapLookup(benchmark::State& state) {
   util::FlatMap64<std::int32_t> map(1024);
   for (std::uint64_t k = 0; k < 1000; ++k) {
@@ -321,18 +348,25 @@ void BM_ShardedActivationsRouted(benchmark::State& state) {
   // The same spiral with the runner's own epoch routing: after the first
   // epoch every epoch runs rejection-free (core::RejectionFreeSampler
   // under amoebot::RejectionFreeRule), its blocks on the runner's
-  // workers — the row the block rows above compare against.
+  // workers — the row the block rows above compare against.  A
+  // rejection-free epoch costs about its non-Idle activations, so the row
+  // reports them per iteration (`events`): real time over `events` is the
+  // cost per event.
   rng::Random rng(7);
   amoebot::AmoebotSystem sys(system::spiralConfiguration(1000000), rng);
   const amoebot::LocalCompressionAlgorithm algo({4.0});
   amoebot::ShardedOptions options;
   options.threads = static_cast<unsigned>(state.range(0));
   amoebot::ShardedPoissonRunner runner(sys, algo, 11, options);
+  const std::uint64_t eventsBefore = runner.tallies().events();
   std::uint64_t done = 0;
   for (auto _ : state) {
     done += runner.runAtLeast(4000000);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(runner.tallies().events() - eventsBefore),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ShardedActivationsRouted)->Arg(4)->UseRealTime();
 

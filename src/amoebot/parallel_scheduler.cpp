@@ -1,6 +1,7 @@
 #include "amoebot/parallel_scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "util/popcount.hpp"
@@ -54,8 +55,7 @@ std::uint64_t RejectionFreeBlock::candidateMass() const noexcept {
 }
 
 std::size_t RejectionFreeBlock::memoryBytes() const noexcept {
-  std::size_t bytes = sizeof(*this) + codes_.capacity() * sizeof(Code) +
-                      moves_.capacity() * sizeof(Move);
+  std::size_t bytes = sizeof(*this) + moves_.capacity() * sizeof(Move);
   for (const std::vector<std::uint16_t>& cells : cells_) {
     bytes += cells.capacity() * sizeof(std::uint16_t);
   }
@@ -80,34 +80,6 @@ std::uint32_t RejectionFreeBlock::idAt(const AmoebotSystem& sys,
   return 0;
 }
 
-RejectionFreeBlock::Code RejectionFreeBlock::codeAt(
-    const AmoebotSystem& sys, const RejectionFreeRule& rule, std::int64_t x,
-    std::int64_t y) const {
-  const TriPoint cell = cellAt(x, y);
-  const system::BitGrid& occ = sys.occupancyGrid();
-  if (!occ.testUnchecked(cell)) return 0;
-  // Heads are expanded cells, and hold no tail.
-  const bool expanded = sys.expandedGrid().testUnchecked(cell);
-  if (expanded && sys.headGrid().testUnchecked(cell)) return 0;
-  const std::uint8_t nonCrossing = rule.nonCrossingMask(x, y);
-  if (!expanded && !sys.faultyGrid().testUnchecked(cell)) {
-    // Contracted, protocol-following.  A non-crossing pair puts the whole
-    // neighbourhood inside the block, so the gathers read only its words.
-    if (nonCrossing == 0) return 0;
-    const auto legal =
-        static_cast<Code>(nonCrossing & ~occ.neighborMaskUnchecked(cell));
-    if (legal == 0 || sys.expandedGrid().neighborMaskUnchecked(cell) != 0) {
-      return 0;
-    }
-    return legal;
-  }
-  const Particle& p = sys.particle(idAt(sys, cell));
-  if (p.crashed || crossingOf(p, rule, x, y) != 0) return 0;
-  if (expanded) return p.byzantine ? 0 : kSixPorts;  // it always contracts
-  // A contracted Byzantine particle probes from any port to an empty cell.
-  return occ.neighborMaskUnchecked(cell) != 0x3F ? kSixPorts : 0;
-}
-
 int RejectionFreeBlock::crossingOf(const Particle& p,
                                    const RejectionFreeRule& rule,
                                    std::int64_t x, std::int64_t y) noexcept {
@@ -124,28 +96,160 @@ int RejectionFreeBlock::crossingOf(const Particle& p,
          util::popcount64(rule.nonCrossingMask(x, y));
 }
 
-RejectionFreeBlock::Code& RejectionFreeBlock::keptCode(std::int64_t x,
-                                                      std::int64_t y) {
-  const std::uint64_t bit = std::uint64_t{1} << (y & 63);
-  std::uint64_t& zeroed = zeroed_[static_cast<std::size_t>(y >> 6)];
-  const auto row = static_cast<std::size_t>(y * kSize);
-  if ((zeroed & bit) == 0) {
-    zeroed |= bit;
-    std::fill_n(codes_.begin() + static_cast<std::ptrdiff_t>(row), kSize,
-                Code{0});
+RejectionFreeBlock::Planes RejectionFreeBlock::planesOf(
+    const AmoebotSystem& sys, std::int64_t y) const noexcept {
+  const auto load = [&](const system::BitGrid& grid) {
+    return core::BlockRow{grid.rowBits(x0_, y0_ + y),
+                          grid.rowBits(x0_ + 64, y0_ + y)};
+  };
+  Planes planes;
+  planes.occ = load(sys.occupancyGrid());
+  // The other planes hold occupied cells only; heads are expanded cells.
+  if ((planes.occ[0] | planes.occ[1]) == 0) return planes;
+  planes.expanded = load(sys.expandedGrid());
+  if ((planes.expanded[0] | planes.expanded[1]) != 0) {
+    planes.heads = load(sys.headGrid());
   }
-  return codes_[row + static_cast<std::size_t>(x)];
+  planes.faulty = load(sys.faultyGrid());
+  return planes;
 }
 
-void RejectionFreeBlock::recode(std::int64_t x, std::int64_t y, Code after) {
-  Code& kept = keptCode(x, y);
-  const Code before = kept;
-  if (before == after) return;
-  kept = after;
+void RejectionFreeBlock::loadRows(const AmoebotSystem& sys,
+                                  const core::RowSet& rows) {
+  core::forEachRow(rows, [&](std::int64_t y) { row(y) = planesOf(sys, y); });
+  loaded_[0] |= rows[0];
+  loaded_[1] |= rows[1];
+}
+
+RejectionFreeBlock::Window RejectionFreeBlock::windowAt(
+    std::int64_t x, std::int64_t y) const noexcept {
+  // Row y − kPad + r at byte r: columns x − kPad … x + kPad of its 128
+  // cells, those past the block read 0.  Most windows lie in one word.
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << (2 * kPad + 1)) - 1;
+  const std::int64_t first = x - kPad;
+  Window w;
+  const auto gather = [&](const auto& columns) {
+    for (int r = 0; r <= 2 * kPad; ++r) {
+      const Planes& kept = planes_[static_cast<std::size_t>(y + r)];
+      w.occ |= columns(kept.occ) << (8 * r);
+      w.expanded |= columns(kept.expanded) << (8 * r);
+      // The outer rows serve only as neighbours.
+      if (r == 0 || r == 2 * kPad) continue;
+      w.heads |= columns(kept.heads) << (8 * r);
+      w.faulty |= columns(kept.faulty) << (8 * r);
+    }
+  };
+  if (first >= 0 && first <= 64 - 2 * kPad - 1) {
+    gather([first](const core::BlockRow& words) {
+      return (words[0] >> first) & kMask;
+    });
+  } else if (first >= 64 && first <= 128 - 2 * kPad - 1) {
+    gather([first](const core::BlockRow& words) {
+      return (words[1] >> (first - 64)) & kMask;
+    });
+  } else {
+    gather([first](const core::BlockRow& words) {
+      if (first < 0) return (words[0] << -first) & kMask;
+      if (first < 64) {
+        return ((words[0] >> first) | ((words[1] << 1) << (63 - first))) &
+               kMask;
+      }
+      return (words[1] >> (first - 64)) & kMask;
+    });
+  }
+  return w;
+}
+
+namespace {
+
+/// Per direction d, the window bit offset of the neighbour in direction
+/// d: the word shifted right by it (left by its negation) holds each
+/// cell's neighbour on the cell.
+constexpr auto kNeighborShift = [] {
+  std::array<int, lattice::kNumDirections> shift{};
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    const TriPoint off = lattice::offset(lattice::directionFromIndex(d));
+    shift[static_cast<std::size_t>(d)] = 8 * off.y + off.x;
+  }
+  return shift;
+}();
+
+[[nodiscard]] std::uint64_t neighborOf(std::uint64_t cells, int d) noexcept {
+  const int shift = kNeighborShift[static_cast<std::size_t>(d)];
+  return shift > 0 ? cells >> shift : cells << -shift;
+}
+
+}  // namespace
+
+RejectionFreeBlock::Classes RejectionFreeBlock::classify(
+    const Window& w) noexcept {
+  Classes classes;
+  // Contracted protocol-following tails without an expanded neighbour.
+  std::uint64_t calm = w.occ & ~w.expanded & ~w.faulty;
+  classes.enclosed = ~std::uint64_t{0};
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    calm &= ~neighborOf(w.expanded, d);
+    classes.enclosed &= neighborOf(w.occ, d);
+  }
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    classes.open[static_cast<std::size_t>(d)] = calm & ~neighborOf(w.occ, d);
+  }
+  // Heads are expanded cells, and hold no tail.
+  classes.records = w.occ & ~w.heads & (w.expanded | w.faulty);
+  return classes;
+}
+
+template <typename Record>
+RejectionFreeBlock::Code RejectionFreeBlock::codeOf(
+    const Classes& classes, int bit, const RejectionFreeRule& rule,
+    std::int64_t x, std::int64_t y, const Record& record) {
+  if (((classes.records >> bit) & 1u) != 0) {
+    const Particle& p = record();
+    if (p.crashed || crossingOf(p, rule, x, y) != 0) return 0;
+    if (p.expanded) return p.byzantine ? 0 : kSixPorts;  // it always contracts
+    // A contracted Byzantine particle probes from any port to an empty cell.
+    return ((classes.enclosed >> bit) & 1u) != 0 ? 0 : kSixPorts;
+  }
+  // A contracted protocol-following tail: its non-crossing open pairs.  A
+  // non-crossing pair puts the whole neighbourhood inside the block, so
+  // the padding beyond it (read as empty) never counts.
+  Code open = 0;
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    open |= static_cast<Code>(
+        ((classes.open[static_cast<std::size_t>(d)] >> bit) & 1u) << d);
+  }
+  return open & rule.nonCrossingMask(x, y);
+}
+
+void RejectionFreeBlock::stamp(const Particle& p, bool set, TriPoint centre,
+                               Window& w) noexcept {
+  const auto put = [&](core::BlockRow Planes::*plane,
+                       std::uint64_t Window::*cells, TriPoint cell) {
+    const std::int64_t x = cell.x - x0_;
+    std::uint64_t& word =
+        (row(cell.y - y0_).*plane)[static_cast<std::size_t>(x >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (x & 63);
+    const std::uint64_t at = std::uint64_t{1}
+                             << windowBit({cell.x - centre.x,
+                                           cell.y - centre.y});
+    word = set ? word | bit : word & ~bit;
+    w.*cells = set ? w.*cells | at : w.*cells & ~at;
+  };
+  // The faulty plane never changes: neither kind of faulty tail moves.
+  put(&Planes::occ, &Window::occ, p.tail);
+  if (!p.expanded) return;
+  put(&Planes::expanded, &Window::expanded, p.tail);
+  put(&Planes::occ, &Window::occ, p.head);
+  put(&Planes::expanded, &Window::expanded, p.head);
+  put(&Planes::heads, &Window::heads, p.head);
+}
+
+void RejectionFreeBlock::recode(std::int64_t x, std::int64_t y, Code before,
+                                Code after) {
   const std::uint16_t key = cellKey(x, y);
-  const auto changed = static_cast<Code>(before ^ after);
-  for (int bit = 0; bit <= kSixPortsBit; ++bit) {
-    if (((changed >> bit) & 1u) == 0) continue;
+  for (unsigned changed = before ^ after; changed != 0;
+       changed &= changed - 1) {
+    const int bit = std::countr_zero(changed);
     std::vector<std::uint16_t>& cells = cells_[static_cast<std::size_t>(bit)];
     if ((after >> bit) & 1u) {
       cells.push_back(key);
@@ -159,48 +263,34 @@ void RejectionFreeBlock::rebuild(const AmoebotSystem& sys,
                                  const RejectionFreeRule& rule) {
   for (std::vector<std::uint16_t>& cells : cells_) cells.clear();
   crossing_ = 0;
-  codes_.resize(static_cast<std::size_t>(kSize * kSize));
-  zeroed_ = {};
-  const auto load = [&](const system::BitGrid& grid, std::int64_t y) {
-    return core::BlockRow{grid.rowBits(x0_, y0_ + y),
-                          grid.rowBits(x0_ + 64, y0_ + y)};
-  };
-  // The occupied and expanded words of the tail rows and the rows on
-  // either side, row y at [y + 1]; the padding beyond the block reads 0.
-  using Rows = std::array<core::BlockRow, kSize + 2>;
-  Rows occRows;
-  Rows expandedRows;
-  occRows.front() = occRows.back() = expandedRows.front() =
-      expandedRows.back() = {};
-  const auto at = [](const Rows& rows, std::int64_t y) -> const auto& {
-    return rows[static_cast<std::size_t>(y + 1)];
-  };
-  core::forEachRow(core::dilateRows(rows_, 1), [&](std::int64_t y) {
-    occRows[static_cast<std::size_t>(y + 1)] = load(sys.occupancyGrid(), y);
-    expandedRows[static_cast<std::size_t>(y + 1)] =
-        load(sys.expandedGrid(), y);
-  });
+  // The tail rows and the rows on either side; the rows an earlier
+  // placement loaded go back to zero (the padding beyond the block is
+  // never written).
+  const core::RowSet loaded = core::dilateRows(rows_, 1);
+  core::forEachRow({loaded_[0] & ~loaded[0], loaded_[1] & ~loaded[1]},
+                   [&](std::int64_t y) { row(y) = {}; });
+  loaded_ = {};
+  loadRows(sys, loaded);
   std::uint64_t fullRowCrossing = 0;
   for (const std::uint8_t crossing : rule.edgeCrossings) {
     fullRowCrossing += crossing;
   }
   core::forEachRow(rows_, [&](std::int64_t y) {
-    const core::BlockRow& occ = at(occRows, y);
-    // Heads are expanded cells: a row without any has none to load.
-    const core::BlockRow& expanded = at(expandedRows, y);
-    const core::BlockRow heads = (expanded[0] | expanded[1]) != 0
-                                     ? load(sys.headGrid(), y)
-                                     : core::BlockRow{};
-    const core::BlockRow faulty = load(sys.faultyGrid(), y);
+    const Planes& here = row(y);
+    const Planes& up = row(y + 1);
+    const Planes& down = row(y - 1);
+    const core::BlockRow& occ = here.occ;
+    const core::BlockRow& expanded = here.expanded;
+    const core::BlockRow& heads = here.heads;
+    const core::BlockRow& faulty = here.faulty;
     // An interior row full of simple tails between full rows, no expanded
     // cell nearby: no candidates, and the edge columns' crossing pairs.
-    const std::uint64_t expandedNear =
-        at(expandedRows, y - 1)[0] | at(expandedRows, y - 1)[1] |
-        expanded[0] | expanded[1] | at(expandedRows, y + 1)[0] |
-        at(expandedRows, y + 1)[1];
+    const std::uint64_t expandedNear = down.expanded[0] | down.expanded[1] |
+                                       expanded[0] | expanded[1] |
+                                       up.expanded[0] | up.expanded[1];
     if (y >= rule.rowsY0 && y <= rule.rowsY1 &&
-        (occ[0] & occ[1] & at(occRows, y - 1)[0] & at(occRows, y - 1)[1] &
-         at(occRows, y + 1)[0] & at(occRows, y + 1)[1]) == ~std::uint64_t{0} &&
+        (occ[0] & occ[1] & down.occ[0] & down.occ[1] & up.occ[0] &
+         up.occ[1]) == ~std::uint64_t{0} &&
         (heads[0] | heads[1] | faulty[0] | faulty[1] | expandedNear) == 0) {
       crossing_ += fullRowCrossing;
       return;
@@ -215,9 +305,11 @@ void RejectionFreeBlock::rebuild(const AmoebotSystem& sys,
            rest &= rest - 1) {
         const std::int64_t x =
             static_cast<std::int64_t>(64 * half) + std::countr_zero(rest);
-        crossing_ += static_cast<std::uint64_t>(crossingOf(
-            sys.particle(idAt(sys, cellAt(x, y))), rule, x, y));
-        recode(x, y, codeAt(sys, rule, x, y));
+        const Particle& p = sys.particle(idAt(sys, cellAt(x, y)));
+        crossing_ += static_cast<std::uint64_t>(crossingOf(p, rule, x, y));
+        recode(x, y, 0,
+               codeOf(classify(windowAt(x, y)), windowBit({0, 0}), rule, x,
+                      y, [&]() -> const Particle& { return p; }));
       }
     }
     // The simple tails' crossing pairs, direction by direction.
@@ -231,13 +323,11 @@ void RejectionFreeBlock::rebuild(const AmoebotSystem& sys,
     // A simple tail has a code only with a legal expansion: a
     // non-crossing empty target and no expanded neighbour.
     core::BlockRow coded{};
-    const auto targets =
-        core::neighborWords(occ, at(occRows, y + 1), at(occRows, y - 1));
+    const auto targets = core::neighborWords(occ, up.occ, down.occ);
     core::BlockRow calm = {~std::uint64_t{0}, ~std::uint64_t{0}};
     if (expandedNear != 0) {
       for (const core::BlockRow& neighbors :
-           core::neighborWords(expanded, at(expandedRows, y + 1),
-                               at(expandedRows, y - 1))) {
+           core::neighborWords(expanded, up.expanded, down.expanded)) {
         calm[0] &= ~neighbors[0];
         calm[1] &= ~neighbors[1];
       }
@@ -263,7 +353,7 @@ void RejectionFreeBlock::rebuild(const AmoebotSystem& sys,
           code |= static_cast<Code>(
               ((legal[static_cast<std::size_t>(d)][half] >> bit) & 1u) << d);
         }
-        recode(x, y, code);
+        recode(x, y, 0, code);
       }
     }
   });
@@ -316,39 +406,109 @@ void RejectionFreeBlock::execute(AmoebotSystem& sys,
   const std::int64_t x = key & (kSize - 1);
   const std::int64_t y = key >> core::BlockEpoch::kBlockShift;
   const std::uint32_t id = idAt(sys, cellAt(x, y));
-  const Particle before = sys.particle(id);
   while (legal >= 0 && index(sys.globalDirection(id, port)) != legal) ++port;
-  const ActivationResult result = rule.algo->activate(sys, id, port, draw);
-  SOPS_DASSERT(result != ActivationResult::Idle);
-  tallies_.record(result);
-  if (result == ActivationResult::MovedToHead) {
-    moves_.push_back({id, before.tail, before.head});
-    enterRow(before.head.y);
-  }
-  // Only the actor's crossing pairs change: its state, or its tail.  The
-  // pair (ℓ, ℓ′) the event changed is the expansion made, or the one ended.
-  const Particle& after = sys.particle(id);
-  const int dir = after.expanded ? after.expandDir : before.expandDir;
-  crossing_ -= static_cast<std::uint64_t>(crossingOf(before, rule, x, y));
-  crossing_ += static_cast<std::uint64_t>(
-      crossingOf(after, rule, after.tail.x - x0_, after.tail.y - y0_));
-  const auto& cells = core::kRefreshCells[static_cast<std::size_t>(dir)];
-  for (std::size_t k = 0; k < core::kRefreshNear; ++k) {
-    const std::int64_t cx = x + cells[k].x;
-    const std::int64_t cy = y + cells[k].y;
-    if (cx < 0 || cx >= kSize || cy < 0 || cy >= kSize) continue;
-    recode(cx, cy, codeAt(sys, rule, cx, cy));
+  const Event done = event(sys, rule, id, port, draw);
+  SOPS_DASSERT(done.result != ActivationResult::Idle);
+  for (std::size_t k = 0; k < done.cells; ++k) {
+    const Recode& cell = done.recodes[k];
+    recode(cell.x, cell.y, cell.before, cell.after);
   }
   if (verifyEachEvent) {
-    SOPS_REQUIRE(result != ActivationResult::Idle,
+    SOPS_REQUIRE(done.result != ActivationResult::Idle,
                  "rejection-free block: a candidate activation ran Idle");
     SOPS_REQUIRE(matchesRebuild(sys, rule),
                  "rejection-free block drifted from a rebuild");
   }
 }
 
+RejectionFreeBlock::Event RejectionFreeBlock::event(
+    AmoebotSystem& sys, const RejectionFreeRule& rule, std::uint32_t id,
+    int port, rng::CounterStream& draw) {
+  const Particle before = sys.particle(id);
+  const std::int64_t x = before.tail.x - x0_;
+  const std::int64_t y = before.tail.y - y0_;
+  const Window was = windowAt(x, y);
+  Event done;
+  done.result = rule.algo->activate(sys, id, port, draw);
+  tallies_.record(done.result);
+  const Particle& after = sys.particle(id);
+  Window now = was;
+  stamp(before, false, before.tail, now);
+  stamp(after, true, before.tail, now);
+  if (done.result == ActivationResult::MovedToHead) {
+    moves_.push_back({id, before.tail, before.head});
+    enterRow(before.head.y);
+    // The row beyond the tail's new row joins the kept rows.
+    const core::RowSet wanted = core::dilateRows(rows_, 1);
+    loadRows(sys, {wanted[0] & ~loaded_[0], wanted[1] & ~loaded_[1]});
+  }
+  // Only the actor's crossing pairs change: its state, or its tail.  The
+  // pair (ℓ, ℓ′) the event changed is the expansion made, or the one ended.
+  crossing_ -= static_cast<std::uint64_t>(crossingOf(before, rule, x, y));
+  crossing_ += static_cast<std::uint64_t>(
+      crossingOf(after, rule, after.tail.x - x0_, after.tail.y - y0_));
+  const Classes wasClasses = classify(was);
+  const Classes nowClasses = classify(now);
+  const TriPoint moved{after.tail.x - before.tail.x,
+                       after.tail.y - before.tail.y};
+  // A cell's code can change only with its classes, or with its record:
+  // the actor's, before and after, and a Byzantine tail's enclosure.
+  std::uint64_t changed =
+      (wasClasses.records ^ nowClasses.records) |
+      (wasClasses.records & (wasClasses.enclosed ^ nowClasses.enclosed)) |
+      (std::uint64_t{1} << windowBit({0, 0})) |
+      (std::uint64_t{1} << windowBit(moved));
+  for (int d = 0; d < lattice::kNumDirections; ++d) {
+    changed |= wasClasses.open[static_cast<std::size_t>(d)] ^
+               nowClasses.open[static_cast<std::size_t>(d)];
+  }
+  // The refresh cells that may have changed, as bits in kRefreshCells
+  // order.
+  const auto dir = static_cast<std::size_t>(after.expanded ? after.expandDir
+                                                           : before.expandDir);
+  unsigned pending = 0;
+  for (std::size_t k = 0; k < core::kRefreshNear; ++k) {
+    pending |= static_cast<unsigned>(
+                   (changed >> windowBit(core::kRefreshCells[dir][k])) & 1u)
+               << k;
+  }
+  for (; pending != 0; pending &= pending - 1) {
+    const TriPoint cell = core::kRefreshCells[dir][static_cast<std::size_t>(
+        std::countr_zero(pending))];
+    const std::int64_t cx = x + cell.x;
+    const std::int64_t cy = y + cell.y;
+    if (cx < 0 || cx >= kSize || cy < 0 || cy >= kSize) continue;
+    // Only the actor's record changed; another expanded or faulty tail's
+    // is the same before and after.
+    const auto recordOf = [&](const Particle& actor, TriPoint actorCell) {
+      return [&, actorCell]() -> const Particle& {
+        return cell == actorCell ? actor
+                                 : sys.particle(idAt(sys, cellAt(cx, cy)));
+      };
+    };
+    const int bit = windowBit(cell);
+    const Code from =
+        codeOf(wasClasses, bit, rule, cx, cy, recordOf(before, {0, 0}));
+    const Code to =
+        codeOf(nowClasses, bit, rule, cx, cy, recordOf(after, moved));
+    if (from != to) done.recodes[done.cells++] = {cx, cy, from, to};
+  }
+  return done;
+}
+
+bool RejectionFreeBlock::rowsMatch(const AmoebotSystem& sys) const {
+  for (std::int64_t y = -kPad; y < kSize + kPad; ++y) {
+    const bool loaded =
+        y >= 0 && y < kSize &&
+        ((loaded_[static_cast<std::size_t>(y >> 6)] >> (y & 63)) & 1u) != 0;
+    if (row(y) != (loaded ? planesOf(sys, y) : Planes{})) return false;
+  }
+  return loaded_ == core::dilateRows(rows_, 1);
+}
+
 bool RejectionFreeBlock::matchesRebuild(const AmoebotSystem& sys,
                                         const RejectionFreeRule& rule) const {
+  if (!rowsMatch(sys)) return false;
   RejectionFreeBlock fresh = *this;
   fresh.rebuild(sys, rule);
   if (fresh.crossing_ != crossing_) return false;

@@ -118,6 +118,14 @@ struct RejectionFreeRule : core::BlockLines {
 
 /// One occupied block of one Algorithm A epoch: its candidates, C_b, its
 /// n-fold way, its tallies and the log of its contractions to the head.
+///
+/// The block keeps its own copy of the four planes' words (occupied,
+/// expanded, heads, faulty) on its tail rows and the rows beside them —
+/// loaded by rebuild(), kept by each event from the actor's particle
+/// record — so an event's refresh reads no plane word: each refresh
+/// cell's candidate bits before and after the event come from a 7 × 7
+/// window of those rows, the particle record read only for an expanded or
+/// faulty tail.
 class RejectionFreeBlock : public core::BlockPlacement {
  public:
   /// A contraction to the head: the particle's tail moved from → to.
@@ -127,13 +135,19 @@ class RejectionFreeBlock : public core::BlockPlacement {
     TriPoint to;
   };
 
+  /// A tail's candidate pairs, packed: bits 0–5 its legal expansions, bit 6
+  /// its six ports; 0 for a cell holding no tail.
+  using Code = std::uint8_t;
+
   /// place(), and clears the tallies and the log.
   void reset(const core::BlockEpoch& ep, std::int64_t bx, std::int64_t by,
              std::uint32_t particles, const core::RowSet& rows,
              std::uint64_t proposals) noexcept;
 
-  /// Rebuilds the candidates and C_b from the planes' words of the
-  /// block's tail rows; reads nothing outside the block but the id index.
+  /// Loads the planes' words of the block's tail rows and the rows beside
+  /// them, and rebuilds the candidates and C_b from them; reads nothing
+  /// outside the block but the id index and the records of expanded and
+  /// faulty tails.
   void rebuild(const AmoebotSystem& sys, const RejectionFreeRule& rule);
 
   /// Runs the block's activations, every draw from streams under `key`;
@@ -142,8 +156,35 @@ class RejectionFreeBlock : public core::BlockPlacement {
   void run(AmoebotSystem& sys, const RejectionFreeRule& rule,
            std::uint64_t key, bool verifyEachEvent);
 
+  /// One refresh cell of an event: block-local (x, y), its code before
+  /// and after.
+  struct Recode {
+    std::int64_t x, y;
+    Code before, after;
+  };
+  /// An event's outcome and the refresh cells in the block whose codes it
+  /// changes — of the cells within distance 1 of the pair (ℓ, ℓ′) it made
+  /// or ended, which hold every change — in core::kRefreshCells order.
+  struct Event {
+    ActivationResult result = ActivationResult::Idle;
+    std::size_t cells = 0;
+    std::array<Recode, core::kRefreshNear> recodes{};  ///< the first `cells`
+  };
+
+  /// Runs particle `id`'s activation through `port`, its tail in the
+  /// block, as one of the block's events: activates it and keeps the
+  /// block's rows, log and C_b, but not its candidate lists — run()
+  /// recodes them from the returned refresh cells.  Public for tests.
+  Event event(AmoebotSystem& sys, const RejectionFreeRule& rule,
+              std::uint32_t id, int port, rng::CounterStream& draw);
+
+  /// True when the kept rows equal the planes' words of the block's tail
+  /// rows and the rows beside them, word for word, and are zero elsewhere.
+  [[nodiscard]] bool rowsMatch(const AmoebotSystem& sys) const;
+
   /// True when the incrementally kept structures equal a from-scratch
-  /// rebuild's (lists as sets) and the block still holds n_b tails.
+  /// rebuild's (lists as sets), rowsMatch() holds and the block still
+  /// holds n_b tails.
   [[nodiscard]] bool matchesRebuild(const AmoebotSystem& sys,
                                     const RejectionFreeRule& rule) const;
 
@@ -160,11 +201,49 @@ class RejectionFreeBlock : public core::BlockPlacement {
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
 
  private:
-  /// A tail's candidate pairs, packed: bits 0–5 its legal expansions, bit 6
-  /// its six ports; 0 for a cell holding no tail.
-  using Code = std::uint8_t;
   static constexpr int kSixPortsBit = lattice::kNumDirections;
   static constexpr Code kSixPorts = 1u << kSixPortsBit;
+  /// Rows of zero padding on either side of the kept rows: a refresh cell
+  /// sits up to two rows from ℓ, and its neighbours one more.
+  static constexpr int kPad = 3;
+
+  /// One block row of the four planes: one cache line.
+  struct alignas(64) Planes {
+    core::BlockRow occ{};
+    core::BlockRow expanded{};
+    core::BlockRow heads{};
+    core::BlockRow faulty{};
+    bool operator==(const Planes&) const = default;
+  };
+
+  /// The 7 × 7 cells around a block-local cell (x, y), one word per plane:
+  /// bit windowBit({dx, dy}) holds the cell (x + dx, y + dy), |dx|, |dy| ≤
+  /// kPad (heads and faulty: |dy| < kPad, the outer rows being read only
+  /// as neighbours).  Bit 7 of every byte stays clear, so shifting a word
+  /// by a direction's bit offset moves each cell's neighbour onto the cell
+  /// without wrapping (classify()).
+  struct Window {
+    std::uint64_t occ = 0;
+    std::uint64_t expanded = 0;
+    std::uint64_t heads = 0;
+    std::uint64_t faulty = 0;
+  };
+  [[nodiscard]] static constexpr int windowBit(TriPoint off) noexcept {
+    return 8 * (off.y + kPad) + off.x + kPad;
+  }
+
+  /// A window's cells by what their codes need, one bit each: per
+  /// direction d, the contracted protocol-following tails with no expanded
+  /// neighbour and an empty target in direction d; the tails whose code
+  /// needs their particle record (expanded or faulty); the cells whose six
+  /// neighbours are all occupied.  A cell on the window's rim reads its
+  /// neighbours outside the window as empty; the refresh asks none of
+  /// them.
+  struct Classes {
+    std::array<std::uint64_t, lattice::kNumDirections> open{};
+    std::uint64_t records = 0;
+    std::uint64_t enclosed = 0;
+  };
 
   /// A block-local cell as y·128 + x.
   [[nodiscard]] static std::uint16_t cellKey(std::int64_t x,
@@ -175,18 +254,38 @@ class RejectionFreeBlock : public core::BlockPlacement {
   /// The particle whose tail is at `cell`.
   [[nodiscard]] std::uint32_t idAt(const AmoebotSystem& sys,
                                    TriPoint cell) const;
-  /// The code of block-local (x, y), from the planes.
-  [[nodiscard]] Code codeAt(const AmoebotSystem& sys,
-                            const RejectionFreeRule& rule, std::int64_t x,
-                            std::int64_t y) const;
   /// The crossing pairs of particle `p` with its tail at block-local (x, y).
   [[nodiscard]] static int crossingOf(const Particle& p,
                                       const RejectionFreeRule& rule,
                                       std::int64_t x, std::int64_t y) noexcept;
-  /// The kept code of block-local (x, y), its row zeroed at first touch.
-  [[nodiscard]] Code& keptCode(std::int64_t x, std::int64_t y);
-  /// Moves cell (x, y) to code `after`.
-  void recode(std::int64_t x, std::int64_t y, Code after);
+  /// The kept row of block-local row y (−kPad ≤ y < 128 + kPad).
+  [[nodiscard]] Planes& row(std::int64_t y) noexcept {
+    return planes_[static_cast<std::size_t>(y + kPad)];
+  }
+  [[nodiscard]] const Planes& row(std::int64_t y) const noexcept {
+    return planes_[static_cast<std::size_t>(y + kPad)];
+  }
+  /// The planes' words of block-local row y, as the kept rows hold them.
+  [[nodiscard]] Planes planesOf(const AmoebotSystem& sys,
+                                std::int64_t y) const noexcept;
+  /// Loads the planes' words of the block-local `rows` into the kept rows.
+  void loadRows(const AmoebotSystem& sys, const core::RowSet& rows);
+  /// The window around block-local (x, y), from the kept rows.
+  [[nodiscard]] Window windowAt(std::int64_t x, std::int64_t y) const noexcept;
+  [[nodiscard]] static Classes classify(const Window& w) noexcept;
+  /// The code of the cell at window bit `bit`, block-local (x, y), from its
+  /// window's classes; record() gives the particle of an expanded or
+  /// faulty tail.
+  template <typename Record>
+  [[nodiscard]] static Code codeOf(const Classes& classes, int bit,
+                                   const RejectionFreeRule& rule,
+                                   std::int64_t x, std::int64_t y,
+                                   const Record& record);
+  /// Sets (or clears) particle `p`'s bits in the kept rows and in `w`, the
+  /// window around the absolute cell `centre`.
+  void stamp(const Particle& p, bool set, TriPoint centre, Window& w) noexcept;
+  /// Moves cell (x, y)'s candidate pairs from code `before` to `after`.
+  void recode(std::int64_t x, std::int64_t y, Code before, Code after);
   /// Runs the candidate of rank `rank` < Σ_b and refreshes around it.
   void execute(AmoebotSystem& sys, const RejectionFreeRule& rule,
                rng::CounterStream& draw, std::uint32_t rank,
@@ -196,10 +295,11 @@ class RejectionFreeBlock : public core::BlockPlacement {
   /// legal expansions, then its six-port particles.  In no fixed order.
   std::array<std::vector<std::uint16_t>, kSixPortsBit + 1> cells_;
   std::uint64_t crossing_ = 0;
-  /// Every cell's code (cellKey order), valid in the rows of zeroed_;
-  /// crossing pairs change only with their own particle, so stay out.
-  std::vector<Code> codes_;
-  core::RowSet zeroed_{};
+  /// The kept rows, block-local row y at planes_[y + kPad]: the planes'
+  /// words on the rows of loaded_ — the tail rows and the rows beside
+  /// them — and zero elsewhere.
+  std::array<Planes, kSize + 2 * kPad> planes_{};
+  core::RowSet loaded_{};
   ActivationTallies tallies_;
   std::vector<Move> moves_;
 };

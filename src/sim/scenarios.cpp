@@ -473,13 +473,13 @@ class AmoebotRun : public ScenarioRun {
   }
   [[nodiscard]] bool sharded() const override { return true; }
   void sampleMetrics(std::vector<double>& out) const override {
-    // The tail projection read straight off the planes (occ & ~heads):
-    // no ParticleSystem, grid or hash is built per sample.
-    const std::vector<lattice::TriPoint> tails = sys_.tails();
+    // The tail projection measured word-parallel off the planes
+    // (occ & ~heads): no cell list, ParticleSystem, grid or hash is built
+    // per sample.
     const std::int64_t perimeter = system::perimeter(
-        tails, [this](lattice::TriPoint p) { return sys_.isTail(p); });
+        system::planeShape(sys_.occupancyGrid(), sys_.headGrid()));
     out.push_back(static_cast<double>(perimeter));
-    out.push_back(alphaOf(perimeter, tails.size()));
+    out.push_back(alphaOf(perimeter, sys_.size()));
     out.push_back(runner_->activations() == 0
                       ? 0.0
                       : static_cast<double>(runner_->sweepActivations()) /

@@ -1,11 +1,13 @@
 #include "system/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <limits>
 
 #include "lattice/direction.hpp"
+#include "util/popcount.hpp"
 
 namespace sops::system {
 
@@ -235,6 +237,99 @@ int countHoles(const ParticleSystem& sys) {
 std::int64_t perimeter(const ParticleSystem& sys) {
   return perimeter(sys.positions(),
                    [&sys](TriPoint p) { return sys.occupied(p); });
+}
+
+PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus) {
+  PlaneShape shape;
+  if (!cells.enabled()) return shape;
+  // The words to scan, row by row: per band of rows, its column spans in
+  // increasing x — the flat window, or each tile row's allocated tiles.
+  struct Span {
+    std::int64_t x0;
+    std::int64_t words;
+  };
+  struct Band {
+    std::int64_t y0, y1;
+    std::vector<Span> spans;
+  };
+  std::vector<Band> bands;
+  if (!cells.tiled()) {
+    bands.push_back(
+        {cells.originY(),
+         cells.originY() + static_cast<std::int64_t>(cells.height()),
+         {{cells.originX(),
+           static_cast<std::int64_t>((cells.width() + 63) / 64)}}});
+  } else {
+    std::vector<std::uint64_t> keys = cells.sortedTileKeys();
+    std::sort(keys.begin(), keys.end(), [](std::uint64_t a, std::uint64_t b) {
+      const std::int64_t ya = BitGrid::tileYOfKey(a);
+      const std::int64_t yb = BitGrid::tileYOfKey(b);
+      return ya != yb ? ya < yb
+                      : BitGrid::tileXOfKey(a) < BitGrid::tileXOfKey(b);
+    });
+    for (const std::uint64_t key : keys) {
+      const std::int64_t y0 = BitGrid::tileYOfKey(key) * BitGrid::kTileHeight;
+      if (bands.empty() || bands.back().y0 != y0) {
+        bands.push_back({y0, y0 + BitGrid::kTileHeight, {}});
+      }
+      bands.back().spans.push_back(
+          {BitGrid::tileXOfKey(key) * BitGrid::kTileWidth,
+           static_cast<std::int64_t>(BitGrid::kTileRowWords)});
+    }
+  }
+  // The cells (x + j, y), j < 64, as one word.
+  const auto word = [&](std::int64_t x, std::int64_t y) {
+    return cells.rowBits(x, y) & ~minus.rowBits(x, y);
+  };
+  std::vector<CellRun> runs;
+  std::vector<std::int32_t> starts;
+  std::vector<std::int32_t> ends;
+  for (const Band& band : bands) {
+    for (std::int64_t y = band.y0; y < band.y1; ++y) {
+      starts.clear();
+      ends.clear();
+      for (const Span& span : band.spans) {
+        for (std::int64_t k = 0; k < span.words; ++k) {
+          const std::int64_t x = span.x0 + 64 * k;
+          const std::uint64_t row = word(x, y);
+          if (row == 0) continue;
+          // Bit j of each: the cell x + j + 1 (east), x + j − 1 (west), and
+          // x + j + 1 of the row below (south-east).
+          const std::uint64_t right = word(x + 64, y);
+          const std::uint64_t east = (row >> 1) | (right << 63);
+          const std::uint64_t west = (row << 1) | (word(x - 64, y) >> 63);
+          const std::uint64_t southEast =
+              (word(x, y - 1) >> 1) | (word(x + 64, y - 1) << 63);
+          // Each edge once, from the cell it leaves East, North-East or
+          // South-East.
+          shape.cells += util::popcount64(row);
+          shape.edges += util::popcount64(row & east) +
+                         util::popcount64(row & word(x, y + 1)) +
+                         util::popcount64(row & southEast);
+          for (std::uint64_t s = row & ~west; s != 0; s &= s - 1) {
+            starts.push_back(
+                static_cast<std::int32_t>(x + std::countr_zero(s)));
+          }
+          for (std::uint64_t e = row & ~east; e != 0; e &= e - 1) {
+            ends.push_back(static_cast<std::int32_t>(x + std::countr_zero(e)));
+          }
+        }
+      }
+      // A row's starts and ends alternate, in increasing x.
+      for (std::size_t r = 0; r < starts.size(); ++r) {
+        runs.push_back({static_cast<std::int32_t>(y), starts[r], ends[r]});
+      }
+    }
+  }
+  shape.topology = topologyOfRuns(std::move(runs));
+  return shape;
+}
+
+std::int64_t perimeter(const PlaneShape& shape) {
+  SOPS_REQUIRE(shape.cells > 0, "perimeter of empty system");
+  SOPS_REQUIRE(shape.topology.components == 1,
+               "perimeter requires a connected configuration");
+  return perimeterFromCounts(shape.cells, shape.edges, shape.topology.holes);
 }
 
 std::int64_t pMin(std::int64_t n) {

@@ -181,6 +181,23 @@ std::int64_t perimeter(std::span<const TriPoint> cells,
                              countEdges(cells, occupied), shape.holes);
 }
 
+/// The cells, edges and topology of a configuration held in bit planes:
+/// the cells set in `cells` and clear in `minus`, two grids of one
+/// geometry (BitGrid::allocateLike) — the amoebot tail projection is
+/// occ & ~heads.  Word-parallel: edges are popcounts of shifted words and
+/// the maximal runs, fed to topologyOfRuns(), come from bit transitions;
+/// it reads the flat window's words, or the allocated tiles'.
+struct PlaneShape {
+  std::int64_t cells = 0;
+  std::int64_t edges = 0;
+  Topology topology;
+};
+[[nodiscard]] PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus);
+
+/// perimeter() of a configuration measured by planeShape().  Precondition:
+/// connected, n ≥ 1.
+[[nodiscard]] std::int64_t perimeter(const PlaneShape& shape);
+
 /// Maximum possible perimeter of a connected hole-free configuration:
 /// 2n − 2 (spanning trees of G∆ with no induced triangles, §2.3).
 [[nodiscard]] constexpr std::int64_t pMax(std::int64_t n) noexcept {

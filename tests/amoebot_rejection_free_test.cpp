@@ -28,12 +28,15 @@
 // p > 0.001 per observable; fixed seeds.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -246,6 +249,240 @@ TEST(AmoebotRejectionFreeIndex, BandCountMatchesParticleCount) {
     EXPECT_GT(crossing, 10000u);
   }
   sys.thawIdIndex(0);
+}
+
+/// The particle whose tail is at `cell`, by a scan of the records.
+const Particle& tailOwner(const AmoebotSystem& sys, TriPoint cell) {
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    if (sys.particle(id).tail == cell) return sys.particle(id);
+  }
+  ADD_FAILURE() << "no tail at (" << cell.x << ", " << cell.y << ")";
+  return sys.particle(0);
+}
+
+/// The crossing pairs of `p` with its tail at block-local (x, y): the
+/// boxes its ports test — (tail, head), the ring, or (ℓ, ℓ + dir).
+int crossingPairs(const Particle& p, const RejectionFreeRule& rule,
+                  std::int64_t x, std::int64_t y) {
+  const std::uint8_t nonCrossing = rule.nonCrossingMask(x, y);
+  if (p.expanded) return ((nonCrossing >> p.expandDir) & 1u) != 0 ? 0 : 6;
+  if (p.byzantine) return nonCrossing == 0x3F ? 0 : 6;
+  return 6 - std::popcount(nonCrossing);
+}
+
+/// The code of block-local cell (x, y) read off the planes by definition —
+/// bits 0–5 a protocol-following tail's legal expansions, bit 6 the six
+/// ports of an expanded or a contracted Byzantine tail — with the records
+/// found by a scan: the plane-side code the block's refresh must give.
+RejectionFreeBlock::Code codeAt(const AmoebotSystem& sys,
+                                const RejectionFreeRule& rule,
+                                const RejectionFreeBlock& block,
+                                std::int64_t x, std::int64_t y) {
+  const TriPoint cell{static_cast<std::int32_t>(block.originX() + x),
+                      static_cast<std::int32_t>(block.originY() + y)};
+  const system::BitGrid& occ = sys.occupancyGrid();
+  if (!occ.test(cell)) return 0;
+  const bool expanded = sys.expandedGrid().test(cell);
+  if (expanded && sys.headGrid().test(cell)) return 0;
+  const std::uint8_t nonCrossing = rule.nonCrossingMask(x, y);
+  if (!expanded && !sys.faultyGrid().test(cell)) {
+    if (nonCrossing == 0) return 0;
+    const auto legal = static_cast<RejectionFreeBlock::Code>(
+        nonCrossing & ~occ.neighborMaskUnchecked(cell));
+    if (legal == 0 || sys.expandedGrid().neighborMaskUnchecked(cell) != 0) {
+      return 0;
+    }
+    return legal;
+  }
+  const Particle& p = tailOwner(sys, cell);
+  if (p.crashed || crossingPairs(p, rule, x, y) != 0) return 0;
+  if (expanded) return p.byzantine ? 0 : 1u << 6;
+  return occ.neighborMaskUnchecked(cell) != 0x3F ? 1u << 6 : 0;
+}
+
+TEST(AmoebotRejectionFreeIndex, RefreshMatchesThePlanesAroundEveryEvent) {
+  // ℓ at every distance 0–7 from each block line and mid-block, each event
+  // kind — a protocol expansion, a contraction back, one to the head, a
+  // Byzantine probe — among random neighbours within 4 cells of ℓ (on both
+  // sides of a block line; some expanded, crashed or Byzantine), on flat
+  // and tiled planes.  After event(): the block's rows equal the planes'
+  // words (rowsMatch()), and the cells it lists, in kRefreshCells order,
+  // carry the plane-side codes before and after the event (codeAt()
+  // above); every unlisted refresh cell's code is unchanged.
+  const LocalCompressionAlgorithm algo({4.0});
+  const RejectionFreeRule rule(algo);
+  core::BlockEpoch ep;
+  ep.offsetX = 64;
+  ep.offsetY = 37;
+  constexpr std::int64_t kBlockX = 3;
+  constexpr std::int64_t kBlockY = -2;
+  constexpr std::int64_t kSize = core::BlockEpoch::kBlockSize;
+  std::vector<std::int64_t> coords;
+  for (std::int64_t v = 0; v < 8; ++v) {
+    coords.push_back(v);
+    coords.push_back(kSize - 1 - v);
+  }
+  coords.push_back(kSize / 2);
+  enum Kind { kExpand, kBack, kToHead, kByzantine };
+  std::map<std::pair<int, ActivationResult>, int> seen;
+  std::uint64_t stream = 0;
+  std::uint64_t listed = 0;
+  for (const bool tiled : {false, true}) {
+    for (const std::int64_t x : coords) {
+      for (const std::int64_t y : coords) {
+        const std::uint8_t nonCrossing = rule.nonCrossingMask(x, y);
+        for (const int kind : {kExpand, kBack, kToHead, kByzantine}) {
+          if (nonCrossing == 0) continue;
+          if (kind == kByzantine && nonCrossing != 0x3F) continue;
+          for (const double density : {0.5, 0.8}) {
+            rng::CounterStream draw(0x726566726573, stream++);
+            RejectionFreeBlock block;
+            block.reset(ep, kBlockX, kBlockY, 0, {}, 1);
+            const TriPoint l{static_cast<std::int32_t>(block.originX() + x),
+                             static_cast<std::int32_t>(block.originY() + y)};
+            // The actor's pair (ℓ, ℓ + d), d non-crossing, its target empty.
+            int d = static_cast<int>(draw.below(6));
+            while (((nonCrossing >> d) & 1u) == 0) d = (d + 1) % 6;
+            const Direction dir = lattice::directionFromIndex(d);
+            const TriPoint target = lattice::neighbor(l, dir);
+            std::vector<TriPoint> cells = {l};
+            for (std::int32_t dy = -4; dy <= 4; ++dy) {
+              for (std::int32_t dx = -4; dx <= 4; ++dx) {
+                const TriPoint c = l + TriPoint{dx, dy};
+                if (c == l || c == target || !draw.bernoulli(density)) continue;
+                cells.push_back(c);
+              }
+            }
+            if (tiled) cells.push_back({60000, 20000});
+            rng::Random ctor(stream);
+            AmoebotSystem sys(ParticleSystem(cells), ctor);
+            ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
+            const auto actor = static_cast<std::uint32_t>(sys.at(l).particle);
+            // Decorations, away from the actor's pair: expanded particles
+            // (none next to ℓ when it expands), crashed and Byzantine ones.
+            for (std::size_t id = 0; id < sys.size(); ++id) {
+              if (id == actor) continue;
+              const TriPoint tail = sys.particle(id).tail;
+              const bool nearActor =
+                  lattice::latticeDistance(tail, l) <= 1 ||
+                  lattice::latticeDistance(tail, target) <= 1;
+              if (draw.bernoulli(0.2) && !(kind == kExpand && nearActor)) {
+                const Direction e = lattice::directionFromIndex(
+                    static_cast<int>(draw.below(6)));
+                const TriPoint head = lattice::neighbor(tail, e);
+                if (!sys.occupancyGrid().test(head) && head != target &&
+                    lattice::latticeDistance(head, l) > 1) {
+                  sys.expand(id, e);
+                }
+              }
+              const double fault = draw.uniform();
+              if (fault < 0.08) {
+                sys.markCrashed(id);
+              } else if (fault < 0.16) {
+                sys.markByzantine(id);
+              }
+            }
+            int port = static_cast<int>(draw.below(6));
+            if (kind == kExpand) {
+              while (sys.globalDirection(actor, port) != dir) {
+                port = (port + 1) % 6;
+              }
+            } else if (kind == kByzantine) {
+              sys.markByzantine(actor);
+            } else {
+              sys.expand(actor, dir);
+              sys.setFlag(actor, kind == kToHead);
+            }
+            // The block's tails, as the coordinator counts them.
+            std::uint32_t particles = 0;
+            core::RowSet rows{};
+            for (std::size_t id = 0; id < sys.size(); ++id) {
+              const std::int64_t lx = sys.particle(id).tail.x - block.originX();
+              const std::int64_t ly = sys.particle(id).tail.y - block.originY();
+              if (lx < 0 || lx >= kSize || ly < 0 || ly >= kSize) continue;
+              ++particles;
+              rows[static_cast<std::size_t>(ly >> 6)] |= std::uint64_t{1}
+                                                         << (ly & 63);
+            }
+            block.reset(ep, kBlockX, kBlockY, particles, rows, 1);
+            sys.freezeIdIndex();
+            block.rebuild(sys, rule);
+            ASSERT_TRUE(block.rowsMatch(sys));
+            // The plane-side codes of every refresh cell in the block.
+            const auto codes = [&](int refreshDir) {
+              std::vector<std::tuple<std::int64_t, std::int64_t,
+                                     RejectionFreeBlock::Code>>
+                  out;
+              for (std::size_t k = 0; k < core::kRefreshNear; ++k) {
+                const TriPoint c = core::kRefreshCells
+                    [static_cast<std::size_t>(refreshDir)][k];
+                const std::int64_t cx = x + c.x;
+                const std::int64_t cy = y + c.y;
+                if (cx < 0 || cx >= kSize || cy < 0 || cy >= kSize) continue;
+                out.emplace_back(cx, cy, codeAt(sys, rule, block, cx, cy));
+              }
+              return out;
+            };
+            // A Byzantine probe's direction is known only afterwards: take
+            // the codes before for every direction.
+            std::array<decltype(codes(0)), 6> before;
+            for (int e = 0; e < 6; ++e) {
+              before[static_cast<std::size_t>(e)] = codes(e);
+            }
+            const RejectionFreeBlock::Event event =
+                block.event(sys, rule, actor, port, draw);
+            const Particle& after = sys.particle(actor);
+            ASSERT_NE(event.result, ActivationResult::Idle);
+            ++seen[{kind, event.result}];
+            const std::string where = "ℓ (" + std::to_string(x) + ", " +
+                                      std::to_string(y) + "), kind " +
+                                      std::to_string(kind) +
+                                      (tiled ? ", tiled" : ", flat");
+            ASSERT_TRUE(block.rowsMatch(sys)) << where;
+            const int refreshDir = after.expanded ? after.expandDir : d;
+            const auto now = codes(refreshDir);
+            const auto& was = before[static_cast<std::size_t>(refreshDir)];
+            ASSERT_EQ(was.size(), now.size());
+            std::size_t next = 0;
+            for (std::size_t k = 0; k < now.size(); ++k) {
+              const auto [cx, cy, code] = now[k];
+              const RejectionFreeBlock::Code codeWas = std::get<2>(was[k]);
+              const bool isListed = next < event.cells &&
+                                    event.recodes[next].x == cx &&
+                                    event.recodes[next].y == cy;
+              if (!isListed) {
+                ASSERT_EQ(codeWas, code) << "unlisted cell (" << cx << ", "
+                                         << cy << ") changed; " << where;
+                continue;
+              }
+              ASSERT_EQ(event.recodes[next].before, codeWas)
+                  << "cell (" << cx << ", " << cy << "); " << where;
+              ASSERT_EQ(event.recodes[next].after, code)
+                  << "cell (" << cx << ", " << cy << "); " << where;
+              ++next;
+            }
+            ASSERT_EQ(next, event.cells)
+                << "a listed cell out of kRefreshCells order; " << where;
+            listed += event.cells;
+          }
+        }
+      }
+    }
+  }
+  const auto count = [&](int kind, ActivationResult result) {
+    return seen[std::pair{kind, result}];
+  };
+  std::printf("to the head %d of %d, Byzantine probes %d, listed %llu\n",
+              count(kToHead, ActivationResult::MovedToHead),
+              count(kToHead, ActivationResult::MovedToHead) +
+                  count(kToHead, ActivationResult::ContractedBack),
+              count(kByzantine, ActivationResult::Expanded),
+              static_cast<unsigned long long>(listed));
+  EXPECT_GT(count(kExpand, ActivationResult::Expanded), 800);
+  EXPECT_GT(count(kBack, ActivationResult::ContractedBack), 800);
+  EXPECT_GT(count(kToHead, ActivationResult::MovedToHead), 200);
+  EXPECT_GT(count(kByzantine, ActivationResult::Expanded), 200);
+  EXPECT_GT(listed, 10000u);
 }
 
 TEST(AmoebotRejectionFreeIndex, FitsTheMemoryBudgetAtN1e5) {

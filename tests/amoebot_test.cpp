@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "amoebot/amoebot_system.hpp"
+#include "amoebot/faults.hpp"
+#include "amoebot/local_compression.hpp"
+#include "amoebot/parallel_scheduler.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 
@@ -182,6 +186,111 @@ TEST(AmoebotSystem, TailTopologyWithoutATailConfiguration) {
       EXPECT_EQ(system::perimeter(tails, isTail),
                 system::perimeter(reference));
     }
+  }
+}
+
+/// The word-parallel sample (system::planeShape over occ & ~heads) equals
+/// the cell-list metrics of tails() and isTail().
+void expectPlaneShapeMatchesTails(const AmoebotSystem& sys,
+                                  const std::string& label) {
+  const std::vector<TriPoint> tails = sys.tails();
+  const auto isTail = [&sys](TriPoint p) { return sys.isTail(p); };
+  const system::PlaneShape shape =
+      system::planeShape(sys.occupancyGrid(), sys.headGrid());
+  const system::Topology expected = system::topology(tails, isTail);
+  EXPECT_EQ(shape.cells, static_cast<std::int64_t>(tails.size())) << label;
+  EXPECT_EQ(shape.edges, system::countEdges(tails, isTail)) << label;
+  EXPECT_EQ(shape.topology.components, expected.components) << label;
+  EXPECT_EQ(shape.topology.holes, expected.holes) << label;
+  if (expected.components == 1) {
+    EXPECT_EQ(system::perimeter(shape), system::perimeter(tails, isTail))
+        << label;
+  } else {
+    EXPECT_THROW((void)system::perimeter(shape), ContractViolation) << label;
+  }
+}
+
+/// Runs `epochs` block-path epochs of Algorithm A at λ = 4.
+void runBlockEpochs(AmoebotSystem& sys, std::uint64_t epochs,
+                    std::uint64_t seed) {
+  const LocalCompressionAlgorithm algo({4.0});
+  ShardedOptions options;
+  options.threads = 2;
+  ShardedPoissonRunner runner(sys, algo, seed, options);
+  runner.forceBlockPathForTest();
+  runner.runAtLeast(epochs * runner.epochTarget());
+}
+
+TEST(AmoebotSystem, PlaneShapeMatchesTheTailCellList) {
+  {
+    // A 10⁵ spiral after block-path epochs, expanded particles present.
+    AmoebotSystem sys =
+        makeSystem(system::spiralConfiguration(100000).positions());
+    runBlockEpochs(sys, 3, 41);
+    ASSERT_GT(sys.expandedCount(), 0u);
+    expectPlaneShapeMatchesTails(sys, "spiral");
+  }
+  {
+    // Crash and Byzantine faults, and holes cut out of a spiral; the
+    // epochs leave Byzantine particles expanded.
+    const system::ParticleSystem spiral = system::spiralConfiguration(3000);
+    std::vector<TriPoint> points;
+    for (const TriPoint p : spiral.positions()) {
+      if ((p.x * 7 + p.y * 13) % 23 != 0) points.push_back(p);
+    }
+    AmoebotSystem sys = makeSystem(points, 3);
+    rng::Random faultRng(5);
+    FaultPlan plan = randomCrashes(sys.size(), 0.1, faultRng);
+    plan.byzantine = randomByzantine(sys.size(), 0.05, faultRng).byzantine;
+    applyFaults(sys, plan);
+    ASSERT_GT(system::topology(sys.tails(),
+                               [&sys](TriPoint p) { return sys.isTail(p); })
+                  .holes,
+              10);
+    runBlockEpochs(sys, 2, 43);
+    ASSERT_GT(sys.expandedCount(), 0u);
+    expectPlaneShapeMatchesTails(sys, "faults and holes");
+  }
+  for (const bool tiled : {false, true}) {
+    // Negative coordinates, on flat and on tiled planes (a far outlier
+    // promotes them: two components, and no perimeter).
+    const system::ParticleSystem spiral = system::spiralConfiguration(2000);
+    std::vector<TriPoint> points;
+    for (const TriPoint p : spiral.positions()) {
+      points.push_back({p.x - 5000, p.y - 3000});
+    }
+    if (tiled) points.push_back({-70000, -30000});
+    AmoebotSystem sys = makeSystem(points, 9);
+    ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
+    runBlockEpochs(sys, 2, 47);
+    ASSERT_GT(sys.expandedCount(), 0u);
+    expectPlaneShapeMatchesTails(sys, tiled ? "negative tiled" : "negative");
+  }
+  for (const bool tiled : {false, true}) {
+    // Runs that start and end at 64-bit word boundaries, and heads on
+    // both sides of them: rows of 192 cells (window and tiles are
+    // 64-aligned) with gaps at columns 63, 64, 127 and 128.
+    std::vector<TriPoint> points;
+    for (std::int32_t y = 0; y < 6; ++y) {
+      for (std::int32_t x = 0; x < 192; ++x) {
+        const bool gap = (y == 1 && x == 63) || (y == 2 && x == 64) ||
+                         (y == 3 && (x == 127 || x == 128));
+        if (!gap) points.push_back({x, y});
+      }
+    }
+    if (tiled) points.push_back({60000, 20000});
+    AmoebotSystem sys = makeSystem(points, 11);
+    ASSERT_EQ(sys.occupancyGrid().tiled(), tiled);
+    // Heads at columns 63, 64, 127 and 128 of the row above.
+    for (std::size_t id = 0; id < sys.size(); ++id) {
+      const TriPoint tail = sys.particle(id).tail;
+      if (tail.y == 5 && (tail.x % 64 == 63 || tail.x % 64 == 0)) {
+        sys.expand(id, Direction::NorthEast);
+      }
+    }
+    ASSERT_EQ(sys.expandedCount(), 6u);
+    expectPlaneShapeMatchesTails(sys,
+                                 tiled ? "word edges tiled" : "word edges");
   }
 }
 
