@@ -22,6 +22,7 @@
 #include "core/move_table.hpp"
 #include "core/properties.hpp"
 #include "core/reference_kernel.hpp"
+#include "core/rejection_free.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
 #include "extensions/separation.hpp"
@@ -509,6 +510,64 @@ BENCHMARK(BM_ShardedChainStepCompressionRouted)
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime();
+
+// The coordinator's block placement of one rejection-free epoch (n_b, the
+// occupied rows and the multinomial (m_b)) on the compressed 10⁵ spiral
+// after ten routed epochs, L = 2n, a new epoch's offsets every iteration:
+// from the anchor populations the sampler keeps across epochs (`kept` 1,
+// RejectionFreeSampler::place, what runEpoch() runs) against the pass
+// over the flat window's words that recounts them (`kept` 0, placeBlocks).
+// Placement runs on the calling thread at every thread count.
+void BM_RejectionFreePlacement(benchmark::State& state) {
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  core::ShardedChainOptions sharded;
+  sharded.threads = 2;
+  core::ShardedChainRunner<core::CompressionModel> runner(
+      system::spiralConfiguration(100000), core::CompressionModel(options), 42,
+      sharded);
+  runner.runAtLeast(10 * runner.epochTarget());
+  const system::ParticleSystem& sys = runner.system();
+  core::RejectionFreeSampler<core::RejectionFreeRules> sampler(
+      core::RejectionFreeRules(core::buildDecisionTable(options), false, 1),
+      2);
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    const core::BlockEpoch ep = core::BlockEpoch::draw(42, epoch++);
+    if (state.range(0) != 0) {
+      sampler.place(sys, ep, runner.epochTarget());
+    } else {
+      sampler.placeBlocks(sys, ep, runner.epochTarget());
+    }
+    benchmark::DoNotOptimize(sampler.blocks().data());
+  }
+}
+BENCHMARK(BM_RejectionFreePlacement)->ArgName("kept")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// The compression checkpoint sample's holes and components on a 10⁵
+// spiral after 5·10⁶ steps of the sequential chain at λ = 2 (the
+// `expand-ckpt` state): the word-parallel planeShape() over the
+// occupancy grid (`planes` 1) against the run decomposition from the
+// particle list it replaced (`planes` 0).
+void BM_ChainSample(benchmark::State& state) {
+  core::ChainOptions options;
+  options.lambda = 2.0;
+  core::CompressionEngine engine(system::spiralConfiguration(100000),
+                                 core::CompressionModel(options), 5);
+  engine.run(5000000);
+  const system::ParticleSystem& sys = engine.system();
+  for (auto _ : state) {
+    const system::Topology shape =
+        state.range(0) != 0 ? system::planeShape(sys.grid()).topology
+                            : system::topology(sys);
+    benchmark::DoNotOptimize(system::perimeterFromCounts(
+        static_cast<std::int64_t>(sys.size()), engine.edges(), shape.holes,
+        shape.components));
+  }
+}
+BENCHMARK(BM_ChainSample)->ArgName("planes")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShardedChainStepSeparation(benchmark::State& state) {
   core::SeparationModel::Options options;

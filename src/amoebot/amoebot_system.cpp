@@ -29,7 +29,7 @@ std::vector<TriPoint> cellsOf(const std::vector<Particle>& particles) {
 
 AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
                              rng::Random& rng)
-    : tailIds_(initial.size()) {
+    : tailIds_(initial.size()), idIndexDirty_(true) {
   SOPS_REQUIRE(initial.size() > 0, "AmoebotSystem requires particles");
   particles_.reserve(initial.size());
   for (std::size_t id = 0; id < initial.size(); ++id) {
@@ -39,7 +39,6 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
     p.orientationOffset = static_cast<std::uint8_t>(rng.below(6));
     p.mirrored = rng.bernoulli(0.5);
     particles_.push_back(p);
-    setTail(p.tail, id);
   }
   regrowPlanes();
 }
@@ -382,6 +381,7 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
   recountExpanded();
   sharded_ = false;
   idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
+  ++mutations_;
   if (backend == 2) {
     occ_.rebuildTiledExact(cells, tileKeys);
     rebuildExpansionPlanes();

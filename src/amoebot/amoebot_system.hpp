@@ -111,7 +111,8 @@ class AmoebotSystem {
   };
 
   /// Builds an all-contracted system from a configuration, assigning each
-  /// particle a private random orientation and chirality.
+  /// particle a private random orientation and chirality.  The id index
+  /// is sized for n but filled by its first use (at(), freezeIdIndex()).
   AmoebotSystem(const system::ParticleSystem& initial, rng::Random& rng);
 
   [[nodiscard]] std::size_t size() const noexcept { return particles_.size(); }
@@ -277,6 +278,10 @@ class AmoebotSystem {
   /// the section's expansions less its contractions.
   void thawIdIndex(std::int64_t expandedDelta);
 
+  /// Counts the movements made outside a sharded section, and restores:
+  /// while it stands still, only a runner's epochs have moved a particle.
+  [[nodiscard]] std::uint64_t mutations() const noexcept { return mutations_; }
+
   // --- snapshot support (system/snapshot.hpp) ---
 
   /// Serializes every particle (cells, expansion state, private port
@@ -308,11 +313,14 @@ class AmoebotSystem {
   system::BitGrid faulty_;    ///< tails of crashed and Byzantine particles
   /// Between suspendIdIndex() or freezeIdIndex() and the restore or thaw.
   bool sharded_ = false;
+  std::uint64_t mutations_ = 0;
 
   /// Bookkeeping after a mutation: the index is marked stale; a sharded
   /// section does nothing at all (restore rebuilds, thaw is told).
   void noteMutation() noexcept {
-    if (!sharded_) idIndexDirty_ = true;
+    if (sharded_) return;
+    idIndexDirty_ = true;
+    ++mutations_;
   }
   /// expandedCount_ must not be touched by concurrent block workers; it
   /// is recomputed on restore.

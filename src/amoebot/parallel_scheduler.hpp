@@ -110,6 +110,11 @@ struct RejectionFreeRule : core::BlockLines {
                                                 std::size_t k) noexcept {
     return sys.occupancyGrid().flatRow(y)[k] & ~sys.headGrid().flatRow(y)[k];
   }
+  /// The system is the caller's: it may move particles between runs.
+  [[nodiscard]] static std::uint64_t mutations(
+      const AmoebotSystem& sys) noexcept {
+    return sys.mutations();
+  }
   void runBlock(AmoebotSystem& sys, RejectionFreeBlock& block,
                 std::uint64_t key, bool verifyEachEvent) const;
 
@@ -339,7 +344,8 @@ class ShardedPoissonRunner {
   /// core::EpochRouter::runAtLeast over activations.  Block-path epochs
   /// suspend the id index and rejection-free ones freeze it; between calls
   /// the system is fully consistent (at(), expandedCount()) and may be
-  /// read but not mutated, except through restoreState.
+  /// read or changed (AmoebotSystem::mutations() tells the sampler to
+  /// recount its anchors).
   std::uint64_t runAtLeast(std::uint64_t minActivations) {
     return router_.runAtLeast(minActivations, executor_, *this);
   }

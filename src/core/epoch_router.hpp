@@ -104,6 +104,9 @@ class EpochRouter {
         executor.runEpochWith(sample);
         ++rejectionFreeEpochs_;
       } else {
+        // The block path moves particles behind the sampler's kept
+        // populations.
+        if (sampler_) sampler_->invalidatePlacement();
         runner.runBlockEpoch();
       }
       lastEpochEvents_ = runner.routedEvents() - eventsBefore;
@@ -126,9 +129,12 @@ class EpochRouter {
     w.u64(rejectionFreeEpochs_);
   }
   /// Reads them if the payload has them (`present`); else starts over.
+  /// The restored system's anchors are recounted at the next
+  /// rejection-free epoch.
   void restore(system::SnapshotReader& r, bool present) {
     lastEpochEvents_ = present ? r.u64() : kNoEpoch;
     rejectionFreeEpochs_ = present ? r.u64() : 0;
+    if (sampler_) sampler_->invalidatePlacement();
   }
 
  private:
@@ -138,8 +144,9 @@ class EpochRouter {
   const CancelToken* cancel_ = nullptr;
   std::uint64_t lastEpochEvents_ = kNoEpoch;
   std::uint64_t rejectionFreeEpochs_ = 0;
-  /// Built at the first rejection-free epoch; holds no state across
-  /// epochs beyond reused buffers.
+  /// Built at the first rejection-free epoch; across epochs it holds
+  /// reused buffers and the anchor populations it keeps (never
+  /// serialized: a restore recounts them).
   std::unique_ptr<Sampler> sampler_;
 };
 

@@ -17,14 +17,17 @@
 /// particles, independently of the others.  The sampler draws (m_b) as
 /// conditional binomials over the occupied blocks in canonical order
 /// (block row, then column); block b runs from counter streams keyed by
-/// (seed, e, b).  The coordinator counts n_b and the occupied rows (one
-/// pass over a flat window's words, or over the particles of a tiled
-/// grid), grows the storage by the executor's rule with m_b in place of
-/// c_i, runs the blocks largest m_b first on the executor's workers (in
-/// order at threads = 1) — each writing only its own words and particles,
-/// never a structure another block reads, the cell → id index above all —
-/// and commits them in canonical order, O(moves).  An epoch is a pure
-/// function of the seed and the configuration at any thread count.
+/// (seed, e, b).  The coordinator places the blocks — n_b and the occupied
+/// rows — from the anchor populations it keeps for a flat window across
+/// epochs (AnchorPopulation: per word and per 64-row band, O(bands) per
+/// block), or by one pass over the particles of a tiled grid; grows the
+/// storage by the executor's rule with m_b in place of c_i; runs the
+/// blocks largest m_b first on the executor's workers (in order at
+/// threads = 1) — each writing only its own words and particles, never a
+/// structure another block reads, the cell → id index above all — and
+/// commits them in canonical order, O(moves), the kept populations with
+/// them.  An epoch is a pure function of the seed and the configuration
+/// at any thread count.
 ///
 /// **Chain M's rule** (RejectionFreeRules, RejectionFreeBlock; DESIGN.md
 /// §Rejection-free epochs).  A proposal picks a (particle, direction) pair
@@ -61,6 +64,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <span>
@@ -493,6 +497,11 @@ struct RejectionFreeRules : BlockLines {
                                                 std::int64_t y,
                                                 std::size_t k) noexcept {
     return sys.grid().flatRow(y)[k];
+  }
+  /// The runner owns its system: only its epochs and restores move a
+  /// particle, and the router reports both (EpochRouter).
+  [[nodiscard]] static std::uint64_t mutations(const System&) noexcept {
+    return 0;
   }
   /// Rebuilds `block` and runs its proposals (see RejectionFreeBlock).
   void runBlock(System& sys, RejectionFreeBlock& block, std::uint64_t key,
@@ -1033,12 +1042,14 @@ inline void RejectionFreeRules::runBlock(System& sys, RejectionFreeBlock& block,
 }
 
 /// What RejectionFreeSampler needs of a block rule: System; Block, a
-/// BlockPlacement that reset() places; grid(sys), the occupancy grid the
+/// BlockPlacement that reset() places and whose moves() log holds each
+/// moved anchor's `from` and `to`; grid(sys), the occupancy grid the
 /// blocks align to; anchor(sys, i), the cell that puts particle i in its
 /// block, and anchorWord(sys, y, k), the anchors of word k of flat window
-/// row y; runBlock(sys, block, key, verify), the block's n-fold way from
-/// the streams under `key` — on a worker, writing only its own words and
-/// particles.
+/// row y; mutations(sys), a count that moves whenever the system changes
+/// outside a runner's epochs and restores; runBlock(sys, block, key,
+/// verify), the block's n-fold way from the streams under `key` — on a
+/// worker, writing only its own words and particles.
 template <typename R>
 concept RejectionFreeRule =
     std::derived_from<typename R::Block, BlockPlacement> &&
@@ -1049,10 +1060,170 @@ concept RejectionFreeRule =
       { R::grid(view) } -> std::same_as<const system::BitGrid&>;
       { R::anchor(view, k) } -> std::same_as<TriPoint>;
       { R::anchorWord(view, y, k) } -> std::same_as<std::uint64_t>;
+      { R::mutations(view) } -> std::same_as<std::uint64_t>;
       { view.size() } -> std::convertible_to<std::size_t>;
+      { block.moves().front().from } -> std::convertible_to<TriPoint>;
+      { block.moves().front().to } -> std::convertible_to<TriPoint>;
       block.reset(ep, y, y, std::uint32_t{0}, rows, key);
       rule.runBlock(sys, block, key, verify);
     };
+
+/// The anchors of a flat window, kept across epochs so that placing the
+/// blocks costs O(blocks × bands), not a pass over the window's words:
+/// per word (column k of 64 cells, row y) its anchor count, a byte; per
+/// 64-row band of a column the band's total and the mask of its non-empty
+/// rows.  A block is two word columns by 128 rows, so per column its n_b
+/// is one whole band's total and two partial bands' sums (eight counts per
+/// load) — two whole bands when it starts on a band — and its RowSet the
+/// band masks shifted into place.  recount() builds it from the window's
+/// words; move() keeps it, O(1).  Valid for one window geometry only.
+class AnchorPopulation {
+ public:
+  /// Counts the anchors of every word of `grid`'s flat window, word k of
+  /// row y being anchorWord(y, k).
+  template <typename AnchorWord>
+  void recount(const system::BitGrid& grid, const AnchorWord& anchorWord) {
+    originX_ = grid.originX();
+    originY_ = grid.originY();
+    const auto height = static_cast<std::int64_t>(grid.height());
+    columns_ = static_cast<std::int64_t>(grid.flatRow(originY_).size());
+    bands_ = (height + 63) >> 6;
+    const auto bands = static_cast<std::size_t>(columns_ * bands_);
+    // Eight bytes past the last band: a partial sum's last load.
+    counts_.assign(64 * bands + 8, 0);
+    totals_.assign(bands, 0);
+    masks_.assign(bands, 0);
+    for (std::int64_t y = 0; y < height; ++y) {
+      for (std::int64_t k = 0; k < columns_; ++k) {
+        const std::uint64_t word =
+            anchorWord(originY_ + y, static_cast<std::size_t>(k));
+        if (word == 0) continue;
+        const std::size_t band = bandOf(k, y);
+        const auto count = static_cast<std::uint8_t>(util::popcount64(word));
+        counts_[64 * band + static_cast<std::size_t>(y & 63)] = count;
+        totals_[band] = static_cast<std::uint16_t>(totals_[band] + count);
+        masks_[band] |= std::uint64_t{1} << (y & 63);
+      }
+    }
+  }
+
+  /// One anchor moved from `from` to `to`, both in the window.
+  void move(TriPoint from, TriPoint to) noexcept {
+    add(from, -1);
+    add(to, 1);
+  }
+
+  /// The window's first cell and its words per row.
+  [[nodiscard]] std::int64_t originX() const noexcept { return originX_; }
+  [[nodiscard]] std::int64_t originY() const noexcept { return originY_; }
+  [[nodiscard]] std::int64_t columns() const noexcept { return columns_; }
+
+  /// The anchors of word column k in the 128 window rows from `top` (0 is
+  /// the window's first row; rows outside the window hold none).
+  [[nodiscard]] std::uint64_t blockCount(std::int64_t k,
+                                         std::int64_t top) const noexcept {
+    const std::int64_t band = top >> 6;
+    const std::int64_t shift = top & 63;
+    if (shift == 0) return total(k, band) + total(k, band + 1);
+    return partial(k, band, shift, 64) + total(k, band + 1) +
+           partial(k, band + 2, 0, shift);
+  }
+
+  /// The rows of those 128 holding anchors of column k, block-local.
+  [[nodiscard]] RowSet blockRows(std::int64_t k,
+                                 std::int64_t top) const noexcept {
+    return {rowsFrom(k, top), rowsFrom(k, top + 64)};
+  }
+
+  [[nodiscard]] std::size_t memoryBytes() const noexcept {
+    return counts_.capacity() + totals_.capacity() * sizeof(std::uint16_t) +
+           masks_.capacity() * sizeof(std::uint64_t);
+  }
+
+  bool operator==(const AnchorPopulation&) const = default;
+
+ private:
+  [[nodiscard]] std::size_t bandOf(std::int64_t k,
+                                   std::int64_t y) const noexcept {
+    return static_cast<std::size_t>(k * bands_ + (y >> 6));
+  }
+  [[nodiscard]] bool inWindow(std::int64_t k,
+                              std::int64_t band) const noexcept {
+    return k >= 0 && k < columns_ && band >= 0 && band < bands_;
+  }
+  [[nodiscard]] std::uint64_t total(std::int64_t k,
+                                    std::int64_t band) const noexcept {
+    return inWindow(k, band)
+               ? totals_[static_cast<std::size_t>(k * bands_ + band)]
+               : 0;
+  }
+  [[nodiscard]] std::uint64_t mask(std::int64_t k,
+                                   std::int64_t band) const noexcept {
+    return inWindow(k, band)
+               ? masks_[static_cast<std::size_t>(k * bands_ + band)]
+               : 0;
+  }
+  /// The 64 rows from window row `first` of column k, as a mask.
+  [[nodiscard]] std::uint64_t rowsFrom(std::int64_t k,
+                                       std::int64_t first) const noexcept {
+    const std::int64_t band = first >> 6;
+    const std::int64_t shift = first & 63;
+    const std::uint64_t low = mask(k, band) >> shift;
+    return shift == 0 ? low : low | (mask(k, band + 1) << (64 - shift));
+  }
+  /// The anchors of rows [lo, hi) of a band of column k (lo = 0 or
+  /// hi = 64), eight counts per load: the band's total less the other
+  /// rows' when those are fewer.
+  [[nodiscard]] std::uint64_t partial(std::int64_t k, std::int64_t band,
+                                      std::int64_t lo,
+                                      std::int64_t hi) const noexcept {
+    const std::uint64_t all = total(k, band);
+    if (all == 0) return 0;
+    if (hi - lo > 32) {
+      return all - (lo == 0 ? sum(k, band, hi, 64) : sum(k, band, 0, lo));
+    }
+    return sum(k, band, lo, hi);
+  }
+  /// The anchors of rows [lo, hi) of a band in the window.
+  [[nodiscard]] std::uint64_t sum(std::int64_t k, std::int64_t band,
+                                  std::int64_t lo,
+                                  std::int64_t hi) const noexcept {
+    constexpr std::uint64_t kLanes = 0x00FF00FF00FF00FFULL;
+    const std::uint8_t* counts =
+        counts_.data() + 64 * static_cast<std::size_t>(k * bands_ + band);
+    std::uint64_t sum = 0;
+    for (std::int64_t at = lo; at < hi; at += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, counts + at, sizeof(word));
+      if (hi - at < 8) word &= (std::uint64_t{1} << (8 * (hi - at))) - 1;
+      // Counts are at most 64: four 16-bit lanes of pair sums, then one
+      // multiply adds the lanes into the top one.
+      word = (word & kLanes) + ((word >> 8) & kLanes);
+      sum += (word * 0x0001000100010001ULL) >> 48;
+    }
+    return sum;
+  }
+  void add(TriPoint cell, int delta) noexcept {
+    const std::int64_t k = (cell.x - originX_) >> 6;
+    const std::int64_t y = cell.y - originY_;
+    SOPS_DASSERT(k >= 0 && k < columns_ && y >= 0 && (y >> 6) < bands_);
+    const std::size_t band = bandOf(k, y);
+    std::uint8_t& count = counts_[64 * band + static_cast<std::size_t>(y & 63)];
+    count = static_cast<std::uint8_t>(count + delta);
+    totals_[band] = static_cast<std::uint16_t>(totals_[band] + delta);
+    const std::uint64_t bit = std::uint64_t{1} << (y & 63);
+    masks_[band] = count != 0 ? masks_[band] | bit : masks_[band] & ~bit;
+  }
+
+  std::int64_t originX_ = 0;
+  std::int64_t originY_ = 0;
+  std::int64_t columns_ = 0;  ///< words per window row
+  std::int64_t bands_ = 0;    ///< 64-row bands per column
+  /// Per band (column-major, band k·bands_ + j), its 64 rows' counts.
+  std::vector<std::uint8_t> counts_;
+  std::vector<std::uint16_t> totals_;
+  std::vector<std::uint64_t> masks_;
+};
 
 /// Runs fn(j) for j in [0, count): on the executor's workers, or in order
 /// on the calling thread.
@@ -1078,17 +1249,24 @@ class RejectionFreeSampler {
 
   /// Runs one epoch of `length` proposals on `sys`, then calls
   /// commit(block) for every block, in canonical order; returns the
-  /// epoch's boundary rejects (tallied by the executor).  With
-  /// `verifyEachMove`, every move is followed by a comparison of its block
-  /// against a from-scratch rebuild, which must agree.  A throw inside the
-  /// phase (a failed verification) still commits every block, so the
-  /// system stays consistent.
+  /// epoch's boundary rejects (tallied by the executor).  The blocks are
+  /// placed from the kept anchor populations while they are current (see
+  /// invalidatePlacement()).  With `verifyEachMove`, the placement is
+  /// compared against one from scratch, and every move is followed by a
+  /// comparison of its block against a from-scratch rebuild; both must
+  /// agree.  A throw inside the phase (a failed verification) still
+  /// commits every block, so the system stays consistent.
   template <typename Commit>
   std::uint64_t runEpoch(System& sys, const BlockEpoch& ep,
                          std::uint64_t length, const BlockForEach& forEach,
                          Commit&& commit, bool verifyEachMove = false) {
     realign(sys);
-    placeBlocks(sys, ep, length);
+    place(sys, ep, length);
+    if (verifyEachMove) {
+      SOPS_REQUIRE(placementMatchesScratch(sys, ep),
+                   "rejection-free epoch: the kept anchor populations "
+                   "drifted from a recount");
+    }
     reserveStorage(sys);
     order_.resize(active_);
     for (std::size_t b = 0; b < active_; ++b) order_[b] = b;
@@ -1107,14 +1285,29 @@ class RejectionFreeSampler {
     } catch (...) {
       error = std::current_exception();
     }
+    // The storage rule may have regrown the window: then the next epoch
+    // recounts.
+    keptCurrent_ = keptCurrent_ && !error &&
+                   Rule::grid(sys).geometryVersion() == keptGeometry_;
     std::uint64_t boundaryRejects = 0;
     for (std::size_t b = 0; b < active_; ++b) {
       commit(blocks_[b]);
+      if (keptCurrent_) {
+        for (const auto& m : blocks_[b].moves()) kept_.move(m.from, m.to);
+      }
       boundaryRejects += blocks_[b].boundaryRejects();
     }
     if (error) std::rethrow_exception(error);
     return boundaryRejects;
   }
+
+  /// Marks the kept anchor populations stale: the next epoch recounts
+  /// them.  Call it whenever anything but this sampler's epochs may have
+  /// moved an anchor without moving the rule's mutations() count — the
+  /// router does on a block-path epoch and a restore.  A change of
+  /// mutations(), or of the grid's geometry or backend, is noticed
+  /// without it.
+  void invalidatePlacement() noexcept { keptCurrent_ = false; }
 
   /// The epoch's occupied blocks with at least one proposal, in canonical
   /// order, as the last runEpoch() left them (structures as after its
@@ -1125,106 +1318,182 @@ class RejectionFreeSampler {
 
   /// Places the occupied blocks of `sys` under `ep` in canonical order
   /// and draws their proposal counts from a total of `length`; blocks
-  /// without proposals are dropped.  A flat window is counted by one pass
-  /// over its words; a tiled grid — whose allocated area can be far
-  /// larger than n — by one pass over the particles.  Public for tests:
-  /// runEpoch() calls it.
+  /// without proposals are dropped.  From scratch: a flat window's anchor
+  /// populations are recounted by one pass over its words (and kept for
+  /// the next epoch); a tiled grid — whose allocated area can be far
+  /// larger than n — is counted by one pass over the particles.  For
+  /// tests and benchmarks: runEpoch() calls place().
   void placeBlocks(const System& sys, const BlockEpoch& ep,
                    std::uint64_t length) {
-    occupied_.clear();
+    keptCurrent_ = false;
+    place(sys, ep, length);
+  }
+
+  /// placeBlocks() from the kept populations while they hold (see
+  /// invalidatePlacement()), O(blocks × bands); else from scratch.
+  void place(const System& sys, const BlockEpoch& ep, std::uint64_t length) {
     const system::BitGrid& grid = Rule::grid(sys);
-    const auto blockOf = [](std::int64_t v, std::int64_t offset) {
-      return (v - offset) >> BlockEpoch::kBlockShift;
-    };
-    const auto addRow = [](RowSet& rows, std::int64_t y, std::int64_t offset) {
-      const std::int64_t local = (y - offset) & (BlockEpoch::kBlockSize - 1);
-      rows[static_cast<std::size_t>(local >> 6)] |= std::uint64_t{1}
-                                                     << (local & 63);
-    };
-    if (!grid.tiled()) {
-      // Every 64-aligned word is the left or the right half of one block
-      // row.
-      const std::int64_t x0 = grid.originX();
-      const std::int64_t y0 = grid.originY();
-      const std::int64_t x1 = x0 + static_cast<std::int64_t>(grid.width());
-      const std::int64_t y1 = y0 + static_cast<std::int64_t>(grid.height());
-      SOPS_DASSERT((x0 & 63) == 0);
-      const std::int64_t bx0 = blockOf(x0, ep.offsetX);
-      const std::int64_t by0 = blockOf(y0, ep.offsetY);
-      const std::int64_t columns = blockOf(x1 - 1, ep.offsetX) - bx0 + 1;
-      const std::int64_t rows = blockOf(y1 - 1, ep.offsetY) - by0 + 1;
-      window_.assign(static_cast<std::size_t>(columns * rows), {});
-      for (std::int64_t y = y0; y < y1; ++y) {
-        OccupiedBlock* row =
-            window_.data() + (blockOf(y, ep.offsetY) - by0) * columns;
-        const std::size_t words = grid.flatRow(y).size();
-        for (std::size_t k = 0; k < words; ++k) {
-          const std::uint64_t word = Rule::anchorWord(sys, y, k);
-          if (word == 0) continue;
-          OccupiedBlock& block =
-              row[blockOf(x0 + 64 * static_cast<std::int64_t>(k), ep.offsetX) -
-                  bx0];
-          block.particles += util::popcount64(word);
-          addRow(block.rows, y, ep.offsetY);
-        }
-      }
-      for (std::int64_t by = 0; by < rows; ++by) {
-        for (std::int64_t bx = 0; bx < columns; ++bx) {
-          OccupiedBlock block =
-              window_[static_cast<std::size_t>(by * columns + bx)];
-          if (block.particles == 0) continue;
-          block.by = by + by0;
-          block.bx = bx + bx0;
-          occupied_.push_back(block);
-        }
-      }
+    if (grid.tiled()) {
+      keptCurrent_ = false;
+      placeByParticles(sys, ep, occupied_);
     } else {
-      // Particles in id order are mostly near each other: a run of them in
-      // one block accumulates locally and is flushed when the block
-      // changes.
-      slotOf_.clear();
-      OccupiedBlock run;
-      std::uint64_t runKey = 0;
-      const auto flush = [&] {
-        if (run.particles == 0) return;
-        const std::uint32_t* slot = slotOf_.find(runKey);
-        if (slot == nullptr) {
-          slotOf_.insert(runKey, static_cast<std::uint32_t>(occupied_.size()));
-          occupied_.push_back(run);
-          return;
-        }
-        OccupiedBlock& block = occupied_[*slot];
-        block.particles += run.particles;
-        block.rows[0] |= run.rows[0];
-        block.rows[1] |= run.rows[1];
-      };
-      for (std::size_t i = 0; i < sys.size(); ++i) {
-        const TriPoint p = Rule::anchor(sys, i);
-        const std::int64_t bx = blockOf(p.x, ep.offsetX);
-        const std::int64_t by = blockOf(p.y, ep.offsetY);
-        const std::uint64_t key =
-            (std::uint64_t{static_cast<std::uint32_t>(by)} << 32) |
-            static_cast<std::uint32_t>(bx);
-        if (key != runKey || run.particles == 0) {
-          flush();
-          run = {by, bx, 0, {}};
-          runKey = key;
-        }
-        ++run.particles;
-        addRow(run.rows, p.y, ep.offsetY);
+      if (!keptHolds(sys)) {
+        kept_.recount(grid, [&](std::int64_t y, std::size_t k) {
+          return Rule::anchorWord(sys, y, k);
+        });
+        keptCurrent_ = true;
+        keptGeometry_ = grid.geometryVersion();
+        keptMutations_ = Rule::mutations(sys);
       }
-      flush();
-      std::sort(occupied_.begin(), occupied_.end(),
-                [](const OccupiedBlock& a, const OccupiedBlock& b) {
-                  return a.by != b.by ? a.by < b.by : a.bx < b.bx;
-                });
+      placeFromKept(grid, ep);
     }
-    // (m_b) by conditional binomials in canonical order: block i's count
-    // from stream i.
+    drawProposals(ep, length, sys.size());
+  }
+
+  /// Bytes held by the per-block structures and the coordinator's buffers.
+  [[nodiscard]] std::size_t memoryBytes() const noexcept {
+    std::size_t bytes = occupied_.capacity() * sizeof(OccupiedBlock) +
+                        scratch_.capacity() * sizeof(OccupiedBlock) +
+                        order_.capacity() * sizeof(std::size_t) +
+                        centers_.capacity() * sizeof(TriPoint) +
+                        kept_.memoryBytes();
+    for (const Block& block : blocks_) bytes += block.memoryBytes();
+    return bytes;
+  }
+
+  [[nodiscard]] const Rule& rule() const noexcept { return rule_; }
+
+ private:
+  /// An occupied block at absolute block coordinates (bx, by).
+  struct OccupiedBlock {
+    std::int64_t by = 0;
+    std::int64_t bx = 0;
+    std::uint64_t particles = 0;
+    RowSet rows{};  ///< block-local rows holding its particles
+    bool operator==(const OccupiedBlock&) const = default;
+  };
+
+  [[nodiscard]] static std::int64_t blockOf(std::int64_t v,
+                                            std::int64_t offset) noexcept {
+    return (v - offset) >> BlockEpoch::kBlockShift;
+  }
+
+  /// True when the kept populations hold the anchors of `sys` as they
+  /// stand.
+  [[nodiscard]] bool keptHolds(const System& sys) const noexcept {
+    const system::BitGrid& grid = Rule::grid(sys);
+    return keptCurrent_ && !grid.tiled() &&
+           grid.geometryVersion() == keptGeometry_ &&
+           Rule::mutations(sys) == keptMutations_;
+  }
+
+  /// The occupied blocks of a flat window from the kept populations: a
+  /// block is word columns 2·bx − c0 and the next (c0 the window's first
+  /// word in the offset's word lattice; x-offsets are 0 or 64, so no word
+  /// straddles a block line) over the 128 rows from its first row.
+  void placeFromKept(const system::BitGrid& grid, const BlockEpoch& ep) {
+    occupied_.clear();
+    const std::int64_t x0 = kept_.originX();
+    const std::int64_t y0 = kept_.originY();
+    SOPS_DASSERT((x0 & 63) == 0 && ((x0 - ep.offsetX) & 63) == 0);
+    const std::int64_t c0 = (x0 - ep.offsetX) >> 6;
+    const std::int64_t bx0 = c0 >> 1;
+    const std::int64_t bx1 = (c0 + kept_.columns() - 1) >> 1;
+    const std::int64_t by0 = blockOf(y0, ep.offsetY);
+    const std::int64_t by1 = blockOf(
+        y0 + static_cast<std::int64_t>(grid.height()) - 1, ep.offsetY);
+    for (std::int64_t by = by0; by <= by1; ++by) {
+      const std::int64_t top =
+          (by << BlockEpoch::kBlockShift) + ep.offsetY - y0;
+      for (std::int64_t bx = bx0; bx <= bx1; ++bx) {
+        OccupiedBlock block{by, bx, 0, {}};
+        for (std::int64_t k = 2 * bx - c0; k < 2 * bx - c0 + 2; ++k) {
+          if (k < 0 || k >= kept_.columns()) continue;
+          const std::uint64_t particles = kept_.blockCount(k, top);
+          if (particles == 0) continue;
+          block.particles += particles;
+          const RowSet rows = kept_.blockRows(k, top);
+          block.rows[0] |= rows[0];
+          block.rows[1] |= rows[1];
+        }
+        if (block.particles != 0) occupied_.push_back(block);
+      }
+    }
+  }
+
+  /// The occupied blocks by one pass over the particles, in canonical
+  /// order: a tiled grid's placement, and the verification's reference.
+  void placeByParticles(const System& sys, const BlockEpoch& ep,
+                        std::vector<OccupiedBlock>& out) {
+    out.clear();
+    // Particles in id order are mostly near each other: a run of them in
+    // one block accumulates locally and is flushed when the block
+    // changes.
+    slotOf_.clear();
+    OccupiedBlock run;
+    std::uint64_t runKey = 0;
+    const auto flush = [&] {
+      if (run.particles == 0) return;
+      const std::uint32_t* slot = slotOf_.find(runKey);
+      if (slot == nullptr) {
+        slotOf_.insert(runKey, static_cast<std::uint32_t>(out.size()));
+        out.push_back(run);
+        return;
+      }
+      OccupiedBlock& block = out[*slot];
+      block.particles += run.particles;
+      block.rows[0] |= run.rows[0];
+      block.rows[1] |= run.rows[1];
+    };
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      const TriPoint p = Rule::anchor(sys, i);
+      const std::int64_t bx = blockOf(p.x, ep.offsetX);
+      const std::int64_t by = blockOf(p.y, ep.offsetY);
+      const std::uint64_t key =
+          (std::uint64_t{static_cast<std::uint32_t>(by)} << 32) |
+          static_cast<std::uint32_t>(bx);
+      if (key != runKey || run.particles == 0) {
+        flush();
+        run = {by, bx, 0, {}};
+        runKey = key;
+      }
+      ++run.particles;
+      const std::int64_t local =
+          (p.y - ep.offsetY) & (BlockEpoch::kBlockSize - 1);
+      run.rows[static_cast<std::size_t>(local >> 6)] |= std::uint64_t{1}
+                                                         << (local & 63);
+    }
+    flush();
+    std::sort(out.begin(), out.end(),
+              [](const OccupiedBlock& a, const OccupiedBlock& b) {
+                return a.by != b.by ? a.by < b.by : a.bx < b.bx;
+              });
+  }
+
+  /// True when this epoch's placement equals one from scratch: the kept
+  /// populations a recount's, the occupied blocks a particle pass's.
+  [[nodiscard]] bool placementMatchesScratch(const System& sys,
+                                             const BlockEpoch& ep) {
+    const system::BitGrid& grid = Rule::grid(sys);
+    if (!grid.tiled()) {
+      AnchorPopulation fresh;
+      fresh.recount(grid, [&](std::int64_t y, std::size_t k) {
+        return Rule::anchorWord(sys, y, k);
+      });
+      if (!(fresh == kept_)) return false;
+    }
+    placeByParticles(sys, ep, scratch_);
+    return scratch_ == occupied_;
+  }
+
+  /// (m_b) by conditional binomials over occupied_ in canonical order —
+  /// block i's count from stream i — and the blocks with proposals reset.
+  void drawProposals(const BlockEpoch& ep, std::uint64_t length,
+                     std::uint64_t particles) {
     const std::uint64_t multinomialKey =
         util::mix64(ep.moveKey ^ kMultinomialSalt);
     std::uint64_t remainingProposals = length;
-    std::uint64_t remainingParticles = sys.size();
+    std::uint64_t remainingParticles = particles;
     active_ = 0;
     for (std::size_t i = 0; i < occupied_.size(); ++i) {
       const OccupiedBlock& block = occupied_[i];
@@ -1246,19 +1515,6 @@ class RejectionFreeSampler {
                  "rejection-free epoch: grid population differs from n");
   }
 
-  /// Bytes held by the per-block structures and the coordinator's buffers.
-  [[nodiscard]] std::size_t memoryBytes() const noexcept {
-    std::size_t bytes = occupied_.capacity() * sizeof(OccupiedBlock) +
-                        window_.capacity() * sizeof(OccupiedBlock) +
-                        order_.capacity() * sizeof(std::size_t) +
-                        centers_.capacity() * sizeof(TriPoint);
-    for (const Block& block : blocks_) bytes += block.memoryBytes();
-    return bytes;
-  }
-
-  [[nodiscard]] const Rule& rule() const noexcept { return rule_; }
-
- private:
   /// Block b's stream key under the epoch key: (seed, e, block).
   [[nodiscard]] static std::uint64_t blockKey(std::uint64_t epochKey,
                                               const Block& block) noexcept {
@@ -1336,24 +1592,23 @@ class RejectionFreeSampler {
     if (!centers_.empty()) sys.reserveInterior(centers_, depth);
   }
 
-  /// An occupied block at absolute block coordinates (bx, by).
-  struct OccupiedBlock {
-    std::int64_t by = 0;
-    std::int64_t bx = 0;
-    std::uint64_t particles = 0;
-    RowSet rows{};  ///< block-local rows holding its particles
-  };
-
   Rule rule_;
   /// The storage a particle needs beyond its moves: the model's reach and
   /// the grid's interior margin (the executor's kReserveSlack).
   std::int64_t reserveSlack_;
   /// The epoch's occupied blocks, in canonical order.
   std::vector<OccupiedBlock> occupied_;
-  /// Flat grids: every block of the window's block grid.
-  std::vector<OccupiedBlock> window_;
-  /// Tiled grids: block key → its index in occupied_.
+  /// The particle pass's blocks when they check a kept placement.
+  std::vector<OccupiedBlock> scratch_;
+  /// The particle pass: block key → its index in the blocks.
   util::FlatMap64<std::uint32_t> slotOf_;
+  /// Flat grids: the anchors, kept across epochs while keptCurrent_ and
+  /// the grid's geometry version and the rule's mutations() count are
+  /// those of the last recount.
+  AnchorPopulation kept_;
+  bool keptCurrent_ = false;
+  std::uint64_t keptGeometry_ = 0;
+  std::uint64_t keptMutations_ = 0;
   /// The epoch's blocks with proposals are blocks_[0, active_), in
   /// canonical order; the vector keeps the rest for reuse.
   std::vector<Block> blocks_;

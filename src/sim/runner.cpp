@@ -86,6 +86,17 @@ class BackgroundSnapshotWriter {
   std::future<void> pending_;
 };
 
+/// Calls fn(configuration) with the run's current configuration: borrowed
+/// when the run holds one (ScenarioRun::liveSystem), else its snapshot().
+template <typename Fn>
+void withConfiguration(const ScenarioRun& run, const Fn& fn) {
+  if (const system::ParticleSystem* live = run.liveSystem()) {
+    fn(*live);
+    return;
+  }
+  fn(run.snapshot());
+}
+
 /// Runs one replica to completion, streaming into `observer`.  Returns the
 /// replica's summary (without the finalSystem pointer, which is only valid
 /// during the onReplicaEnd call).
@@ -166,9 +177,13 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   // Iteration-0 row (or, resumed, the restored checkpoint's row): the
   // start of every curve.
   bool stopped = sample();
-  if (spec.snapshots) {
-    observer.onSnapshot(replica, run->stepsDone(), run->snapshot());
-  }
+  const auto snapshotToObserver = [&] {
+    if (!spec.snapshots) return;
+    withConfiguration(*run, [&](const system::ParticleSystem& sys) {
+      observer.onSnapshot(replica, run->stepsDone(), sys);
+    });
+  };
+  snapshotToObserver();
   // Baseline snapshot before any work: from here on a resumable snapshot
   // exists on disk no matter when the process dies or is cancelled.
   writeSnapshot();
@@ -187,9 +202,7 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
     // consistent and exactly the state a resume continues from.
     const bool cancelled = core::isCancelled(cancel);
     stopped = sample();
-    if (spec.snapshots) {
-      observer.onSnapshot(replica, run->stepsDone(), run->snapshot());
-    }
+    snapshotToObserver();
     writeSnapshot();
     if (cancelled) {
       *sawCancel = true;
@@ -215,9 +228,10 @@ ReplicaSummary runReplica(const RunSpec& spec, const Scenario& scenario,
   summary.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  const system::ParticleSystem finalSystem = run->snapshot();
-  summary.finalSystem = &finalSystem;
-  observer.onReplicaEnd(summary);
+  withConfiguration(*run, [&](const system::ParticleSystem& sys) {
+    summary.finalSystem = &sys;
+    observer.onReplicaEnd(summary);
+  });
   summary.finalSystem = nullptr;
   return summary;
 }

@@ -53,6 +53,14 @@ class ScenarioRun {
   /// snapshot sinks and final-state checks.  Not a hot-path call.
   [[nodiscard]] virtual system::ParticleSystem snapshot() const = 0;
 
+  /// The current configuration borrowed from the run — a chain run's
+  /// live system — or nullptr when the run holds none as a
+  /// ParticleSystem (amoebot); then the runner takes snapshot().  Valid
+  /// until the run advances.
+  [[nodiscard]] virtual const system::ParticleSystem* liveSystem() const {
+    return nullptr;
+  }
+
   /// The occupancy regime the replica currently executes in —
   /// "dense-flat" (one flat bitboard window) or "dense-tiled" (paged
   /// tile directory) — or "" for scenarios that do not report one.  The

@@ -63,10 +63,12 @@ namespace {
          static_cast<double>(system::pMin(static_cast<std::int64_t>(n)));
 }
 
-/// Appends the perimeter and α columns, computing p(σ) once.
+/// Appends the perimeter and α columns, computing p(σ) once, word-parallel
+/// off the occupancy grid.
 void pushPerimeterAndAlpha(const system::ParticleSystem& sys,
                            std::vector<double>& out) {
-  const std::int64_t perimeter = system::perimeter(sys);
+  const std::int64_t perimeter =
+      system::perimeter(system::planeShape(sys.grid()));
   out.push_back(static_cast<double>(perimeter));
   out.push_back(alphaOf(perimeter, sys.size()));
 }
@@ -179,6 +181,9 @@ class EngineRun : public ScenarioRun {
   [[nodiscard]] system::ParticleSystem snapshot() const override {
     return engine_.system();
   }
+  [[nodiscard]] const system::ParticleSystem* liveSystem() const override {
+    return &engine_.system();
+  }
   [[nodiscard]] std::string regime() const override {
     return engine_.system().regimeName();
   }
@@ -228,6 +233,9 @@ class ShardedRun : public ScenarioRun {
   }
   [[nodiscard]] system::ParticleSystem snapshot() const override {
     return runner_.system();
+  }
+  [[nodiscard]] const system::ParticleSystem* liveSystem() const override {
+    return &runner_.system();
   }
   [[nodiscard]] std::string regime() const override {
     return runner_.system().regimeName();
@@ -297,11 +305,12 @@ std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
 template <typename Driver>
 void sampleCompression(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
-  // One run decomposition serves holes AND the exact perimeter
-  // (p = 3n − e − 3C + 3·holes with the tracked edge count; C > 1 only
-  // when an ablation (properties=false) has split the system, and then p
-  // is the sum of the components' perimeters).
-  const system::Topology shape = system::topology(sys);
+  // One run decomposition, read word-parallel off the occupancy grid,
+  // serves holes AND the exact perimeter (p = 3n − e − 3C + 3·holes with
+  // the tracked edge count; C > 1 only when an ablation (properties=false)
+  // has split the system, and then p is the sum of the components'
+  // perimeters).
+  const system::Topology shape = system::planeShape(sys.grid()).topology;
   const std::int64_t perimeter = system::perimeterFromCounts(
       static_cast<std::int64_t>(sys.size()), engine.edges(), shape.holes,
       shape.components);

@@ -1,9 +1,19 @@
 #include "system/bit_grid.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
 namespace sops::system {
+
+namespace {
+/// Every geometry change takes the next value of one process-wide
+/// counter, so equal versions mean equal geometry on any two grids.
+std::uint64_t nextGeometryVersion() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+}  // namespace
 
 BitGrid::CellBox BitGrid::CellBox::around(std::span<const TriPoint> centers,
                                           std::int64_t depth) noexcept {
@@ -66,7 +76,7 @@ bool BitGrid::rebuild(std::span<const TriPoint> points,
   strideWords_ = strideWords;
   computeDeltas(static_cast<std::int64_t>(strideWords_ * 64));
   words_.assign(static_cast<std::size_t>(strideWords * height), 0);
-  ++geometryVersion_;
+  geometryVersion_ = nextGeometryVersion();
   for (const TriPoint p : points) set(p);
   return true;
 }
@@ -150,7 +160,7 @@ std::uint32_t BitGrid::ensureTile(std::int64_t tx, std::int64_t ty) {
            static_cast<std::uint64_t>(kTileWidth);
   height_ = static_cast<std::uint64_t>(tileMaxY_ - tileMinY_ + 1) *
             static_cast<std::uint64_t>(kTileHeight);
-  ++geometryVersion_;
+  geometryVersion_ = nextGeometryVersion();
   return slot;
 }
 
@@ -162,7 +172,7 @@ void BitGrid::enterTiled() {
   width_ = height_ = 0;
   strideWords_ = 0;
   computeDeltas(kTileWidth);
-  ++geometryVersion_;
+  geometryVersion_ = nextGeometryVersion();
 }
 
 void BitGrid::rebuildExact(std::span<const TriPoint> points,
@@ -181,7 +191,7 @@ void BitGrid::rebuildExact(std::span<const TriPoint> points,
   strideWords_ = strideWords;
   computeDeltas(static_cast<std::int64_t>(strideWords_ * 64));
   words_.assign(static_cast<std::size_t>(strideWords * height), 0);
-  ++geometryVersion_;
+  geometryVersion_ = nextGeometryVersion();
   for (const TriPoint p : points) {
     SOPS_REQUIRE(coversInterior(p),
                  "rebuildExact: point violates the interior-margin invariant");
@@ -216,7 +226,7 @@ void BitGrid::allocateLike(const BitGrid& other) {
   computeDeltas(tiled_ ? kTileWidth
                        : static_cast<std::int64_t>(strideWords_ * 64));
   words_.assign(other.words_.size(), 0);
-  ++geometryVersion_;
+  geometryVersion_ = nextGeometryVersion();
 }
 
 void BitGrid::disable() noexcept {
@@ -226,7 +236,7 @@ void BitGrid::disable() noexcept {
   tiled_ = false;
   originX_ = originY_ = 0;
   width_ = height_ = strideWords_ = 0;
-  ++geometryVersion_;
+  geometryVersion_ = nextGeometryVersion();
 }
 
 std::vector<std::uint64_t> BitGrid::sortedTileKeys() const {

@@ -100,11 +100,13 @@ class BitGrid {
     return tiles_.size();
   }
 
-  /// Monotonic counter bumped by every geometry change: rebuilds, exact
+  /// A version renewed by every geometry change: rebuilds, exact
   /// rebuilds, disable, allocateLike, and each tile allocation.  Shadow
-  /// planes and the id plane fingerprint this to detect staleness — two
-  /// grids with equal versions observed on the *same* grid object have
-  /// identical geometry (window or tile directory).
+  /// planes, the id plane and the rejection-free sampler's kept anchor
+  /// counts fingerprint this to detect staleness.  Versions come from one
+  /// process-wide counter, so equal versions mean identical geometry
+  /// (window or tile directory) on one grid object or on a copy of it, and
+  /// a grid built anew never repeats an earlier version.
   [[nodiscard]] std::uint64_t geometryVersion() const noexcept {
     return geometryVersion_;
   }

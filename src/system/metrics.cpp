@@ -239,7 +239,12 @@ std::int64_t perimeter(const ParticleSystem& sys) {
                    [&sys](TriPoint p) { return sys.occupied(p); });
 }
 
-PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus) {
+namespace {
+
+/// planeShape() of the cells word(x, y) gives — bit j the cell (x + j, y)
+/// — over the words of `cells`' window or allocated tiles.
+template <typename Word>
+PlaneShape shapeOfWords(const BitGrid& cells, const Word& word) {
   PlaneShape shape;
   if (!cells.enabled()) return shape;
   // The words to scan, row by row: per band of rows, its column spans in
@@ -277,10 +282,6 @@ PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus) {
            static_cast<std::int64_t>(BitGrid::kTileRowWords)});
     }
   }
-  // The cells (x + j, y), j < 64, as one word.
-  const auto word = [&](std::int64_t x, std::int64_t y) {
-    return cells.rowBits(x, y) & ~minus.rowBits(x, y);
-  };
   std::vector<CellRun> runs;
   std::vector<std::int32_t> starts;
   std::vector<std::int32_t> ends;
@@ -323,6 +324,20 @@ PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus) {
   }
   shape.topology = topologyOfRuns(std::move(runs));
   return shape;
+}
+
+}  // namespace
+
+PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus) {
+  return shapeOfWords(cells, [&](std::int64_t x, std::int64_t y) {
+    return cells.rowBits(x, y) & ~minus.rowBits(x, y);
+  });
+}
+
+PlaneShape planeShape(const BitGrid& cells) {
+  return shapeOfWords(cells, [&](std::int64_t x, std::int64_t y) {
+    return cells.rowBits(x, y);
+  });
 }
 
 std::int64_t perimeter(const PlaneShape& shape) {

@@ -193,6 +193,9 @@ struct PlaneShape {
   Topology topology;
 };
 [[nodiscard]] PlaneShape planeShape(const BitGrid& cells, const BitGrid& minus);
+/// The same of the cells set in one grid — a ParticleSystem's grid(), the
+/// chain samplers' configuration.
+[[nodiscard]] PlaneShape planeShape(const BitGrid& cells);
 
 /// perimeter() of a configuration measured by planeShape().  Precondition:
 /// connected, n ≥ 1.

@@ -35,6 +35,33 @@ TEST(AmoebotSystem, InitialStateIsContracted) {
   }
 }
 
+TEST(AmoebotSystem, FreshSystemFillsItsIdIndexOnFirstUse) {
+  // The constructor leaves the tail-id index empty; the first at() or
+  // freezeIdIndex() fills it.
+  const system::ParticleSystem spiral = system::spiralConfiguration(500);
+  {
+    const AmoebotSystem sys = makeSystem(spiral.positions(), 3);
+    for (std::size_t id = 0; id < sys.size(); ++id) {
+      const AmoebotSystem::CellView view = sys.at(sys.particle(id).tail);
+      ASSERT_EQ(view.particle, static_cast<std::int32_t>(id));
+      EXPECT_FALSE(view.isHead);
+    }
+    EXPECT_TRUE(sys.at({1000, 1000}).empty());
+  }
+  {
+    AmoebotSystem sys = makeSystem(spiral.positions(), 3);
+    sys.freezeIdIndex();
+    for (std::size_t id = 0; id < sys.size(); ++id) {
+      ASSERT_EQ(sys.frozenTailId(sys.particle(id).tail),
+                static_cast<std::int32_t>(id));
+    }
+    EXPECT_EQ(sys.frozenTailId({1000, 1000}),
+              AmoebotSystem::CellView::kEmpty);
+    sys.thawIdIndex(0);
+    EXPECT_EQ(sys.at(sys.particle(7).tail).particle, 7);
+  }
+}
+
 TEST(AmoebotSystem, CellViewsTrackHeadsAndTails) {
   AmoebotSystem sys = makeSystem({{0, 0}, {1, 0}});
   sys.expand(0, Direction::NorthEast);

@@ -1,7 +1,8 @@
 // The run decomposition behind system::topology() (countHoles,
-// isConnected, perimeter, the scenario samplers) against brute force:
-// analyzeComplement's flood of the complement window for holes, a plain
-// BFS over occupied cells for components, and Euler's relation
+// isConnected, perimeter) and its word-parallel twin over the occupancy
+// grid, system::planeShape() (the chain scenario samplers), against brute
+// force: analyzeComplement's flood of the complement window for holes, a
+// plain BFS over occupied cells for components, and Euler's relation
 // holes = e − n + C − t tying both to the local counts.  Every check
 // repeats on a forced-tiled copy, so both occupancy regimes answer the
 // decomposition's lookups.
@@ -73,6 +74,16 @@ void expectMatchesOracleIn(const ParticleSystem& sys,
   const std::int64_t e = system::countEdges(sys);
   const std::int64_t t = system::countTriangles(sys);
   EXPECT_EQ(holes, e - n + components - t);
+  // The chain samplers' word-parallel reading of the same configuration
+  // off its occupancy grid.
+  const system::PlaneShape planes = system::planeShape(sys.grid());
+  EXPECT_EQ(planes.cells, n);
+  EXPECT_EQ(planes.edges, e);
+  EXPECT_EQ(planes.topology.components, components);
+  EXPECT_EQ(planes.topology.holes, holes);
+  if (components == 1) {
+    EXPECT_EQ(system::perimeter(planes), system::perimeter(sys));
+  }
 }
 
 void expectMatchesOracle(const ParticleSystem& sys) {

@@ -29,8 +29,12 @@
 #include <string>
 #include <vector>
 
+#include "amoebot/amoebot_system.hpp"
+#include "amoebot/local_compression.hpp"
+#include "amoebot/parallel_scheduler.hpp"
 #include "core/cancel.hpp"
 #include "core/scenario_models.hpp"
+#include "core/sharded_chain_runner.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "system/metrics.hpp"
@@ -776,6 +780,58 @@ TEST(SimRunner, ChainFacadeShardedIsThreadCountIndependent) {
   EXPECT_TRUE(sinkTwo.summaries()[0].system.sameArrangement(
       sinkSeven.summaries()[0].system));
   EXPECT_TRUE(system::isConnected(sinkTwo.summaries()[0].system));
+}
+
+TEST(SimRunner, ObserversSeeTheFinalConfiguration) {
+  // The final summary borrows a chain run's live system (and the snapshots
+  // stream borrows it at every checkpoint); the amoebot run hands out its
+  // tail configuration.  Each must be the configuration a direct run of the
+  // same seed ends in, and the last snapshot the summary's.
+  const auto finalOf = [](const std::string& text) {
+    RunSpec spec = RunSpec::parse(text);
+    spec.snapshots = true;
+    MemorySink sink;
+    (void)run(spec, sink);
+    EXPECT_EQ(sink.summaries().size(), 1u);
+    EXPECT_TRUE(sink.summaries()[0].hasSystem);
+    EXPECT_EQ(sink.summaries()[0].summary.finalSystem,
+              &sink.summaries()[0].system);
+    EXPECT_TRUE(sink.snapshots().back().system.sameArrangement(
+        sink.summaries()[0].system));
+    return sink.summaries()[0].system;
+  };
+  core::ChainOptions options;
+  {
+    core::CompressionEngine direct(system::lineConfiguration(60),
+                                   core::CompressionModel(options), 1607);
+    direct.run(90000);
+    EXPECT_TRUE(finalOf("scenario=compression n=60 steps=90000 "
+                        "checkpoint=30000 seed=1607")
+                    .sameArrangement(direct.system()));
+  }
+  {
+    core::ShardedChainOptions sharded;
+    sharded.threads = 2;
+    core::ShardedChainRunner<core::CompressionModel> direct(
+        system::lineConfiguration(80), core::CompressionModel(options), 1609,
+        sharded);
+    direct.runAtLeast(64000);
+    EXPECT_TRUE(finalOf("scenario=compression n=80 steps=64000 seed=1609 "
+                        "threads=2")
+                    .sameArrangement(direct.system()));
+  }
+  {
+    rng::Random ctor(1613);
+    amoebot::AmoebotSystem sys(system::lineConfiguration(50), ctor);
+    const amoebot::LocalCompressionAlgorithm algo({4.0});
+    amoebot::ShardedOptions sharded;
+    sharded.threads = 2;
+    amoebot::ShardedPoissonRunner direct(sys, algo, 1613 + 2, sharded);
+    direct.runAtLeast(50000);
+    EXPECT_TRUE(finalOf("scenario=amoebot n=50 steps=50000 seed=1613 "
+                        "threads=2")
+                    .sameArrangement(sys.tailConfiguration()));
+  }
 }
 
 TEST(SimRunner, StopWhenSharedAcrossWorkers) {
