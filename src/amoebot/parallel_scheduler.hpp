@@ -352,8 +352,8 @@ class ShardedPoissonRunner {
 
   /// Serializes the runner's evolving state (snapshot v7): L, the epoch
   /// index, the boundary-skip count, the outcome tallies and the routing
-  /// state — the last epoch's non-Idle count and the rejection-free epoch
-  /// count.  The system itself is serialized separately
+  /// state — the last decision's non-Idle count per epoch and the
+  /// rejection-free epoch count.  The system itself is serialized separately
   /// (AmoebotSystem::saveState); rates come from the spec.  Only legal
   /// between runs.
   void saveState(system::SnapshotWriter& w) const;

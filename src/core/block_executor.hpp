@@ -243,14 +243,17 @@ class BlockExecutor {
     ++epoch_;
   }
 
-  /// Runs epoch epochs() through another sampler of the same epoch law
-  /// whose blocks run independently (the rejection-free kernel):
-  /// sample(ep, L, forEach) returns the epoch's boundary rejects, and
-  /// forEach(count, fn) runs fn(j) for every j in [0, count) — on the
-  /// worker pool when threads > 1, in order on the calling thread
-  /// otherwise.  An epoch whose sample throws is not counted.
+  /// Runs the `span` epochs from epochs() as one epoch of span·L
+  /// proposals under the first one's draws, through another sampler of
+  /// the block epoch law whose blocks run independently (the
+  /// rejection-free kernel): sample(ep, span·L, forEach) returns the
+  /// boundary rejects, and forEach(count, fn) runs fn(j) for every j in
+  /// [0, count) — on the worker pool when threads > 1, in order on the
+  /// calling thread otherwise.  A span whose sample throws is not counted.
   template <typename Sample>
-  void runEpochWith(const Sample& sample) {
+  void runEpochWith(const Sample& sample, std::uint64_t span) {
+    SOPS_REQUIRE(span >= 1 && span <= kMaxEventsPerEpoch / epochLength_,
+                 "a span must hold at most 2^28 proposals");
     const auto forEach = [this](std::size_t count, const auto& fn) {
       if (threads_ > 1 && count > 1) {
         pool().run(count, fn);
@@ -259,8 +262,8 @@ class BlockExecutor {
       for (std::size_t j = 0; j < count; ++j) fn(j);
     };
     boundaryRejects_ +=
-        sample(BlockEpoch::draw(seed_, epoch_), epochLength_, forEach);
-    ++epoch_;
+        sample(BlockEpoch::draw(seed_, epoch_), span * epochLength_, forEach);
+    epoch_ += span;
   }
 
   /// Particles are selected uniformly (no rates).

@@ -161,8 +161,8 @@ class ShardedChainRunner {
 
   /// Serializes the runner's evolving state (snapshot v6): system, model
   /// aux state, tallies, e(σ), the epoch index, the boundary-reject count,
-  /// and the routing state — the last epoch's accepted count and the
-  /// rejection-free epoch count.  Everything else — L, the alias table,
+  /// and the routing state — the last decision's accepted count per epoch
+  /// and the rejection-free epoch count.  Everything else — L, the alias table,
   /// the decision table, the planes, the rejection-free blocks — comes
   /// from the spec or the configuration.  Only legal between runAtLeast calls.
   void saveState(system::SnapshotWriter& w) const {

@@ -65,22 +65,6 @@ template <typename Engine>
   return static_cast<std::uint32_t>(m >> 32);
 }
 
-namespace detail {
-
-/// drawGeometric given log1p(−p) < 0: the same draw, bit for bit, for a
-/// caller that draws many gaps of one p.
-template <typename Engine>
-[[nodiscard]] std::uint64_t drawGeometricLog(Engine& engine,
-                                             double logFailure) noexcept {
-  const double g =
-      std::floor(std::log(drawUniformPositive(engine)) / logFailure);
-  // 2^64 as a double: the largest g that still converts is just below it.
-  return g < 0x1.0p64 ? static_cast<std::uint64_t>(g)
-                      : ~std::uint64_t{0};
-}
-
-}  // namespace detail
-
 /// Geometric: the number of failures before the first success of
 /// independent trials with success probability p ∈ (0, 1].  Inversion,
 /// P(G ≥ k) = P(U ≤ (1 − p)^k) = (1 − p)^k for U uniform on (0, 1], with
@@ -90,7 +74,11 @@ template <typename Engine>
 [[nodiscard]] std::uint64_t drawGeometric(Engine& engine, double p) noexcept {
   SOPS_DASSERT(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;
-  return detail::drawGeometricLog(engine, std::log1p(-p));
+  const double g =
+      std::floor(std::log(drawUniformPositive(engine)) / std::log1p(-p));
+  // 2^64 as a double: the largest g that still converts is just below it.
+  return g < 0x1.0p64 ? static_cast<std::uint64_t>(g)
+                      : ~std::uint64_t{0};
 }
 
 namespace detail {
@@ -188,13 +176,39 @@ template <typename Engine>
   }
 }
 
+/// BINV (Kachitvichyanukul and Schmeiser, "Binomial random variate
+/// generation", Commun. ACM 31, 1988): inversion by sequential search from
+/// k = 0 along the pmf's recursion f(k) = f(k − 1)·((n + 1)·s/k − s), s =
+/// p/(1 − p) — one uniform, one exp and log1p, about n·p multiply-adds.
+/// A uniform that rounding leaves beyond the summed pmf (past k = n, or
+/// once f underflows) is redrawn.  Preconditions: p ≤ ½ and
+/// (n + 1)·p < 11, so f(0) = (1 − p)^n > e^−22.
+template <typename Engine>
+[[nodiscard]] std::uint64_t drawBinomialInversion(Engine& engine,
+                                                  std::uint64_t n,
+                                                  double p) noexcept {
+  const double s = p / (1.0 - p);
+  const double a = (static_cast<double>(n) + 1.0) * s;
+  const double first = std::exp(static_cast<double>(n) * std::log1p(-p));
+  while (true) {
+    double u = drawUniform(engine);
+    double f = first;
+    std::uint64_t k = 0;
+    while (u > f && k <= n && f > 0.0) {
+      u -= f;
+      ++k;
+      f *= a / static_cast<double>(k) - s;
+    }
+    if (u <= f && k <= n) return k;
+  }
+}
+
 }  // namespace detail
 
 /// Binomial(n, p): the number of successes in n independent trials.
-/// Exact for every n < 2^63 and p: p > ½ draws the failures instead; a
-/// small mean ((n + 1)·p < 11) sums geometric gaps between successes
-/// (about n·p + 1 draws, log1p(−p) computed once — libm may set errno, so
-/// the compiler cannot hoist it); otherwise BTRD (a few draws).
+/// Exact for every n < 2^63 and p (to the rounding of its pmf terms): p > ½
+/// draws the failures instead; a small mean ((n + 1)·p < 11) inverts one
+/// uniform by sequential search (BINV); otherwise BTRD (a few draws).
 template <typename Engine>
 [[nodiscard]] std::uint64_t drawBinomial(Engine& engine, std::uint64_t n,
                                          double p) noexcept {
@@ -203,15 +217,7 @@ template <typename Engine>
   if (p >= 1.0) return n;
   if (p > 0.5) return n - drawBinomial(engine, n, 1.0 - p);
   if ((static_cast<double>(n) + 1.0) * p < 11.0) {
-    const double logFailure = std::log1p(-p);
-    std::uint64_t successes = 0;
-    std::uint64_t position = detail::drawGeometricLog(engine, logFailure);
-    while (position < n) {
-      ++successes;
-      const std::uint64_t gap = detail::drawGeometricLog(engine, logFailure);
-      position = gap < n ? position + 1 + gap : n;
-    }
-    return successes;
+    return detail::drawBinomialInversion(engine, n, p);
   }
   return detail::drawBinomialBtrd(engine, n, p);
 }

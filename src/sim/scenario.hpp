@@ -38,8 +38,8 @@ class ScenarioRun {
   virtual ~ScenarioRun() = default;
 
   /// Advances by (at least) `steps` chain iterations / activations.  The
-  /// amoebot runner rounds up to whole epochs; stepsDone() reports the
-  /// exact count.
+  /// block runners round up to whole epochs and rejection-free spans;
+  /// stepsDone() reports the exact count.
   virtual void advance(std::uint64_t steps) = 0;
 
   /// Exact steps executed so far.

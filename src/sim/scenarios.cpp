@@ -23,8 +23,9 @@
 /// selection the runner routes compressed-regime epochs (by
 /// core::kRejectionFreeAcceptDivisor; core/epoch_router.hpp) through the
 /// rejection-free kernel (core::RejectionFreeSampler, its blocks on the
-/// runner's workers), which samples the block epoch's exact law; the
-/// replica record's rejection_free_epochs counts them.  The amoebot
+/// runner's workers), which samples the block epoch's exact law, in spans
+/// of core::kRejectionFreeSpan epochs; the replica record's
+/// rejection_free_epochs counts their epochs.  The amoebot
 /// scenario, whose runner is sharded at every count (so its snapshots
 /// resume at any count, threads = 1 included), spends the whole budget
 /// (0 = all cores); without rate-spread its runner routes the same way
@@ -92,7 +93,9 @@ void addChainKeys(ParamSchema& schema) {
 void addShardedKeys(ParamSchema& schema) {
   schema.add("epoch-events", ParamType::Int, "0",
              "sharded runner: fixed proposals (activations) per epoch; 0 "
-             "derives min(max(2n,1024),2^28)");
+             "derives min(max(2n,1024),2^28); rejection-free epochs run in "
+             "spans of 4 (fewer past 2^28 proposals), and checkpoints round "
+             "up to whole epochs and spans");
   schema.add("rate-spread", ParamType::Double, "0.0",
              "sharded runner: selection weights (amoebot: Poisson rates) — "
              "particle i gets weight 1 + spread*i/(n-1); 0 keeps the "
@@ -208,8 +211,8 @@ class EngineRun : public ScenarioRun {
 };
 
 /// One replica on the multi-core sharded runner: advance() rounds up to
-/// whole epochs (stepsDone() reports the exact count, like the amoebot
-/// run).  Samplers are shared with EngineRun via the Driver template
+/// whole epochs and rejection-free spans (stepsDone() reports the exact
+/// count, like the amoebot run).  Samplers are shared with EngineRun via the Driver template
 /// parameter — engine and runner expose the same system()/edges()/
 /// stats()/model() surface, so a metric cannot drift between the two
 /// execution disciplines.

@@ -800,30 +800,30 @@ ShardedOptions withThreads(unsigned threads) {
 
 TEST(AmoebotRejectionFreeRouting, DefaultRunnerRoutesCompressedEpochs) {
   // A 10⁴ spiral at λ = 4: the first epoch runs on the block path, every
-  // later one rejection-free; the test-only hook keeps all on the block
-  // path.
+  // later one rejection-free, in spans of four (so six epochs round up to
+  // nine); the test-only hook keeps all on the block path.
   const LocalCompressionAlgorithm algo({4.0});
   const ParticleSystem spiral = system::spiralConfiguration(10000);
   rng::Random ctor(41);
   AmoebotSystem sys(spiral, ctor);
   ShardedPoissonRunner routed(sys, algo, 1213, withThreads(4));
   routed.runAtLeast(6 * 20000);
-  EXPECT_EQ(routed.rejectionFreeEpochs(), 5u);
+  EXPECT_EQ(routed.rejectionFreeEpochs(), 8u);
   rng::Random ctor2(41);
   AmoebotSystem blockSys(spiral, ctor2);
   ShardedPoissonRunner block(blockSys, algo, 1213, withThreads(4));
   block.forceBlockPathForTest();
-  block.runAtLeast(6 * 20000);
+  block.runAtLeast(9 * 20000);
   EXPECT_EQ(block.rejectionFreeEpochs(), 0u);
   EXPECT_EQ(block.activations(), routed.activations());
 }
 
 TEST(AmoebotRejectionFreeRouting, TrajectoryIndependentOfThreadCountAndResume) {
   // A 2·10⁴ spiral at λ = 4 has far fewer than L/64 non-Idle activations
-  // per epoch, so every epoch after the first routes rejection-free.
-  // Each thread count runs six epochs, snapshots, resumes at another
-  // count and runs six more; every run must end on the list-order run's
-  // state.
+  // per epoch, so every epoch after the first routes rejection-free, in
+  // spans of four.  Each thread count runs six epochs (nine, rounded up to
+  // spans), snapshots, resumes at another count and runs six more
+  // (eight); every run must end on the list-order run's state.
   const LocalCompressionAlgorithm algo({4.0});
   const ParticleSystem spiral = system::spiralConfiguration(20000);
   const auto runWith = [&](unsigned threads, unsigned resumeThreads) {
@@ -847,7 +847,7 @@ TEST(AmoebotRejectionFreeRouting, TrajectoryIndependentOfThreadCountAndResume) {
     return signatureOf(resumedSys, resumed);
   };
   const Signature oracle = runWith(1, 1);
-  EXPECT_EQ(oracle.rejectionFreeEpochs, 11u);
+  EXPECT_EQ(oracle.rejectionFreeEpochs, 16u);
   EXPECT_GT(oracle.sweepActivations, 0u);
   EXPECT_GT(oracle.tallies.events(), 0u);
   EXPECT_TRUE(runWith(2, 4) == oracle);
@@ -907,8 +907,8 @@ TEST(AmoebotRejectionFreeRouting, OlderPayloadsRestoreOnTheBlockPath) {
     EXPECT_EQ(resumed.sweepActivations(), runner.sweepActivations());
     resumed.runAtLeast(kLength);  // the first epoch after the resume: block
     EXPECT_EQ(resumed.rejectionFreeEpochs(), 0u) << version;
-    resumed.runAtLeast(kLength);
-    EXPECT_EQ(resumed.rejectionFreeEpochs(), 1u) << version;
+    resumed.runAtLeast(kLength);  // then a rejection-free span
+    EXPECT_EQ(resumed.rejectionFreeEpochs(), 4u) << version;
     EXPECT_TRUE(system::isConnected(resumedSys.tailConfiguration()));
   }
 }

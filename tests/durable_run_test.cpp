@@ -336,7 +336,7 @@ TEST(DurableRunPayload, EngineStateBytesArePinned) {
 }
 
 // The sharded runners' payloads, routing words included, after a
-// block-path epoch and five rejection-free ones.
+// block-path epoch and two rejection-free spans of four epochs.
 TEST(DurableRunPayload, ShardedChainStateBytesArePinned) {
   core::ChainOptions options;
   options.lambda = 4.0;
@@ -346,10 +346,10 @@ TEST(DurableRunPayload, ShardedChainStateBytesArePinned) {
       system::spiralConfiguration(3000), core::CompressionModel(options), 2016,
       sharded);
   runner.runAtLeast(6 * runner.epochTarget());
-  EXPECT_EQ(runner.rejectionFreeEpochs(), 5u);
+  EXPECT_EQ(runner.rejectionFreeEpochs(), 8u);
   system::SnapshotWriter w;
   runner.saveState(w);
-  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x4cc815542c4f16feull);
+  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x42e08baf38275c01ull);
 }
 
 TEST(DurableRunPayload, AmoebotRunnerStateBytesArePinned) {
@@ -360,11 +360,11 @@ TEST(DurableRunPayload, AmoebotRunnerStateBytesArePinned) {
   sharded.threads = 2;
   amoebot::ShardedPoissonRunner runner(sys, algo, 2016, sharded);
   runner.runAtLeast(6 * runner.epochTarget());
-  EXPECT_EQ(runner.rejectionFreeEpochs(), 5u);
+  EXPECT_EQ(runner.rejectionFreeEpochs(), 8u);
   system::SnapshotWriter w;
   sys.saveState(w);
   runner.saveState(w);
-  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0xaf59edfcbcba7da3ull);
+  EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x8a46d07c323c74abull);
 }
 
 TEST(DurableRunFile, RoundTripsAndVerifiesChecksum) {
@@ -563,9 +563,10 @@ TEST(DurableRunGolden, CompressionShardedResumeAtDifferentThreadCount) {
 
 TEST(DurableRunGolden, CompressionRejectionFreeResumeAtDifferentThreadCount) {
   // An 8000-particle spiral at λ = 4 accepts about half of L/256 moves
-  // per epoch, so every epoch after the first runs rejection-free: the
-  // kill lands between rejection-free epochs, and the tail resumes at
-  // four threads instead of two.
+  // per epoch, so every epoch after the first runs rejection-free, in
+  // spans of four (a checkpoint of four epochs rounds up to the span's
+  // end): the kill lands between rejection-free spans, and the tail
+  // resumes at four threads instead of two.
   sim::RunSpec spec = baseSpec("compression", 2);
   spec.shape = "spiral";
   spec.n = 8000;
@@ -574,9 +575,9 @@ TEST(DurableRunGolden, CompressionRejectionFreeResumeAtDifferentThreadCount) {
   const auto [atKill, resumed] =
       expectKillResumeIdentical(spec, "comp_rejection_free", 4);
   EXPECT_EQ(atKill.count("rejection_free_epochs"),
-            std::optional<std::uint64_t>(7));
+            std::optional<std::uint64_t>(8));
   EXPECT_EQ(resumed.count("rejection_free_epochs"),
-            std::optional<std::uint64_t>(19));
+            std::optional<std::uint64_t>(20));
 }
 
 TEST(DurableRunGolden, SeparationSequentialKillResume) {
@@ -627,9 +628,9 @@ TEST(DurableRunGolden, AmoebotRejectionFreeResumeAtDifferentThreadCount) {
   // An 8000-particle spiral at λ = 4 has about L/70 non-Idle activations
   // per epoch, just under the L/64 route, so any epoch after the first
   // may run rejection-free or go back to the block path (at this seed all
-  // nineteen route rejection-free); the kill lands between rejection-free
-  // epochs, and the tail resumes at four threads instead of two.  The
-  // outcome tallies in the replica record must agree too.
+  // twenty route rejection-free, in spans of four); the kill lands between
+  // rejection-free spans, and the tail resumes at four threads instead of
+  // two.  The outcome tallies in the replica record must agree too.
   sim::RunSpec spec = baseSpec("amoebot", 2);
   spec.shape = "spiral";
   spec.n = 8000;
@@ -638,9 +639,9 @@ TEST(DurableRunGolden, AmoebotRejectionFreeResumeAtDifferentThreadCount) {
   const auto [atKill, resumed] =
       expectKillResumeIdentical(spec, "amoebot_rejection_free", 4);
   EXPECT_EQ(atKill.count("rejection_free_epochs"),
-            std::optional<std::uint64_t>(7));
+            std::optional<std::uint64_t>(8));
   EXPECT_EQ(resumed.count("rejection_free_epochs"),
-            std::optional<std::uint64_t>(19));
+            std::optional<std::uint64_t>(20));
   std::uint64_t executed = 0;
   for (const char* outcome :
        {"idle", "expanded", "moved_to_head", "contracted_back"}) {

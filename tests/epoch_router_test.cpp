@@ -2,9 +2,12 @@
 // both runners' divisors: the first epoch, and the first after a restore
 // without routing words, take the block path; an epoch with exactly
 // L/divisor events keeps the next on the block path and one fewer routes
-// it rejection-free; the test modes pin one path; the loop counts epochs
-// and boundary rejects, polls the cancel token between epochs and restores
-// the index on every exit.  tests/rejection_free_test.cpp and
+// it rejection-free; a rejection-free decision of the route runs a span of
+// k epochs as one sample of k·L proposals (clamped at kMaxEventsPerEpoch)
+// and the route after it reads ⌈events/k⌉; the test modes pin one path,
+// one epoch per decision; the loop counts epochs and boundary rejects,
+// polls the cancel token between decisions and restores the index on
+// every exit.  tests/rejection_free_test.cpp and
 // tests/amoebot_rejection_free_test.cpp hold the runners to it end to end.
 #include <gtest/gtest.h>
 
@@ -57,6 +60,18 @@ INSTANTIATE_TEST_SUITE_P(BothRunners, EpochRouting,
 TEST(EpochRoutingDivisors, AreTheRunnersConstants) {
   EXPECT_EQ(kChain, 256u);
   EXPECT_EQ(kAmoebot, 64u);
+}
+
+TEST(EpochRoutingSpan, IsClampedToTheEpochCap) {
+  constexpr std::uint64_t k = kRejectionFreeSpan;
+  EXPECT_EQ(k, 4u);
+  EXPECT_EQ(rejectionFreeSpan(1), k);
+  EXPECT_EQ(rejectionFreeSpan(20000), k);
+  EXPECT_EQ(rejectionFreeSpan(kMaxEventsPerEpoch / k), k);
+  EXPECT_EQ(rejectionFreeSpan(kMaxEventsPerEpoch / k + 1), k - 1);
+  EXPECT_EQ(rejectionFreeSpan(kMaxEventsPerEpoch / 2), 2u);
+  EXPECT_EQ(rejectionFreeSpan(kMaxEventsPerEpoch / 2 + 1), 1u);
+  EXPECT_EQ(rejectionFreeSpan(kMaxEventsPerEpoch), 1u);
 }
 
 TEST_P(EpochRouting, FirstEpochTakesTheBlockPath) {
@@ -168,19 +183,23 @@ struct NullKernel {
 
 /// Epoch length of the scripted runs.
 constexpr std::uint64_t kLength = 1024;
+/// Epochs per rejection-free decision of the route at kLength.
+constexpr std::uint64_t kSpan = kRejectionFreeSpan;
 
-/// The router's hooks, with each epoch's event count taken from a script
-/// and a log of the path each epoch took ('B' block, 'R' rejection-free).
+/// The router's hooks, with each decision's event count taken from a
+/// script and a log of the path each decision took ('B' block, 'R'
+/// rejection-free) and of the sample lengths.
 struct ScriptedRunner {
   static constexpr std::uint64_t kRejects = 3;
 
-  explicit ScriptedRunner(std::vector<std::uint64_t> script)
-      : script(std::move(script)), executor(1, 16, options()) {}
+  explicit ScriptedRunner(std::vector<std::uint64_t> script,
+                          std::uint64_t length = kLength)
+      : script(std::move(script)), executor(1, 16, options(length)) {}
 
-  static BlockExecutorOptions options() {
+  static BlockExecutorOptions options(std::uint64_t length) {
     BlockExecutorOptions options;
     options.threads = 1;
-    options.targetEventsPerEpoch = kLength;
+    options.targetEventsPerEpoch = length;
     return options;
   }
 
@@ -197,8 +216,9 @@ struct ScriptedRunner {
                                       std::uint64_t length,
                                       const BlockForEach& forEach,
                                       bool verify) {
+    // The span's first epoch's keys.
     EXPECT_EQ(ep.moveKey, BlockEpoch::draw(1, executor.epochs()).moveKey);
-    EXPECT_EQ(length, kLength);
+    lengths.push_back(length);
     std::size_t ran = 0;
     forEach(3, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran, 3u);
@@ -222,6 +242,7 @@ struct ScriptedRunner {
   CancelToken cancel;
   std::uint64_t events = 0;
   std::string log;
+  std::vector<std::uint64_t> lengths;
   std::size_t throwAt = ~std::size_t{0};
   std::size_t cancelAfter = ~std::size_t{0};
   mutable int rulesBuilt = 0;
@@ -230,20 +251,53 @@ struct ScriptedRunner {
 };
 
 TEST_P(EpochRouting, LoopRoutesByTheLastEpochsEvents) {
-  // L = 1024: the quota is 4 events at 256, 16 at 64.
+  // L = 1024: the quota is 4 events per epoch at 256, 16 at 64.  A span
+  // with 4·quota − 3 events has ⌈(4·quota − 3)/4⌉ = quota per epoch.
   const std::uint64_t quota = kLength / GetParam();
-  ScriptedRunner runner({0, quota - 1, quota, 0, 5 * quota, quota - 1, 0});
+  ScriptedRunner runner(
+      {0, kSpan * quota - 3, quota - 1, kSpan * (quota - 1), 5 * quota, 0});
   Router router(GetParam(), true);
-  EXPECT_EQ(router.runAtLeast(7 * kLength - 1, runner.executor, runner),
-            7 * kLength);
-  EXPECT_EQ(runner.log, "BRRBRBR");
-  EXPECT_EQ(router.rejectionFreeEpochs(), 4u);
+  EXPECT_EQ(router.runAtLeast((3 * kSpan + 2) * kLength + 1, runner.executor,
+                              runner),
+            (3 * kSpan + 3) * kLength);
+  EXPECT_EQ(runner.log, "BRBRRB");
+  EXPECT_EQ(runner.lengths,
+            std::vector<std::uint64_t>(3, kSpan * kLength));
+  EXPECT_EQ(router.rejectionFreeEpochs(), 3 * kSpan);
   EXPECT_EQ(router.lastEpochEvents(), 0u);
-  EXPECT_EQ(runner.executor.epochs(), 7u);
-  EXPECT_EQ(runner.executor.boundaryRejects(), 4 * ScriptedRunner::kRejects);
+  EXPECT_EQ(runner.executor.epochs(), 3 * kSpan + 3);
+  EXPECT_EQ(runner.executor.boundaryRejects(), 3 * ScriptedRunner::kRejects);
   EXPECT_EQ(runner.rulesBuilt, 1);  // the sampler is built once, lazily
   EXPECT_EQ(runner.restores, 1);
   EXPECT_FALSE(runner.verified);
+}
+
+TEST_P(EpochRouting, LoopRunsASpanPerRejectionFreeDecision) {
+  // One decision: one sample of k·L proposals under epoch 0's keys, and
+  // both epoch counts advance by k; the route then reads the span's
+  // events per epoch, rounded up.
+  Router router = after(GetParam(), 0);
+  ScriptedRunner runner({13});
+  EXPECT_EQ(router.runAtLeast(1, runner.executor, runner), kSpan * kLength);
+  EXPECT_EQ(runner.log, "R");
+  EXPECT_EQ(runner.lengths, std::vector<std::uint64_t>{kSpan * kLength});
+  EXPECT_EQ(runner.executor.epochs(), kSpan);
+  EXPECT_EQ(router.rejectionFreeEpochs(), 7 + kSpan);
+  EXPECT_EQ(router.lastEpochEvents(), (13 + kSpan - 1) / kSpan);
+  EXPECT_EQ(runner.executor.boundaryRejects(), ScriptedRunner::kRejects);
+}
+
+TEST_P(EpochRouting, LoopClampsTheSpanAtTheEpochCap) {
+  // Epochs of 2^27 proposals run spans of two, epochs of 2^28 one epoch
+  // per decision; the scripted sampler runs none of them.
+  for (const std::uint64_t span : {2u, 1u}) {
+    Router router = after(GetParam(), 0);
+    ScriptedRunner runner({0}, kMaxEventsPerEpoch / span);
+    EXPECT_EQ(router.runAtLeast(1, runner.executor, runner),
+              kMaxEventsPerEpoch);
+    EXPECT_EQ(runner.lengths, std::vector<std::uint64_t>{kMaxEventsPerEpoch});
+    EXPECT_EQ(runner.executor.epochs(), span);
+  }
 }
 
 TEST_P(EpochRouting, LoopRunsWholeEpochsOnThePinnedPath) {
@@ -255,22 +309,28 @@ TEST_P(EpochRouting, LoopRunsWholeEpochsOnThePinnedPath) {
   EXPECT_EQ(block.log, "BBB");
   EXPECT_EQ(block.rulesBuilt, 0);
 
-  ScriptedRunner free({1000, 1000});
+  // One epoch per decision, however few its events.
+  ScriptedRunner free({1000, 0});
   Router freeRouter(GetParam(), true);
   freeRouter.forceRejectionFree(true, true);
   freeRouter.runAtLeast(2 * kLength, free.executor, free);
   EXPECT_EQ(free.log, "RR");
+  EXPECT_EQ(free.lengths, std::vector<std::uint64_t>(2, kLength));
+  EXPECT_EQ(free.executor.epochs(), 2u);
+  EXPECT_EQ(freeRouter.rejectionFreeEpochs(), 2u);
   EXPECT_TRUE(free.verified);
-  EXPECT_EQ(freeRouter.lastEpochEvents(), 1000u);
+  EXPECT_EQ(freeRouter.lastEpochEvents(), 0u);
 }
 
 TEST_P(EpochRouting, LoopPollsTheCancelTokenBetweenEpochs) {
+  // The token trips inside the span: the span completes, and the loop
+  // stops before the next decision.
   ScriptedRunner runner({0, 0, 0, 0});
   runner.cancelAfter = 2;
   Router router(GetParam(), true);
   router.setCancelToken(&runner.cancel);
-  EXPECT_EQ(router.runAtLeast(4 * kLength, runner.executor, runner),
-            2 * kLength);
+  EXPECT_EQ(router.runAtLeast(8 * kLength, runner.executor, runner),
+            (1 + kSpan) * kLength);
   EXPECT_EQ(runner.log, "BR");
   EXPECT_EQ(router.runAtLeast(1, runner.executor, runner), 0u);
   EXPECT_EQ(runner.restores, 2);
@@ -285,6 +345,7 @@ TEST_P(EpochRouting, LoopRestoresTheIndexWhenAnEpochThrows) {
                  std::runtime_error);
     EXPECT_EQ(runner.restores, 1) << throwAt;
     EXPECT_EQ(router.rejectionFreeEpochs(), 0u) << throwAt;
+    EXPECT_EQ(runner.executor.epochs(), 1u) << throwAt;  // not the span
   }
 }
 

@@ -652,14 +652,14 @@ Signature signatureOf(const Runner& runner) {
 
 TEST(RejectionFreeRouting, DefaultRunnerRoutesCompressedEpochs) {
   // A 10⁴ spiral at λ = 4: the first epoch runs on the block path, every
-  // later one rejection-free; the test-only hook keeps all on the block
-  // path.
+  // later one rejection-free, in spans of four (so six epochs round up to
+  // nine); the test-only hook keeps all on the block path.
   ChainOptions options;
   const system::ParticleSystem spiral = system::spiralConfiguration(10000);
   Runner routed = makeRunner(spiral, options, 1213, 4);
   routed.runAtLeast(6 * 20000);
-  EXPECT_EQ(routed.epochs(), 6u);
-  EXPECT_EQ(routed.rejectionFreeEpochs(), 5u);
+  EXPECT_EQ(routed.epochs(), 9u);
+  EXPECT_EQ(routed.rejectionFreeEpochs(), 8u);
   Runner block = makeRunner(spiral, options, 1213, 4);
   block.forceBlockPathForTest();
   block.runAtLeast(6 * 20000);
@@ -669,9 +669,10 @@ TEST(RejectionFreeRouting, DefaultRunnerRoutesCompressedEpochs) {
 
 TEST(RejectionFreeRouting, TrajectoryIndependentOfThreadCountAndResume) {
   // A 2·10⁴ spiral at λ = 4 accepts far fewer than L/256 moves per epoch,
-  // so every epoch after the first routes rejection-free.  Each thread
-  // count runs six epochs, snapshots, resumes at another count and runs
-  // six more; every run must end on the list-order run's state.
+  // so every epoch after the first routes rejection-free, in spans of
+  // four.  Each thread count runs six epochs (nine, rounded up to spans),
+  // snapshots, resumes at another count and runs six more (eight); every
+  // run must end on the list-order run's state.
   ChainOptions options;
   const system::ParticleSystem spiral = system::spiralConfiguration(20000);
   const auto runWith = [&](unsigned threads, unsigned resumeThreads) {
@@ -689,7 +690,7 @@ TEST(RejectionFreeRouting, TrajectoryIndependentOfThreadCountAndResume) {
     return signatureOf(resumed);
   };
   const Signature oracle = runWith(1, 1);
-  EXPECT_EQ(oracle.rejectionFreeEpochs, 11u);
+  EXPECT_EQ(oracle.rejectionFreeEpochs, 16u);
   EXPECT_GT(oracle.sweepEvents, 0u);
   EXPECT_TRUE(runWith(2, 4) == oracle);
   EXPECT_TRUE(runWith(4, 3) == oracle);
@@ -732,8 +733,8 @@ TEST(RejectionFreeRouting, VersionFivePayloadRestoresOnTheBlockPath) {
   EXPECT_EQ(resumed.epochs(), runner.epochs());
   resumed.runAtLeast(kLength);  // the first epoch after a v5 resume: block
   EXPECT_EQ(resumed.rejectionFreeEpochs(), 0u);
-  resumed.runAtLeast(kLength);
-  EXPECT_EQ(resumed.rejectionFreeEpochs(), 1u);
+  resumed.runAtLeast(kLength);  // then a rejection-free span
+  EXPECT_EQ(resumed.rejectionFreeEpochs(), 4u);
   EXPECT_EQ(resumed.edges(), system::countEdges(resumed.system()));
 }
 

@@ -236,92 +236,97 @@ TEST(CounterStream, GeometricMatchesPmf) {
   EXPECT_EQ(CounterStream(1, 2).geometric(1.0), 0u);
 }
 
-TEST(CounterStream, BinomialMatchesPmf) {
-  struct Case {
-    std::uint64_t n;
-    double p;
-  };
-  // Small means (geometric gaps), BTRD from moderate to large n, p > 1/2
-  // (complement), and tiny p over huge trial counts.
-  const Case cases[] = {{30, 0.2},          {50, 0.97},
-                        {1000, 0.3},        {200, 0.93},
-                        {200000, 0.04},     {1000000000, 3e-9},
-                        {1ULL << 40, 1e-11}, {1ULL << 40, 1e-8}};
-  for (const Case c : cases) {
-    const double n = static_cast<double>(c.n);
-    const double mean = n * c.p;
-    const double sd = std::sqrt(mean * (1.0 - c.p));
-    const auto lo = static_cast<std::uint64_t>(std::max(0.0, mean - 8 * sd));
-    const auto hi =
-        static_cast<std::uint64_t>(std::min(n, std::ceil(mean + 8 * sd)));
-    // log pmf by the ratio recursion from k = 0 (exact to rounding even
-    // where lgamma(n + 1) would cancel catastrophically).
-    const double logRatio = std::log(c.p) - std::log1p(-c.p);
-    double logPmf = n * std::log1p(-c.p);
-    std::vector<double> expected;
-    for (std::uint64_t k = 0; k <= hi; ++k) {
-      if (k >= lo) expected.push_back(std::exp(logPmf));
-      logPmf += std::log((n - static_cast<double>(k)) /
-                         (static_cast<double>(k) + 1.0)) +
-                logRatio;
-    }
-    double inside = 0.0;
-    for (const double e : expected) inside += e;
-    expected.push_back(std::max(0.0, 1.0 - inside));  // both tails
-    std::vector<double> counts(expected.size(), 0.0);
-    for (int k = 0; k < kPmfDraws; ++k) {
-      const std::uint64_t x =
-          CounterStream(0x62696e, static_cast<std::uint64_t>(k))
-              .binomial(c.n, c.p);
-      ASSERT_LE(x, c.n);
-      counts[x >= lo && x <= hi ? x - lo : expected.size() - 1] += 1.0;
-    }
-    const analysis::ChiSquareResult gof =
-        analysis::chiSquareGoodnessOfFit(counts, expected);
-    EXPECT_GT(gof.pValue, kPmfAcceptP)
-        << "n = " << c.n << ", p = " << c.p << ", chi2 = " << gof.statistic
-        << ", dof = " << gof.dof;
+/// Chi-square of kPmfDraws Binomial(n, p) draws, one stream each under
+/// `key`, against the exact pmf over mean ± 8 sd (both tails pooled).
+void expectBinomialMatchesPmf(std::uint64_t key, std::uint64_t trials,
+                              double p) {
+  const double n = static_cast<double>(trials);
+  const double mean = n * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  const auto lo = static_cast<std::uint64_t>(std::max(0.0, mean - 8 * sd));
+  const auto hi =
+      static_cast<std::uint64_t>(std::min(n, std::ceil(mean + 8 * sd)));
+  // log pmf by the ratio recursion from k = 0 (exact to rounding even
+  // where lgamma(n + 1) would cancel catastrophically).
+  const double logRatio = std::log(p) - std::log1p(-p);
+  double logPmf = n * std::log1p(-p);
+  std::vector<double> expected;
+  for (std::uint64_t k = 0; k <= hi; ++k) {
+    if (k >= lo) expected.push_back(std::exp(logPmf));
+    logPmf += std::log((n - static_cast<double>(k)) /
+                       (static_cast<double>(k) + 1.0)) +
+              logRatio;
   }
+  double inside = 0.0;
+  for (const double e : expected) inside += e;
+  expected.push_back(std::max(0.0, 1.0 - inside));  // both tails
+  std::vector<double> counts(expected.size(), 0.0);
+  for (int k = 0; k < kPmfDraws; ++k) {
+    const std::uint64_t x =
+        CounterStream(key, static_cast<std::uint64_t>(k)).binomial(trials, p);
+    ASSERT_LE(x, trials);
+    counts[x >= lo && x <= hi ? x - lo : expected.size() - 1] += 1.0;
+  }
+  const analysis::ChiSquareResult gof =
+      analysis::chiSquareGoodnessOfFit(counts, expected);
+  EXPECT_GT(gof.pValue, kPmfAcceptP)
+      << "n = " << trials << ", p = " << p << ", chi2 = " << gof.statistic
+      << ", dof = " << gof.dof;
+}
+
+struct BinomialCase {
+  std::uint64_t n;
+  double p;
+};
+
+TEST(CounterStream, BinomialMatchesPmf) {
+  // Small means (inversion), BTRD from moderate to large n, p > 1/2
+  // (complement), and tiny p over huge trial counts.
+  const BinomialCase cases[] = {{30, 0.2},          {50, 0.97},
+                                {1000, 0.3},        {200, 0.93},
+                                {200000, 0.04},     {1000000000, 3e-9},
+                                {1ULL << 40, 1e-11}, {1ULL << 40, 1e-8}};
+  for (const BinomialCase c : cases) expectBinomialMatchesPmf(0x62696e, c.n, c.p);
   CounterStream s(3, 4);
   EXPECT_EQ(s.binomial(0, 0.5), 0u);
   EXPECT_EQ(s.binomial(17, 0.0), 0u);
   EXPECT_EQ(s.binomial(17, 1.0), 17u);
 }
 
-/// drawBinomial's small-mean path as it was before log1p(−p) was hoisted
-/// out of its loop: one drawGeometric, log1p included, per gap.
-template <typename Engine>
-std::uint64_t binomialBeforeHoist(Engine& engine, std::uint64_t n, double p) {
-  if (n == 0 || !(p > 0.0)) return 0;
-  if (p >= 1.0) return n;
-  if (p > 0.5) return n - binomialBeforeHoist(engine, n, 1.0 - p);
-  if ((static_cast<double>(n) + 1.0) * p < 11.0) {
-    std::uint64_t successes = 0;
-    std::uint64_t position = drawGeometric(engine, p);
-    while (position < n) {
-      ++successes;
-      const std::uint64_t gap = drawGeometric(engine, p);
-      position = gap < n ? position + 1 + gap : n;
-    }
-    return successes;
+TEST(CounterStream, BinomialInversionMatchesPmf) {
+  // The small-mean path at its edges — one trial, (n + 1)·p just under
+  // 11, p = ½ and just under — and at the shapes the rejection-free
+  // epochs' block counts and failure splits draw.
+  const BinomialCase cases[] = {{1, 0.3},     {1, 0.5},      {1098, 0.01},
+                                {20, 0.5},    {21, 0.4999},  {183, 0.04},
+                                {1200, 0.004}, {250, 0.03}};
+  for (const BinomialCase c : cases) {
+    ASSERT_LT((static_cast<double>(c.n) + 1.0) * c.p, 11.0);
+    expectBinomialMatchesPmf(0x62696f, c.n, c.p);
   }
-  return detail::drawBinomialBtrd(engine, n, p);
 }
 
-TEST(CounterStream, BinomialIsBitIdenticalToTheUnhoistedLoop) {
-  // Every stream must give the same count and leave the stream at the
-  // same point, on both sides of the small-mean / BTRD switch and of ½.
+TEST(CounterStream, BinomialDrawsOneUniformOnTheSmallMeanPath) {
+  // A small mean takes exactly one output of the stream; past the switch
+  // the draw is BTRD's, bit for bit, on the complement above ½.
   const std::uint64_t trials[] = {1, 2, 7, 40, 1000, 250000, 1ULL << 40};
   const double probabilities[] = {1e-12, 1e-6, 1e-3, 0.004, 0.01, 0.05,
                                   0.1,   0.25, 0.5,  0.75,  0.99, 0.9999};
   for (const std::uint64_t n : trials) {
     for (const double p : probabilities) {
+      const double q = std::min(p, 1.0 - p);
+      const bool smallMean = (static_cast<double>(n) + 1.0) * q < 11.0;
       for (std::uint64_t k = 0; k < 10000; ++k) {
         CounterStream now(0x686f6973, k);
-        CounterStream before(0x686f6973, k);
-        ASSERT_EQ(now.binomial(n, p), binomialBeforeHoist(before, n, p))
-            << "n = " << n << ", p = " << p << ", stream " << k;
-        ASSERT_EQ(now(), before()) << "n = " << n << ", p = " << p;
+        const std::uint64_t x = now.binomial(n, p);
+        CounterStream oracle(0x686f6973, k);
+        if (smallMean) {
+          (void)oracle();
+        } else {
+          const std::uint64_t y = detail::drawBinomialBtrd(oracle, n, q);
+          ASSERT_EQ(x, p > 0.5 ? n - y : y) << "n = " << n << ", p = " << p;
+        }
+        ASSERT_EQ(now(), oracle()) << "n = " << n << ", p = " << p;
       }
     }
   }

@@ -30,7 +30,10 @@ and require the resumed trajectory to finish byte-identical to an
 uninterrupted run of the same spec (for sharded compression and amoebot
 on a 20000-particle spiral, with the same rejection_free_epochs, stage
 histogram and outcome counts; the amoebot run killed at threads=2 resumes
-at threads=1); plus SIGTERM → graceful exit 3 with the cancelled step
+at threads=1).  Both routed runners again with checkpoints every three
+epochs, off the grid of the route's four-epoch rejection-free spans:
+killed at threads=4, resumed at threads=2, compared with an uninterrupted
+run at threads=3.  Plus SIGTERM → graceful exit 3 with the cancelled step
 in the primary snapshot, and a clean run that leaves its final step
 there.
 
@@ -110,8 +113,8 @@ def check_csv(path, scenario, metrics, replicas):
         fail(f"{scenario}: csv header {lines[0]!r} != {expected_header!r}")
     rows = [line.split(",") for line in lines[1:]]
     # One row at iteration 0 plus one per checkpoint, per replica.  The
-    # amoebot runner rounds checkpoints up to whole epochs, so count rows,
-    # not exact iterations.
+    # block runners round checkpoints up to whole epochs and rejection-free
+    # spans, so count rows, not exact iterations.
     expected_rows = replicas * (CHECKPOINTS + 1)
     if len(rows) != expected_rows:
         fail(f"{scenario}: {len(rows)} csv rows, expected {expected_rows}")
@@ -240,15 +243,24 @@ def expect_positive_counts(counts, what):
             fail(f"{what}: {key} is {value}, expected a positive count")
 
 
+def with_threads(spec, threads):
+    """`spec` with its threads= key set to `threads` (None keeps it)."""
+    if threads is None:
+        return spec
+    return " ".join(f"threads={threads}" if key.startswith("threads=")
+                    else key for key in spec.split())
+
+
 def check_crash_resume(spps, workdir, scenario, extra, tag=None,
-                       size="n=60", counts=(), resume_threads=None):
+                       size="n=60", counts=(), resume_threads=None,
+                       reference_threads=None, checkpoint=50000):
     """SIGKILL mid-run, resume from the snapshot, compare the final CSV row
     against an uninterrupted run of the identical spec.  The replica
     record's `counts` (a routed sharded runner's) must be positive and
-    survive the crash too.  With `resume_threads`, the resume runs at that
-    thread count instead of the killed run's."""
+    survive the crash too.  With `resume_threads` the resume, and with
+    `reference_threads` the uninterrupted run, runs at that thread count
+    instead of the killed run's."""
     tag = tag or scenario
-    checkpoint = 50000
     base = (f"scenario={scenario} {size} checkpoint={checkpoint} seed=1603 "
             f"{extra}").strip()
     snap = os.path.join(workdir, f"{tag}_crash.snap")
@@ -273,13 +285,9 @@ def check_crash_resume(spps, workdir, scenario, extra, tag=None,
 
     resumed_csv = os.path.join(workdir, f"{tag}_resumed.csv")
     resumed_jsonl = os.path.join(workdir, f"{tag}_resumed.jsonl")
-    resume_base = base
-    if resume_threads is not None:
-        resume_base = " ".join(
-            f"threads={resume_threads}" if key.startswith("threads=") else key
-            for key in base.split())
     result = subprocess.run(
-        [spps] + f"{resume_base} steps={target} resume={snap} "
+        [spps] + f"{with_threads(base, resume_threads)} steps={target} "
+                 f"resume={snap} "
                  f"csv={resumed_csv} jsonl={resumed_jsonl}".split(),
         capture_output=True, text=True)
     if result.returncode != 0:
@@ -289,8 +297,8 @@ def check_crash_resume(spps, workdir, scenario, extra, tag=None,
     reference_csv = os.path.join(workdir, f"{tag}_reference.csv")
     reference_jsonl = os.path.join(workdir, f"{tag}_reference.jsonl")
     result = subprocess.run(
-        [spps] + f"{base} steps={target} csv={reference_csv} "
-                 f"jsonl={reference_jsonl}".split(),
+        [spps] + f"{with_threads(base, reference_threads)} steps={target} "
+                 f"csv={reference_csv} jsonl={reference_jsonl}".split(),
         capture_output=True, text=True)
     if result.returncode != 0:
         fail(f"{tag}: reference run exited {result.returncode}")
@@ -314,9 +322,11 @@ def check_crash_resume(spps, workdir, scenario, extra, tag=None,
                    "rejection-free epochs either way")
     resumed_at = ("" if resume_threads is None
                   else f" at threads={resume_threads}")
+    reference_at = ("" if reference_threads is None
+                    else f" at threads={reference_threads}")
     print(f"ok: {tag} SIGKILL at {steps_at_kill} steps, resumed{resumed_at} "
           f"to {target} — final row identical to the uninterrupted run"
-          f"{routing}")
+          f"{reference_at}{routing}")
 
 
 def check_cross_thread(spps, workdir, scenario, counts, thread_counts):
@@ -501,6 +511,16 @@ def main():
                        tag="amoebot_routed",
                        size="shape=spiral n=20000", counts=AMOEBOT_COUNTS,
                        resume_threads=1)
+    # Checkpoints every 3L (L = 2n = 40000), off the grid of the route's
+    # rejection-free spans of 4L: every advance ends inside a span and
+    # rounds up to its end.
+    for scenario, counts in (("compression", COMPRESSION_COUNTS),
+                             ("amoebot", AMOEBOT_COUNTS)):
+        check_crash_resume(spps, workdir, scenario, "lambda=4.0 threads=4",
+                           tag=f"{scenario}_off_span",
+                           size="shape=spiral n=20000", counts=counts,
+                           resume_threads=2, reference_threads=3,
+                           checkpoint=3 * 40000)
     check_clean_snapshot(spps, workdir)
     check_sigterm_exit(spps, workdir)
     print("spps smoke: all scenarios runnable from a RunSpec alone; "
